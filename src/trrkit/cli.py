@@ -211,9 +211,19 @@ def cmd_g7(args, started):
 
 def cmd_check(args, started):
     with open(args.file) as fh:
-        payload = json.load(fh)
-    want = payload["manifest"]["result_digest"]
-    got = result_digest(payload["result"])
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{args.file} is not JSON: {exc}")
+    try:
+        want = payload["manifest"]["result_digest"]
+        result = payload["result"]
+    except (KeyError, TypeError):
+        raise UsageError(
+            f"{args.file} has no manifest.result_digest and result; "
+            "not a trrkit result file"
+        )
+    got = result_digest(result)
     if want != got:
         print(f"digest mismatch: manifest {want}, recomputed {got}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -221,15 +231,28 @@ def cmd_check(args, started):
     return EXIT_OK
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a positive worker count (from --jobs or TRR_JOBS), got {text!r}"
+        )
+    return jobs
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("TRR_JOBS", "1"))
+    # a string default goes through the type check too, and only when used
+    default_jobs = os.environ.get("TRR_JOBS", "1")
 
     p = sub.add_parser("scan", help="scan for vanishing D coefficients")
     p.add_argument("--g-min", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=_jobs, default=default_jobs)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_scan)
@@ -256,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=_jobs, default=default_jobs)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_pixton)
@@ -267,7 +290,7 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--b", default="")
         p.add_argument("--allow-large", action="store_true")
-        p.add_argument("--jobs", type=int, default=default_jobs)
+        p.add_argument("--jobs", type=_jobs, default=default_jobs)
         p.add_argument("--out")
         p.set_defaults(func=cmd_omega)
 

@@ -4,7 +4,10 @@ The fixed-r class is the weighted sum over stable graphs and weightings mod r
 of exponential psi decorations; its coefficients are polynomial in r for
 large r, and the constant term of that polynomial is the class whose
 monomial coefficients in the leg variables yield tautological relations in
-degrees above g.
+degrees above g.  In degrees <= dmax that polynomial has degree at most
+2*dmax, since each edge term weighs the weightings by a polynomial of degree
+2*(m_e + 1) in the residues; the constant term is read off 2*dmax + 1
+consecutive nodes, and two further held-out nodes validate the bound.
 
 Performance notes.  A weighting sum over a graph depends on the leg residues
 only through the per-edge affine residue forms, whose constants are per-vertex
@@ -18,14 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .numerics import (
-    SparsePoly,
-    binomial,
-    factorial,
-    interpolate,
-    lagrange_coefficient_weights,
-)
+from .numerics import binomial, factorial, lagrange_coefficient_weights
 from .stablegraphs import (
     StableGraph,
     automorphism_count,
@@ -35,8 +34,7 @@ from .strata import DecoratedGraph, StrataElement, decorate_canonical_graph
 
 
 class FitInstabilityError(RuntimeError):
-    """Raised when the polynomial-in-r fit does not stabilize; the degree
-    bound guess was wrong."""
+    """Raised when a held-out node contradicts the degree bound in r."""
 
 
 class ComputationGuardError(RuntimeError):
@@ -480,8 +478,6 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
         profiles.add(profile)
 
     # rescale bases to a common integer numerator
-    from math import lcm
-
     common = 1
     for _, _, base, _ in templates:
         common = lcm(common, base.denominator)
@@ -574,112 +570,30 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     return StrataElement(g, n, terms)
 
 
-class RPolynomialClass:
-    """A class whose coefficients are exact polynomial fits in the modulus r,
-    validated on held-out nodes."""
-
-    def __init__(self, g, n, polys, r_nodes):
-        self.g = g
-        self.n = n
-        self.polys: dict[DecoratedGraph, SparsePoly] = polys
-        self.r_nodes = tuple(r_nodes)
-
-    def constant_term(self) -> StrataElement:
-        terms = {
-            dg: poly.coefficient((0,)) for dg, poly in self.polys.items()
-        }
-        return StrataElement(self.g, self.n, terms)
+def _zero_weights(nodes) -> tuple[list[int], int]:
+    """Integer weights w_i and one denominator W with
+    p(0) = sum_i w_i p(x_i) / W for every polynomial p of degree below
+    len(nodes): the Lagrange basis polynomials at zero."""
+    weights = []
+    for i, x in enumerate(nodes):
+        w = Fraction(1)
+        for j, y in enumerate(nodes):
+            if j != i:
+                w *= Fraction(y, y - x)
+        weights.append(w)
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
-def _newton_diagonal(nodes, values):
-    """Newton divided-difference coefficients for the given nodes."""
-    dd = list(values)
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
-    return dd
+def _difference_weights(order: int) -> list[int]:
+    """Coefficients of the order-th forward difference on consecutive
+    nodes; it vanishes exactly on polynomials of degree below order."""
+    return [(-1) ** (order - k) * binomial(order, k) for k in range(order + 1)]
 
 
-def _newton_eval(nodes, dd, x):
-    acc = dd[-1]
-    for i in range(len(dd) - 2, -1, -1):
-        acc = acc * (x - nodes[i]) + dd[i]
-    return acc
-
-
-def _newton_fits(samples: dict[int, StrataElement], rs) -> dict:
-    keys = set()
-    for r in rs:
-        keys.update(samples[r].terms)
-    fits = {}
-    zero = Fraction(0)
-    for key in keys:
-        values = [samples[r].terms.get(key, zero) for r in rs]
-        fits[key] = _newton_diagonal(rs, values)
-    return fits
-
-
-class _IncrementalFits:
-    """Newton coefficients per decorated-graph key, extended node by node.
-
-    For each key the rightmost column of the divided-difference triangle is
-    kept, so appending a node costs O(current length)."""
-
-    def __init__(self):
-        self.nodes: list[int] = []
-        self.coeffs: dict = {}
-        self.tails: dict = {}
-
-    def extend(self, r: int, terms: dict):
-        zero = Fraction(0)
-        for key in terms.keys() - self.coeffs.keys():
-            # a key unseen so far was zero at all earlier nodes
-            coeffs = []
-            tail = []
-            for i, x in enumerate(self.nodes):
-                entry = zero
-                tail.append(entry)
-                coeffs.append(entry)
-            self.coeffs[key] = coeffs
-            self.tails[key] = tail
-        m = len(self.nodes)
-        for key, coeffs in self.coeffs.items():
-            y = terms.get(key, zero)
-            tail = self.tails[key]
-            ntail = [y]
-            for i in range(1, m + 1):
-                ntail.append(
-                    (ntail[i - 1] - tail[i - 1]) / (r - self.nodes[m - i])
-                )
-            coeffs.append(ntail[m])
-            self.tails[key] = ntail
-        self.nodes.append(r)
-
-    def trailing_zero(self, count: int) -> bool:
-        return all(
-            all(c == 0 for c in coeffs[-count:])
-            for coeffs in self.coeffs.values()
-        )
-
-    def evaluate(self, key, x):
-        coeffs = self.coeffs.get(key)
-        if not coeffs:
-            return Fraction(0)
-        return _newton_eval(self.nodes, coeffs, x)
-
-
-def _newton_to_poly(nodes, dd) -> SparsePoly:
-    coeffs = [Fraction(0)] * len(dd)
-    basis = [Fraction(1)]
-    for k, c in enumerate(dd):
-        for i, b in enumerate(basis):
-            coeffs[i] += c * b
-        new = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            new[i + 1] += b
-            new[i] -= nodes[k] * b
-        basis = new
-    return SparsePoly(("r",), {(i,): c for i, c in enumerate(coeffs) if c})
+def _dot(u, v) -> int:
+    """Dot product, truncated to the shorter sequence."""
+    return sum(map(mul, u, v))
 
 
 def constant_term_class(
@@ -689,74 +603,45 @@ def constant_term_class(
     dmax: int,
     r0: int | None = None,
     survivors=frozenset(),
-    max_nodes: int | None = None,
 ):
-    """Constant term in r of the graph sum: fit each coefficient as a
-    polynomial in r on nodes r0, r0+1, ... and take its value at 0.
+    """Constant term in r of the graph sum.
 
-    The fit ramps the node count from dmax+2 until two successive fits agree
-    and two held-out nodes validate; failure to stabilize raises
+    For large r every coefficient is a polynomial in r of degree at most
+    2*dmax: a graph with edge exponents (m_e) weighs its r^h1 weightings by
+    a polynomial of degree 2*sum(m_e + 1) <= 2*dmax in the edge residues,
+    and after the factor r^(-h1) that sum is a polynomial in r of the same
+    degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
+    sampled at the 2*dmax + 3 nodes r0, r0+1, ...; the first 2*dmax + 1 give
+    the value at r = 0 and the last two are held out to validate the bound.
+    Returns (element, meta); a held-out node off the fit raises
     :class:`FitInstabilityError`.
     """
     a = check_avector(a)
     if r0 is None:
         r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
-    if max_nodes is None:
-        max_nodes = 2 * dmax + 9
-    samples: dict[int, StrataElement] = {}
-
-    def sample(r):
-        if r not in samples:
-            samples[r] = fixed_r_class(g, n, a, r, dmax, survivors)
-        return samples[r]
-
-    fits = _IncrementalFits()
-    zero = Fraction(0)
-    k = dmax + 2
-    for t in range(k):
-        fits.extend(r0 + t, sample(r0 + t).terms)
-    while k <= max_nodes:
-        # on nested node sets, the fit with two fewer nodes coincides with
-        # this one exactly when the two trailing Newton coefficients vanish
-        if len(fits.nodes) > k - 2 >= dmax + 2 and fits.trailing_zero(2):
-            held_out = [r0 + k, r0 + k + 1]
-            ok = True
-            for r in held_out:
-                cls = sample(r)
-                for key in set(fits.coeffs) | set(cls.terms):
-                    if fits.evaluate(key, r) != cls.terms.get(key, zero):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                constants = {
-                    key: fits.evaluate(key, 0) for key in fits.coeffs
-                }
-                return StrataElement(g, n, constants), {
-                    "r0": r0,
-                    "r_nodes": list(fits.nodes) + held_out,
-                    "dmax": dmax,
-                }
-        if k + 2 > max_nodes:
-            break
-        for t in range(k, k + 2):
-            fits.extend(r0 + t, sample(r0 + t).terms)
-        k += 2
-    raise FitInstabilityError(
-        f"coefficient fit in r did not stabilize within {max_nodes} nodes"
-    )
-
-
-def fit_r_polynomials(g: int, n: int, a, dmax: int, **kwargs) -> RPolynomialClass:
-    """The validated polynomial-in-r fits themselves (one per decorated
-    graph), for callers that want more than the constant term."""
-    element, meta = constant_term_class(g, n, a, dmax, **kwargs)
-    rs = meta["r_nodes"]
-    samples = {r: fixed_r_class(g, n, a, r, dmax, kwargs.get("survivors", frozenset())) for r in rs}
-    fits = _newton_fits(samples, rs)
-    polys = {key: _newton_to_poly(rs, dd) for key, dd in fits.items()}
-    return RPolynomialClass(g, n, polys, rs)
+    count = 2 * dmax + 1
+    nodes = [r0 + t for t in range(count + 2)]
+    samples = [fixed_r_class(g, n, a, r, dmax, survivors).terms for r in nodes]
+    weights, weights_den = _zero_weights(nodes[:count])
+    diff = _difference_weights(count)
+    constants = {}
+    for key in set().union(*samples):
+        values = [s.get(key, 0) for s in samples]
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        # both vanish iff the fit through the first count nodes passes
+        # through the two held-out ones
+        if _dot(diff, nums) or _dot(diff, nums[1:]):
+            raise FitInstabilityError(
+                f"a coefficient is not a polynomial of degree <= {2 * dmax} "
+                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+            )
+        constants[key] = Fraction(_dot(weights, nums), weights_den * den)
+    return StrataElement(g, n, constants), {
+        "r0": r0,
+        "r_nodes": nodes,
+        "dmax": dmax,
+    }
 
 
 def pixton_class(g: int, n: int, a, dmax: int, **kwargs) -> StrataElement:
@@ -866,8 +751,9 @@ def monomial_coefficient(
                 continue
             points.append(((-sum(avec),) + avec, weight / stab))
 
+    if jobs < 1:
+        raise ValueError(f"need a positive worker count, got {jobs}")
     acc: dict[DecoratedGraph, Fraction] = {}
-    jobs = max(1, int(jobs))
     if jobs > 1 and len(points) > 1:
         # warm the plan and template caches before forking
         _class_plan(g, n, d, survivors)

@@ -660,9 +660,16 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
     results = []
     if graph.genera[v] == 0 and npoints == 3:
         # the vertex destabilizes; all its decorations vanish by the degree bound
-        assert b == 0 and not dg.kappa[v]
-        assert all(dg.psi_edges[k][s] == 0 for k, s in sides)
-        assert all(dg.psi_legs[m - 1] == 0 for m in legs_other)
+        if (
+            b
+            or dg.kappa[v]
+            or any(dg.psi_edges[k][s] for k, s in sides)
+            or any(dg.psi_legs[m - 1] for m in legs_other)
+        ):
+            raise ValueError(
+                "a decoration on a three-pointed rational vertex exceeds "
+                "its dimension 0"
+            )
         legs, psis = shift_markings(graph.legs, dg.psi_legs)
         if len(sides) == 2:
             (k1, s1), (k2, s2) = sides

@@ -297,6 +297,8 @@ def scan_zeros(g_min: int, g_max: int, jobs: int = 1):
     """
     if g_min < 1 or g_max < g_min:
         raise ValueError("need 1 <= g_min <= g_max")
+    if jobs < 1:
+        raise ValueError(f"need a positive worker count, got {jobs}")
     gs = list(range(g_min, g_max + 1))
     if jobs > 1 and len(gs) > 1:
         with Pool(processes=min(jobs, len(gs))) as pool:

@@ -115,6 +115,21 @@ def test_pixton_monomial(tmp_path, capsys):
     assert payload["manifest"]["r_nodes"]
 
 
+def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
+    # dmax = 2: the constant term takes 2*dmax + 1 nodes plus two held out
+    out = tmp_path / "mono2.json"
+    code, _, _ = run(
+        capsys, "pixton", "--g", "1", "--n", "2", "--b-exponents", "2",
+        "--degree", "2", "--out", str(out),
+    )
+    assert code == 0
+    manifest = json.loads(out.read_text())["manifest"]
+    assert manifest["r_nodes"] == list(range(19, 26))
+    assert manifest["result_digest"] == (
+        "7a8620fb1507987d9d1b3f0b674c4bb3df3aa88bca721e78ccda08dec18b3fd1"
+    )
+
+
 def test_pixton_fixed_r(tmp_path, capsys):
     out = tmp_path / "fixed.json"
     code, _, _ = run(
@@ -189,3 +204,38 @@ def test_unwritable_output_path(capsys):
     )
     assert code != 0
     assert "error" in err
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("usage error")
+
+
+def test_trr_jobs_env_invalid(monkeypatch, capsys):
+    monkeypatch.setenv("TRR_JOBS", "abc")
+    code, _, err = run(capsys, "scan", "--g-min", "1", "--g-max", "2")
+    assert_one_line_usage_error(code, err)
+    assert "TRR_JOBS" in err
+    # an explicit --jobs wins over a bad environment value
+    code, _, _ = run(capsys, "scan", "--g-min", "1", "--g-max", "2", "--jobs", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(capsys, jobs):
+    code, _, err = run(capsys, "scan", "--g-min", "1", "--g-max", "2", "--jobs", jobs)
+    assert_one_line_usage_error(code, err)
+    code, _, err = run(
+        capsys, "pixton", "--g", "1", "--n", "2", "--b-exponents", "2",
+        "--degree", "1", "--jobs", jobs,
+    )
+    assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"manifest": {}}'])
+def test_check_rejects_non_result_files(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "check", str(path))
+    assert_one_line_usage_error(code, err)

@@ -2,10 +2,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trrkit import pixton
+from trrkit.cli import main
 from trrkit.numerics import lagrange_coefficient_weights
 from trrkit.pixton import (
     ComputationGuardError,
+    FitInstabilityError,
+    _difference_weights,
+    _dot,
+    _zero_weights,
     check_avector,
     constant_term_class,
     enumerate_weightings,
@@ -96,21 +103,6 @@ def test_fixed_r_unit_examples():
         assert el.degree_component(0) == StrataElement.unit(g, n)
 
 
-def test_r_polynomial_class_fits():
-    from trrkit.pixton import fit_r_polynomials
-    from trrkit.stablegraphs import make_graph
-
-    rpoly = fit_r_polynomials(1, 1, (0,), 1)
-    loop = make_graph([0], [(0, 0)], [0])
-    const = rpoly.constant_term()
-    ((_, coeff),) = const.graph_component(loop).terms.items()
-    assert coeff == Fraction(-1, 24)
-    # the fitted polynomial itself is (r^2 - 1)/24 on the loop term
-    for dg, poly in rpoly.polys.items():
-        if dg.graph == loop:
-            assert poly((Fraction(9),)) == Fraction(80, 24)
-
-
 def test_fixed_r_loop_coefficient_matches_direct_sum():
     # direct graph-sum oracle on (1,1): the loop term in degree one is
     # (1/#Aut)(1/r) sum_f f(r-f)/2 = (r^2-1)/24
@@ -129,11 +121,56 @@ def test_constant_term_examples_and_stability():
     ((_, coeff),) = el.graph_component(loop).terms.items()
     assert coeff == Fraction(-1, 24)
     assert el.degree_component(0) == StrataElement.unit(1, 1)
-    # raising r0 by 5 and adding nodes does not change the answer
-    el2, _ = constant_term_class(1, 1, (0,), 1, r0=meta["r0"] + 5)
-    assert el2 == el
-    el3, _ = constant_term_class(1, 1, (0,), 1, max_nodes=2 * 1 + 13)
-    assert el3 == el
+    assert meta["r_nodes"] == list(range(meta["r0"], meta["r0"] + 2 * 1 + 3))
+    # moving the nodes up does not change the answer
+    for shift in (5, 13):
+        el2, _ = constant_term_class(1, 1, (0,), 1, r0=meta["r0"] + shift)
+        assert el2 == el
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dmax=st.integers(0, 3),
+    r0=st.integers(1, 60),
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7),
+    extra=st.integers(-50, 50).filter(bool),
+)
+def test_zero_weights_and_held_out_differences(dmax, r0, coeffs, extra):
+    count = 2 * dmax + 1
+    nodes = [r0 + t for t in range(count + 2)]
+    weights, den = _zero_weights(nodes[:count])
+    diff = _difference_weights(count)
+    p = coeffs[:count]  # degree <= 2*dmax
+
+    def values(poly):
+        return [sum(c * r**i for i, c in enumerate(poly)) for r in nodes]
+
+    ys = values(p)
+    assert Fraction(_dot(weights, ys), den) == p[0]
+    assert _dot(diff, ys) == 0 and _dot(diff, ys[1:]) == 0
+    # one degree too many shows up in both held-out differences
+    ys = values(p + [extra])
+    assert _dot(diff, ys) != 0 and _dot(diff, ys[1:]) != 0
+
+
+def test_degree_above_the_bound_raises(monkeypatch, capsys):
+    # one coefficient gains r^(2 dmax + 1), one degree above the bound
+    real = pixton.fixed_r_class
+
+    def patched(g, n, a, r, dmax, survivors=frozenset()):
+        el = real(g, n, a, r, dmax, survivors)
+        key = min(el.terms, key=repr)
+        terms = dict(el.terms)
+        terms[key] += r ** (2 * dmax + 1)
+        return StrataElement(g, n, terms)
+
+    monkeypatch.setattr(pixton, "fixed_r_class", patched)
+    with pytest.raises(FitInstabilityError):
+        constant_term_class(1, 1, (0,), 1)
+    code = main(["pixton", "--g", "1", "--n", "1", "--a", "0", "--degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_monomial_coefficient_trivial_part():
@@ -195,6 +232,8 @@ def test_monomial_coefficient_guard():
         monomial_coefficient(2, 7, (1,) * 6, 3)
     with pytest.raises(ComputationGuardError):
         monomial_coefficient(1, 2, (2,), 1, cost_budget=10)
+    with pytest.raises(ValueError):
+        monomial_coefficient(1, 2, (2,), 1, jobs=0)
 
 
 def test_pixton_class_small():
