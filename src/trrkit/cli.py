@@ -3,7 +3,8 @@
 Subcommands: scan, d, principal, pixton, omega (alias verify-lemmas), g7,
 check.  All results are JSON with an embedded run manifest; exit codes are
 0 success, 1 usage error, 2 computation guard or fit instability, 3
-verification mismatch.
+verification mismatch, 4 internal error (a failed self-check or an invalid
+graph built by the pipeline itself).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .pixton import (
     monomial_coefficient,
     pixton_class,
 )
+from .stablegraphs import InvalidGraphError
 from .trr import (
     ExceptionalCaseError,
     SCAN_CONVENTIONS,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -327,6 +330,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (InvalidGraphError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,7 @@ the end.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -39,6 +40,24 @@ class FitInstabilityError(RuntimeError):
 
 class ComputationGuardError(RuntimeError):
     """Raised when a computation exceeds the default scale guard."""
+
+
+def _worker_pool(processes: int):
+    """A pool of ``processes`` workers from one explicit start method: fork
+    where the platform has it, since the workers read caches warmed in the
+    parent (other start methods rebuild them in every worker)."""
+    import multiprocessing  # here, so that runs without workers never load it
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None).Pool(processes)
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Workers for ``tasks`` independent tasks: at most ``jobs``, the CPU
+    count and the number of tasks."""
+    if jobs < 1:
+        raise ValueError(f"need a positive worker count, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 def check_avector(a) -> tuple[int, ...]:
@@ -537,6 +556,8 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
         raise ValueError("leg value count must equal n")
     if r < 1:
         raise ValueError("modulus must be positive")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"({g},{n}) is unstable")
     if dmax > 3 * g - 3 + n:
         raise ValueError("degree cap exceeds the dimension")
     terms: dict[DecoratedGraph, Fraction] = {}
@@ -751,17 +772,14 @@ def monomial_coefficient(
                 continue
             points.append(((-sum(avec),) + avec, weight / stab))
 
-    if jobs < 1:
-        raise ValueError(f"need a positive worker count, got {jobs}")
+    workers = _worker_count(jobs, len(points))
     acc: dict[DecoratedGraph, Fraction] = {}
-    if jobs > 1 and len(points) > 1:
+    if workers > 1:
         # warm the plan and template caches before forking
         _class_plan(g, n, d, survivors)
-        chunks = [points[i::jobs] for i in range(jobs)]
+        chunks = [points[i::workers] for i in range(workers)]
         args = [(g, n, d, r0, tuple(sorted(survivors)), chunk) for chunk in chunks]
-        from multiprocessing import Pool
-
-        with Pool(processes=jobs) as pool:
+        with _worker_pool(workers) as pool:
             partials = pool.map(_grid_worker, args)
         for terms, evals, r_nodes in partials:
             meta["evaluations"] += evals

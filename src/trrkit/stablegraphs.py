@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class InvalidGraphError(ValueError):
@@ -213,18 +213,22 @@ def canonical_form(graph: StableGraph) -> tuple:
     return canonical_data(graph.genera, graph.edges, graph.legs)
 
 
-def canonical_labeling(genera, edges, legs):
-    """The canonical key together with a vertex relabeling achieving it."""
-    best = None
-    best_perm = None
-    for perm in _iter_candidate_perms(genera, edges, legs):
-        key = _apply_perm(perm, genera, edges, legs)
-        if best is None or key < best:
-            best, best_perm = key, perm
-    return best, best_perm
-
-
 _AUT_CACHE: dict[StableGraph, tuple[tuple[int, ...], ...]] = {}
+
+
+def _automorphisms(genera, edges, legs) -> tuple[tuple[int, ...], ...]:
+    """All vertex permutations fixing genera, legs and the edge multiset.
+
+    The data must be canonical (as returned by :func:`canonical_data`): the
+    search only permutes within the contiguous vertex classes that the
+    canonical order produces.
+    """
+    own = (genera, edges, legs)
+    return tuple(
+        perm
+        for perm in _iter_candidate_perms(*own)
+        if _apply_perm(perm, *own) == own
+    )
 
 
 def vertex_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
@@ -233,16 +237,10 @@ def vertex_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
     The graph must be canonical (as produced by :func:`make_graph`).
     """
     cached = _AUT_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    own = (graph.genera, graph.edges, graph.legs)
-    auts = tuple(
-        perm
-        for perm in _iter_candidate_perms(*own)
-        if _apply_perm(perm, *own) == own
-    )
-    _AUT_CACHE[graph] = auts
-    return auts
+    if cached is None:
+        cached = _automorphisms(graph.genera, graph.edges, graph.legs)
+        _AUT_CACHE[graph] = cached
+    return cached
 
 
 def automorphism_count(graph: StableGraph) -> int:
@@ -355,27 +353,73 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _leg_assignments(markings: Sequence[int], counts: Sequence[int]) -> Iterator[dict[int, int]]:
-    """All assignments of the given markings to vertices with the given counts."""
-    if not markings:
-        yield {}
-        return
-    markings = list(markings)
+def _degrees(V: int, edges) -> list[int]:
+    deg = [0] * V
+    for u, w in edges:
+        deg[u] += 1
+        deg[w] += 1
+    return deg
 
-    def rec(remaining: tuple[int, ...], counts_left: list[int], acc: dict[int, int]):
-        if not remaining:
-            yield dict(acc)
+
+def _stability_need(genera, deg) -> list[int]:
+    """Legs each vertex needs before 2g(v) - 2 + n(v) > 0."""
+    return [max(0, 3 - 2 * gv - dv) for gv, dv in zip(genera, deg)]
+
+
+def _shapes(g: int, n: int, E: int, V: int) -> set[tuple]:
+    """Canonical leg-free shapes (genera, edges) of genus g with E edges and
+    V vertices whose stability need is at most n legs."""
+    pair_types = [(u, w) for u in range(V) for w in range(u, V)]
+    compositions = list(_compositions(g - (E - V + 1), V))
+    shapes = set()
+    for edges in itertools.combinations_with_replacement(pair_types, E):
+        deg = _degrees(V, edges)
+        # an isolated vertex already rules out connectedness
+        if (V > 1 and 0 in deg) or not _connected(V, edges):
+            continue
+        for genera in compositions:
+            if sum(_stability_need(genera, deg)) <= n:
+                shapes.add(canonical_data(genera, edges, ())[:2])
+    return shapes
+
+
+def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
+    """Leg maps (legs[i] = vertex of marking i+1) giving each vertex v at
+    least need[v] legs, one per orbit of the vertex permutations ``auts``:
+    the lexicographically least map of each orbit.
+
+    Maps grow one leg at a time, and only while the legs left can still
+    meet the need.  A permutation fixing the placed prefix pointwise
+    decides the comparison at the first leg it moves: it maps that vertex
+    lower (the map is not least; prune) or higher (it can never make the
+    map smaller; forget it).
+    """
+    V = len(need)
+    legs = [0] * n
+    missing = list(need)
+
+    def place(i: int, short: int, active: list) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(legs)
             return
-        m = remaining[0]
-        for v, c in enumerate(counts_left):
-            if c > 0:
-                counts_left[v] -= 1
-                acc[m] = v
-                yield from rec(remaining[1:], counts_left, acc)
-                del acc[m]
-                counts_left[v] += 1
+        for x in range(V):
+            took = 1 if missing[x] else 0
+            if short - took > n - i - 1:
+                continue
+            still = []
+            for p in active:
+                if p[x] < x:
+                    break
+                if p[x] == x:
+                    still.append(p)
+            else:
+                legs[i] = x
+                missing[x] -= took
+                yield from place(i + 1, short - took, still)
+                missing[x] += took
 
-    yield from rec(tuple(markings), list(counts), {})
+    moving = [p for p in auts if any(p[v] != v for v in range(V))]
+    yield from place(0, sum(need), moving)
 
 
 _ENUM_CACHE: dict[tuple[int, int, int], tuple[StableGraph, ...]] = {}
@@ -383,10 +427,17 @@ _ENUM_CACHE: dict[tuple[int, int, int], tuple[StableGraph, ...]] = {}
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[StableGraph, ...]:
     """All stable graphs of genus g with n legs, one per isomorphism class,
-    optionally restricted to at most ``max_edges`` edges.
+    optionally restricted to at most ``max_edges`` edges, sorted by
+    :meth:`StableGraph.sort_key`.
 
-    Generation is by edge count, vertex count, labeled multigraph shape,
-    genus composition and leg distribution, deduplicated by canonical form.
+    Generation runs over leg-free shapes first: for each edge and vertex
+    count, every connected multigraph and genus composition that n legs can
+    stabilize is reduced to its canonical shape.  Two graphs on the same
+    canonical shape are isomorphic exactly when their leg maps differ by a
+    vertex automorphism of the shape, and graphs on different shapes are
+    not isomorphic.  So taking, per shape, the lexicographically least leg
+    map of each automorphism orbit meets every isomorphism class exactly
+    once, and each such graph is canonicalized once, with no deduplication.
     """
     if 2 * g - 2 + n <= 0:
         raise InvalidGraphError(f"({g},{n}) is unstable")
@@ -397,46 +448,15 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
     if cached is not None:
         return cached
 
-    seen: set[tuple] = set()
     out: list[StableGraph] = []
     for E in range(emax + 1):
-        for V in range(1, E + 2):
-            h1 = E - V + 1
-            if h1 < 0 or h1 > g:
-                continue
-            gsum = g - h1
-            pair_types = [
-                (u, w) for u in range(V) for w in range(u, V)
-            ]
-            for edge_multiset in itertools.combinations_with_replacement(pair_types, E):
-                if not _connected(V, edge_multiset):
-                    continue
-                deg = [0] * V
-                for u, w in edge_multiset:
-                    deg[u] += 1
-                    deg[w] += 1
-                for genera in _compositions(gsum, V):
-                    # minimum legs needed at each vertex for stability
-                    need = [
-                        max(0, 1 - (2 * genera[v] - 2 + deg[v]))
-                        for v in range(V)
-                    ]
-                    if sum(need) > n:
-                        continue
-                    for counts in _compositions(n - sum(need), V):
-                        full = [counts[v] + need[v] for v in range(V)]
-                        ok = all(
-                            2 * genera[v] - 2 + deg[v] + full[v] > 0 for v in range(V)
-                        )
-                        if not ok:
-                            continue
-                        for assignment in _leg_assignments(range(1, n + 1), full):
-                            legs = tuple(assignment[m] for m in range(1, n + 1))
-                            data = canonical_data(genera, edge_multiset, legs)
-                            if data in seen:
-                                continue
-                            seen.add(data)
-                            out.append(StableGraph(*data))
+        # first Betti number h1 = E - V + 1 lies in 0..g
+        for V in range(max(1, E + 1 - g), E + 2):
+            for genera, edges in _shapes(g, n, E, V):
+                auts = _automorphisms(genera, edges, ())
+                need = _stability_need(genera, _degrees(V, edges))
+                for legs in _orbit_minimal_leg_maps(need, n, auts):
+                    out.append(StableGraph(*canonical_data(genera, edges, legs)))
     out.sort(key=lambda gr: gr.sort_key())
     result = tuple(out)
     _ENUM_CACHE[key] = result

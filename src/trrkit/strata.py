@@ -666,7 +666,7 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
             or any(dg.psi_edges[k][s] for k, s in sides)
             or any(dg.psi_legs[m - 1] for m in legs_other)
         ):
-            raise ValueError(
+            raise AssertionError(
                 "a decoration on a three-pointed rational vertex exceeds "
                 "its dimension 0"
             )

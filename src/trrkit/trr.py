@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .numerics import (
     SparsePoly,
@@ -21,7 +20,12 @@ from .numerics import (
     falling_factorial,
     rational_str,
 )
-from .pixton import ComputationGuardError, monomial_coefficient
+from .pixton import (
+    ComputationGuardError,
+    _worker_count,
+    _worker_pool,
+    monomial_coefficient,
+)
 from .stablegraphs import make_graph, StableGraph
 from .strata import StrataElement, multiply_by_psi, pushforward_forget
 
@@ -297,11 +301,10 @@ def scan_zeros(g_min: int, g_max: int, jobs: int = 1):
     """
     if g_min < 1 or g_max < g_min:
         raise ValueError("need 1 <= g_min <= g_max")
-    if jobs < 1:
-        raise ValueError(f"need a positive worker count, got {jobs}")
     gs = list(range(g_min, g_max + 1))
-    if jobs > 1 and len(gs) > 1:
-        with Pool(processes=min(jobs, len(gs))) as pool:
+    workers = _worker_count(jobs, len(gs))
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             results = pool.map(_scan_genus, gs)
     else:
         results = [_scan_genus(g) for g in gs]

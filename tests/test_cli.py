@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from trrkit import cli
 from trrkit.cli import main
+from trrkit.stablegraphs import InvalidGraphError
 
 
 def run(capsys, *argv):
@@ -238,4 +240,31 @@ def test_check_rejects_non_result_files(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, _, err = run(capsys, "check", str(path))
+    assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InvalidGraphError("contraction produced an invalid graph"),
+        AssertionError("principal part disagrees with gamma * psi_1^g"),
+    ],
+)
+def test_internal_failures_exit_4(monkeypatch, capsys, error):
+    def broken(args, started):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_principal", broken)
+    code, _, err = run(capsys, "principal", "--g", "2", "--k", "1", "--l", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+    assert str(error) in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--degree", "0"], ["--degree", "-1"], ["--degree", "-1", "--r", "5"]]
+)
+def test_unstable_input_is_a_usage_error(capsys, extra):
+    code, _, err = run(capsys, "pixton", "--g", "0", "--n", "2", "--a", "1,-1", *extra)
     assert_one_line_usage_error(code, err)

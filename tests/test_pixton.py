@@ -236,6 +236,53 @@ def test_monomial_coefficient_guard():
         monomial_coefficient(1, 2, (2,), 1, jobs=0)
 
 
+class _SerialPool:
+    """Stands in for a worker pool: records its size and runs the tasks in
+    this process, so no worker starts."""
+
+    def __init__(self, processes, sizes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(pixton, "_worker_pool", lambda p: _SerialPool(p, sizes))
+    serial, meta = monomial_coefficient(1, 3, (2, 0), 1)
+    points = meta["evaluations"]
+    assert points == 3 and sizes == []
+    for cpus, want in [(2, 2), (1000, points)]:
+        monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
+        el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
+        assert sizes[-1] == want
+        assert el == serial and meta["evaluations"] == points
+    # one CPU, or an unknown count, never starts a pool
+    for cpus in (1, None):
+        monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
+        assert monomial_coefficient(1, 3, (2, 0), 1, jobs=64)[0] == serial
+    assert len(sizes) == 2
+
+
+def test_scan_worker_count_is_clamped(monkeypatch):
+    from trrkit import trr
+
+    sizes = []
+    monkeypatch.setattr(trr, "_worker_pool", lambda p: _SerialPool(p, sizes))
+    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 1000)
+    serial = trr.scan_zeros(5, 7)
+    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3]
+    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 2)
+    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3, 2]
+
+
 def test_pixton_class_small():
     el = pixton_class(1, 2, (1, -1), 1)
     assert el.degree_component(0) == StrataElement.unit(1, 2)

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trrkit.stablegraphs import (
     InvalidGraphError,
-    canonical_labeling,
     StableGraph,
     automorphism_count,
     canonical_data,
@@ -37,15 +38,60 @@ def test_enumeration_counts(g, n, count):
     assert len(enumerate_stable_graphs(g, n)) == count
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (2, 0), (1, 2)])
-def test_enumeration_against_brute_force(g, n):
-    ours = enumerate_stable_graphs(g, n)
-    brute = brute_force_stable_graphs(g, n)
+def assert_matches_brute_force(g, n, max_edges=None):
+    ours = enumerate_stable_graphs(g, n, max_edges=max_edges)
+    brute = brute_force_stable_graphs(g, n, max_edges=max_edges)
     assert len(ours) == len(brute)
     for cand in brute:
         assert any(
             graphs_isomorphic(cand, (gr.genera, gr.edges, gr.legs)) for gr in ours
         )
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (2, 0), (1, 2), (0, 5), (1, 3)])
+def test_enumeration_against_brute_force(g, n):
+    assert_matches_brute_force(g, n)
+
+
+# many legs on symmetric shapes; the edge cap keeps each oracle within seconds
+@pytest.mark.parametrize("g,n,max_edges", [(0, 6, 2), (1, 4, 3), (2, 2, 2)])
+def test_enumeration_against_brute_force_with_edge_cap(g, n, max_edges):
+    assert_matches_brute_force(g, n, max_edges)
+
+
+def _digest(graphs) -> str:
+    data = repr([(gr.genera, gr.edges, gr.legs) for gr in graphs])
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "g,n,max_edges,count,digest",
+    [
+        (1, 5, None, 1576, "9d51231bc0d2ad79"),
+        (0, 7, None, 2752, "0099cb4d5b53434f"),
+        (2, 7, 3, 60242, "d554fa5f7803b1be"),
+    ],
+)
+def test_enumeration_pinned_representatives(g, n, max_edges, count, digest):
+    # the representatives and their order, as given by deduplicating every
+    # labeled leg assignment by canonical form
+    graphs = enumerate_stable_graphs(g, n, max_edges=max_edges)
+    assert len(graphs) == count
+    assert _digest(graphs) == digest
+
+
+_SMALL_CASES = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4),
+                (2, 0), (2, 1), (2, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_CASES), st.integers(0, 5))
+def test_enumeration_returns_distinct_canonical_graphs(case, max_edges):
+    g, n = case
+    graphs = enumerate_stable_graphs(g, n, max_edges=max_edges)
+    for gr in graphs:
+        assert make_graph(gr.genera, gr.edges, gr.legs) == gr
+    assert len(set(graphs)) == len(graphs)
 
 
 def test_enumerated_graphs_are_valid():
@@ -137,31 +183,6 @@ def test_json_round_trip_bit_exact():
 def test_unstable_enumeration_rejected():
     with pytest.raises(InvalidGraphError):
         enumerate_stable_graphs(0, 2)
-
-
-def test_canonical_labeling_achieves_key():
-    rng = random.Random(77)
-    pool = []
-    for g, n in [(1, 2), (2, 0), (0, 5)]:
-        pool.extend(enumerate_stable_graphs(g, n))
-    for _ in range(50):
-        gr = rng.choice(pool)
-        perm = list(range(gr.num_vertices))
-        rng.shuffle(perm)
-        genera = [0] * gr.num_vertices
-        for v in range(gr.num_vertices):
-            genera[perm[v]] = gr.genera[v]
-        edges = [(perm[u], perm[w]) for u, w in gr.edges]
-        legs = [perm[v] for v in gr.legs]
-        key, relabel = canonical_labeling(genera, edges, legs)
-        assert key == canonical_form(gr)
-        # applying the returned relabeling reproduces the key
-        re_genera = [0] * gr.num_vertices
-        for v in range(gr.num_vertices):
-            re_genera[relabel[v]] = genera[v]
-        re_edges = sorted(tuple(sorted((relabel[u], relabel[w]))) for u, w in edges)
-        re_legs = tuple(relabel[v] for v in legs)
-        assert (tuple(re_genera), tuple(re_edges), re_legs) == key
 
 
 def test_half_edge_automorphism_count_matches():
