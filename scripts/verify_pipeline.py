@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the brute-force pipeline against the closed-form contributions.
 
-The default instances finish in a few minutes; --allow-large adds the
+The default instances finish in seconds; --allow-large adds the
 hour-scale genus-2 comparison.
 """
 import argparse

@@ -7,10 +7,9 @@ exact; no floating point is used anywhere in the package.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial as _math_factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 # All coefficients in the package are Fractions (arbitrary-precision,
 # auto-normalized with positive denominator).
@@ -67,19 +66,6 @@ def falling_factorial(a: int, b: int) -> int:
     for t in range(b):
         result *= a - t
     return result
-
-
-def elementary_symmetric(values: Sequence[Fraction], s: int) -> Fraction:
-    """Elementary symmetric function e_s via the O(n*s) recurrence."""
-    n = len(values)
-    if s < 0 or s > n:
-        raise ValueError(f"e_{s} undefined for {n} values")
-    e = [Fraction(0)] * (s + 1)
-    e[0] = Fraction(1)
-    for i, v in enumerate(values):
-        for j in range(min(s, i + 1), 0, -1):
-            e[j] += v * e[j - 1]
-    return e[s]
 
 
 class SparsePoly:
@@ -257,34 +243,3 @@ def lagrange_coefficient_weights(degree: int, target: int) -> list[Fraction]:
             denom *= Fraction(s - u)
         weights.append((num[target] if target < len(num) else Fraction(0)) / denom)
     return weights
-
-
-def tensor_grid_coefficient(
-    evaluator: Callable[[tuple], Fraction],
-    per_variable_degrees: Sequence[int],
-    target_exponents: Sequence[int],
-) -> Fraction:
-    """Coefficient of the target monomial of the polynomial interpolating the
-    evaluator on the tensor grid {0, ..., d_v} per variable.
-
-    Equivalent to iterated univariate interpolation; implemented as a single
-    weighted sum over the grid.
-    """
-    degrees = list(per_variable_degrees)
-    targets = list(target_exponents)
-    if len(degrees) != len(targets):
-        raise ValueError("degree/target arity mismatch")
-    if any(t > d for t, d in zip(targets, degrees)):
-        return Fraction(0)
-    weight_tables = [lagrange_coefficient_weights(d, t) for d, t in zip(degrees, targets)]
-    total = Fraction(0)
-    for point in itertools.product(*(range(d + 1) for d in degrees)):
-        w = Fraction(1)
-        for v, coord in enumerate(point):
-            w *= weight_tables[v][coord]
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        total += w * Fraction(evaluator(tuple(point)))
-    return total

@@ -9,12 +9,18 @@ degrees above g.  In degrees <= dmax that polynomial has degree at most
 2*(m_e + 1) in the residues; the constant term is read off 2*dmax + 1
 consecutive nodes, and two further held-out nodes validate the bound.
 
-Performance notes.  A weighting sum over a graph depends on the leg residues
-only through the per-edge affine residue forms, whose constants are per-vertex
-residue sums mod r; sums are memoized on that ordered structure.  Monomial
-extraction over an integer tensor grid collapses blocks of legs with equal
-target exponents to sorted tuples, symmetrizing the accumulated class once at
-the end.
+Performance notes.  A grid point is one pass over the plan in integers:
+per graph, one call gives the weighting power sums at every r node at once,
+the sums are put over the common denominator lcm(r^h1), and three linear
+forms (the Lagrange-at-zero weights and the two held-out differences) are
+applied per profile before the template loop, so each decorated graph
+accumulates three integers and becomes one Fraction at the end.  The fixed-r
+class is the same pass with one node and the identity form.  A weighting
+sum over a graph depends on the leg values only through the per-edge affine
+residue forms; the sums are memoized on their unreduced constants, the
+moduli and the profiles.  Monomial extraction over an integer tensor grid
+collapses blocks of legs with equal target exponents to sorted tuples,
+symmetrizing the accumulated class once at the end.
 """
 from __future__ import annotations
 
@@ -150,40 +156,6 @@ def _flow_forms(graph: StableGraph):
     return result
 
 
-def _leg_sigma(graph: StableGraph, a, r: int) -> tuple[int, ...]:
-    sigma = [0] * graph.num_vertices
-    for m, v in enumerate(graph.legs, start=1):
-        sigma[v] = (sigma[v] + a[m - 1]) % r
-    return tuple(sigma)
-
-
-def enumerate_weightings(graph: StableGraph, a, r: int):
-    """Yield every weighting mod r as a map from half-edge ids to residues.
-
-    Half-edge ids are ("leg", marking) and ("edge", k, side).  The count is
-    r^h1 since the residues on non-tree edges are free and the rest are
-    forced by the vertex conditions.
-    """
-    a = check_avector(a)
-    if r < 1:
-        raise ValueError("modulus must be positive")
-    forms, free_edges = _flow_forms(graph)
-    sigma = _leg_sigma(graph, a, r)
-    for fvec in itertools.product(range(r), repeat=len(free_edges)):
-        w = {}
-        for m in range(1, graph.n + 1):
-            w[("leg", m)] = a[m - 1] % r
-        for k in range(graph.num_edges):
-            sc, fc = forms[k]
-            t = (
-                sum(c * s for c, s in zip(sc, sigma))
-                + sum(c * f for c, f in zip(fc, fvec))
-            ) % r
-            w[("edge", k, 0)] = t
-            w[("edge", k, 1)] = (-t) % r
-        yield w
-
-
 _POWER_SUM_CACHE: dict[tuple, dict] = {}
 _TAU_CACHE: dict[int, list[int]] = {}
 _T1_CACHE: dict[tuple[int, int], int] = {}
@@ -232,7 +204,7 @@ def _tau_convolution(r: int, alpha: int, beta: int) -> list[int]:
     return table
 
 
-def _component_sum(r, comp_vars, comp_edges, consts, exps):
+def _component_sum(r, comp_vars, comp_edges, c0s, exps):
     """Sum over the residues of one coupled block of free variables of the
     product of tau powers of its edges.
 
@@ -244,7 +216,7 @@ def _component_sum(r, comp_vars, comp_edges, consts, exps):
     pure_alpha = 0
     shifted = []  # (const, exponent, coeff row)
     for k, row in comp_edges:
-        c0 = consts[k][0]
+        c0 = c0s[k]
         e = exps[k]
         if c0 == 0 and sum(1 for c in row if c) == 1:
             pure_alpha += e
@@ -278,7 +250,7 @@ def _component_sum(r, comp_vars, comp_edges, consts, exps):
         # split the pure weight: pure edges touch exactly one variable
         alpha = [0, 0]
         for k, row in comp_edges:
-            if consts[k][0] == 0 and sum(1 for c in row if c) == 1:
+            if c0s[k] == 0 and sum(1 for c in row if c) == 1:
                 var = next(i for i, c in enumerate(row) if c)
                 alpha[var] += exps[k]
         if len(both) == 1 and not a_only and not b_only:
@@ -295,7 +267,7 @@ def _component_sum(r, comp_vars, comp_edges, consts, exps):
     for fvec in itertools.product(range(r), repeat=nvars):
         prod = 1
         for k, row in comp_edges:
-            t = (consts[k][0] + sum(c * f for c, f in zip(row, fvec))) % r
+            t = (c0s[k] + sum(c * f for c, f in zip(row, fvec))) % r
             q = tau[t]
             if q == 0:
                 prod = 0
@@ -305,34 +277,34 @@ def _component_sum(r, comp_vars, comp_edges, consts, exps):
     return total
 
 
-def weighting_power_sums(graph: StableGraph, a, r: int, profiles) -> dict[tuple[int, ...], int]:
-    """For each edge-exponent profile (m_e), the integer sum over weightings
-    of prod_e (w(h_e) * w(h_e'))^(m_e + 1).
+def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """For each edge-exponent profile (m_e), the integer sums over weightings
+    of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``.
 
-    The sum depends on the leg residues only through the per-edge affine
-    residue forms (whose constants are per-vertex residue sums mod r), so it
-    is memoized on exactly that ordered structure; the edge order ties the
-    profile entries to the forms.  Coupled blocks of free variables are
-    evaluated through shared convolution tables of tau(x) = x(r-x).
+    The sums depend on the leg values only through the per-edge affine
+    residue forms, whose constants are integer combinations of the per-vertex
+    leg sums; the cache key holds those unreduced constants with the
+    free-variable rows, the moduli and the profiles, so it is built once per
+    call, and the reduction mod r happens per modulus inside.  The edge order
+    ties the profile entries to the forms.
     """
-    sigma = _leg_sigma(graph, a, r)
+    rs = tuple(rs)
     profiles = tuple(sorted(profiles))
     forms, free_edges = _flow_forms(graph)
-    E = graph.num_edges
-    consts = []
-    for k in range(E):
-        sc, fc = forms[k]
-        consts.append(
-            (sum(c * s for c, s in zip(sc, sigma)) % r, fc)
-        )
-    key = (tuple(consts), r, profiles)
+    sigma = [0] * graph.num_vertices
+    for m, v in enumerate(graph.legs, start=1):
+        sigma[v] += a[m - 1]
+    consts = tuple(
+        (sum(c * s for c, s in zip(sc, sigma)), fc) for sc, fc in forms
+    )
+    key = (consts, rs, profiles)
     cached = _POWER_SUM_CACHE.get(key)
     if cached is not None:
         return cached
 
-    tau = _tau(r)
+    # group free variables into coupled blocks; the grouping is the same for
+    # every modulus
     nfree = len(free_edges)
-    # group free variables into coupled blocks
     parent = list(range(nfree))
 
     def find(i):
@@ -341,45 +313,55 @@ def weighting_power_sums(graph: StableGraph, a, r: int, profiles) -> dict[tuple[
             i = parent[i]
         return i
 
-    for c0, row in consts:
+    for _, row in consts:
         touched = [i for i, c in enumerate(row) if c]
         for i in touched[1:]:
             parent[find(touched[0])] = find(i)
-    blocks: dict[int, list[int]] = {}
+    members_of: dict[int, list[int]] = {}
     for i in range(nfree):
-        blocks.setdefault(find(i), []).append(i)
-    comp_of_edge: dict[int, int] = {}
+        members_of.setdefault(find(i), []).append(i)
+    block_edges: dict[int, list] = {root: [] for root in members_of}
     const_edges = []
-    for k in range(E):
-        row = consts[k][1]
+    for k, (_, row) in enumerate(consts):
         touched = [i for i, c in enumerate(row) if c]
         if touched:
-            comp_of_edge[k] = find(touched[0])
+            root = find(touched[0])
+            block_edges[root].append((k, tuple(row[i] for i in members_of[root])))
         else:
             const_edges.append(k)
+    blocks = [(members_of[root], block_edges[root]) for root in members_of]
 
-    out = {}
+    per_r = [
+        _power_sums_mod(r, [c % r for c, _ in consts], const_edges, blocks, profiles)
+        for r in rs
+    ]
+    out = {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
+    _POWER_SUM_CACHE[key] = out
+    return out
+
+
+def _power_sums_mod(r: int, c0s, const_edges, blocks, profiles) -> list[int]:
+    """The power sum of each profile at one modulus r; ``c0s`` are the edge
+    constants reduced mod r, ``blocks`` the coupled blocks of free variables
+    with their edges, evaluated through shared convolution tables of
+    tau(x) = x(r-x)."""
+    tau = _tau(r)
+    out = []
     for p in profiles:
         exps = [m + 1 for m in p]
         total = 1
         for k in const_edges:
-            q = tau[consts[k][0]]
+            q = tau[c0s[k]]
             if q == 0:
                 total = 0
                 break
             total *= q ** exps[k]
         if total:
-            for root, members in blocks.items():
-                comp_edges = [
-                    (k, tuple(consts[k][1][i] for i in members))
-                    for k in range(E)
-                    if comp_of_edge.get(k) == root
-                ]
-                total *= _component_sum(r, members, comp_edges, consts, exps)
+            for members, comp_edges in blocks:
+                total *= _component_sum(r, members, comp_edges, c0s, exps)
                 if total == 0:
                     break
-        out[p] = total
-    _POWER_SUM_CACHE[key] = out
+        out.append(total)
     return out
 
 
@@ -548,46 +530,72 @@ def _class_plan(g: int, n: int, dmax: int, survivors) -> tuple:
     return cached
 
 
-def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
-    """The weighted graph sum at a fixed modulus r, truncated to total degree
-    at most dmax.  Graphs with more than dmax edges cannot contribute."""
-    a = check_avector(a)
+def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
+    """The input checks shared by the fixed-r class and the constant term:
+    bad input raises ValueError."""
     if len(a) != n:
         raise ValueError("leg value count must equal n")
-    if r < 1:
+    if any(r < 1 for r in rs):
         raise ValueError("modulus must be positive")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"({g},{n}) is unstable")
     if dmax > 3 * g - 3 + n:
         raise ValueError("degree cap exceeds the dimension")
-    terms: dict[DecoratedGraph, Fraction] = {}
+
+
+def _graph_sums(g: int, n: int, a, nodes, forms, dmax: int, survivors):
+    """One pass over the plan for the graph sum sampled at every modulus in
+    ``nodes`` at once, in integers.
+
+    ``forms`` are integer linear forms on the nodes.  Per plan graph this
+    yields (terms, den): terms maps each decorated graph of that graph to
+    one integer per form, the form applied to the key's coefficients at the
+    nodes, each coefficient times den.  Every key belongs to exactly one
+    graph, so the denominators of different graphs never meet.
+    """
     for graph, templates, profiles, h1, aut, common in _class_plan(g, n, dmax, survivors):
-        sums = weighting_power_sums(graph, a, r, profiles)
-        local: dict[DecoratedGraph, int] = {}
+        # each node's sum is over r^h1; put them over m = lcm(r^h1)
+        m = lcm(*(r**h1 for r in nodes))
+        scales = [m // r**h1 for r in nodes]
+        formed = {}
+        for profile, sums in weighting_power_sums(graph, a, nodes, profiles).items():
+            scaled = list(map(mul, sums, scales))
+            formed[profile] = [_dot(form, scaled) for form in forms]
+        local: dict[DecoratedGraph, list[int]] = {}
         leg_cache: dict[tuple[int, ...], int] = {}
         for tpl in templates:
-            w = sums[tpl.profile]
-            if w == 0:
+            w = formed[tpl.profile]
+            if not any(w):
                 continue
             apow = leg_cache.get(tpl.leg_exponents)
             if apow is None:
                 apow = 1
-                for m, c in enumerate(tpl.leg_exponents, start=1):
+                for mark, c in enumerate(tpl.leg_exponents, start=1):
                     if c:
-                        apow *= a[m - 1] ** (2 * c)
+                        apow *= a[mark - 1] ** (2 * c)
                 leg_cache[tpl.leg_exponents] = apow
             if apow == 0:
                 continue
-            inc = tpl.base_num * w * apow
-            prev = local.get(tpl.key)
-            local[tpl.key] = inc if prev is None else prev + inc
-        den = common * aut * r**h1
-        for key2, num in local.items():
-            if num == 0:
-                continue
-            add = Fraction(num, den)
-            prev = terms.get(key2)
-            terms[key2] = add if prev is None else prev + add
+            coeff = tpl.base_num * apow
+            acc = local.get(tpl.key)
+            if acc is None:
+                local[tpl.key] = [coeff * x for x in w]
+            else:
+                for i, x in enumerate(w):
+                    acc[i] += coeff * x
+        yield local, common * aut * m
+
+
+def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
+    """The weighted graph sum at a fixed modulus r, truncated to total degree
+    at most dmax.  Graphs with more than dmax edges cannot contribute."""
+    a = check_avector(a)
+    _check_input(g, n, a, (r,), dmax)
+    terms = {}
+    for local, den in _graph_sums(g, n, a, [r], [[1]], dmax, survivors):
+        for key, (num,) in local.items():
+            if num:
+                terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms)
 
 
@@ -632,32 +640,34 @@ def constant_term_class(
     a polynomial of degree 2*sum(m_e + 1) <= 2*dmax in the edge residues,
     and after the factor r^(-h1) that sum is a polynomial in r of the same
     degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
-    sampled at the 2*dmax + 3 nodes r0, r0+1, ...; the first 2*dmax + 1 give
-    the value at r = 0 and the last two are held out to validate the bound.
-    Returns (element, meta); a held-out node off the fit raises
-    :class:`FitInstabilityError`.
+    sampled at the 2*dmax + 3 nodes r0, r0+1, ... in one integer pass over
+    the plan (every node's power sums come from one call per graph), through
+    three linear forms: the Lagrange-at-zero weights on the first
+    2*dmax + 1 nodes, which give the value at r = 0, and the
+    (2*dmax + 1)-th forward differences ending at the two held-out nodes,
+    which both vanish exactly when the fit through the first nodes passes
+    through the held-out ones.  Returns (element, meta); a held-out node off
+    the fit raises :class:`FitInstabilityError`.
     """
     a = check_avector(a)
     if r0 is None:
         r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
     count = 2 * dmax + 1
     nodes = [r0 + t for t in range(count + 2)]
-    samples = [fixed_r_class(g, n, a, r, dmax, survivors).terms for r in nodes]
+    _check_input(g, n, a, nodes, dmax)
     weights, weights_den = _zero_weights(nodes[:count])
     diff = _difference_weights(count)
+    forms = [weights, diff, [0] + diff]
     constants = {}
-    for key in set().union(*samples):
-        values = [s.get(key, 0) for s in samples]
-        den = lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        # both vanish iff the fit through the first count nodes passes
-        # through the two held-out ones
-        if _dot(diff, nums) or _dot(diff, nums[1:]):
-            raise FitInstabilityError(
-                f"a coefficient is not a polynomial of degree <= {2 * dmax} "
-                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-            )
-        constants[key] = Fraction(_dot(weights, nums), weights_den * den)
+    for local, den in _graph_sums(g, n, a, nodes, forms, dmax, survivors):
+        for key, (value, held1, held2) in local.items():
+            if held1 or held2:
+                raise FitInstabilityError(
+                    f"a coefficient is not a polynomial of degree <= {2 * dmax} "
+                    f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+                )
+            if value:
+                constants[key] = Fraction(value, weights_den * den)
     return StrataElement(g, n, constants), {
         "r0": r0,
         "r_nodes": nodes,

@@ -214,7 +214,8 @@ def d_value(g: int, k: int, l) -> Fraction:
     monomial psi_1^k prod psi_j^(l_j).
 
     Computed by the elementary-symmetric regrouping of the sum over the 0/1
-    exponent shifts; :func:`d_value_direct` is the direct-sum cross-check.
+    exponent shifts; ``tests/oracles.py`` holds the direct sum over the
+    shifts as a cross-check.
     """
     l = tuple(int(x) for x in l)
     if k < 0 or k + sum(l) != g:
@@ -238,24 +239,6 @@ def d_value(g: int, k: int, l) -> Fraction:
         if num:
             numerator += e[s] * num * suffix[s]
     return Fraction(numerator, falling_factorial(base, n - 1))
-
-
-def d_value_direct(g: int, k: int, l) -> Fraction:
-    """Direct sum over the 2^(n-1) exponent shift vectors."""
-    l = tuple(int(x) for x in l)
-    if k < 0 or k + sum(l) != g:
-        raise ValueError("need k >= 0 and k + sum(l) = g")
-    n = len(l) + 1
-    base = 2 * g + n + 2 * k - 1
-    total = Fraction(0)
-    for dvec in itertools.product((0, 1), repeat=n - 1):
-        s = sum(dvec)
-        term = Fraction(falling_factorial(2 * k + 1, s), falling_factorial(base, s))
-        for lj, dj in zip(l, dvec):
-            if dj:
-                term *= -2 * lj - 1
-        total += term
-    return total
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's canonical-form machinery: isomorphism
 is decided by explicit search over vertex bijections, and automorphisms are
-counted over explicit half-edge permutations.
+counted over explicit half-edge permutations.  Weightings are found by trying
+every residue on every edge, not by solving the vertex conditions.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+import math
 
 
 def graphs_isomorphic(a, b) -> bool:
@@ -131,3 +133,45 @@ def pascal_binomial(a, b):
         return val
 
     return rec(a, b)
+
+
+def enumerate_weightings(graph, a, r):
+    """Yield every weighting mod r as a map from half-edge ids to residues.
+
+    Half-edge ids are ("leg", marking) and ("edge", k, side).  Every residue
+    is tried on side 0 of every edge, side 1 carries its negative, and only
+    the assignments meeting every vertex condition are kept.
+    """
+    base = [0] * graph.num_vertices
+    for m, v in enumerate(graph.legs, start=1):
+        base[v] += a[m - 1]
+    for ts in itertools.product(range(r), repeat=graph.num_edges):
+        total = list(base)
+        for (x, y), t in zip(graph.edges, ts):
+            total[x] += t
+            total[y] -= t
+        if any(s % r for s in total):
+            continue
+        w = {("leg", m): a[m - 1] % r for m in range(1, graph.n + 1)}
+        for k, t in enumerate(ts):
+            w[("edge", k, 0)] = t
+            w[("edge", k, 1)] = (-t) % r
+        yield w
+
+
+def d_value_direct(g, k, l):
+    """D(g, k, l) as the direct sum over the 2^(n-1) exponent shift vectors."""
+    l = tuple(int(x) for x in l)
+    if k < 0 or k + sum(l) != g:
+        raise ValueError("need k >= 0 and k + sum(l) = g")
+    n = len(l) + 1
+    base = 2 * g + n + 2 * k - 1
+    total = Fraction(0)
+    for dvec in itertools.product((0, 1), repeat=n - 1):
+        s = sum(dvec)
+        term = Fraction(math.perm(2 * k + 1, s), math.perm(base, s))
+        for lj, dj in zip(l, dvec):
+            if dj:
+                term *= -2 * lj - 1
+        total += term
+    return total

@@ -3,6 +3,7 @@
 The genus-2 brute-force instance is hour-scale and runs only when
 TRRKIT_ALLOW_LARGE=1 is set; everything else runs unconditionally.
 """
+import hashlib
 import itertools
 import os
 import random
@@ -17,6 +18,7 @@ from trrkit.numerics import (
     factorial,
     interpolate,
 )
+from trrkit import trr
 from trrkit.pixton import monomial_coefficient
 from trrkit.stablegraphs import canonical_data, canonical_form, enumerate_stable_graphs
 from trrkit.strata import StrataElement, multiply
@@ -124,10 +126,44 @@ BRUTE_FORCE_INSTANCES = [(1, 1, ()), (1, 2, (0,)), (1, 2, (1,)), (1, 2, (2,))]
 
 @pytest.fixture(scope="module")
 def brute_force_reports():
+    # each report also keeps the class omega returned, under "omega"
     out = {}
-    for g, n, b in BRUTE_FORCE_INSTANCES:
-        out[(g, n, b)] = verify_lemmas(g, n, b)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        def recording_omega(*args, **kwargs):
+            result = real_omega(*args, **kwargs)
+            seen.append(result[0])
+            return result
+
+        real_omega = trr.omega
+        mp.setattr(trr, "omega", recording_omega)
+        for g, n, b in BRUTE_FORCE_INSTANCES:
+            out[(g, n, b)] = verify_lemmas(g, n, b)
+            out[(g, n, b)]["omega"] = seen.pop()
     return out
+
+
+def element_digest(el):
+    """First 16 hex digits of the sha256 of the sorted terms."""
+    items = sorted(
+        (repr((dg.graph.genera, dg.graph.edges, dg.graph.legs, dg.psi_legs,
+               dg.psi_edges, dg.kappa)), str(c))
+        for dg, c in el.terms.items()
+    )
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+OMEGA_DIGESTS = {
+    (1, 1, ()): "9ee438f74ab56baf",
+    (1, 2, (0,)): "0bae903b4c810642",
+    (1, 2, (1,)): "95e4aa15657105be",
+    (1, 2, (2,)): "a025a6956b8f46e8",
+}
+
+
+def test_omega_digests_are_pinned(brute_force_reports):
+    for key, want in OMEGA_DIGESTS.items():
+        assert element_digest(brute_force_reports[key]["omega"]) == want, key
 
 
 def test_criterion_5_brute_force_oracle_equivalence(brute_force_reports):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +7,12 @@ from trrkit.numerics import (
     SparsePoly,
     binomial,
     double_factorial,
-    elementary_symmetric,
     factorial,
     falling_factorial,
     interpolate,
     lagrange_coefficient_weights,
     parse_rational,
     rational_str,
-    tensor_grid_coefficient,
 )
 from oracles import pascal_binomial
 
@@ -80,28 +77,6 @@ def test_falling_factorial_vs_binomial():
             assert falling_factorial(a, b) == binomial(a, b) * factorial(b)
 
 
-def test_elementary_symmetric_examples():
-    assert elementary_symmetric([Fraction(-3)], 1) == -3
-    assert elementary_symmetric([Fraction(1), Fraction(2), Fraction(3)], 2) == 11
-    assert elementary_symmetric([Fraction(7), Fraction(-2)], 0) == 1
-    with pytest.raises(ValueError):
-        elementary_symmetric([Fraction(1)], 2)
-
-
-@given(st.lists(rationals, min_size=1, max_size=6))
-def test_elementary_symmetric_generating_function(values):
-    # prod (t + v_i) = sum e_s t^(n-s)
-    t = Fraction(7, 3)
-    lhs = Fraction(1)
-    for v in values:
-        lhs *= t + v
-    rhs = sum(
-        elementary_symmetric(values, s) * t ** (len(values) - s)
-        for s in range(len(values) + 1)
-    )
-    assert lhs == rhs
-
-
 @given(rationals, rationals, rationals)
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -148,32 +123,6 @@ def test_lagrange_coefficient_weights():
     for target, expected in [(0, 5), (1, 3), (2, 1), (3, 0)]:
         w = lagrange_coefficient_weights(3, target)
         assert sum(w[s] * poly((Fraction(s),)) for s in range(4)) == expected
-
-
-def test_tensor_grid_examples():
-    assert tensor_grid_coefficient(
-        lambda p: Fraction(p[0] * p[1]), [1, 1], [1, 1]
-    ) == 1
-    assert tensor_grid_coefficient(lambda p: Fraction(5), [2, 3], [0, 0]) == 5
-    assert tensor_grid_coefficient(lambda p: Fraction(p[0] ** 3), [3], [2]) == 0
-
-
-def test_tensor_grid_random_polynomial():
-    rng = random.Random(7)
-    # random 2-variable polynomial of per-variable degree <= 2
-    coeffs = {
-        (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        for i in range(3)
-        for j in range(3)
-    }
-
-    def evaluator(point):
-        x, y = point
-        return sum(c * x**i * y**j for (i, j), c in coeffs.items())
-
-    for target, want in list(coeffs.items())[:5]:
-        got = tensor_grid_coefficient(evaluator, [2, 2], target)
-        assert got == want
 
 
 def test_sparse_poly_degree_cap():

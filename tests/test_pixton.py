@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trrkit import pixton
 from trrkit.cli import main
-from trrkit.numerics import lagrange_coefficient_weights
+from trrkit.numerics import interpolate, lagrange_coefficient_weights
 from trrkit.pixton import (
     ComputationGuardError,
     FitInstabilityError,
@@ -15,7 +15,6 @@ from trrkit.pixton import (
     _zero_weights,
     check_avector,
     constant_term_class,
-    enumerate_weightings,
     fixed_r_class,
     monomial_coefficient,
     pixton_class,
@@ -23,6 +22,7 @@ from trrkit.pixton import (
 )
 from trrkit.stablegraphs import enumerate_stable_graphs, make_graph
 from trrkit.strata import StrataElement
+from oracles import enumerate_weightings
 
 
 def test_avector_validation():
@@ -71,25 +71,29 @@ def test_weightings_satisfy_conditions_and_count():
 
 def test_power_sums_match_enumeration():
     # asymmetric profiles included: the cached sums are tied to the edge
-    # order, so a unit exponent is placed on each edge in turn
+    # order, so a unit exponent is placed on each edge in turn; both moduli
+    # come from one call, one entry of each tuple per modulus
+    rs = (5, 7)
     for g, n, a in [(1, 2, (3, -3)), (2, 0, ()), (2, 2, (5, -5))]:
         for graph in enumerate_stable_graphs(g, n, max_edges=3):
             E = graph.num_edges
             if E == 0:
                 continue
-            for r in (5, 7):
-                profiles = [tuple([0] * E)]
-                for k in range(E):
-                    profiles.append(tuple(1 if j == k else 0 for j in range(E)))
-                sums = weighting_power_sums(graph, a, r, profiles)
-                for profile in set(profiles):
+            profiles = [tuple([0] * E)]
+            for k in range(E):
+                profiles.append(tuple(1 if j == k else 0 for j in range(E)))
+            sums = weighting_power_sums(graph, a, rs, profiles)
+            assert set(sums) == set(profiles)
+            for profile in set(profiles):
+                assert len(sums[profile]) == len(rs)
+                for r, got in zip(rs, sums[profile]):
                     direct = 0
                     for w in enumerate_weightings(graph, a, r):
                         prod = 1
                         for k, m in enumerate(profile):
                             prod *= (w[("edge", k, 0)] * w[("edge", k, 1)]) ** (m + 1)
                         direct += prod
-                    assert sums[profile] == direct, (graph, profile, r)
+                    assert got == direct, (graph, profile, r)
 
 
 def test_fixed_r_unit_examples():
@@ -128,6 +132,29 @@ def test_constant_term_examples_and_stability():
         assert el2 == el
 
 
+@pytest.mark.parametrize(
+    "g, n, a, dmax, survivors",
+    [
+        (1, 1, (0,), 1, ()),
+        (1, 2, (3, -3), 2, ()),
+        (1, 3, (2, 1, -3), 2, (3,)),
+        (0, 5, (1, 2, -3, 4, -4), 2, (4, 5)),
+        (2, 1, (0,), 2, ()),
+    ],
+)
+def test_constant_term_matches_interpolated_fixed_r(g, n, a, dmax, survivors):
+    # independent path: fixed-r classes at the first 2*dmax + 1 returned
+    # nodes, interpolated key by key by Newton's divided differences
+    el, meta = constant_term_class(g, n, a, dmax, survivors=frozenset(survivors))
+    nodes = meta["r_nodes"][: 2 * dmax + 1]
+    samples = [fixed_r_class(g, n, a, r, dmax, frozenset(survivors)).terms for r in nodes]
+    keys = set().union(*samples)
+    assert keys and set(el.terms) <= keys
+    for key in keys:
+        poly = interpolate([(r, s.get(key, 0)) for r, s in zip(nodes, samples)], "r")
+        assert el.terms.get(key, 0) == poly((Fraction(0),)), key
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dmax=st.integers(0, 3),
@@ -154,20 +181,23 @@ def test_zero_weights_and_held_out_differences(dmax, r0, coeffs, extra):
 
 
 def test_degree_above_the_bound_raises(monkeypatch, capsys):
-    # one coefficient gains r^(2 dmax + 1), one degree above the bound
-    real = pixton.fixed_r_class
+    # one profile's power sum gains r^(2 dmax + 1 + h1) at every node; after
+    # the factor r^(-h1) its coefficients are one degree above the bound
+    real = pixton.weighting_power_sums
+    dmax = 1
 
-    def patched(g, n, a, r, dmax, survivors=frozenset()):
-        el = real(g, n, a, r, dmax, survivors)
-        key = min(el.terms, key=repr)
-        terms = dict(el.terms)
-        terms[key] += r ** (2 * dmax + 1)
-        return StrataElement(g, n, terms)
+    def patched(graph, a, rs, profiles):
+        sums = dict(real(graph, a, rs, profiles))
+        profile = min(sums)
+        sums[profile] = tuple(
+            s + r ** (2 * dmax + 1 + graph.h1()) for s, r in zip(sums[profile], rs)
+        )
+        return sums
 
-    monkeypatch.setattr(pixton, "fixed_r_class", patched)
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     with pytest.raises(FitInstabilityError):
-        constant_term_class(1, 1, (0,), 1)
-    code = main(["pixton", "--g", "1", "--n", "1", "--a", "0", "--degree", "1"])
+        constant_term_class(1, 1, (0,), dmax)
+    code = main(["pixton", "--g", "1", "--n", "1", "--a", "0", "--degree", str(dmax)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.count("\n") == 1
@@ -234,6 +264,28 @@ def test_monomial_coefficient_guard():
         monomial_coefficient(1, 2, (2,), 1, cost_budget=10)
     with pytest.raises(ValueError):
         monomial_coefficient(1, 2, (2,), 1, jobs=0)
+
+
+def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
+    # the guard prices a grid point at d + 2 r nodes; every genus-1 lemma
+    # instance passes the default budget, and (2,7,(1,)*6,3) is refused.
+    # The grid itself is stubbed: only the guard runs.
+    from trrkit.trr import MonomialSpec, omega
+
+    calls = []
+
+    def no_grid(args):
+        calls.append(args[:3])
+        return {}, 0, []
+
+    monkeypatch.setattr(pixton, "_grid_worker", no_grid)
+    for b in [(), (0,), (1,), (2,)]:
+        el, _ = omega(MonomialSpec(1, len(b) + 1, b))
+        assert el.is_zero()
+    assert len(calls) == 4
+    with pytest.raises(ComputationGuardError):
+        monomial_coefficient(2, 7, (1,) * 6, 3)
+    assert len(calls) == 4
 
 
 class _SerialPool:

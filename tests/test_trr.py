@@ -12,7 +12,6 @@ from trrkit.trr import (
     c0_coeff,
     ci_coeff,
     d_value,
-    d_value_direct,
     g7_patch,
     gamma0_closed,
     gammai_closed,
@@ -24,6 +23,7 @@ from trrkit.trr import (
     substitute_prime,
     psi_variables,
 )
+from oracles import d_value_direct
 
 
 def test_gamma0_examples():
