@@ -129,13 +129,14 @@ def brute_force_reports():
     # each report also keeps the class omega returned, under "omega"
     out = {}
     seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        def recording_omega(*args, **kwargs):
-            result = real_omega(*args, **kwargs)
-            seen.append(result[0])
-            return result
+    real_omega = trr.omega
 
-        real_omega = trr.omega
+    def recording_omega(*args, **kwargs):
+        result = real_omega(*args, **kwargs)
+        seen.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trr, "omega", recording_omega)
         for g, n, b in BRUTE_FORCE_INSTANCES:
             out[(g, n, b)] = verify_lemmas(g, n, b)
