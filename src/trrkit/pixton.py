@@ -9,24 +9,30 @@ degrees above g.  In degrees <= dmax that polynomial has degree at most
 2*(m_e + 1) in the residues; the constant term is read off 2*dmax + 1
 consecutive nodes, and two further held-out nodes validate the bound.
 
-Performance notes.  A grid point is one pass over the plan in integers:
-per graph, one call gives the weighting power sums at every r node at once,
-the sums are put over the common denominator lcm(r^h1), and three linear
-forms (the Lagrange-at-zero weights and the two held-out differences) are
-applied per profile before the template loop, so each decorated graph
-accumulates three integers and becomes one Fraction at the end.  The fixed-r
-class is the same pass with one node and the identity form.  A weighting
+Performance notes.  The graph sum is accumulated in integers in one pass
+over the plan, graph by graph, for a whole list of weighted points at once:
+a grid of leg values with integer weights over the grid's common
+denominator, or one point with weight 1.  Per graph and point, one call
+gives the weighting power sums at every r node, the sums are put over the
+common denominator lcm(r^h1), and per edge profile the two held-out
+differences are checked and the Lagrange-at-zero weights give one integer.
+That integer times the point's weight and leg power is added into one
+integer per group of decoration templates sharing a profile and leg
+exponents, so the template loop runs once per graph for the whole grid and
+each decorated graph becomes one Fraction at the end.  The fixed-r class is
+the same pass with one point, one node and the identity form.  A weighting
 sum over a graph depends on the leg values only through the per-edge affine
-residue forms; the sums are memoized on their unreduced constants, the
-moduli and the profiles.  Monomial extraction over an integer tensor grid
-collapses blocks of legs with equal target exponents to sorted tuples,
-symmetrizing the accumulated class once at the end.
+residue forms, whose leg coefficients are built once per graph; the sums
+are memoized on their unreduced constants, the moduli and the profiles.
+Monomial extraction over an integer tensor grid collapses blocks of legs
+with equal target exponents to sorted tuples, symmetrizing the accumulated
+class once at the end; worker processes each take a chunk of the grid and
+return integer numerators, which the parent adds.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -83,10 +89,11 @@ _FLOW_CACHE: dict[StableGraph, tuple] = {}
 def _flow_forms(graph: StableGraph):
     """Solve the weighting conditions by spanning-tree propagation.
 
-    Returns (forms, free_edges): forms[k] = (sigma_coeffs, free_coeffs) so
-    that the side-0 residue of edge k is
-    (sum_v sigma_coeffs[v]*sigma_v + sum_j free_coeffs[j]*f_j) mod r, with one
-    free variable per non-tree edge.  Loops never enter vertex conditions.
+    Returns (leg_rows, free_rows, nfree) so that the side-0 residue of edge
+    k is (sum_m leg_rows[k][m]*a_m + sum_j free_rows[k][j]*f_j) mod r, with
+    one free variable per non-tree edge (nfree of them); the leg values
+    enter through the leg sums at the vertices.  Loops never enter vertex
+    conditions.
     """
     cached = _FLOW_CACHE.get(graph)
     if cached is not None:
@@ -151,7 +158,11 @@ def _flow_forms(graph: StableGraph):
             tuple(-sign * c for c in sc),
             tuple(-sign * c for c in fc),
         )
-    result = (tuple(forms), tuple(free_edges))
+    result = (
+        tuple(tuple(sc[v] for v in graph.legs) for sc, _ in forms),
+        tuple(fc for _, fc in forms),
+        nfree,
+    )
     _FLOW_CACHE[graph] = result
     return result
 
@@ -282,29 +293,24 @@ def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int,
     of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``.
 
     The sums depend on the leg values only through the per-edge affine
-    residue forms, whose constants are integer combinations of the per-vertex
-    leg sums; the cache key holds those unreduced constants with the
+    residue forms, whose constants are integer combinations of the leg
+    values; the cache key holds those unreduced constants with the
     free-variable rows, the moduli and the profiles, so it is built once per
     call, and the reduction mod r happens per modulus inside.  The edge order
     ties the profile entries to the forms.
     """
     rs = tuple(rs)
     profiles = tuple(sorted(profiles))
-    forms, free_edges = _flow_forms(graph)
-    sigma = [0] * graph.num_vertices
-    for m, v in enumerate(graph.legs, start=1):
-        sigma[v] += a[m - 1]
-    consts = tuple(
-        (sum(c * s for c, s in zip(sc, sigma)), fc) for sc, fc in forms
-    )
-    key = (consts, rs, profiles)
+    leg_rows, free_rows, nfree = _flow_forms(graph)
+    values = tuple([_dot(row, a) for row in leg_rows])
+    key = (values, free_rows, rs, profiles)
     cached = _POWER_SUM_CACHE.get(key)
     if cached is not None:
         return cached
+    consts = tuple(zip(values, free_rows))
 
     # group free variables into coupled blocks; the grouping is the same for
     # every modulus
-    nfree = len(free_edges)
     parent = list(range(nfree))
 
     def find(i):
@@ -369,14 +375,6 @@ def _power_sums_mod(r: int, c0s, const_edges, blocks, profiles) -> list[int]:
 # the fixed-r class
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Template:
-    profile: tuple[int, ...]
-    leg_exponents: tuple[int, ...]
-    base_num: int  # base coefficient times the plan's common denominator
-    key: DecoratedGraph
-
-
 _TEMPLATE_CACHE: dict[tuple, tuple] = {}
 _AUT_COUNT_CACHE: dict[StableGraph, int] = {}
 
@@ -395,6 +393,11 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
 
     ``reserved_markings`` holds one unit of capacity at each listed leg for a
     later psi multiplication; graphs and templates with no room are dropped.
+    Returns (groups, profiles, common).  The templates sharing an edge
+    profile and leg exponents differ only by their base coefficient, so each
+    group is (profile, leg exponents, members), the members being
+    (base numerator over ``common``, decorated graph) pairs; ``profiles``
+    lists every edge profile, sorted.
     """
     cache_key = (graph, dmax, tuple(sorted(reserved_markings)))
     cached = _TEMPLATE_CACHE.get(cache_key)
@@ -415,8 +418,9 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
     for k, (u, w) in enumerate(graph.edges):
         side_vertices.append((u, w))
 
-    templates: list[_Template] = []
+    templates = []
     profiles = set()
+    no_kappa = tuple(() for _ in range(graph.num_vertices))
 
     def edge_profiles(budget):
         for profile in itertools.product(*(range(budget + 1) for _ in range(E))):
@@ -444,49 +448,35 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
             base_split = base_edges
             for m, j in zip(profile, splits):
                 base_split *= binomial(m, j)
+            psi_edges = tuple((j, m - j) for m, j in zip(profile, splits))
 
-            def leg_loop(m, budget, vdeg_now, cvec, base_now):
+            def leg_loop(m, budget, vdeg_now, cvec, leg_den):
+                # leg_den = prod over the placed legs of 2^c c!
                 if m > graph.n:
-                    psi_edges = tuple(
-                        (j, mm - j) for mm, j in zip(profile, splits)
-                    )
-                    key = decorate_canonical_graph(
-                        graph,
-                        tuple(cvec),
-                        psi_edges,
-                        tuple(() for _ in range(graph.num_vertices)),
-                    )
-                    templates.append(
-                        (profile, tuple(cvec), base_now, key)
-                    )
+                    key = decorate_canonical_graph(graph, tuple(cvec), psi_edges, no_kappa)
+                    templates.append((profile, tuple(cvec), base_split / leg_den, key))
                     return
                 v = graph.legs[m - 1]
                 top = min(budget, caps[v] - vdeg_now[v])
                 for c in range(top + 1):
                     cvec.append(c)
                     vdeg_now[v] += c
-                    leg_loop(
-                        m + 1,
-                        budget - c,
-                        vdeg_now,
-                        cvec,
-                        base_now / (Fraction(2) ** c * factorial(c)),
-                    )
+                    leg_loop(m + 1, budget - c, vdeg_now, cvec, leg_den * 2**c * factorial(c))
                     vdeg_now[v] -= c
                     cvec.pop()
 
-            leg_loop(1, rem_after_edges, list(vdeg), [], base_split)
+            leg_loop(1, rem_after_edges, list(vdeg), [], 1)
         profiles.add(profile)
 
     # rescale bases to a common integer numerator
-    common = 1
-    for _, _, base, _ in templates:
-        common = lcm(common, base.denominator)
-    packed = tuple(
-        _Template(profile, legs_c, int(base * common), key)
-        for profile, legs_c, base, key in templates
+    common = lcm(*(base.denominator for _, _, base, _ in templates))
+    members: dict[tuple, list] = {}
+    for profile, legs_c, base, key in templates:
+        members.setdefault((profile, legs_c), []).append((int(base * common), key))
+    groups = tuple(
+        (profile, legs_c, tuple(group)) for (profile, legs_c), group in members.items()
     )
-    result = (packed, tuple(sorted(profiles)), common)
+    result = (groups, tuple(sorted(profiles)), common)
     _TEMPLATE_CACHE[cache_key] = result
     return result
 
@@ -543,46 +533,58 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
         raise ValueError("degree cap exceeds the dimension")
 
 
-def _graph_sums(g: int, n: int, a, nodes, forms, dmax: int, survivors):
-    """One pass over the plan for the graph sum sampled at every modulus in
-    ``nodes`` at once, in integers.
+def _graph_sums(g: int, n: int, points, nodes, form, held_out, dmax: int, survivors):
+    """One pass over the plan for the weighted sum over ``points`` of the
+    graph sum sampled at every modulus in ``nodes``, in integers.
 
-    ``forms`` are integer linear forms on the nodes.  Per plan graph this
-    yields (terms, den): terms maps each decorated graph of that graph to
-    one integer per form, the form applied to the key's coefficients at the
-    nodes, each coefficient times den.  Every key belongs to exactly one
-    graph, so the denominators of different graphs never meet.
+    ``points`` are (leg values, integer weight) pairs, ``form`` and the
+    ``held_out`` forms are integer linear forms on the nodes.  Per plan graph
+    and point, each edge profile's weighting sums are put over m = lcm(r^h1);
+    every held-out form must vanish on them, or :class:`FitInstabilityError`
+    is raised, and ``form`` turns them into one integer.  That integer times
+    the weight and the leg power prod_m a_m^(2 c_m) is added into one integer
+    per template group, so the template loop runs once per graph for all
+    points.  Yields (terms, den) per plan graph: terms maps each decorated
+    graph of that graph to an integer numerator over den.  Every key belongs
+    to exactly one graph, so the denominators of different graphs never
+    meet.
     """
-    for graph, templates, profiles, h1, aut, common in _class_plan(g, n, dmax, survivors):
-        # each node's sum is over r^h1; put them over m = lcm(r^h1)
+    # per point: the squared leg values and the leg powers met so far
+    points = [(a, weight, [v * v for v in a], {}) for a, weight in points]
+    for graph, groups, profiles, h1, aut, common in _class_plan(g, n, dmax, survivors):
+        # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
         m = lcm(*(r**h1 for r in nodes))
         scales = [m // r**h1 for r in nodes]
-        formed = {}
-        for profile, sums in weighting_power_sums(graph, a, nodes, profiles).items():
-            scaled = list(map(mul, sums, scales))
-            formed[profile] = [_dot(form, scaled) for form in forms]
-        local: dict[DecoratedGraph, list[int]] = {}
-        leg_cache: dict[tuple[int, ...], int] = {}
-        for tpl in templates:
-            w = formed[tpl.profile]
-            if not any(w):
-                continue
-            apow = leg_cache.get(tpl.leg_exponents)
-            if apow is None:
-                apow = 1
-                for mark, c in enumerate(tpl.leg_exponents, start=1):
-                    if c:
-                        apow *= a[mark - 1] ** (2 * c)
-                leg_cache[tpl.leg_exponents] = apow
-            if apow == 0:
-                continue
-            coeff = tpl.base_num * apow
-            acc = local.get(tpl.key)
-            if acc is None:
-                local[tpl.key] = [coeff * x for x in w]
-            else:
-                for i, x in enumerate(w):
-                    acc[i] += coeff * x
+        value_form = list(map(mul, form, scales))
+        checks = [list(map(mul, held, scales)) for held in held_out]
+        sums = [0] * len(groups)
+        for a, weight, squares, leg_powers in points:
+            values = {}
+            for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
+                for check in checks:
+                    if _dot(check, psums):
+                        raise FitInstabilityError(
+                            f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                            f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+                        )
+                values[profile] = _dot(value_form, psums) * weight
+            for i, (profile, legs, _) in enumerate(groups):
+                value = values[profile]
+                if not value:
+                    continue
+                apow = leg_powers.get(legs)
+                if apow is None:
+                    apow = 1
+                    for sq, c in zip(squares, legs):
+                        if c:
+                            apow *= sq**c
+                    leg_powers[legs] = apow
+                sums[i] += value * apow
+        local: dict[DecoratedGraph, int] = {}
+        for total, (_, _, members) in zip(sums, groups):
+            if total:
+                for base, key in members:
+                    local[key] = local.get(key, 0) + base * total
         yield local, common * aut * m
 
 
@@ -592,8 +594,8 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     a = check_avector(a)
     _check_input(g, n, a, (r,), dmax)
     terms = {}
-    for local, den in _graph_sums(g, n, a, [r], [[1]], dmax, survivors):
-        for key, (num,) in local.items():
+    for local, den in _graph_sums(g, n, [(a, 1)], [r], [1], (), dmax, survivors):
+        for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms)
@@ -625,6 +627,27 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def _constant_terms(g: int, n: int, points, dmax: int, r0: int, survivors):
+    """The constant term in r of the weighted sum over ``points`` of the
+    graph sum, from the 2*dmax + 3 nodes r0, r0+1, ...: the Lagrange-at-zero
+    weights on the first 2*dmax + 1 nodes give the value at r = 0, and the
+    (2*dmax + 1)-th forward differences ending at the two held-out nodes
+    must both vanish.  Returns (terms, nodes), terms mapping each decorated
+    graph to (numerator, denominator) in integers."""
+    count = 2 * dmax + 1
+    nodes = [r0 + t for t in range(count + 2)]
+    weights, weights_den = _zero_weights(nodes[:count])
+    diff = _difference_weights(count)
+    terms = {}
+    for local, den in _graph_sums(
+        g, n, points, nodes, weights, (diff, [0] + diff), dmax, survivors
+    ):
+        for key, num in local.items():
+            if num:
+                terms[key] = (num, weights_den * den)
+    return terms, nodes
+
+
 def constant_term_class(
     g: int,
     n: int,
@@ -641,34 +664,24 @@ def constant_term_class(
     and after the factor r^(-h1) that sum is a polynomial in r of the same
     degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
     sampled at the 2*dmax + 3 nodes r0, r0+1, ... in one integer pass over
-    the plan (every node's power sums come from one call per graph), through
-    three linear forms: the Lagrange-at-zero weights on the first
-    2*dmax + 1 nodes, which give the value at r = 0, and the
-    (2*dmax + 1)-th forward differences ending at the two held-out nodes,
-    which both vanish exactly when the fit through the first nodes passes
-    through the held-out ones.  Returns (element, meta); a held-out node off
-    the fit raises :class:`FitInstabilityError`.
+    the plan (every node's power sums come from one call per graph).  Per
+    graph and edge profile, the Lagrange-at-zero weights on the first
+    2*dmax + 1 nodes give the sum's value at r = 0, and the
+    (2*dmax + 1)-th forward differences ending at the two held-out nodes
+    both vanish exactly when the fit through the first nodes passes through
+    the held-out ones; every coefficient is a fixed combination of its
+    graph's profile sums, so the check covers every coefficient.  Returns
+    (element, meta); a held-out node off the fit raises
+    :class:`FitInstabilityError`.
     """
     a = check_avector(a)
     if r0 is None:
         r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
-    count = 2 * dmax + 1
-    nodes = [r0 + t for t in range(count + 2)]
-    _check_input(g, n, a, nodes, dmax)
-    weights, weights_den = _zero_weights(nodes[:count])
-    diff = _difference_weights(count)
-    forms = [weights, diff, [0] + diff]
-    constants = {}
-    for local, den in _graph_sums(g, n, a, nodes, forms, dmax, survivors):
-        for key, (value, held1, held2) in local.items():
-            if held1 or held2:
-                raise FitInstabilityError(
-                    f"a coefficient is not a polynomial of degree <= {2 * dmax} "
-                    f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-                )
-            if value:
-                constants[key] = Fraction(value, weights_den * den)
-    return StrataElement(g, n, constants), {
+    _check_input(g, n, a, (r0,), dmax)
+    terms, nodes = _constant_terms(g, n, [(a, 1)], dmax, r0, survivors)
+    for key, (num, den) in terms.items():  # in place: one dict of terms at a time
+        terms[key] = Fraction(num, den)
+    return StrataElement(g, n, terms), {
         "r0": r0,
         "r_nodes": nodes,
         "dmax": dmax,
@@ -689,20 +702,12 @@ def _grid_stabilizer_order(values) -> int:
 
 
 def _grid_worker(args):
-    """Accumulate the weighted constant-term classes of one chunk of grid
-    points; used directly and as the multiprocessing worker."""
+    """The constant term of the weighted graph sum over one chunk of grid
+    points, as integer numerators and denominators per decorated graph;
+    used directly and as the multiprocessing worker."""
     g, n, d, r0, survivors, points = args
-    survivors = frozenset(survivors)
-    acc: dict[DecoratedGraph, Fraction] = {}
-    r_nodes: set[int] = set()
-    evals = 0
-    for a_full, scale in points:
-        element, info = constant_term_class(g, n, a_full, d, r0=r0, survivors=survivors)
-        evals += 1
-        r_nodes.update(info["r_nodes"])
-        for dg, c in element.terms.items():
-            acc[dg] = acc.get(dg, Fraction(0)) + scale * c
-    return acc, evals, sorted(r_nodes)
+    terms, nodes = _constant_terms(g, n, points, d, r0, frozenset(survivors))
+    return terms, len(points), nodes
 
 
 def monomial_coefficient(
@@ -712,18 +717,25 @@ def monomial_coefficient(
     d: int,
     allow_large: bool = False,
     survivors=frozenset(),
-    cost_budget: int = 500_000,
+    cost_budget: int = 1_000_000,
     jobs: int = 1,
 ):
     """Coefficient of prod_j a_j^(b_j) in the degree-d part of the class,
     computed by exact interpolation on an integer tensor grid.
 
     Legs with equal target exponents are collapsed to sorted tuples; the
-    accumulated class is symmetrized over those blocks at the end.  Returns
+    accumulated class is symmetrized over those blocks at the end.  The
+    Lagrange weights of the grid points are put over one common
+    denominator, and the constant term in r of the weighted sum over the
+    grid is accumulated in integers in one pass over the plan (see
+    :func:`constant_term_class` for the r nodes and the held-out check,
+    which runs at every grid point).  With ``jobs`` > 1 the points are
+    split into chunks over worker processes, each returning integer
+    numerators; results are identical for any worker count.  Returns
     (element, meta).
 
     The default guard estimates cost as grid evaluations times modulus times
-    interpolation nodes and refuses jobs above ``cost_budget`` unless
+    the 2*d + 3 r nodes and refuses jobs above ``cost_budget`` unless
     ``allow_large`` is set.
     """
     exponents = tuple(int(b) for b in exponents)
@@ -752,7 +764,7 @@ def monomial_coefficient(
     }
     max_abs = max(degree * (n - 1), degree, 1)
     r0 = 2 * max_abs * max(d, 1) + 3
-    cost = total_evals * r0 * (d + 2)
+    cost = total_evals * r0 * (2 * d + 3)
     if cost > cost_budget and not allow_large:
         raise ComputationGuardError(
             f"estimated cost {cost} (evaluations x modulus x nodes) exceeds "
@@ -782,27 +794,30 @@ def monomial_coefficient(
                 continue
             points.append(((-sum(avec),) + avec, weight / stab))
 
+    # integer weights over the grid's common denominator
+    grid_den = lcm(*(w.denominator for _, w in points))
+    points = [(a, w.numerator * (grid_den // w.denominator)) for a, w in points]
     workers = _worker_count(jobs, len(points))
-    acc: dict[DecoratedGraph, Fraction] = {}
+    survivor_legs = tuple(sorted(survivors))
     if workers > 1:
         # warm the plan and template caches before forking
         _class_plan(g, n, d, survivors)
         chunks = [points[i::workers] for i in range(workers)]
-        args = [(g, n, d, r0, tuple(sorted(survivors)), chunk) for chunk in chunks]
         with _worker_pool(workers) as pool:
-            partials = pool.map(_grid_worker, args)
-        for terms, evals, r_nodes in partials:
-            meta["evaluations"] += evals
-            meta["r_nodes"] = sorted(set(meta["r_nodes"]) | set(r_nodes))
-            for dg, c in terms.items():
-                acc[dg] = acc.get(dg, Fraction(0)) + c
+            partials = pool.map(
+                _grid_worker, [(g, n, d, r0, survivor_legs, chunk) for chunk in chunks]
+            )
     else:
-        terms, evals, r_nodes = _grid_worker(
-            (g, n, d, r0, tuple(sorted(survivors)), points)
-        )
-        meta["evaluations"] = evals
+        partials = [_grid_worker((g, n, d, r0, survivor_legs, points))]
+    sums: dict[DecoratedGraph, tuple[int, int]] = {}
+    for terms, evals, r_nodes in partials:
+        meta["evaluations"] += evals
         meta["r_nodes"] = r_nodes
-        acc = terms
+        for key, (num, den) in terms.items():
+            if key in sums:
+                num += sums[key][0]
+            sums[key] = (num, den)
+    acc = {key: Fraction(num, den * grid_den) for key, (num, den) in sums.items()}
 
     accumulated = StrataElement(g, n, acc)
     if sym_blocks:

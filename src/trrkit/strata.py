@@ -194,14 +194,23 @@ class StrataElement:
         terms = dict(self.terms)
         for dg, c in other.terms.items():
             terms[dg] = terms.get(dg, Fraction(0)) + c
-        return StrataElement(self.g, self.n, terms)
+        return self._with_terms(terms, other)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "StrataElement":
         c = Fraction(c)
-        return StrataElement(self.g, self.n, {dg: c * v for dg, v in self.terms.items()})
+        return self._with_terms({dg: c * v for dg, v in self.terms.items()})
+
+    def _with_terms(self, terms, *others) -> "StrataElement":
+        """An element on the same space with the given terms, carrying the
+        kappa flag when this element or one of ``others`` does."""
+        el = StrataElement(self.g, self.n, terms)
+        el.kappa_from_forgotten_psi = self.kappa_from_forgotten_psi or any(
+            o.kappa_from_forgotten_psi for o in others
+        )
+        return el
 
     def __eq__(self, other):
         if not isinstance(other, StrataElement):
@@ -222,8 +231,8 @@ class StrataElement:
 
     # --- queries ---------------------------------------------------------
     def degree_component(self, d: int) -> "StrataElement":
-        return StrataElement(
-            self.g, self.n, {dg: c for dg, c in self.terms.items() if dg.degree() == d}
+        return self._with_terms(
+            {dg: c for dg, c in self.terms.items() if dg.degree() == d}
         )
 
     def psi_degree(self, marking: int) -> int:
@@ -238,8 +247,8 @@ class StrataElement:
         return any(dg.has_kappa() for dg in self.terms)
 
     def graph_component(self, graph: StableGraph) -> "StrataElement":
-        return StrataElement(
-            self.g, self.n, {dg: c for dg, c in self.terms.items() if dg.graph == graph}
+        return self._with_terms(
+            {dg: c for dg, c in self.terms.items() if dg.graph == graph}
         )
 
     def relabel_legs(self, perm: dict[int, int]) -> "StrataElement":
@@ -258,7 +267,7 @@ class StrataElement:
                 dg.graph.genera, dg.graph.edges, legs, tuple(psis), dg.psi_edges, dg.kappa
             )
             out[new] = out.get(new, Fraction(0)) + c
-        return StrataElement(self.g, self.n, out)
+        return self._with_terms(out)
 
     # --- serialization ----------------------------------------------------
     def to_json(self) -> list:
@@ -607,7 +616,7 @@ def multiply(x: StrataElement, y: StrataElement) -> StrataElement:
         for dg2, c2 in y.terms.items():
             for dg, c in product_terms(dg1, dg2, x.g, x.n, truncate=True):
                 out[dg] = out.get(dg, Fraction(0)) + c1 * c2 * c
-    return StrataElement(x.g, x.n, out)
+    return x._with_terms(out, y)
 
 
 def multiply_by_psi(x: StrataElement, leg_exponents: dict[int, int]) -> StrataElement:
@@ -621,7 +630,7 @@ def multiply_by_psi(x: StrataElement, leg_exponents: dict[int, int]) -> StrataEl
         if new.violates_degree_condition():
             continue
         out[new] = out.get(new, Fraction(0)) + c
-    return StrataElement(x.g, x.n, out)
+    return x._with_terms(out)
 
 
 # ----------------------------------------------------------------------
@@ -775,14 +784,15 @@ def pushforward_forget(x: StrataElement, marking: int) -> StrataElement:
 
     Markings above the forgotten one shift down by one.  Terms whose
     forgotten-point psi exponent is at least 2 generate kappa decorations;
-    the result carries ``kappa_from_forgotten_psi = True`` in that case.
+    the result carries ``kappa_from_forgotten_psi = True`` in that case, or
+    when ``x`` carries it.
     """
     if not (1 <= marking <= x.n):
         raise ValueError(f"no marking {marking}")
     if 2 * x.g - 2 + (x.n - 1) <= 0:
         raise ValueError(f"target ({x.g},{x.n - 1}) is unstable")
     out: dict[DecoratedGraph, Fraction] = {}
-    flag = False
+    flag = x.kappa_from_forgotten_psi
     for dg, c in x.terms.items():
         for new, c2, kflag in _pushforward_term(dg, marking):
             flag = flag or kflag

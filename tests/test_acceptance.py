@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-The genus-2 brute-force instance is hour-scale and runs only when
+The genus-2 brute-force instance takes minutes and runs only when
 TRRKIT_ALLOW_LARGE=1 is set; everything else runs unconditionally.
 """
 import hashlib

@@ -197,10 +197,17 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     with pytest.raises(FitInstabilityError):
         constant_term_class(1, 1, (0,), dmax)
-    code = main(["pixton", "--g", "1", "--n", "1", "--a", "0", "--degree", str(dmax)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err and err.count("\n") == 1
+    # the grid path checks every point, not the weighted sum over points
+    with pytest.raises(FitInstabilityError):
+        monomial_coefficient(1, 2, (2,), dmax)
+    for argv in (
+        ["pixton", "--g", "1", "--n", "1", "--a", "0", "--degree", str(dmax)],
+        ["pixton", "--g", "1", "--n", "2", "--b-exponents", "2", "--degree", str(dmax)],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "Traceback" not in err and err.count("\n") == 1, argv
 
 
 def test_monomial_coefficient_trivial_part():
@@ -234,27 +241,35 @@ def test_monomial_coefficient_symmetry():
 
 
 def test_monomial_coefficient_against_plain_grid():
-    # the block-collapsed extraction agrees with a plain weighted grid sum
-    g, n, d = 1, 3, 1
-    exponents = (1, 1)
-    el, _ = monomial_coefficient(g, n, exponents, d)
-    degree = 2 * d
-    weights = {
-        m: lagrange_coefficient_weights(degree, b)
-        for m, b in zip(range(2, n + 1), exponents)
-    }
-    r0 = 2 * max(degree * (n - 1), degree, 1) * max(d, 1) + 3
-    acc = StrataElement.zero(g, n)
-    for point in itertools.product(range(degree + 1), repeat=n - 1):
-        w = Fraction(1)
-        for m, val in zip(range(2, n + 1), point):
-            w *= weights[m][val]
-        if w == 0:
-            continue
-        full = (-sum(point),) + point
-        sample, _ = constant_term_class(g, n, full, d, r0=r0)
-        acc = acc + sample.scale(w)
-    assert el == acc.degree_component(d)
+    # the block-collapsed extraction agrees with a plain weighted grid sum of
+    # constant terms, one point at a time
+    cases = [
+        (1, 3, (1, 1), 1, ()),
+        # legs 3 and 4 collapse to one block of survivors, leg 2 does not
+        (1, 4, (0, 1, 1), 1, (3, 4)),
+        (1, 3, (2, 2), 2, ()),
+    ]
+    for g, n, exponents, d, survivors in cases:
+        survivors = frozenset(survivors)
+        el, _ = monomial_coefficient(g, n, exponents, d, survivors=survivors)
+        degree = 2 * d
+        weights = {
+            m: lagrange_coefficient_weights(degree, b)
+            for m, b in zip(range(2, n + 1), exponents)
+        }
+        r0 = 2 * max(degree * (n - 1), degree, 1) * max(d, 1) + 3
+        acc = StrataElement.zero(g, n)
+        for point in itertools.product(range(degree + 1), repeat=n - 1):
+            w = Fraction(1)
+            for m, val in zip(range(2, n + 1), point):
+                w *= weights[m][val]
+            if w == 0:
+                continue
+            full = (-sum(point),) + point
+            sample, _ = constant_term_class(g, n, full, d, r0=r0, survivors=survivors)
+            acc = acc + sample.scale(w)
+        assert not el.is_zero(), exponents
+        assert el == acc.degree_component(d), exponents
 
 
 def test_monomial_coefficient_guard():
@@ -267,9 +282,10 @@ def test_monomial_coefficient_guard():
 
 
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
-    # the guard prices a grid point at d + 2 r nodes; every genus-1 lemma
-    # instance passes the default budget, and (2,7,(1,)*6,3) is refused.
-    # The grid itself is stubbed: only the guard runs.
+    # the guard prices a grid point at its 2d + 3 r nodes; every genus-1
+    # lemma instance passes the default budget at the price pinned here, and
+    # (2,7,(1,)*6,3) is refused.  The grid itself is stubbed: only the guard
+    # runs.
     from trrkit.trr import MonomialSpec, omega
 
     calls = []
@@ -279,13 +295,21 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
         return {}, 0, []
 
     monkeypatch.setattr(pixton, "_grid_worker", no_grid)
-    for b in [(), (0,), (1,), (2,)]:
-        el, _ = omega(MonomialSpec(1, len(b) + 1, b))
+    prices = {(): 82_075, (0,): 508_375, (1,): 105_525, (2,): 44_625}
+    for b, price in prices.items():
+        mono = MonomialSpec(1, len(b) + 1, b)
+        el, _ = omega(mono)
         assert el.is_zero()
-    assert len(calls) == 4
-    with pytest.raises(ComputationGuardError):
+        N = mono.num_legs
+        args = (1, N, b + (1,) * (N - mono.n), 2)
+        survivors = frozenset(range(mono.n + 2, N + 1))
+        monomial_coefficient(*args, survivors=survivors, cost_budget=price)
+        with pytest.raises(ComputationGuardError, match=f"cost {price} "):
+            monomial_coefficient(*args, survivors=survivors, cost_budget=price - 1)
+    assert len(calls) == 8
+    with pytest.raises(ComputationGuardError, match="cost 1821204 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
-    assert len(calls) == 4
+    assert len(calls) == 8
 
 
 class _SerialPool:
@@ -321,6 +345,25 @@ def test_worker_count_is_clamped(monkeypatch):
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
         assert monomial_coefficient(1, 3, (2, 0), 1, jobs=64)[0] == serial
     assert len(sizes) == 2
+
+
+def test_worker_pool_matches_serial(monkeypatch):
+    # a real pool of two workers, each returning integer numerators over its
+    # own chunk of grid points, gives the serial result byte for byte
+    sizes = []
+    real_pool = pixton._worker_pool
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(pixton, "_worker_pool", recording_pool)
+    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 2)
+    serial, serial_meta = monomial_coefficient(1, 3, (2, 0), 1)
+    pooled, pooled_meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=2)
+    assert sizes == [2]
+    assert pooled.to_json() == serial.to_json() and not serial.is_zero()
+    assert pooled_meta == serial_meta
 
 
 def test_scan_worker_count_is_clamped(monkeypatch):
