@@ -24,6 +24,8 @@ the same pass with one point, one node and the identity form.  A weighting
 sum over a graph depends on the leg values only through the per-edge affine
 residue forms, whose leg coefficients are built once per graph; the sums
 are memoized on their unreduced constants, the moduli and the profiles.
+The plan asks the enumeration for only the graphs with room for one unit
+of psi at every survivor leg, so the rest are never canonicalized.
 Monomial extraction over an integer tensor grid collapses blocks of legs
 with equal target exponents to sorted tuples, symmetrizing the accumulated
 class once at the end; worker processes each take a chunk of the grid and
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .numerics import binomial, factorial, lagrange_coefficient_weights
@@ -380,9 +382,10 @@ _AUT_COUNT_CACHE: dict[StableGraph, int] = {}
 
 
 def _aut_count(graph: StableGraph) -> int:
+    """Automorphism count of an enumerated (hence canonical) graph."""
     c = _AUT_COUNT_CACHE.get(graph)
     if c is None:
-        c = automorphism_count(graph)
+        c = automorphism_count(graph, check=False)
         _AUT_COUNT_CACHE[graph] = c
     return c
 
@@ -427,11 +430,14 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
             if sum(profile) <= budget:
                 yield profile
 
+    # each template's base coefficient is kept as an integer fraction
+    # (numerator, denominator) until the common denominator is known
     for profile in edge_profiles(extra):
         rem_after_edges = extra - sum(profile)
-        base_edges = Fraction(1)
+        edge_sign = (-1) ** sum(profile)
+        edge_den = 1
         for m in profile:
-            base_edges *= Fraction((-1) ** m, 2 ** (m + 1) * factorial(m + 1))
+            edge_den *= 2 ** (m + 1) * factorial(m + 1)
         split_ranges = [range(m + 1) for m in profile]
         for splits in itertools.product(*split_ranges):
             vdeg = [0] * graph.num_vertices
@@ -445,16 +451,20 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
                     break
             if not okay:
                 continue
-            base_split = base_edges
+            split_num = edge_sign
             for m, j in zip(profile, splits):
-                base_split *= binomial(m, j)
+                split_num *= binomial(m, j)
             psi_edges = tuple((j, m - j) for m, j in zip(profile, splits))
 
             def leg_loop(m, budget, vdeg_now, cvec, leg_den):
                 # leg_den = prod over the placed legs of 2^c c!
                 if m > graph.n:
                     key = decorate_canonical_graph(graph, tuple(cvec), psi_edges, no_kappa)
-                    templates.append((profile, tuple(cvec), base_split / leg_den, key))
+                    den = edge_den * leg_den
+                    shared = gcd(split_num, den)
+                    templates.append(
+                        (profile, tuple(cvec), split_num // shared, den // shared, key)
+                    )
                     return
                 v = graph.legs[m - 1]
                 top = min(budget, caps[v] - vdeg_now[v])
@@ -469,29 +479,16 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
         profiles.add(profile)
 
     # rescale bases to a common integer numerator
-    common = lcm(*(base.denominator for _, _, base, _ in templates))
+    common = lcm(*(den for _, _, _, den, _ in templates))
     members: dict[tuple, list] = {}
-    for profile, legs_c, base, key in templates:
-        members.setdefault((profile, legs_c), []).append((int(base * common), key))
+    for profile, legs_c, num, den, key in templates:
+        members.setdefault((profile, legs_c), []).append((num * (common // den), key))
     groups = tuple(
         (profile, legs_c, tuple(group)) for (profile, legs_c), group in members.items()
     )
     result = (groups, tuple(sorted(profiles)), common)
     _TEMPLATE_CACHE[cache_key] = result
     return result
-
-
-def _psi_survivor_ok(graph: StableGraph, survivors) -> bool:
-    """A graph survives multiplication by psi at the given markings only if
-    every vertex has capacity for the forced exponents."""
-    if not survivors:
-        return True
-    count = [0] * graph.num_vertices
-    for m in survivors:
-        count[graph.legs[m - 1]] += 1
-    return all(
-        count[v] <= graph.vertex_capacity(v) for v in range(graph.num_vertices)
-    )
 
 
 _PLAN_CACHE: dict[tuple, tuple] = {}
@@ -504,9 +501,9 @@ def _class_plan(g: int, n: int, dmax: int, survivors) -> tuple:
     cached = _PLAN_CACHE.get(key)
     if cached is None:
         plan = []
-        for graph in enumerate_stable_graphs(g, n, max_edges=dmax):
-            if survivors and not _psi_survivor_ok(graph, survivors):
-                continue
+        for graph in enumerate_stable_graphs(
+            g, n, max_edges=dmax, reserved_markings=survivors
+        ):
             templates, profiles, common = _graph_templates(
                 graph, dmax, frozenset(survivors)
             )

@@ -243,18 +243,21 @@ def vertex_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
     return cached
 
 
-def automorphism_count(graph: StableGraph) -> int:
+def automorphism_count(graph: StableGraph, check: bool = True) -> int:
     """Order of the automorphism group (vertex and half-edge permutations
     commuting with the genus, vertex, involution and marking maps).
 
     For a fixed compatible vertex permutation the half-edge extensions are
     counted directly: parallel edges between each vertex pair permute freely,
-    loops permute freely, and each loop's two half-edges can swap.
+    loops permute freely, and each loop's two half-edges can swap.  With
+    ``check`` False the graph must already be canonical (as enumerated or
+    built by :func:`make_graph`); it is then neither validated nor rebuilt.
     """
-    problems = validate(graph)
-    if problems:
-        raise InvalidGraphError("; ".join(problems))
-    graph = make_graph(graph.genera, graph.edges, graph.legs)
+    if check:
+        problems = validate(graph)
+        if problems:
+            raise InvalidGraphError("; ".join(problems))
+        graph = make_graph(graph.genera, graph.edges, graph.legs)
     count = len(vertex_automorphisms(graph))
     mult: dict[tuple[int, int], int] = {}
     loops = 0
@@ -422,13 +425,21 @@ def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
     yield from place(0, sum(need), moving)
 
 
-_ENUM_CACHE: dict[tuple[int, int, int], tuple[StableGraph, ...]] = {}
+_ENUM_CACHE: dict[tuple, tuple[StableGraph, ...]] = {}
 
 
-def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tuple[StableGraph, ...]:
+def enumerate_stable_graphs(
+    g: int, n: int, max_edges: int | None = None, reserved_markings=()
+) -> tuple[StableGraph, ...]:
     """All stable graphs of genus g with n legs, one per isomorphism class,
     optionally restricted to at most ``max_edges`` edges, sorted by
     :meth:`StableGraph.sort_key`.
+
+    ``reserved_markings`` keeps only the graphs with room for one unit of
+    decoration degree at each listed marking: every vertex's capacity
+    3g(v) - 3 + n(v) is at least the number of listed markings on it.  The
+    test is relabel-invariant, so it runs on each leg map before that graph
+    is canonicalized.
 
     Generation runs over leg-free shapes first: for each edge and vertex
     count, every connected multigraph and genus composition that n legs can
@@ -443,10 +454,13 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
         raise InvalidGraphError(f"({g},{n}) is unstable")
     cap = 3 * g - 3 + n
     emax = cap if max_edges is None else min(max_edges, cap)
-    key = (g, n, emax)
+    reserved = frozenset(reserved_markings)
+    key = (g, n, emax, tuple(sorted(reserved)))
     cached = _ENUM_CACHE.get(key)
     if cached is not None:
         return cached
+    # the markings whose legs count toward the capacity they must leave
+    free = [m not in reserved for m in range(1, n + 1)]
 
     out: list[StableGraph] = []
     for E in range(emax + 1):
@@ -454,8 +468,16 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int | None = None) -> tup
         for V in range(max(1, E + 1 - g), E + 2):
             for genera, edges in _shapes(g, n, E, V):
                 auts = _automorphisms(genera, edges, ())
-                need = _stability_need(genera, _degrees(V, edges))
+                deg = _degrees(V, edges)
+                need = _stability_need(genera, deg)
+                base = [3 * gv - 3 + dv for gv, dv in zip(genera, deg)]
                 for legs in _orbit_minimal_leg_maps(need, n, auts):
+                    if reserved:
+                        room = base[:]
+                        for v, counts in zip(legs, free):
+                            room[v] += counts
+                        if min(room) < 0:
+                            continue
                     out.append(StableGraph(*canonical_data(genera, edges, legs)))
     out.sort(key=lambda gr: gr.sort_key())
     result = tuple(out)

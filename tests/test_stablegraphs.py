@@ -110,6 +110,23 @@ def test_enumeration_edge_filter():
             assert set(restricted) == {gr for gr in full if gr.num_edges <= d}
 
 
+@pytest.mark.parametrize(
+    "g,n,max_edges,reserved",
+    [(1, 4, None, (2, 3, 4)), (0, 6, None, (4, 5, 6)), (2, 3, 3, (2, 3)), (1, 3, 2, (1,))],
+)
+def test_enumeration_reserved_markings_filter(g, n, max_edges, reserved):
+    def has_room(gr):
+        count = [0] * gr.num_vertices
+        for m in reserved:
+            count[gr.legs[m - 1]] += 1
+        return all(c <= cap for c, cap in zip(count, gr.capacities()))
+
+    full = enumerate_stable_graphs(g, n, max_edges=max_edges)
+    kept = enumerate_stable_graphs(g, n, max_edges=max_edges, reserved_markings=reserved)
+    assert kept == tuple(gr for gr in full if has_room(gr))
+    assert 0 < len(kept) < len(full)
+
+
 def test_canonical_form_relabeling_invariance():
     rng = random.Random(2024)
     pool = []
@@ -149,6 +166,12 @@ def test_automorphisms_against_brute_force():
             assert automorphism_count(gr) == brute_force_automorphisms(
                 gr.genera, gr.edges, gr.legs
             )
+
+
+def test_unchecked_automorphism_count_on_canonical_graphs():
+    for g, n in [(1, 2), (2, 0), (0, 5), (2, 1)]:
+        for gr in enumerate_stable_graphs(g, n):
+            assert automorphism_count(gr, check=False) == automorphism_count(gr)
 
 
 def test_contract_examples():
