@@ -115,7 +115,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def cmd_scan(args, started):
     if args.g_min < 1 or args.g_max < args.g_min:
         raise UsageError("need 1 <= g-min <= g-max")
-    zeros, cells = scan_zeros(args.g_min, args.g_max, jobs=args.jobs)
+    zeros, cells = scan_zeros(
+        args.g_min, args.g_max, jobs=args.jobs, allow_large=args.allow_large
+    )
     result = {
         "range": [args.g_min, args.g_max],
         "conventions": SCAN_CONVENTIONS,
@@ -255,6 +257,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="scan for vanishing D coefficients")
     p.add_argument("--g-min", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
+    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=default_jobs)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")

@@ -9,6 +9,8 @@ family with its marking swap.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,37 +42,90 @@ def psi_variables(n: int, prime: bool = False) -> tuple[str, ...]:
     return names + ("psip",) if prime else names
 
 
-def _zero_poly(n: int, prime: bool = False) -> SparsePoly:
-    return SparsePoly(psi_variables(n, prime), {})
-
-
 # ----------------------------------------------------------------------
 # closed-form graph contributions
 # ----------------------------------------------------------------------
 
-def gamma0_closed(g: int, n: int, b) -> SparsePoly:
-    """Contribution of the trivial graph, as a polynomial in psi_1..psi_n.
+def _marking_factors(bj: int) -> list[int]:
+    """(2c-1)!! C(b_j, 2c) for c = 0..b_j//2: the numerator of
+    1/(2^c c! (b_j-2c)!) = (2c-1)!! C(b_j, 2c) / b_j!."""
+    return [double_factorial(2 * c - 1) * binomial(bj, 2 * c) for c in range(bj // 2 + 1)]
 
-    b lists the monomial exponents at markings 2..n; the polynomial is
-    homogeneous of degree g+1.
-    """
+
+def _gamma0_numerators(g: int, n: int, b) -> dict:
+    """Integer numerators of :func:`gamma0_closed` per exponent tuple, over
+    the denominator (2g-2+n)! prod_j b_j!."""
     b = tuple(int(x) for x in b)
     if g < 1 or n < 1 or len(b) != n - 1:
         raise ValueError("need g >= 1, n >= 1 and one exponent per marking 2..n")
     if any(x < 0 for x in b) or sum(b) > 2 * g + 2:
         raise ValueError("monomial degree exceeds 2g+2")
-    pref = Fraction(factorial(4 * g - 1 + n - sum(b)), factorial(2 * g - 2 + n))
+    top = factorial(4 * g - 1 + n - sum(b))
+    factors = [_marking_factors(bj) for bj in b]
     terms = {}
-    for c in itertools.product(*(range(x // 2 + 1) for x in b)):
+    for c in itertools.product(*(range(len(f)) for f in factors)):
         sc = sum(c)
         if sc > g + 1:
             continue
-        coeff = pref * double_factorial(2 * g + 1 - 2 * sc)
-        for cj, bj in zip(c, b):
-            coeff /= Fraction(2**cj * factorial(cj) * factorial(bj - 2 * cj))
-        exps = (g + 1 - sc,) + c
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return SparsePoly(psi_variables(n), terms)
+        num = top * double_factorial(2 * g + 1 - 2 * sc)
+        for cj, f in zip(c, factors):
+            num *= f[cj]
+        terms[(g + 1 - sc,) + c] = num
+    return terms
+
+
+def _gammai_numerators(g: int, n: int, i: int, b) -> dict:
+    """Integer numerators of :func:`gammai_closed` per exponent tuple, over
+    the denominator prod_j b_j!."""
+    b = tuple(int(x) for x in b)
+    if n < 2 or not (2 <= i <= n) or len(b) != n - 1:
+        raise ValueError("need n >= 2 and a marking i in 2..n")
+    if sum(b) > 2 * g + 1:
+        raise ValueError("monomial degree exceeds 2g+1")
+    bi = b[i - 2]
+    others = [j for j in range(2, n + 1) if j != i]
+    top = factorial(2 * g + 1 - sum(b))
+    sum_b_others = sum(b[j - 2] for j in others)
+    A0 = 4 * g + n - sum_b_others
+    A1 = 4 * g - 1 + n - sum(b)
+    B = 2 * g - sum_b_others
+    # the Chu-Vandermonde bracket depends on c_i alone; keep the nonzero ones
+    tail = []
+    for ci in range(g + 1):
+        bracket = -binomial(A0, B - 2 * ci)
+        for dd in range(bi - 2 * ci - 1):
+            bracket += binomial(A1, B - 2 * ci - dd) * binomial(bi + 1, dd)
+        if bracket:
+            tail.append((ci, top * bracket * double_factorial(2 * ci + 1)))
+    factors = [_marking_factors(b[j - 2]) for j in others]
+    terms = {}
+    for c_others in itertools.product(*(range(len(f)) for f in factors)):
+        rest = g - sum(c_others)
+        head = 1
+        exps = [0] * (n + 1)
+        for cj, j, f in zip(c_others, others, factors):
+            head *= f[cj]
+            exps[j - 1] = cj
+        for ci, num in tail:
+            if ci > rest:
+                break
+            exps[0] = rest - ci
+            exps[n] = ci
+            terms[tuple(exps)] = head * num * double_factorial(2 * (rest - ci) - 1)
+    return terms
+
+
+def gamma0_closed(g: int, n: int, b) -> SparsePoly:
+    """Contribution of the trivial graph, as a polynomial in psi_1..psi_n.
+
+    b lists the monomial exponents at markings 2..n; the polynomial is
+    homogeneous of degree g+1.  Each coefficient is an integer numerator
+    over (2g-2+n)! prod_j b_j!.
+    """
+    b = tuple(int(x) for x in b)
+    terms = _gamma0_numerators(g, n, b)
+    den = factorial(2 * g - 2 + n) * math.prod(map(factorial, b))
+    return SparsePoly(psi_variables(n), {e: Fraction(c, den) for e, c in terms.items()})
 
 
 def gammai_closed(g: int, n: int, i: int, b) -> SparsePoly:
@@ -79,69 +134,53 @@ def gammai_closed(g: int, n: int, i: int, b) -> SparsePoly:
     Polynomial in psi_1..psi_n and psip, the psi class at the half-edge on
     the genus-g side; psi_i does not occur.  The inner sum over the second
     binomial family runs up to b_i - 2c_i - 2 (the bound the substitution in
-    the Chu-Vandermonde resummation produces).
+    the Chu-Vandermonde resummation produces).  Each coefficient is an
+    integer numerator over prod_j b_j!: (2g+1-|b|)! (2k-1)!! (2c_i+1)!!
+    times the bracket in c_i times (2c_j-1)!! C(b_j, 2c_j) at every other
+    marking j, where k is the psi_1 exponent.
     """
     b = tuple(int(x) for x in b)
-    if n < 2 or not (2 <= i <= n) or len(b) != n - 1:
-        raise ValueError("need n >= 2 and a marking i in 2..n")
-    if sum(b) > 2 * g + 1:
-        raise ValueError("monomial degree exceeds 2g+1")
-    bi = b[i - 2]
-    others = [j for j in range(2, n + 1) if j != i]
-    pref = Fraction(factorial(2 * g + 1 - sum(b)), factorial(bi))
-    sum_b_others = sum(b[j - 2] for j in others)
-    A0 = 4 * g + n - sum_b_others
-    A1 = 4 * g - 1 + n - sum(b)
-    B = 2 * g - sum_b_others
-    terms = {}
-    ranges = [range(b[j - 2] // 2 + 1) for j in others]
-    for c_others in itertools.product(*ranges):
-        csum_others = sum(c_others)
-        for ci in range(g - csum_others + 1):
-            k = g - csum_others - ci
-            bracket = -binomial(A0, B - 2 * ci)
-            for dd in range(bi - 2 * ci - 1):
-                bracket += binomial(A1, B - 2 * ci - dd) * binomial(bi + 1, dd)
-            if bracket == 0:
-                continue
-            coeff = pref * double_factorial(2 * k - 1) * double_factorial(2 * ci + 1)
-            coeff *= bracket
-            for cj, j in zip(c_others, others):
-                bj = b[j - 2]
-                coeff /= Fraction(2**cj * factorial(cj) * factorial(bj - 2 * cj))
-            exps = [0] * (n + 1)
-            exps[0] = k
-            exps[n] = ci
-            for cj, j in zip(c_others, others):
-                exps[j - 1] = cj
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return SparsePoly(psi_variables(n, prime=True), terms)
+    terms = _gammai_numerators(g, n, i, b)
+    den = math.prod(map(factorial, b))
+    return SparsePoly(
+        psi_variables(n, prime=True), {e: Fraction(c, den) for e, c in terms.items()}
+    )
+
+
+def _add_scaled(total: dict, terms: dict, scale) -> None:
+    for exps, coeff in terms.items():
+        total[exps] = total.get(exps, 0) + scale * coeff
+
+
+def _string_pushforward_terms(terms: dict) -> dict:
+    out = {}
+    for exps, coeff in terms.items():
+        for j, e in enumerate(exps):
+            if e > 0:
+                lowered = exps[:j] + (e - 1,) + exps[j + 1 :]
+                out[lowered] = out.get(lowered, 0) + coeff
+    return out
+
+
+def _substitute_prime_terms(terms: dict, i: int) -> dict:
+    out = {}
+    for exps, coeff in terms.items():
+        if exps[i - 1] != 0:
+            raise ValueError("psi_i already present; substitution is ambiguous")
+        moved = exps[: i - 1] + exps[-1:] + exps[i:-1]
+        out[moved] = out.get(moved, 0) + coeff
+    return out
 
 
 def string_pushforward(poly: SparsePoly) -> SparsePoly:
     """Pushforward of a psi polynomial not involving the forgotten marking:
     each monomial becomes the sum of its single-exponent lowerings."""
-    terms = {}
-    for exps, coeff in poly.terms.items():
-        for j, e in enumerate(exps):
-            if e > 0:
-                lowered = exps[:j] + (e - 1,) + exps[j + 1 :]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + coeff
-    return SparsePoly(poly.variables, terms)
+    return SparsePoly(poly.variables, _string_pushforward_terms(poly.terms))
 
 
 def substitute_prime(poly: SparsePoly, i: int, n: int) -> SparsePoly:
     """Move the psip exponent to psi_i (the rational-tail stabilization)."""
-    terms = {}
-    for exps, coeff in poly.terms.items():
-        if exps[i - 1] != 0:
-            raise ValueError("psi_i already present; substitution is ambiguous")
-        new = list(exps[:-1])
-        new[i - 1] = exps[-1]
-        new = tuple(new)
-        terms[new] = terms.get(new, Fraction(0)) + coeff
-    return SparsePoly(psi_variables(n), terms)
+    return SparsePoly(psi_variables(n), _substitute_prime_terms(poly.terms, i))
 
 
 # ----------------------------------------------------------------------
@@ -209,36 +248,43 @@ def ci_coeff(g: int, n: int, i: int, l, lprime, dvec) -> Fraction:
     return value
 
 
+def _d_weights(g: int, n: int, k: int) -> list[int]:
+    """w_s = (2k+1)_s (base-s)_(n-1-s) for s = 0..n-1, base = 2g+n+2k-1,
+    with (x)_m the falling factorial."""
+    base = 2 * g + n + 2 * k - 1
+    return [
+        falling_factorial(2 * k + 1, s) * falling_factorial(base - s, n - 1 - s)
+        for s in range(n)
+    ]
+
+
+def _times_one_plus(e: list[int], v: int) -> list[int]:
+    """Coefficients of e(t) (1 + v t): adds one variable v to the elementary
+    symmetric functions e_0, e_1, ..."""
+    return [a + v * c for a, c in zip(e + [0], [0] + e)]
+
+
 def d_value(g: int, k: int, l) -> Fraction:
     """The obstruction coefficient: nonzero means a relation exists for the
     monomial psi_1^k prod psi_j^(l_j).
 
-    Computed by the elementary-symmetric regrouping of the sum over the 0/1
-    exponent shifts; ``tests/oracles.py`` holds the direct sum over the
-    shifts as a cross-check.
+    D is the sum over the 0/1 exponent shifts, regrouped by the integer
+    elementary symmetric functions e_s of the values -2l_j-1: its numerator
+    is sum_s e_s w_s (see ``_d_weights``) over the denominator
+    w_0 = (base)_(n-1), base = 2g+n+2k-1.  ``tests/oracles.py`` holds the
+    direct sum over the shifts as a cross-check.
     """
     l = tuple(int(x) for x in l)
     if k < 0 or k + sum(l) != g:
         raise ValueError("need k >= 0 and k + sum(l) = g")
+    if any(lj < 0 for lj in l):
+        raise ValueError("need every l_j >= 0")
     n = len(l) + 1
-    base = 2 * g + n + 2 * k - 1
-    # integer elementary symmetric functions of the shifted exponents
-    e = [0] * n
-    e[0] = 1
-    for idx, lj in enumerate(l):
-        v = -2 * lj - 1
-        for s in range(min(n - 1, idx + 1), 0, -1):
-            e[s] += v * e[s - 1]
-    # common denominator base_(n-1): suffix[s] = (base-s)...(base-n+2)
-    suffix = [1] * n
-    for s in range(n - 2, -1, -1):
-        suffix[s] = suffix[s + 1] * (base - s)
-    numerator = 0
-    for s in range(n):
-        num = falling_factorial(2 * k + 1, s)
-        if num:
-            numerator += e[s] * num * suffix[s]
-    return Fraction(numerator, falling_factorial(base, n - 1))
+    e = [1]
+    for lj in l:
+        e = _times_one_plus(e, -2 * lj - 1)
+    w = _d_weights(g, n, k)
+    return Fraction(sum(map(operator.mul, e, w)), w[0])
 
 
 # ----------------------------------------------------------------------
@@ -252,16 +298,28 @@ SCAN_CONVENTIONS = {
     "l_order": "nondecreasing",
 }
 
+SCAN_CELL_BUDGET = 1_000_000
 
-def _partitions_exact(total: int, parts: int, minimum: int = 1):
-    """Nondecreasing partitions of ``total`` into exactly ``parts`` parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total // parts + 1):
-        for rest in _partitions_exact(total - first, parts - 1, first):
-            yield (first,) + rest
+
+def scan_cell_count(g_min: int, g_max: int) -> int:
+    """Number of cells :func:`scan_zeros` checks over g_min..g_max, without
+    enumerating them.
+
+    A cell of genus g is a partition l of T = g - k into n - 1 parts, and
+    every partition of every T in 1..g-1 is one, so genus g has
+    p(1) + ... + p(g-1) cells (p the partition numbers).
+    """
+    p = [1] + [0] * g_max
+    for part in range(1, g_max + 1):
+        for t in range(part, g_max + 1):
+            p[t] += p[t - part]
+    cells = 0
+    per_genus = 0
+    for g in range(1, g_max + 1):
+        if g >= g_min:
+            cells += per_genus
+        per_genus += p[g]
+    return cells
 
 
 def _scan_genus(g: int):
@@ -269,21 +327,42 @@ def _scan_genus(g: int):
     cells = 0
     for n in range(2, g + 1):
         for k in range(1, g - (n - 1) + 1):
-            for l in _partitions_exact(g - k, n - 1):
-                cells += 1
-                if d_value(g, k, l) == 0:
-                    zeros.append((g, n, k, l))
+            w = _d_weights(g, n, k)
+            # nondecreasing l_1 <= ... <= l_(n-1) summing to g - k, with the
+            # elementary symmetric functions of the parts so far carried
+            # along; the last part is whatever the sum leaves
+            stack = [((), [1], 1, g - k)]
+            while stack:
+                prefix, e, low, rest = stack.pop()
+                left = n - 1 - len(prefix)
+                if left == 1:
+                    cells += 1
+                    if not sum(map(operator.mul, _times_one_plus(e, -2 * rest - 1), w)):
+                        zeros.append((g, n, k, prefix + (rest,)))
+                    continue
+                for part in range(low, rest // left + 1):
+                    stack.append(
+                        (prefix + (part,), _times_one_plus(e, -2 * part - 1), part, rest - part)
+                    )
     return zeros, cells
 
 
-def scan_zeros(g_min: int, g_max: int, jobs: int = 1):
+def scan_zeros(g_min: int, g_max: int, jobs: int = 1, allow_large: bool = False):
     """Exhaustive scan for vanishing D over the configured conventions.
 
     Returns (zeros, cells_checked); the output is deterministic and does not
-    depend on the worker count.
+    depend on the worker count.  Ranges of more than ``SCAN_CELL_BUDGET``
+    cells (counted by :func:`scan_cell_count`) are refused unless
+    ``allow_large`` is set.
     """
     if g_min < 1 or g_max < g_min:
         raise ValueError("need 1 <= g_min <= g_max")
+    cells = scan_cell_count(g_min, g_max)
+    if cells > SCAN_CELL_BUDGET and not allow_large:
+        raise ComputationGuardError(
+            f"scan over g = {g_min}..{g_max} checks {cells} cells, more than "
+            f"the default budget of {SCAN_CELL_BUDGET}; pass allow_large to proceed"
+        )
     gs = list(range(g_min, g_max + 1))
     workers = _worker_count(jobs, len(gs))
     if workers > 1:
@@ -380,7 +459,15 @@ def relation_weights(k: int, l) -> list[tuple[tuple[int, ...], Fraction]]:
 def principal_part(g: int, k: int, l) -> TRRRecord:
     """Principal (trivial-graph) part of the weighted relation combination,
     from the closed-form contributions alone, normalized so the target
-    monomial psi_1^k prod psi_j^(l_j) has coefficient 1."""
+    monomial psi_1^k prod psi_j^(l_j) has coefficient 1.
+
+    The combination is accumulated as integer numerators over the one
+    denominator L = (2g-2+n)! prod_j (2l_j+1)!: every shift's exponents
+    b_j = 2l_j + d_j have b_j! dividing (2l_j+1)!, so the gamma_0 numerators
+    (over (2g-2+n)! prod b_j!) and the gamma_i numerators (over prod b_j!)
+    lift to L by integer factors, and the relation weights are integers.
+    The result is divided by the target's numerator term by term.
+    """
     l = tuple(int(x) for x in l)
     n = len(l) + 1
     if k < 1 or any(x < 1 for x in l) or k + sum(l) != g:
@@ -390,27 +477,40 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
         raise ExceptionalCaseError(
             f"D vanishes at (g={g}, k={k}, l={l}); use the g7 exceptional-case tooling"
         )
-    total = _zero_poly(n)
     weights = relation_weights(k, l)
+    fact = factorial(2 * g - 2 + n)
+    denominator = fact * math.prod(factorial(2 * lj + 1) for lj in l)
+    # the pushforward and the psip -> psi_i move are linear, so each family
+    # is summed over the shifts first and moved once
+    trivial = {}
+    tails = [{} for _ in range(n - 1)]
     for dvec, weight in weights:
         b = tuple(2 * lj + dj for lj, dj in zip(l, dvec))
-        contrib = string_pushforward(gamma0_closed(g, n, b))
-        for i in range(2, n + 1):
-            contrib = contrib + substitute_prime(gammai_closed(g, n, i, b), i, n)
-        total = total + contrib * weight
+        lift = weight.numerator * math.prod(2 * lj + 1 for lj, dj in zip(l, dvec) if not dj)
+        _add_scaled(trivial, _gamma0_numerators(g, n, b), lift)
+        lift *= fact
+        for i, tail in enumerate(tails, start=2):
+            _add_scaled(tail, _gammai_numerators(g, n, i, b), lift)
+    total = _string_pushforward_terms(trivial)
+    for i, tail in enumerate(tails, start=2):
+        _add_scaled(total, _substitute_prime_terms(tail, i), 1)
     target = (k,) + l
-    raw = total.coefficient(target)
+    top = total.get(target, 0)
+    raw = Fraction(top, denominator)
     expected = c0_coeff(g, n, l, (0,) * (n - 1)) * D
     if raw != expected:
         raise AssertionError(
             f"target coefficient {raw} disagrees with C0*D = {expected}"
         )
-    for exps, coeff in total.terms.items():
-        if exps[0] <= k and exps != target and coeff != 0:
+    for exps, num in total.items():
+        if exps[0] <= k and exps != target and num != 0:
             raise AssertionError(
-                f"unexpected low monomial {exps} with coefficient {coeff}"
+                f"unexpected low monomial {exps} with coefficient "
+                f"{Fraction(num, denominator)}"
             )
-    principal = total * (Fraction(1) / raw)
+    principal = SparsePoly(
+        psi_variables(n), {e: Fraction(num, top) for e, num in total.items() if num}
+    )
     return TRRRecord(
         g=g,
         n=n,

@@ -3,13 +3,25 @@
 These deliberately avoid the library's canonical-form machinery: isomorphism
 is decided by explicit search over vertex bijections, and automorphisms are
 counted over explicit half-edge permutations.  Weightings are found by trying
-every residue on every edge, not by solving the vertex conditions.
+every residue on every edge, not by solving the vertex conditions.  The
+closed forms and the principal part are summed term by term in rationals,
+without the integer numerators the library uses.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 import math
+
+from trrkit.numerics import SparsePoly
+from trrkit.trr import (
+    TRRRecord,
+    c0_coeff,
+    psi_variables,
+    relation_weights,
+    string_pushforward,
+    substitute_prime,
+)
 
 
 def graphs_isomorphic(a, b) -> bool:
@@ -175,3 +187,87 @@ def d_value_direct(g, k, l):
                 term *= -2 * lj - 1
         total += term
     return total
+
+
+def _double_factorial(m):
+    return math.prod(range(m, 0, -2))
+
+
+def _inverse_marking_factor(c, b):
+    return Fraction(1, 2**c * math.factorial(c) * math.factorial(b - 2 * c))
+
+
+def gamma0_direct(g, n, b):
+    """The trivial-graph closed form as exponent tuple -> Fraction, summed
+    term by term in rationals."""
+    pref = Fraction(math.factorial(4 * g - 1 + n - sum(b)), math.factorial(2 * g - 2 + n))
+    terms = {}
+    for c in itertools.product(*(range(x // 2 + 1) for x in b)):
+        sc = sum(c)
+        if sc > g + 1:
+            continue
+        coeff = pref * _double_factorial(2 * g + 1 - 2 * sc)
+        for cj, bj in zip(c, b):
+            coeff *= _inverse_marking_factor(cj, bj)
+        terms[(g + 1 - sc,) + c] = coeff
+    return terms
+
+
+def gammai_direct(g, n, i, b):
+    """The rational-tail closed form at marking i as exponent tuple (psi_1..
+    psi_n, psip) -> Fraction, with the bracket recomputed for every term."""
+    bi = b[i - 2]
+    others = [j for j in range(2, n + 1) if j != i]
+    pref = Fraction(math.factorial(2 * g + 1 - sum(b)), math.factorial(bi))
+    sum_b_others = sum(b[j - 2] for j in others)
+    A0 = 4 * g + n - sum_b_others
+    A1 = 4 * g - 1 + n - sum(b)
+    B = 2 * g - sum_b_others
+    terms = {}
+    for c_others in itertools.product(*(range(b[j - 2] // 2 + 1) for j in others)):
+        for ci in range(g - sum(c_others) + 1):
+            k = g - sum(c_others) - ci
+            bracket = -pascal_binomial(A0, B - 2 * ci)
+            for dd in range(bi - 2 * ci - 1):
+                bracket += pascal_binomial(A1, B - 2 * ci - dd) * pascal_binomial(bi + 1, dd)
+            if bracket == 0:
+                continue
+            coeff = pref * _double_factorial(2 * k - 1) * _double_factorial(2 * ci + 1) * bracket
+            exps = [0] * (n + 1)
+            exps[0] = k
+            exps[n] = ci
+            for cj, j in zip(c_others, others):
+                coeff *= _inverse_marking_factor(cj, b[j - 2])
+                exps[j - 1] = cj
+            terms[tuple(exps)] = coeff
+    return terms
+
+
+def principal_part_direct(g, k, l):
+    """The principal part as a sum of SparsePoly contributions in rationals,
+    one shift vector at a time, with D from :func:`d_value_direct`."""
+    l = tuple(l)
+    n = len(l) + 1
+    D = d_value_direct(g, k, l)
+    total = SparsePoly(psi_variables(n), {})
+    weights = relation_weights(k, l)
+    for dvec, weight in weights:
+        b = tuple(2 * lj + dj for lj, dj in zip(l, dvec))
+        contrib = string_pushforward(SparsePoly(psi_variables(n), gamma0_direct(g, n, b)))
+        for i in range(2, n + 1):
+            tail = SparsePoly(psi_variables(n, prime=True), gammai_direct(g, n, i, b))
+            contrib = contrib + substitute_prime(tail, i, n)
+        total = total + contrib * weight
+    raw = total.coefficient((k,) + l)
+    assert raw == c0_coeff(g, n, l, (0,) * (n - 1)) * D
+    return TRRRecord(
+        g=g,
+        n=n,
+        principal=total * (Fraction(1) / raw),
+        provenance={
+            "monomials": [[2 * lj + dj for lj, dj in zip(l, dvec)] for dvec, _ in weights],
+            "weights": [w for _, w in weights],
+            "D": D,
+            "normalization": raw,
+        },
+    )

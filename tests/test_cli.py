@@ -268,3 +268,34 @@ def test_internal_failures_exit_4(monkeypatch, capsys, error):
 def test_unstable_input_is_a_usage_error(capsys, extra):
     code, _, err = run(capsys, "pixton", "--g", "0", "--n", "2", "--a", "1,-1", *extra)
     assert_one_line_usage_error(code, err)
+
+
+def test_d_rejects_negative_exponents(capsys):
+    code, out, err = run(capsys, "d", "--g", "2", "--k", "3", "--l", "-1")
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+def test_scan_guard_exit_code(capsys):
+    code, out, err = run(capsys, "scan", "--g-min", "1", "--g-max", "50")
+    assert code == cli.EXIT_GUARD == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "6547101 cells" in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["scan", "--g-min", "1", "--g-max", "26"], "51270c0ea440c8d5"),
+        (["principal", "--g", "2", "--k", "1", "--l", "1"], "1c7897d0cc4b9c1c"),
+        (["principal", "--g", "7", "--k", "1", "--l", "1,1,1,1,1,1"], "541e4636324f4f10"),
+        (["principal", "--g", "7", "--k", "2", "--l", "1,1,1,1,1"], "3344759698757fc4"),
+        (["principal", "--g", "6", "--k", "1", "--l", "1,1,1,2"], "fcc2ce68f3895ecc"),
+        (["g7"], "b728e812ebf56d90"),
+    ],
+)
+def test_closed_form_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["manifest"]["result_digest"][:16] == digest

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from trrkit.numerics import double_factorial, factorial, falling_factorial
+from trrkit.pixton import ComputationGuardError
 from trrkit.trr import (
+    SCAN_CELL_BUDGET,
     ExceptionalCaseError,
     MonomialSpec,
     TRRRecord,
@@ -18,12 +20,18 @@ from trrkit.trr import (
     n1_trr,
     principal_part,
     relation_weights,
+    scan_cell_count,
     scan_zeros,
     string_pushforward,
     substitute_prime,
     psi_variables,
 )
-from oracles import d_value_direct
+from oracles import (
+    d_value_direct,
+    gamma0_direct,
+    gammai_direct,
+    principal_part_direct,
+)
 
 
 def test_gamma0_examples():
@@ -334,3 +342,60 @@ def test_g7_patch():
 def test_psi_variables():
     assert psi_variables(3) == ("psi1", "psi2", "psi3")
     assert psi_variables(2, prime=True) == ("psi1", "psi2", "psip")
+
+
+def _scan_cells(g_min, g_max):
+    """The scan's cells (g, n, k, l), enumerated without its partition walk."""
+    for g in range(g_min, g_max + 1):
+        for n in range(2, g + 1):
+            for k in range(1, g - n + 2):
+                for l in itertools.combinations_with_replacement(range(1, g - k + 1), n - 1):
+                    if sum(l) == g - k:
+                        yield g, n, k, l
+
+
+def test_gamma_closed_forms_match_direct_sums():
+    for g in range(1, 4):
+        for n in range(1, 5):
+            for b in itertools.product(range(2 * g + 3), repeat=n - 1):
+                if sum(b) <= 2 * g + 2:
+                    assert gamma0_closed(g, n, b).terms == gamma0_direct(g, n, b)
+                if n < 2 or sum(b) > 2 * g + 1:
+                    continue
+                for i in range(2, n + 1):
+                    assert gammai_closed(g, n, i, b).terms == gammai_direct(g, n, i, b)
+
+
+def test_principal_part_matches_direct_oracle():
+    cells = [(g, k, l) for g, _, k, l in _scan_cells(1, 5)] + [(7, 1, (1,) * 6)]
+    for g, k, l in cells:
+        assert principal_part(g, k, l).to_json() == principal_part_direct(g, k, l).to_json()
+
+
+def test_scan_matches_direct_oracle():
+    cells = list(_scan_cells(1, 10))
+    want = sorted(c for c in cells if d_value_direct(c[0], c[2], c[3]) == 0)
+    assert scan_zeros(1, 10) == (want, len(cells))
+
+
+def test_d_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="l_j >= 0"):
+        d_value(2, 3, (-1,))
+    with pytest.raises(ValueError, match="l_j >= 0"):
+        d_value(4, 3, (2, -1))
+    assert d_value(3, 3, (0, 0)) == d_value_direct(3, 3, (0, 0))
+
+
+def test_scan_cell_count_matches_the_scan():
+    assert scan_cell_count(1, 26) == 41365
+    assert scan_cell_count(1, 40) == 963280
+    assert scan_cell_count(1, 50) == 6547101
+    for g_min, g_max in [(1, 1), (1, 9), (4, 12), (9, 9)]:
+        cells = sum(1 for _ in _scan_cells(g_min, g_max))
+        assert scan_cell_count(g_min, g_max) == scan_zeros(g_min, g_max)[1] == cells
+
+
+def test_scan_guard_refuses_large_ranges():
+    assert scan_cell_count(1, 40) <= SCAN_CELL_BUDGET < scan_cell_count(1, 50)
+    with pytest.raises(ComputationGuardError, match="allow_large"):
+        scan_zeros(1, 50)
