@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the brute-force pipeline against the closed-form contributions.
 
-The default instances finish in seconds; --allow-large adds the genus-2
-comparison, which takes minutes.
+The default instances finish in well under a second; --allow-large adds
+the genus-2 comparison, which takes a few seconds on one core.
 """
 import argparse
 import sys

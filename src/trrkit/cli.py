@@ -178,6 +178,7 @@ def cmd_pixton(args, started):
         extra["r_nodes"] = meta["r_nodes"]
         extra["grid_degree"] = meta["grid_degree"]
         extra["grid_evaluations"] = meta["evaluations"]
+        extra["plan_graphs"] = meta["plan_graphs"]
     result = {
         "g": args.g,
         "n": args.n,

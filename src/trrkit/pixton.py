@@ -10,34 +10,35 @@ degrees above g.  In degrees <= dmax that polynomial has degree at most
 consecutive nodes, and two further held-out nodes validate the bound.
 
 Performance notes.  The graph sum is accumulated in integers in one pass
-over the plan, graph by graph, for a whole list of weighted points at once:
-a grid of leg values with integer weights over the grid's common
-denominator, or one point with weight 1.  Per graph and point, one call
-gives the weighting power sums at every r node, the sums are put over the
-common denominator lcm(r^h1), and per edge profile the two held-out
-differences are checked and the Lagrange-at-zero weights give one integer.
-That integer times the point's weight and leg power is added into one
-integer per group of decoration templates sharing a profile and leg
-exponents, so the template loop runs once per graph for the whole grid and
-each decorated graph becomes one Fraction at the end.  The fixed-r class is
-the same pass with one point, one node and the identity form.  A weighting
-sum over a graph depends on the leg values only through the per-edge affine
-residue forms, whose leg coefficients are built once per graph; the sums
-are memoized on their unreduced constants, the moduli and the profiles.
-The plan asks the enumeration for only the graphs with room for one unit
-of psi at every survivor leg, so the rest are never canonicalized.
-Monomial extraction over an integer tensor grid collapses blocks of legs
-with equal target exponents to sorted tuples, symmetrizing the accumulated
-class once at the end; worker processes each take a chunk of the grid and
-return integer numerators, which the parent adds.
+over the plan, graph by graph, each graph sampled at its own weighted
+points.  Per graph and point, one call gives the weighting power sums at
+every r node, the sums are put over the common denominator lcm(r^h1), and
+per edge profile the two held-out differences are checked and the
+Lagrange-at-zero weights give one integer, memoized per distinct tuple of
+sums.  Each group of decoration templates sharing a profile and leg
+exponents takes the dot product of its integer weights with its profile's
+values over the points, so the template loop runs once per graph and each
+decorated graph becomes one Fraction at the end.  The fixed-r class and the
+constant term at one leg vector are one point weighted by the leg powers.
+A monomial coefficient samples each graph at a grid of its vertex leg sums
+(the weighting conditions see the leg values only through them), weighted
+per group by an integer functional that reads off the target monomial, and
+checks one held-out point of that grid; worker processes each take a chunk
+of the plan graphs and return integer numerators, which the parent merges.
+A weighting sum over a graph depends on the leg values only through the
+per-edge affine residue forms, whose leg coefficients are built once per
+graph; the sums are memoized on their unreduced constants, the moduli and
+the profiles.  The plan asks the enumeration for only the graphs with room
+for one unit of psi at every survivor leg, so the rest are never
+canonicalized.
 """
 from __future__ import annotations
 
 import itertools
 import os
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 
 from .numerics import binomial, factorial, lagrange_coefficient_weights
 from .stablegraphs import (
@@ -530,59 +531,94 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
         raise ValueError("degree cap exceeds the dimension")
 
 
-def _graph_sums(g: int, n: int, points, nodes, form, held_out, dmax: int, survivors):
-    """One pass over the plan for the weighted sum over ``points`` of the
-    graph sum sampled at every modulus in ``nodes``, in integers.
+def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
+    """One pass over the plan graphs ``plan`` for a weighted sum of graph sums
+    sampled at every modulus in ``nodes``, in integers.
 
-    ``points`` are (leg values, integer weight) pairs, ``form`` and the
-    ``held_out`` forms are integer linear forms on the nodes.  Per plan graph
-    and point, each edge profile's weighting sums are put over m = lcm(r^h1);
-    every held-out form must vanish on them, or :class:`FitInstabilityError`
-    is raised, and ``form`` turns them into one integer.  That integer times
-    the weight and the leg power prod_m a_m^(2 c_m) is added into one integer
-    per template group, so the template loop runs once per graph for all
-    points.  Yields (terms, den) per plan graph: terms maps each decorated
-    graph of that graph to an integer numerator over den.  Every key belongs
-    to exactly one graph, so the denominators of different graphs never
-    meet.
+    ``form`` and the ``held_out`` forms are integer linear forms on the
+    nodes.  ``sample(graph, groups)`` gives the graph's points as
+    (leg vectors, check weights, group weights, den): per point, each edge
+    profile's weighting sums are put over m = lcm(r^h1), every held-out form
+    must vanish on them, or :class:`FitInstabilityError` is raised, and
+    ``form`` turns them into one integer (once per distinct tuple of sums),
+    so each profile gets one column of integers over the points.  Unless the
+    check weights are None, their dot product with every column must vanish
+    too.  Group i of the templates gets the dot product of its weights
+    (None for none) with its profile's column; weights may stop short of the
+    points, leaving the last ones to the check.  So the template loop runs
+    once per graph for all points.  Yields (terms, den) per plan graph:
+    terms maps each decorated graph of that graph to an integer numerator
+    over den.  Every key belongs to exactly one graph, so the denominators
+    of different graphs never meet.
     """
-    # per point: the squared leg values and the leg powers met so far
-    points = [(a, weight, [v * v for v in a], {}) for a, weight in points]
-    for graph, groups, profiles, h1, aut, common in _class_plan(g, n, dmax, survivors):
-        # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
-        m = lcm(*(r**h1 for r in nodes))
-        scales = [m // r**h1 for r in nodes]
-        value_form = list(map(mul, form, scales))
-        checks = [list(map(mul, held, scales)) for held in held_out]
-        sums = [0] * len(groups)
-        for a, weight, squares, leg_powers in points:
-            values = {}
+    by_h1 = {}
+    for graph, groups, profiles, h1, aut, common in plan:
+        if h1 not in by_h1:
+            # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
+            m = lcm(*(r**h1 for r in nodes))
+            scales = [m // r**h1 for r in nodes]
+            by_h1[h1] = (
+                m,
+                list(map(mul, form, scales)),
+                [list(map(mul, held, scales)) for held in held_out],
+                {},  # the value of each checked tuple of sums met so far
+            )
+        m, value_form, checks, checked = by_h1[h1]
+        legs, check_weights, group_weights, den = sample(graph, groups)
+        columns = {profile: [] for profile in profiles}
+        for a in legs:
             for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
-                for check in checks:
-                    if _dot(check, psums):
-                        raise FitInstabilityError(
-                            f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                            f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-                        )
-                values[profile] = _dot(value_form, psums) * weight
-            for i, (profile, legs, _) in enumerate(groups):
-                value = values[profile]
-                if not value:
-                    continue
-                apow = leg_powers.get(legs)
-                if apow is None:
-                    apow = 1
-                    for sq, c in zip(squares, legs):
-                        if c:
-                            apow *= sq**c
-                    leg_powers[legs] = apow
-                sums[i] += value * apow
+                value = checked.get(psums)
+                if value is None:
+                    for check in checks:
+                        if _dot(check, psums):
+                            raise FitInstabilityError(
+                                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+                            )
+                    value = checked[psums] = _dot(value_form, psums)
+                columns[profile].append(value)
+        if check_weights is not None and any(
+            _dot(check_weights, column) for column in columns.values()
+        ):
+            raise FitInstabilityError(
+                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                "in the vertex leg sums"
+            )
+        columns = {profile: column for profile, column in columns.items() if any(column)}
         local: dict[DecoratedGraph, int] = {}
-        for total, (_, _, members) in zip(sums, groups):
+        for weights, (profile, _, members) in zip(group_weights, groups):
+            column = columns.get(profile)
+            if weights is None or column is None:
+                continue
+            total = _dot(weights, column)
             if total:
                 for base, key in members:
                     local[key] = local.get(key, 0) + base * total
-        yield local, common * aut * m
+        yield local, common * aut * m * den
+
+
+def _point_sample(a):
+    """The sampling of :func:`_graph_sums` at the one leg vector ``a``: each
+    template group is weighted by its leg power prod_m a_m^(2 c_m), memoized
+    on the leg exponents across graphs."""
+    squares = [v * v for v in a]
+    powers: dict[tuple[int, ...], list[int]] = {}
+
+    def sample(graph, groups):
+        weights = []
+        for _, legs, _ in groups:
+            power = powers.get(legs)
+            if power is None:
+                apow = 1
+                for sq, c in zip(squares, legs):
+                    if c:
+                        apow *= sq**c
+                power = powers[legs] = [apow]
+            weights.append(power)
+        return (a,), None, weights, 1
+
+    return sample
 
 
 def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
@@ -590,8 +626,9 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     at most dmax.  Graphs with more than dmax edges cannot contribute."""
     a = check_avector(a)
     _check_input(g, n, a, (r,), dmax)
+    plan = _class_plan(g, n, dmax, survivors)
     terms = {}
-    for local, den in _graph_sums(g, n, [(a, 1)], [r], [1], (), dmax, survivors):
+    for local, den in _graph_sums(plan, [r], [1], (), dmax, _point_sample(a)):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -624,21 +661,20 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _constant_terms(g: int, n: int, points, dmax: int, r0: int, survivors):
-    """The constant term in r of the weighted sum over ``points`` of the
-    graph sum, from the 2*dmax + 3 nodes r0, r0+1, ...: the Lagrange-at-zero
-    weights on the first 2*dmax + 1 nodes give the value at r = 0, and the
-    (2*dmax + 1)-th forward differences ending at the two held-out nodes
-    must both vanish.  Returns (terms, nodes), terms mapping each decorated
-    graph to (numerator, denominator) in integers."""
+def _constant_terms(plan, sample, dmax: int, r0: int):
+    """The constant term in r of the graph sums over ``plan`` sampled by
+    ``sample`` (see :func:`_graph_sums`), from the 2*dmax + 3 nodes r0,
+    r0+1, ...: the Lagrange-at-zero weights on the first 2*dmax + 1 nodes
+    give the value at r = 0, and the (2*dmax + 1)-th forward differences
+    ending at the two held-out nodes must both vanish.  Returns
+    (terms, nodes), terms mapping each decorated graph to (numerator,
+    denominator) in integers."""
     count = 2 * dmax + 1
     nodes = [r0 + t for t in range(count + 2)]
     weights, weights_den = _zero_weights(nodes[:count])
     diff = _difference_weights(count)
     terms = {}
-    for local, den in _graph_sums(
-        g, n, points, nodes, weights, (diff, [0] + diff), dmax, survivors
-    ):
+    for local, den in _graph_sums(plan, nodes, weights, (diff, [0] + diff), dmax, sample):
         for key, num in local.items():
             if num:
                 terms[key] = (num, weights_den * den)
@@ -675,7 +711,8 @@ def constant_term_class(
     if r0 is None:
         r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
     _check_input(g, n, a, (r0,), dmax)
-    terms, nodes = _constant_terms(g, n, [(a, 1)], dmax, r0, survivors)
+    plan = _class_plan(g, n, dmax, survivors)
+    terms, nodes = _constant_terms(plan, _point_sample(a), dmax, r0)
     for key, (num, den) in terms.items():  # in place: one dict of terms at a time
         terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms), {
@@ -691,20 +728,127 @@ def pixton_class(g: int, n: int, a, dmax: int, **kwargs) -> StrataElement:
     return element
 
 
-def _grid_stabilizer_order(values) -> int:
-    order = 1
-    for _, group in itertools.groupby(sorted(values)):
-        order *= factorial(len(tuple(group)))
-    return order
+def _leg_partition(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
+    """The legs 2..n grouped by vertex, for every vertex other than leg 1's
+    that carries some: the vertices whose leg sums A_i are the variables of
+    the graph's weighting sums.  Ordered by lowest leg."""
+    first = graph.legs[0]
+    blocks: dict[int, list[int]] = {}
+    for m, v in enumerate(graph.legs[1:], start=2):
+        if v != first:
+            blocks.setdefault(v, []).append(m)
+    return tuple(sorted(tuple(ms) for ms in blocks.values()))
 
 
-def _grid_worker(args):
-    """The constant term of the weighted graph sum over one chunk of grid
-    points, as integer numerators and denominators per decorated graph;
-    used directly and as the multiprocessing worker."""
-    g, n, d, r0, survivors, points = args
-    terms, nodes = _constant_terms(g, n, points, d, r0, frozenset(survivors))
-    return terms, len(points), nodes
+def _multinomial(parts) -> int:
+    """(sum parts)! / prod(part!)."""
+    value = factorial(sum(parts))
+    for x in parts:
+        value //= factorial(x)
+    return value
+
+
+def _monomial_sample(exponents, d: int):
+    """The sampling of :func:`_graph_sums` that extracts the coefficient of
+    prod_{j>=2} a_j^(b_j) from the degree-d template groups of each graph.
+
+    A graph's weighting sums see the leg values only through the leg sums
+    A_i at the vertices of its leg partition, as polynomials P(A) of degree
+    <= D = 2d; A_i goes on the lowest leg at vertex i, every other leg >= 2
+    gets 0, and a_1 = -sum(A).  P is sampled on the grid {0..D}^k, where the
+    Lagrange weights lam_beta(s) read off the coefficient of A^beta, and at
+    the held-out point A* = (D+1, ..., D+1), which the grid's tensor
+    extrapolation sum_A prod_i (-1)^(D-A_i) C(D+1, A_i) P(A) must reproduce.
+    The group with leg exponents c weighs the grid by
+    omega_c(A) = sum_beta T(beta, c) prod_i lam_beta_i(A_i), T(beta, c) being
+    the coefficient of prod_{j>=2} a_j^(b_j) in
+    prod_i (sum_{j in S_i} a_j)^beta_i * prod_m a_m^(2 c_m) with
+    a_1 = -sum_{j>=2} a_j.  The weights are integers over scale^k, scale
+    clearing every lam; omega is memoized per (leg partition, c).
+    """
+    degree = 2 * d
+    b = (0,) + tuple(exponents)
+    n = len(b)
+    lam = [lagrange_coefficient_weights(degree, beta) for beta in range(degree + 1)]
+    scale = lcm(*(w.denominator for ws in lam for w in ws))
+    lam = [[w.numerator * (scale // w.denominator) for w in ws] for ws in lam]
+    extrapolation = [
+        (-1) ** (degree - s) * binomial(degree + 1, s) for s in range(degree + 1)
+    ]
+    partitions: dict[tuple, tuple] = {}
+    omegas: dict[tuple, list[int] | None] = {}
+
+    def points(parts):
+        grid = list(itertools.product(range(degree + 1), repeat=len(parts)))
+        checks = [prod(extrapolation[v] for v in A) for A in grid] + [-1]
+        grid.append((degree + 1,) * len(parts))  # A*, for the check only
+        legs = []
+        for A in grid:
+            a = [0] * n
+            for ms, v in zip(parts, A):
+                a[ms[0] - 1] = v
+            a[0] = -sum(A)
+            legs.append(tuple(a))
+        # with no leg sums, A* is the one grid point again
+        return (legs, checks) if parts else (legs[:1], None)
+
+    def omega(parts, c):
+        e = [bj - 2 * cj for bj, cj in zip(b, c)]
+        if min(e[1:], default=0) < 0:
+            return None
+        # a_1^(2 c_1) = (a_2 + ... + a_n)^(2 c_1) supplies y_j of each leg's
+        # remaining exponent e_j: all of it at leg 1's vertex, spare in total
+        # at the variable vertices, whose leg sums supply the rest
+        placed = [m for ms in parts for m in ms]
+        spare = 2 * c[0] - sum(e[1:]) + sum(e[m - 1] for m in placed)
+        if spare < 0:
+            return None
+        vector = [0] * (degree + 1) ** len(parts)
+        for ys in itertools.product(*(range(min(e[m - 1], spare) + 1) for m in placed)):
+            if sum(ys) != spare:
+                continue
+            y = dict(zip(placed, ys))
+            t = _multinomial([y.get(m, e[m - 1]) for m in range(2, n + 1)])
+            tensor = [t]
+            for ms in parts:
+                xs = [e[m - 1] - y[m] for m in ms]
+                beta = sum(xs)
+                if beta > degree:
+                    break
+                t = _multinomial(xs)
+                tensor = [u * t * w for u in tensor for w in lam[beta]]
+            else:
+                vector = list(map(add, vector, tensor))
+        return vector if any(vector) else None
+
+    def sample(graph, groups):
+        parts = _leg_partition(graph)
+        entry = partitions.get(parts)
+        if entry is None:
+            entry = partitions[parts] = points(parts)
+        weights = []
+        for profile, c, _ in groups:
+            if graph.num_edges + sum(profile) + sum(c) != d:
+                weights.append(None)
+                continue
+            key = (parts, c)
+            if key not in omegas:
+                omegas[key] = omega(parts, c)
+            weights.append(omegas[key])
+        legs, checks = entry
+        return legs, checks, weights, scale ** len(parts)
+
+    return sample
+
+
+def _chunk_worker(args):
+    """The constant term of the graph sums of every ``step``-th plan graph
+    from ``start``, sampled by :func:`_monomial_sample`, as integer
+    numerators and denominators per decorated graph; used directly and as
+    the multiprocessing worker."""
+    g, n, exponents, d, r0, survivors, start, step = args
+    plan = _class_plan(g, n, d, frozenset(survivors))[start::step]
+    return _constant_terms(plan, _monomial_sample(exponents, d), d, r0)
 
 
 def monomial_coefficient(
@@ -718,21 +862,24 @@ def monomial_coefficient(
     jobs: int = 1,
 ):
     """Coefficient of prod_j a_j^(b_j) in the degree-d part of the class,
-    computed by exact interpolation on an integer tensor grid.
+    with a_1 = -(a_2 + ... + a_n).
 
-    Legs with equal target exponents are collapsed to sorted tuples; the
-    accumulated class is symmetrized over those blocks at the end.  The
-    Lagrange weights of the grid points are put over one common
-    denominator, and the constant term in r of the weighted sum over the
-    grid is accumulated in integers in one pass over the plan (see
-    :func:`constant_term_class` for the r nodes and the held-out check,
-    which runs at every grid point).  With ``jobs`` > 1 the points are
+    The r-constant term of a graph's weighting sum is a polynomial of degree
+    <= D = 2d in the leg sums of the vertices other than leg 1's, so each
+    plan graph is sampled at the (D+1)^k points of its k leg sums and one
+    held-out point, with integer weights per template group that read off
+    the target monomial (see :func:`_monomial_sample`); the constant term in
+    r is taken at every point as in :func:`constant_term_class`, with both
+    held-out r nodes checked.  A held-out point off the polynomial in the leg
+    sums, like a held-out r node off the fit, raises
+    :class:`FitInstabilityError`.  With ``jobs`` > 1 the plan graphs are
     split into chunks over worker processes, each returning integer
     numerators; results are identical for any worker count.  Returns
     (element, meta).
 
-    The default guard estimates cost as grid evaluations times modulus times
-    the 2*d + 3 r nodes and refuses jobs above ``cost_budget`` unless
+    The default guard prices the A-point evaluations times the modulus
+    (from the largest leg value the points reach) times the 2*d + 3 r nodes,
+    before any sampling, and refuses jobs above ``cost_budget`` unless
     ``allow_large`` is set.
     """
     exponents = tuple(int(b) for b in exponents)
@@ -740,93 +887,45 @@ def monomial_coefficient(
         raise ValueError("need one exponent per marking 2..n")
     if d > 3 * g - 3 + n:
         raise ValueError("degree exceeds the dimension")
-    markings = list(range(2, n + 1))
     degree = 2 * d
-    # legs may be collapsed only when both the target exponent and the
-    # survivor status agree, since pruning distinguishes survivor legs
-    by_exponent: dict[tuple, list[int]] = {}
-    for m, b in zip(markings, exponents):
-        by_exponent.setdefault((b, m in survivors), []).append(m)
-    sym_blocks = [ms for ms in by_exponent.values() if len(ms) > 1]
-    asym = sorted(m for ms in by_exponent.values() if len(ms) == 1 for m in ms)
-
-    total_evals = (degree + 1) ** len(asym)
-    for ms in sym_blocks:
-        total_evals *= len(
-            list(itertools.combinations_with_replacement(range(degree + 1), len(ms)))
+    # every enumerated graph has room for its undecorated template, so the
+    # plan keeps them all: a graph with k leg sums samples the grid
+    # {0..degree}^k and, when k > 0, the held-out point, where the largest
+    # leg value |a_1| = k (degree + 1) is reached
+    sizes = [
+        len(_leg_partition(graph))
+        for graph in enumerate_stable_graphs(
+            g, n, max_edges=d, reserved_markings=survivors
         )
-    weights = {
-        m: lagrange_coefficient_weights(degree, b)
-        for m, b in zip(markings, exponents)
-    }
-    max_abs = max(degree * (n - 1), degree, 1)
-    r0 = 2 * max_abs * max(d, 1) + 3
-    cost = total_evals * r0 * (2 * d + 3)
+    ]
+    evaluations = sum((degree + 1) ** k + (k > 0) for k in sizes)
+    r0 = 2 * max(max(sizes, default=0) * (degree + 1), 1) * max(d, 1) + 3
+    cost = evaluations * r0 * (2 * d + 3)
     if cost > cost_budget and not allow_large:
         raise ComputationGuardError(
             f"estimated cost {cost} (evaluations x modulus x nodes) exceeds "
             "the default budget; pass allow_large to proceed"
         )
 
-    meta = {"grid_degree": degree, "evaluations": 0, "r0": r0, "r_nodes": []}
-
-    block_choices = [
-        list(itertools.combinations_with_replacement(range(degree + 1), len(ms)))
-        for ms in sym_blocks
+    plan = _class_plan(g, n, d, survivors)  # warmed before any fork
+    workers = _worker_count(jobs, len(plan))
+    tasks = [
+        (g, n, exponents, d, r0, tuple(sorted(survivors)), start, workers)
+        for start in range(workers)
     ]
-    points = []
-    for asym_vals in itertools.product(range(degree + 1), repeat=len(asym)):
-        for block_vals in itertools.product(*block_choices):
-            assignment = dict(zip(asym, asym_vals))
-            stab = 1
-            weight = Fraction(1)
-            for ms, vals in zip(sym_blocks, block_vals):
-                stab *= _grid_stabilizer_order(vals)
-                for m, val in zip(ms, vals):
-                    assignment[m] = val
-            avec = tuple(assignment[m] for m in markings)
-            for m in markings:
-                weight *= weights[m][assignment[m]]
-            if weight == 0:
-                continue
-            points.append(((-sum(avec),) + avec, weight / stab))
-
-    # integer weights over the grid's common denominator
-    grid_den = lcm(*(w.denominator for _, w in points))
-    points = [(a, w.numerator * (grid_den // w.denominator)) for a, w in points]
-    workers = _worker_count(jobs, len(points))
-    survivor_legs = tuple(sorted(survivors))
     if workers > 1:
-        # warm the plan and template caches before forking
-        _class_plan(g, n, d, survivors)
-        chunks = [points[i::workers] for i in range(workers)]
         with _worker_pool(workers) as pool:
-            partials = pool.map(
-                _grid_worker, [(g, n, d, r0, survivor_legs, chunk) for chunk in chunks]
-            )
+            partials = pool.map(_chunk_worker, tasks)
     else:
-        partials = [_grid_worker((g, n, d, r0, survivor_legs, points))]
-    sums: dict[DecoratedGraph, tuple[int, int]] = {}
-    for terms, evals, r_nodes in partials:
-        meta["evaluations"] += evals
-        meta["r_nodes"] = r_nodes
-        for key, (num, den) in terms.items():
-            if key in sums:
-                num += sums[key][0]
-            sums[key] = (num, den)
-    acc = {key: Fraction(num, den * grid_den) for key, (num, den) in sums.items()}
-
-    accumulated = StrataElement(g, n, acc)
-    if sym_blocks:
-        result = StrataElement.zero(g, n)
-        group_perms = [
-            list(itertools.permutations(ms)) for ms in sym_blocks
-        ]
-        for combo in itertools.product(*group_perms):
-            perm: dict[int, int] = {}
-            for ms, arranged in zip(sym_blocks, combo):
-                perm.update(dict(zip(ms, arranged)))
-            result = result + accumulated.relabel_legs(perm)
-    else:
-        result = accumulated
-    return result.degree_component(d), meta
+        partials = [_chunk_worker(tasks[0])]
+    terms = {}
+    for chunk, nodes in partials:
+        for key, (num, den) in chunk.items():
+            terms[key] = Fraction(num, den)
+    return StrataElement(g, n, terms), {
+        "grid_degree": degree,
+        "evaluations": evaluations,
+        "plan_graphs": len(plan),
+        "r0": r0,
+        "r_nodes": nodes,
+    }

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -118,7 +117,10 @@ def test_pixton_monomial(tmp_path, capsys):
 
 
 def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
-    # dmax = 2: the constant term takes 2*dmax + 1 nodes plus two held out
+    # dmax = 2: the constant term takes 2*dmax + 1 nodes plus two held out,
+    # from r0 = 2 * 5 * 2 + 3, 5 = D + 1 being the largest leg value of the
+    # held-out point A*; four of the plan's five graphs carry both legs on
+    # one vertex (one A-point each), the banana graph samples 5 + 1
     out = tmp_path / "mono2.json"
     code, _, _ = run(
         capsys, "pixton", "--g", "1", "--n", "2", "--b-exponents", "2",
@@ -126,7 +128,9 @@ def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
     )
     assert code == 0
     manifest = json.loads(out.read_text())["manifest"]
-    assert manifest["r_nodes"] == list(range(19, 26))
+    assert manifest["r_nodes"] == list(range(23, 30))
+    assert manifest["grid_degree"] == 4
+    assert (manifest["plan_graphs"], manifest["grid_evaluations"]) == (5, 10)
     assert manifest["result_digest"] == (
         "7a8620fb1507987d9d1b3f0b674c4bb3df3aa88bca721e78ccda08dec18b3fd1"
     )
@@ -187,10 +191,6 @@ def test_trr_jobs_env_default(monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("TRRKIT_ALLOW_LARGE") != "1",
-    reason="set TRRKIT_ALLOW_LARGE=1 to run the pipeline comparison via the CLI",
-)
 def test_omega_command(tmp_path, capsys):
     out = tmp_path / "omega.json"
     code, _, _ = run(capsys, "omega", "--g", "1", "--n", "1", "--out", str(out))

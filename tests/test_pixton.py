@@ -197,7 +197,7 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     with pytest.raises(FitInstabilityError):
         constant_term_class(1, 1, (0,), dmax)
-    # the grid path checks every point, not the weighted sum over points
+    # the A-point path checks every point, not the weighted sum over points
     with pytest.raises(FitInstabilityError):
         monomial_coefficient(1, 2, (2,), dmax)
     for argv in (
@@ -208,6 +208,48 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert "Traceback" not in err and err.count("\n") == 1, argv
+
+
+def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
+    # every sum gains r^h1 at the held-out point A* = (D+1, ..., D+1) only:
+    # a constant in r, so both held-out r nodes pass there, but the samples
+    # are no longer a polynomial of degree <= D in the vertex leg sums; no
+    # leg >= 2 reaches D + 1 on the grid, so that value marks A*
+    real = pixton.weighting_power_sums
+    d = 1
+    held_out = 2 * d + 1
+
+    def patched(graph, a, rs, profiles):
+        sums = real(graph, a, rs, profiles)
+        if held_out not in a[1:]:
+            return sums
+        return {
+            profile: tuple(s + r ** graph.h1() for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    with pytest.raises(FitInstabilityError, match="vertex leg sums"):
+        monomial_coefficient(1, 3, (2, 0), d)
+    code = main(["pixton", "--g", "1", "--n", "3", "--b-exponents", "2,0", "--degree", str(d)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_evaluations_count_the_sampled_a_points(monkeypatch):
+    # one weighting_power_sums call per A-point of every plan graph
+    real = pixton.weighting_power_sums
+    graphs = []
+
+    def counting(graph, a, rs, profiles):
+        graphs.append(graph)
+        return real(graph, a, rs, profiles)
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", counting)
+    _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
+    assert meta["evaluations"] == len(graphs)
+    assert meta["plan_graphs"] == len(set(graphs))
 
 
 def test_monomial_coefficient_trivial_part():
@@ -241,13 +283,14 @@ def test_monomial_coefficient_symmetry():
 
 
 def test_monomial_coefficient_against_plain_grid():
-    # the block-collapsed extraction agrees with a plain weighted grid sum of
-    # constant terms, one point at a time
+    # the extraction from the vertex leg sums agrees with a plain weighted
+    # grid sum of constant terms over the leg values, one point at a time
     cases = [
         (1, 3, (1, 1), 1, ()),
-        # legs 3 and 4 collapse to one block of survivors, leg 2 does not
         (1, 4, (0, 1, 1), 1, (3, 4)),
         (1, 3, (2, 2), 2, ()),
+        (2, 3, (2, 2), 2, ()),
+        (2, 3, (4, 0), 3, (3,)),
     ]
     for g, n, exponents, d, survivors in cases:
         survivors = frozenset(survivors)
@@ -282,20 +325,20 @@ def test_monomial_coefficient_guard():
 
 
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
-    # the guard prices a grid point at its 2d + 3 r nodes; every genus-1
-    # lemma instance passes the default budget at the price pinned here, and
-    # (2,7,(1,)*6,3) is refused.  The grid itself is stubbed: only the guard
-    # runs.
+    # the guard prices each A-point evaluation at the modulus and its 2d + 3
+    # r nodes; every genus-1 lemma instance passes the default budget at the
+    # price pinned here, and (2,7,(1,)*6,3) is refused.  The sampling itself
+    # is stubbed: only the guard runs.
     from trrkit.trr import MonomialSpec, omega
 
     calls = []
 
-    def no_grid(args):
+    def no_sampling(args):
         calls.append(args[:3])
-        return {}, 0, []
+        return {}, []
 
-    monkeypatch.setattr(pixton, "_grid_worker", no_grid)
-    prices = {(): 82_075, (0,): 508_375, (1,): 105_525, (2,): 44_625}
+    monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
+    prices = {(): 21_896, (0,): 645_946, (1,): 216_118, (2,): 71_638}
     for b, price in prices.items():
         mono = MonomialSpec(1, len(b) + 1, b)
         el, _ = omega(mono)
@@ -307,7 +350,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
         with pytest.raises(ComputationGuardError, match=f"cost {price} "):
             monomial_coefficient(*args, survivors=survivors, cost_budget=price - 1)
     assert len(calls) == 8
-    with pytest.raises(ComputationGuardError, match="cost 1821204 "):
+    with pytest.raises(ComputationGuardError, match="cost 12094056891 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
     assert len(calls) == 8
 
@@ -333,13 +376,15 @@ def test_worker_count_is_clamped(monkeypatch):
     sizes = []
     monkeypatch.setattr(pixton, "_worker_pool", lambda p: _SerialPool(p, sizes))
     serial, meta = monomial_coefficient(1, 3, (2, 0), 1)
-    points = meta["evaluations"]
-    assert points == 3 and sizes == []
-    for cpus, want in [(2, 2), (1000, points)]:
+    graphs = meta["plan_graphs"]
+    # two one-vertex graphs and the tree with legs 1-3 on one vertex sample
+    # one A-point each; the three other trees sample 3 + 1
+    assert (graphs, meta["evaluations"]) == (6, 15) and sizes == []
+    for cpus, want in [(2, 2), (1000, graphs)]:
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
         el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
         assert sizes[-1] == want
-        assert el == serial and meta["evaluations"] == points
+        assert el == serial and meta["evaluations"] == 15
     # one CPU, or an unknown count, never starts a pool
     for cpus in (1, None):
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
@@ -349,7 +394,7 @@ def test_worker_count_is_clamped(monkeypatch):
 
 def test_worker_pool_matches_serial(monkeypatch):
     # a real pool of two workers, each returning integer numerators over its
-    # own chunk of grid points, gives the serial result byte for byte
+    # own chunk of plan graphs, gives the serial result byte for byte
     sizes = []
     real_pool = pixton._worker_pool
 
