@@ -2,13 +2,15 @@
 
 Rationals, the combinatorial counting functions used by the closed-form
 contribution evaluators, sparse multivariate polynomials with optional
-total-degree truncation, and exact Lagrange interpolation.  Everything is
-exact; no floating point is used anywhere in the package.
+total-degree truncation, exact Lagrange interpolation, and the integer
+Lagrange and finite-difference weights that read coefficients off sampled
+values.  Everything is exact; no floating point is used anywhere in the
+package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial as _math_factorial
+from math import comb, factorial as _math_factorial, lcm
 from typing import Sequence
 
 # All coefficients in the package are Fractions (arbitrary-precision,
@@ -222,24 +224,45 @@ def interpolate(nodes: Sequence[tuple], var: str = "x") -> SparsePoly:
     return poly
 
 
+def lagrange_coefficient_rows(nodes) -> tuple[list[list[int]], int]:
+    """Integer rows w_0, w_1, ... and one denominator W with
+    p_j = sum_i w_j[i] p(x_i) / W for every polynomial p = sum_j p_j t^j of
+    degree below len(nodes): row j reads the t^j coefficient of the
+    Lagrange interpolant off its values at the distinct integer nodes x_i."""
+    nodes = [int(x) for x in nodes]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("duplicate nodes")
+    # basis numerator prod_{u != x} (t - u), lowest coefficient first, and
+    # its value prod_{u != x} (x - u) at its own node
+    numerators, values = [], []
+    for i, x in enumerate(nodes):
+        num, value = [1], 1
+        for u in nodes[:i] + nodes[i + 1:]:
+            num = [a - u * b for a, b in zip([0] + num, num + [0])]
+            value *= x - u
+        numerators.append(num)
+        values.append(value)
+    den = lcm(*values)
+    scales = [den // value for value in values]
+    rows = [
+        [num[j] * scale for num, scale in zip(numerators, scales)]
+        for j in range(len(nodes))
+    ]
+    return rows, den
+
+
 def lagrange_coefficient_weights(degree: int, target: int) -> list[Fraction]:
     """Weight of f(s), s = 0..degree, in the t^target coefficient of the
     interpolant through the nodes (0, f(0)), ..., (degree, f(degree))."""
     if target < 0:
         raise ValueError("negative target exponent")
-    weights = []
-    for s in range(degree + 1):
-        # ell_s(t) = prod_{u != s} (t - u) / (s - u); expand the numerator
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for u in range(degree + 1):
-            if u == s:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for i, c in enumerate(num):
-                new[i + 1] += c
-                new[i] -= Fraction(u) * c
-            num = new
-            denom *= Fraction(s - u)
-        weights.append((num[target] if target < len(num) else Fraction(0)) / denom)
-    return weights
+    if target > degree:
+        return [Fraction(0)] * (degree + 1)
+    rows, den = lagrange_coefficient_rows(range(degree + 1))
+    return [Fraction(w, den) for w in rows[target]]
+
+
+def _difference_weights(order: int) -> list[int]:
+    """Coefficients of the order-th forward difference on consecutive
+    nodes; it vanishes exactly on polynomials of degree below order."""
+    return [(-1) ** (order - k) * binomial(order, k) for k in range(order + 1)]

@@ -27,20 +27,25 @@ checks one held-out point of that grid; worker processes each take a chunk
 of the plan graphs and return integer numerators, which the parent merges.
 A weighting sum over a graph depends on the leg values only through the
 per-edge affine residue forms, whose leg coefficients are built once per
-graph; the sums are memoized on their unreduced constants, the moduli and
-the profiles.  The plan asks the enumeration for only the graphs with room
+graph.  Memoization across calls is ``functools.cache`` on private helpers,
+unbounded for the life of the process (``cache_info()`` gives hits and
+sizes): the residue forms per graph, the weighting sums on their unreduced
+constants, the moduli and the profiles, the tau tables per modulus, and the
+plan per (g, n, dmax, survivors); templates and automorphism counts are
+built once per plan graph, inside the cached plan.  The plan asks the enumeration for only the graphs with room
 for one unit of psi at every survivor leg, so the rest are never
 canonicalized.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 
-from .numerics import binomial, factorial, lagrange_coefficient_weights
+from .numerics import _difference_weights, binomial, factorial, lagrange_coefficient_rows
 from .stablegraphs import (
     StableGraph,
     automorphism_count,
@@ -86,9 +91,7 @@ def check_avector(a) -> tuple[int, ...]:
 # weightings mod r
 # ----------------------------------------------------------------------
 
-_FLOW_CACHE: dict[StableGraph, tuple] = {}
-
-
+@functools.cache
 def _flow_forms(graph: StableGraph):
     """Solve the weighting conditions by spanning-tree propagation.
 
@@ -98,9 +101,6 @@ def _flow_forms(graph: StableGraph):
     enter through the leg sums at the vertices.  Loops never enter vertex
     conditions.
     """
-    cached = _FLOW_CACHE.get(graph)
-    if cached is not None:
-        return cached
     V = graph.num_vertices
     E = graph.num_edges
     # BFS spanning tree
@@ -161,60 +161,45 @@ def _flow_forms(graph: StableGraph):
             tuple(-sign * c for c in sc),
             tuple(-sign * c for c in fc),
         )
-    result = (
+    return (
         tuple(tuple(sc[v] for v in graph.legs) for sc, _ in forms),
         tuple(fc for _, fc in forms),
         nfree,
     )
-    _FLOW_CACHE[graph] = result
-    return result
 
 
-_POWER_SUM_CACHE: dict[tuple, dict] = {}
-_TAU_CACHE: dict[int, list[int]] = {}
-_T1_CACHE: dict[tuple[int, int], int] = {}
-_CONV_CACHE: dict[tuple[int, int, int], list[int]] = {}
-
-
+@functools.cache
 def _tau(r: int) -> list[int]:
-    table = _TAU_CACHE.get(r)
-    if table is None:
-        table = [x * (r - x) for x in range(r)]
-        _TAU_CACHE[r] = table
-    return table
+    return [x * (r - x) for x in range(r)]
 
 
+@functools.cache
 def _tau_power_sum(r: int, alpha: int) -> int:
     """sum_x tau(x)^alpha over Z_r."""
-    value = _T1_CACHE.get((r, alpha))
-    if value is None:
-        tau = _tau(r)
-        value = sum(q**alpha for q in tau)
-        _T1_CACHE[(r, alpha)] = value
-    return value
+    return sum(q**alpha for q in _tau(r))
 
 
 def _tau_convolution(r: int, alpha: int, beta: int) -> list[int]:
     """CONV[u] = sum_{x+y = u mod r} tau(x)^alpha tau(y)^beta.
 
     tau(-x) = tau(x), so every sign pattern of the residue substitutions
-    reduces to this one table.
+    reduces to this one table, which is symmetric in alpha and beta.
     """
-    if alpha > beta:
-        alpha, beta = beta, alpha
-    table = _CONV_CACHE.get((r, alpha, beta))
-    if table is None:
-        tau = _tau(r)
-        pa = [q**alpha for q in tau]
-        pb = [q**beta for q in tau]
-        table = [0] * r
-        for x in range(r):
-            if pa[x] == 0:
-                continue
-            qx = pa[x]
-            for u in range(r):
-                table[u] += qx * pb[u - x]
-        _CONV_CACHE[(r, alpha, beta)] = table
+    return _ordered_convolution(r, min(alpha, beta), max(alpha, beta))
+
+
+@functools.cache
+def _ordered_convolution(r: int, alpha: int, beta: int) -> list[int]:
+    tau = _tau(r)
+    pa = [q**alpha for q in tau]
+    pb = [q**beta for q in tau]
+    table = [0] * r
+    for x in range(r):
+        if pa[x] == 0:
+            continue
+        qx = pa[x]
+        for u in range(r):
+            table[u] += qx * pb[u - x]
     return table
 
 
@@ -302,14 +287,15 @@ def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int,
     call, and the reduction mod r happens per modulus inside.  The edge order
     ties the profile entries to the forms.
     """
-    rs = tuple(rs)
-    profiles = tuple(sorted(profiles))
     leg_rows, free_rows, nfree = _flow_forms(graph)
     values = tuple([_dot(row, a) for row in leg_rows])
-    key = (values, free_rows, rs, profiles)
-    cached = _POWER_SUM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _power_sums(values, free_rows, nfree, tuple(rs), tuple(sorted(profiles)))
+
+
+@functools.cache
+def _power_sums(values, free_rows, nfree: int, rs, profiles):
+    """:func:`weighting_power_sums` from the unreduced edge constants
+    ``values`` and the free-variable rows of the edge residue forms."""
     consts = tuple(zip(values, free_rows))
 
     # group free variables into coupled blocks; the grouping is the same for
@@ -344,9 +330,7 @@ def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int,
         _power_sums_mod(r, [c % r for c, _ in consts], const_edges, blocks, profiles)
         for r in rs
     ]
-    out = {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
-    _POWER_SUM_CACHE[key] = out
-    return out
+    return {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
 
 
 def _power_sums_mod(r: int, c0s, const_edges, blocks, profiles) -> list[int]:
@@ -378,19 +362,6 @@ def _power_sums_mod(r: int, c0s, const_edges, blocks, profiles) -> list[int]:
 # the fixed-r class
 # ----------------------------------------------------------------------
 
-_TEMPLATE_CACHE: dict[tuple, tuple] = {}
-_AUT_COUNT_CACHE: dict[StableGraph, int] = {}
-
-
-def _aut_count(graph: StableGraph) -> int:
-    """Automorphism count of an enumerated (hence canonical) graph."""
-    c = _AUT_COUNT_CACHE.get(graph)
-    if c is None:
-        c = automorphism_count(graph, check=False)
-        _AUT_COUNT_CACHE[graph] = c
-    return c
-
-
 def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset()):
     """Decoration templates for one graph: every way to place psi exponents
     from the edge series and leg exponentials within the degree caps.
@@ -403,20 +374,13 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
     (base numerator over ``common``, decorated graph) pairs; ``profiles``
     lists every edge profile, sorted.
     """
-    cache_key = (graph, dmax, tuple(sorted(reserved_markings)))
-    cached = _TEMPLATE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
     E = graph.num_edges
     extra = dmax - E
     caps = list(graph.capacities())
     for m in reserved_markings:
         caps[graph.legs[m - 1]] -= 1
     if extra < 0 or any(c < 0 for c in caps):
-        result = ((), (), 1)
-        _TEMPLATE_CACHE[cache_key] = result
-        return result
+        return (), (), 1
 
     side_vertices = []
     for k, (u, w) in enumerate(graph.edges):
@@ -487,35 +451,22 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
     groups = tuple(
         (profile, legs_c, tuple(group)) for (profile, legs_c), group in members.items()
     )
-    result = (groups, tuple(sorted(profiles)), common)
-    _TEMPLATE_CACHE[cache_key] = result
-    return result
+    return groups, tuple(sorted(profiles)), common
 
 
-_PLAN_CACHE: dict[tuple, tuple] = {}
-
-
-def _class_plan(g: int, n: int, dmax: int, survivors) -> tuple:
+@functools.cache
+def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
     """Surviving graphs with their decoration templates, precomputed once per
     (g, n, dmax, survivor set)."""
-    key = (g, n, dmax, tuple(sorted(survivors)))
-    cached = _PLAN_CACHE.get(key)
-    if cached is None:
-        plan = []
-        for graph in enumerate_stable_graphs(
-            g, n, max_edges=dmax, reserved_markings=survivors
-        ):
-            templates, profiles, common = _graph_templates(
-                graph, dmax, frozenset(survivors)
-            )
-            if not templates:
-                continue
-            plan.append(
-                (graph, templates, profiles, graph.h1(), _aut_count(graph), common)
-            )
-        cached = tuple(plan)
-        _PLAN_CACHE[key] = cached
-    return cached
+    plan = []
+    for graph in enumerate_stable_graphs(
+        g, n, max_edges=dmax, reserved_markings=survivors
+    ):
+        templates, profiles, common = _graph_templates(graph, dmax, survivors)
+        if templates:
+            aut = automorphism_count(graph, check=False)
+            plan.append((graph, templates, profiles, graph.h1(), aut, common))
+    return tuple(plan)
 
 
 def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
@@ -525,6 +476,8 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
         raise ValueError("leg value count must equal n")
     if any(r < 1 for r in rs):
         raise ValueError("modulus must be positive")
+    if dmax < 0:
+        raise ValueError(f"degree must be nonnegative, got {dmax}")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"({g},{n}) is unstable")
     if dmax > 3 * g - 3 + n:
@@ -626,34 +579,13 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     at most dmax.  Graphs with more than dmax edges cannot contribute."""
     a = check_avector(a)
     _check_input(g, n, a, (r,), dmax)
-    plan = _class_plan(g, n, dmax, survivors)
+    plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
     for local, den in _graph_sums(plan, [r], [1], (), dmax, _point_sample(a)):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms)
-
-
-def _zero_weights(nodes) -> tuple[list[int], int]:
-    """Integer weights w_i and one denominator W with
-    p(0) = sum_i w_i p(x_i) / W for every polynomial p of degree below
-    len(nodes): the Lagrange basis polynomials at zero."""
-    weights = []
-    for i, x in enumerate(nodes):
-        w = Fraction(1)
-        for j, y in enumerate(nodes):
-            if j != i:
-                w *= Fraction(y, y - x)
-        weights.append(w)
-    den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
-
-
-def _difference_weights(order: int) -> list[int]:
-    """Coefficients of the order-th forward difference on consecutive
-    nodes; it vanishes exactly on polynomials of degree below order."""
-    return [(-1) ** (order - k) * binomial(order, k) for k in range(order + 1)]
 
 
 def _dot(u, v) -> int:
@@ -671,10 +603,10 @@ def _constant_terms(plan, sample, dmax: int, r0: int):
     denominator) in integers."""
     count = 2 * dmax + 1
     nodes = [r0 + t for t in range(count + 2)]
-    weights, weights_den = _zero_weights(nodes[:count])
+    rows, weights_den = lagrange_coefficient_rows(nodes[:count])
     diff = _difference_weights(count)
     terms = {}
-    for local, den in _graph_sums(plan, nodes, weights, (diff, [0] + diff), dmax, sample):
+    for local, den in _graph_sums(plan, nodes, rows[0], (diff, [0] + diff), dmax, sample):
         for key, num in local.items():
             if num:
                 terms[key] = (num, weights_den * den)
@@ -711,7 +643,7 @@ def constant_term_class(
     if r0 is None:
         r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
     _check_input(g, n, a, (r0,), dmax)
-    plan = _class_plan(g, n, dmax, survivors)
+    plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms, nodes = _constant_terms(plan, _point_sample(a), dmax, r0)
     for key, (num, den) in terms.items():  # in place: one dict of terms at a time
         terms[key] = Fraction(num, den)
@@ -758,23 +690,20 @@ def _monomial_sample(exponents, d: int):
     gets 0, and a_1 = -sum(A).  P is sampled on the grid {0..D}^k, where the
     Lagrange weights lam_beta(s) read off the coefficient of A^beta, and at
     the held-out point A* = (D+1, ..., D+1), which the grid's tensor
-    extrapolation sum_A prod_i (-1)^(D-A_i) C(D+1, A_i) P(A) must reproduce.
+    extrapolation sum_A prod_i (-1)^(D-A_i) C(D+1, A_i) P(A) must reproduce
+    (the (D+1)-th forward difference, solved for its last node).
     The group with leg exponents c weighs the grid by
     omega_c(A) = sum_beta T(beta, c) prod_i lam_beta_i(A_i), T(beta, c) being
     the coefficient of prod_{j>=2} a_j^(b_j) in
     prod_i (sum_{j in S_i} a_j)^beta_i * prod_m a_m^(2 c_m) with
-    a_1 = -sum_{j>=2} a_j.  The weights are integers over scale^k, scale
-    clearing every lam; omega is memoized per (leg partition, c).
+    a_1 = -sum_{j>=2} a_j.  The weights are integers over scale^k, lam being
+    integer rows over scale; omega is memoized per (leg partition, c).
     """
     degree = 2 * d
     b = (0,) + tuple(exponents)
     n = len(b)
-    lam = [lagrange_coefficient_weights(degree, beta) for beta in range(degree + 1)]
-    scale = lcm(*(w.denominator for ws in lam for w in ws))
-    lam = [[w.numerator * (scale // w.denominator) for w in ws] for ws in lam]
-    extrapolation = [
-        (-1) ** (degree - s) * binomial(degree + 1, s) for s in range(degree + 1)
-    ]
+    lam, scale = lagrange_coefficient_rows(range(degree + 1))
+    extrapolation = [-w for w in _difference_weights(degree + 1)]
     partitions: dict[tuple, tuple] = {}
     omegas: dict[tuple, list[int] | None] = {}
 
@@ -883,8 +812,13 @@ def monomial_coefficient(
     ``allow_large`` is set.
     """
     exponents = tuple(int(b) for b in exponents)
+    survivors = frozenset(survivors)
     if len(exponents) != n - 1:
         raise ValueError("need one exponent per marking 2..n")
+    if min(exponents, default=0) < 0:
+        raise ValueError(f"exponents must be nonnegative, got {exponents}")
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
     if d > 3 * g - 3 + n:
         raise ValueError("degree exceeds the dimension")
     degree = 2 * d

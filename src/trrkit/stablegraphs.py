@@ -7,6 +7,7 @@ and 1 attached to edges[k][0] and edges[k][1] respectively.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -14,9 +15,6 @@ from typing import Iterable, Iterator
 
 class InvalidGraphError(ValueError):
     pass
-
-
-_VALENCE_CACHE: dict = {}
 
 
 @dataclass(frozen=True, eq=True)
@@ -54,17 +52,7 @@ class StableGraph:
         return self.h1() + sum(self.genera)
 
     def valences(self) -> tuple[int, ...]:
-        cached = _VALENCE_CACHE.get(self)
-        if cached is None:
-            val = [0] * len(self.genera)
-            for u, w in self.edges:
-                val[u] += 1
-                val[w] += 1
-            for v in self.legs:
-                val[v] += 1
-            cached = tuple(val)
-            _VALENCE_CACHE[self] = cached
-        return cached
+        return _valences(self)
 
     def legs_at(self, v: int) -> list[int]:
         return [m for m, vv in enumerate(self.legs, start=1) if vv == v]
@@ -83,6 +71,17 @@ class StableGraph:
 
     def sort_key(self):
         return (self.genera, self.edges, self.legs)
+
+
+@functools.cache
+def _valences(graph: StableGraph) -> tuple[int, ...]:
+    val = [0] * len(graph.genera)
+    for u, w in graph.edges:
+        val[u] += 1
+        val[w] += 1
+    for v in graph.legs:
+        val[v] += 1
+    return tuple(val)
 
 
 def _connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -184,14 +183,20 @@ def _apply_perm(perm, genera, edges, legs):
     return tuple(new_genera), tuple(new_edges), new_legs
 
 
+def canonical_perm(genera, edges, legs) -> tuple[int, ...]:
+    """A vertex permutation old->new taking the data to the canonical
+    representative of its isomorphism class: the least relabelled
+    (genera, edges, legs).  Any other such permutation is this one followed
+    by an automorphism of the canonical data."""
+    return min(
+        _iter_candidate_perms(genera, edges, legs),
+        key=lambda perm: _apply_perm(perm, genera, edges, legs),
+    )
+
+
 def canonical_data(genera, edges, legs):
     """Canonical (genera, edges, legs) for the isomorphism class."""
-    best = None
-    for perm in _iter_candidate_perms(genera, edges, legs):
-        key = _apply_perm(perm, genera, edges, legs)
-        if best is None or key < best:
-            best = key
-    return best
+    return _apply_perm(canonical_perm(genera, edges, legs), genera, edges, legs)
 
 
 def make_graph(genera, edges, legs, check: bool = True) -> StableGraph:
@@ -211,9 +216,6 @@ def make_graph(genera, edges, legs, check: bool = True) -> StableGraph:
 def canonical_form(graph: StableGraph) -> tuple:
     """Relabel-invariant key identifying the isomorphism class."""
     return canonical_data(graph.genera, graph.edges, graph.legs)
-
-
-_AUT_CACHE: dict[StableGraph, tuple[tuple[int, ...], ...]] = {}
 
 
 def _automorphisms(genera, edges, legs) -> tuple[tuple[int, ...], ...]:
@@ -236,11 +238,12 @@ def vertex_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
 
     The graph must be canonical (as produced by :func:`make_graph`).
     """
-    cached = _AUT_CACHE.get(graph)
-    if cached is None:
-        cached = _automorphisms(graph.genera, graph.edges, graph.legs)
-        _AUT_CACHE[graph] = cached
-    return cached
+    return _graph_automorphisms(graph)
+
+
+@functools.cache
+def _graph_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
+    return _automorphisms(graph.genera, graph.edges, graph.legs)
 
 
 def automorphism_count(graph: StableGraph, check: bool = True) -> int:
@@ -425,9 +428,6 @@ def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
     yield from place(0, sum(need), moving)
 
 
-_ENUM_CACHE: dict[tuple, tuple[StableGraph, ...]] = {}
-
-
 def enumerate_stable_graphs(
     g: int, n: int, max_edges: int | None = None, reserved_markings=()
 ) -> tuple[StableGraph, ...]:
@@ -454,11 +454,11 @@ def enumerate_stable_graphs(
         raise InvalidGraphError(f"({g},{n}) is unstable")
     cap = 3 * g - 3 + n
     emax = cap if max_edges is None else min(max_edges, cap)
-    reserved = frozenset(reserved_markings)
-    key = (g, n, emax, tuple(sorted(reserved)))
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _enumerate(g, n, emax, frozenset(reserved_markings))
+
+
+@functools.cache
+def _enumerate(g: int, n: int, emax: int, reserved: frozenset) -> tuple[StableGraph, ...]:
     # the markings whose legs count toward the capacity they must leave
     free = [m not in reserved for m in range(1, n + 1)]
 
@@ -480,9 +480,7 @@ def enumerate_stable_graphs(
                             continue
                     out.append(StableGraph(*canonical_data(genera, edges, legs)))
     out.sort(key=lambda gr: gr.sort_key())
-    result = tuple(out)
-    _ENUM_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
 def graph_to_json(graph: StableGraph) -> dict:

@@ -16,13 +16,13 @@ from .numerics import factorial, rational_str, parse_rational
 from .stablegraphs import (
     InvalidGraphError,
     StableGraph,
+    canonical_perm,
     enumerate_stable_graphs,
     graph_from_json,
     graph_to_json,
     half_edge_automorphisms,
     make_graph,
     vertex_automorphisms,
-    _iter_candidate_perms,
 )
 
 
@@ -109,19 +109,18 @@ def _decorated_key(perm, genera, edges, legs, psi_legs, psi_edges, kappa):
 
 
 def make_decorated(genera, edges, legs, psi_legs, psi_edges, kappa) -> DecoratedGraph:
-    """Canonicalize a decorated graph (graph part first, then decorations)."""
-    genera = tuple(genera)
-    edges = tuple(tuple(e) for e in edges)
-    legs = tuple(legs)
-    psi_edges = tuple(tuple(p) for p in psi_edges)
-    kappa = tuple(tuple(sorted((i, x) for i, x in vk if x)) for vk in kappa)
-    best = None
-    for perm in _iter_candidate_perms(genera, edges, legs):
-        key = _decorated_key(perm, genera, edges, legs, psi_legs, psi_edges, kappa)
-        if best is None or key < best:
-            best = key
-    g2, e2, l2, pl2, pe2, k2 = best
-    return DecoratedGraph(StableGraph(g2, e2, l2), pl2, pe2, k2)
+    """Canonicalize a decorated graph (graph part first, then decorations).
+
+    The decorated key begins with the graph key, so the least key comes from
+    a permutation reaching the canonical graph; those are one such
+    permutation followed by the automorphisms of the canonical graph, which
+    :func:`decorate_canonical_graph` searches.
+    """
+    perm = canonical_perm(genera, edges, legs)
+    g2, e2, l2, pl2, pe2, k2 = _decorated_key(
+        perm, genera, edges, legs, psi_legs, psi_edges, kappa
+    )
+    return decorate_canonical_graph(StableGraph(g2, e2, l2), pl2, pe2, k2)
 
 
 def decorate_canonical_graph(graph: StableGraph, psi_legs, psi_edges, kappa) -> DecoratedGraph:

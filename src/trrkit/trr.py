@@ -530,33 +530,25 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
 # brute-force pipeline
 # ----------------------------------------------------------------------
 
-def omega_pre(mono: MonomialSpec, allow_large: bool = False, prune: bool = False,
-              jobs: int = 1):
-    """Coefficient of the monomial times the product of the extra leg
-    variables in the degree-(g+1) part of the class on (g, N)."""
-    g, n = mono.g, mono.n
-    if g > 2 and not allow_large:
-        raise ComputationGuardError(
-            f"genus {g} exceeds the default brute-force guard; pass allow_large"
-        )
-    N = mono.num_legs
-    exps = mono.exponents + (1,) * (N - n)
-    survivors = frozenset(range(n + 2, N + 1)) if prune else frozenset()
-    element, meta = monomial_coefficient(
-        g, N, exps, g + 1, allow_large=allow_large, survivors=survivors, jobs=jobs
-    )
-    return element, meta
-
-
 def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
-    """Multiply the coefficient class by psi at the extra legs and push it
-    forward down to (g, n+1)."""
+    """The coefficient of the monomial times the product of the extra leg
+    variables in the degree-(g+1) part of the class on (g, N), multiplied by
+    psi at the legs n+2..N and pushed forward down to (g, n+1).  Only graphs
+    with room for that psi at each of those legs enter the coefficient."""
     g, n = mono.g, mono.n
     N = mono.num_legs
     if N < n + 1:
         raise ValueError("monomial degree too large: no extra leg remains")
-    element, meta = omega_pre(mono, allow_large=allow_large, prune=True, jobs=jobs)
-    element = multiply_by_psi(element, {m: 1 for m in range(n + 2, N + 1)})
+    if g > 2 and not allow_large:
+        raise ComputationGuardError(
+            f"genus {g} exceeds the default brute-force guard; pass allow_large"
+        )
+    survivors = range(n + 2, N + 1)
+    element, meta = monomial_coefficient(
+        g, N, mono.exponents + (1,) * (N - n), g + 1, allow_large=allow_large,
+        survivors=frozenset(survivors), jobs=jobs,
+    )
+    element = multiply_by_psi(element, {m: 1 for m in survivors})
     for m in range(N, n + 1, -1):
         element = pushforward_forget(element, m)
     return element, meta

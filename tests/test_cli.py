@@ -270,6 +270,20 @@ def test_unstable_input_is_a_usage_error(capsys, extra):
     assert_one_line_usage_error(code, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1", "--a", "0", "--degree", "-1"],
+        ["--n", "2", "--b-exponents", "2", "--degree", "-1"],
+        ["--n", "2", "--b-exponents", "-1", "--degree", "1"],
+    ],
+)
+def test_pixton_rejects_negative_degrees_and_exponents(capsys, argv):
+    code, out, err = run(capsys, "pixton", "--g", "1", *argv)
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
 def test_d_rejects_negative_exponents(capsys):
     code, out, err = run(capsys, "d", "--g", "2", "--k", "3", "--l", "-1")
     assert_one_line_usage_error(code, err)

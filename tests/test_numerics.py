@@ -10,6 +10,7 @@ from trrkit.numerics import (
     factorial,
     falling_factorial,
     interpolate,
+    lagrange_coefficient_rows,
     lagrange_coefficient_weights,
     parse_rational,
     rational_str,
@@ -123,6 +124,25 @@ def test_lagrange_coefficient_weights():
     for target, expected in [(0, 5), (1, 3), (2, 1), (3, 0)]:
         w = lagrange_coefficient_weights(3, target)
         assert sum(w[s] * poly((Fraction(s),)) for s in range(4)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    st.lists(st.integers(-40, 40), min_size=8, max_size=12, unique=True),
+)
+def test_lagrange_coefficient_rows_read_every_coefficient(coeffs, nodes):
+    nodes = nodes[: len(coeffs)]
+    rows, den = lagrange_coefficient_rows(nodes)
+    values = [sum(c * x**j for j, c in enumerate(coeffs)) for x in nodes]
+    assert len(rows) == len(nodes)
+    for j, row in enumerate(rows):
+        assert Fraction(sum(w * y for w, y in zip(row, values)), den) == coeffs[j]
+
+
+def test_lagrange_coefficient_rows_reject_duplicate_nodes():
+    with pytest.raises(ValueError):
+        lagrange_coefficient_rows([0, 1, 1])
 
 
 def test_sparse_poly_degree_cap():

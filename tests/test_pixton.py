@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from trrkit import pixton
 from trrkit.cli import main
-from trrkit.numerics import interpolate, lagrange_coefficient_weights
+from trrkit.numerics import interpolate, lagrange_coefficient_rows, lagrange_coefficient_weights
 from trrkit.pixton import (
     ComputationGuardError,
     FitInstabilityError,
     _difference_weights,
     _dot,
-    _zero_weights,
     check_avector,
     constant_term_class,
     fixed_r_class,
@@ -165,7 +164,8 @@ def test_constant_term_matches_interpolated_fixed_r(g, n, a, dmax, survivors):
 def test_zero_weights_and_held_out_differences(dmax, r0, coeffs, extra):
     count = 2 * dmax + 1
     nodes = [r0 + t for t in range(count + 2)]
-    weights, den = _zero_weights(nodes[:count])
+    rows, den = lagrange_coefficient_rows(nodes[:count])
+    weights = rows[0]
     diff = _difference_weights(count)
     p = coeffs[:count]  # degree <= 2*dmax
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trrkit.stablegraphs import enumerate_stable_graphs, make_graph
 from trrkit.strata import (
@@ -328,3 +330,50 @@ def test_json_round_trip():
         again = StrataElement.from_json(g, n, json.loads(blob))
         assert again == x
         assert json.dumps(again.to_json(), sort_keys=True) == blob
+
+
+def scrambled(rng, dg):
+    """Input data of ``dg`` under a random vertex relabelling, a random edge
+    order and random side swaps (each edge's psi pair swapped with it)."""
+    graph = dg.graph
+    perm = list(range(graph.num_vertices))
+    rng.shuffle(perm)
+    genera = [0] * graph.num_vertices
+    kappa = [()] * graph.num_vertices
+    for v, gv in enumerate(graph.genera):
+        genera[perm[v]] = gv
+        kappa[perm[v]] = dg.kappa[v]
+    edges = []
+    for (u, w), (p0, p1) in zip(graph.edges, dg.psi_edges):
+        if rng.random() < 0.5:
+            u, w, p0, p1 = w, u, p1, p0
+        edges.append(((perm[u], perm[w]), (p0, p1)))
+    rng.shuffle(edges)
+    legs = tuple(perm[v] for v in graph.legs)
+    return (
+        genera, [e for e, _ in edges], legs, dg.psi_legs, [p for _, p in edges], kappa
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([(1, 2), (1, 3), (0, 5), (2, 1), (2, 2)]),
+)
+def test_make_decorated_ignores_the_labelling(seed, case):
+    rng = random.Random(seed)
+    x = random_element(rng, *case, max_terms=3)
+    for dg in x.terms:
+        assert make_decorated(*scrambled(rng, dg)) == dg
+
+
+def test_make_decorated_digest():
+    rng = random.Random(9)
+    out = []
+    for g, n in [(1, 1), (1, 2), (1, 3), (0, 5), (2, 1), (2, 2)]:
+        for _ in range(8):
+            x = random_element(rng, g, n, max_terms=3)
+            for dg in sorted(x.terms, key=DecoratedGraph.sort_key):
+                new = make_decorated(*scrambled(rng, dg))
+                out.append((new.graph.sort_key(), new.psi_legs, new.psi_edges, new.kappa))
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "32beb97c782609dc"
