@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -250,18 +249,23 @@ def ci_coeff(g: int, n: int, i: int, l, lprime, dvec) -> Fraction:
 
 def _d_weights(g: int, n: int, k: int) -> list[int]:
     """w_s = (2k+1)_s (base-s)_(n-1-s) for s = 0..n-1, base = 2g+n+2k-1,
-    with (x)_m the falling factorial."""
+    with (x)_m the falling factorial; each from the one before by
+    w_(s+1) = w_s (2k+1-s) / (base-s), an exact division."""
     base = 2 * g + n + 2 * k - 1
-    return [
-        falling_factorial(2 * k + 1, s) * falling_factorial(base - s, n - 1 - s)
-        for s in range(n)
-    ]
+    w = [falling_factorial(base, n - 1)]
+    for s in range(n - 1):
+        w.append(w[-1] * (2 * k + 1 - s) // (base - s))
+    return w
 
 
-def _times_one_plus(e: list[int], v: int) -> list[int]:
-    """Coefficients of e(t) (1 + v t): adds one variable v to the elementary
-    symmetric functions e_0, e_1, ..."""
-    return [a + v * c for a, c in zip(e + [0], [0] + e)]
+def _with_part(weights: list[int], v: int) -> list[int]:
+    """Suffix weights after one more part v: W'_j = W_j + v W_(j+1).
+
+    With W_j = sum_s e_s(parts so far) w_(s+j), starting from W = w, D's
+    numerator is sum_j e_j(parts still to come) W_j, so each part shortens
+    W by one and the numerator is W_0 once every part is in.
+    """
+    return [a + v * b for a, b in itertools.pairwise(weights)]
 
 
 def d_value(g: int, k: int, l) -> Fraction:
@@ -270,21 +274,21 @@ def d_value(g: int, k: int, l) -> Fraction:
 
     D is the sum over the 0/1 exponent shifts, regrouped by the integer
     elementary symmetric functions e_s of the values -2l_j-1: its numerator
-    is sum_s e_s w_s (see ``_d_weights``) over the denominator
-    w_0 = (base)_(n-1), base = 2g+n+2k-1.  ``tests/oracles.py`` holds the
-    direct sum over the shifts as a cross-check.
+    is sum_s e_s w_s (see ``_d_weights``), taken one part at a time through
+    ``_with_part``, over the denominator w_0 = (base)_(n-1),
+    base = 2g+n+2k-1.  ``tests/oracles.py`` holds the direct sum over the
+    shifts as a cross-check.
     """
     l = tuple(int(x) for x in l)
     if k < 0 or k + sum(l) != g:
         raise ValueError("need k >= 0 and k + sum(l) = g")
     if any(lj < 0 for lj in l):
         raise ValueError("need every l_j >= 0")
-    n = len(l) + 1
-    e = [1]
+    w = _d_weights(g, len(l) + 1, k)
+    weights = w
     for lj in l:
-        e = _times_one_plus(e, -2 * lj - 1)
-    w = _d_weights(g, n, k)
-    return Fraction(sum(map(operator.mul, e, w)), w[0])
+        weights = _with_part(weights, -2 * lj - 1)
+    return Fraction(weights[0], w[0])
 
 
 # ----------------------------------------------------------------------
@@ -301,25 +305,76 @@ SCAN_CONVENTIONS = {
 SCAN_CELL_BUDGET = 1_000_000
 
 
+def _genus_cell_counts():
+    """Yield the number of cells of genus g = 1, 2, ...: every partition of
+    every T in 1..g-1 is one, so genus g has p(1) + ... + p(g-1) cells, with
+    the partition numbers p from Euler's pentagonal recurrence."""
+    p = [1]
+    cells = 0
+    while True:
+        yield cells
+        t = len(p)
+        total = 0
+        j = 1
+        while (a := j * (3 * j - 1) // 2) <= t:
+            term = p[t - a] + (p[t - a - j] if a + j <= t else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        cells += total
+
+
 def scan_cell_count(g_min: int, g_max: int) -> int:
     """Number of cells :func:`scan_zeros` checks over g_min..g_max, without
     enumerating them.
 
-    A cell of genus g is a partition l of T = g - k into n - 1 parts, and
-    every partition of every T in 1..g-1 is one, so genus g has
-    p(1) + ... + p(g-1) cells (p the partition numbers).
+    A cell of genus g is a partition l of T = g - k into n - 1 parts (see
+    ``_genus_cell_counts``).
     """
-    p = [1] + [0] * g_max
-    for part in range(1, g_max + 1):
-        for t in range(part, g_max + 1):
-            p[t] += p[t - part]
-    cells = 0
-    per_genus = 0
-    for g in range(1, g_max + 1):
+    counts = zip(range(1, g_max + 1), _genus_cell_counts())
+    return sum(cells for g, cells in counts if g >= g_min)
+
+
+def _check_scan_budget(g_min: int, g_max: int) -> None:
+    """Refuse a range of more than ``SCAN_CELL_BUDGET`` cells, pricing it
+    one genus at a time and stopping as soon as the budget is passed."""
+    total = 0
+    for g, cells in zip(range(1, g_max + 1), _genus_cell_counts()):
         if g >= g_min:
-            cells += per_genus
-        per_genus += p[g]
-    return cells
+            total += cells
+        # the count per genus never falls, so a genus below g_min already
+        # bounds the count of genus g_min alone from below
+        if max(total, cells) > SCAN_CELL_BUDGET:
+            raise ComputationGuardError(
+                f"scan over g = {g_min}..{g_max} checks more than "
+                f"{SCAN_CELL_BUDGET} cells (the default budget, passed at "
+                f"g = {max(g, g_min)}); pass allow_large to proceed"
+            )
+
+
+def _pair_zeros(w0: int, w1: int, w2: int, low: int, rest: int):
+    """The p in low..rest//2 for which the last two parts (p, rest - p) make
+    D vanish, given the suffix weights (w0, w1, w2) of the parts before them.
+
+    With x = -2p-1 and y = -2(rest-p)-1 the numerator is
+    w0 + (x+y) w1 + xy w2.  Here x + y = -2h, h = rest + 1, is the same for
+    every p, and xy = u(2h - u) = h^2 - (h - u)^2 with u = 2p + 1, so the
+    numerator vanishes iff (h - u)^2 = h^2 + c / w2, c = w0 - 2h w1: at most
+    one root u <= h, or every p when w2 = c = 0.
+    """
+    h = rest + 1
+    c = w0 - 2 * h * w1
+    if not w2:
+        return () if c else range(low, rest // 2 + 1)
+    q, r = divmod(c, w2)
+    square = h * h + q
+    if r or square < 0:
+        return ()
+    d = math.isqrt(square)
+    u = h - d
+    if d * d != square or not u % 2 or u < 2 * low + 1:
+        return ()
+    return ((u - 1) // 2,)
 
 
 def _scan_genus(g: int):
@@ -328,21 +383,37 @@ def _scan_genus(g: int):
     for n in range(2, g + 1):
         for k in range(1, g - (n - 1) + 1):
             w = _d_weights(g, n, k)
+            if n == 2:
+                cells += 1
+                if w[0] == (2 * (g - k) + 1) * w[1]:
+                    zeros.append((g, n, k, (g - k,)))
+                continue
             # nondecreasing l_1 <= ... <= l_(n-1) summing to g - k, with the
-            # elementary symmetric functions of the parts so far carried
-            # along; the last part is whatever the sum leaves
-            stack = [((), [1], 1, g - k)]
+            # suffix weights of the parts so far carried along.  The last two
+            # parts are solved for, not enumerated: a node with three parts
+            # left solves the pairs below it without pushing them, so only
+            # the root of n = 3 is popped with two parts left
+            stack = [((), w, 1, g - k)]
             while stack:
-                prefix, e, low, rest = stack.pop()
-                left = n - 1 - len(prefix)
-                if left == 1:
-                    cells += 1
-                    if not sum(map(operator.mul, _times_one_plus(e, -2 * rest - 1), w)):
-                        zeros.append((g, n, k, prefix + (rest,)))
+                prefix, weights, low, rest = stack.pop()
+                left = len(weights) - 1
+                if left == 2:
+                    cells += rest // 2 - low + 1
+                    for p in _pair_zeros(*weights, low, rest):
+                        zeros.append((g, n, k, prefix + (p, rest - p)))
+                    continue
+                if left == 3:
+                    w0, w1, w2, w3 = weights
+                    for part in range(low, rest // 3 + 1):
+                        v = -2 * part - 1
+                        pair = rest - part
+                        cells += pair // 2 - part + 1
+                        for p in _pair_zeros(w0 + v * w1, w1 + v * w2, w2 + v * w3, part, pair):
+                            zeros.append((g, n, k, prefix + (part, p, pair - p)))
                     continue
                 for part in range(low, rest // left + 1):
                     stack.append(
-                        (prefix + (part,), _times_one_plus(e, -2 * part - 1), part, rest - part)
+                        (prefix + (part,), _with_part(weights, -2 * part - 1), part, rest - part)
                     )
     return zeros, cells
 
@@ -352,17 +423,13 @@ def scan_zeros(g_min: int, g_max: int, jobs: int = 1, allow_large: bool = False)
 
     Returns (zeros, cells_checked); the output is deterministic and does not
     depend on the worker count.  Ranges of more than ``SCAN_CELL_BUDGET``
-    cells (counted by :func:`scan_cell_count`) are refused unless
+    cells (counted as in :func:`scan_cell_count`) are refused unless
     ``allow_large`` is set.
     """
     if g_min < 1 or g_max < g_min:
         raise ValueError("need 1 <= g_min <= g_max")
-    cells = scan_cell_count(g_min, g_max)
-    if cells > SCAN_CELL_BUDGET and not allow_large:
-        raise ComputationGuardError(
-            f"scan over g = {g_min}..{g_max} checks {cells} cells, more than "
-            f"the default budget of {SCAN_CELL_BUDGET}; pass allow_large to proceed"
-        )
+    if not allow_large:
+        _check_scan_budget(g_min, g_max)
     gs = list(range(g_min, g_max + 1))
     workers = _worker_count(jobs, len(gs))
     if workers > 1:

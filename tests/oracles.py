@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 import math
+import operator
 
 from trrkit.numerics import SparsePoly
 from trrkit.trr import (
@@ -187,6 +188,47 @@ def d_value_direct(g, k, l):
                 term *= -2 * lj - 1
         total += term
     return total
+
+
+def _d_weights(g, n, k):
+    """w_s = (2k+1)_s (base-s)_(n-1-s) for s = 0..n-1, base = 2g+n+2k-1."""
+    base = 2 * g + n + 2 * k - 1
+    return [math.perm(2 * k + 1, s) * math.perm(base - s, n - 1 - s) for s in range(n)]
+
+
+def _times_one_plus(e: list[int], v: int) -> list[int]:
+    """Coefficients of e(t) (1 + v t): adds one variable v to the elementary
+    symmetric functions e_0, e_1, ..."""
+    return [a + v * c for a, c in zip(e + [0], [0] + e)]
+
+
+def scan_genus_walk(g: int):
+    """The zero scan of one genus, cell by cell: (zeros, cells) as
+    ``trr._scan_genus`` returns them, from the elementary symmetric
+    functions of the parts carried along the partition walk and a full dot
+    product with the D weights at every cell."""
+    zeros = []
+    cells = 0
+    for n in range(2, g + 1):
+        for k in range(1, g - (n - 1) + 1):
+            w = _d_weights(g, n, k)
+            # nondecreasing l_1 <= ... <= l_(n-1) summing to g - k, with the
+            # elementary symmetric functions of the parts so far carried
+            # along; the last part is whatever the sum leaves
+            stack = [((), [1], 1, g - k)]
+            while stack:
+                prefix, e, low, rest = stack.pop()
+                left = n - 1 - len(prefix)
+                if left == 1:
+                    cells += 1
+                    if not sum(map(operator.mul, _times_one_plus(e, -2 * rest - 1), w)):
+                        zeros.append((g, n, k, prefix + (rest,)))
+                    continue
+                for part in range(low, rest // left + 1):
+                    stack.append(
+                        (prefix + (part,), _times_one_plus(e, -2 * part - 1), part, rest - part)
+                    )
+    return zeros, cells
 
 
 def _double_factorial(m):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -295,7 +296,17 @@ def test_scan_guard_exit_code(capsys):
     assert code == cli.EXIT_GUARD == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "6547101 cells" in err
+    # g <= 40 has 963,280 cells and genus 41 takes the count past the budget
+    assert "more than 1000000 cells" in err and "passed at g = 41" in err
+
+
+def test_scan_guard_refuses_a_huge_range_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--g-min", "1", "--g-max", "100000")
+    assert time.perf_counter() - started < 1.0
+    assert code == cli.EXIT_GUARD
+    assert out == ""
+    assert err.count("\n") == 1 and "passed at g = 41" in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trrkit.numerics import double_factorial, factorial, falling_factorial
 from trrkit.pixton import ComputationGuardError
@@ -11,6 +12,7 @@ from trrkit.trr import (
     ExceptionalCaseError,
     MonomialSpec,
     TRRRecord,
+    _pair_zeros,
     c0_coeff,
     ci_coeff,
     d_value,
@@ -31,6 +33,7 @@ from oracles import (
     gamma0_direct,
     gammai_direct,
     principal_part_direct,
+    scan_genus_walk,
 )
 
 
@@ -399,3 +402,79 @@ def test_scan_guard_refuses_large_ranges():
     assert scan_cell_count(1, 40) <= SCAN_CELL_BUDGET < scan_cell_count(1, 50)
     with pytest.raises(ComputationGuardError, match="allow_large"):
         scan_zeros(1, 50)
+    # genus 50 alone is over the budget, so the range is refused at its start
+    # without pricing the genera below it one by one past 50
+    assert scan_cell_count(50, 50) > SCAN_CELL_BUDGET
+    with pytest.raises(ComputationGuardError, match="passed at g = 99990"):
+        scan_zeros(99990, 100000)
+
+
+# the zeros of D under the scan conventions for g <= 35
+KNOWN_ZEROS = [
+    (7, 4, 3, (1, 1, 2)),
+    (30, 6, 4, (1, 2, 5, 7, 11)),
+    (30, 8, 4, (1, 1, 3, 3, 3, 4, 11)),
+    (31, 5, 6, (2, 3, 4, 16)),
+    (35, 4, 22, (1, 1, 11)),
+]
+
+
+def test_scan_pins_the_known_zeros_through_genus_35():
+    zeros, cells = scan_zeros(1, 35)
+    assert zeros == KNOWN_ZEROS
+    assert cells == scan_cell_count(1, 35) == 337471
+    assert all(d_value(g, k, l) == 0 for g, _, k, l in KNOWN_ZEROS)
+
+
+@pytest.mark.parametrize("g_min,g_max,jobs", [(1, 26, 1), (30, 31, 1), (30, 31, 2)])
+def test_scan_matches_the_cell_by_cell_walk(g_min, g_max, jobs):
+    # the zeros at g = 30 and 31 have n = 5, 6 and 8: their last pairs are
+    # solved below the root of the walk
+    walks = [scan_genus_walk(g) for g in range(g_min, g_max + 1)]
+    want = (sorted(z for zeros, _ in walks for z in zeros), sum(c for _, c in walks))
+    assert scan_zeros(g_min, g_max, jobs=jobs) == want
+
+
+def _pair_numerator(w0, w1, w2, p, rest):
+    x, y = -2 * p - 1, -2 * (rest - p) - 1
+    return w0 + (x + y) * w1 + x * y * w2
+
+
+@st.composite
+def _pair_cases(draw):
+    """(w0, w1, w2, low, rest); half of them built so that xy = u(2h - u),
+    h = rest + 1, is a root for some u near the admissible ones (odd or even,
+    inside low..rest//2 or not), then moved by a small shift."""
+    rest = draw(st.integers(2, 60))
+    low = draw(st.integers(1, rest // 2))
+    w1 = draw(st.integers(-50, 50))
+    w2 = draw(st.integers(-6, 6))
+    shift = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        u = draw(st.integers(-3, rest + 4))
+        h = rest + 1
+        w0 = 2 * h * w1 - u * (2 * h - u) * w2 + shift
+    else:
+        w0 = draw(st.integers(-3000, 3000))
+    return w0, w1, w2, low, rest
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_cases())
+@example((42, 3, 0, 1, 6))  # w2 = 0 and c = w0 - 2(rest+1) w1 = 0: every pair
+@example((43, 3, 0, 1, 6))  # w2 = 0 and c != 0: no pair
+@example((-26, 0, 1, 1, 4))  # negative discriminant: xy = 26 > h^2 = 25
+@example((-23, 0, 1, 1, 4))  # h^2 - xy = 2 is not a square
+@example((-24, 0, 1, 1, 4))  # the root u = 4 is even (p = 1 would pass low)
+@example((-9, 0, 1, 1, 4))  # the root u = 1 is p = 0, below low
+@example((-45, 0, 1, 2, 8))  # the root u = 3 is p = 1, below low = 2
+@example((11, 0, 1, 1, 4))  # the root u = -1 is negative
+@example((-21, 0, 1, 1, 4))  # the root u = 3 is p = 1, a zero
+@example((-104, 0, 5, 1, 4))  # c / w2 leaves a remainder
+def test_pair_zeros_match_direct_evaluation(case):
+    """The pair solver against the numerator at every p in low..rest//2."""
+    w0, w1, w2, low, rest = case
+    want = [
+        p for p in range(low, rest // 2 + 1) if not _pair_numerator(w0, w1, w2, p, rest)
+    ]
+    assert list(_pair_zeros(w0, w1, w2, low, rest)) == want
