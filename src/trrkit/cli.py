@@ -9,6 +9,7 @@ graph built by the pipeline itself).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -250,10 +251,17 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> _Parser:
+    """The argument parser for the current ``TRR_JOBS``, built once per
+    value; each subcommand names its ``cmd_*`` function, which ``main``
+    looks up when it runs."""
+    # a string default goes through the type check too, and only when used
+    return _parser(os.environ.get("TRR_JOBS", "1"))
+
+
+@functools.cache
+def _parser(default_jobs: str) -> _Parser:
     parser = _Parser(prog="trrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through the type check too, and only when used
-    default_jobs = os.environ.get("TRR_JOBS", "1")
 
     p = sub.add_parser("scan", help="scan for vanishing D coefficients")
     p.add_argument("--g-min", type=int, required=True)
@@ -262,13 +270,13 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=_jobs, default=default_jobs)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func="cmd_scan")
 
     p = sub.add_parser("d", help="print one D coefficient")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", default="")
-    p.set_defaults(func=cmd_d)
+    p.set_defaults(func="cmd_d")
 
     p = sub.add_parser("principal", help="principal part of a relation")
     p.add_argument("--g", type=int, required=True)
@@ -276,7 +284,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l", default="")
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_principal)
+    p.set_defaults(func="cmd_principal")
 
     p = sub.add_parser("pixton", help="fixed-r class or monomial coefficient")
     p.add_argument("--g", type=int, required=True)
@@ -289,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=_jobs, default=default_jobs)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_pixton)
+    p.set_defaults(func="cmd_pixton")
 
     for name in ("omega", "verify-lemmas"):
         p = sub.add_parser(name, help="compare pipeline and closed forms")
@@ -299,15 +307,15 @@ def build_parser() -> _Parser:
         p.add_argument("--allow-large", action="store_true")
         p.add_argument("--jobs", type=_jobs, default=default_jobs)
         p.add_argument("--out")
-        p.set_defaults(func=cmd_omega)
+        p.set_defaults(func="cmd_omega")
 
     p = sub.add_parser("g7", help="the genus-7 exceptional-case report")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_g7)
+    p.set_defaults(func="cmd_g7")
 
     p = sub.add_parser("check", help="re-verify a result file's digest")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func="cmd_check")
 
     return parser
 
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, started)
+        return globals()[args.func](args, started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -156,8 +156,9 @@ class StrataElement:
         self.n = n
         self.terms: dict[DecoratedGraph, Fraction] = {}
         for dg, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 self.terms[dg] = c
         self.kappa_from_forgotten_psi = False
 

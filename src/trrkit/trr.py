@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,72 +46,134 @@ def psi_variables(n: int, prime: bool = False) -> tuple[str, ...]:
 # closed-form graph contributions
 # ----------------------------------------------------------------------
 
-def _marking_factors(bj: int) -> list[int]:
-    """(2c-1)!! C(b_j, 2c) for c = 0..b_j//2: the numerator of
-    1/(2^c c! (b_j-2c)!) = (2c-1)!! C(b_j, 2c) / b_j!."""
-    return [double_factorial(2 * c - 1) * binomial(bj, 2 * c) for c in range(bj // 2 + 1)]
+def _marking_factors(bj: int, shifted: bool = False) -> list[tuple[int, int]]:
+    """Per exponent c at one marking, the pair ((2c-1)!! C(b_j, 2c),
+    (2c-1)!! C(b_j+1, 2c)): the coefficients in t of the marking's factor
+    in :func:`_shift_products`.  The first is the numerator of
+    1/(2^c c! (b_j-2c)!) = (2c-1)!! C(b_j, 2c) / b_j!; c runs to b_j//2,
+    or to (b_j+1)//2 when shifts are summed."""
+    return [
+        (double_factorial(2 * c - 1) * binomial(bj, 2 * c),
+         double_factorial(2 * c - 1) * binomial(bj + 1, 2 * c))
+        for c in range((bj + shifted) // 2 + 1)
+    ]
 
 
-def _gamma0_numerators(g: int, n: int, b) -> dict:
+def _times_shift(poly: list[int], f0: int, f1: int, top: int) -> list[int]:
+    """poly * (f0 + f1 t), dropping the powers of t above top."""
+    out = [x * f0 for x in poly]
+    if len(poly) <= top:
+        out.append(0)
+    for s in range(1, len(out)):
+        out[s] += f1 * poly[s - 1]
+    return out
+
+
+def _shift_products(factors, top: int) -> list:
+    """(c, poly) for every exponent tuple c with c_j indexing factors[j]:
+    poly[s] is the coefficient of t^s, s <= top, in prod_j (f0 + f1 t) with
+    (f0, f1) = factors[j][c_j], i.e. the sum over the 0/1 shifts d with
+    |d| = s of prod_j (2c_j-1)!! C(b_j+d_j, 2c_j).  Tuples sharing a prefix
+    share its product."""
+    products = [((), [1])]
+    for row in factors:
+        products = [
+            (c + (cj,), _times_shift(poly, f0, f1, top))
+            for c, poly in products
+            for cj, (f0, f1) in enumerate(row)
+        ]
+    return products
+
+
+def _gamma0_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     """Integer numerators of :func:`gamma0_closed` per exponent tuple, over
-    the denominator (2g-2+n)! prod_j b_j!."""
+    the denominator (2g-2+n)! prod_j b_j!.
+
+    With more than one lift, the forms at the shifted exponents b + d for
+    every 0/1 vector d with |d| < len(lifts) are summed, the one at b + d
+    times lifts[|d|]; the caller's lifts put them over one denominator.
+    The shifts enter only through the factor (4g-1+n-|b|-|d|)!, folded into
+    the weight of |d|, and the marking factors of :func:`_shift_products`.
+    """
     b = tuple(int(x) for x in b)
     if g < 1 or n < 1 or len(b) != n - 1:
         raise ValueError("need g >= 1, n >= 1 and one exponent per marking 2..n")
-    if any(x < 0 for x in b) or sum(b) > 2 * g + 2:
+    top = len(lifts) - 1
+    if any(x < 0 for x in b) or sum(b) + top > 2 * g + 2:
         raise ValueError("monomial degree exceeds 2g+2")
-    top = factorial(4 * g - 1 + n - sum(b))
-    factors = [_marking_factors(bj) for bj in b]
+    weights = [lift * factorial(4 * g - 1 + n - sum(b) - s) for s, lift in enumerate(lifts)]
     terms = {}
-    for c in itertools.product(*(range(len(f)) for f in factors)):
+    for c, poly in _shift_products([_marking_factors(bj, top > 0) for bj in b], top):
         sc = sum(c)
         if sc > g + 1:
             continue
-        num = top * double_factorial(2 * g + 1 - 2 * sc)
-        for cj, f in zip(c, factors):
-            num *= f[cj]
-        terms[(g + 1 - sc,) + c] = num
+        terms[(g + 1 - sc,) + c] = double_factorial(2 * g + 1 - 2 * sc) * sum(
+            map(operator.mul, poly, weights)
+        )
     return terms
 
 
-def _gammai_numerators(g: int, n: int, i: int, b) -> dict:
+def _tail_bracket(g: int, n: int, ci: int, bi: int, sum_b_others: int, sum_b: int) -> int:
+    """The Chu-Vandermonde bracket of the rational-tail form at tail
+    exponent c_i, for b_i at the tail marking and the given exponent sums."""
+    A0 = 4 * g + n - sum_b_others
+    A1 = 4 * g - 1 + n - sum_b
+    B = 2 * g - sum_b_others - 2 * ci
+    bracket = -binomial(A0, B)
+    for dd in range(bi - 2 * ci - 1):
+        bracket += binomial(A1, B - dd) * binomial(bi + 1, dd)
+    return bracket
+
+
+def _gammai_numerators(g: int, n: int, i: int, b, lifts=(1,)) -> dict:
     """Integer numerators of :func:`gammai_closed` per exponent tuple, over
-    the denominator prod_j b_j!."""
+    the denominator prod_j b_j!, with the shifts summed as in
+    :func:`_gamma0_numerators`.
+
+    The bracket and (2g+1-|b|-|d|)! depend on the shifts only through d_i
+    and the shift total s' away from i, so each tail exponent c_i gets one
+    weight per s', summed over d_i; the other markings enter through
+    :func:`_shift_products`.
+    """
     b = tuple(int(x) for x in b)
     if n < 2 or not (2 <= i <= n) or len(b) != n - 1:
         raise ValueError("need n >= 2 and a marking i in 2..n")
-    if sum(b) > 2 * g + 1:
+    top = len(lifts) - 1
+    if sum(b) + top > 2 * g + 1:
         raise ValueError("monomial degree exceeds 2g+1")
     bi = b[i - 2]
     others = [j for j in range(2, n + 1) if j != i]
-    top = factorial(2 * g + 1 - sum(b))
-    sum_b_others = sum(b[j - 2] for j in others)
-    A0 = 4 * g + n - sum_b_others
-    A1 = 4 * g - 1 + n - sum(b)
-    B = 2 * g - sum_b_others
-    # the Chu-Vandermonde bracket depends on c_i alone; keep the nonzero ones
+    sum_b = sum(b)
+    sum_b_others = sum_b - bi
+    # per shift total s: the lift times (2g+1-|b|-s)!
+    lifted = [lift * factorial(2 * g + 1 - sum_b - s) for s, lift in enumerate(lifts)]
+    # the bracket vanishes once 2c_i exceeds 2g - |b_others|; keep the
+    # weight rows of the c_i where some weight is nonzero
     tail = []
-    for ci in range(g + 1):
-        bracket = -binomial(A0, B - 2 * ci)
-        for dd in range(bi - 2 * ci - 1):
-            bracket += binomial(A1, B - 2 * ci - dd) * binomial(bi + 1, dd)
-        if bracket:
-            tail.append((ci, top * bracket * double_factorial(2 * ci + 1)))
-    factors = [_marking_factors(b[j - 2]) for j in others]
+    for ci in range((2 * g - sum_b_others) // 2 + 1):
+        row = [0] * (min(top, n - 2) + 1)
+        for so in range(len(row)):
+            for s in range(so, min(so + 1, top) + 1):
+                row[so] += lifted[s] * _tail_bracket(
+                    g, n, ci, bi + s - so, sum_b_others + so, sum_b + s
+                )
+        if any(row):
+            tail.append((ci, [x * double_factorial(2 * ci + 1) for x in row]))
+    factors = [_marking_factors(b[j - 2], top > 0) for j in others]
     terms = {}
-    for c_others in itertools.product(*(range(len(f)) for f in factors)):
+    for c_others, poly in _shift_products(factors, top):
         rest = g - sum(c_others)
-        head = 1
         exps = [0] * (n + 1)
-        for cj, j, f in zip(c_others, others, factors):
-            head *= f[cj]
+        for cj, j in zip(c_others, others):
             exps[j - 1] = cj
-        for ci, num in tail:
+        for ci, weights in tail:
             if ci > rest:
                 break
             exps[0] = rest - ci
             exps[n] = ci
-            terms[tuple(exps)] = head * num * double_factorial(2 * (rest - ci) - 1)
+            terms[tuple(exps)] = double_factorial(2 * (rest - ci) - 1) * sum(
+                map(operator.mul, poly, weights)
+            )
     return terms
 
 
@@ -144,11 +207,6 @@ def gammai_closed(g: int, n: int, i: int, b) -> SparsePoly:
     return SparsePoly(
         psi_variables(n, prime=True), {e: Fraction(c, den) for e, c in terms.items()}
     )
-
-
-def _add_scaled(total: dict, terms: dict, scale) -> None:
-    for exps, coeff in terms.items():
-        total[exps] = total.get(exps, 0) + scale * coeff
 
 
 def _string_pushforward_terms(terms: dict) -> dict:
@@ -528,12 +586,21 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
     from the closed-form contributions alone, normalized so the target
     monomial psi_1^k prod psi_j^(l_j) has coefficient 1.
 
-    The combination is accumulated as integer numerators over the one
-    denominator L = (2g-2+n)! prod_j (2l_j+1)!: every shift's exponents
-    b_j = 2l_j + d_j have b_j! dividing (2l_j+1)!, so the gamma_0 numerators
-    (over (2g-2+n)! prod b_j!) and the gamma_i numerators (over prod b_j!)
-    lift to L by integer factors, and the relation weights are integers.
-    The result is divided by the target's numerator term by term.
+    The combination runs over the 0/1 shifts d of the exponents, b_j =
+    2l_j + d_j, with the weights of :func:`relation_weights`, and is
+    accumulated as integer numerators over the one denominator
+    L = (2g-2+n)! prod_j (2l_j+1)!.  Lifting shift d to L multiplies its
+    weight by prod_(d_j=0) (2l_j+1), so with s = |d| the lift is
+    (-1)^s (2k+1)_s prod_j (2l_j+1), the same for every shift of total s
+    (times (2g-2+n)! for the gamma_i numerators, which are over prod b_j!
+    alone).  Every other dependence of the closed forms on d is a marking
+    factor C(2l_j+d_j, 2c_j) or a function of s (of s and d_i for the tail
+    at marking i).  So for each exponent tuple c, c_j <= l_j, the sum over
+    the shifts is the coefficients of t^s in the shift polynomial
+    prod_j (C(2l_j, 2c_j) + C(2l_j+1, 2c_j) t) dotted with one weight per s
+    (:func:`_gamma0_numerators`, :func:`_gammai_numerators`): one pass over
+    c instead of one per shift.  The result is divided by the target's
+    numerator term by term.
     """
     l = tuple(int(x) for x in l)
     n = len(l) + 1
@@ -547,20 +614,20 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
     weights = relation_weights(k, l)
     fact = factorial(2 * g - 2 + n)
     denominator = fact * math.prod(factorial(2 * lj + 1) for lj in l)
+    odd = math.prod(2 * lj + 1 for lj in l)
+    # (2k+1)_s, and with it the lift and the weight, vanishes from s = 2k+2 on
+    lifts = [
+        (-1) ** s * falling_factorial(2 * k + 1, s) * odd for s in range(min(n, 2 * k + 2))
+    ]
+    b = tuple(2 * lj for lj in l)
     # the pushforward and the psip -> psi_i move are linear, so each family
     # is summed over the shifts first and moved once
-    trivial = {}
-    tails = [{} for _ in range(n - 1)]
-    for dvec, weight in weights:
-        b = tuple(2 * lj + dj for lj, dj in zip(l, dvec))
-        lift = weight.numerator * math.prod(2 * lj + 1 for lj, dj in zip(l, dvec) if not dj)
-        _add_scaled(trivial, _gamma0_numerators(g, n, b), lift)
-        lift *= fact
-        for i, tail in enumerate(tails, start=2):
-            _add_scaled(tail, _gammai_numerators(g, n, i, b), lift)
-    total = _string_pushforward_terms(trivial)
-    for i, tail in enumerate(tails, start=2):
-        _add_scaled(total, _substitute_prime_terms(tail, i), 1)
+    total = _string_pushforward_terms(_gamma0_numerators(g, n, b, lifts))
+    tail_lifts = [fact * lift for lift in lifts]
+    for i in range(2, n + 1):
+        tail = _gammai_numerators(g, n, i, b, tail_lifts)
+        for exps, num in _substitute_prime_terms(tail, i).items():
+            total[exps] = total.get(exps, 0) + num
     target = (k,) + l
     top = total.get(target, 0)
     raw = Fraction(top, denominator)

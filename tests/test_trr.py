@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trrkit.cli import result_digest
 from trrkit.numerics import double_factorial, factorial, falling_factorial
 from trrkit.pixton import ComputationGuardError
 from trrkit.trr import (
@@ -12,6 +13,9 @@ from trrkit.trr import (
     ExceptionalCaseError,
     MonomialSpec,
     TRRRecord,
+    _d_weights,
+    _gamma0_numerators,
+    _gammai_numerators,
     _pair_zeros,
     c0_coeff,
     ci_coeff,
@@ -478,3 +482,84 @@ def test_pair_zeros_match_direct_evaluation(case):
         p for p in range(low, rest // 2 + 1) if not _pair_numerator(w0, w1, w2, p, rest)
     ]
     assert list(_pair_zeros(w0, w1, w2, low, rest)) == want
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shift_sums_match_the_sum_shift_by_shift(data):
+    """The closed forms summed over the 0/1 shifts through the shift
+    polynomial equal the lifted sum of their no-shift forms, one shift at a
+    time, odd base exponents included."""
+    g = data.draw(st.integers(1, 5), label="g")
+    n = data.draw(st.integers(2, 5), label="n")
+    top = data.draw(st.integers(0, min(n - 1, 2 * g + 1)), label="top")
+    # every shifted monomial has degree at most 2g+1
+    budget = 2 * g + 1 - top
+    b = []
+    for _ in range(n - 1):
+        b.append(data.draw(st.integers(0, min(4, budget))))
+        budget -= b[-1]
+    lifts = data.draw(
+        st.lists(st.integers(-30, 30), min_size=top + 1, max_size=top + 1), label="lifts"
+    )
+    want0, wanti = {}, {i: {} for i in range(2, n + 1)}
+    for d in itertools.product((0, 1), repeat=n - 1):
+        if sum(d) > top:
+            continue
+        bd = tuple(x + y for x, y in zip(b, d))
+        for e, num in _gamma0_numerators(g, n, bd).items():
+            want0[e] = want0.get(e, 0) + lifts[sum(d)] * num
+        for i in range(2, n + 1):
+            for e, num in _gammai_numerators(g, n, i, bd).items():
+                wanti[i][e] = wanti[i].get(e, 0) + lifts[sum(d)] * num
+    assert _nonzero(_gamma0_numerators(g, n, b, lifts)) == _nonzero(want0)
+    for i in range(2, n + 1):
+        assert _nonzero(_gammai_numerators(g, n, i, b, lifts)) == _nonzero(wanti[i])
+
+
+@pytest.mark.slow
+def test_principal_part_matches_direct_oracle_with_seven_parts():
+    """Seven parts: 2^7 shifts in the per-shift oracle, one pass over the
+    exponent tuples here."""
+    cell = (8, 1, (1,) * 7)
+    assert principal_part(*cell).to_json() == principal_part_direct(*cell).to_json()
+
+
+# result digests of principal parts as the shift-by-shift sum computed them
+PRINCIPAL_DIGESTS = {
+    (30, 5, (1, 2, 5, 7, 10)): "2ccd92775519d9332d6bd0efb2104c2e84f5fa7747be253e7453232fc11ad7af",
+    (30, 3, (1, 1, 3, 3, 3, 4, 12)): "8062476e3cd251336c7652c70c566d307369900e858ab1d15d079876431bcf54",
+    (20, 2, (1, 1, 1, 1, 2, 2, 3, 3, 4)): "802f2b75f1c41269b2d739289595da182b5ddd8cbbfd676d4490746e3ff243f3",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PRINCIPAL_DIGESTS))
+def test_principal_part_pinned_digests(cell):
+    assert result_digest(principal_part(*cell).to_json()) == PRINCIPAL_DIGESTS[cell]
+
+
+@pytest.mark.slow
+def test_n2_never_vanishes_through_genus_2000():
+    """n = 2: D's numerator w_0 - (2l+1) w_1 is -2k(2(g-k)-1), never zero
+    for k >= 1 and l = g - k >= 1."""
+    for g in range(2, 2001):
+        for k in range(1, g):
+            w0, w1 = _d_weights(g, 2, k)
+            assert w0 - (2 * (g - k) + 1) * w1 == -2 * k * (2 * (g - k) - 1) != 0
+
+
+def test_n3_never_vanishes_through_genus_1000():
+    """n = 3: the pair solver finds no zero at any (g, k) with g <= 1000,
+    over every pair (p, g-k-p) with 1 <= p <= (g-k)//2."""
+    zeros, cells = [], 0
+    for g in range(3, 1001):
+        for k in range(1, g - 1):
+            rest = g - k
+            cells += rest // 2
+            zeros += [(g, k, p) for p in _pair_zeros(*_d_weights(g, 3, k), 1, rest)]
+    assert zeros == []
+    assert cells == 83_208_250
