@@ -2,7 +2,8 @@
 """Run the brute-force pipeline against the closed-form contributions.
 
 The default instances finish in well under a second; --allow-large adds
-the genus-2 comparison, which takes a few seconds on one core.
+the genus-2 comparison (2,1,()) and the genus-3 comparison (3,2,(7,)),
+which take a few seconds each on one core.
 """
 import argparse
 import sys
@@ -18,7 +19,7 @@ def run():
 
     instances = [(1, 1, ()), (1, 2, (0,)), (1, 2, (1,)), (1, 2, (2,))]
     if args.allow_large:
-        instances.append((2, 1, ()))
+        instances += [(2, 1, ()), (3, 2, (7,))]
     failed = False
     for g, n, b in instances:
         t0 = time.time()

@@ -157,6 +157,8 @@ def cmd_principal(args, started):
 def cmd_pixton(args, started):
     if (args.a is None) == (args.b_exponents is None):
         raise UsageError("give exactly one of --a and --b-exponents")
+    if args.r is not None and args.a is None:
+        raise UsageError("--r needs --a (a fixed-r class is taken at one leg vector)")
     params = {"g": args.g, "n": args.n, "degree": args.degree}
     extra = {}
     if args.a is not None:

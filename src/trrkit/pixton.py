@@ -25,16 +25,20 @@ A monomial coefficient samples each graph at a grid of its vertex leg sums
 per group by an integer functional that reads off the target monomial, and
 checks one held-out point of that grid; worker processes each take a chunk
 of the plan graphs and return integer numerators, which the parent merges.
-A weighting sum over a graph depends on the leg values only through the
-per-edge affine residue forms, whose leg coefficients are built once per
-graph.  Memoization across calls is ``functools.cache`` on private helpers,
-unbounded for the life of the process (``cache_info()`` gives hits and
-sizes): the residue forms per graph, the weighting sums on their unreduced
-constants, the moduli and the profiles, the tau tables per modulus, and the
-plan per (g, n, dmax, survivors); templates and automorphism counts are
-built once per plan graph, inside the cached plan.  The plan asks the enumeration for only the graphs with room
-for one unit of psi at every survivor leg, so the rest are never
-canonicalized.
+A weighting sum is reduced over the graph itself: loops are summed out, a
+vertex whose edges all go to one neighbour fixes their residue sum, a
+degree-2 vertex joins its two edges and parallel edges merge by
+convolution, at O(r) per step (O(r^2) for a merge, read from a cached
+table for two pure tau powers); only a K4 minor, six edges or more, needs
+a sum over one edge's residue.  Memoization across
+calls is ``functools.cache`` on private helpers, unbounded for the life of
+the process (``cache_info()`` gives hits and sizes): the reduction steps
+per edge list, the weighting sums per (edge list, vertex leg sums, moduli,
+profiles), the tau tables per modulus, and the plan per (g, n, dmax,
+survivors); templates and automorphism counts are built once per plan
+graph, inside the cached plan.  The plan asks the enumeration for
+only the graphs with room for one unit of psi at every survivor leg, so
+the rest are never canonicalized.
 """
 from __future__ import annotations
 
@@ -92,83 +96,6 @@ def check_avector(a) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 @functools.cache
-def _flow_forms(graph: StableGraph):
-    """Solve the weighting conditions by spanning-tree propagation.
-
-    Returns (leg_rows, free_rows, nfree) so that the side-0 residue of edge
-    k is (sum_m leg_rows[k][m]*a_m + sum_j free_rows[k][j]*f_j) mod r, with
-    one free variable per non-tree edge (nfree of them); the leg values
-    enter through the leg sums at the vertices.  Loops never enter vertex
-    conditions.
-    """
-    V = graph.num_vertices
-    E = graph.num_edges
-    # BFS spanning tree
-    tree_edge_of: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    order = [0]
-    seen = {0}
-    tree_edges = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for k, (x, y) in enumerate(graph.edges):
-                if k in tree_edges or x == y:
-                    continue
-                if x == v and y not in seen:
-                    other = y
-                elif y == v and x not in seen:
-                    other = x
-                else:
-                    continue
-                tree_edges.add(k)
-                tree_edge_of[other] = k
-                parent[other] = v
-                seen.add(other)
-                order.append(other)
-                nxt.append(other)
-        frontier = nxt
-    free_edges = [k for k in range(E) if k not in tree_edges]
-    findex = {k: j for j, k in enumerate(free_edges)}
-    nfree = len(free_edges)
-
-    forms: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * E
-    for k in free_edges:
-        fc = [0] * nfree
-        fc[findex[k]] = 1
-        forms[k] = ((0,) * V, tuple(fc))
-    # back-substitute from the leaves toward the root
-    for v in reversed(order[1:]):
-        k_unknown = tree_edge_of[v]
-        sc = [0] * V
-        fc = [0] * nfree
-        sc[v] += 1  # leg residues at v
-        for k, (x, y) in enumerate(graph.edges):
-            if k == k_unknown or x == y:
-                continue
-            if x == v or y == v:
-                s = 1 if x == v else -1
-                esc, efc = forms[k]
-                for i in range(V):
-                    sc[i] += s * esc[i]
-                for j in range(nfree):
-                    fc[j] += s * efc[j]
-        # condition: sum + sign*t_unknown = 0  =>  t = -sign*sum
-        x, y = graph.edges[k_unknown]
-        sign = 1 if x == v else -1
-        forms[k_unknown] = (
-            tuple(-sign * c for c in sc),
-            tuple(-sign * c for c in fc),
-        )
-    return (
-        tuple(tuple(sc[v] for v in graph.legs) for sc, _ in forms),
-        tuple(fc for _, fc in forms),
-        nfree,
-    )
-
-
-@functools.cache
 def _tau(r: int) -> list[int]:
     return [x * (r - x) for x in range(r)]
 
@@ -179,183 +106,184 @@ def _tau_power_sum(r: int, alpha: int) -> int:
     return sum(q**alpha for q in _tau(r))
 
 
+@functools.cache
 def _tau_convolution(r: int, alpha: int, beta: int) -> list[int]:
-    """CONV[u] = sum_{x+y = u mod r} tau(x)^alpha tau(y)^beta.
+    """CONV[u] = sum_{x+y = u mod r} tau(x)^alpha tau(y)^beta, for
+    alpha <= beta (the table is symmetric in them)."""
+    return _convolve(r, _values(r, alpha), _values(r, beta))
 
-    tau(-x) = tau(x), so every sign pattern of the residue substitutions
-    reduces to this one table, which is symmetric in alpha and beta.
-    """
-    return _ordered_convolution(r, min(alpha, beta), max(alpha, beta))
+
+# An edge function is a function on Z_r of the residue on one half-edge: an
+# int alpha stands for tau(x)^alpha, read from ``_tau`` and the same on both
+# halves, since tau(-x) = tau(x); only the edges that the reduction composes
+# become lists of their r values.
+
+def _values(r: int, f) -> list[int]:
+    return f if type(f) is list else [q**f for q in _tau(r)]
+
+
+def _at(r: int, f, x: int) -> int:
+    return f[x] if type(f) is list else _tau(r)[x] ** f
+
+
+def _side(f, flip: bool):
+    """f, or with ``flip`` x -> f(-x): its function on the other half."""
+    return f[:1] + f[:0:-1] if flip and type(f) is list else f
+
+
+def _convolve(r: int, f, g, u=None):
+    """The function x -> sum_{y+z = x} f(y) g(z) of two parallel edges, or
+    its value at u; two pure powers read the cached table."""
+    if type(f) is int and type(g) is int:
+        table = _tau_convolution(r, min(f, g), max(f, g))
+        return table if u is None else table[u]
+    pf, pg = _values(r, f), _values(r, g)
+    if u is not None:
+        return _dot(pf, pg[u::-1] + pg[:u:-1])
+    return [_dot(pf, pg[x::-1] + pg[:x:-1]) for x in range(r)]
 
 
 @functools.cache
-def _ordered_convolution(r: int, alpha: int, beta: int) -> list[int]:
-    tau = _tau(r)
-    pa = [q**alpha for q in tau]
-    pb = [q**beta for q in tau]
-    table = [0] * r
-    for x in range(r):
-        if pa[x] == 0:
-            continue
-        qx = pa[x]
-        for u in range(r):
-            table[u] += qx * pb[u - x]
-    return table
+def _reduction(edges: tuple[tuple[int, int], ...]) -> tuple:
+    """The steps that sum the weightings of a graph with these edges, by
+    series-parallel reduction of the graph itself.
 
+    Slot k starts as edge k.  A slot (u, v) holds the function of the
+    residue x on its half at u, v's half carrying -x, and vertex v's
+    condition is A_v + (the residues on its halves) = 0 mod r, A_v being its
+    leg sum.  Loops enter no condition and are summed out (``sum``).  Then,
+    while edges are left, the first rule that applies gives the next step:
 
-def _component_sum(r, comp_vars, comp_edges, c0s, exps):
-    """Sum over the residues of one coupled block of free variables of the
-    product of tau powers of its edges.
+    - ``fix``: the one or two edges at v all go to u, so their residues at v
+      sum to -A_v, which picks one value of the edge or of the convolution
+      of the two, and u takes over A_v;
+    - ``series``: v has two edges, to u and to w, which become one edge
+      (u, w) with function y -> f1(y) f2(y - A_v), f1 taken on u's half and
+      f2 on v's, and w takes over A_v;
+    - ``merge``: two parallel edges become one by convolution, pure powers
+      first, so that those read the cached tables;
+    - ``split``: no rule applies, which needs a K4 minor and so six edges or
+      more; the sum runs over one edge's residue, moved into the constants
+      at its ends, and the rest reduces on.
 
-    comp_edges lists (edge index, coeff row restricted to comp_vars); the
-    free edges themselves have zero constant, so one-variable blocks always
-    reduce to the global tables unless two or more shifted edges remain.
+    A step names its slots with a flag for the function on the other half;
+    composed edges take the next free slot.  Every vertex constant left when
+    the edges are gone must vanish.
     """
-    tau = _tau(r)
-    pure_alpha = 0
-    shifted = []  # (const, exponent, coeff row)
-    for k, row in comp_edges:
-        c0 = c0s[k]
-        e = exps[k]
-        if c0 == 0 and sum(1 for c in row if c) == 1:
-            pure_alpha += e
+    steps = tuple(("sum", k) for k, (u, v) in enumerate(edges) if u == v)
+    live = {k: (u, v) for k, (u, v) in enumerate(edges) if u != v}
+    return steps + _reduction_steps(live, len(edges), len(edges))
+
+
+def _reduction_steps(live: dict, slots: int, pure: int) -> tuple:
+    """The steps of :func:`_reduction` for the non-loop slots ``live``
+    (slot -> (u, v), changed in place); new slots are numbered from
+    ``slots``, and the slots below ``pure`` are still pure powers."""
+    steps = []
+    while live:
+        at: dict[int, list[int]] = {}
+        for k, (u, v) in live.items():
+            at.setdefault(u, []).append(k)
+            at.setdefault(v, []).append(k)
+        # the other end of each edge at v
+        ends = {v: [sum(live[k]) - v for k in ks] for v, ks in at.items()}
+        leaf = next((v for v in at if len(at[v]) <= 2 and len(set(ends[v])) == 1), None)
+        middle = next((v for v in at if len(at[v]) == 2), None)
+        if leaf is not None:
+            ks = tuple((k, live.pop(k)[0] != leaf) for k in at[leaf])
+            steps.append(("fix", leaf, ends[leaf][0], ks))
+        elif middle is not None:
+            (k, l), (u, w) = at[middle], ends[middle]
+            ks = (k, live.pop(k)[0] != u), (l, live.pop(l)[0] != middle)
+            steps.append(("series", middle, w) + ks)
+            live[slots] = (u, w)
+            slots += 1
         else:
-            shifted.append((c0, e, row))
-    nvars = len(comp_vars)
-    if nvars == 1:
-        if not shifted:
-            return _tau_power_sum(r, pure_alpha)
-        if len(shifted) == 1:
-            c0, e, _ = shifted[0]
-            return _tau_convolution(r, pure_alpha, e)[c0]
-        total = 0
-        for f in range(r):
-            prod = tau[f] ** pure_alpha if pure_alpha else 1
-            for c0, e, row in shifted:
-                q = tau[(c0 + row[0] * f) % r]
-                if q == 0:
-                    prod = 0
-                    break
-                prod *= q**e
-            total += prod
-        return total
-    if nvars == 2:
-        a_only, b_only, both = [], [], []
-        for c0, e, row in shifted:
-            nz = [i for i, c in enumerate(row) if c]
-            (both if len(nz) == 2 else (a_only if nz == [0] else b_only)).append(
-                (c0, e, row)
-            )
-        # split the pure weight: pure edges touch exactly one variable
-        alpha = [0, 0]
-        for k, row in comp_edges:
-            if c0s[k] == 0 and sum(1 for c in row if c) == 1:
-                var = next(i for i, c in enumerate(row) if c)
-                alpha[var] += exps[k]
-        if len(both) == 1 and not a_only and not b_only:
-            c0, e, _ = both[0]
-            conv = _tau_convolution(r, alpha[0], alpha[1])
-            total = 0
-            for u in range(r):
-                q = tau[(c0 + u) % r]
-                if q:
-                    total += conv[u] * q**e
-            return total
-    # generic fallback: brute force over the block
-    total = 0
-    for fvec in itertools.product(range(r), repeat=nvars):
-        prod = 1
-        for k, row in comp_edges:
-            t = (c0s[k] + sum(c * f for c, f in zip(row, fvec))) % r
-            q = tau[t]
-            if q == 0:
-                prod = 0
+            bundles: dict[tuple[int, int], list[int]] = {}
+            for k, (u, v) in live.items():
+                bundles.setdefault((min(u, v), max(u, v)), []).append(k)
+            parallel = next((ks for ks in bundles.values() if len(ks) > 1), None)
+            if parallel is None:
+                k = next(iter(live))
+                u, w = live.pop(k)
+                steps.append(("split", k, u, w, _reduction_steps(live, slots, pure)))
                 break
-            prod *= q ** exps[k]
-        total += prod
-    return total
+            k, l = sorted(parallel, key=lambda k: k >= pure)[:2]
+            u, w = live.pop(k)
+            steps.append(("merge", (k, False), (l, live.pop(l)[0] != u)))
+            live[slots] = (u, w)
+            slots += 1
+    return tuple(steps)
+
+
+def _reduce(r: int, steps, A: list[int], fs: list) -> int:
+    """The weighting sum by the :func:`_reduction` ``steps`` at modulus r,
+    from the vertex constants ``A`` (mod r) and the slot functions ``fs``,
+    both changed in place."""
+    total = 1
+    for step in steps:
+        kind = step[0]
+        if kind == "sum":
+            f = fs[step[1]]
+            total *= _tau_power_sum(r, f) if type(f) is int else sum(f)
+        elif kind == "fix":
+            _, v, u, ks = step
+            f = [_side(fs[k], flip) for k, flip in ks]
+            x = -A[v] % r
+            total *= _at(r, f[0], x) if len(f) == 1 else _convolve(r, *f, x)
+            A[u] = (A[u] + A[v]) % r
+            A[v] = 0
+        elif kind == "series":
+            _, v, w, (k, flip_k), (l, flip_l) = step
+            s = A[v]
+            g = _values(r, _side(fs[l], flip_l))
+            # g[-s:] + g[:-s] is y -> g(y - s)
+            fs.append(list(map(mul, _values(r, _side(fs[k], flip_k)), g[-s:] + g[:-s])))
+            A[w] = (A[w] + s) % r
+            A[v] = 0
+        elif kind == "merge":
+            _, (k, flip_k), (l, flip_l) = step
+            fs.append(_convolve(r, _side(fs[k], flip_k), _side(fs[l], flip_l)))
+        else:
+            _, k, u, w, rest = step
+            split = 0
+            for x, fx in enumerate(_values(r, fs[k])):
+                if fx:
+                    B = A.copy()
+                    B[u] = (B[u] + x) % r
+                    B[w] = (B[w] - x) % r
+                    split += fx * _reduce(r, rest, B, fs.copy())
+            return total * split
+        if not total:
+            return 0
+    return 0 if any(A) else total
 
 
 def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int, ...], tuple[int, ...]]:
     """For each edge-exponent profile (m_e), the integer sums over weightings
     of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``.
 
-    The sums depend on the leg values only through the per-edge affine
-    residue forms, whose constants are integer combinations of the leg
-    values; the cache key holds those unreduced constants with the
-    free-variable rows, the moduli and the profiles, so it is built once per
-    call, and the reduction mod r happens per modulus inside.  The edge order
-    ties the profile entries to the forms.
+    The sums see the leg values only through the leg sum A_v at each vertex,
+    and are computed by the series-parallel reduction of the graph
+    (:func:`_reduction`), at each modulus and profile; they are cached on the
+    edge list, the vertex leg sums, the moduli and the profiles.  The edge
+    order ties the profile entries to the edges.
     """
-    leg_rows, free_rows, nfree = _flow_forms(graph)
-    values = tuple([_dot(row, a) for row in leg_rows])
-    return _power_sums(values, free_rows, nfree, tuple(rs), tuple(sorted(profiles)))
+    A = [0] * graph.num_vertices
+    for v, value in zip(graph.legs, a):
+        A[v] += value
+    return _power_sums(graph.edges, tuple(A), tuple(rs), tuple(sorted(profiles)))
 
 
 @functools.cache
-def _power_sums(values, free_rows, nfree: int, rs, profiles):
-    """:func:`weighting_power_sums` from the unreduced edge constants
-    ``values`` and the free-variable rows of the edge residue forms."""
-    consts = tuple(zip(values, free_rows))
-
-    # group free variables into coupled blocks; the grouping is the same for
-    # every modulus
-    parent = list(range(nfree))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for _, row in consts:
-        touched = [i for i, c in enumerate(row) if c]
-        for i in touched[1:]:
-            parent[find(touched[0])] = find(i)
-    members_of: dict[int, list[int]] = {}
-    for i in range(nfree):
-        members_of.setdefault(find(i), []).append(i)
-    block_edges: dict[int, list] = {root: [] for root in members_of}
-    const_edges = []
-    for k, (_, row) in enumerate(consts):
-        touched = [i for i, c in enumerate(row) if c]
-        if touched:
-            root = find(touched[0])
-            block_edges[root].append((k, tuple(row[i] for i in members_of[root])))
-        else:
-            const_edges.append(k)
-    blocks = [(members_of[root], block_edges[root]) for root in members_of]
-
+def _power_sums(edges, A, rs, profiles):
+    """:func:`weighting_power_sums` from the edges and vertex leg sums."""
+    steps = _reduction(edges)
     per_r = [
-        _power_sums_mod(r, [c % r for c, _ in consts], const_edges, blocks, profiles)
+        [_reduce(r, steps, [x % r for x in A], [m + 1 for m in p]) for p in profiles]
         for r in rs
     ]
     return {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
-
-
-def _power_sums_mod(r: int, c0s, const_edges, blocks, profiles) -> list[int]:
-    """The power sum of each profile at one modulus r; ``c0s`` are the edge
-    constants reduced mod r, ``blocks`` the coupled blocks of free variables
-    with their edges, evaluated through shared convolution tables of
-    tau(x) = x(r-x)."""
-    tau = _tau(r)
-    out = []
-    for p in profiles:
-        exps = [m + 1 for m in p]
-        total = 1
-        for k in const_edges:
-            q = tau[c0s[k]]
-            if q == 0:
-                total = 0
-                break
-            total *= q ** exps[k]
-        if total:
-            for members, comp_edges in blocks:
-                total *= _component_sum(r, members, comp_edges, c0s, exps)
-                if total == 0:
-                    break
-        out.append(total)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Everything runs unconditionally; the genus-2 brute-force instances (marked
-slow) take seconds each, with a pool of TRR_JOBS workers (default 2).
+Everything runs unconditionally; the genus-2 and genus-3 brute-force
+instances (marked slow) take seconds each, with a pool of TRR_JOBS workers
+(default 2).
 """
 import hashlib
 import itertools
@@ -19,7 +20,7 @@ from trrkit.numerics import (
     interpolate,
 )
 from trrkit import trr
-from trrkit.pixton import monomial_coefficient
+from trrkit.pixton import fixed_r_class, monomial_coefficient
 from trrkit.stablegraphs import canonical_data, canonical_form, enumerate_stable_graphs
 from trrkit.strata import StrataElement, multiply
 from trrkit.trr import (
@@ -165,6 +166,16 @@ def test_omega_digests_are_pinned(brute_force_reports):
         assert element_digest(brute_force_reports[key]["omega"]) == want, key
 
 
+def test_fixed_r_class_through_k4_is_pinned():
+    # M-bar_{3,0} in every degree: the K4 graph is the one plan graph whose
+    # weighting sums need the reduction's split step; the digest comes from
+    # an independent evaluation, a spanning-tree solve of the vertex
+    # conditions with a brute-force sum over the free residues
+    el = fixed_r_class(3, 0, (), 5, 6)
+    assert len(el.terms) == 104
+    assert element_digest(el) == "7c5776c81471d93e"
+
+
 def test_criterion_5_brute_force_oracle_equivalence(brute_force_reports):
     for key, rep in brute_force_reports.items():
         assert rep["gamma0_match"], key
@@ -185,6 +196,13 @@ def test_criterion_5_large_instance():
     rep = verify_lemmas(2, 1, (), allow_large=True, jobs=LARGE_JOBS)
     assert rep["all_match"] and rep["kappa_free"] and rep["boundary_kappa_free"]
     report(5, "(2,1,1) pipeline matches closed forms")
+
+
+@pytest.mark.slow
+def test_criterion_5_genus_3_instance():
+    rep = verify_lemmas(3, 2, (7,), allow_large=True, jobs=LARGE_JOBS)
+    assert rep["all_match"] and rep["kappa_free"] and rep["boundary_kappa_free"]
+    report(5, "(3,2,(7,)) pipeline matches closed forms")
 
 
 def test_criterion_6_structural_trr_properties(brute_force_reports):

@@ -156,6 +156,17 @@ def test_pixton_usage(capsys):
     assert code == 1
 
 
+def test_pixton_modulus_needs_leg_values(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    code, _, err = run(
+        capsys, "pixton", "--g", "1", "--n", "2", "--b-exponents", "0",
+        "--degree", "1", "--r", "7", "--out", str(out),
+    )
+    assert code == 1
+    assert "--r" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_usage_never_writes_partial_output(tmp_path, capsys):
     out = tmp_path / "never.json"
     code, _, _ = run(capsys, "d", "--g", "3", "--k", "1", "--l", "7")

@@ -71,28 +71,52 @@ def test_weightings_satisfy_conditions_and_count():
 def test_power_sums_match_enumeration():
     # asymmetric profiles included: the cached sums are tied to the edge
     # order, so a unit exponent is placed on each edge in turn; both moduli
-    # come from one call, one entry of each tuple per modulus
+    # come from one call, one entry of each tuple per modulus; the genus-3
+    # graphs include h1 = 3
     rs = (5, 7)
-    for g, n, a in [(1, 2, (3, -3)), (2, 0, ()), (2, 2, (5, -5))]:
-        for graph in enumerate_stable_graphs(g, n, max_edges=3):
-            E = graph.num_edges
-            if E == 0:
-                continue
-            profiles = [tuple([0] * E)]
-            for k in range(E):
-                profiles.append(tuple(1 if j == k else 0 for j in range(E)))
-            sums = weighting_power_sums(graph, a, rs, profiles)
-            assert set(sums) == set(profiles)
-            for profile in set(profiles):
-                assert len(sums[profile]) == len(rs)
-                for r, got in zip(rs, sums[profile]):
-                    direct = 0
-                    for w in enumerate_weightings(graph, a, r):
-                        prod = 1
-                        for k, m in enumerate(profile):
-                            prod *= (w[("edge", k, 0)] * w[("edge", k, 1)]) ** (m + 1)
-                        direct += prod
-                    assert got == direct, (graph, profile, r)
+    cases = [(1, 2, (3, -3), 3), (2, 0, (), 3), (2, 2, (5, -5), 3), (3, 0, (), 4)]
+    for g, n, a, max_edges in cases:
+        for graph in enumerate_stable_graphs(g, n, max_edges=max_edges):
+            if graph.num_edges:
+                _check_power_sums(graph, a, rs)
+
+
+def _unit_profiles(E):
+    """The zero profile and a unit exponent on each edge in turn."""
+    return [(0,) * E] + [tuple(int(j == k) for j in range(E)) for k in range(E)]
+
+
+def _check_power_sums(graph, a, rs):
+    """weighting_power_sums against the sum over every weighting found by
+    trying all edge residues, for the unit profiles."""
+    profiles = _unit_profiles(graph.num_edges)
+    sums = weighting_power_sums(graph, a, rs, profiles)
+    assert set(sums) == set(profiles)
+    assert all(len(sums[profile]) == len(rs) for profile in profiles)
+    for j, r in enumerate(rs):
+        weightings = list(enumerate_weightings(graph, a, r))
+        for profile in profiles:
+            direct = 0
+            for w in weightings:
+                prod = 1
+                for k, m in enumerate(profile):
+                    prod *= (w[("edge", k, 0)] * w[("edge", k, 1)]) ** (m + 1)
+                direct += prod
+            assert sums[profile][j] == direct, (graph, profile, r)
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def test_power_sums_on_k4_match_enumeration():
+    # K4 is the smallest graph that no series, parallel or leaf step
+    # reduces, so its sums run over one edge's residue first; the second
+    # graph puts leg values on it, so the split moves nonzero constants
+    _check_power_sums(make_graph([0, 0, 0, 0], K4_EDGES, []), (), (3, 4, 5))
+    _check_power_sums(make_graph([0, 0, 0, 0], K4_EDGES, [0, 1]), (2, -2), (3, 4, 5))
+    # K_{3,3} less one edge reduces to K4, so its sums split twice
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    _check_power_sums(make_graph([0] * 6, k33, [0, 3]), (1, -1), (3,))
 
 
 def test_fixed_r_unit_examples():
