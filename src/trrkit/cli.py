@@ -21,9 +21,9 @@ from .numerics import rational_str
 from .pixton import (
     ComputationGuardError,
     FitInstabilityError,
+    constant_term_class,
     fixed_r_class,
     monomial_coefficient,
-    pixton_class,
 )
 from .stablegraphs import InvalidGraphError
 from .trr import (
@@ -31,7 +31,6 @@ from .trr import (
     SCAN_CONVENTIONS,
     d_value,
     g7_patch,
-    n1_trr,
     principal_part,
     scan_zeros,
     verify_lemmas,
@@ -141,13 +140,7 @@ def cmd_d(args, started):
 def cmd_principal(args, started):
     l_input = _parse_int_list(args.l) if args.l else ()
     l = tuple(sorted(l_input))
-    if not l:
-        if args.k != args.g:
-            raise UsageError("with no l the relation is for psi_1^g; need k = g")
-        record = n1_trr(args.g)
-    else:
-        record = principal_part(args.g, args.k, l)
-    result = record.to_json()
+    result = principal_part(args.g, args.k, l).to_json()
     result["provenance"]["l_input"] = list(l_input)
     result["provenance"]["l_sorted"] = list(l)
     params = {"g": args.g, "k": args.k, "l": list(l_input)}
@@ -170,7 +163,7 @@ def cmd_pixton(args, started):
             params["r"] = args.r
             element = fixed_r_class(args.g, args.n, a, args.r, args.degree)
         else:
-            element = pixton_class(args.g, args.n, a, args.degree)
+            element = constant_term_class(args.g, args.n, a, args.degree)[0]
     else:
         b = _parse_int_list(args.b_exponents)
         params["b_exponents"] = list(b)

@@ -1,21 +1,17 @@
 """Exact arithmetic kernel.
 
-Rationals, the combinatorial counting functions used by the closed-form
-contribution evaluators, sparse multivariate polynomials with optional
-total-degree truncation, exact Lagrange interpolation, and the integer
-Lagrange and finite-difference weights that read coefficients off sampled
-values.  Everything is exact; no floating point is used anywhere in the
-package.
+The combinatorial counting functions used by the closed-form contribution
+evaluators, sparse multivariate polynomials over the rationals, exact
+Lagrange interpolation, and the integer Lagrange and finite-difference
+weights that read coefficients off sampled values.  Every coefficient is a
+``fractions.Fraction`` or an integer; no floating point is used anywhere in
+the package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial as _math_factorial, lcm
 from typing import Sequence
-
-# All coefficients in the package are Fractions (arbitrary-precision,
-# auto-normalized with positive denominator).
-Rational = Fraction
 
 
 def rational_str(x: Fraction) -> str:
@@ -71,18 +67,13 @@ def falling_factorial(a: int, b: int) -> int:
 
 
 class SparsePoly:
-    """Sparse multivariate polynomial over the rationals.
+    """Sparse multivariate polynomial over the rationals, its terms keyed by
+    exponent tuples; zero coefficients are dropped."""
 
-    Terms are keyed by exponent tuples.  If ``degree_cap`` is set, terms of
-    total degree above the cap are silently dropped on every operation; this
-    is the truncated-series arithmetic the graph-sum expansions rely on.
-    """
+    __slots__ = ("variables", "terms")
 
-    __slots__ = ("variables", "terms", "degree_cap")
-
-    def __init__(self, variables, terms=None, degree_cap=None):
+    def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        self.degree_cap = degree_cap
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -91,29 +82,20 @@ class SparsePoly:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if degree_cap is not None and sum(exps) > degree_cap:
-                continue
             clean[exps] = coeff
         self.terms = clean
 
     @classmethod
-    def constant(cls, variables, value, degree_cap=None):
+    def constant(cls, variables, value):
         zero = (0,) * len(tuple(variables))
-        return cls(variables, {zero: Fraction(value)}, degree_cap)
+        return cls(variables, {zero: Fraction(value)})
 
     @classmethod
-    def variable(cls, variables, name, degree_cap=None):
+    def variable(cls, variables, name):
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): Fraction(1)}, degree_cap)
-
-    def _cap_with(self, other):
-        if self.degree_cap is None:
-            return other.degree_cap
-        if other.degree_cap is None:
-            return self.degree_cap
-        return min(self.degree_cap, other.degree_cap)
+        return cls(variables, {tuple(exps): Fraction(1)})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
@@ -123,34 +105,27 @@ class SparsePoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return SparsePoly(self.variables, terms, self._cap_with(other))
+        return SparsePoly(self.variables, terms)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else -Fraction(other))
 
     def __neg__(self):
-        return SparsePoly(
-            self.variables, {e: -c for e, c in self.terms.items()}, self.degree_cap
-        )
+        return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             return SparsePoly(
-                self.variables,
-                {e: c * Fraction(other) for e, c in self.terms.items()},
-                self.degree_cap,
+                self.variables, {e: c * Fraction(other) for e, c in self.terms.items()}
             )
         if self.variables != other.variables:
             raise ValueError("variable mismatch")
-        cap = self._cap_with(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if cap is not None and sum(e) > cap:
-                    continue
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return SparsePoly(self.variables, terms, cap)
+        return SparsePoly(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -167,9 +142,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __call__(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != len(self.variables):

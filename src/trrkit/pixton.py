@@ -31,14 +31,16 @@ degree-2 vertex joins its two edges and parallel edges merge by
 convolution, at O(r) per step (O(r^2) for a merge, read from a cached
 table for two pure tau powers); only a K4 minor, six edges or more, needs
 a sum over one edge's residue.  Memoization across
-calls is ``functools.cache`` on private helpers, unbounded for the life of
-the process (``cache_info()`` gives hits and sizes): the reduction steps
-per edge list, the weighting sums per (edge list, vertex leg sums, moduli,
-profiles), the tau tables per modulus, and the plan per (g, n, dmax,
-survivors); templates and automorphism counts are built once per plan
-graph, inside the cached plan.  The plan asks the enumeration for
-only the graphs with room for one unit of psi at every survivor leg, so
-the rest are never canonicalized.
+calls is ``functools`` caches on private helpers (``cache_info()`` gives
+hits and sizes), unbounded for the life of the process: the reduction
+steps per edge list, the tau tables per modulus, and the plan per (g, n,
+dmax, survivors).  The weighting sums per (edge list, vertex leg sums,
+moduli, profiles) take one entry per graph and grid point, so only the
+16,384 most recently used are kept: a genus-2 grid point uses under a
+thousand, a genus-3 lemma over 150,000.  Templates and automorphism counts
+are built once per plan graph, inside the cached plan.  The plan asks the
+enumeration for only the graphs with room for one unit of psi at every
+survivor leg, so the rest are never canonicalized.
 """
 from __future__ import annotations
 
@@ -64,6 +66,11 @@ class FitInstabilityError(RuntimeError):
 
 class ComputationGuardError(RuntimeError):
     """Raised when a computation exceeds the default scale guard."""
+
+
+# the price above which monomial_coefficient refuses to run unless allowed:
+# A-point evaluations x modulus x r nodes
+COST_BUDGET = 1_000_000
 
 
 def _worker_pool(processes: int):
@@ -275,7 +282,7 @@ def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int,
     return _power_sums(graph.edges, tuple(A), tuple(rs), tuple(sorted(profiles)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16_384)
 def _power_sums(edges, A, rs, profiles):
     """:func:`weighting_power_sums` from the edges and vertex leg sums."""
     steps = _reduction(edges)
@@ -582,12 +589,6 @@ def constant_term_class(
     }
 
 
-def pixton_class(g: int, n: int, a, dmax: int, **kwargs) -> StrataElement:
-    """Constant term of the graph sum (the class itself, degrees <= dmax)."""
-    element, _ = constant_term_class(g, n, a, dmax, **kwargs)
-    return element
-
-
 def _leg_partition(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
     """The legs 2..n grouped by vertex, for every vertex other than leg 1's
     that carries some: the vertices whose leg sums A_i are the variables of
@@ -715,7 +716,6 @@ def monomial_coefficient(
     d: int,
     allow_large: bool = False,
     survivors=frozenset(),
-    cost_budget: int = 1_000_000,
     jobs: int = 1,
 ):
     """Coefficient of prod_j a_j^(b_j) in the degree-d part of the class,
@@ -736,7 +736,7 @@ def monomial_coefficient(
 
     The default guard prices the A-point evaluations times the modulus
     (from the largest leg value the points reach) times the 2*d + 3 r nodes,
-    before any sampling, and refuses jobs above ``cost_budget`` unless
+    before any sampling, and refuses jobs above ``COST_BUDGET`` unless
     ``allow_large`` is set.
     """
     exponents = tuple(int(b) for b in exponents)
@@ -763,7 +763,7 @@ def monomial_coefficient(
     evaluations = sum((degree + 1) ** k + (k > 0) for k in sizes)
     r0 = 2 * max(max(sizes, default=0) * (degree + 1), 1) * max(d, 1) + 3
     cost = evaluations * r0 * (2 * d + 3)
-    if cost > cost_budget and not allow_large:
+    if cost > COST_BUDGET and not allow_large:
         raise ComputationGuardError(
             f"estimated cost {cost} (evaluations x modulus x nodes) exceeds "
             "the default budget; pass allow_large to proceed"

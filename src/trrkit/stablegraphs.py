@@ -54,9 +54,6 @@ class StableGraph:
     def valences(self) -> tuple[int, ...]:
         return _valences(self)
 
-    def legs_at(self, v: int) -> list[int]:
-        return [m for m, vv in enumerate(self.legs, start=1) if vv == v]
-
     def vertex_capacity(self, v: int) -> int:
         """Decoration degree bound 3g(v) - 3 + n(v) at vertex v."""
         return 3 * self.genera[v] - 3 + self.valences()[v]
@@ -65,9 +62,6 @@ class StableGraph:
         return tuple(
             3 * g - 3 + val for g, val in zip(self.genera, self.valences())
         )
-
-    def is_trivial(self) -> bool:
-        return len(self.genera) == 1 and not self.edges
 
     def sort_key(self):
         return (self.genera, self.edges, self.legs)
@@ -120,7 +114,10 @@ def validate(graph: StableGraph) -> list[str]:
         return problems
     if not _connected(V, graph.edges):
         problems.append("graph is not connected")
-    val = graph.valences()
+    # not graph.valences(), whose cache is meant for canonical graphs
+    val = _degrees(V, graph.edges)
+    for v in graph.legs:
+        val[v] += 1
     for v in range(V):
         if 2 * graph.genera[v] - 2 + val[v] <= 0:
             problems.append(
@@ -199,23 +196,14 @@ def canonical_data(genera, edges, legs):
     return _apply_perm(canonical_perm(genera, edges, legs), genera, edges, legs)
 
 
-def make_graph(genera, edges, legs, check: bool = True) -> StableGraph:
-    """Build the canonical :class:`StableGraph` for the given data."""
-    genera = tuple(genera)
-    edges = tuple(tuple(sorted(e)) for e in edges)
-    legs = tuple(legs)
-    g2, e2, l2 = canonical_data(genera, edges, legs)
-    graph = StableGraph(g2, e2, l2)
-    if check:
-        problems = validate(graph)
-        if problems:
-            raise InvalidGraphError("; ".join(problems))
-    return graph
-
-
-def canonical_form(graph: StableGraph) -> tuple:
-    """Relabel-invariant key identifying the isomorphism class."""
-    return canonical_data(graph.genera, graph.edges, graph.legs)
+def make_graph(genera, edges, legs) -> StableGraph:
+    """Build the canonical :class:`StableGraph` for the given data; data
+    that is not a stable graph raises :class:`InvalidGraphError`."""
+    graph = StableGraph(tuple(genera), tuple(tuple(sorted(e)) for e in edges), tuple(legs))
+    problems = validate(graph)
+    if problems:
+        raise InvalidGraphError("; ".join(problems))
+    return StableGraph(*canonical_data(graph.genera, graph.edges, graph.legs))
 
 
 def _automorphisms(genera, edges, legs) -> tuple[tuple[int, ...], ...]:
@@ -257,9 +245,6 @@ def automorphism_count(graph: StableGraph, check: bool = True) -> int:
     built by :func:`make_graph`); it is then neither validated nor rebuilt.
     """
     if check:
-        problems = validate(graph)
-        if problems:
-            raise InvalidGraphError("; ".join(problems))
         graph = make_graph(graph.genera, graph.edges, graph.legs)
     count = len(vertex_automorphisms(graph))
     mult: dict[tuple[int, int], int] = {}
@@ -318,47 +303,6 @@ def half_edge_automorphisms(graph: StableGraph):
     return result
 
 
-def contract_edge(graph: StableGraph, edge_index: int) -> StableGraph:
-    """Contract one edge: merge endpoints (genera add) or, for a loop,
-    remove it and raise the vertex genus by one."""
-    if not (0 <= edge_index < len(graph.edges)):
-        raise IndexError(f"no edge {edge_index}")
-    u, w = graph.edges[edge_index]
-    genera = list(graph.genera)
-    rest = [e for k, e in enumerate(graph.edges) if k != edge_index]
-    if u == w:
-        genera[u] += 1
-        edges = rest
-        legs = graph.legs
-    else:
-        # merge w into u, then drop w
-        genera[u] += genera[w]
-
-        def move(v):
-            if v == w:
-                v = u
-            return v - 1 if v > w else v
-
-        edges = [tuple(sorted((move(a), move(b)))) for a, b in rest]
-        legs = tuple(move(v) for v in graph.legs)
-        del genera[w]
-    out = make_graph(genera, edges, legs, check=False)
-    problems = validate(out)
-    if problems:
-        raise InvalidGraphError("contraction produced an invalid graph: " + "; ".join(problems))
-    return out
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _degrees(V: int, edges) -> list[int]:
     deg = [0] * V
     for u, w in edges:
@@ -372,21 +316,40 @@ def _stability_need(genera, deg) -> list[int]:
     return [max(0, 3 - 2 * gv - dv) for gv, dv in zip(genera, deg)]
 
 
-def _shapes(g: int, n: int, E: int, V: int) -> set[tuple]:
-    """Canonical leg-free shapes (genera, edges) of genus g with E edges and
-    V vertices whose stability need is at most n legs."""
-    pair_types = [(u, w) for u in range(V) for w in range(u, V)]
-    compositions = list(_compositions(g - (E - V + 1), V))
-    shapes = set()
-    for edges in itertools.combinations_with_replacement(pair_types, E):
-        deg = _degrees(V, edges)
-        # an isolated vertex already rules out connectedness
-        if (V > 1 and 0 in deg) or not _connected(V, edges):
-            continue
-        for genera in compositions:
-            if sum(_stability_need(genera, deg)) <= n:
-                shapes.add(canonical_data(genera, edges, ())[:2])
-    return shapes
+def _degenerations(shapes, n: int) -> set[tuple]:
+    """The canonical leg-free shapes (genera, edges) with one edge more than
+    the ``shapes``, of the same genus, whose stability need is at most n.
+
+    A shape degenerates by a loop at a vertex of positive genus, which
+    takes one from its genus, or by splitting a vertex v in two across a
+    new edge, its genus and its half-edges shared out between v and the new
+    vertex.  Contracting any edge of a shape inverts one of these moves and
+    never raises the need, and neither move lowers it, so every shape with
+    need at most n comes from one on the level below that has it too.
+    """
+    out = set()
+    for genera, edges in shapes:
+        V = len(genera)
+        candidates = []
+        for v, gv in enumerate(genera):
+            if gv:
+                candidates.append((genera[:v] + (gv - 1,) + genera[v + 1:], edges + ((v, v),)))
+            # each half-edge at v, as (edge, side), stays at v or moves to V
+            ends = [(k, side) for k, e in enumerate(edges) for side in (0, 1) if e[side] == v]
+            for targets in itertools.product((v, V), repeat=len(ends)):
+                split = [list(e) for e in edges] + [[v, V]]
+                for (k, side), x in zip(ends, targets):
+                    split[k][side] = x
+                split = tuple(map(tuple, split))
+                for kept in range(gv + 1):
+                    candidates.append(
+                        (genera[:v] + (kept,) + genera[v + 1:] + (gv - kept,), split)
+                    )
+        for new_genera, new_edges in candidates:
+            deg = _degrees(len(new_genera), new_edges)
+            if sum(_stability_need(new_genera, deg)) <= n:
+                out.add(canonical_data(new_genera, new_edges, ())[:2])
+    return out
 
 
 def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
@@ -441,9 +404,10 @@ def enumerate_stable_graphs(
     test is relabel-invariant, so it runs on each leg map before that graph
     is canonicalized.
 
-    Generation runs over leg-free shapes first: for each edge and vertex
-    count, every connected multigraph and genus composition that n legs can
-    stabilize is reduced to its canonical shape.  Two graphs on the same
+    Generation runs over leg-free shapes first: the canonical connected
+    multigraphs with vertex genera that n legs can stabilize, built level by
+    level in the edge count from the one-vertex shape
+    (:func:`_degenerations`).  Two graphs on the same
     canonical shape are isomorphic exactly when their leg maps differ by a
     vertex automorphism of the shape, and graphs on different shapes are
     not isomorphic.  So taking, per shape, the lexicographically least leg
@@ -463,22 +427,23 @@ def _enumerate(g: int, n: int, emax: int, reserved: frozenset) -> tuple[StableGr
     free = [m not in reserved for m in range(1, n + 1)]
 
     out: list[StableGraph] = []
+    shapes = {((g,), ())}
     for E in range(emax + 1):
-        # first Betti number h1 = E - V + 1 lies in 0..g
-        for V in range(max(1, E + 1 - g), E + 2):
-            for genera, edges in _shapes(g, n, E, V):
-                auts = _automorphisms(genera, edges, ())
-                deg = _degrees(V, edges)
-                need = _stability_need(genera, deg)
-                base = [3 * gv - 3 + dv for gv, dv in zip(genera, deg)]
-                for legs in _orbit_minimal_leg_maps(need, n, auts):
-                    if reserved:
-                        room = base[:]
-                        for v, counts in zip(legs, free):
-                            room[v] += counts
-                        if min(room) < 0:
-                            continue
-                    out.append(StableGraph(*canonical_data(genera, edges, legs)))
+        if E:
+            shapes = _degenerations(shapes, n)
+        for genera, edges in shapes:
+            auts = _automorphisms(genera, edges, ())
+            deg = _degrees(len(genera), edges)
+            need = _stability_need(genera, deg)
+            base = [3 * gv - 3 + dv for gv, dv in zip(genera, deg)]
+            for legs in _orbit_minimal_leg_maps(need, n, auts):
+                if reserved:
+                    room = base[:]
+                    for v, counts in zip(legs, free):
+                        room[v] += counts
+                    if min(room) < 0:
+                        continue
+                out.append(StableGraph(*canonical_data(genera, edges, legs)))
     out.sort(key=lambda gr: gr.sort_key())
     return tuple(out)
 

@@ -601,6 +601,10 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
     (:func:`_gamma0_numerators`, :func:`_gammai_numerators`): one pass over
     c instead of one per shift.  The result is divided by the target's
     numerator term by term.
+
+    One marked point is the case l = (), k = g: there is no shift, D = 1,
+    the principal part is psi_1^g alone and the normalization is
+    gamma = (2g+1)!! (4g)! / (2g-1)!.
     """
     l = tuple(int(x) for x in l)
     n = len(l) + 1
@@ -765,44 +769,6 @@ def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -
         v for key, v in report.items() if key.endswith("_match")
     )
     return report
-
-
-def n1_trr(g: int, check_brute_force: bool = False) -> TRRRecord:
-    """The relation for psi_1^g on one marked point; the normalization gamma
-    is recorded and the principal part is psi_1^g."""
-    if g < 1:
-        raise ValueError("need g >= 1")
-    gamma = Fraction(
-        double_factorial(2 * g + 1) * factorial(4 * g), factorial(2 * g - 1)
-    )
-    principal = SparsePoly(psi_variables(1), {(g,): Fraction(1)})
-    record = TRRRecord(
-        g=g,
-        n=1,
-        principal=principal,
-        provenance={"monomials": [[]], "weights": [Fraction(1)], "D": Fraction(1),
-                    "normalization": gamma},
-    )
-    if check_brute_force:
-        mono = MonomialSpec(g, 1, ())
-        el, _ = omega(mono, allow_large=(g > 2))
-        tail = el.graph_component(rational_tail_graph(g, 2, 1))
-        if not tail.is_zero():
-            raise AssertionError("rational tail with markings {1,2} did not vanish")
-        got = trivial_component_poly(el, 1)
-        want = gamma0_closed(g, 1, ())
-        if got != want:
-            raise AssertionError("trivial-graph component disagrees with closed form")
-        pushed = pushforward_forget(el, 2)
-        principal_el = pushed.graph_component(trivial_graph(g, 1))
-        boundary = pushed - principal_el
-        if not boundary.is_kappa_free_boundary():
-            raise AssertionError("boundary part is not kappa-free")
-        target = StrataElement.psi_monomial(g, 1, {1: g}).scale(gamma)
-        if principal_el != target:
-            raise AssertionError("principal part disagrees with gamma * psi_1^g")
-        record.boundary = boundary.scale(Fraction(1) / gamma)
-    return record
 
 
 def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 1) -> TRRRecord:

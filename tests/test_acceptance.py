@@ -21,7 +21,7 @@ from trrkit.numerics import (
 )
 from trrkit import trr
 from trrkit.pixton import fixed_r_class, monomial_coefficient
-from trrkit.stablegraphs import canonical_data, canonical_form, enumerate_stable_graphs
+from trrkit.stablegraphs import canonical_data, enumerate_stable_graphs
 from trrkit.strata import StrataElement, multiply
 from trrkit.trr import (
     c0_coeff,
@@ -29,7 +29,7 @@ from trrkit.trr import (
     d_value,
     g7_patch,
     gamma0_closed,
-    n1_trr,
+    principal_part,
     relation_weights,
     scan_zeros,
     verify_lemmas,
@@ -231,18 +231,37 @@ def test_criterion_7_psi_degree_bound():
     report(7, f"psi exponent at leg i bounded by b_i/2 on {checked} terms")
 
 
+def _one_point_gamma(g):
+    return Fraction(double_factorial(2 * g + 1) * factorial(4 * g), factorial(2 * g - 1))
+
+
+def assert_one_point_relation(g, **kwargs):
+    # the full relation for psi_1^g is the l = () case: principal part
+    # psi_1^g alone over gamma, a nonzero kappa-free boundary, and the
+    # rational tail carrying markings {1,2} vanishes before the pushforward
+    record = trr.assemble_full_trr(g, g, (), **kwargs)
+    assert dict(record.principal.terms) == {(g,): Fraction(1)}
+    assert record.provenance["normalization"] == _one_point_gamma(g)
+    assert record.boundary is not None and not record.boundary.is_zero()
+    assert record.boundary.is_kappa_free_boundary()
+    el, _ = trr.omega(trr.MonomialSpec(g, 1, ()), **kwargs)
+    assert el.graph_component(trr.rational_tail_graph(g, 2, 1)).is_zero()
+
+
 def test_criterion_8_one_marked_point():
     for g in range(1, 6):
-        rec = n1_trr(g)
-        gamma = rec.provenance["normalization"]
-        assert gamma == Fraction(
-            double_factorial(2 * g + 1) * factorial(4 * g), factorial(2 * g - 1)
-        )
+        rec = principal_part(g, g, ())
+        assert rec.provenance["normalization"] == _one_point_gamma(g)
         assert dict(rec.principal.terms) == {(g,): Fraction(1)}
-    rec = n1_trr(1, check_brute_force=True)  # includes the tail-vanishing check
-    assert rec.boundary is not None and not rec.boundary.is_zero()
-    assert rec.boundary.is_kappa_free_boundary()
+    assert_one_point_relation(1)
     report(8, "gamma = (2g+1)!!(4g)!/(2g-1)! for g=1..5; brute force confirms g=1")
+
+
+@pytest.mark.slow
+def test_criterion_8_one_marked_point_genus_2():
+    assert_one_point_relation(2, allow_large=True, jobs=LARGE_JOBS)
+    assert _one_point_gamma(2) == 100800
+    report(8, "assemble_full_trr(2,2,()) gives psi_1^2 over gamma = 100800")
 
 
 def test_criterion_9_g7_patch():
@@ -301,7 +320,7 @@ def test_criterion_10_algebra_and_property_suites():
         edges = [(perm[u], perm[w]) for u, w in gr.edges]
         rng.shuffle(edges)
         legs = [perm[v] for v in gr.legs]
-        assert canonical_data(genera, edges, legs) == canonical_form(gr)
+        assert canonical_data(genera, edges, legs) == (gr.genera, gr.edges, gr.legs)
 
     # interpolation stability under added nodes
     for _ in range(25):

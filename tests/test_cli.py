@@ -87,6 +87,10 @@ def test_principal_n1_path(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["result"]["provenance"]["normalization"] == "72"
     assert payload["result"]["principal"] == [{"exponents": [1], "coeff": "1"}]
+    # with no l the relation is for psi_1^g, so k must be g
+    code, out, err = run(capsys, "principal", "--g", "3", "--k", "2")
+    assert_one_line_usage_error(code, err)
+    assert out == ""
 
 
 def test_pixton_unit(tmp_path, capsys):
@@ -329,6 +333,9 @@ def test_scan_guard_refuses_a_huge_range_at_once(capsys):
         (["principal", "--g", "7", "--k", "2", "--l", "1,1,1,1,1"], "3344759698757fc4"),
         (["principal", "--g", "6", "--k", "1", "--l", "1,1,1,2"], "fcc2ce68f3895ecc"),
         (["g7"], "b728e812ebf56d90"),
+        (["principal", "--g", "1", "--k", "1"], "d4255ae9834c924c"),
+        (["principal", "--g", "26", "--k", "26"], "8fb0ae92f0d156cd"),
+        (["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2"], "3af5a16846e1310c"),
     ],
 )
 def test_closed_form_digests(capsys, argv, digest):

@@ -143,12 +143,3 @@ def test_lagrange_coefficient_rows_read_every_coefficient(coeffs, nodes):
 def test_lagrange_coefficient_rows_reject_duplicate_nodes():
     with pytest.raises(ValueError):
         lagrange_coefficient_rows([0, 1, 1])
-
-
-def test_sparse_poly_degree_cap():
-    p = SparsePoly(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1)}, degree_cap=1)
-    q = p * p
-    assert q.is_zero()  # all products have degree 2 > cap
-    r = SparsePoly(("x",), {(3,): Fraction(2), (1,): Fraction(1)})
-    assert r.total_degree() == 3
-    assert (r - r).is_zero()

@@ -16,7 +16,6 @@ from trrkit.pixton import (
     constant_term_class,
     fixed_r_class,
     monomial_coefficient,
-    pixton_class,
     weighting_power_sums,
 )
 from trrkit.stablegraphs import enumerate_stable_graphs, make_graph
@@ -339,13 +338,14 @@ def test_monomial_coefficient_against_plain_grid():
         assert el == acc.degree_component(d), exponents
 
 
-def test_monomial_coefficient_guard():
+def test_monomial_coefficient_guard(monkeypatch):
     with pytest.raises(ComputationGuardError):
         monomial_coefficient(2, 7, (1,) * 6, 3)
-    with pytest.raises(ComputationGuardError):
-        monomial_coefficient(1, 2, (2,), 1, cost_budget=10)
     with pytest.raises(ValueError):
         monomial_coefficient(1, 2, (2,), 1, jobs=0)
+    monkeypatch.setattr(pixton, "COST_BUDGET", 10)
+    with pytest.raises(ComputationGuardError):
+        monomial_coefficient(1, 2, (2,), 1)
 
 
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
@@ -370,9 +370,12 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
         N = mono.num_legs
         args = (1, N, b + (1,) * (N - mono.n), 2)
         survivors = frozenset(range(mono.n + 2, N + 1))
-        monomial_coefficient(*args, survivors=survivors, cost_budget=price)
-        with pytest.raises(ComputationGuardError, match=f"cost {price} "):
-            monomial_coefficient(*args, survivors=survivors, cost_budget=price - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(pixton, "COST_BUDGET", price)
+            monomial_coefficient(*args, survivors=survivors)
+            patch.setattr(pixton, "COST_BUDGET", price - 1)
+            with pytest.raises(ComputationGuardError, match=f"cost {price} "):
+                monomial_coefficient(*args, survivors=survivors)
     assert len(calls) == 8
     with pytest.raises(ComputationGuardError, match="cost 12094056891 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
@@ -448,5 +451,5 @@ def test_scan_worker_count_is_clamped(monkeypatch):
 
 
 def test_pixton_class_small():
-    el = pixton_class(1, 2, (1, -1), 1)
+    el, _ = constant_term_class(1, 2, (1, -1), 1)
     assert el.degree_component(0) == StrataElement.unit(1, 2)

@@ -10,8 +10,6 @@ from trrkit.stablegraphs import (
     StableGraph,
     automorphism_count,
     canonical_data,
-    canonical_form,
-    contract_edge,
     enumerate_stable_graphs,
     graph_from_json,
     graph_to_json,
@@ -22,7 +20,7 @@ from oracles import brute_force_automorphisms, brute_force_stable_graphs, graphs
 
 
 def test_validate_examples():
-    assert validate(make_graph([1], [], [0], check=False)) == []
+    assert validate(make_graph([1], [], [0])) == []
     bad = StableGraph((0,), (), (0,))
     assert any("unstable" in p for p in validate(bad))
     bad2 = StableGraph((0, 0), ((0, 1),), ())
@@ -31,8 +29,15 @@ def test_validate_examples():
     assert any("not connected" in p for p in validate(StableGraph((1, 1), (), (0,))))
 
 
+def test_make_graph_rejects_edges_and_legs_at_missing_vertices():
+    # validated before canonicalizing, so bad input is reported, not indexed
+    for genera, edges, legs in [([0], [(0, 3)], [0]), ([1], [], [2])]:
+        with pytest.raises(InvalidGraphError, match="missing vertex|out of range"):
+            make_graph(genera, edges, legs)
+
+
 @pytest.mark.parametrize(
-    "g,n,count", [(0, 3, 1), (1, 1, 2), (2, 0, 7), (1, 2, 5), (0, 4, 4)]
+    "g,n,count", [(0, 3, 1), (1, 1, 2), (2, 0, 7), (1, 2, 5), (0, 4, 4), (3, 0, 42), (4, 0, 379)]
 )
 def test_enumeration_counts(g, n, count):
     assert len(enumerate_stable_graphs(g, n)) == count
@@ -143,12 +148,12 @@ def test_canonical_form_relabeling_invariance():
         edges = [(perm[u], perm[w]) for u, w in gr.edges]
         rng.shuffle(edges)
         legs = [perm[v] for v in gr.legs]
-        assert canonical_data(genera, edges, legs) == canonical_form(gr)
+        assert canonical_data(genera, edges, legs) == (gr.genera, gr.edges, gr.legs)
 
 
 def test_canonical_form_distinguishes():
     a, b = enumerate_stable_graphs(1, 1)
-    assert canonical_form(a) != canonical_form(b)
+    assert (a.genera, a.edges, a.legs) != (b.genera, b.edges, b.legs)
 
 
 def test_automorphism_examples():
@@ -172,27 +177,6 @@ def test_unchecked_automorphism_count_on_canonical_graphs():
     for g, n in [(1, 2), (2, 0), (0, 5), (2, 1)]:
         for gr in enumerate_stable_graphs(g, n):
             assert automorphism_count(gr, check=False) == automorphism_count(gr)
-
-
-def test_contract_examples():
-    loop = make_graph([0], [(0, 0)], [0])
-    assert contract_edge(loop, 0) == make_graph([1], [], [0])
-    sep = make_graph([1, 1], [(0, 1)], [])
-    assert contract_edge(sep, 0) == make_graph([2], [], [])
-    theta = make_graph([0, 0], [(0, 1), (0, 1), (0, 1)], [])
-    two_loops = contract_edge(theta, 0)
-    assert two_loops == make_graph([0], [(0, 0), (0, 0)], [])
-    assert two_loops.genus() == 2
-    with pytest.raises(IndexError):
-        contract_edge(loop, 5)
-
-
-def test_contract_everything_gives_trivial():
-    for g, n in [(1, 1), (1, 2), (2, 0)]:
-        for gr in enumerate_stable_graphs(g, n):
-            while gr.num_edges:
-                gr = contract_edge(gr, 0)
-            assert gr == make_graph([g], [], [0] * n)
 
 
 def test_json_round_trip_bit_exact():

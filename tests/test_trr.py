@@ -23,7 +23,6 @@ from trrkit.trr import (
     g7_patch,
     gamma0_closed,
     gammai_closed,
-    n1_trr,
     principal_part,
     relation_weights,
     scan_cell_count,
@@ -299,15 +298,18 @@ def test_principal_part_rejects_vanishing_d():
 
 
 def test_n1_gamma_values():
-    for g in range(1, 6):
-        rec = n1_trr(g)
+    # one marked point is the l = () case of principal_part: D = 1 and the
+    # normalization is gamma = (2g+1)!! (4g)! / (2g-1)!
+    for g in range(1, 27):
+        rec = principal_part(g, g, ())
         want = Fraction(
             double_factorial(2 * g + 1) * factorial(4 * g), factorial(2 * g - 1)
         )
         assert rec.provenance["normalization"] == want
+        assert rec.provenance["D"] == 1
         assert dict(rec.principal.terms) == {(g,): Fraction(1)}
-    assert n1_trr(1).provenance["normalization"] == 72
-    assert n1_trr(2).provenance["normalization"] == 100800
+    assert principal_part(1, 1, ()).provenance["normalization"] == 72
+    assert principal_part(2, 2, ()).provenance["normalization"] == 100800
 
 
 def test_monomial_spec_counts():
