@@ -2,8 +2,8 @@
 """Run the brute-force pipeline against the closed-form contributions.
 
 The default instances finish in well under a second; --allow-large adds
-the genus-2 comparison (2,1,()) and the genus-3 comparison (3,2,(7,)),
-which take a few seconds each on one core.
+the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)) and the genus-3
+comparison (3,2,(7,)), which take seconds each on one core.
 """
 import argparse
 import sys
@@ -19,7 +19,7 @@ def run():
 
     instances = [(1, 1, ()), (1, 2, (0,)), (1, 2, (1,)), (1, 2, (2,))]
     if args.allow_large:
-        instances += [(2, 1, ()), (3, 2, (7,))]
+        instances += [(2, 1, ()), (2, 2, (0,)), (2, 2, (1,)), (3, 2, (7,))]
     failed = False
     for g, n, b in instances:
         t0 = time.time()

@@ -32,6 +32,14 @@ def factorial(m: int) -> int:
     return _math_factorial(m)
 
 
+def _multinomial(parts) -> int:
+    """(sum parts)! / prod(part!)."""
+    value = _math_factorial(sum(parts))
+    for x in parts:
+        value //= _math_factorial(x)
+    return value
+
+
 def double_factorial(m: int) -> int:
     """m!! with the empty-product convention (-1)!! = 0!! = 1."""
     if m <= -2:

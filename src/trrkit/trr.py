@@ -672,7 +672,10 @@ def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     """The coefficient of the monomial times the product of the extra leg
     variables in the degree-(g+1) part of the class on (g, N), multiplied by
     psi at the legs n+2..N and pushed forward down to (g, n+1).  Only graphs
-    with room for that psi at each of those legs enter the coefficient."""
+    with room for that psi at each of those legs enter the coefficient, and
+    it is sampled once per orbit of the permutations of those legs
+    (:func:`monomial_coefficient`): the pushforward forgets them, so it is
+    that of the labelled coefficient."""
     g, n = mono.g, mono.n
     N = mono.num_legs
     if N < n + 1:

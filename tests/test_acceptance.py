@@ -22,13 +22,12 @@ from trrkit.numerics import (
 from trrkit import trr
 from trrkit.pixton import fixed_r_class, monomial_coefficient
 from trrkit.stablegraphs import canonical_data, enumerate_stable_graphs
-from trrkit.strata import StrataElement, multiply
+from trrkit.strata import multiply
 from trrkit.trr import (
     c0_coeff,
     ci_coeff,
     d_value,
     g7_patch,
-    gamma0_closed,
     principal_part,
     relation_weights,
     scan_zeros,

@@ -269,10 +269,32 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
         graphs.append(graph)
         return real(graph, a, rs, profiles)
 
+    def enumerating(*args, **kwargs):
+        orbits.append(kwargs.get("_orbits", False))
+        return enumerate_stable_graphs(*args, **kwargs)
+
+    orbits = []
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
+    monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
     assert meta["evaluations"] == len(graphs)
     assert meta["plan_graphs"] == len(set(graphs))
+    # one graph per orbit of the survivor permutations is sampled, standing
+    # for every labelled graph of its orbit, and the guard prices the same
+    # graphs: no labelled enumeration runs
+    assert orbits and all(orbits)
+    labelled = enumerate_stable_graphs(1, 4, 1, {3, 4})
+    assert meta["plan_graphs"] < meta["plan_labelled_graphs"] == len(labelled)
+
+
+def test_monomial_coefficient_rejects_asymmetric_survivors():
+    # the plan is taken up to permutations of the survivor legs, so they must
+    # be legs 2..n with one common exponent
+    with pytest.raises(ValueError, match="one exponent"):
+        monomial_coefficient(1, 4, (0, 1, 2), 1, survivors=frozenset({3, 4}))
+    for survivors in ({1, 3}, {3, 5}):
+        with pytest.raises(ValueError, match="among the markings"):
+            monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset(survivors))
 
 
 def test_monomial_coefficient_trivial_part():
@@ -305,12 +327,26 @@ def test_monomial_coefficient_symmetry():
     assert sym == sym.relabel_legs({2: 3, 3: 2})
 
 
+def _symmetrize(el, legs):
+    """The average of ``el`` over the permutations of the markings ``legs``."""
+    legs = sorted(legs)
+    images = list(itertools.permutations(legs))
+    total = StrataElement.zero(el.g, el.n)
+    for image in images:
+        total = total + el.relabel_legs(dict(zip(legs, image)))
+    return total.scale(Fraction(1, len(images)))
+
+
 def test_monomial_coefficient_against_plain_grid():
     # the extraction from the vertex leg sums agrees with a plain weighted
-    # grid sum of constant terms over the leg values, one point at a time
+    # grid sum of constant terms over the leg values, one point at a time;
+    # with survivors the coefficient is sampled once per orbit of their
+    # permutations, so its average over them is the labelled grid sum
     cases = [
         (1, 3, (1, 1), 1, ()),
         (1, 4, (0, 1, 1), 1, (3, 4)),
+        (1, 4, (2, 0, 0), 2, (3, 4)),
+        (1, 5, (1, 1, 1, 1), 2, (4, 5)),
         (1, 3, (2, 2), 2, ()),
         (2, 3, (2, 2), 2, ()),
         (2, 3, (4, 0), 3, (3,)),
@@ -335,7 +371,7 @@ def test_monomial_coefficient_against_plain_grid():
             sample, _ = constant_term_class(g, n, full, d, r0=r0, survivors=survivors)
             acc = acc + sample.scale(w)
         assert not el.is_zero(), exponents
-        assert el == acc.degree_component(d), exponents
+        assert _symmetrize(el, survivors) == acc.degree_component(d), exponents
 
 
 def test_monomial_coefficient_guard(monkeypatch):
@@ -349,10 +385,11 @@ def test_monomial_coefficient_guard(monkeypatch):
 
 
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
-    # the guard prices each A-point evaluation at the modulus and its 2d + 3
-    # r nodes; every genus-1 lemma instance passes the default budget at the
-    # price pinned here, and (2,7,(1,)*6,3) is refused.  The sampling itself
-    # is stubbed: only the guard runs.
+    # the guard prices each A-point evaluation of the orbit plan at the
+    # modulus and its 2d + 3 r nodes; every genus-1 lemma instance passes the
+    # default budget at the price pinned here, and (2,7,(1,)*6,3), with no
+    # survivors, is refused.  The sampling itself is stubbed: only the guard
+    # runs.
     from trrkit.trr import MonomialSpec, omega
 
     calls = []
@@ -362,7 +399,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
         return {}, []
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
-    prices = {(): 21_896, (0,): 645_946, (1,): 216_118, (2,): 71_638}
+    prices = {(): 10_304, (0,): 239_596, (1,): 143_878, (2,): 71_638}
     for b, price in prices.items():
         mono = MonomialSpec(1, len(b) + 1, b)
         el, _ = omega(mono)
