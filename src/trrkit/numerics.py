@@ -2,15 +2,17 @@
 
 The combinatorial counting functions used by the closed-form contribution
 evaluators, sparse multivariate polynomials over the rationals, exact
-Lagrange interpolation, and the integer Lagrange and finite-difference
-weights that read coefficients off sampled values.  Every coefficient is a
+Lagrange interpolation, and the integer Lagrange, finite-difference and
+simplex Newton weights that read coefficients off sampled values.  Every coefficient is a
 ``fractions.Fraction`` or an integer; no floating point is used anywhere in
 the package.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
-from math import comb, factorial as _math_factorial, lcm
+from math import comb, factorial as _math_factorial, lcm, prod
 from typing import Sequence
 
 
@@ -246,3 +248,55 @@ def _difference_weights(order: int) -> list[int]:
     """Coefficients of the order-th forward difference on consecutive
     nodes; it vanishes exactly on polynomials of degree below order."""
     return [(-1) ** (order - k) * binomial(order, k) for k in range(order + 1)]
+
+
+@functools.cache
+def _simplex_tables(k: int, degree: int) -> tuple:
+    """The sampling tables of a polynomial P of total degree <= D = ``degree``
+    in k variables: (points, rows, checks).
+
+    ``points`` lists the simplex S = {A >= 0 : |A| <= D}, then the layer
+    L = {|A| = D + 1}.  P(A) = sum_beta Delta^beta P(0) prod_i C(A_i, beta_i)
+    with the Newton difference Delta^beta P(0) = sum_{alpha <= beta}
+    (-1)^|beta - alpha| prod_i C(beta_i, alpha_i) P(alpha), which vanishes
+    for |beta| > D.  Expanding C(A_i, beta_i) = sum_c s(beta_i, c) A_i^c /
+    beta_i!, with s the signed Stirling numbers of the first kind, gives
+    ``rows``: for each gamma in S, the integer row over S that reads the
+    coefficient of A^gamma off the values on S, over the one denominator D!.
+    ``checks`` holds the row over S and L of Delta^beta P(0) for each beta in
+    L: all vanish exactly when P has no component of degree D + 1.
+    """
+    points = sorted(
+        (A for A in itertools.product(range(degree + 2), repeat=k) if sum(A) <= degree + 1),
+        key=lambda A: sum(A) > degree,
+    )
+    index = {A: i for i, A in enumerate(points)}
+    size = binomial(degree + k, k)  # |S|
+    # stirling[b][c] = s(b, c), the coefficients of x (x - 1) ... (x - b + 1)
+    stirling = [[1]]
+    for b in range(degree):
+        stirling.append([u - b * w for u, w in zip([0] + stirling[-1], stirling[-1] + [0])])
+
+    def newton(beta):
+        return [
+            (index[alpha], (-1) ** (sum(beta) - sum(alpha)) * prod(map(binomial, beta, alpha)))
+            for alpha in itertools.product(*(range(b + 1) for b in beta))
+        ]
+
+    rows = {gamma: [0] * size for gamma in points[:size]}
+    for beta in points[:size]:
+        differences = newton(beta)
+        scale = _math_factorial(degree) // prod(map(_math_factorial, beta))
+        # s(b, 0) = 0 for b > 0, so gamma_i > 0 wherever beta_i > 0
+        for gamma in itertools.product(*(range(b > 0, b + 1) for b in beta)):
+            f = scale * prod(stirling[b][c] for b, c in zip(beta, gamma))
+            row = rows[gamma]
+            for i, w in differences:
+                row[i] += f * w
+    checks = []
+    for beta in points[size:]:
+        row = [0] * len(points)
+        for i, w in newton(beta):
+            row[i] = w
+        checks.append(row)
+    return tuple(points), rows, tuple(checks)

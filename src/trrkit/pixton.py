@@ -20,28 +20,33 @@ exponents takes the dot product of its integer weights with its profile's
 values over the points, so the template loop runs once per graph and each
 decorated graph becomes one Fraction at the end.  The fixed-r class and the
 constant term at one leg vector are one point weighted by the leg powers.
-A monomial coefficient samples each graph at a grid of its vertex leg sums
-(the weighting conditions see the leg values only through them), weighted
+A monomial coefficient samples each graph on the simplex of its vertex leg
+sums A, |A| <= 2d (the weighting conditions see the leg values only through
+them, and the constant term in r has total degree <= 2d in them), weighted
 per group by an integer functional that reads off the target monomial, and
-checks one held-out point of that grid; worker processes each take a chunk
-of the plan graphs and return integer numerators, which the parent merges.
-Its plan holds one graph per orbit of the permutations of the survivor legs,
-weighted by the labelled graphs in the orbit: the genus-1 lemmas sample 176
-graphs at 1,576 A-points where the labelled plans held 303 at 3,238, the
-(2,1,()) comparison 576 graphs at 25,167 A-points for 6,416 at 483,907, and
-(2,2,(0,)) 3,325 graphs at 276,311 A-points for 44,011 at 5,707,067.
+checks every (2d+1)-th Newton difference on the layer |A| = 2d + 1; worker
+processes each take a chunk of the plan graphs and return integer
+numerators, which the parent merges.  Its plan holds one graph per orbit of
+the permutations of the survivor legs, weighted by the labelled graphs in
+the orbit: the genus-1 lemmas sample 176 graphs at 1,426 A-points (3,238
+for the 303 labelled graphs on the tensor grid {0..2d}^k), the (2,1,())
+comparison 576 graphs at 15,241 (25,167 on the grid), and (2,2,(0,)) 3,325
+graphs at 137,473 (276,311 on the grid).
 A weighting sum is reduced over the graph itself: loops are summed out, a
 vertex whose edges all go to one neighbour fixes their residue sum, a
 degree-2 vertex joins its two edges and parallel edges merge by
 convolution, at O(r) per step (O(r^2) for a merge, read from a cached
 table for two pure tau powers); only a K4 minor, six edges or more, needs
-a sum over one edge's residue.  Memoization across
-calls is ``functools`` caches on private helpers (``cache_info()`` gives
-hits and sizes), unbounded for the life of the process: the reduction
-steps per edge list, the tau tables per modulus, and the plan per (g, n,
-dmax, survivors, orbits).  The weighting sums per (edge list, vertex leg
-sums, moduli, profiles) take one entry per graph and grid point, so only
-the 16,384 most recently used are kept: a genus-2 grid point uses under a
+a sum over one edge's residue.  Memoization across calls is ``functools``
+caches on private helpers (``cache_info()`` gives hits and sizes),
+unbounded for the life of the process: the reduction steps per edge list,
+the tau tables per modulus, the plan per (g, n, dmax, survivors, orbits),
+the simplex points with their coefficient and check rows per (number of
+leg sums, 2d) (``numerics._simplex_tables``), the sampled leg vectors per
+(leg partition, n, 2d) and the group weights per (exponents, d, leg
+partition, leg exponents).  The weighting sums per (edge list, vertex leg
+sums, moduli, profiles) take one entry per graph and A-point, so only the
+16,384 most recently used are kept: a genus-2 grid point uses under a
 thousand, a genus-3 lemma over 150,000.  Templates and automorphism counts
 are built once per plan graph, inside the cached plan.  The plan asks the
 enumeration for only the graphs with room for one unit of psi at every
@@ -56,12 +61,13 @@ import functools
 import itertools
 import os
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, mul
+from math import gcd, lcm
+from operator import mul
 
 from .numerics import (
     _difference_weights,
     _multinomial,
+    _simplex_tables,
     binomial,
     factorial,
     lagrange_coefficient_rows,
@@ -443,15 +449,15 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
 
     ``form`` and the ``held_out`` forms are integer linear forms on the
     nodes.  ``sample(graph, groups)`` gives the graph's points as
-    (leg vectors, check weights, group weights, den): per point, each edge
+    (leg vectors, check rows, group weights, den): per point, each edge
     profile's weighting sums are put over m = lcm(r^h1), every held-out form
     must vanish on them, or :class:`FitInstabilityError` is raised, and
     ``form`` turns them into one integer (once per distinct tuple of sums),
-    so each profile gets one column of integers over the points.  Unless the
-    check weights are None, their dot product with every column must vanish
-    too.  Group i of the templates gets the dot product of its weights
-    (None for none) with its profile's column; weights may stop short of the
-    points, leaving the last ones to the check.  So the template loop runs
+    so each profile gets one column of integers over the points.  The dot
+    product of every check row with every column must vanish too.  Group i
+    of the templates gets the dot product of its weights (None for none)
+    with its profile's column; weights may stop short of the points,
+    leaving the last ones to the check rows.  So the template loop runs
     once per graph for all points, and each total is multiplied by the
     graph's plan weight.  Yields (terms, den) per plan graph: terms maps
     each decorated graph of that graph to an integer numerator over den.
@@ -471,7 +477,7 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
                 {},  # the value of each checked tuple of sums met so far
             )
         m, value_form, checks, checked = by_h1[h1]
-        legs, check_weights, group_weights, den = sample(graph, groups)
+        legs, check_rows, group_weights, den = sample(graph, groups)
         columns = {profile: [] for profile in profiles}
         for a in legs:
             for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
@@ -485,9 +491,7 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
                             )
                     value = checked[psums] = _dot(value_form, psums)
                 columns[profile].append(value)
-        if check_weights is not None and any(
-            _dot(check_weights, column) for column in columns.values()
-        ):
+        if any(_dot(row, column) for row in check_rows for column in columns.values()):
             raise FitInstabilityError(
                 f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
                 "in the vertex leg sums"
@@ -523,7 +527,7 @@ def _point_sample(a):
                         apow *= sq**c
                 power = powers[legs] = [apow]
             weights.append(power)
-        return (a,), None, weights, 1
+        return (a,), (), weights, 1
 
     return sample
 
@@ -620,92 +624,91 @@ def _leg_partition(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(ms) for ms in blocks.values()))
 
 
-def _monomial_sample(exponents, d: int):
+@functools.cache
+def _simplex_legs(parts: tuple, n: int, degree: int) -> tuple:
+    """The leg vectors of the points of :func:`_simplex_tables` for a graph
+    with leg partition ``parts``: A_i on the lowest leg at vertex i, 0 on
+    every other leg >= 2 and a_1 = -sum(A)."""
+    legs = []
+    for A in _simplex_tables(len(parts), degree)[0]:
+        a = [0] * n
+        for ms, v in zip(parts, A):
+            a[ms[0] - 1] = v
+        a[0] = -sum(A)
+        legs.append(tuple(a))
+    return tuple(legs)
+
+
+@functools.cache
+def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
+    """The integer weights over the simplex S of :func:`_simplex_tables`
+    (over D! = (2d)!) that read the coefficient of prod_{j>=2} a_j^(b_j)
+    off the values of the template group with leg exponents c, for a graph
+    with leg partition ``parts``; None when they all vanish.
+
+    The weight is omega_c = sum_gamma T(gamma, c) row_gamma, T(gamma, c)
+    being the coefficient of prod_{j>=2} a_j^(b_j) in
+    prod_i (sum_{j in S_i} a_j)^gamma_i * prod_m a_m^(2 c_m) with
+    a_1 = -sum_{j>=2} a_j; only |gamma| <= D can have a nonzero coefficient.
+    """
+    degree = 2 * d
+    b = (0,) + exponents
+    n = len(b)
+    e = [bj - 2 * cj for bj, cj in zip(b, c)]
+    if min(e[1:], default=0) < 0:
+        return None
+    # a_1^(2 c_1) = (a_2 + ... + a_n)^(2 c_1) supplies y_j of each leg's
+    # remaining exponent e_j: all of it at leg 1's vertex, spare in total
+    # at the variable vertices, whose leg sums supply the rest
+    placed = [m for ms in parts for m in ms]
+    spare = 2 * c[0] - sum(e[1:]) + sum(e[m - 1] for m in placed)
+    if spare < 0:
+        return None
+    rows = _simplex_tables(len(parts), degree)[1]
+    vector = [0] * len(rows)  # one row per point of S, each over S
+    for ys in itertools.product(*(range(min(e[m - 1], spare) + 1) for m in placed)):
+        if sum(ys) != spare:
+            continue
+        y = dict(zip(placed, ys))
+        t = _multinomial([y.get(m, e[m - 1]) for m in range(2, n + 1)])
+        gamma = []
+        for ms in parts:
+            xs = [e[m - 1] - y[m] for m in ms]
+            gamma.append(sum(xs))
+            t *= _multinomial(xs)
+        if sum(gamma) <= degree:
+            vector = [u + t * w for u, w in zip(vector, rows[tuple(gamma)])]
+    return tuple(vector) if any(vector) else None
+
+
+def _monomial_sample(exponents: tuple, d: int):
     """The sampling of :func:`_graph_sums` that extracts the coefficient of
     prod_{j>=2} a_j^(b_j) from the degree-d template groups of each graph.
 
     A graph's weighting sums see the leg values only through the leg sums
-    A_i at the vertices of its leg partition, as polynomials P(A) of degree
-    <= D = 2d; A_i goes on the lowest leg at vertex i, every other leg >= 2
-    gets 0, and a_1 = -sum(A).  P is sampled on the grid {0..D}^k, where the
-    Lagrange weights lam_beta(s) read off the coefficient of A^beta, and at
-    the held-out point A* = (D+1, ..., D+1), which the grid's tensor
-    extrapolation sum_A prod_i (-1)^(D-A_i) C(D+1, A_i) P(A) must reproduce
-    (the (D+1)-th forward difference, solved for its last node).
-    The group with leg exponents c weighs the grid by
-    omega_c(A) = sum_beta T(beta, c) prod_i lam_beta_i(A_i), T(beta, c) being
-    the coefficient of prod_{j>=2} a_j^(b_j) in
-    prod_i (sum_{j in S_i} a_j)^beta_i * prod_m a_m^(2 c_m) with
-    a_1 = -sum_{j>=2} a_j.  The weights are integers over scale^k, lam being
-    integer rows over scale; omega is memoized per (leg partition, c).
+    A_i at the k vertices of its leg partition, and their constant term in
+    r is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
+    simplex S = {|A| <= D}, C(D+k, k) points, where the template group with
+    leg exponents c is weighted by :func:`_group_weights`, and on the layer
+    L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th Newton
+    difference must vanish (see :func:`_simplex_tables`).  The points and
+    rows are built once per (k, D), the leg vectors once per (leg partition,
+    n, D) and the weights once per (exponents, d, leg partition, c).
     """
     degree = 2 * d
-    b = (0,) + tuple(exponents)
-    n = len(b)
-    lam, scale = lagrange_coefficient_rows(range(degree + 1))
-    extrapolation = [-w for w in _difference_weights(degree + 1)]
-    partitions: dict[tuple, tuple] = {}
-    omegas: dict[tuple, list[int] | None] = {}
-
-    def points(parts):
-        grid = list(itertools.product(range(degree + 1), repeat=len(parts)))
-        checks = [prod(extrapolation[v] for v in A) for A in grid] + [-1]
-        grid.append((degree + 1,) * len(parts))  # A*, for the check only
-        legs = []
-        for A in grid:
-            a = [0] * n
-            for ms, v in zip(parts, A):
-                a[ms[0] - 1] = v
-            a[0] = -sum(A)
-            legs.append(tuple(a))
-        # with no leg sums, A* is the one grid point again
-        return (legs, checks) if parts else (legs[:1], None)
-
-    def omega(parts, c):
-        e = [bj - 2 * cj for bj, cj in zip(b, c)]
-        if min(e[1:], default=0) < 0:
-            return None
-        # a_1^(2 c_1) = (a_2 + ... + a_n)^(2 c_1) supplies y_j of each leg's
-        # remaining exponent e_j: all of it at leg 1's vertex, spare in total
-        # at the variable vertices, whose leg sums supply the rest
-        placed = [m for ms in parts for m in ms]
-        spare = 2 * c[0] - sum(e[1:]) + sum(e[m - 1] for m in placed)
-        if spare < 0:
-            return None
-        vector = [0] * (degree + 1) ** len(parts)
-        for ys in itertools.product(*(range(min(e[m - 1], spare) + 1) for m in placed)):
-            if sum(ys) != spare:
-                continue
-            y = dict(zip(placed, ys))
-            t = _multinomial([y.get(m, e[m - 1]) for m in range(2, n + 1)])
-            tensor = [t]
-            for ms in parts:
-                xs = [e[m - 1] - y[m] for m in ms]
-                beta = sum(xs)
-                if beta > degree:
-                    break
-                t = _multinomial(xs)
-                tensor = [u * t * w for u in tensor for w in lam[beta]]
-            else:
-                vector = list(map(add, vector, tensor))
-        return vector if any(vector) else None
+    n = len(exponents) + 1
+    den = factorial(degree)
 
     def sample(graph, groups):
         parts = _leg_partition(graph)
-        entry = partitions.get(parts)
-        if entry is None:
-            entry = partitions[parts] = points(parts)
-        weights = []
-        for profile, c, _ in groups:
-            if graph.num_edges + sum(profile) + sum(c) != d:
-                weights.append(None)
-                continue
-            key = (parts, c)
-            if key not in omegas:
-                omegas[key] = omega(parts, c)
-            weights.append(omegas[key])
-        legs, checks = entry
-        return legs, checks, weights, scale ** len(parts)
+        weights = [
+            _group_weights(exponents, d, parts, c)
+            if graph.num_edges + sum(profile) + sum(c) == d
+            else None
+            for profile, c, _ in groups
+        ]
+        checks = _simplex_tables(len(parts), degree)[2]
+        return _simplex_legs(parts, n, degree), checks, weights, den
 
     return sample
 
@@ -732,19 +735,22 @@ def monomial_coefficient(
     """Coefficient of prod_j a_j^(b_j) in the degree-d part of the class,
     with a_1 = -(a_2 + ... + a_n).
 
-    The r-constant term of a graph's weighting sum is a polynomial of degree
-    <= D = 2d in the leg sums of the vertices other than leg 1's, so each
-    plan graph is sampled at the (D+1)^k points of its k leg sums and one
-    held-out point, with integer weights per template group that read off
-    the target monomial (see :func:`_monomial_sample`); the constant term in
-    r is taken at every point as in :func:`constant_term_class`, with both
-    held-out r nodes checked.  A held-out point off the polynomial in the leg
-    sums, like a held-out r node off the fit, raises
-    :class:`FitInstabilityError`.  With ``jobs`` > 1 the plan graphs are
-    split into chunks over worker processes, each returning integer
-    numerators; results are identical for any worker count.  Returns
-    (element, meta); the meta counts the graphs sampled (``plan_graphs``)
-    and the labelled graphs they stand for (``plan_labelled_graphs``).
+    The r-constant term of a graph's weighting sum is a polynomial of total
+    degree <= D = 2d in the leg sums of the vertices other than leg 1's
+    (Janda-Pandharipande-Pixton-Zvonkine, section 3), so each plan graph
+    with k leg sums is sampled at the C(D+k, k) points of the simplex
+    |A| <= D, with integer weights per template group that read off the
+    target monomial, and at the C(D+k, k-1) points of the layer
+    |A| = D + 1, where every (D+1)-th Newton difference must vanish (see
+    :func:`_monomial_sample`); the constant term in r is taken at every
+    point as in :func:`constant_term_class`, with both held-out r nodes
+    checked.  A nonzero Newton difference on the layer, like a held-out r
+    node off the fit, raises :class:`FitInstabilityError`.  With
+    ``jobs`` > 1 the plan graphs are split into chunks over worker
+    processes, each returning integer numerators; results are identical for
+    any worker count.  Returns (element, meta); the meta counts the graphs
+    sampled (``plan_graphs``) and the labelled graphs they stand for
+    (``plan_labelled_graphs``).
 
     The ``survivors`` are legs among 2..n that share one exponent and keep
     one unit of psi each.  The coefficient is symmetric in them, and a
@@ -758,9 +764,9 @@ def monomial_coefficient(
 
     The default guard prices the A-point evaluations of the graphs the plan
     samples, times the modulus (from the largest leg value the points
-    reach) times the 2*d + 3 r nodes, before any template is built or any
-    sampling done, and refuses jobs above ``COST_BUDGET`` unless
-    ``allow_large`` is set.
+    reach, D + 1 on the layer) times the 2*d + 3 r nodes, before any
+    template is built or any sampling done, and refuses jobs above
+    ``COST_BUDGET`` unless ``allow_large`` is set.
     """
     exponents = tuple(int(b) for b in exponents)
     survivors = frozenset(survivors)
@@ -779,17 +785,17 @@ def monomial_coefficient(
         raise ValueError("the survivor legs must share one exponent")
     # the plan samples one graph per orbit of the survivor permutations, and
     # every such graph has room for its undecorated template, so the plan
-    # keeps them all: a graph with k leg sums samples the grid {0..degree}^k
-    # and, when k > 0, the held-out point, where the largest leg value
-    # |a_1| = k (degree + 1) is reached
+    # keeps them all: a graph with k leg sums samples the simplex |A| <= degree
+    # and the layer |A| = degree + 1, C(degree + 1 + k, k) points, and when
+    # k > 0 the layer reaches the largest leg value |a_1| = degree + 1
     sizes = [
         len(_leg_partition(graph))
         for graph, _ in enumerate_stable_graphs(
             g, n, max_edges=d, reserved_markings=survivors, _orbits=True
         )
     ]
-    evaluations = sum((degree + 1) ** k + (k > 0) for k in sizes)
-    r0 = 2 * max(max(sizes, default=0) * (degree + 1), 1) * max(d, 1) + 3
+    evaluations = sum(binomial(degree + 1 + k, k) for k in sizes)
+    r0 = 2 * (degree + 1 if any(sizes) else 1) * max(d, 1) + 3
     cost = evaluations * r0 * (2 * d + 3)
     if cost > COST_BUDGET and not allow_large:
         raise ComputationGuardError(

@@ -124,7 +124,7 @@ def test_pixton_monomial(tmp_path, capsys):
 def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
     # dmax = 2: the constant term takes 2*dmax + 1 nodes plus two held out,
     # from r0 = 2 * 5 * 2 + 3, 5 = D + 1 being the largest leg value of the
-    # held-out point A*; four of the plan's five graphs carry both legs on
+    # layer |A| = D + 1; four of the plan's five graphs carry both legs on
     # one vertex (one A-point each), the banana graph samples 5 + 1
     out = tmp_path / "mono2.json"
     code, _, _ = run(

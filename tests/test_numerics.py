@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trrkit.numerics import (
     SparsePoly,
+    _simplex_tables,
     binomial,
     double_factorial,
     factorial,
@@ -143,3 +146,49 @@ def test_lagrange_coefficient_rows_read_every_coefficient(coeffs, nodes):
 def test_lagrange_coefficient_rows_reject_duplicate_nodes():
     with pytest.raises(ValueError):
         lagrange_coefficient_rows([0, 1, 1])
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _monomial_values(points, coefficients):
+    """The polynomial sum_gamma coefficients[gamma] A^gamma at each point."""
+    return [
+        sum(c * prod(x**e for x, e in zip(A, gamma)) for gamma, c in coefficients.items())
+        for A in points
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_simplex_rows_recover_every_coefficient(k):
+    # seeded random polynomials of total degree <= D, sampled on the simplex
+    # |A| <= D, give back every coefficient over D!, and every layer check
+    # vanishes on them
+    rng = random.Random(1000 + k)
+    for degree in range(9):
+        points, rows, checks = _simplex_tables(k, degree)
+        simplex = [A for A in points if sum(A) <= degree]
+        assert list(rows) == simplex == list(points[: len(simplex)])
+        assert len(simplex) == comb(degree + k, k) and len(points) == comb(degree + 1 + k, k)
+        for _ in range(3):
+            coefficients = {gamma: rng.randint(-10**6, 10**6) for gamma in simplex}
+            values = _monomial_values(points, coefficients)
+            for gamma, row in rows.items():
+                assert Fraction(_dot(row, values), factorial(degree)) == coefficients[gamma]
+            assert not any(_dot(check, values) for check in checks)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_layer_checks_catch_every_monomial_one_degree_up(k):
+    # the checks are linear and vanish below degree D + 1, so a single
+    # monomial of degree D + 1, alone, is what any polynomial gains with it;
+    # each one must trip some check (a single held-out point would catch
+    # only the component in its own direction)
+    for degree in range(9):
+        points, _, checks = _simplex_tables(k, degree)
+        layer = [A for A in points if sum(A) == degree + 1]
+        assert len(checks) == len(layer) == comb(degree + k, k - 1)
+        for gamma in layer:
+            values = _monomial_values(points, {gamma: 1})
+            assert any(_dot(check, values) for check in checks), (degree, gamma)

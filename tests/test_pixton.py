@@ -234,10 +234,10 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
 
 
 def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
-    # every sum gains r^h1 at the held-out point A* = (D+1, ..., D+1) only:
-    # a constant in r, so both held-out r nodes pass there, but the samples
-    # are no longer a polynomial of degree <= D in the vertex leg sums; no
-    # leg >= 2 reaches D + 1 on the grid, so that value marks A*
+    # every sum gains r^h1 where a leg >= 2 takes the value D + 1, which
+    # happens only at the points (D+1) e_i of the layer |A| = D + 1: a
+    # constant in r, so both held-out r nodes pass there, but the samples
+    # are no longer a polynomial of degree <= D in the vertex leg sums
     real = pixton.weighting_power_sums
     d = 1
     held_out = 2 * d + 1
@@ -258,6 +258,49 @@ def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch):
+    # every sum gains r^h1 at the layer points with leg sums 1 and D at two
+    # vertices, such as A = (1, D): no leg value reaches D + 1 there, so only
+    # the layer checks off the axes see it
+    real = pixton.weighting_power_sums
+    d = 2
+    degree = 2 * d
+    hits = []
+
+    def patched(graph, a, rs, profiles):
+        sums = real(graph, a, rs, profiles)
+        if [v for v in a[1:] if v] != [1, degree]:
+            return sums
+        hits.append(a)
+        return {
+            profile: tuple(s + r ** graph.h1() for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    with pytest.raises(FitInstabilityError, match="vertex leg sums"):
+        monomial_coefficient(0, 5, (2, 2, 0, 0), d)
+    assert hits and all(max(a[1:]) == degree for a in hits)
+
+
+def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
+    # the simplex tables, the leg vectors and the group weights are built by
+    # the first call; a second call reads every one of them from its cache
+    caches = (pixton._simplex_tables, pixton._simplex_legs, pixton._group_weights)
+    for cache in caches:
+        cache.cache_clear()
+    args = (1, 4, (2, 0, 0), 2)
+    survivors = frozenset({3, 4})
+    first, _ = monomial_coefficient(*args, survivors=survivors)
+    built = [cache.cache_info() for cache in caches]
+    assert all(info.misses > 0 for info in built)
+    again, _ = monomial_coefficient(*args, survivors=survivors)
+    for before, after in zip(built, (cache.cache_info() for cache in caches)):
+        assert after.misses == before.misses and after.currsize == before.currsize
+        assert after.hits > before.hits
+    assert again == first and not first.is_zero()
 
 
 def test_evaluations_count_the_sampled_a_points(monkeypatch):
@@ -399,7 +442,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
         return {}, []
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
-    prices = {(): 10_304, (0,): 239_596, (1,): 143_878, (2,): 71_638}
+    prices = {(): 10_304, (0,): 113_666, (1,): 69_713, (2,): 35_903}
     for b, price in prices.items():
         mono = MonomialSpec(1, len(b) + 1, b)
         el, _ = omega(mono)
@@ -414,7 +457,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
             with pytest.raises(ComputationGuardError, match=f"cost {price} "):
                 monomial_coefficient(*args, survivors=survivors)
     assert len(calls) == 8
-    with pytest.raises(ComputationGuardError, match="cost 12094056891 "):
+    with pytest.raises(ComputationGuardError, match="cost 1710726885 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
     assert len(calls) == 8
 
