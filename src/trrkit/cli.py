@@ -21,6 +21,7 @@ from .numerics import rational_str
 from .pixton import (
     ComputationGuardError,
     FitInstabilityError,
+    _check_class_cost,
     constant_term_class,
     fixed_r_class,
     monomial_coefficient,
@@ -159,6 +160,8 @@ def cmd_pixton(args, started):
         if len(a) != args.n:
             raise UsageError("--a needs one value per marking")
         params["a"] = list(a)
+        if not args.allow_large:
+            _check_class_cost(args.g, args.n, a, args.degree, args.r)
         if args.r is not None:
             params["r"] = args.r
             element = fixed_r_class(args.g, args.n, a, args.r, args.degree)

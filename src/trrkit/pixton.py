@@ -88,8 +88,9 @@ class ComputationGuardError(RuntimeError):
     """Raised when a computation exceeds the default scale guard."""
 
 
-# the price above which monomial_coefficient refuses to run unless allowed:
-# A-point evaluations x modulus x r nodes
+# the price above which monomial_coefficient, and the CLI's fixed-r class and
+# constant term, refuse to run unless allowed: A-point evaluations (graphs
+# for the class) x modulus x r nodes
 COST_BUDGET = 1_000_000
 
 
@@ -571,6 +572,26 @@ def _constant_terms(plan, sample, dmax: int, r0: int):
     return terms, nodes
 
 
+def _default_r0(a, dmax: int) -> int:
+    return 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
+
+
+def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
+    """Refuse the class :func:`fixed_r_class` takes at modulus r, or with r
+    None :func:`constant_term_class` at its default nodes, if it prices above
+    ``COST_BUDGET`` as graphs x modulus x r nodes, before any weighting table
+    of r integers is built.  Bad input raises ValueError, as in the classes."""
+    a = check_avector(a)
+    modulus, nodes = (r, 1) if r is not None else (_default_r0(a, dmax), 2 * dmax + 3)
+    _check_input(g, n, a, (modulus,), dmax)
+    cost = len(enumerate_stable_graphs(g, n, max_edges=dmax)) * modulus * nodes
+    if cost > COST_BUDGET:
+        raise ComputationGuardError(
+            f"estimated cost {cost} (graphs x modulus x nodes) exceeds the "
+            "default budget; pass allow_large to proceed"
+        )
+
+
 def constant_term_class(
     g: int,
     n: int,
@@ -599,7 +620,7 @@ def constant_term_class(
     """
     a = check_avector(a)
     if r0 is None:
-        r0 = 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
+        r0 = _default_r0(a, dmax)
     _check_input(g, n, a, (r0,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors), False)
     terms, nodes = _constant_terms(plan, _point_sample(a), dmax, r0)

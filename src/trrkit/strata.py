@@ -149,7 +149,7 @@ def _empty_decoration(graph: StableGraph):
 class StrataElement:
     """Finite formal sum of decorated graphs with rational coefficients."""
 
-    __slots__ = ("g", "n", "terms", "kappa_from_forgotten_psi")
+    __slots__ = ("g", "n", "terms")
 
     def __init__(self, g: int, n: int, terms=None):
         self.g = g
@@ -160,7 +160,6 @@ class StrataElement:
                 c = Fraction(c)
             if c:
                 self.terms[dg] = c
-        self.kappa_from_forgotten_psi = False
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -194,23 +193,14 @@ class StrataElement:
         terms = dict(self.terms)
         for dg, c in other.terms.items():
             terms[dg] = terms.get(dg, Fraction(0)) + c
-        return self._with_terms(terms, other)
+        return StrataElement(self.g, self.n, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "StrataElement":
         c = Fraction(c)
-        return self._with_terms({dg: c * v for dg, v in self.terms.items()})
-
-    def _with_terms(self, terms, *others) -> "StrataElement":
-        """An element on the same space with the given terms, carrying the
-        kappa flag when this element or one of ``others`` does."""
-        el = StrataElement(self.g, self.n, terms)
-        el.kappa_from_forgotten_psi = self.kappa_from_forgotten_psi or any(
-            o.kappa_from_forgotten_psi for o in others
-        )
-        return el
+        return StrataElement(self.g, self.n, {dg: c * v for dg, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, StrataElement):
@@ -231,9 +221,8 @@ class StrataElement:
 
     # --- queries ---------------------------------------------------------
     def degree_component(self, d: int) -> "StrataElement":
-        return self._with_terms(
-            {dg: c for dg, c in self.terms.items() if dg.degree() == d}
-        )
+        terms = {dg: c for dg, c in self.terms.items() if dg.degree() == d}
+        return StrataElement(self.g, self.n, terms)
 
     def psi_degree(self, marking: int) -> int:
         return max((dg.psi_legs[marking - 1] for dg in self.terms), default=0)
@@ -247,9 +236,8 @@ class StrataElement:
         return any(dg.has_kappa() for dg in self.terms)
 
     def graph_component(self, graph: StableGraph) -> "StrataElement":
-        return self._with_terms(
-            {dg: c for dg, c in self.terms.items() if dg.graph == graph}
-        )
+        terms = {dg: c for dg, c in self.terms.items() if dg.graph == graph}
+        return StrataElement(self.g, self.n, terms)
 
     def relabel_legs(self, perm: dict[int, int]) -> "StrataElement":
         """Apply a marking permutation (old marking -> new marking)."""
@@ -267,7 +255,7 @@ class StrataElement:
                 dg.graph.genera, dg.graph.edges, legs, tuple(psis), dg.psi_edges, dg.kappa
             )
             out[new] = out.get(new, Fraction(0)) + c
-        return self._with_terms(out)
+        return StrataElement(self.g, self.n, out)
 
     # --- serialization ----------------------------------------------------
     def to_json(self) -> list:
@@ -616,7 +604,7 @@ def multiply(x: StrataElement, y: StrataElement) -> StrataElement:
         for dg2, c2 in y.terms.items():
             for dg, c in product_terms(dg1, dg2, x.g, x.n, truncate=True):
                 out[dg] = out.get(dg, Fraction(0)) + c1 * c2 * c
-    return x._with_terms(out, y)
+    return StrataElement(x.g, x.n, out)
 
 
 def multiply_by_psi(x: StrataElement, leg_exponents: dict[int, int]) -> StrataElement:
@@ -630,7 +618,7 @@ def multiply_by_psi(x: StrataElement, leg_exponents: dict[int, int]) -> StrataEl
         if new.violates_degree_condition():
             continue
         out[new] = out.get(new, Fraction(0)) + c
-    return x._with_terms(out)
+    return StrataElement(x.g, x.n, out)
 
 
 # ----------------------------------------------------------------------
@@ -651,8 +639,8 @@ def _points_at(graph: StableGraph, v: int):
 def _pushforward_term(dg: DecoratedGraph, f: int):
     """Push one decorated term forward under forgetting marking f.
 
-    Yields (DecoratedGraph, coefficient, kappa_flag) triples in the target
-    (markings above f shifted down by one).
+    Returns (DecoratedGraph, coefficient) pairs in the target (markings
+    above f shifted down by one).
     """
     graph = dg.graph
     v = graph.legs[f - 1]
@@ -714,7 +702,7 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
         legs = tuple(drop_vertex(u) for u in legs)
         kappa = [vk for u, vk in enumerate(dg.kappa) if u != v]
         new = make_decorated(genera, edges, legs, tuple(psis), psi_edges, kappa)
-        results.append((new, Fraction(1), False))
+        results.append((new, Fraction(1)))
         return results
 
     # stable vertex: string / dilaton / kappa rules
@@ -744,7 +732,7 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
                         graph.genera, graph.edges, legs, psis_base,
                         [tuple(p) for p in pe], kap,
                     )
-                    results.append((new, Fraction(mult), False))
+                    results.append((new, Fraction(mult)))
             for m in legs_other:
                 if dg.psi_legs[m - 1] > 0:
                     psis = list(psis_base)
@@ -756,7 +744,7 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
                         graph.genera, graph.edges, legs, tuple(psis),
                         dg.psi_edges, kap,
                     )
-                    results.append((new, Fraction(mult), False))
+                    results.append((new, Fraction(mult)))
             # no psi to lower: the fundamental class pushes to zero
         else:
             kap = list(dg.kappa)
@@ -765,17 +753,15 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
                 scalar = 2 * graph.genera[v] - 2 + (npoints - 1)
                 kap[v] = tuple(sorted(remaining.items()))
                 coeff = Fraction(mult * scalar)
-                flag = False
             else:
                 merged = dict(remaining)
                 merged[B - 1] = merged.get(B - 1, 0) + 1
                 kap[v] = tuple(sorted(merged.items()))
                 coeff = Fraction(mult)
-                flag = True
             new = make_decorated(
                 graph.genera, graph.edges, legs, psis_base, dg.psi_edges, kap
             )
-            results.append((new, coeff, flag))
+            results.append((new, coeff))
     return results
 
 
@@ -783,20 +769,14 @@ def pushforward_forget(x: StrataElement, marking: int) -> StrataElement:
     """Pushforward along the map forgetting one marked point.
 
     Markings above the forgotten one shift down by one.  Terms whose
-    forgotten-point psi exponent is at least 2 generate kappa decorations;
-    the result carries ``kappa_from_forgotten_psi = True`` in that case, or
-    when ``x`` carries it.
+    forgotten-point psi exponent is at least 2 generate kappa decorations.
     """
     if not (1 <= marking <= x.n):
         raise ValueError(f"no marking {marking}")
     if 2 * x.g - 2 + (x.n - 1) <= 0:
         raise ValueError(f"target ({x.g},{x.n - 1}) is unstable")
     out: dict[DecoratedGraph, Fraction] = {}
-    flag = x.kappa_from_forgotten_psi
     for dg, c in x.terms.items():
-        for new, c2, kflag in _pushforward_term(dg, marking):
-            flag = flag or kflag
+        for new, c2 in _pushforward_term(dg, marking):
             out[new] = out.get(new, Fraction(0)) + c * c2
-    el = StrataElement(x.g, x.n - 1, out)
-    el.kappa_from_forgotten_psi = flag
-    return el
+    return StrataElement(x.g, x.n - 1, out)

@@ -3,8 +3,8 @@
 A relation is produced for the psi monomial psi_1^k prod_j psi_j^(l_j) of
 degree g whenever the rational coefficient D does not vanish; the scan over
 all admissible (g, n, k, l) locates the exceptional cells, and the genus-7
-patch recovers the two missing relations there by combining the rational-tail
-family with its marking swap.
+patch recovers the two missing relations there by exact elimination modulo
+the monomials known from fewer markings or from higher k.
 """
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ from .strata import StrataElement, multiply_by_psi, pushforward_forget
 
 
 class ExceptionalCaseError(ValueError):
-    """The D coefficient vanishes; no relation from this recipe.  The genus-7
-    exceptional tooling (g7_patch / the g7 CLI command) covers the known case."""
+    """The D coefficient vanishes; no relation from this recipe.  The one such
+    cell with g <= 26, (g, k, l) = (7, 3, (1, 1, 2)), is settled by exact
+    elimination modulo the known monomials (g7_patch / the g7 CLI command)."""
 
 
 def psi_variables(n: int, prime: bool = False) -> tuple[str, ...]:
@@ -562,6 +563,20 @@ class TRRRecord:
         }
 
 
+def _relation_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
+    """Integer numerators, over (2g-2+n)! prod_j b_j!, of the principal part
+    of the relation from the leg exponents b: gamma_0 pushed forward plus each
+    gamma_i moved to psi_i, both linear, so the lifted shifts (as in
+    :func:`_gamma0_numerators`) are summed first and moved once."""
+    total = _string_pushforward_terms(_gamma0_numerators(g, n, b, lifts))
+    tail_lifts = [factorial(2 * g - 2 + n) * lift for lift in lifts]
+    for i in range(2, n + 1):
+        tail = _gammai_numerators(g, n, i, b, tail_lifts)
+        for exps, num in _substitute_prime_terms(tail, i).items():
+            total[exps] = total.get(exps, 0) + num
+    return total
+
+
 def relation_weights(k: int, l) -> list[tuple[tuple[int, ...], Fraction]]:
     """The 0/1 shift vectors with their combination weights; shifts whose
     weight vanishes (the auxiliary space would lose its extra legs) are
@@ -616,23 +631,14 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
             f"D vanishes at (g={g}, k={k}, l={l}); use the g7 exceptional-case tooling"
         )
     weights = relation_weights(k, l)
-    fact = factorial(2 * g - 2 + n)
-    denominator = fact * math.prod(factorial(2 * lj + 1) for lj in l)
+    denominator = factorial(2 * g - 2 + n) * math.prod(factorial(2 * lj + 1) for lj in l)
     odd = math.prod(2 * lj + 1 for lj in l)
     # (2k+1)_s, and with it the lift and the weight, vanishes from s = 2k+2 on
     lifts = [
         (-1) ** s * falling_factorial(2 * k + 1, s) * odd for s in range(min(n, 2 * k + 2))
     ]
-    b = tuple(2 * lj for lj in l)
-    # the pushforward and the psip -> psi_i move are linear, so each family
-    # is summed over the shifts first and moved once
-    total = _string_pushforward_terms(_gamma0_numerators(g, n, b, lifts))
-    tail_lifts = [fact * lift for lift in lifts]
-    for i in range(2, n + 1):
-        tail = _gammai_numerators(g, n, i, b, tail_lifts)
-        for exps, num in _substitute_prime_terms(tail, i).items():
-            total[exps] = total.get(exps, 0) + num
     target = (k,) + l
+    total = _relation_numerators(g, n, tuple(2 * lj for lj in l), lifts)
     top = total.get(target, 0)
     raw = Fraction(top, denominator)
     expected = c0_coeff(g, n, l, (0,) * (n - 1)) * D
@@ -808,109 +814,94 @@ def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 
 # the genus-7 exceptional case
 # ----------------------------------------------------------------------
 
+def _solve_modulo(families, known, target):
+    """Exact coefficients x with sum_i x_i families[i] ({exponents:
+    coefficient} dicts) equal to the target monomial modulo the monomials
+    that ``known`` marks, or None.  Sparse Gaussian elimination over
+    Fraction: each family, less its known monomials and reduced by the rows
+    before it, becomes a row normalized at its least monomial.  A row holds
+    no earlier pivot, so the residual target - sum_i x_i families[i], with
+    each new pivot taken out, is empty exactly when the target is reached.
+    """
+    def subtract(part: dict, sub: dict, c) -> None:
+        for key, v in sub.items():
+            part[key] = part.get(key, 0) - c * v
+
+    rows = []  # (pivot, {monomial: coefficient}, {family index: coefficient})
+    residual, x = {target: Fraction(1)}, {}
+    for i, family in enumerate(families):
+        row, comb = {e: Fraction(c) for e, c in family.items() if not known(e)}, {i: 1}
+        for pivot, prow, pcomb in rows:
+            if c := row.get(pivot):
+                subtract(row, prow, c)
+                subtract(comb, pcomb, c)
+        row = {e: v for e, v in row.items() if v}
+        if not row:
+            continue
+        top = row[pivot := min(row)]
+        row, comb = {e: v / top for e, v in row.items()}, {j: v / top for j, v in comb.items()}
+        rows.append((pivot, row, comb))
+        if c := residual.get(pivot):
+            subtract(residual, row, c)
+            subtract(x, comb, -c)
+            residual = {e: v for e, v in residual.items() if v}
+            if not residual:
+                return [x.get(j, Fraction(0)) for j in range(len(families))]
+    return None
+
+
 def g7_patch() -> dict:
     """Recover the two relations the vanishing D misses at genus 7.
 
-    The rational-tail family at marking 4 for the monomial with exponents
-    (9, 3, 1) is proportional to the alternating-factorial family in psi_1,
-    psi_2; combining it with its psi_1/psi_2 swap and the available higher-k
-    relations isolates psi_1^3 psi_2^2 psi_3 psi_4, and the nonvanishing of D
-    at (2, 2, 1) supplies psi_1^2 psi_2^2 psi_3^2 psi_4.
+    D vanishes at (k, l) = (3, (1, 1, 2)).  psi_1^3 psi_2^2 psi_3 psi_4 is
+    found by :func:`_solve_modulo` from the relation from the one monomial
+    b = (9, 3, 1) and its psi_1/psi_2 relabelling, modulo the monomials with
+    a zero exponent (fewer markings) or an exponent above k = 3 (the relation
+    at (4, (1, 1, 1)), whose D is nonzero, and its relabellings).  Then D at
+    (2, (2, 2, 1)) is nonzero and supplies psi_1^2 psi_2^2 psi_3^2 psi_4.
     """
-    g, n = 7, 4
-    b = (9, 3, 1)
-    fam = substitute_prime(gammai_closed(g, n, 4, b), 4, n)
-
-    report: dict = {"g": g, "n": n, "monomial": list(b)}
-    # every term with tail psi power >= 2 must vanish
-    raw = gammai_closed(g, n, 4, b)
-    report["c4_ge_2_vanishes"] = all(
-        exps[-1] < 2 for exps in raw.terms
+    g, n, b = 7, 4, (9, 3, 1)
+    target = (3, 2, 1, 1)
+    d_check = d_value(g, 2, (2, 2, 1))
+    report: dict = {
+        "g": g,
+        "n": n,
+        "monomial": list(b),
+        "D_2_2_1": rational_str(d_check),
+        "D_2_2_1_nonzero": d_check != 0,
+        "D_1_1_1_nonzero": d_value(g, 4, (1, 1, 1)) != 0,
+    }
+    den = factorial(2 * g - 2 + n) * math.prod(map(factorial, b))
+    family = {e: Fraction(c, den) for e, c in _relation_numerators(g, n, b).items()}
+    swapped = {(e[1], e[0]) + e[2:]: c for e, c in family.items()}
+    combination = _solve_modulo(
+        [family, swapped], lambda e: 0 in e or max(e) > target[0], target
     )
-
-    # the all-positive part: psi_3, psi_4 exponents both 1
-    family = {}
-    for exps, coeff in fam.terms.items():
-        if exps[2] >= 1 and exps[3] >= 1:
-            if exps[2] != 1 or exps[3] != 1:
-                return {"error": f"unexpected positive monomial {exps}"}
-            family[exps[1]] = (exps, coeff)
-    cs = sorted(family)
-    report["family_c2_values"] = cs
-    expected_c2 = list(range(5))
-    ratio = None
-    proportional = cs == expected_c2
-    if proportional:
-        for c2 in cs:
-            _, coeff = family[c2]
-            model = Fraction(-1, 2) / (factorial(c2) * factorial(4 - c2))
-            r = coeff / model
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                proportional = False
-                break
-    report["family_proportional"] = proportional
-    report["family_scalar"] = rational_str(ratio) if proportional else None
-    if not proportional:
-        return report
-
-    d_check = d_value(7, 2, (2, 2, 1))
-    report["D_2_2_1"] = rational_str(d_check)
-    report["D_2_2_1_nonzero"] = d_check != 0
-    d_aux = d_value(7, 4, (1, 1, 1))
-    report["D_1_1_1_nonzero"] = d_aux != 0
-
-    # reduce both the family and its swap modulo relations already available:
-    # monomials with a zero exponent come from spaces with fewer markings, and
-    # the only remaining psi_1-power >= 4 monomial is (4,1,1,1), covered since
-    # D at (1,1,1) is nonzero.  Coordinates below are in the basis
-    # A = (3,2,1,1), B = (2,3,1,1), C = (1,4,1,1).
-    t = {c2: family[c2][1] for c2 in cs}
-    T = {"A": t[2], "B": t[3], "C": t[4]}
-    Tswap = {"A": t[3], "B": t[2], "C": t[1]}
-    alpha = t[1] * T["A"] - t[4] * Tswap["A"]
-    beta = t[1] * T["B"] - t[4] * Tswap["B"]
-    # U = t1*T - t4*swap(T) has no C component; U' is its swap
-    if alpha**2 == beta**2:
-        return {**report, "error": "degenerate elimination"}
-    # solve alpha*x + beta*y and beta*x + alpha*y for the A-unit vector
-    coeff_U = alpha / (alpha**2 - beta**2)
-    coeff_Uswap = -beta / (alpha**2 - beta**2)
-
-    principal_A = SparsePoly(psi_variables(4), {(3, 2, 1, 1): Fraction(1)})
+    if combination is None:
+        return {**report, "ok": False, "error": f"the families do not isolate {target}"}
+    x, y = combination
     record_a = TRRRecord(
-        g=7,
-        n=4,
-        principal=principal_A,
+        g=g,
+        n=n,
+        principal=SparsePoly(psi_variables(n), {target: Fraction(1)}),
         provenance={
             "monomials": [list(b)],
             "weights": [Fraction(1)],
             "D": Fraction(0),
             "normalization": Fraction(1),
-            "method": "rational-tail family at marking 4, combined with its "
-            "psi_1/psi_2 swap; modulo monomials with a zero exponent and the "
-            "relation at (k,l) = (4,(1,1,1))",
-            "combination": {
-                # the A relation is x*T + y*swap(T) modulo knowns, where
-                # U = t1*T - t4*swap(T) and A = coeff_U*U + coeff_Uswap*swap(U)
-                "family": rational_str(coeff_U * t[1] - coeff_Uswap * t[4]),
-                "swapped_family": rational_str(coeff_Uswap * t[1] - coeff_U * t[4]),
-                "scalar": rational_str(ratio),
-            },
+            "method": "relation from the monomial (9,3,1), combined with its "
+            "psi_1/psi_2 relabelling by exact elimination; modulo monomials "
+            "with a zero exponent and monomials with an exponent above 3 (the "
+            "relation at (k,l) = (4,(1,1,1)) and its relabellings)",
+            "combination": {"family": rational_str(x), "swapped_family": rational_str(y)},
         },
     )
-    record_b = principal_part(7, 2, (2, 2, 1))
+    record_b = principal_part(g, 2, (2, 2, 1))
     record_b.provenance["method"] = (
         "standard combination at (k,l) = (2,(2,2,1)); higher-power monomials "
         "are covered by known relations including the patched k=3 case"
     )
     report["record_psi1_3"] = record_a
     report["record_psi1_2"] = record_b
-    report["ok"] = (
-        report["c4_ge_2_vanishes"]
-        and report["family_proportional"]
-        and report["D_2_2_1_nonzero"]
-        and report["D_1_1_1_nonzero"]
-    )
+    report["ok"] = report["D_2_2_1_nonzero"] and report["D_1_1_1_nonzero"]
     return report

@@ -20,6 +20,7 @@ from trrkit.numerics import (
     interpolate,
 )
 from trrkit import trr
+from trrkit.cli import result_digest
 from trrkit.pixton import fixed_r_class, monomial_coefficient
 from trrkit.stablegraphs import canonical_data, enumerate_stable_graphs
 from trrkit.strata import multiply
@@ -265,13 +266,18 @@ def test_criterion_8_one_marked_point_genus_2():
 
 def test_criterion_9_g7_patch():
     rep = g7_patch()
-    assert rep["family_proportional"]
-    assert rep["c4_ge_2_vanishes"]
-    assert rep["D_2_2_1_nonzero"]
+    assert rep["D_2_2_1_nonzero"] and rep["D_1_1_1_nonzero"]
     assert rep["ok"]
-    assert dict(rep["record_psi1_3"].principal.terms) == {(3, 2, 1, 1): Fraction(1)}
-    assert rep["record_psi1_2"].principal.coefficient((2, 2, 2, 1)) == 1
-    report(9, f"family scalar {rep['family_scalar']}, D(7,2,(2,2,1)) = {rep['D_2_2_1']}")
+    rec_a, rec_b = rep["record_psi1_3"], rep["record_psi1_2"]
+    assert dict(rec_a.principal.terms) == {(3, 2, 1, 1): Fraction(1)}
+    combination = rec_a.provenance["combination"]
+    assert combination == {"family": "-192/5", "swapped_family": "128/5"}
+    # byte for byte the record_psi1_2 of the hand elimination
+    assert result_digest(rec_b.to_json()) == (
+        "1e5a96c42005999b0c52234302449829260e91e54125b1e0d35f96fee759c2b0"
+    )
+    assert rec_b.principal.coefficient((2, 2, 2, 1)) == 1
+    report(9, f"combination {combination}, D(7,2,(2,2,1)) = {rep['D_2_2_1']}")
 
 
 def test_criterion_10_algebra_and_property_suites():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from trrkit import cli
+from trrkit import cli, trr
 from trrkit.cli import main
 from trrkit.stablegraphs import InvalidGraphError
 
@@ -186,6 +186,40 @@ def test_guard_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra,price",
+    [
+        # 18 graphs x modulus x 1 node, one node past the budget
+        (["--r", "55556"], 1_000_008),
+        (["--r", "10000000000"], 180_000_000_000),
+        # the default modulus 2 x max|a| x degree + 3, with 7 nodes
+        (["--a", "10000000000,-10000000000"], 18 * 40_000_000_003 * 7),
+    ],
+)
+def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
+    # the modulus is priced (graphs x modulus x r nodes) before any
+    # weighting table of that many integers is built
+    argv = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2", *extra]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == cli.EXIT_GUARD
+    assert out == ""
+    assert err.count("\n") == 1 and f"estimated cost {price} " in err
+
+
+def test_class_guard_admits_the_pinned_class(capsys):
+    # 18 graphs x modulus 15 x 7 nodes = 1,890; 18 x 500 x 1 = 9,000
+    base = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2"]
+    assert run(capsys, *base)[0] == cli.EXIT_OK
+    assert run(capsys, *base, "--r", "500")[0] == cli.EXIT_OK
+
+    # degree 0 keeps the trivial graph alone, and no edge needs a table
+    trivial = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "0", "--r", "1000001"]
+    assert run(capsys, *trivial)[0] == cli.EXIT_GUARD
+    assert run(capsys, *trivial, "--allow-large")[0] == cli.EXIT_OK
+
+
 def test_g7_command(tmp_path, capsys):
     out = tmp_path / "g7.json"
     code, _, _ = run(capsys, "g7", "--out", str(out))
@@ -195,6 +229,17 @@ def test_g7_command(tmp_path, capsys):
     assert payload["result"]["D_2_2_1"] == "-16/399"
     rec = payload["result"]["record_psi1_3"]
     assert rec["principal"] == [{"exponents": [3, 2, 1, 1], "coeff": "1"}]
+
+
+def test_g7_command_without_a_combination_is_a_mismatch(tmp_path, capsys, monkeypatch):
+    # an elimination that finds no combination leaves no record and ok false
+    monkeypatch.setattr(trr, "_solve_modulo", lambda families, known, target: None)
+    out = tmp_path / "g7.json"
+    code, _, _ = run(capsys, "g7", "--out", str(out))
+    assert code == cli.EXIT_MISMATCH
+    result = json.loads(out.read_text())["result"]
+    assert result["ok"] is False and "error" in result
+    assert "record_psi1_3" not in result and "record_psi1_2" not in result
 
 
 def test_trr_jobs_env_default(monkeypatch):
@@ -332,7 +377,7 @@ def test_scan_guard_refuses_a_huge_range_at_once(capsys):
         (["principal", "--g", "7", "--k", "1", "--l", "1,1,1,1,1,1"], "541e4636324f4f10"),
         (["principal", "--g", "7", "--k", "2", "--l", "1,1,1,1,1"], "3344759698757fc4"),
         (["principal", "--g", "6", "--k", "1", "--l", "1,1,1,2"], "fcc2ce68f3895ecc"),
-        (["g7"], "b728e812ebf56d90"),
+        (["g7"], "332d07fd4402d106"),
         (["principal", "--g", "1", "--k", "1"], "d4255ae9834c924c"),
         (["principal", "--g", "26", "--k", "26"], "8fb0ae92f0d156cd"),
         (["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2"], "3af5a16846e1310c"),

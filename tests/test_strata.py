@@ -260,44 +260,15 @@ def test_pushforward_kappa_free_for_low_exponent():
             continue
         out = pushforward_forget(x, n)
         assert not out.has_kappa()
-        assert not out.kappa_from_forgotten_psi
 
 
 def test_pushforward_generates_flagged_kappa():
     x = StrataElement.psi_monomial(2, 1, {1: 3})
     out = pushforward_forget(x, 1)
-    assert out.kappa_from_forgotten_psi
     assert out.has_kappa()
     ((dg, c),) = out.terms.items()
     assert dg.kappa == (((2, 1),),)
     assert c == 1
-
-
-def test_kappa_flag_survives_linear_operations():
-    # the flag of a pushforward that made kappa classes is kept by every
-    # operation on its result; a sum is flagged when either summand is
-    flagged = pushforward_forget(StrataElement.psi_monomial(2, 2, {1: 1, 2: 3}), 2)
-    plain = StrataElement.psi_monomial(2, 1, {1: 2})
-    assert flagged.kappa_from_forgotten_psi and flagged.has_kappa()
-    assert not plain.kappa_from_forgotten_psi
-    (graph,) = {dg.graph for dg in flagged.terms}
-    derived = [
-        flagged + plain,
-        plain + flagged,
-        flagged - plain,
-        plain - flagged,
-        flagged.scale(Fraction(3, 2)),
-        flagged.degree_component(3),
-        flagged.graph_component(graph),
-        flagged.relabel_legs({1: 1}),
-        multiply_by_psi(flagged, {1: 1}),
-        multiply(plain, flagged),
-        pushforward_forget(flagged, 1),
-    ]
-    for el in derived:
-        assert el.kappa_from_forgotten_psi
-    assert not (plain + plain).kappa_from_forgotten_psi
-    assert not plain.scale(2).kappa_from_forgotten_psi
 
 
 def test_double_pushforward_consistency():

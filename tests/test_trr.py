@@ -17,6 +17,8 @@ from trrkit.trr import (
     _gamma0_numerators,
     _gammai_numerators,
     _pair_zeros,
+    _relation_numerators,
+    _solve_modulo,
     c0_coeff,
     ci_coeff,
     d_value,
@@ -332,20 +334,72 @@ def test_relation_weights_skip_vanishing():
     )
 
 
+# sha256 of the canonical JSON of record_psi1_2 as the hand elimination of
+# the genus-7 cell wrote it; the exact elimination must keep it byte for byte
+G7_RECORD_PSI1_2_DIGEST = "1e5a96c42005999b0c52234302449829260e91e54125b1e0d35f96fee759c2b0"
+
+
 def test_g7_patch():
     report = g7_patch()
-    assert report["c4_ge_2_vanishes"]
-    assert report["family_proportional"]
-    assert report["family_scalar"] is not None
-    assert report["D_2_2_1_nonzero"]
+    assert report["D_2_2_1_nonzero"] and report["D_1_1_1_nonzero"]
     assert report["ok"]
     rec_a = report["record_psi1_3"]
     assert isinstance(rec_a, TRRRecord)
     assert dict(rec_a.principal.terms) == {(3, 2, 1, 1): Fraction(1)}
+    assert rec_a.provenance["combination"] == {"family": "-192/5", "swapped_family": "128/5"}
     rec_b = report["record_psi1_2"]
+    assert result_digest(rec_b.to_json()) == G7_RECORD_PSI1_2_DIGEST
     assert rec_b.principal.coefficient((2, 2, 2, 1)) == 1
     for exps in rec_b.principal.terms:
         assert exps == (2, 2, 2, 1) or exps[0] > 2
+
+
+def _single_monomial_relation(g, b):
+    """The principal part of the relation from one monomial, through the
+    public closed forms: gamma_0 pushed forward plus each gamma_i moved."""
+    n = len(b) + 1
+    total = string_pushforward(gamma0_closed(g, n, b))
+    for i in range(2, n + 1):
+        total = total + substitute_prime(gammai_closed(g, n, i, b), i, n)
+    return dict(total.terms)
+
+
+def _g7_families():
+    family = _single_monomial_relation(7, (9, 3, 1))
+    return family, {(e[1], e[0]) + e[2:]: c for e, c in family.items()}
+
+
+def test_single_monomial_relations_span_every_positive_genus_7_monomial():
+    # every relation from one monomial at (7,4), as integer numerators (the
+    # span does not see their denominators), known only the monomials with
+    # a zero exponent: the whole all-positive degree-7 part is reached
+    families = [
+        _relation_numerators(7, 4, b)
+        for b in itertools.product(range(16), repeat=3)
+        if sum(b) <= 15
+    ]
+    positive = [e for e in itertools.product(range(1, 5), repeat=4) if sum(e) == 7]
+    assert len(positive) == 20
+    for target in positive:
+        assert _solve_modulo(families, lambda e: 0 in e, target) is not None
+
+
+def test_g7_families_need_every_exponent_above_k_known():
+    # known only a zero exponent or a psi_1 exponent above 3, the pair cannot
+    # isolate psi_1^3 psi_2^2 psi_3 psi_4
+    assert _solve_modulo(_g7_families(), lambda e: 0 in e or e[0] > 3, (3, 2, 1, 1)) is None
+
+
+def test_g7_recorded_combination_isolates_the_target():
+    family, swapped = _g7_families()
+    combined = {}
+    for terms, x in ((family, Fraction(-192, 5)), (swapped, Fraction(128, 5))):
+        for e, c in terms.items():
+            combined[e] = combined.get(e, 0) + x * c
+    positive = {e: c for e, c in combined.items() if c and 0 not in e}
+    assert {e: c for e, c in positive.items() if max(e) <= 3} == {(3, 2, 1, 1): 1}
+    # a monomial that only a relabelling of the (4,(1,1,1)) relation covers
+    assert positive[(1, 4, 1, 1)] == Fraction(-1, 2)
 
 
 def test_psi_variables():
