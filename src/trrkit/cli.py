@@ -2,9 +2,9 @@
 
 Subcommands: scan, d, principal, pixton, omega (alias verify-lemmas), g7,
 check.  All results are JSON with an embedded run manifest; exit codes are
-0 success, 1 usage error, 2 computation guard or fit instability, 3
-verification mismatch, 4 internal error (a failed self-check or an invalid
-graph built by the pipeline itself).
+0 success, 1 usage error, 2 computation guard, fit instability or a cell
+whose D vanishes, 3 verification mismatch, 4 internal error (a failed
+self-check or an invalid graph built by the pipeline itself).
 """
 from __future__ import annotations
 
@@ -157,8 +157,6 @@ def cmd_pixton(args, started):
     extra = {}
     if args.a is not None:
         a = _parse_int_list(args.a)
-        if len(a) != args.n:
-            raise UsageError("--a needs one value per marking")
         params["a"] = list(a)
         if not args.allow_large:
             _check_class_cost(args.g, args.n, a, args.degree, args.r)
@@ -331,10 +329,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ExceptionalCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ComputationGuardError, FitInstabilityError) as exc:
+    except (ComputationGuardError, FitInstabilityError, ExceptionalCaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

@@ -41,10 +41,11 @@ a sum over one edge's residue.  Memoization across calls is ``functools``
 caches on private helpers (``cache_info()`` gives hits and sizes),
 unbounded for the life of the process: the reduction steps per edge list,
 the tau tables per modulus, the plan per (g, n, dmax, survivors, orbits),
-the simplex points with their coefficient and check rows per (number of
-leg sums, 2d) (``numerics._simplex_tables``), the sampled leg vectors per
-(leg partition, n, 2d) and the group weights per (exponents, d, leg
-partition, leg exponents).  The weighting sums per (edge list, vertex leg
+the guard's admitted verdicts per budget and job, the simplex points with
+their coefficient and check rows per (number of leg sums, 2d)
+(``numerics._simplex_tables``), the sampled leg vectors per (leg
+partition, n, 2d) and the group weights per (exponents, d, leg partition,
+leg exponents).  The weighting sums per (edge list, vertex leg
 sums, moduli, profiles) take one entry per graph and A-point, so only the
 16,384 most recently used are kept: a genus-2 grid point uses under a
 thousand, a genus-3 lemma over 150,000.  Templates and automorphism counts
@@ -74,6 +75,7 @@ from .numerics import (
 )
 from .stablegraphs import (
     StableGraph,
+    _leg_maps,
     automorphism_count,
     enumerate_stable_graphs,
 )
@@ -88,9 +90,8 @@ class ComputationGuardError(RuntimeError):
     """Raised when a computation exceeds the default scale guard."""
 
 
-# the price above which monomial_coefficient, and the CLI's fixed-r class and
-# constant term, refuse to run unless allowed: A-point evaluations (graphs
-# for the class) x modulus x r nodes
+# the price above which the one guard, _check_cost, refuses monomial_coefficient
+# and the CLI's fixed-r class and constant term, unless allowed
 COST_BUDGET = 1_000_000
 
 
@@ -429,19 +430,23 @@ def _class_plan(g: int, n: int, dmax: int, survivors: frozenset, orbits: bool) -
     return tuple(plan)
 
 
-def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
-    """The input checks shared by the fixed-r class and the constant term:
-    bad input raises ValueError."""
-    if len(a) != n:
-        raise ValueError("leg value count must equal n")
-    if any(r < 1 for r in rs):
-        raise ValueError("modulus must be positive")
+def _check_space(g: int, n: int, dmax: int) -> None:
+    """Unstable (g, n) or a degree outside 0..3g-3+n raises ValueError."""
     if dmax < 0:
         raise ValueError(f"degree must be nonnegative, got {dmax}")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"({g},{n}) is unstable")
     if dmax > 3 * g - 3 + n:
-        raise ValueError("degree cap exceeds the dimension")
+        raise ValueError(f"degree {dmax} exceeds the dimension {3 * g - 3 + n}")
+
+
+def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
+    """The input checks of the fixed-r class and the constant term."""
+    if len(a) != n:
+        raise ValueError("leg value count must equal n")
+    if any(r < 1 for r in rs):
+        raise ValueError("modulus must be positive")
+    _check_space(g, n, dmax)
 
 
 def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
@@ -576,6 +581,27 @@ def _default_r0(a, dmax: int) -> int:
     return 2 * max((abs(v) for v in a), default=1) * max(dmax, 1) + 3
 
 
+@functools.cache
+def _check_cost(budget: int, g: int, n: int, dmax: int, survivors, modulus, nodes: int):
+    """Refuse a computation on the graphs of (g, n) with at most dmax edges
+    priced above ``budget``, walking them lazily (``stablegraphs._leg_maps``)
+    and stopping as soon as the price, which never falls, passes it.  It is
+    graphs x ``modulus`` x ``nodes``, or with ``modulus`` None that of
+    :func:`monomial_coefficient`'s plan, one graph per survivor orbit: A-points
+    x the default r0 of the largest leg value they reach x ``nodes``."""
+    sampled = modulus is None
+    units = reach = 0
+    for *_, legs, _ in _leg_maps(g, n, dmax, survivors, survivors if sampled else frozenset()):
+        count, value = _monomial_points(legs, 2 * dmax) if sampled else (1, 0)
+        units, reach = units + count, max(reach, value)
+        cost = units * (_default_r0((reach,), dmax) if sampled else modulus) * nodes
+        if cost > budget:
+            raise ComputationGuardError(
+                f"estimated cost {cost} ({'evaluations' if sampled else 'graphs'} x "
+                "modulus x nodes) exceeds the default budget; pass allow_large to proceed"
+            )
+
+
 def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
     """Refuse the class :func:`fixed_r_class` takes at modulus r, or with r
     None :func:`constant_term_class` at its default nodes, if it prices above
@@ -584,12 +610,7 @@ def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
     a = check_avector(a)
     modulus, nodes = (r, 1) if r is not None else (_default_r0(a, dmax), 2 * dmax + 3)
     _check_input(g, n, a, (modulus,), dmax)
-    cost = len(enumerate_stable_graphs(g, n, max_edges=dmax)) * modulus * nodes
-    if cost > COST_BUDGET:
-        raise ComputationGuardError(
-            f"estimated cost {cost} (graphs x modulus x nodes) exceeds the "
-            "default budget; pass allow_large to proceed"
-        )
+    _check_cost(COST_BUDGET, g, n, dmax, frozenset(), modulus, nodes)
 
 
 def constant_term_class(
@@ -633,16 +654,24 @@ def constant_term_class(
     }
 
 
-def _leg_partition(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
-    """The legs 2..n grouped by vertex, for every vertex other than leg 1's
-    that carries some: the vertices whose leg sums A_i are the variables of
-    the graph's weighting sums.  Ordered by lowest leg."""
-    first = graph.legs[0]
+def _leg_partition(legs) -> tuple[tuple[int, ...], ...]:
+    """The legs 2..n of leg map ``legs`` grouped by vertex, for every vertex
+    other than leg 1's that carries some: the vertices whose leg sums A_i are
+    the variables of the graph's weighting sums.  Ordered by lowest leg."""
+    first = legs[0]
     blocks: dict[int, list[int]] = {}
-    for m, v in enumerate(graph.legs[1:], start=2):
+    for m, v in enumerate(legs[1:], start=2):
         if v != first:
             blocks.setdefault(v, []).append(m)
     return tuple(sorted(tuple(ms) for ms in blocks.values()))
+
+
+def _monomial_points(legs, degree: int) -> tuple[int, int]:
+    """The A-points :func:`_monomial_sample` evaluates on a graph with leg map
+    ``legs`` and k leg sums, C(degree + 1 + k, k), and the leg value that sets
+    their modulus: |a_1| = degree + 1 on the layer when k > 0, else 1."""
+    k = len(_leg_partition(legs))
+    return binomial(degree + 1 + k, k), degree + 1 if k else 1
 
 
 @functools.cache
@@ -721,7 +750,7 @@ def _monomial_sample(exponents: tuple, d: int):
     den = factorial(degree)
 
     def sample(graph, groups):
-        parts = _leg_partition(graph)
+        parts = _leg_partition(graph.legs)
         weights = [
             _group_weights(exponents, d, parts, c)
             if graph.num_edges + sum(profile) + sum(c) == d
@@ -783,11 +812,8 @@ def monomial_coefficient(
     invariant under them, such as its product with psi at the survivors
     pushed forward forgetting them, is that of the labelled class.
 
-    The default guard prices the A-point evaluations of the graphs the plan
-    samples, times the modulus (from the largest leg value the points
-    reach, D + 1 on the layer) times the 2*d + 3 r nodes, before any
-    template is built or any sampling done, and refuses jobs above
-    ``COST_BUDGET`` unless ``allow_large`` is set.
+    The default guard, :func:`_check_cost`, refuses a job priced above
+    ``COST_BUDGET`` before any template is built, unless ``allow_large``.
     """
     exponents = tuple(int(b) for b in exponents)
     survivors = frozenset(survivors)
@@ -795,36 +821,18 @@ def monomial_coefficient(
         raise ValueError("need one exponent per marking 2..n")
     if min(exponents, default=0) < 0:
         raise ValueError(f"exponents must be nonnegative, got {exponents}")
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
-    if d > 3 * g - 3 + n:
-        raise ValueError("degree exceeds the dimension")
-    degree = 2 * d
+    _check_space(g, n, d)
     if not survivors <= set(range(2, n + 1)):
         raise ValueError(f"survivors must be among the markings 2..{n}, got {sorted(survivors)}")
     if len({exponents[m - 2] for m in survivors}) > 1:
         raise ValueError("the survivor legs must share one exponent")
-    # the plan samples one graph per orbit of the survivor permutations, and
-    # every such graph has room for its undecorated template, so the plan
-    # keeps them all: a graph with k leg sums samples the simplex |A| <= degree
-    # and the layer |A| = degree + 1, C(degree + 1 + k, k) points, and when
-    # k > 0 the layer reaches the largest leg value |a_1| = degree + 1
-    sizes = [
-        len(_leg_partition(graph))
-        for graph, _ in enumerate_stable_graphs(
-            g, n, max_edges=d, reserved_markings=survivors, _orbits=True
-        )
-    ]
-    evaluations = sum(binomial(degree + 1 + k, k) for k in sizes)
-    r0 = 2 * (degree + 1 if any(sizes) else 1) * max(d, 1) + 3
-    cost = evaluations * r0 * (2 * d + 3)
-    if cost > COST_BUDGET and not allow_large:
-        raise ComputationGuardError(
-            f"estimated cost {cost} (evaluations x modulus x nodes) exceeds "
-            "the default budget; pass allow_large to proceed"
-        )
+    degree = 2 * d
+    if not allow_large:
+        _check_cost(COST_BUDGET, g, n, d, survivors, None, 2 * d + 3)
 
     plan = _class_plan(g, n, d, survivors, True)  # warmed before any fork
+    points = [_monomial_points(entry[0].legs, degree) for entry in plan]
+    r0 = _default_r0([value for _, value in points], d)
     workers = _worker_count(jobs, len(plan))
     tasks = [
         (g, n, exponents, d, r0, tuple(sorted(survivors)), start, workers)
@@ -841,7 +849,7 @@ def monomial_coefficient(
             terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
-        "evaluations": evaluations,
+        "evaluations": sum(count for count, _ in points),
         "plan_graphs": len(plan),
         "plan_labelled_graphs": sum(entry[-1] for entry in plan),
         "r0": r0,

@@ -53,16 +53,10 @@ class StableGraph:
     def genus(self) -> int:
         return self.h1() + sum(self.genera)
 
-    def valences(self) -> tuple[int, ...]:
-        return _valences(self)
-
-    def vertex_capacity(self, v: int) -> int:
-        """Decoration degree bound 3g(v) - 3 + n(v) at vertex v."""
-        return 3 * self.genera[v] - 3 + self.valences()[v]
-
     def capacities(self) -> tuple[int, ...]:
+        """Decoration degree bound 3g(v) - 3 + n(v) at each vertex v."""
         return tuple(
-            3 * g - 3 + val for g, val in zip(self.genera, self.valences())
+            3 * g - 3 + val for g, val in zip(self.genera, _valences(self))
         )
 
     def sort_key(self):
@@ -116,7 +110,7 @@ def validate(graph: StableGraph) -> list[str]:
         return problems
     if not _connected(V, graph.edges):
         problems.append("graph is not connected")
-    # not graph.valences(), whose cache is meant for canonical graphs
+    # not _valences(graph), whose cache is meant for canonical graphs
     val = _degrees(V, graph.edges)
     for v in graph.legs:
         val[v] += 1
@@ -467,14 +461,12 @@ def enumerate_stable_graphs(
     return tuple(zip(graphs, weights)) if _orbits else graphs
 
 
-@functools.cache
-def _enumerate(
-    g: int, n: int, emax: int, reserved: frozenset, colour: frozenset
-) -> tuple[tuple[StableGraph, ...], tuple[int, ...]]:
+def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> Iterator:
+    """The graphs of :func:`_enumerate`, uncanonicalized, as (genera, edges,
+    legs, weight), lazily: a reader that stops early builds no level above."""
     # the markings whose legs count toward the capacity they must leave
     free = [m not in reserved for m in range(1, n + 1)]
 
-    out: list[tuple[StableGraph, int]] = []
     shapes = {((g,), ())}
     for E in range(emax + 1):
         if E:
@@ -491,7 +483,13 @@ def _enumerate(
                         room[v] += counts
                     if min(room) < 0:
                         continue
-                out.append((StableGraph(*canonical_data(genera, edges, legs)), weight))
+                yield genera, edges, legs, weight
+
+
+@functools.cache
+def _enumerate(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> tuple:
+    maps = _leg_maps(g, n, emax, reserved, colour)
+    out = [(StableGraph(*canonical_data(*data)), weight) for *data, weight in maps]
     out.sort(key=lambda pair: pair[0].sort_key())
     return tuple(graph for graph, _ in out), tuple(weight for _, weight in out)
 

@@ -64,7 +64,7 @@ class DecoratedGraph:
         return d
 
     def violates_degree_condition(self) -> bool:
-        caps = [self.graph.vertex_capacity(v) for v in range(self.graph.num_vertices)]
+        caps = self.graph.capacities()
         return any(
             self.vertex_decoration_degree(v) > caps[v]
             for v in range(self.graph.num_vertices)

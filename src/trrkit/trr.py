@@ -521,6 +521,8 @@ class MonomialSpec:
         self.exponents = tuple(int(x) for x in self.exponents)
         if len(self.exponents) != self.n - 1:
             raise ValueError("need one exponent per marking 2..n")
+        if min(self.exponents, default=0) < 0:
+            raise ValueError(f"exponents must be nonnegative, got {self.exponents}")
         if self.degree > 2 * self.g + 2:
             raise ValueError("monomial degree exceeds 2g+2")
 
@@ -686,10 +688,6 @@ def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     N = mono.num_legs
     if N < n + 1:
         raise ValueError("monomial degree too large: no extra leg remains")
-    if g > 2 and not allow_large:
-        raise ComputationGuardError(
-            f"genus {g} exceeds the default brute-force guard; pass allow_large"
-        )
     survivors = range(n + 2, N + 1)
     element, meta = monomial_coefficient(
         g, N, mono.exponents + (1,) * (N - n), g + 1, allow_large=allow_large,

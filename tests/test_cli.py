@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from trrkit import cli, trr
+from trrkit import cli, pixton, trr
 from trrkit.cli import main
 from trrkit.stablegraphs import InvalidGraphError
 
@@ -179,21 +179,44 @@ def test_usage_never_writes_partial_output(tmp_path, capsys):
 
 
 def test_guard_exit_code(capsys):
+    # its full price is 1,710,726,885; the guard stops at 1,004,400
+    started = time.perf_counter()
     code, _, err = run(
         capsys, "pixton", "--g", "2", "--n", "7", "--b-exponents", "1,1,1,1,1,1",
         "--degree", "3",
     )
+    assert time.perf_counter() - started < 1.0
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pixton", "--g", "8", "--n", "2", "--b-exponents", "18", "--degree", "9"],
+        ["omega", "--g", "6", "--n", "2", "--b", "13"],
+    ],
+)
+def test_guard_refuses_a_large_genus_at_once(capsys, argv):
+    # the guard stops at the first graph that takes the price past the
+    # budget, before the plan is enumerated, and no genus rule is needed
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "exceeds the default budget" in err
 
 
 @pytest.mark.parametrize(
     "extra,price",
     [
-        # 18 graphs x modulus x 1 node, one node past the budget
+        # 18 graphs x modulus x 1 node, one node past the budget, passed at
+        # the last graph
         (["--r", "55556"], 1_000_008),
-        (["--r", "10000000000"], 180_000_000_000),
-        # the default modulus 2 x max|a| x degree + 3, with 7 nodes
-        (["--a", "10000000000,-10000000000"], 18 * 40_000_000_003 * 7),
+        # passed at the first graph
+        (["--r", "10000000000"], 10_000_000_000),
+        # the default modulus 2 x max|a| x degree + 3, with 7 nodes, passed
+        # at the first graph
+        (["--a", "10000000000,-10000000000"], 40_000_000_003 * 7),
     ],
 )
 def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
@@ -206,6 +229,24 @@ def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
     assert code == cli.EXIT_GUARD
     assert out == ""
     assert err.count("\n") == 1 and f"estimated cost {price} " in err
+
+
+def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):
+    # pixton --a, pixton --b-exponents and omega all ask pixton._check_cost
+    seen = []
+
+    def refuse(budget, g, n, dmax, survivors, modulus, nodes):
+        seen.append((g, n, dmax, modulus, nodes))
+        raise pixton.ComputationGuardError("refused")
+
+    monkeypatch.setattr(pixton, "_check_cost", refuse)
+    for argv in (
+        ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2"],
+        ["pixton", "--g", "2", "--n", "2", "--b-exponents", "2", "--degree", "2"],
+        ["omega", "--g", "1", "--n", "1"],
+    ):
+        assert run(capsys, *argv)[0] == cli.EXIT_GUARD
+    assert seen == [(2, 2, 2, 15, 7), (2, 2, 2, None, 7), (1, 5, 2, None, 7)]
 
 
 def test_class_guard_admits_the_pinned_class(capsys):
@@ -329,6 +370,19 @@ def test_internal_failures_exit_4(monkeypatch, capsys, error):
 def test_unstable_input_is_a_usage_error(capsys, extra):
     code, _, err = run(capsys, "pixton", "--g", "0", "--n", "2", "--a", "1,-1", *extra)
     assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("mode", [["--a", "0,0"], ["--b-exponents", "0"]])
+def test_both_pixton_modes_name_an_unstable_space(capsys, mode):
+    code, _, err = run(capsys, "pixton", "--g", "0", "--n", "2", *mode, "--degree", "0")
+    assert_one_line_usage_error(code, err)
+    assert "(0,2) is unstable" in err
+
+
+def test_omega_names_a_negative_exponent_as_given(capsys):
+    code, _, err = run(capsys, "omega", "--g", "1", "--n", "2", "--b", "-1")
+    assert_one_line_usage_error(code, err)
+    assert err.strip().endswith("exponents must be nonnegative, got (-1,)")
 
 
 @pytest.mark.parametrize(

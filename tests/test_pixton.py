@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -323,8 +324,7 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     assert meta["evaluations"] == len(graphs)
     assert meta["plan_graphs"] == len(set(graphs))
     # one graph per orbit of the survivor permutations is sampled, standing
-    # for every labelled graph of its orbit, and the guard prices the same
-    # graphs: no labelled enumeration runs
+    # for every labelled graph of its orbit: no labelled enumeration runs
     assert orbits and all(orbits)
     labelled = enumerate_stable_graphs(1, 4, 1, {3, 4})
     assert meta["plan_graphs"] < meta["plan_labelled_graphs"] == len(labelled)
@@ -431,8 +431,9 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
     # the guard prices each A-point evaluation of the orbit plan at the
     # modulus and its 2d + 3 r nodes; every genus-1 lemma instance passes the
     # default budget at the price pinned here, and (2,7,(1,)*6,3), with no
-    # survivors, is refused.  The sampling itself is stubbed: only the guard
-    # runs.
+    # survivors, is refused as soon as its running price passes the budget
+    # (its full price is 1,710,726,885).  The sampling itself is stubbed:
+    # only the guard runs.
     from trrkit.trr import MonomialSpec, omega
 
     calls = []
@@ -457,9 +458,29 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
             with pytest.raises(ComputationGuardError, match=f"cost {price} "):
                 monomial_coefficient(*args, survivors=survivors)
     assert len(calls) == 8
-    with pytest.raises(ComputationGuardError, match="cost 1710726885 "):
+    with pytest.raises(ComputationGuardError, match="cost 1004400 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
     assert len(calls) == 8
+
+
+def test_cost_guard_stops_at_the_budget():
+    # the guard walks the graphs lazily and refuses at the first graph that
+    # takes the running price past the budget, long before a plan that
+    # would take minutes to enumerate is built
+    started = time.perf_counter()
+    with pytest.raises(ComputationGuardError, match="exceeds the default budget"):
+        monomial_coefficient(6, 2, (14,), 7)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_cost_guard_prices_a_whole_walk(monkeypatch):
+    # the running price never falls, so a walk that ends prices the whole
+    # plan: the cheapest genus-3 omega input, (3,2,(7,)), is (g, N, d) =
+    # (3, 3, 4) with exponents (7, 1) and no survivors, at 2d + 3 = 11 nodes
+    monkeypatch.setattr(pixton, "COST_BUDGET", 28_486_424)
+    with pytest.raises(ComputationGuardError, match="cost 28486425 "):
+        monomial_coefficient(3, 3, (7, 1), 4)
+    pixton._check_cost(28_486_425, 3, 3, 4, frozenset(), None, 11)
 
 
 class _SerialPool:

@@ -31,7 +31,7 @@ def random_element(rng, g, n, max_terms=2, with_kappa=True):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         graph = rng.choice(graphs)
-        caps = [graph.vertex_capacity(v) for v in range(graph.num_vertices)]
+        caps = graph.capacities()
         psi_legs = [0] * n
         psi_edges = [[0, 0] for _ in graph.edges]
         kappa = [dict() for _ in graph.genera]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from trrkit.trr import (
     g7_patch,
     gamma0_closed,
     gammai_closed,
+    omega,
     principal_part,
     relation_weights,
     scan_cell_count,
@@ -321,6 +323,30 @@ def test_monomial_spec_counts():
     assert spec.num_legs == 7
     with pytest.raises(ValueError):
         MonomialSpec(1, 2, (5,))
+    # a negative exponent is named as given, not in omega's padded vector
+    with pytest.raises(ValueError, match=r"nonnegative, got \(-1,\)$"):
+        MonomialSpec(1, 2, (-1,))
+
+
+# every genus-3 omega input on at most 4 legs, exponents sorted: six of them
+GENUS_3_SMALL = [
+    (3, n, b)
+    for n in range(1, 5)
+    for b in itertools.combinations_with_replacement(range(9), n - 1)
+    if sum(b) <= 8 and n + 1 <= MonomialSpec(3, n, b).num_legs <= 4
+]
+
+
+@pytest.mark.parametrize("g,n,b", GENUS_3_SMALL + [(26, 1, ())])
+def test_omega_is_refused_by_price_alone(g, n, b):
+    # there is no genus rule: the cost guard refuses these by their price,
+    # at the first graph that takes it past the budget
+    mono = MonomialSpec(g, n, b)
+    started = time.perf_counter()
+    with pytest.raises(ComputationGuardError, match="exceeds the default budget"):
+        omega(mono)
+    assert time.perf_counter() - started < 1.0
+
 
 
 def test_relation_weights_skip_vanishing():
