@@ -176,6 +176,8 @@ def cmd_pixton(args, started):
         extra["grid_degree"] = meta["grid_degree"]
         extra["grid_evaluations"] = meta["evaluations"]
         extra["plan_graphs"] = meta["plan_graphs"]
+        extra["layouts"] = meta["layouts"]
+        extra["layout_evaluations"] = meta["layout_evaluations"]
     result = {
         "g": args.g,
         "n": args.n,

@@ -11,27 +11,32 @@ consecutive nodes, and two further held-out nodes validate the bound.
 
 Performance notes.  The graph sum is accumulated in integers in one pass
 over the plan, graph by graph, each graph sampled at its own weighted
-points.  Per graph and point, one call gives the weighting power sums at
-every r node, the sums are put over the common denominator lcm(r^h1), and
-per edge profile the two held-out differences are checked and the
-Lagrange-at-zero weights give one integer, memoized per distinct tuple of
-sums.  Each group of decoration templates sharing a profile and leg
-exponents takes the dot product of its integer weights with its profile's
-values over the points, so the template loop runs once per graph and each
-decorated graph becomes one Fraction at the end.  The fixed-r class and the
-constant term at one leg vector are one point weighted by the leg powers.
-A monomial coefficient samples each graph on the simplex of its vertex leg
-sums A, |A| <= 2d (the weighting conditions see the leg values only through
-them, and the constant term in r has total degree <= 2d in them), weighted
-per group by an integer functional that reads off the target monomial, and
-checks every (2d+1)-th Newton difference on the layer |A| = 2d + 1; worker
-processes each take a chunk of the plan graphs and return integer
-numerators, which the parent merges.  Its plan holds one graph per orbit of
-the permutations of the survivor legs, weighted by the labelled graphs in
-the orbit: the genus-1 lemmas sample 176 graphs at 1,426 A-points (3,238
-for the 303 labelled graphs on the tensor grid {0..2d}^k), the (2,1,())
-comparison 576 graphs at 15,241 (25,167 on the grid), and (2,2,(0,)) 3,325
-graphs at 137,473 (276,311 on the grid).
+points.  The values a graph's points give depend only on its layout: the
+edge list and the vertex leg sums at each point.  Per layout and point, one
+call gives the weighting power sums at every r node, the sums are put over
+the common denominator lcm(r^h1), and per edge profile the two held-out
+differences are checked and the Lagrange-at-zero weights give one integer,
+memoized per distinct tuple of sums; the checked column of integers over
+the points serves every consecutive graph of the layout.  Each group of
+decoration templates sharing a profile and leg exponents takes the dot
+product of its integer weights with its profile's column, so the template
+loop runs once per graph and each decorated graph becomes one Fraction at
+the end.  The fixed-r class and the constant term at one leg vector are
+one point weighted by the leg powers.  A monomial coefficient samples each
+graph on the simplex of its vertex leg sums A, |A| <= 2d (the weighting
+conditions see the leg values only through them, and the constant term in
+r has total degree <= 2d in them), weighted per group by an integer
+functional that reads off the target monomial, and checks every (2d+1)-th
+Newton difference on the layer |A| = 2d + 1; worker processes each take
+whole layouts, their graphs side by side, and return integer numerators,
+which the parent merges.  Its plan holds one graph per orbit of the
+permutations of the survivor legs, weighted by the labelled graphs in the
+orbit: the genus-1 lemmas sample 176 graphs at 1,426 A-points (3,238 for
+the 303 labelled graphs on the tensor grid {0..2d}^k), of which their 65
+layouts evaluate 460; the (2,1,()) comparison 576 graphs at 15,241 (25,167
+on the grid; 119 layouts, 2,653), (2,2,(0,)) 3,325 graphs at 137,473
+(276,311 on the grid; 285 layouts, 11,653) and (3,1,()) 21,522 graphs at
+2,531,454 (1,951 layouts, 228,277).
 A weighting sum is reduced over the graph itself: loops are summed out, a
 vertex whose edges all go to one neighbour fixes their residue sum, a
 degree-2 vertex joins its two edges and parallel edges merge by
@@ -46,15 +51,16 @@ their coefficient and check rows per (number of leg sums, 2d)
 (``numerics._simplex_tables``), the sampled leg vectors per (leg
 partition, n, 2d) and the group weights per (exponents, d, leg partition,
 leg exponents).  The weighting sums per (edge list, vertex leg
-sums, moduli, profiles) take one entry per graph and A-point, so only the
+sums, moduli, profiles) take one entry per layout and A-point, so only the
 16,384 most recently used are kept: a genus-2 grid point uses under a
-thousand, a genus-3 lemma over 150,000.  Templates and automorphism counts
-are built once per plan graph, inside the cached plan.  The plan asks the
-enumeration for only the graphs with room for one unit of psi at every
-survivor leg, so the rest are never canonicalized, and a monomial plan asks
-for one graph per orbit, so the others are never even placed: the (3,1,())
-comparison's plan of 21,522 orbits, for 2,705,423 labelled graphs, builds in
-under 10 s.
+thousand, the (3,1,()) comparison over 100,000 (graphs of different
+layouts still meet at equal leg sums, as where one is 0).  Templates and
+automorphism counts are built once per plan graph, inside the cached plan.
+The plan asks the enumeration for only the graphs with room for one unit of
+psi at every survivor leg, so the rest are never canonicalized, and a
+monomial plan asks for one graph per orbit, so the others are never even
+placed: the (3,1,()) comparison's plan of 21,522 orbits, for 2,705,423
+labelled graphs, builds in under 10 s.
 """
 from __future__ import annotations
 
@@ -298,10 +304,15 @@ def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int,
     edge list, the vertex leg sums, the moduli and the profiles.  The edge
     order ties the profile entries to the edges.
     """
+    return _power_sums(graph.edges, _leg_sums(graph, a), tuple(rs), tuple(sorted(profiles)))
+
+
+def _leg_sums(graph: StableGraph, a) -> tuple[int, ...]:
+    """The leg sum A_v of the leg values ``a`` at each vertex v."""
     A = [0] * graph.num_vertices
     for v, value in zip(graph.legs, a):
         A[v] += value
-    return _power_sums(graph.edges, tuple(A), tuple(rs), tuple(sorted(profiles)))
+    return tuple(A)
 
 
 @functools.lru_cache(maxsize=16_384)
@@ -454,23 +465,31 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
     sampled at every modulus in ``nodes``, in integers.
 
     ``form`` and the ``held_out`` forms are integer linear forms on the
-    nodes.  ``sample(graph, groups)`` gives the graph's points as
-    (leg vectors, check rows, group weights, den): per point, each edge
-    profile's weighting sums are put over m = lcm(r^h1), every held-out form
-    must vanish on them, or :class:`FitInstabilityError` is raised, and
-    ``form`` turns them into one integer (once per distinct tuple of sums),
-    so each profile gets one column of integers over the points.  The dot
-    product of every check row with every column must vanish too.  Group i
-    of the templates gets the dot product of its weights (None for none)
-    with its profile's column; weights may stop short of the points,
-    leaving the last ones to the check rows.  So the template loop runs
-    once per graph for all points, and each total is multiplied by the
-    graph's plan weight.  Yields (terms, den) per plan graph: terms maps
-    each decorated graph of that graph to an integer numerator over den.
-    Every key belongs to exactly one graph, so the denominators of
-    different graphs never meet.
+    nodes.  ``sample(graph, groups)`` gives the graph's layout and points as
+    (layout, leg vectors, check rows, group weights, den).  The layout is
+    what the graph's columns depend on: graphs of one layout have the same
+    edge list and the same vertex leg sums at every point, and so the same
+    edge profiles (every profile of total <= dmax - E) and check rows.  A
+    graph whose layout differs from the last graph's builds the columns: per
+    point, one :func:`weighting_power_sums` call gives each edge profile's
+    sums, which are put over m = lcm(r^h1); every held-out form must vanish
+    on them, or :class:`FitInstabilityError` is raised, and ``form`` turns
+    them into one integer (checked and evaluated once per distinct tuple of
+    sums), so each profile gets one column of integers over the points.  The
+    dot product of every check row with every column must vanish too.  The
+    checked nonzero columns are kept while the graphs that follow have the
+    same layout, and they read them, so a plan in layout order builds each
+    layout's columns once.  Group i of the templates gets the dot product of
+    its weights (None for none) with its profile's column; weights may stop
+    short of the points, leaving the last ones to the check rows.  So the
+    template loop runs once per graph for all points, and each total is
+    multiplied by the graph's plan weight.  Yields (terms, den) per plan
+    graph: terms maps each decorated graph of that graph to an integer
+    numerator over den.  Every key belongs to exactly one graph, so the
+    denominators of different graphs never meet.
     """
     by_h1 = {}
+    layout = columns = None  # the last layout met and its checked nonzero columns
     for graph, groups, profiles, h1, aut, common, weight in plan:
         if h1 not in by_h1:
             # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
@@ -483,26 +502,28 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
                 {},  # the value of each checked tuple of sums met so far
             )
         m, value_form, checks, checked = by_h1[h1]
-        legs, check_rows, group_weights, den = sample(graph, groups)
-        columns = {profile: [] for profile in profiles}
-        for a in legs:
-            for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
-                value = checked.get(psums)
-                if value is None:
-                    for check in checks:
-                        if _dot(check, psums):
-                            raise FitInstabilityError(
-                                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-                            )
-                    value = checked[psums] = _dot(value_form, psums)
-                columns[profile].append(value)
-        if any(_dot(row, column) for row in check_rows for column in columns.values()):
-            raise FitInstabilityError(
-                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                "in the vertex leg sums"
-            )
-        columns = {profile: column for profile, column in columns.items() if any(column)}
+        graph_layout, legs, check_rows, group_weights, den = sample(graph, groups)
+        if graph_layout != layout:
+            layout = graph_layout
+            columns = {profile: [] for profile in profiles}
+            for a in legs:
+                for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
+                    value = checked.get(psums)
+                    if value is None:
+                        for check in checks:
+                            if _dot(check, psums):
+                                raise FitInstabilityError(
+                                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                                    f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+                                )
+                        value = checked[psums] = _dot(value_form, psums)
+                    columns[profile].append(value)
+            if any(_dot(row, column) for row in check_rows for column in columns.values()):
+                raise FitInstabilityError(
+                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                    "in the vertex leg sums"
+                )
+            columns = {profile: column for profile, column in columns.items() if any(column)}
         local: dict[DecoratedGraph, int] = {}
         for weights, (profile, _, members) in zip(group_weights, groups):
             column = columns.get(profile)
@@ -516,9 +537,10 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
 
 
 def _point_sample(a):
-    """The sampling of :func:`_graph_sums` at the one leg vector ``a``: each
-    template group is weighted by its leg power prod_m a_m^(2 c_m), memoized
-    on the leg exponents across graphs."""
+    """The sampling of :func:`_graph_sums` at the one leg vector ``a``, whose
+    layout is the edge list and the vertex leg sums: each template group is
+    weighted by its leg power prod_m a_m^(2 c_m), memoized on the leg
+    exponents across graphs."""
     squares = [v * v for v in a]
     powers: dict[tuple[int, ...], list[int]] = {}
 
@@ -533,7 +555,7 @@ def _point_sample(a):
                         apow *= sq**c
                 power = powers[legs] = [apow]
             weights.append(power)
-        return (a,), (), weights, 1
+        return (graph.edges, _leg_sums(graph, a)), (a,), (), weights, 1
 
     return sample
 
@@ -629,7 +651,8 @@ def constant_term_class(
     and after the factor r^(-h1) that sum is a polynomial in r of the same
     degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
     sampled at the 2*dmax + 3 nodes r0, r0+1, ... in one integer pass over
-    the plan (every node's power sums come from one call per graph).  Per
+    the plan (every node's power sums come from one call per layout, see
+    :func:`_graph_sums`).  Per
     graph and edge profile, the Lagrange-at-zero weights on the first
     2*dmax + 1 nodes give the sum's value at r = 0, and the
     (2*dmax + 1)-th forward differences ending at the two held-out nodes
@@ -664,6 +687,16 @@ def _leg_partition(legs) -> tuple[tuple[int, ...], ...]:
         if v != first:
             blocks.setdefault(v, []).append(m)
     return tuple(sorted(tuple(ms) for ms in blocks.values()))
+
+
+def _monomial_layout(graph: StableGraph, parts) -> tuple:
+    """The layout of a graph with leg partition ``parts`` in
+    :func:`_monomial_sample`: its edge list, its vertex count, leg 1's
+    vertex and the vertices of the parts, in order.  Graphs of one layout
+    differ only in how their legs spread within those vertices, so they
+    have the same vertex leg sums at every A-point."""
+    legs = graph.legs
+    return graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
 
 
 def _monomial_points(legs, degree: int) -> tuple[int, int]:
@@ -743,7 +776,8 @@ def _monomial_sample(exponents: tuple, d: int):
     L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th Newton
     difference must vanish (see :func:`_simplex_tables`).  The points and
     rows are built once per (k, D), the leg vectors once per (leg partition,
-    n, D) and the weights once per (exponents, d, leg partition, c).
+    n, D) and the weights once per (exponents, d, leg partition, c); the
+    layout is :func:`_monomial_layout`.
     """
     degree = 2 * d
     n = len(exponents) + 1
@@ -758,19 +792,34 @@ def _monomial_sample(exponents: tuple, d: int):
             for profile, c, _ in groups
         ]
         checks = _simplex_tables(len(parts), degree)[2]
-        return _simplex_legs(parts, n, degree), checks, weights, den
+        layout = _monomial_layout(graph, parts)
+        return layout, _simplex_legs(parts, n, degree), checks, weights, den
 
     return sample
 
 
+def _layout_groups(plan) -> list[list]:
+    """The plan entries grouped by layout (:func:`_monomial_layout`), the
+    layouts in order of first appearance."""
+    layouts: dict[tuple, list] = {}
+    for entry in plan:
+        graph = entry[0]
+        layouts.setdefault(_monomial_layout(graph, _leg_partition(graph.legs)), []).append(entry)
+    return list(layouts.values())
+
+
 def _chunk_worker(args):
-    """The constant term of the graph sums of every ``step``-th plan graph
-    from ``start``, sampled by :func:`_monomial_sample`, as integer
-    numerators and denominators per decorated graph; used directly and as
-    the multiprocessing worker."""
+    """The constant term of the graph sums of every ``step``-th layout of the
+    plan from ``start``, its graphs side by side, sampled by
+    :func:`_monomial_sample`, as integer numerators and denominators per
+    decorated graph, with the r nodes, the layouts and their A-points; used
+    directly and as the multiprocessing worker."""
     g, n, exponents, d, r0, survivors, start, step = args
-    plan = _class_plan(g, n, d, frozenset(survivors), True)[start::step]
-    return _constant_terms(plan, _monomial_sample(exponents, d), d, r0)
+    groups = _layout_groups(_class_plan(g, n, d, frozenset(survivors), True))[start::step]
+    chunk = [entry for group in groups for entry in group]
+    terms, nodes = _constant_terms(chunk, _monomial_sample(exponents, d), d, r0)
+    points = sum(_monomial_points(group[0][0].legs, 2 * d)[0] for group in groups)
+    return terms, nodes, len(groups), points
 
 
 def monomial_coefficient(
@@ -795,12 +844,17 @@ def monomial_coefficient(
     :func:`_monomial_sample`); the constant term in r is taken at every
     point as in :func:`constant_term_class`, with both held-out r nodes
     checked.  A nonzero Newton difference on the layer, like a held-out r
-    node off the fit, raises :class:`FitInstabilityError`.  With
-    ``jobs`` > 1 the plan graphs are split into chunks over worker
-    processes, each returning integer numerators; results are identical for
-    any worker count.  Returns (element, meta); the meta counts the graphs
-    sampled (``plan_graphs``) and the labelled graphs they stand for
-    (``plan_labelled_graphs``).
+    node off the fit, raises :class:`FitInstabilityError`.  Plan graphs of
+    one layout (:func:`_monomial_layout`) have the same values at every
+    A-point, so the graphs are sampled layout by layout and each layout's
+    points are evaluated once.  With ``jobs`` > 1 the layouts are dealt out
+    over worker processes, each returning integer numerators; results are
+    identical for any worker count.  Returns (element, meta); the meta
+    counts the graphs sampled (``plan_graphs``), the labelled graphs they
+    stand for (``plan_labelled_graphs``), their A-points
+    (``evaluations``, what :func:`_check_cost` prices), and, summed over the
+    workers, the layouts (``layouts``) and their A-points
+    (``layout_evaluations``, one :func:`weighting_power_sums` call each).
 
     The ``survivors`` are legs among 2..n that share one exponent and keep
     one unit of psi each.  The coefficient is symmetric in them, and a
@@ -844,12 +898,16 @@ def monomial_coefficient(
     else:
         partials = [_chunk_worker(tasks[0])]
     terms = {}
-    for chunk, nodes in partials:
+    layouts = layout_evaluations = 0
+    for chunk, nodes, sampled, evaluated in partials:
         for key, (num, den) in chunk.items():
             terms[key] = Fraction(num, den)
+        layouts, layout_evaluations = layouts + sampled, layout_evaluations + evaluated
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
         "evaluations": sum(count for count, _ in points),
+        "layouts": layouts,
+        "layout_evaluations": layout_evaluations,
         "plan_graphs": len(plan),
         "plan_labelled_graphs": sum(entry[-1] for entry in plan),
         "r0": r0,

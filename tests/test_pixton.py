@@ -304,8 +304,15 @@ def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
     assert again == first and not first.is_zero()
 
 
+def _layout(graph):
+    return pixton._monomial_layout(graph, pixton._leg_partition(graph.legs))
+
+
 def test_evaluations_count_the_sampled_a_points(monkeypatch):
-    # one weighting_power_sums call per A-point of every plan graph
+    # one weighting_power_sums call per A-point of every layout: the plan's
+    # five graphs have four layouts, since the two trees with legs 1, 2 on
+    # the genus-0 vertex and leg 4, or legs 3 and 4, on the genus-1 vertex
+    # share one (4 A-points), so 7 of the plan's 11 A-points are evaluated
     real = pixton.weighting_power_sums
     graphs = []
 
@@ -321,13 +328,48 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
-    assert meta["evaluations"] == len(graphs)
-    assert meta["plan_graphs"] == len(set(graphs))
+    assert meta["layout_evaluations"] == len(graphs) == 7
+    assert meta["evaluations"] == 11
+    assert (meta["plan_graphs"], meta["layouts"]) == (5, 4)
+    layouts = {_layout(graph) for graph in graphs}
+    assert meta["layouts"] == len(set(graphs)) == len(layouts)
     # one graph per orbit of the survivor permutations is sampled, standing
     # for every labelled graph of its orbit: no labelled enumeration runs
     assert orbits and all(orbits)
     labelled = enumerate_stable_graphs(1, 4, 1, {3, 4})
     assert meta["plan_graphs"] < meta["plan_labelled_graphs"] == len(labelled)
+
+
+@pytest.mark.parametrize("layer_only", [False, True])
+def test_a_shared_layout_is_checked(monkeypatch, layer_only):
+    # only the first graph of a layout reaches weighting_power_sums, and the
+    # others read its checked column: a sum off the degree bound in r, or on
+    # the layer |A| = D + 1 only off the polynomial in the leg sums, raises
+    # although the graphs that share the column are never sampled themselves
+    args, survivors = (1, 4, (0, 1, 1), 1), frozenset({3, 4})
+    plan = pixton._class_plan(1, 4, 1, survivors, True)
+    keys = [_layout(entry[0]) for entry in plan]
+    shared = {key for key in keys if keys.count(key) > 1}
+    assert len(shared) == 1
+    real = pixton.weighting_power_sums
+    d, hits = args[3], []
+
+    def patched(graph, a, rs, profiles):
+        sums = real(graph, a, rs, profiles)
+        if _layout(graph) not in shared or layer_only and 2 * d + 1 not in a[1:]:
+            return sums
+        hits.append(a)
+        power = graph.h1() + (0 if layer_only else 2 * d + 1)
+        return {
+            profile: tuple(s + r**power for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    match = "vertex leg sums" if layer_only else "in r on the nodes"
+    with pytest.raises(FitInstabilityError, match=match):
+        monomial_coefficient(*args, survivors=survivors)
+    assert hits
 
 
 def test_monomial_coefficient_rejects_asymmetric_survivors():
@@ -380,6 +422,29 @@ def _symmetrize(el, legs):
     return total.scale(Fraction(1, len(images)))
 
 
+def _plain_grid(g, n, exponents, d, survivors):
+    """The coefficient as a plain weighted grid sum of constant terms over the
+    leg values 0..2d of the legs 2..n, one point at a time, on the labelled
+    plan."""
+    degree = 2 * d
+    weights = {
+        m: lagrange_coefficient_weights(degree, b)
+        for m, b in zip(range(2, n + 1), exponents)
+    }
+    r0 = 2 * max(degree * (n - 1), degree, 1) * max(d, 1) + 3
+    acc = StrataElement.zero(g, n)
+    for point in itertools.product(range(degree + 1), repeat=n - 1):
+        w = Fraction(1)
+        for m, val in zip(range(2, n + 1), point):
+            w *= weights[m][val]
+        if w == 0:
+            continue
+        full = (-sum(point),) + point
+        sample, _ = constant_term_class(g, n, full, d, r0=r0, survivors=survivors)
+        acc = acc + sample.scale(w)
+    return acc.degree_component(d)
+
+
 def test_monomial_coefficient_against_plain_grid():
     # the extraction from the vertex leg sums agrees with a plain weighted
     # grid sum of constant terms over the leg values, one point at a time;
@@ -397,24 +462,28 @@ def test_monomial_coefficient_against_plain_grid():
     for g, n, exponents, d, survivors in cases:
         survivors = frozenset(survivors)
         el, _ = monomial_coefficient(g, n, exponents, d, survivors=survivors)
-        degree = 2 * d
-        weights = {
-            m: lagrange_coefficient_weights(degree, b)
-            for m, b in zip(range(2, n + 1), exponents)
-        }
-        r0 = 2 * max(degree * (n - 1), degree, 1) * max(d, 1) + 3
-        acc = StrataElement.zero(g, n)
-        for point in itertools.product(range(degree + 1), repeat=n - 1):
-            w = Fraction(1)
-            for m, val in zip(range(2, n + 1), point):
-                w *= weights[m][val]
-            if w == 0:
-                continue
-            full = (-sum(point),) + point
-            sample, _ = constant_term_class(g, n, full, d, r0=r0, survivors=survivors)
-            acc = acc + sample.scale(w)
         assert not el.is_zero(), exponents
-        assert _symmetrize(el, survivors) == acc.degree_component(d), exponents
+        assert _symmetrize(el, survivors) == _plain_grid(g, n, exponents, d, survivors), exponents
+
+
+def test_layouts_keep_their_leg_sum_vertices_apart():
+    # on the chain with edges (0,1), (0,2) and leg 1 at the end vertex 1,
+    # the leg sums of legs 2 and 3 sit at vertices (0, 2) in one graph and
+    # (2, 0) in another: one edge list, two layouts, two columns, both read
+    # (with exponents (2, 2) the target would not tell the two orders apart)
+    g, n, exponents, d = 2, 3, (3, 1), 2
+    plan = pixton._class_plan(g, n, d, frozenset(), True)
+    sample = pixton._monomial_sample(exponents, d)
+    read = set()
+    for graph, groups, *_ in plan:
+        weights = sample(graph, groups)[3]
+        if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
+            parts = pixton._leg_partition(graph.legs)
+            read.add((graph.legs[0], tuple(graph.legs[ms[0] - 1] for ms in parts)))
+    assert {(1, (0, 2)), (1, (2, 0))} <= read
+    el, meta = monomial_coefficient(g, n, exponents, d)
+    assert meta["layouts"] < meta["plan_graphs"]
+    assert el == _plain_grid(g, n, exponents, d, frozenset())
 
 
 def test_monomial_coefficient_guard(monkeypatch):
@@ -440,7 +509,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
 
     def no_sampling(args):
         calls.append(args[:3])
-        return {}, []
+        return {}, [], 0, 0
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
     prices = {(): 10_304, (0,): 113_666, (1,): 69_713, (2,): 35_903}
@@ -506,13 +575,18 @@ def test_worker_count_is_clamped(monkeypatch):
     serial, meta = monomial_coefficient(1, 3, (2, 0), 1)
     graphs = meta["plan_graphs"]
     # two one-vertex graphs and the tree with legs 1-3 on one vertex sample
-    # one A-point each; the three other trees sample 3 + 1
+    # one A-point each; the three other trees sample 3 + 1, and two of them,
+    # with leg 1 on the genus-0 vertex, share a layout
     assert (graphs, meta["evaluations"]) == (6, 15) and sizes == []
+    counts = (meta["layouts"], meta["layout_evaluations"])
+    assert counts == (5, 11)
     for cpus, want in [(2, 2), (1000, graphs)]:
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
         el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
         assert sizes[-1] == want
         assert el == serial and meta["evaluations"] == 15
+        # each layout is sampled by one worker: the sums over them agree
+        assert (meta["layouts"], meta["layout_evaluations"]) == counts
     # one CPU, or an unknown count, never starts a pool
     for cpus in (1, None):
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
