@@ -10,33 +10,34 @@ degrees above g.  In degrees <= dmax that polynomial has degree at most
 consecutive nodes, and two further held-out nodes validate the bound.
 
 Performance notes.  The graph sum is accumulated in integers in one pass
-over the plan, graph by graph, each graph sampled at its own weighted
-points.  The values a graph's points give depend only on its layout: the
-edge list and the vertex leg sums at each point.  Per layout and point, one
-call gives the weighting power sums at every r node, the sums are put over
-the common denominator lcm(r^h1), and per edge profile the two held-out
-differences are checked and the Lagrange-at-zero weights give one integer,
-memoized per distinct tuple of sums; the checked column of integers over
-the points serves every consecutive graph of the layout.  Each group of
-decoration templates sharing a profile and leg exponents takes the dot
-product of its integer weights with its profile's column, so the template
-loop runs once per graph and each decorated graph becomes one Fraction at
-the end.  The fixed-r class and the constant term at one leg vector are
-one point weighted by the leg powers.  A monomial coefficient samples each
-graph on the simplex of its vertex leg sums A, |A| <= 2d (the weighting
-conditions see the leg values only through them, and the constant term in
-r has total degree <= 2d in them), weighted per group by an integer
-functional that reads off the target monomial, and checks every (2d+1)-th
-Newton difference on the layer |A| = 2d + 1; worker processes each take
-whole layouts, their graphs side by side, and return integer numerators,
-which the parent merges.  Its plan holds one graph per orbit of the
-permutations of the survivor legs, weighted by the labelled graphs in the
-orbit: the genus-1 lemmas sample 176 graphs at 1,426 A-points (3,238 for
-the 303 labelled graphs on the tensor grid {0..2d}^k), of which their 65
-layouts evaluate 460; the (2,1,()) comparison 576 graphs at 15,241 (25,167
-on the grid; 119 layouts, 2,653), (2,2,(0,)) 3,325 graphs at 137,473
-(276,311 on the grid; 285 layouts, 11,653) and (3,1,()) 21,522 graphs at
-2,531,454 (1,951 layouts, 228,277).
+over the plan, layout by layout.  The values a graph's points give depend
+only on its layout: the edge list and the vertex leg sums at each point.
+Per layout and point, one call gives the weighting power sums at every r
+node, the sums are put over the common denominator lcm(r^h1), and per edge
+profile the two held-out differences are checked and the Lagrange-at-zero
+weights give one integer, memoized per distinct tuple of sums; the checked
+column of integers over the points serves every graph of the layout.  Each
+group of decoration templates sharing a profile and leg exponents takes the
+dot product of its integer weights with its profile's column, so the
+template loop runs once per graph and each decorated graph becomes one
+Fraction at the end.  The fixed-r class and the constant term at one leg
+vector are one point weighted by the leg powers, the labelled plan grouped
+per call by edge list and vertex leg sums.  A monomial coefficient samples
+each layout on the simplex of its vertex leg sums A, |A| <= 2d (the
+weighting conditions see the leg values only through them, and the
+constant term in r has total degree <= 2d in them), each graph weighted per
+group by an integer functional of its own leg partition that reads off the
+target monomial, and checks every (2d+1)-th Newton difference on the layer
+|A| = 2d + 1; worker processes each take whole layouts and return integer
+numerators, which the parent merges.  Its plan holds one graph per orbit of
+the permutations of the survivor legs, weighted by the labelled graphs in
+the orbit, grouped by layout once, when the plan is built, and keeps only
+the template groups of degree d: the genus-1 lemmas sample 176 graphs at
+1,426 A-points (3,238 for the 303 labelled graphs on the tensor grid
+{0..2d}^k), of which their 65 layouts evaluate 460; the (2,1,())
+comparison 576 graphs at 15,241 (25,167 on the grid; 119 layouts, 2,653),
+(2,2,(0,)) 3,325 graphs at 137,473 (276,311 on the grid; 285 layouts,
+11,653) and (3,1,()) 21,522 graphs at 2,531,454 (1,951 layouts, 228,277).
 A weighting sum is reduced over the graph itself: loops are summed out, a
 vertex whose edges all go to one neighbour fixes their residue sum, a
 degree-2 vertex joins its two edges and parallel edges merge by
@@ -45,16 +46,20 @@ table for two pure tau powers); only a K4 minor, six edges or more, needs
 a sum over one edge's residue.  Memoization across calls is ``functools``
 caches on private helpers (``cache_info()`` gives hits and sizes),
 unbounded for the life of the process: the reduction steps per edge list,
-the tau tables per modulus, the plan per (g, n, dmax, survivors, orbits),
-the guard's admitted verdicts per budget and job, the simplex points with
-their coefficient and check rows per (number of leg sums, 2d)
-(``numerics._simplex_tables``), the sampled leg vectors per (leg
-partition, n, 2d) and the group weights per (exponents, d, leg partition,
-leg exponents).  The weighting sums per (edge list, vertex leg
+the tau tables per modulus, the labelled plan per (g, n, dmax, survivors),
+the monomial plan per (g, n, d, survivors), the guard's admitted verdicts
+per budget and job, the simplex points with their coefficient and check
+rows per (number of leg sums, 2d) (``numerics._simplex_tables``), the
+sampled leg vectors per (leg partition, n, 2d), read once per layout for
+its first graph's partition, and the group weights per (exponents, d, leg
+partition, leg exponents).  The weighting sums per (edge list, vertex leg
 sums, moduli, profiles) take one entry per layout and A-point, so only the
 16,384 most recently used are kept: a genus-2 grid point uses under a
 thousand, the (3,1,()) comparison over 100,000 (graphs of different
-layouts still meet at equal leg sums, as where one is 0).  Templates and
+layouts still meet at equal leg sums, as where one is 0, and the monomial
+plan keeps the layouts of one edge list together, so that such repeats
+come while their entries are still kept: the (3,1,()) comparison misses
+once per distinct key, 109,861 times).  Templates and
 automorphism counts are built once per plan graph, inside the cached plan.
 The plan asks the enumeration for only the graphs with room for one unit of
 psi at every survivor leg, so the rest are never canonicalized, and a
@@ -423,21 +428,16 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
 
 
 @functools.cache
-def _class_plan(g: int, n: int, dmax: int, survivors: frozenset, orbits: bool) -> tuple:
-    """Surviving graphs with their decoration templates and weights,
-    precomputed once per (g, n, dmax, survivor set, orbits).  With
-    ``orbits`` the plan holds one graph per orbit of the permutations of
-    the survivor legs, weighted by the number of labelled graphs in its
-    orbit; otherwise it holds every labelled graph, with weight 1."""
-    graphs = enumerate_stable_graphs(
-        g, n, max_edges=dmax, reserved_markings=survivors, _orbits=orbits
-    )
+def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
+    """Every labelled surviving graph with its decoration templates, as
+    (graph, groups, profiles, h1, aut, common), precomputed once per
+    (g, n, dmax, survivor set)."""
     plan = []
-    for graph, weight in graphs if orbits else zip(graphs, itertools.repeat(1)):
+    for graph in enumerate_stable_graphs(g, n, max_edges=dmax, reserved_markings=survivors):
         templates, profiles, common = _graph_templates(graph, dmax, survivors)
         if templates:
             aut = automorphism_count(graph, check=False)
-            plan.append((graph, templates, profiles, graph.h1(), aut, common, weight))
+            plan.append((graph, templates, profiles, graph.h1(), aut, common))
     return tuple(plan)
 
 
@@ -460,37 +460,34 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
     _check_space(g, n, dmax)
 
 
-def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
-    """One pass over the plan graphs ``plan`` for a weighted sum of graph sums
-    sampled at every modulus in ``nodes``, in integers.
+def _graph_sums(layouts, nodes, form, held_out, dmax: int):
+    """One pass over the plan graphs, layout by layout, for a weighted sum of
+    graph sums sampled at every modulus in ``nodes``, in integers.
 
     ``form`` and the ``held_out`` forms are integer linear forms on the
-    nodes.  ``sample(graph, groups)`` gives the graph's layout and points as
-    (layout, leg vectors, check rows, group weights, den).  The layout is
-    what the graph's columns depend on: graphs of one layout have the same
-    edge list and the same vertex leg sums at every point, and so the same
-    edge profiles (every profile of total <= dmax - E) and check rows.  A
-    graph whose layout differs from the last graph's builds the columns: per
-    point, one :func:`weighting_power_sums` call gives each edge profile's
+    nodes.  Each of ``layouts`` is (graph, leg vectors, check rows,
+    profiles, h1, graphs): the graphs of one layout have the same edge list
+    and the same vertex leg sums at every point as ``graph``, and so the same
+    edge profiles (every profile of total <= dmax - E), and each of
+    ``graphs`` is (group weights, groups, weight, den) for one plan graph.
+    A layout's columns are built once: per point, one
+    :func:`weighting_power_sums` call on ``graph`` gives each edge profile's
     sums, which are put over m = lcm(r^h1); every held-out form must vanish
     on them, or :class:`FitInstabilityError` is raised, and ``form`` turns
     them into one integer (checked and evaluated once per distinct tuple of
     sums), so each profile gets one column of integers over the points.  The
-    dot product of every check row with every column must vanish too.  The
-    checked nonzero columns are kept while the graphs that follow have the
-    same layout, and they read them, so a plan in layout order builds each
-    layout's columns once.  Group i of the templates gets the dot product of
-    its weights (None for none) with its profile's column; weights may stop
-    short of the points, leaving the last ones to the check rows.  So the
-    template loop runs once per graph for all points, and each total is
-    multiplied by the graph's plan weight.  Yields (terms, den) per plan
-    graph: terms maps each decorated graph of that graph to an integer
-    numerator over den.  Every key belongs to exactly one graph, so the
-    denominators of different graphs never meet.
+    dot product of every check row with every column must vanish too.  Then,
+    for each of the layout's graphs, group i of its templates gets the dot
+    product of its weights (None for none) with its profile's column;
+    weights may stop short of the points, leaving the last ones to the check
+    rows.  So the template loop runs once per graph for all points, and each
+    total is multiplied by the graph's weight.  Yields (terms, den * m) per
+    plan graph: terms maps each decorated graph of that graph to an integer
+    numerator.  Every key belongs to exactly one graph, so the denominators
+    of different graphs never meet.
     """
     by_h1 = {}
-    layout = columns = None  # the last layout met and its checked nonzero columns
-    for graph, groups, profiles, h1, aut, common, weight in plan:
+    for graph, legs, check_rows, profiles, h1, graphs in layouts:
         if h1 not in by_h1:
             # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
             m = lcm(*(r**h1 for r in nodes))
@@ -502,49 +499,48 @@ def _graph_sums(plan, nodes, form, held_out, dmax: int, sample):
                 {},  # the value of each checked tuple of sums met so far
             )
         m, value_form, checks, checked = by_h1[h1]
-        graph_layout, legs, check_rows, group_weights, den = sample(graph, groups)
-        if graph_layout != layout:
-            layout = graph_layout
-            columns = {profile: [] for profile in profiles}
-            for a in legs:
-                for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
-                    value = checked.get(psums)
-                    if value is None:
-                        for check in checks:
-                            if _dot(check, psums):
-                                raise FitInstabilityError(
-                                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                                    f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-                                )
-                        value = checked[psums] = _dot(value_form, psums)
-                    columns[profile].append(value)
-            if any(_dot(row, column) for row in check_rows for column in columns.values()):
-                raise FitInstabilityError(
-                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                    "in the vertex leg sums"
-                )
-            columns = {profile: column for profile, column in columns.items() if any(column)}
-        local: dict[DecoratedGraph, int] = {}
-        for weights, (profile, _, members) in zip(group_weights, groups):
-            column = columns.get(profile)
-            if weights is None or column is None:
-                continue
-            total = weight * _dot(weights, column)
-            if total:
-                for base, key in members:
-                    local[key] = local.get(key, 0) + base * total
-        yield local, common * aut * m * den
+        columns = {profile: [] for profile in profiles}
+        for a in legs:
+            for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
+                value = checked.get(psums)
+                if value is None:
+                    for check in checks:
+                        if _dot(check, psums):
+                            raise FitInstabilityError(
+                                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+                            )
+                    value = checked[psums] = _dot(value_form, psums)
+                columns[profile].append(value)
+        if any(_dot(row, column) for row in check_rows for column in columns.values()):
+            raise FitInstabilityError(
+                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                "in the vertex leg sums"
+            )
+        columns = {profile: column for profile, column in columns.items() if any(column)}
+        for group_weights, groups, weight, den in graphs:
+            local: dict[DecoratedGraph, int] = {}
+            for weights, (profile, _, members) in zip(group_weights, groups):
+                column = columns.get(profile)
+                if weights is None or column is None:
+                    continue
+                total = weight * _dot(weights, column)
+                if total:
+                    for base, key in members:
+                        local[key] = local.get(key, 0) + base * total
+            yield local, den * m
 
 
-def _point_sample(a):
-    """The sampling of :func:`_graph_sums` at the one leg vector ``a``, whose
-    layout is the edge list and the vertex leg sums: each template group is
-    weighted by its leg power prod_m a_m^(2 c_m), memoized on the leg
-    exponents across graphs."""
+def _point_layouts(plan, a):
+    """The labelled ``plan`` grouped by layout at the one leg vector ``a``,
+    in the form of :func:`_graph_sums`: the layout is the edge list and the
+    vertex leg sums, computed once per graph, and the layouts come in order
+    of first appearance.  Each template group is weighted by its leg power
+    prod_m a_m^(2 c_m), memoized on the leg exponents across graphs."""
     squares = [v * v for v in a]
     powers: dict[tuple[int, ...], list[int]] = {}
 
-    def sample(graph, groups):
+    def weigh(groups):
         weights = []
         for _, legs, _ in groups:
             power = powers.get(legs)
@@ -555,9 +551,18 @@ def _point_sample(a):
                         apow *= sq**c
                 power = powers[legs] = [apow]
             weights.append(power)
-        return (graph.edges, _leg_sums(graph, a)), (a,), (), weights, 1
+        return weights
 
-    return sample
+    layouts: dict[tuple, list] = {}
+    for entry in plan:
+        graph = entry[0]
+        layouts.setdefault((graph.edges, _leg_sums(graph, a)), []).append(entry)
+    for entries in layouts.values():
+        graph, _, profiles, h1, _, _ = entries[0]
+        weighted = (
+            (weigh(groups), groups, 1, common * aut) for _, groups, _, _, aut, common in entries
+        )
+        yield graph, (a,), (), profiles, h1, weighted
 
 
 def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
@@ -565,9 +570,9 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     at most dmax.  Graphs with more than dmax edges cannot contribute."""
     a = check_avector(a)
     _check_input(g, n, a, (r,), dmax)
-    plan = _class_plan(g, n, dmax, frozenset(survivors), False)
+    plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _graph_sums(plan, [r], [1], (), dmax, _point_sample(a)):
+    for local, den in _graph_sums(_point_layouts(plan, a), [r], [1], (), dmax):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -579,12 +584,12 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _constant_terms(plan, sample, dmax: int, r0: int):
-    """The constant term in r of the graph sums over ``plan`` sampled by
-    ``sample`` (see :func:`_graph_sums`), from the 2*dmax + 3 nodes r0,
-    r0+1, ...: the Lagrange-at-zero weights on the first 2*dmax + 1 nodes
-    give the value at r = 0, and the (2*dmax + 1)-th forward differences
-    ending at the two held-out nodes must both vanish.  Returns
+def _constant_terms(layouts, dmax: int, r0: int):
+    """The constant term in r of the graph sums over ``layouts`` (see
+    :func:`_graph_sums`), from the 2*dmax + 3 nodes r0, r0+1, ...: the
+    Lagrange-at-zero weights on the first 2*dmax + 1 nodes give the value
+    at r = 0, and the (2*dmax + 1)-th forward differences ending at the two
+    held-out nodes must both vanish.  Returns
     (terms, nodes), terms mapping each decorated graph to (numerator,
     denominator) in integers."""
     count = 2 * dmax + 1
@@ -592,7 +597,7 @@ def _constant_terms(plan, sample, dmax: int, r0: int):
     rows, weights_den = lagrange_coefficient_rows(nodes[:count])
     diff = _difference_weights(count)
     terms = {}
-    for local, den in _graph_sums(plan, nodes, rows[0], (diff, [0] + diff), dmax, sample):
+    for local, den in _graph_sums(layouts, nodes, rows[0], (diff, [0] + diff), dmax):
         for key, num in local.items():
             if num:
                 terms[key] = (num, weights_den * den)
@@ -614,7 +619,7 @@ def _check_cost(budget: int, g: int, n: int, dmax: int, survivors, modulus, node
     sampled = modulus is None
     units = reach = 0
     for *_, legs, _ in _leg_maps(g, n, dmax, survivors, survivors if sampled else frozenset()):
-        count, value = _monomial_points(legs, 2 * dmax) if sampled else (1, 0)
+        count, value = _monomial_points(len(_leg_partition(legs)), 2 * dmax) if sampled else (1, 0)
         units, reach = units + count, max(reach, value)
         cost = units * (_default_r0((reach,), dmax) if sampled else modulus) * nodes
         if cost > budget:
@@ -666,8 +671,8 @@ def constant_term_class(
     if r0 is None:
         r0 = _default_r0(a, dmax)
     _check_input(g, n, a, (r0,), dmax)
-    plan = _class_plan(g, n, dmax, frozenset(survivors), False)
-    terms, nodes = _constant_terms(plan, _point_sample(a), dmax, r0)
+    plan = _class_plan(g, n, dmax, frozenset(survivors))
+    terms, nodes = _constant_terms(_point_layouts(plan, a), dmax, r0)
     for key, (num, den) in terms.items():  # in place: one dict of terms at a time
         terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms), {
@@ -689,21 +694,10 @@ def _leg_partition(legs) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(ms) for ms in blocks.values()))
 
 
-def _monomial_layout(graph: StableGraph, parts) -> tuple:
-    """The layout of a graph with leg partition ``parts`` in
-    :func:`_monomial_sample`: its edge list, its vertex count, leg 1's
-    vertex and the vertices of the parts, in order.  Graphs of one layout
-    differ only in how their legs spread within those vertices, so they
-    have the same vertex leg sums at every A-point."""
-    legs = graph.legs
-    return graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
-
-
-def _monomial_points(legs, degree: int) -> tuple[int, int]:
-    """The A-points :func:`_monomial_sample` evaluates on a graph with leg map
-    ``legs`` and k leg sums, C(degree + 1 + k, k), and the leg value that sets
-    their modulus: |a_1| = degree + 1 on the layer when k > 0, else 1."""
-    k = len(_leg_partition(legs))
+def _monomial_points(k: int, degree: int) -> tuple[int, int]:
+    """The A-points :func:`monomial_coefficient` evaluates on a graph with k
+    leg sums, C(degree + 1 + k, k), and the leg value that sets their
+    modulus: |a_1| = degree + 1 on the layer when k > 0, else 1."""
     return binomial(degree + 1 + k, k), degree + 1 if k else 1
 
 
@@ -764,62 +758,87 @@ def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
     return tuple(vector) if any(vector) else None
 
 
-def _monomial_sample(exponents: tuple, d: int):
-    """The sampling of :func:`_graph_sums` that extracts the coefficient of
-    prod_{j>=2} a_j^(b_j) from the degree-d template groups of each graph.
+@functools.cache
+def _monomial_plan(g: int, n: int, d: int, survivors: frozenset) -> tuple:
+    """The plan of :func:`monomial_coefficient`, built once per (g, n, d,
+    survivor set): one graph per orbit of the permutations of the survivor
+    legs, weighted by the number of labelled graphs in its orbit, grouped by
+    layout, the layouts ordered by edge list and, within one edge list, by
+    first appearance.
+
+    A graph's layout is its edge list, its vertex count, leg 1's vertex and
+    the vertices of the parts of its leg partition (:func:`_leg_partition`),
+    in order.  Graphs of one layout differ only in how their legs spread
+    within those vertices, so they have the same vertex leg sums at every
+    A-point.  Each layout is (A-points, leg value that sets the modulus (see
+    :func:`_monomial_points`), profiles, h1, graphs), and each of its graphs
+    is (graph, leg partition, groups, weight, den): the groups are the
+    template groups of degree exactly d, E + |profile| + |c| = d, the only
+    ones the target monomial reads, while the profiles stay whole, so every
+    profile's column is still built and checked; den = common * aut * (2d)!,
+    the last factor being the denominator of the group weights.
+    """
+    degree = 2 * d
+    layouts: dict[tuple, tuple] = {}
+    for graph, weight in enumerate_stable_graphs(
+        g, n, max_edges=d, reserved_markings=survivors, _orbits=True
+    ):
+        templates, profiles, common = _graph_templates(graph, d, survivors)
+        if not templates:
+            continue
+        legs, E = graph.legs, graph.num_edges
+        parts = _leg_partition(legs)
+        key = graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
+        if key not in layouts:
+            layouts[key] = *_monomial_points(len(parts), degree), profiles, graph.h1(), []
+        groups = tuple(group for group in templates if E + sum(group[0]) + sum(group[1]) == d)
+        den = common * automorphism_count(graph, check=False) * factorial(degree)
+        layouts[key][-1].append((graph, parts, groups, weight, den))
+    # the layouts of one edge list side by side, so that the weighting sums
+    # they share (at equal leg sums) are still in _power_sums' LRU
+    ordered = sorted(layouts.items(), key=lambda item: item[0][0])
+    return tuple((*layout[:-1], tuple(layout[-1])) for _, layout in ordered)
+
+
+def _monomial_layouts(layouts, n: int, exponents: tuple, d: int):
+    """The ``layouts`` of :func:`_monomial_plan` in the form of
+    :func:`_graph_sums`, extracting the coefficient of prod_{j>=2} a_j^(b_j).
 
     A graph's weighting sums see the leg values only through the leg sums
     A_i at the k vertices of its leg partition, and their constant term in
     r is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
-    simplex S = {|A| <= D}, C(D+k, k) points, where the template group with
-    leg exponents c is weighted by :func:`_group_weights`, and on the layer
-    L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th Newton
-    difference must vanish (see :func:`_simplex_tables`).  The points and
-    rows are built once per (k, D), the leg vectors once per (leg partition,
-    n, D) and the weights once per (exponents, d, leg partition, c); the
-    layout is :func:`_monomial_layout`.
+    simplex S = {|A| <= D}, C(D+k, k) points, where each graph's template
+    group with leg exponents c is weighted by :func:`_group_weights` of that
+    graph's own leg partition, and on the layer L = {|A| = D + 1},
+    C(D+k, k-1) more, where every (D+1)-th Newton difference must vanish
+    (see :func:`_simplex_tables`).  A layout is sampled at the leg vectors of
+    its first graph's partition, which give every graph of the layout its
+    vertex leg sums.  The points and rows are built once per (k, D), the
+    leg vectors once per (leg partition, n, D) and the weights once per
+    (exponents, d, leg partition, c).
     """
     degree = 2 * d
-    n = len(exponents) + 1
-    den = factorial(degree)
-
-    def sample(graph, groups):
-        parts = _leg_partition(graph.legs)
-        weights = [
-            _group_weights(exponents, d, parts, c)
-            if graph.num_edges + sum(profile) + sum(c) == d
-            else None
-            for profile, c, _ in groups
-        ]
+    for _, _, profiles, h1, graphs in layouts:
+        graph, parts = graphs[0][:2]
+        legs = _simplex_legs(parts, n, degree)
         checks = _simplex_tables(len(parts), degree)[2]
-        layout = _monomial_layout(graph, parts)
-        return layout, _simplex_legs(parts, n, degree), checks, weights, den
-
-    return sample
-
-
-def _layout_groups(plan) -> list[list]:
-    """The plan entries grouped by layout (:func:`_monomial_layout`), the
-    layouts in order of first appearance."""
-    layouts: dict[tuple, list] = {}
-    for entry in plan:
-        graph = entry[0]
-        layouts.setdefault(_monomial_layout(graph, _leg_partition(graph.legs)), []).append(entry)
-    return list(layouts.values())
+        weighted = (
+            ([_group_weights(exponents, d, own, c) for _, c, _ in groups], groups, weight, den)
+            for _, own, groups, weight, den in graphs
+        )
+        yield graph, legs, checks, profiles, h1, weighted
 
 
 def _chunk_worker(args):
-    """The constant term of the graph sums of every ``step``-th layout of the
-    plan from ``start``, its graphs side by side, sampled by
-    :func:`_monomial_sample`, as integer numerators and denominators per
+    """The constant term of the graph sums of every ``step``-th layout of
+    :func:`_monomial_plan` from ``start``, sampled by
+    :func:`_monomial_layouts`, as integer numerators and denominators per
     decorated graph, with the r nodes, the layouts and their A-points; used
     directly and as the multiprocessing worker."""
     g, n, exponents, d, r0, survivors, start, step = args
-    groups = _layout_groups(_class_plan(g, n, d, frozenset(survivors), True))[start::step]
-    chunk = [entry for group in groups for entry in group]
-    terms, nodes = _constant_terms(chunk, _monomial_sample(exponents, d), d, r0)
-    points = sum(_monomial_points(group[0][0].legs, 2 * d)[0] for group in groups)
-    return terms, nodes, len(groups), points
+    layouts = _monomial_plan(g, n, d, frozenset(survivors))[start::step]
+    terms, nodes = _constant_terms(_monomial_layouts(layouts, n, exponents, d), d, r0)
+    return terms, nodes, len(layouts), sum(points for points, *_ in layouts)
 
 
 def monomial_coefficient(
@@ -841,15 +860,16 @@ def monomial_coefficient(
     |A| <= D, with integer weights per template group that read off the
     target monomial, and at the C(D+k, k-1) points of the layer
     |A| = D + 1, where every (D+1)-th Newton difference must vanish (see
-    :func:`_monomial_sample`); the constant term in r is taken at every
+    :func:`_monomial_layouts`); the constant term in r is taken at every
     point as in :func:`constant_term_class`, with both held-out r nodes
     checked.  A nonzero Newton difference on the layer, like a held-out r
     node off the fit, raises :class:`FitInstabilityError`.  Plan graphs of
-    one layout (:func:`_monomial_layout`) have the same values at every
-    A-point, so the graphs are sampled layout by layout and each layout's
-    points are evaluated once.  With ``jobs`` > 1 the layouts are dealt out
-    over worker processes, each returning integer numerators; results are
-    identical for any worker count.  Returns (element, meta); the meta
+    one layout have the same values at every A-point, and the cached plan
+    (:func:`_monomial_plan`) holds them grouped by layout, with only the
+    template groups of degree d, so a call samples each layout's points
+    once and runs the template loop per graph.  With ``jobs`` > 1 the
+    layouts are dealt out over worker processes, each returning integer
+    numerators; results are identical for any worker count.  Returns (element, meta); the meta
     counts the graphs sampled (``plan_graphs``), the labelled graphs they
     stand for (``plan_labelled_graphs``), their A-points
     (``evaluations``, what :func:`_check_cost` prices), and, summed over the
@@ -884,9 +904,8 @@ def monomial_coefficient(
     if not allow_large:
         _check_cost(COST_BUDGET, g, n, d, survivors, None, 2 * d + 3)
 
-    plan = _class_plan(g, n, d, survivors, True)  # warmed before any fork
-    points = [_monomial_points(entry[0].legs, degree) for entry in plan]
-    r0 = _default_r0([value for _, value in points], d)
+    plan = _monomial_plan(g, n, d, survivors)  # warmed before any fork
+    r0 = _default_r0([value for _, value, *_ in plan], d)
     workers = _worker_count(jobs, len(plan))
     tasks = [
         (g, n, exponents, d, r0, tuple(sorted(survivors)), start, workers)
@@ -905,11 +924,11 @@ def monomial_coefficient(
         layouts, layout_evaluations = layouts + sampled, layout_evaluations + evaluated
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
-        "evaluations": sum(count for count, _ in points),
+        "evaluations": sum(points * len(graphs) for points, *_, graphs in plan),
         "layouts": layouts,
         "layout_evaluations": layout_evaluations,
-        "plan_graphs": len(plan),
-        "plan_labelled_graphs": sum(entry[-1] for entry in plan),
+        "plan_graphs": sum(len(graphs) for *_, graphs in plan),
+        "plan_labelled_graphs": sum(entry[3] for *_, graphs in plan for entry in graphs),
         "r0": r0,
         "r_nodes": nodes,
     }

@@ -305,7 +305,50 @@ def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
 
 
 def _layout(graph):
-    return pixton._monomial_layout(graph, pixton._leg_partition(graph.legs))
+    """The layout of a monomial plan graph: its edge list, vertex count, leg
+    1's vertex and the vertices of its leg partition's parts, in order."""
+    legs = graph.legs
+    parts = pixton._leg_partition(legs)
+    return graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
+
+
+def _lemma_plans(g, ns):
+    """The monomial plans :func:`trrkit.trr.omega` samples for the monomials
+    of genus g in ``ns`` (n, exponents) pairs: the coefficient on (g, N) in
+    degree g + 1, N = n + 2g + 2 - |b|, with survivors n + 2..N."""
+    plans = []
+    for n, b in ns:
+        N = n + 2 * g + 2 - sum(b)
+        plans.append(pixton._monomial_plan(g, N, g + 1, frozenset(range(n + 2, N + 1))))
+    return plans
+
+
+def test_monomial_plan_is_grouped_by_layout():
+    # within a layout every graph has the layout's edge list, leg-1 vertex
+    # and leg-sum vertices, no layout repeats, the layouts are ordered by
+    # edge list and every template group kept has degree d; the plans of
+    # the genus-1 lemmas hold 176 graphs and that of the (2,1,()) comparison
+    # 576
+    lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
+    for plans, d, want in [(_lemma_plans(1, lemmas), 2, 176), (_lemma_plans(2, [(1, ())]), 3, 576)]:
+        graphs = 0
+        for plan in plans:
+            keys = set()
+            for points, value, profiles, h1, entries in plan:
+                key = _layout(entries[0][0])
+                assert key not in keys
+                keys.add(key)
+                k = len(entries[0][1])
+                assert (points, value) == pixton._monomial_points(k, 2 * d)
+                for graph, parts, groups, weight, den in entries:
+                    assert _layout(graph) == key and parts == pixton._leg_partition(graph.legs)
+                    assert graph.h1() == h1 and weight >= 1
+                    assert all(graph.num_edges + sum(p) + sum(c) == d for p, c, _ in groups)
+                    assert {p for p, _, _ in groups} <= set(profiles)
+            edges = [entries[0][0].edges for *_, entries in plan]
+            assert edges == sorted(edges)
+            graphs += sum(len(entries) for *_, entries in plan)
+        assert graphs == want
 
 
 def test_evaluations_count_the_sampled_a_points(monkeypatch):
@@ -347,9 +390,8 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only):
     # the layer |A| = D + 1 only off the polynomial in the leg sums, raises
     # although the graphs that share the column are never sampled themselves
     args, survivors = (1, 4, (0, 1, 1), 1), frozenset({3, 4})
-    plan = pixton._class_plan(1, 4, 1, survivors, True)
-    keys = [_layout(entry[0]) for entry in plan]
-    shared = {key for key in keys if keys.count(key) > 1}
+    plan = pixton._monomial_plan(1, 4, 1, survivors)
+    shared = {_layout(graphs[0][0]) for *_, graphs in plan if len(graphs) > 1}
     assert len(shared) == 1
     real = pixton.weighting_power_sums
     d, hits = args[3], []
@@ -472,14 +514,13 @@ def test_layouts_keep_their_leg_sum_vertices_apart():
     # (2, 0) in another: one edge list, two layouts, two columns, both read
     # (with exponents (2, 2) the target would not tell the two orders apart)
     g, n, exponents, d = 2, 3, (3, 1), 2
-    plan = pixton._class_plan(g, n, d, frozenset(), True)
-    sample = pixton._monomial_sample(exponents, d)
+    plan = pixton._monomial_plan(g, n, d, frozenset())
     read = set()
-    for graph, groups, *_ in plan:
-        weights = sample(graph, groups)[3]
-        if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
-            parts = pixton._leg_partition(graph.legs)
-            read.add((graph.legs[0], tuple(graph.legs[ms[0] - 1] for ms in parts)))
+    for *_, graphs in plan:
+        for graph, parts, groups, _, _ in graphs:
+            weights = [pixton._group_weights(exponents, d, parts, c) for _, c, _ in groups]
+            if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
+                read.add(_layout(graph)[2:])
     assert {(1, (0, 2)), (1, (2, 0))} <= read
     el, meta = monomial_coefficient(g, n, exponents, d)
     assert meta["layouts"] < meta["plan_graphs"]
@@ -580,7 +621,8 @@ def test_worker_count_is_clamped(monkeypatch):
     assert (graphs, meta["evaluations"]) == (6, 15) and sizes == []
     counts = (meta["layouts"], meta["layout_evaluations"])
     assert counts == (5, 11)
-    for cpus, want in [(2, 2), (1000, graphs)]:
+    # the tasks are layouts, so the pool is clamped to the 5 layouts
+    for cpus, want in [(2, 2), (1000, 5)]:
         monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
         el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
         assert sizes[-1] == want
@@ -623,6 +665,64 @@ def test_scan_worker_count_is_clamped(monkeypatch):
     assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3]
     monkeypatch.setattr(pixton.os, "cpu_count", lambda: 2)
     assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3, 2]
+
+
+def _point_layout_counts(plan, a):
+    """How many plan graphs have each point layout at the leg vector a: the
+    edge list and the vertex leg sums."""
+    counts = {}
+    for graph, *_ in plan:
+        key = graph.edges, pixton._leg_sums(graph, a)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_point_layouts_make_one_power_sums_call(monkeypatch):
+    # the 13 graphs of the plan have 7 point layouts at a, and the graphs of
+    # one layout make a single weighting_power_sums call (for every r node
+    # at once), in the constant term and in the fixed-r class alike
+    g, n, a, d = 1, 4, (-2, 1, 1, 0), 1
+    layouts = _point_layout_counts(pixton._class_plan(g, n, d, frozenset()), a)
+    assert (sum(layouts.values()), len(layouts)) == (13, 7)
+    real = pixton.weighting_power_sums
+    calls = []
+
+    def counting(graph, a, rs, profiles):
+        calls.append((graph.edges, pixton._leg_sums(graph, a)))
+        return real(graph, a, rs, profiles)
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", counting)
+    classes = (lambda: constant_term_class(g, n, a, d)[0], lambda: fixed_r_class(g, n, a, 5, d))
+    for compute in classes:
+        calls.clear()
+        assert not compute().is_zero()
+        assert len(calls) == len(set(calls)) == 7 and set(calls) == set(layouts)
+
+
+def test_a_shared_point_layout_is_checked(monkeypatch):
+    # a sum off the degree bound in r on one point layout that several
+    # graphs share raises, although only one of them reaches the sums
+    g, n, a, d = 1, 4, (-2, 1, 1, 0), 1
+    layouts = _point_layout_counts(pixton._class_plan(g, n, d, frozenset()), a)
+    shared = max(key for key, count in layouts.items() if count > 1)
+    real = pixton.weighting_power_sums
+    hits = []
+
+    def patched(graph, a, rs, profiles):
+        sums = real(graph, a, rs, profiles)
+        if (graph.edges, pixton._leg_sums(graph, a)) != shared:
+            return sums
+        hits.append(graph)
+        power = graph.h1() + 2 * d + 1
+        return {
+            profile: tuple(s + r**power for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    with pytest.raises(FitInstabilityError, match="in r on the nodes"):
+        constant_term_class(g, n, a, d)
+    assert len(hits) == 1
 
 
 def test_pixton_class_small():
