@@ -5,10 +5,12 @@ The default instances finish in well under a second; --allow-large adds
 the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take 0.3
 to 1 s each on one core, and the genus-3 comparisons (3,2,(7,)),
 (3,2,(6,)) and (3,1,()), about 3 s, 9 s and 21 s (about 35 s in all).
-Each line gives the instance's time and the peak resident memory of the
+Each line gives the instance's plan size from its report: the graphs
+sampled (one per orbit of the survivor permutations), their layouts and the
+A-points those evaluate; then its time and the peak resident memory of the
 process so far (ru_maxrss, a high-water mark, so caches of the earlier
-instances count too): with --allow-large the last line reads about 300 MB,
-where (3,1,()) alone peaks at about 227 MB in a fresh process.
+instances count too): with --allow-large the last line reads about 290 MB,
+where (3,1,()) alone peaks at about 215 MB in a fresh process.
 """
 import argparse
 import resource
@@ -37,7 +39,12 @@ def run():
         status = "ok" if ok else "MISMATCH"
         # ru_maxrss is the process's high-water mark so far, in KiB on Linux
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"(g={g}, n={n}, b={b}): {status}  [{time.time() - t0:.1f}s, peak {peak:.0f} MB]")
+        meta = rep["meta"]
+        print(
+            f"(g={g}, n={n}, b={b}): {status}  [{meta['plan_graphs']} graphs, "
+            f"{meta['layouts']} layouts, {meta['layout_evaluations']} layout evaluations; "
+            f"{time.time() - t0:.1f}s, peak {peak:.0f} MB]"
+        )
         if not ok:
             for key, val in rep.items():
                 if key.endswith(("_got", "_want")):

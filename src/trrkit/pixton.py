@@ -11,61 +11,61 @@ consecutive nodes, and two further held-out nodes validate the bound.
 
 Performance notes.  The graph sum is accumulated in integers in one pass
 over the plan, layout by layout.  The values a graph's points give depend
-only on its layout: the edge list and the vertex leg sums at each point.
-Per layout and point, one call gives the weighting power sums at every r
-node, the sums are put over the common denominator lcm(r^h1), and per edge
-profile the two held-out differences are checked and the Lagrange-at-zero
-weights give one integer, memoized per distinct tuple of sums; the checked
-column of integers over the points serves every graph of the layout.  Each
-group of decoration templates sharing a profile and leg exponents takes the
-dot product of its integer weights with its profile's column, so the
-template loop runs once per graph and each decorated graph becomes one
-Fraction at the end.  The fixed-r class and the constant term at one leg
-vector are one point weighted by the leg powers, the labelled plan grouped
-per call by edge list and vertex leg sums.  A monomial coefficient samples
-each layout on the simplex of its vertex leg sums A, |A| <= 2d (the
-weighting conditions see the leg values only through them, and the
-constant term in r has total degree <= 2d in them), each graph weighted per
+only on its layout: the edge list and the vertex leg sums at each point,
+which are all the weighting sums are given.  Per layout and point, one call
+gives the weighting power sums at every r node, the sums are put over the
+common denominator lcm(r^h1), and per edge profile the two held-out
+differences are checked and the Lagrange-at-zero weights give one integer,
+memoized per distinct tuple of sums; the checked column of integers over
+the points serves every graph of the layout.  Each group of decoration
+templates sharing a profile and leg exponents takes the dot product of its
+integer weights with its profile's column, so the template loop runs once
+per graph and each decorated graph becomes one Fraction at the end.  The
+fixed-r class and the constant term at one leg vector are one point
+weighted by the leg powers, the labelled plan grouped per call by edge list
+and vertex leg sums, those sums being the layout's point.  A monomial
+coefficient samples each layout on the simplex of the leg sums A at its
+part vertices, |A| <= 2d, leg 1's vertex taking -|A| (the weighting
+conditions see the leg values only through the vertex leg sums, and the
+constant term in r has total degree <= 2d in A), each graph weighted per
 group by an integer functional of its own leg partition that reads off the
 target monomial, and checks every (2d+1)-th Newton difference on the layer
 |A| = 2d + 1; worker processes each take whole layouts and return integer
 numerators, which the parent merges.  Its plan holds one graph per orbit of
 the permutations of the survivor legs, weighted by the labelled graphs in
-the orbit, grouped by layout once, when the plan is built, and keeps only
+the orbit, grouped by layout once, when the plan is built, and builds only
 the template groups of degree d: the genus-1 lemmas sample 176 graphs at
 1,426 A-points (3,238 for the 303 labelled graphs on the tensor grid
-{0..2d}^k), of which their 65 layouts evaluate 460; the (2,1,())
-comparison 576 graphs at 15,241 (25,167 on the grid; 119 layouts, 2,653),
-(2,2,(0,)) 3,325 graphs at 137,473 (276,311 on the grid; 285 layouts,
-11,653) and (3,1,()) 21,522 graphs at 2,531,454 (1,951 layouts, 228,277).
-A weighting sum is reduced over the graph itself: loops are summed out, a
-vertex whose edges all go to one neighbour fixes their residue sum, a
-degree-2 vertex joins its two edges and parallel edges merge by
-convolution, at O(r) per step (O(r^2) for a merge, read from a cached
-table for two pure tau powers); only a K4 minor, six edges or more, needs
-a sum over one edge's residue.  Memoization across calls is ``functools``
-caches on private helpers (``cache_info()`` gives hits and sizes),
-unbounded for the life of the process: the reduction steps per edge list,
-the tau tables per modulus, the labelled plan per (g, n, dmax, survivors),
-the monomial plan per (g, n, d, survivors), the guard's admitted verdicts
-per budget and job, the simplex points with their coefficient and check
-rows per (number of leg sums, 2d) (``numerics._simplex_tables``), the
-sampled leg vectors per (leg partition, n, 2d), read once per layout for
-its first graph's partition, and the group weights per (exponents, d, leg
-partition, leg exponents).  The weighting sums per (edge list, vertex leg
-sums, moduli, profiles) take one entry per layout and A-point, so only the
-16,384 most recently used are kept: a genus-2 grid point uses under a
-thousand, the (3,1,()) comparison over 100,000 (graphs of different
-layouts still meet at equal leg sums, as where one is 0, and the monomial
-plan keeps the layouts of one edge list together, so that such repeats
-come while their entries are still kept: the (3,1,()) comparison misses
-once per distinct key, 109,861 times).  Templates and
-automorphism counts are built once per plan graph, inside the cached plan.
-The plan asks the enumeration for only the graphs with room for one unit of
-psi at every survivor leg, so the rest are never canonicalized, and a
-monomial plan asks for one graph per orbit, so the others are never even
-placed: the (3,1,()) comparison's plan of 21,522 orbits, for 2,705,423
-labelled graphs, builds in under 10 s.
+{0..2d}^k), of which their 65 layouts evaluate 460; the (2,1,()) comparison
+576 graphs at 15,241 (25,167 on the grid; 119 layouts, 2,653), (2,2,(0,))
+3,325 graphs at 137,473 (276,311 on the grid; 285 layouts, 11,653) and
+(3,1,()) 21,522 graphs at 2,531,454 (1,951 layouts, 228,277).  A weighting
+sum is reduced over the graph itself: loops are summed out, a vertex whose
+edges all go to one neighbour fixes their residue sum, a degree-2 vertex
+joins its two edges and parallel edges merge by convolution, at O(r) per
+step (O(r^2) for a merge, read from a cached table for two pure tau
+powers); only a K4 minor, six edges or more, needs a sum over one edge's
+residue.  Memoization across calls is ``functools`` caches on private
+helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
+the process: the reduction steps per edge list, the tau tables per modulus,
+the labelled plan per (g, n, dmax, survivors), the monomial plan per (g, n,
+d, survivors), the guard's admitted verdicts per budget and job, the
+simplex points with their coefficient and check rows per (number of leg
+sums, 2d) (``numerics._simplex_tables``), from which each call makes a
+layout's points, and the group weights per (exponents, d, leg partition,
+leg exponents).  The weighting sums per (edge list, vertex leg sums,
+moduli, profiles) take one entry per layout and A-point, so only the 16,384
+most recently used are kept: a genus-2 grid point uses under a thousand,
+the (3,1,()) comparison over 100,000 (graphs of different layouts still
+meet at equal leg sums, as where one is 0, and the monomial plan keeps the
+layouts of one edge list together, so that such repeats come while their
+entries are still kept: the (3,1,()) comparison misses once per distinct
+key, 109,861 times).  Templates and automorphism counts are built once per
+plan graph, inside the cached plan.  The plan asks the enumeration for only
+the graphs with room for one unit of psi at every survivor leg, so the rest
+are never canonicalized, and a monomial plan asks for one graph per orbit,
+so the others are never even placed: the (3,1,()) comparison's plan of
+21,522 orbits, for 2,705,423 labelled graphs, builds in under 10 s.
 """
 from __future__ import annotations
 
@@ -299,17 +299,20 @@ def _reduce(r: int, steps, A: list[int], fs: list) -> int:
     return 0 if any(A) else total
 
 
-def weighting_power_sums(graph: StableGraph, a, rs, profiles) -> dict[tuple[int, ...], tuple[int, ...]]:
+def weighting_power_sums(edges, leg_sums, rs, profiles) -> dict[tuple[int, ...], tuple[int, ...]]:
     """For each edge-exponent profile (m_e), the integer sums over weightings
-    of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``.
+    of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``, for a
+    graph with these ``edges`` ((u, v) pairs) and vertex leg sums
+    ``leg_sums`` (A_v at each vertex v, :func:`_leg_sums` of a leg vector).
 
-    The sums see the leg values only through the leg sum A_v at each vertex,
-    and are computed by the series-parallel reduction of the graph
-    (:func:`_reduction`), at each modulus and profile; they are cached on the
-    edge list, the vertex leg sums, the moduli and the profiles.  The edge
-    order ties the profile entries to the edges.
+    The weighting conditions see the leg values only through the A_v, so the
+    graph's genera and leg map do not enter; it has h1 = E - V + 1.  The sums
+    are computed by the series-parallel reduction of the edges
+    (:func:`_reduction`), at each modulus and profile, and cached on the
+    edge list, the leg sums, the moduli and the profiles.  The edge order
+    ties the profile entries to the edges.
     """
-    return _power_sums(graph.edges, _leg_sums(graph, a), tuple(rs), tuple(sorted(profiles)))
+    return _power_sums(tuple(edges), tuple(leg_sums), tuple(rs), tuple(sorted(profiles)))
 
 
 def _leg_sums(graph: StableGraph, a) -> tuple[int, ...]:
@@ -335,9 +338,10 @@ def _power_sums(edges, A, rs, profiles):
 # the fixed-r class
 # ----------------------------------------------------------------------
 
-def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset()):
+def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(), exact=False):
     """Decoration templates for one graph: every way to place psi exponents
-    from the edge series and leg exponentials within the degree caps.
+    from the edge series and leg exponentials within the degree caps, or
+    with ``exact`` only those of degree exactly dmax.
 
     ``reserved_markings`` holds one unit of capacity at each listed leg for a
     later psi multiplication; graphs and templates with no room are dropped.
@@ -345,7 +349,8 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
     profile and leg exponents differ only by their base coefficient, so each
     group is (profile, leg exponents, members), the members being
     (base numerator over ``common``, decorated graph) pairs; ``profiles``
-    lists every edge profile, sorted.
+    lists every edge profile of total <= dmax - E, sorted, also with
+    ``exact``, and is empty exactly when the graph has no room.
     """
     E = graph.num_edges
     extra = dmax - E
@@ -397,6 +402,8 @@ def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(
             def leg_loop(m, budget, vdeg_now, cvec, leg_den):
                 # leg_den = prod over the placed legs of 2^c c!
                 if m > graph.n:
+                    if exact and budget:  # below degree dmax
+                        return
                     key = decorate_canonical_graph(graph, tuple(cvec), psi_edges, no_kappa)
                     den = edge_den * leg_den
                     shared = gcd(split_num, den)
@@ -465,14 +472,14 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     graph sums sampled at every modulus in ``nodes``, in integers.
 
     ``form`` and the ``held_out`` forms are integer linear forms on the
-    nodes.  Each of ``layouts`` is (graph, leg vectors, check rows,
-    profiles, h1, graphs): the graphs of one layout have the same edge list
-    and the same vertex leg sums at every point as ``graph``, and so the same
-    edge profiles (every profile of total <= dmax - E), and each of
-    ``graphs`` is (group weights, groups, weight, den) for one plan graph.
-    A layout's columns are built once: per point, one
-    :func:`weighting_power_sums` call on ``graph`` gives each edge profile's
-    sums, which are put over m = lcm(r^h1); every held-out form must vanish
+    nodes.  Each of ``layouts`` is (edges, points, check rows, profiles, h1,
+    graphs): the graphs of one layout have this edge list and, at every
+    point, the point's tuple of vertex leg sums, and so the same edge
+    profiles (every profile of total <= dmax - E), and each of ``graphs`` is
+    (group weights, groups, weight, den) for one plan graph.  A layout's
+    columns are built once: per point, one :func:`weighting_power_sums` call
+    on the edges and the point's leg sums gives each edge profile's sums,
+    which are put over m = lcm(r^h1); every held-out form must vanish
     on them, or :class:`FitInstabilityError` is raised, and ``form`` turns
     them into one integer (checked and evaluated once per distinct tuple of
     sums), so each profile gets one column of integers over the points.  The
@@ -487,7 +494,7 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     of different graphs never meet.
     """
     by_h1 = {}
-    for graph, legs, check_rows, profiles, h1, graphs in layouts:
+    for edges, points, check_rows, profiles, h1, graphs in layouts:
         if h1 not in by_h1:
             # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
             m = lcm(*(r**h1 for r in nodes))
@@ -500,8 +507,8 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
             )
         m, value_form, checks, checked = by_h1[h1]
         columns = {profile: [] for profile in profiles}
-        for a in legs:
-            for profile, psums in weighting_power_sums(graph, a, nodes, profiles).items():
+        for leg_sums in points:
+            for profile, psums in weighting_power_sums(edges, leg_sums, nodes, profiles).items():
                 value = checked.get(psums)
                 if value is None:
                     for check in checks:
@@ -534,9 +541,10 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
 def _point_layouts(plan, a):
     """The labelled ``plan`` grouped by layout at the one leg vector ``a``,
     in the form of :func:`_graph_sums`: the layout is the edge list and the
-    vertex leg sums, computed once per graph, and the layouts come in order
-    of first appearance.  Each template group is weighted by its leg power
-    prod_m a_m^(2 c_m), memoized on the leg exponents across graphs."""
+    vertex leg sums, computed once per graph, which are also the layout's
+    one point, and the layouts come in order of first appearance.  Each
+    template group is weighted by its leg power prod_m a_m^(2 c_m),
+    memoized on the leg exponents across graphs."""
     squares = [v * v for v in a]
     powers: dict[tuple[int, ...], list[int]] = {}
 
@@ -557,12 +565,12 @@ def _point_layouts(plan, a):
     for entry in plan:
         graph = entry[0]
         layouts.setdefault((graph.edges, _leg_sums(graph, a)), []).append(entry)
-    for entries in layouts.values():
-        graph, _, profiles, h1, _, _ = entries[0]
+    for (edges, leg_sums), entries in layouts.items():
+        _, _, profiles, h1, _, _ = entries[0]
         weighted = (
             (weigh(groups), groups, 1, common * aut) for _, groups, _, _, aut, common in entries
         )
-        yield graph, (a,), (), profiles, h1, weighted
+        yield edges, (leg_sums,), (), profiles, h1, weighted
 
 
 def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
@@ -702,21 +710,6 @@ def _monomial_points(k: int, degree: int) -> tuple[int, int]:
 
 
 @functools.cache
-def _simplex_legs(parts: tuple, n: int, degree: int) -> tuple:
-    """The leg vectors of the points of :func:`_simplex_tables` for a graph
-    with leg partition ``parts``: A_i on the lowest leg at vertex i, 0 on
-    every other leg >= 2 and a_1 = -sum(A)."""
-    legs = []
-    for A in _simplex_tables(len(parts), degree)[0]:
-        a = [0] * n
-        for ms, v in zip(parts, A):
-            a[ms[0] - 1] = v
-        a[0] = -sum(A)
-        legs.append(tuple(a))
-    return tuple(legs)
-
-
-@functools.cache
 def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
     """The integer weights over the simplex S of :func:`_simplex_tables`
     (over D! = (2d)!) that read the coefficient of prod_{j>=2} a_j^(b_j)
@@ -770,37 +763,38 @@ def _monomial_plan(g: int, n: int, d: int, survivors: frozenset) -> tuple:
     the vertices of the parts of its leg partition (:func:`_leg_partition`),
     in order.  Graphs of one layout differ only in how their legs spread
     within those vertices, so they have the same vertex leg sums at every
-    A-point.  Each layout is (A-points, leg value that sets the modulus (see
+    A-point.  Each layout is (its key (edges, V, leg 1's vertex, part
+    vertices), A-points, leg value that sets the modulus (see
     :func:`_monomial_points`), profiles, h1, graphs), and each of its graphs
     is (graph, leg partition, groups, weight, den): the groups are the
     template groups of degree exactly d, E + |profile| + |c| = d, the only
-    ones the target monomial reads, while the profiles stay whole, so every
-    profile's column is still built and checked; den = common * aut * (2d)!,
-    the last factor being the denominator of the group weights.
+    ones the target monomial reads, and the only ones built, while the
+    profiles stay whole, so every profile's column is still built and
+    checked; den = common * aut * (2d)!, the last factor being the
+    denominator of the group weights.
     """
     degree = 2 * d
     layouts: dict[tuple, tuple] = {}
     for graph, weight in enumerate_stable_graphs(
         g, n, max_edges=d, reserved_markings=survivors, _orbits=True
     ):
-        templates, profiles, common = _graph_templates(graph, d, survivors)
-        if not templates:
+        groups, profiles, common = _graph_templates(graph, d, survivors, exact=True)
+        if not profiles:
             continue
-        legs, E = graph.legs, graph.num_edges
+        legs = graph.legs
         parts = _leg_partition(legs)
         key = graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
         if key not in layouts:
             layouts[key] = *_monomial_points(len(parts), degree), profiles, graph.h1(), []
-        groups = tuple(group for group in templates if E + sum(group[0]) + sum(group[1]) == d)
         den = common * automorphism_count(graph, check=False) * factorial(degree)
         layouts[key][-1].append((graph, parts, groups, weight, den))
     # the layouts of one edge list side by side, so that the weighting sums
     # they share (at equal leg sums) are still in _power_sums' LRU
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
-    return tuple((*layout[:-1], tuple(layout[-1])) for _, layout in ordered)
+    return tuple((key, *layout[:-1], tuple(layout[-1])) for key, layout in ordered)
 
 
-def _monomial_layouts(layouts, n: int, exponents: tuple, d: int):
+def _monomial_layouts(layouts, exponents: tuple, d: int):
     """The ``layouts`` of :func:`_monomial_plan` in the form of
     :func:`_graph_sums`, extracting the coefficient of prod_{j>=2} a_j^(b_j).
 
@@ -811,22 +805,27 @@ def _monomial_layouts(layouts, n: int, exponents: tuple, d: int):
     group with leg exponents c is weighted by :func:`_group_weights` of that
     graph's own leg partition, and on the layer L = {|A| = D + 1},
     C(D+k, k-1) more, where every (D+1)-th Newton difference must vanish
-    (see :func:`_simplex_tables`).  A layout is sampled at the leg vectors of
-    its first graph's partition, which give every graph of the layout its
-    vertex leg sums.  The points and rows are built once per (k, D), the
-    leg vectors once per (leg partition, n, D) and the weights once per
-    (exponents, d, leg partition, c).
+    (see :func:`_simplex_tables`).  A layout's points are its vertex leg
+    sums, made from the simplex points: A_i at the vertex of part i, -|A| at
+    leg 1's vertex and 0 at every other vertex.  The points and rows are
+    built once per (k, D) and the weights once per (exponents, d, leg
+    partition, c).
     """
     degree = 2 * d
-    for _, _, profiles, h1, graphs in layouts:
-        graph, parts = graphs[0][:2]
-        legs = _simplex_legs(parts, n, degree)
-        checks = _simplex_tables(len(parts), degree)[2]
+    for (edges, V, first, vertices), _, _, profiles, h1, graphs in layouts:
+        simplex, _, checks = _simplex_tables(len(vertices), degree)
+        points = []
+        for A in simplex:
+            leg_sums = [0] * V
+            for v, value in zip(vertices, A):
+                leg_sums[v] = value
+            leg_sums[first] = -sum(A)
+            points.append(tuple(leg_sums))
         weighted = (
-            ([_group_weights(exponents, d, own, c) for _, c, _ in groups], groups, weight, den)
-            for _, own, groups, weight, den in graphs
+            ([_group_weights(exponents, d, parts, c) for _, c, _ in groups], groups, weight, den)
+            for _, parts, groups, weight, den in graphs
         )
-        yield graph, legs, checks, profiles, h1, weighted
+        yield edges, points, checks, profiles, h1, weighted
 
 
 def _chunk_worker(args):
@@ -837,8 +836,8 @@ def _chunk_worker(args):
     directly and as the multiprocessing worker."""
     g, n, exponents, d, r0, survivors, start, step = args
     layouts = _monomial_plan(g, n, d, frozenset(survivors))[start::step]
-    terms, nodes = _constant_terms(_monomial_layouts(layouts, n, exponents, d), d, r0)
-    return terms, nodes, len(layouts), sum(points for points, *_ in layouts)
+    terms, nodes = _constant_terms(_monomial_layouts(layouts, exponents, d), d, r0)
+    return terms, nodes, len(layouts), sum(points for _, points, *_ in layouts)
 
 
 def monomial_coefficient(
@@ -905,7 +904,7 @@ def monomial_coefficient(
         _check_cost(COST_BUDGET, g, n, d, survivors, None, 2 * d + 3)
 
     plan = _monomial_plan(g, n, d, survivors)  # warmed before any fork
-    r0 = _default_r0([value for _, value, *_ in plan], d)
+    r0 = _default_r0([value for _, _, value, *_ in plan], d)
     workers = _worker_count(jobs, len(plan))
     tasks = [
         (g, n, exponents, d, r0, tuple(sorted(survivors)), start, workers)
@@ -924,7 +923,7 @@ def monomial_coefficient(
         layouts, layout_evaluations = layouts + sampled, layout_evaluations + evaluated
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
-        "evaluations": sum(points * len(graphs) for points, *_, graphs in plan),
+        "evaluations": sum(points * len(graphs) for _, points, *_, graphs in plan),
         "layouts": layouts,
         "layout_evaluations": layout_evaluations,
         "plan_graphs": sum(len(graphs) for *_, graphs in plan),

@@ -310,9 +310,11 @@ def _stability_need(genera, deg) -> list[int]:
     return [max(0, 3 - 2 * gv - dv) for gv, dv in zip(genera, deg)]
 
 
-def _degenerations(shapes, n: int) -> set[tuple]:
+def _degenerations(shapes, n: int) -> Iterator[tuple]:
     """The canonical leg-free shapes (genera, edges) with one edge more than
-    the ``shapes``, of the same genus, whose stability need is at most n.
+    the ``shapes``, of the same genus, whose stability need is at most n,
+    each yielded once, as soon as it is found, so that a reader that stops
+    early canonicalizes no candidate beyond.
 
     A shape degenerates by a loop at a vertex of positive genus, which
     takes one from its genus, or by splitting a vertex v in two across a
@@ -321,7 +323,7 @@ def _degenerations(shapes, n: int) -> set[tuple]:
     never raises the need, and neither move lowers it, so every shape with
     need at most n comes from one on the level below that has it too.
     """
-    out = set()
+    seen = set()
     for genera, edges in shapes:
         V = len(genera)
         candidates = []
@@ -342,8 +344,10 @@ def _degenerations(shapes, n: int) -> set[tuple]:
         for new_genera, new_edges in candidates:
             deg = _degrees(len(new_genera), new_edges)
             if sum(_stability_need(new_genera, deg)) <= n:
-                out.add(canonical_data(new_genera, new_edges, ())[:2])
-    return out
+                shape = canonical_data(new_genera, new_edges, ())[:2]
+                if shape not in seen:
+                    seen.add(shape)
+                    yield shape
 
 
 def _orbit_minimal_leg_maps(
@@ -463,15 +467,17 @@ def enumerate_stable_graphs(
 
 def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> Iterator:
     """The graphs of :func:`_enumerate`, uncanonicalized, as (genera, edges,
-    legs, weight), lazily: a reader that stops early builds no level above."""
+    legs, weight), lazily: each level's shapes are found while the level is
+    walked, and kept for the next, so a reader that stops early builds no
+    shape beyond the one it stopped on."""
     # the markings whose legs count toward the capacity they must leave
     free = [m not in reserved for m in range(1, n + 1)]
 
-    shapes = {((g,), ())}
-    for E in range(emax + 1):
-        if E:
-            shapes = _degenerations(shapes, n)
+    shapes = [((g,), ())]
+    for _ in range(emax + 1):
+        walked = []
         for genera, edges in shapes:
+            walked.append((genera, edges))
             auts = _automorphisms(genera, edges, ())
             deg = _degrees(len(genera), edges)
             need = _stability_need(genera, deg)
@@ -484,6 +490,7 @@ def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset)
                     if min(room) < 0:
                         continue
                 yield genera, edges, legs, weight
+        shapes = _degenerations(walked, n)
 
 
 @functools.cache

@@ -337,6 +337,21 @@ def d_value(g: int, k: int, l) -> Fraction:
     ``_with_part``, over the denominator w_0 = (base)_(n-1),
     base = 2g+n+2k-1.  ``tests/oracles.py`` holds the direct sum over the
     shifts as a cross-check.
+
+    For n <= 3 the numerator has a closed form; with x = 2l_2 + 1 and
+    y = 2l_3 + 1 it is
+
+    - n = 2: -2k(2l_2 - 1);
+    - n = 3: 2k [2k(x-2)(y-2) + xy - (x+y-1)(x+y-2)].
+
+    Proof: with g = k + sum(l), each w_s is a product of n - 1 <= 2 factors
+    linear in k and the l_j, s of them free of the l_j, and e_s has degree
+    <= 1 in each l_j and is 1 for s = 0, so sum_s e_s w_s has degree <= 2 in
+    each of k, l_2 and l_3, as the two forms do; ``tests/test_trr.py`` checks both on the grid {0,1,2} in
+    each variable, which determines such a polynomial.  Hence, as
+    w_0 > 0, D never vanishes for n <= 3 and k >= 1, in any genus: 2l_2 - 1
+    is odd, and so is the n = 3 bracket, xy being odd and (x+y-1)(x+y-2)
+    even.
     """
     l = tuple(int(x) for x in l)
     if k < 0 or k + sum(l) != g:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from trrkit import cli, pixton, trr
+from trrkit import cli, pixton, stablegraphs, trr
 from trrkit.cli import main
 from trrkit.stablegraphs import InvalidGraphError
 
@@ -181,7 +181,7 @@ def test_usage_never_writes_partial_output(tmp_path, capsys):
 
 
 def test_guard_exit_code(capsys):
-    # its full price is 1,710,726,885; the guard stops at 1,004,400
+    # its full price is 1,710,726,885; the guard stops at 1,000,350
     started = time.perf_counter()
     code, _, err = run(
         capsys, "pixton", "--g", "2", "--n", "7", "--b-exponents", "1,1,1,1,1,1",
@@ -231,6 +231,25 @@ def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
     assert code == cli.EXIT_GUARD
     assert out == ""
     assert err.count("\n") == 1 and f"estimated cost {price} " in err
+
+
+def test_class_guard_stops_the_shape_walk_mid_level(capsys, monkeypatch):
+    # the genus-5 class is refused at its 12,346th graph (x modulus 3 x 27
+    # nodes), on the level of 8 edges: the shapes of a level are found while
+    # the walk goes, so no shape past that graph's is canonicalized (whole
+    # levels took 190,915 canonicalizations)
+    calls = []
+    real = stablegraphs.canonical_data
+
+    def counting(*data):
+        calls.append(data)
+        return real(*data)
+
+    monkeypatch.setattr(stablegraphs, "canonical_data", counting)
+    code, out, err = run(capsys, "pixton", "--g", "5", "--n", "1", "--a", "0", "--degree", "12")
+    assert code == cli.EXIT_GUARD and out == ""
+    assert "estimated cost 1000026 " in err
+    assert len(calls) == 112_172
 
 
 def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):

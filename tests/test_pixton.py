@@ -90,7 +90,7 @@ def _check_power_sums(graph, a, rs):
     """weighting_power_sums against the sum over every weighting found by
     trying all edge residues, for the unit profiles."""
     profiles = _unit_profiles(graph.num_edges)
-    sums = weighting_power_sums(graph, a, rs, profiles)
+    sums = weighting_power_sums(graph.edges, pixton._leg_sums(graph, a), rs, profiles)
     assert set(sums) == set(profiles)
     assert all(len(sums[profile]) == len(rs) for profile in profiles)
     for j, r in enumerate(rs):
@@ -210,12 +210,11 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
     real = pixton.weighting_power_sums
     dmax = 1
 
-    def patched(graph, a, rs, profiles):
-        sums = dict(real(graph, a, rs, profiles))
+    def patched(edges, leg_sums, rs, profiles):
+        sums = dict(real(edges, leg_sums, rs, profiles))
         profile = min(sums)
-        sums[profile] = tuple(
-            s + r ** (2 * dmax + 1 + graph.h1()) for s, r in zip(sums[profile], rs)
-        )
+        h1 = len(edges) - len(leg_sums) + 1
+        sums[profile] = tuple(s + r ** (2 * dmax + 1 + h1) for s, r in zip(sums[profile], rs))
         return sums
 
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
@@ -235,20 +234,22 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
 
 
 def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
-    # every sum gains r^h1 where a leg >= 2 takes the value D + 1, which
-    # happens only at the points (D+1) e_i of the layer |A| = D + 1: a
-    # constant in r, so both held-out r nodes pass there, but the samples
-    # are no longer a polynomial of degree <= D in the vertex leg sums
+    # every sum gains r^h1 where a vertex leg sum takes the value D + 1
+    # (leg 1's vertex takes -|A|), which happens only at the points
+    # (D+1) e_i of the layer |A| = D + 1: a constant in r, so both held-out
+    # r nodes pass there, but the samples are no longer a polynomial of
+    # degree <= D in the vertex leg sums
     real = pixton.weighting_power_sums
     d = 1
     held_out = 2 * d + 1
 
-    def patched(graph, a, rs, profiles):
-        sums = real(graph, a, rs, profiles)
-        if held_out not in a[1:]:
+    def patched(edges, leg_sums, rs, profiles):
+        sums = real(edges, leg_sums, rs, profiles)
+        if held_out not in leg_sums:
             return sums
+        h1 = len(edges) - len(leg_sums) + 1
         return {
-            profile: tuple(s + r ** graph.h1() for s, r in zip(psums, rs))
+            profile: tuple(s + r**h1 for s, r in zip(psums, rs))
             for profile, psums in sums.items()
         }
 
@@ -262,34 +263,35 @@ def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
 
 
 def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch):
-    # every sum gains r^h1 at the layer points with leg sums 1 and D at two
-    # vertices, such as A = (1, D): no leg value reaches D + 1 there, so only
-    # the layer checks off the axes see it
+    # every sum gains r^h1 at the layer points with positive leg sums 1 and
+    # D at two vertices, in vertex order, such as A = (1, D): no leg sum
+    # reaches D + 1 there, so only the layer checks off the axes see it
     real = pixton.weighting_power_sums
     d = 2
     degree = 2 * d
     hits = []
 
-    def patched(graph, a, rs, profiles):
-        sums = real(graph, a, rs, profiles)
-        if [v for v in a[1:] if v] != [1, degree]:
+    def patched(edges, leg_sums, rs, profiles):
+        sums = real(edges, leg_sums, rs, profiles)
+        if [v for v in leg_sums if v > 0] != [1, degree]:
             return sums
-        hits.append(a)
+        hits.append(leg_sums)
+        h1 = len(edges) - len(leg_sums) + 1
         return {
-            profile: tuple(s + r ** graph.h1() for s, r in zip(psums, rs))
+            profile: tuple(s + r**h1 for s, r in zip(psums, rs))
             for profile, psums in sums.items()
         }
 
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     with pytest.raises(FitInstabilityError, match="vertex leg sums"):
         monomial_coefficient(0, 5, (2, 2, 0, 0), d)
-    assert hits and all(max(a[1:]) == degree for a in hits)
+    assert hits and all(max(leg_sums) == degree for leg_sums in hits)
 
 
 def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
-    # the simplex tables, the leg vectors and the group weights are built by
-    # the first call; a second call reads every one of them from its cache
-    caches = (pixton._simplex_tables, pixton._simplex_legs, pixton._group_weights)
+    # the simplex tables and the group weights are built by the first call;
+    # a second call reads every one of them from its cache
+    caches = (pixton._simplex_tables, pixton._group_weights)
     for cache in caches:
         cache.cache_clear()
     args = (1, 4, (2, 0, 0), 2)
@@ -312,6 +314,20 @@ def _layout(graph):
     return graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
 
 
+def _simplex_leg_vectors(parts, n, degree):
+    """The leg vectors of the simplex points of a graph with leg partition
+    ``parts``: A_i on the lowest leg of part i, 0 on every other leg >= 2
+    and a_1 = -sum(A)."""
+    vectors = []
+    for A in pixton._simplex_tables(len(parts), degree)[0]:
+        a = [0] * n
+        for ms, v in zip(parts, A):
+            a[ms[0] - 1] = v
+        a[0] = -sum(A)
+        vectors.append(tuple(a))
+    return vectors
+
+
 def _lemma_plans(g, ns):
     """The monomial plans :func:`trrkit.trr.omega` samples for the monomials
     of genus g in ``ns`` (n, exponents) pairs: the coefficient on (g, N) in
@@ -326,26 +342,32 @@ def _lemma_plans(g, ns):
 def test_monomial_plan_is_grouped_by_layout():
     # within a layout every graph has the layout's edge list, leg-1 vertex
     # and leg-sum vertices, no layout repeats, the layouts are ordered by
-    # edge list and every template group kept has degree d; the plans of
-    # the genus-1 lemmas hold 176 graphs and that of the (2,1,()) comparison
-    # 576
+    # edge list and every template group kept has degree d; the points a
+    # layout is sampled at are, in order, every one of its graphs' vertex
+    # leg sums at the leg vectors of that graph's own leg partition; the
+    # plans of the genus-1 lemmas hold 176 graphs and that of the (2,1,())
+    # comparison 576
     lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
     for plans, d, want in [(_lemma_plans(1, lemmas), 2, 176), (_lemma_plans(2, [(1, ())]), 3, 576)]:
         graphs = 0
         for plan in plans:
             keys = set()
-            for points, value, profiles, h1, entries in plan:
-                key = _layout(entries[0][0])
+            layouts = zip(plan, pixton._monomial_layouts(plan, (), d), strict=True)
+            for (key, points, value, profiles, h1, entries), layout in layouts:
                 assert key not in keys
                 keys.add(key)
                 k = len(entries[0][1])
                 assert (points, value) == pixton._monomial_points(k, 2 * d)
+                edges, leg_sums = layout[:2]
+                assert edges == key[0] and len(leg_sums) == points
                 for graph, parts, groups, weight, den in entries:
                     assert _layout(graph) == key and parts == pixton._leg_partition(graph.legs)
                     assert graph.h1() == h1 and weight >= 1
                     assert all(graph.num_edges + sum(p) + sum(c) == d for p, c, _ in groups)
                     assert {p for p, _, _ in groups} <= set(profiles)
-            edges = [entries[0][0].edges for *_, entries in plan]
+                    vectors = _simplex_leg_vectors(parts, graph.n, 2 * d)
+                    assert [pixton._leg_sums(graph, a) for a in vectors] == leg_sums
+            edges = [key[0] for key, *_ in plan]
             assert edges == sorted(edges)
             graphs += sum(len(entries) for *_, entries in plan)
         assert graphs == want
@@ -357,11 +379,11 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     # the genus-0 vertex and leg 4, or legs 3 and 4, on the genus-1 vertex
     # share one (4 A-points), so 7 of the plan's 11 A-points are evaluated
     real = pixton.weighting_power_sums
-    graphs = []
+    calls = []
 
-    def counting(graph, a, rs, profiles):
-        graphs.append(graph)
-        return real(graph, a, rs, profiles)
+    def counting(edges, leg_sums, rs, profiles):
+        calls.append(edges)
+        return real(edges, leg_sums, rs, profiles)
 
     def enumerating(*args, **kwargs):
         orbits.append(kwargs.get("_orbits", False))
@@ -371,11 +393,13 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
-    assert meta["layout_evaluations"] == len(graphs) == 7
+    assert meta["layout_evaluations"] == len(calls) == 7
     assert meta["evaluations"] == 11
     assert (meta["plan_graphs"], meta["layouts"]) == (5, 4)
-    layouts = {_layout(graph) for graph in graphs}
-    assert meta["layouts"] == len(set(graphs)) == len(layouts)
+    # each layout's A-points, in plan order, on its edge list
+    plan = pixton._monomial_plan(1, 4, 1, frozenset({3, 4}))
+    assert meta["layouts"] == len(plan) == len({key for key, *_ in plan})
+    assert calls == [key[0] for key, points, *_ in plan for _ in range(points)]
     # one graph per orbit of the survivor permutations is sampled, standing
     # for every labelled graph of its orbit: no labelled enumeration runs
     assert orbits and all(orbits)
@@ -385,23 +409,28 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
 
 @pytest.mark.parametrize("layer_only", [False, True])
 def test_a_shared_layout_is_checked(monkeypatch, layer_only):
-    # only the first graph of a layout reaches weighting_power_sums, and the
-    # others read its checked column: a sum off the degree bound in r, or on
-    # the layer |A| = D + 1 only off the polynomial in the leg sums, raises
-    # although the graphs that share the column are never sampled themselves
+    # a layout's points reach weighting_power_sums once for all its graphs,
+    # which read its checked column: a sum off the degree bound in r, or on
+    # the layer |A| = D + 1 only off the polynomial in the leg sums, at the
+    # points of a layout two graphs share raises (the all-zero point, which
+    # every layout of its edge list has, is left alone)
     args, survivors = (1, 4, (0, 1, 1), 1), frozenset({3, 4})
     plan = pixton._monomial_plan(1, 4, 1, survivors)
-    shared = {_layout(graphs[0][0]) for *_, graphs in plan if len(graphs) > 1}
-    assert len(shared) == 1
+    (shared,) = [key for key, *_, graphs in plan if len(graphs) > 1]
+    sampled = pixton._monomial_layouts(plan, args[2], args[3])
+    points = {
+        key: {(edges, A) for A in leg_sums} for (key, *_), (edges, leg_sums, *_) in zip(plan, sampled)
+    }
+    own = points.pop(shared).difference(*points.values())
     real = pixton.weighting_power_sums
     d, hits = args[3], []
 
-    def patched(graph, a, rs, profiles):
-        sums = real(graph, a, rs, profiles)
-        if _layout(graph) not in shared or layer_only and 2 * d + 1 not in a[1:]:
+    def patched(edges, leg_sums, rs, profiles):
+        sums = real(edges, leg_sums, rs, profiles)
+        if (edges, leg_sums) not in own or layer_only and 2 * d + 1 not in leg_sums:
             return sums
-        hits.append(a)
-        power = graph.h1() + (0 if layer_only else 2 * d + 1)
+        hits.append(leg_sums)
+        power = len(edges) - len(leg_sums) + 1 + (0 if layer_only else 2 * d + 1)
         return {
             profile: tuple(s + r**power for s, r in zip(psums, rs))
             for profile, psums in sums.items()
@@ -568,7 +597,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
             with pytest.raises(ComputationGuardError, match=f"cost {price} "):
                 monomial_coefficient(*args, survivors=survivors)
     assert len(calls) == 8
-    with pytest.raises(ComputationGuardError, match="cost 1004400 "):
+    with pytest.raises(ComputationGuardError, match="cost 1000350 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
     assert len(calls) == 8
 
@@ -687,9 +716,9 @@ def test_point_layouts_make_one_power_sums_call(monkeypatch):
     real = pixton.weighting_power_sums
     calls = []
 
-    def counting(graph, a, rs, profiles):
-        calls.append((graph.edges, pixton._leg_sums(graph, a)))
-        return real(graph, a, rs, profiles)
+    def counting(edges, leg_sums, rs, profiles):
+        calls.append((edges, leg_sums))
+        return real(edges, leg_sums, rs, profiles)
 
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     classes = (lambda: constant_term_class(g, n, a, d)[0], lambda: fixed_r_class(g, n, a, 5, d))
@@ -708,12 +737,12 @@ def test_a_shared_point_layout_is_checked(monkeypatch):
     real = pixton.weighting_power_sums
     hits = []
 
-    def patched(graph, a, rs, profiles):
-        sums = real(graph, a, rs, profiles)
-        if (graph.edges, pixton._leg_sums(graph, a)) != shared:
+    def patched(edges, leg_sums, rs, profiles):
+        sums = real(edges, leg_sums, rs, profiles)
+        if (edges, leg_sums) != shared:
             return sums
-        hits.append(graph)
-        power = graph.h1() + 2 * d + 1
+        hits.append(edges)
+        power = len(edges) - len(leg_sums) + 1 + 2 * d + 1
         return {
             profile: tuple(s + r**power for s, r in zip(psums, rs))
             for profile, psums in sums.items()

@@ -624,6 +624,22 @@ def test_principal_part_pinned_digests(cell):
     assert result_digest(principal_part(*cell).to_json()) == PRINCIPAL_DIGESTS[cell]
 
 
+def test_d_numerators_for_two_and_three_markings():
+    # the numerators of the d_value docstring, over w_0 = (base)_(n-1):
+    # both sides have degree <= 2 in each of k, l_2 (and l_3), so equality
+    # on three values of each determines them
+    for k, l2 in itertools.product(range(3), repeat=2):
+        g = k + l2
+        w0 = falling_factorial(2 * g + 2 * k + 1, 1)
+        assert d_value(g, k, (l2,)) == Fraction(-2 * k * (2 * l2 - 1), w0)
+    for k, l2, l3 in itertools.product(range(3), repeat=3):
+        g, x, y = k + l2 + l3, 2 * l2 + 1, 2 * l3 + 1
+        w0 = falling_factorial(2 * g + 2 * k + 2, 2)
+        bracket = 2 * k * (x - 2) * (y - 2) + x * y - (x + y - 1) * (x + y - 2)
+        assert d_value(g, k, (l2, l3)) == Fraction(2 * k * bracket, w0)
+        assert bracket % 2 == 1
+
+
 @pytest.mark.slow
 def test_n2_never_vanishes_through_genus_2000():
     """n = 2: D's numerator w_0 - (2l+1) w_1 is -2k(2(g-k)-1), never zero
