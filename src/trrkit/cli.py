@@ -18,15 +18,7 @@ import time
 
 from . import __version__
 from .numerics import rational_str
-from .pixton import (
-    ComputationGuardError,
-    FitInstabilityError,
-    _check_class_cost,
-    constant_term_class,
-    fixed_r_class,
-    monomial_coefficient,
-)
-from .stablegraphs import InvalidGraphError
+from .runtime import ComputationGuardError, FitInstabilityError, InvalidGraphError
 from .trr import (
     ExceptionalCaseError,
     SCAN_CONVENTIONS,
@@ -77,14 +69,31 @@ def _emit(result, args, command: str, parameters: dict, started: float, extra_ma
     out = getattr(args, "out", None)
     if out:
         tmp = out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, out)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text + "\n")
+            os.replace(tmp, out)
+        except OSError as exc:
+            raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         print(text)
     if getattr(args, "pretty", False):
         _pretty(command, result)
     return EXIT_OK
+
+
+def _check_out(out) -> None:
+    """Refuse an ``--out`` that cannot be written before any work runs."""
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        reason = f"directory {folder} is not writable"
+    else:
+        return
+    raise UsageError(f"cannot write --out {out}: {reason}")
 
 
 def _pretty(command, result):
@@ -149,6 +158,15 @@ def cmd_principal(args, started):
 
 
 def cmd_pixton(args, started):
+    # the only command that calls pixton directly; the closed-form commands
+    # never load it
+    from .pixton import (
+        _check_class_cost,
+        constant_term_class,
+        fixed_r_class,
+        monomial_coefficient,
+    )
+
     if (args.a is None) == (args.b_exponents is None):
         raise UsageError("give exactly one of --a and --b-exponents")
     if args.r is not None and args.a is None:
@@ -327,6 +345,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return globals()[args.func](args, started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

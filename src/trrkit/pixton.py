@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -84,6 +83,12 @@ from .numerics import (
     factorial,
     lagrange_coefficient_rows,
 )
+from .runtime import (
+    ComputationGuardError,
+    FitInstabilityError,
+    _worker_count,
+    _worker_pool,
+)
 from .stablegraphs import (
     StableGraph,
     _leg_maps,
@@ -93,35 +98,9 @@ from .stablegraphs import (
 from .strata import DecoratedGraph, StrataElement, decorate_canonical_graph
 
 
-class FitInstabilityError(RuntimeError):
-    """Raised when a held-out node contradicts the degree bound in r."""
-
-
-class ComputationGuardError(RuntimeError):
-    """Raised when a computation exceeds the default scale guard."""
-
-
 # the price above which the one guard, _check_cost, refuses monomial_coefficient
 # and the CLI's fixed-r class and constant term, unless allowed
 COST_BUDGET = 1_000_000
-
-
-def _worker_pool(processes: int):
-    """A pool of ``processes`` workers from one explicit start method: fork
-    where the platform has it, since the workers read caches warmed in the
-    parent (other start methods rebuild them in every worker)."""
-    import multiprocessing  # here, so that runs without workers never load it
-
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if fork else None).Pool(processes)
-
-
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Workers for ``tasks`` independent tasks: at most ``jobs``, the CPU
-    count and the number of tasks."""
-    if jobs < 1:
-        raise ValueError(f"need a positive worker count, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 def check_avector(a) -> tuple[int, ...]:

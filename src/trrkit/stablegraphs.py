@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .numerics import _multinomial, factorial
-
-
-class InvalidGraphError(ValueError):
-    pass
+from .runtime import InvalidGraphError
 
 
 @dataclass(frozen=True, eq=True)

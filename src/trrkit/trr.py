@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .numerics import (
     SparsePoly,
@@ -22,14 +23,11 @@ from .numerics import (
     falling_factorial,
     rational_str,
 )
-from .pixton import (
-    ComputationGuardError,
-    _worker_count,
-    _worker_pool,
-    monomial_coefficient,
-)
-from .stablegraphs import make_graph, StableGraph
-from .strata import StrataElement, multiply_by_psi, pushforward_forget
+from .runtime import ComputationGuardError, _worker_count, _worker_pool
+
+if TYPE_CHECKING:
+    from .stablegraphs import StableGraph
+    from .strata import StrataElement
 
 
 class ExceptionalCaseError(ValueError):
@@ -689,6 +687,11 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
 
 # ----------------------------------------------------------------------
 # brute-force pipeline
+#
+# These functions import pixton, strata and stablegraphs in their own
+# bodies, so that the closed forms above (and the CLI commands that only
+# need them) start without loading and compiling the graph pipeline; it
+# loads on the first call that runs it.
 # ----------------------------------------------------------------------
 
 def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
@@ -699,6 +702,9 @@ def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     it is sampled once per orbit of the permutations of those legs
     (:func:`monomial_coefficient`): the pushforward forgets them, so it is
     that of the labelled coefficient."""
+    from .pixton import monomial_coefficient
+    from .strata import multiply_by_psi, pushforward_forget
+
     g, n = mono.g, mono.n
     N = mono.num_legs
     if N < n + 1:
@@ -715,11 +721,15 @@ def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:
+    from .stablegraphs import make_graph
+
     return make_graph([g], [], [0] * n)
 
 
 def rational_tail_graph(g: int, n: int, i: int) -> StableGraph:
     """Graph with markings i and n on a rational tail (n legs total)."""
+    from .stablegraphs import make_graph
+
     legs = [1 if m in (i, n) else 0 for m in range(1, n + 1)]
     return make_graph([g, 0], [(0, 1)], legs)
 
@@ -759,6 +769,8 @@ def tail_component_poly(el: StrataElement, i: int, nvars: int) -> SparsePoly:
 def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -> dict:
     """Compare the pipeline contributions of the trivial and rational-tail
     graphs against the closed forms; also check the structural properties."""
+    from .strata import pushforward_forget
+
     mono = MonomialSpec(g, n, tuple(b))
     el, meta = omega(mono, allow_large=allow_large, jobs=jobs)
     report = {
@@ -797,6 +809,8 @@ def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 
     """The full relation (principal and boundary parts) through the
     brute-force pipeline; the principal part must reproduce
     :func:`principal_part` exactly."""
+    from .strata import StrataElement, pushforward_forget
+
     l = tuple(int(x) for x in l)
     n = len(l) + 1
     closed = principal_part(g, k, l)

@@ -5,16 +5,20 @@ is decided by explicit search over vertex bijections, and automorphisms are
 counted over explicit half-edge permutations.  Weightings are found by trying
 every residue on every edge, not by solving the vertex conditions.  The
 closed forms and the principal part are summed term by term in rationals,
-without the integer numerators the library uses.
+without the integer numerators the library uses.  Kappa-free classes are
+integrated over M-bar_{g,n} through the Witten-Kontsevich numbers, which the
+string, dilaton and DVV equations give exactly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 import math
 import operator
 
 from trrkit.numerics import SparsePoly
+from trrkit.strata import StrataElement, multiply_by_psi
 from trrkit.trr import (
     TRRRecord,
     c0_coeff,
@@ -313,3 +317,100 @@ def principal_part_direct(g, k, l):
             "normalization": raw,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# integrals over M-bar_{g,n}
+# ----------------------------------------------------------------------
+
+@functools.cache
+def witten_kontsevich(g: int, exponents: tuple[int, ...]) -> Fraction:
+    """<tau_d1 ... tau_dn>_g, the integral of prod psi_j^(d_j) over
+    M-bar_{g,n}, for a sorted tuple of exponents: the string equation removes
+    a tau_0, the dilaton equation a tau_1, and the DVV recursion lowers the
+    largest exponent; unstable (g, n) give 0."""
+    n = len(exponents)
+    if g < 0 or 2 * g - 2 + n <= 0 or sum(exponents) != 3 * g - 3 + n:
+        return Fraction(0)
+    if (g, n) == (0, 3):
+        return Fraction(1)
+    if (g, n) == (1, 1):
+        return Fraction(1, 24)
+    rest = exponents[1:]
+    if exponents[0] == 0:
+        return sum(
+            (witten_kontsevich(g, tuple(sorted(rest[:j] + (d - 1,) + rest[j + 1:])))
+             for j, d in enumerate(rest) if d),
+            Fraction(0),
+        )
+    if exponents[0] == 1:
+        return (2 * g - 2 + len(rest)) * witten_kontsevich(g, rest)
+    # (2k+3)!! <tau_(k+1) tau_D>_g = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <.. tau_(d_j+k) ..>_g
+    #   + 1/2 sum_(r+s=k-1) (2r+1)!! (2s+1)!! (<tau_r tau_s tau_D>_(g-1)
+    #                                          + sum <tau_r tau_I>_g1 <tau_s tau_J>_g2)
+    *others, top = exponents
+    k = top - 1
+    total = Fraction(0)
+    for j, d in enumerate(others):
+        raised = tuple(sorted(others[:j] + [d + k] + others[j + 1:]))
+        total += Fraction(
+            _double_factorial(2 * k + 2 * d + 1), _double_factorial(2 * d - 1)
+        ) * witten_kontsevich(g, raised)
+    for r in range(k):
+        s = k - 1 - r
+        weight = Fraction(_double_factorial(2 * r + 1) * _double_factorial(2 * s + 1), 2)
+        total += weight * witten_kontsevich(g - 1, tuple(sorted(others + [r, s])))
+        for side in itertools.product((0, 1), repeat=len(others)):
+            part_i = [r] + [d for d, t in zip(others, side) if t == 0]
+            part_j = [s] + [d for d, t in zip(others, side) if t == 1]
+            for g1 in range(g + 1):
+                total += weight * witten_kontsevich(g1, tuple(sorted(part_i))) * (
+                    witten_kontsevich(g - g1, tuple(sorted(part_j)))
+                )
+    return total / _double_factorial(2 * k + 3)
+
+
+def integrate(element) -> Fraction:
+    """The integral over M-bar_{g,n} of a kappa-free decorated class.  A term
+    is xi_Gamma*(decoration), so it integrates to the product over the
+    vertices of the Witten-Kontsevich numbers of the psi exponents at each
+    vertex's legs and half-edges (no 1/|Aut| factor)."""
+    total = Fraction(0)
+    for dg, coeff in element.terms.items():
+        if dg.has_kappa():
+            raise ValueError("the integral needs a kappa-free class")
+        graph = dg.graph
+        at_vertex = [[] for _ in graph.genera]
+        for v, e in zip(graph.legs, dg.psi_legs):
+            at_vertex[v].append(e)
+        for (u, w), (eu, ew) in zip(graph.edges, dg.psi_edges):
+            at_vertex[u].append(eu)
+            at_vertex[w].append(ew)
+        term = coeff
+        for genus, exps in zip(graph.genera, at_vertex):
+            term *= witten_kontsevich(genus, tuple(sorted(exps)))
+        total += term
+    return total
+
+
+def relation_integrals(record: TRRRecord) -> dict:
+    """Per psi monomial of the complementary degree 2g - 3 + n (exponent
+    tuple), the integrals of the whole relation and of its principal part
+    alone, each multiplied by that monomial."""
+    g, n = record.g, record.n
+    principal = StrataElement.zero(g, n)
+    for exps, coeff in record.principal.terms.items():
+        principal = principal + StrataElement.psi_monomial(
+            g, n, dict(enumerate(exps, start=1))
+        ).scale(coeff)
+    relation = principal + record.boundary
+    out = {}
+    for exps in itertools.product(range(2 * g - 2 + n), repeat=n):
+        if sum(exps) != 2 * g - 3 + n:
+            continue
+        psi = dict(enumerate(exps, start=1))
+        out[exps] = (
+            integrate(multiply_by_psi(relation, psi)),
+            integrate(multiply_by_psi(principal, psi)),
+        )
+    return out

@@ -34,7 +34,12 @@ from trrkit.trr import (
     scan_zeros,
     verify_lemmas,
 )
-from oracles import brute_force_stable_graphs, graphs_isomorphic
+from oracles import (
+    brute_force_stable_graphs,
+    graphs_isomorphic,
+    relation_integrals,
+    witten_kontsevich,
+)
 from test_strata import random_element
 
 
@@ -246,6 +251,24 @@ def assert_one_point_relation(g, **kwargs):
     assert record.boundary.is_kappa_free_boundary()
     el, _ = trr.omega(trr.MonomialSpec(g, 1, ()), **kwargs)
     assert el.graph_component(trr.rational_tail_graph(g, 2, 1)).is_zero()
+    assert_integrates_to_zero(record)
+
+
+def assert_integrates_to_zero(record):
+    # the relation pairs to 0 with every complementary psi monomial, and
+    # its principal part alone does not, so the boundary is what cancels
+    integrals = relation_integrals(record)
+    assert integrals and all(whole == 0 for whole, _ in integrals.values())
+    assert any(principal != 0 for _, principal in integrals.values())
+    return integrals
+
+
+def test_witten_kontsevich_anchors():
+    assert witten_kontsevich(1, (1,)) == Fraction(1, 24)
+    assert witten_kontsevich(2, (4,)) == Fraction(1, 1152)
+    assert witten_kontsevich(3, (7,)) == Fraction(1, 82944)
+    for g in range(1, 6):
+        assert witten_kontsevich(g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g))
 
 
 def test_criterion_8_one_marked_point():
@@ -351,4 +374,6 @@ def test_full_relation_assembly_2_1_1():
     }
     assert record.boundary is not None and not record.boundary.is_zero()
     assert record.boundary.is_kappa_free_boundary()
-    report("5b", "assemble_full_trr(2,1,(1)) matches the closed forms")
+    integrals = assert_integrates_to_zero(record)
+    assert integrals[(0, 3)] == (0, Fraction(-1, 80))
+    report("5b", "assemble_full_trr(2,1,(1)) matches the closed forms and integrates to 0")

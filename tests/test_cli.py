@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
-from trrkit import cli, pixton, stablegraphs, trr
+from trrkit import cli, pixton, runtime, stablegraphs, strata, trr
 from trrkit.cli import main
 from trrkit.stablegraphs import InvalidGraphError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -326,13 +333,83 @@ def test_omega_command(tmp_path, capsys):
     assert (manifest["layouts"], manifest["layout_evaluations"]) == (9, 34)
 
 
-def test_unwritable_output_path(capsys):
-    code, _, err = run(
-        capsys, "scan", "--g-min", "1", "--g-max", "2",
-        "--out", "/nonexistent-dir/scan.json",
+def test_unwritable_output_path(capsys, monkeypatch):
+    argv = ["scan", "--g-min", "1", "--g-max", "2", "--out", "/nonexistent-dir/scan.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.count("\n") == 1 and "error" in err
+    assert "/nonexistent-dir/scan.json" in err and ".tmp" not in err
+
+    # the path is refused before the command runs: a scan that would fail
+    # with another exit code is never reached
+    def broken(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "scan_zeros", broken)
+    assert run(capsys, *argv)[0] == 1
+    monkeypatch.undo()
+
+    # a write that fails after that check names the given path too
+    monkeypatch.setattr(cli, "_check_out", lambda out: None)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "/nonexistent-dir/scan.json" in err and ".tmp" not in err
+
+
+def test_closed_form_commands_load_no_pipeline_module(tmp_path):
+    # a fresh interpreter runs every closed-form command without importing
+    # the graph pipeline, which loads on the first command that runs it
+    script = textwrap.dedent(
+        """
+        import sys
+        from trrkit import cli
+
+        out = sys.argv[1]
+        commands = [
+            ["scan", "--g-min", "1", "--g-max", "8", "--out", out + "/scan.json"],
+            ["d", "--g", "35", "--k", "22", "--l", "11,1,1"],
+            ["principal", "--g", "2", "--k", "1", "--l", "1", "--out", out + "/p.json"],
+            ["principal", "--g", "3", "--k", "3", "--out", out + "/p1.json"],
+            ["g7", "--out", out + "/g7.json"],
+        ]
+        commands += [["check", out + name] for name in ("/scan.json", "/p.json", "/p1.json", "/g7.json")]
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+        pipeline = {"trrkit.pixton", "trrkit.strata", "trrkit.stablegraphs"}
+        assert not pipeline & set(sys.modules), sorted(pipeline & set(sys.modules))
+        assert cli.main(["pixton", "--g", "1", "--n", "2", "--a", "1,-1", "--degree", "1"]) == 0
+        assert pipeline <= set(sys.modules)
+        """
     )
-    assert code != 0
-    assert "error" in err
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_layer_sees_the_same_error_types(monkeypatch, capsys):
+    # the exit codes map the types that cli imports; the pipeline raises the
+    # very same ones
+    guard, fit, graph = (
+        runtime.ComputationGuardError, runtime.FitInstabilityError, runtime.InvalidGraphError
+    )
+    assert cli.ComputationGuardError is trr.ComputationGuardError is pixton.ComputationGuardError is guard
+    assert cli.FitInstabilityError is pixton.FitInstabilityError is fit
+    assert cli.InvalidGraphError is stablegraphs.InvalidGraphError is strata.InvalidGraphError is graph
+    assert pixton._worker_pool is trr._worker_pool is runtime._worker_pool
+    assert pixton._worker_count is trr._worker_count is runtime._worker_count
+
+    # the one mapping no computation in this file reaches: a failed fit
+    def unstable(args, started):
+        raise pixton.FitInstabilityError("held-out node off the fit")
+
+    monkeypatch.setattr(cli, "cmd_pixton", unstable)
+    code, out, err = run(capsys, "pixton", "--g", "1", "--n", "2", "--a", "1,-1", "--degree", "1")
+    assert code == cli.EXIT_GUARD and out == ""
+    assert err == "error: held-out node off the fit\n"
 
 
 def assert_one_line_usage_error(code, err):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trrkit import pixton
+from trrkit import pixton, runtime
 from trrkit.cli import main
 from trrkit.numerics import interpolate, lagrange_coefficient_rows, lagrange_coefficient_weights
 from trrkit.pixton import (
@@ -652,7 +652,7 @@ def test_worker_count_is_clamped(monkeypatch):
     assert counts == (5, 11)
     # the tasks are layouts, so the pool is clamped to the 5 layouts
     for cpus, want in [(2, 2), (1000, 5)]:
-        monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(runtime.os, "cpu_count", lambda: cpus)
         el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
         assert sizes[-1] == want
         assert el == serial and meta["evaluations"] == 15
@@ -660,7 +660,7 @@ def test_worker_count_is_clamped(monkeypatch):
         assert (meta["layouts"], meta["layout_evaluations"]) == counts
     # one CPU, or an unknown count, never starts a pool
     for cpus in (1, None):
-        monkeypatch.setattr(pixton.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(runtime.os, "cpu_count", lambda: cpus)
         assert monomial_coefficient(1, 3, (2, 0), 1, jobs=64)[0] == serial
     assert len(sizes) == 2
 
@@ -676,7 +676,7 @@ def test_worker_pool_matches_serial(monkeypatch):
         return real_pool(processes)
 
     monkeypatch.setattr(pixton, "_worker_pool", recording_pool)
-    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
     serial, serial_meta = monomial_coefficient(1, 3, (2, 0), 1)
     pooled, pooled_meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=2)
     assert sizes == [2]
@@ -689,10 +689,10 @@ def test_scan_worker_count_is_clamped(monkeypatch):
 
     sizes = []
     monkeypatch.setattr(trr, "_worker_pool", lambda p: _SerialPool(p, sizes))
-    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 1000)
     serial = trr.scan_zeros(5, 7)
     assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3]
-    monkeypatch.setattr(pixton.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
     assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3, 2]
 
 
