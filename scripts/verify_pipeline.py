@@ -2,15 +2,15 @@
 """Run the brute-force pipeline against the closed-form contributions.
 
 The default instances finish in well under a second; --allow-large adds
-the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take 0.3
-to 1 s each on one core, and the genus-3 comparisons (3,2,(7,)),
-(3,2,(6,)) and (3,1,()), about 3 s, 9 s and 21 s (about 35 s in all).
+the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take 0.1
+to 0.5 s each on one core, and the genus-3 comparisons (3,2,(7,)),
+(3,2,(6,)) and (3,1,()), about 1.5 s, 5 s and 11 s (about 19 s in all).
 Each line gives the instance's plan size from its report: the graphs
 sampled (one per orbit of the survivor permutations), their layouts and the
 A-points those evaluate; then its time and the peak resident memory of the
 process so far (ru_maxrss, a high-water mark, so caches of the earlier
-instances count too): with --allow-large the last line reads about 290 MB,
-where (3,1,()) alone peaks at about 215 MB in a fresh process.
+instances count too): with --allow-large the last line reads about 165 MB,
+where (3,1,()) alone peaks at about 130 MB in a fresh process.
 """
 import argparse
 import resource

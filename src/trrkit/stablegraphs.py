@@ -196,7 +196,14 @@ def make_graph(genera, edges, legs) -> StableGraph:
     problems = validate(graph)
     if problems:
         raise InvalidGraphError("; ".join(problems))
-    return StableGraph(*canonical_data(graph.genera, graph.edges, graph.legs))
+    return _canonical_graph(*canonical_data(graph.genera, graph.edges, graph.legs))
+
+
+@functools.cache
+def _canonical_graph(genera, edges, legs) -> StableGraph:
+    """The one :class:`StableGraph` of the process for this canonical data,
+    so that every plan, template and term holds the same object."""
+    return StableGraph(genera, edges, legs)
 
 
 def _automorphisms(genera, edges, legs) -> tuple[tuple[int, ...], ...]:
@@ -493,7 +500,7 @@ def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset)
 @functools.cache
 def _enumerate(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> tuple:
     maps = _leg_maps(g, n, emax, reserved, colour)
-    out = [(StableGraph(*canonical_data(*data)), weight) for *data, weight in maps]
+    out = [(_canonical_graph(*canonical_data(*data)), weight) for *data, weight in maps]
     out.sort(key=lambda pair: pair[0].sort_key())
     return tuple(graph for graph, _ in out), tuple(weight for _, weight in out)
 

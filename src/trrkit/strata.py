@@ -8,6 +8,7 @@ that term maps merge isomorphic terms.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .numerics import factorial, rational_str, parse_rational
 from .stablegraphs import (
     InvalidGraphError,
     StableGraph,
+    _canonical_graph,
     canonical_perm,
     enumerate_stable_graphs,
     graph_from_json,
@@ -120,12 +122,20 @@ def make_decorated(genera, edges, legs, psi_legs, psi_edges, kappa) -> Decorated
     g2, e2, l2, pl2, pe2, k2 = _decorated_key(
         perm, genera, edges, legs, psi_legs, psi_edges, kappa
     )
-    return decorate_canonical_graph(StableGraph(g2, e2, l2), pl2, pe2, k2)
+    return decorate_canonical_graph(_canonical_graph(g2, e2, l2), pl2, pe2, k2)
+
+
+@functools.cache
+def _shared(decoration: tuple) -> tuple:
+    """The first-seen tuple equal to ``decoration``, so that equal psi and
+    kappa tuples are one object in the process."""
+    return decoration
 
 
 def decorate_canonical_graph(graph: StableGraph, psi_legs, psi_edges, kappa) -> DecoratedGraph:
     """Fast path when the underlying graph is already canonical: only its
-    automorphisms can improve the decoration key."""
+    automorphisms can improve the decoration key, so the graph part of the
+    best key is ``graph`` itself."""
     best = None
     data = (graph.genera, graph.edges, graph.legs)
     psi_edges = tuple(tuple(p) for p in psi_edges)
@@ -134,8 +144,8 @@ def decorate_canonical_graph(graph: StableGraph, psi_legs, psi_edges, kappa) -> 
         key = _decorated_key(perm, *data, psi_legs, psi_edges, kappa)
         if best is None or key < best:
             best = key
-    g2, e2, l2, pl2, pe2, k2 = best
-    return DecoratedGraph(StableGraph(g2, e2, l2), pl2, pe2, k2)
+    _, _, _, pl2, pe2, k2 = best
+    return DecoratedGraph(graph, _shared(pl2), _shared(pe2), _shared(k2))
 
 
 def _empty_decoration(graph: StableGraph):
@@ -614,7 +624,7 @@ def multiply_by_psi(x: StrataElement, leg_exponents: dict[int, int]) -> StrataEl
         psi_legs = list(dg.psi_legs)
         for m, e in leg_exponents.items():
             psi_legs[m - 1] += e
-        new = DecoratedGraph(dg.graph, tuple(psi_legs), dg.psi_edges, dg.kappa)
+        new = DecoratedGraph(dg.graph, _shared(tuple(psi_legs)), dg.psi_edges, dg.kappa)
         if new.violates_degree_condition():
             continue
         out[new] = out.get(new, Fraction(0)) + c

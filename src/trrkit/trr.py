@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -522,16 +521,13 @@ def scan_zeros(g_min: int, g_max: int, jobs: int = 1, allow_large: bool = False)
 # relation records and assembly
 # ----------------------------------------------------------------------
 
-@dataclass
 class MonomialSpec:
     """A monomial in the leg variables: exponents b_j at markings 2..n."""
 
-    g: int
-    n: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        self.exponents = tuple(int(x) for x in self.exponents)
+    def __init__(self, g: int, n: int, exponents: tuple[int, ...]):
+        self.g = g
+        self.n = n
+        self.exponents = tuple(int(x) for x in exponents)
         if len(self.exponents) != self.n - 1:
             raise ValueError("need one exponent per marking 2..n")
         if min(self.exponents, default=0) < 0:
@@ -549,13 +545,20 @@ class MonomialSpec:
         return self.n + 2 * self.g + 2 - self.degree
 
 
-@dataclass
 class TRRRecord:
-    g: int
-    n: int
-    principal: SparsePoly
-    boundary: StrataElement | None = None
-    provenance: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        g: int,
+        n: int,
+        principal: SparsePoly,
+        boundary: StrataElement | None = None,
+        provenance: dict | None = None,
+    ):
+        self.g = g
+        self.n = n
+        self.principal = principal
+        self.boundary = boundary
+        self.provenance = {} if provenance is None else provenance
 
     def to_json(self) -> dict:
         principal = [

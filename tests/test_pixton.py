@@ -706,6 +706,18 @@ def _point_layout_counts(plan, a):
     return counts
 
 
+def test_plan_templates_share_graphs_and_decorations():
+    # every template member's key holds its plan graph itself, and equal
+    # decoration tuples across members are one object
+    seen = {}
+    for graph, groups, *_ in pixton._class_plan(2, 4, 2, frozenset()):
+        for _, _, members in groups:
+            for _, key in members:
+                assert key.graph is graph
+                for decoration in (key.psi_legs, key.psi_edges, key.kappa):
+                    assert seen.setdefault(decoration, decoration) is decoration
+
+
 def test_point_layouts_make_one_power_sums_call(monkeypatch):
     # the 13 graphs of the plan have 7 point layouts at a, and the graphs of
     # one layout make a single weighting_power_sums call (for every r node

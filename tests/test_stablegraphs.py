@@ -102,6 +102,21 @@ def test_enumeration_returns_distinct_canonical_graphs(case, max_edges):
     assert len(set(graphs)) == len(graphs)
 
 
+def test_one_graph_object_per_isomorphism_class():
+    # relabelled inputs of one class build the same object, and the
+    # enumeration yields exactly those objects
+    assert make_graph([0, 1], [(0, 1)], [0, 0, 1]) is make_graph([1, 0], [(1, 0)], [1, 1, 0])
+    rng = random.Random(5)
+    for gr in enumerate_stable_graphs(2, 3):
+        perm = list(range(gr.num_vertices))
+        rng.shuffle(perm)
+        genera = [0] * gr.num_vertices
+        for v, gv in enumerate(gr.genera):
+            genera[perm[v]] = gv
+        edges = [(perm[u], perm[w]) for u, w in reversed(gr.edges)]
+        assert make_graph(genera, edges, [perm[v] for v in gr.legs]) is gr
+
+
 def test_enumerated_graphs_are_valid():
     for g, n in [(1, 1), (1, 2), (2, 0), (0, 5)]:
         for gr in enumerate_stable_graphs(g, n):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -348,3 +349,16 @@ def test_make_decorated_digest():
                 new = make_decorated(*scrambled(rng, dg))
                 out.append((new.graph.sort_key(), new.psi_legs, new.psi_edges, new.kappa))
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "32beb97c782609dc"
+
+
+def test_pickled_decorated_graph_is_equal_to_the_original():
+    # worker results come back pickled, as new objects that must still
+    # merge with the parent's terms, whether or not the hash was taken
+    dg = make_decorated([1, 0], [(1, 0)], [1, 1, 0], (0, 0, 1), [(0, 1)], [(), ()])
+    before = pickle.dumps(dg)
+    hash(dg)
+    for pickled in (before, pickle.dumps(dg)):
+        loaded = pickle.loads(pickled)
+        assert loaded is not dg
+        assert loaded == dg and hash(loaded) == hash(dg)
+        assert {dg: 1}[loaded] == 1
