@@ -4,13 +4,16 @@
 The default instances finish in well under a second; --allow-large adds
 the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take 0.1
 to 0.5 s each on one core, and the genus-3 comparisons (3,2,(7,)),
-(3,2,(6,)) and (3,1,()), about 1.5 s, 5 s and 11 s (about 19 s in all).
-Each line gives the instance's plan size from its report: the graphs
-sampled (one per orbit of the survivor permutations), their layouts and the
-A-points those evaluate; then its time and the peak resident memory of the
-process so far (ru_maxrss, a high-water mark, so caches of the earlier
-instances count too): with --allow-large the last line reads about 165 MB,
-where (3,1,()) alone peaks at about 130 MB in a fresh process.
+(3,2,(6,)) and (3,1,()), about 1.3 s, 3.8 s and 7 s (about 14 s in all).
+Each line gives the instance's plan size from its report: the graphs of
+its plan (one per orbit of the survivor permutations), the layouts the
+target's weights read and the A-points those evaluate; then its time and
+the peak resident memory of the process so far (ru_maxrss, a high-water
+mark, so caches of the earlier instances count too): with --allow-large
+the last line reads about 167 MB, where (3,1,()) alone peaks at about
+130 MB in a fresh process.  Every instance's class must also have its
+pinned digest (StrataElement.digest), so a changed coefficient fails the
+run, with exit code 3, even where it still agrees with the closed forms.
 """
 import argparse
 import resource
@@ -18,6 +21,22 @@ import sys
 import time
 
 from trrkit.trr import verify_lemmas
+
+
+# the digest (StrataElement.digest) of the class omega gives, per instance:
+# a changed coefficient fails here even where the closed forms still agree
+OMEGA_DIGESTS = {
+    (1, 1, ()): "9ee438f74ab56baf",
+    (1, 2, (0,)): "0bae903b4c810642",
+    (1, 2, (1,)): "95e4aa15657105be",
+    (1, 2, (2,)): "a025a6956b8f46e8",
+    (2, 1, ()): "dddbcbe859270bd5",
+    (2, 2, (0,)): "30391f8a301f9040",
+    (2, 2, (1,)): "5191b906c2b7a2e6",
+    (3, 2, (7,)): "7eaa375567c65175",
+    (3, 2, (6,)): "8abf686df9a3df6e",
+    (3, 1, ()): "b48fbc8c2008124d",
+}
 
 
 def run():
@@ -34,9 +53,12 @@ def run():
     for g, n, b in instances:
         t0 = time.time()
         rep = verify_lemmas(g, n, b, allow_large=args.allow_large)
+        digest = rep["omega_digest"]
         ok = rep["all_match"] and rep["kappa_free"] and rep["boundary_kappa_free"]
-        failed |= not ok
         status = "ok" if ok else "MISMATCH"
+        if digest != OMEGA_DIGESTS[g, n, b]:
+            ok, status = False, f"DIGEST {digest} (pinned {OMEGA_DIGESTS[g, n, b]})"
+        failed |= not ok
         # ru_maxrss is the process's high-water mark so far, in KiB on Linux
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         meta = rep["meta"]

@@ -264,7 +264,9 @@ def _simplex_tables(k: int, degree: int) -> tuple:
     ``rows``: for each gamma in S, the integer row over S that reads the
     coefficient of A^gamma off the values on S, over the one denominator D!.
     ``checks`` holds the row over S and L of Delta^beta P(0) for each beta in
-    L: all vanish exactly when P has no component of degree D + 1.
+    L: all vanish exactly when P has no component of degree D + 1.  Each row
+    is sparse, a tuple of (index into ``points``, weight) pairs with nonzero
+    weights, in index order.
     """
     points = sorted(
         (A for A in itertools.product(range(degree + 2), repeat=k) if sum(A) <= degree + 1),
@@ -283,7 +285,7 @@ def _simplex_tables(k: int, degree: int) -> tuple:
             for alpha in itertools.product(*(range(b + 1) for b in beta))
         ]
 
-    rows = {gamma: [0] * size for gamma in points[:size]}
+    rows = {gamma: {} for gamma in points[:size]}
     for beta in points[:size]:
         differences = newton(beta)
         scale = _math_factorial(degree) // prod(map(_math_factorial, beta))
@@ -292,11 +294,9 @@ def _simplex_tables(k: int, degree: int) -> tuple:
             f = scale * prod(stirling[b][c] for b, c in zip(beta, gamma))
             row = rows[gamma]
             for i, w in differences:
-                row[i] += f * w
-    checks = []
-    for beta in points[size:]:
-        row = [0] * len(points)
-        for i, w in newton(beta):
-            row[i] = w
-        checks.append(row)
-    return tuple(points), rows, tuple(checks)
+                row[i] = row.get(i, 0) + f * w
+    rows = {
+        gamma: tuple(sorted((i, w) for i, w in row.items() if w)) for gamma, row in rows.items()
+    }
+    checks = tuple(tuple(sorted(newton(beta))) for beta in points[size:])
+    return tuple(points), rows, checks

@@ -34,12 +34,17 @@ target monomial, and checks every (2d+1)-th Newton difference on the layer
 numerators, which the parent merges.  Its plan holds one graph per orbit of
 the permutations of the survivor legs, weighted by the labelled graphs in
 the orbit, grouped by layout once, when the plan is built, and builds only
-the template groups of degree d: the genus-1 lemmas sample 176 graphs at
-1,426 A-points (3,238 for the 303 labelled graphs on the tensor grid
-{0..2d}^k), of which their 65 layouts evaluate 460; the (2,1,()) comparison
-576 graphs at 15,241 (25,167 on the grid; 119 layouts, 2,653), (2,2,(0,))
-3,325 graphs at 137,473 (276,311 on the grid; 285 layouts, 11,653) and
-(3,1,()) 21,522 graphs at 2,531,454 (1,951 layouts, 228,277).  A weighting
+the template groups of degree d.  A call evaluates only the layouts whose
+group weights read some edge profile, and gives the weighting sums only the
+profiles they read, so a column that enters no coefficient is neither
+computed nor checked: the genus-1 lemmas sample 176 graphs at 1,426
+A-points (3,238 for the 303 labelled graphs on the tensor grid {0..2d}^k),
+in 65 layouts that would evaluate 460, of which the 25 read evaluate 190;
+the (2,1,()) comparison 576 graphs at 15,241 (25,167 on the grid; 44 of 119
+layouts read, 1,101 of 2,653 evaluations), (2,2,(0,)) 3,325 graphs at
+137,473 (276,311 on the grid; 177 of 285 layouts, 7,345 of 11,653) and
+(3,1,()) 21,522 graphs at 2,531,454 (952 of 1,951 layouts, 117,571 of
+228,277).  A weighting
 sum is reduced over the graph itself: loops are summed out, a vertex whose
 edges all go to one neighbour fixes their residue sum, a degree-2 vertex
 joins its two edges and parallel edges merge by convolution, at O(r) per
@@ -50,22 +55,24 @@ helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
 the process: the reduction steps per edge list, the tau tables per modulus,
 the labelled plan per (g, n, dmax, survivors), the monomial plan per (g, n,
 d, survivors), the guard's admitted verdicts per budget and job, the
-simplex points with their coefficient and check rows per (number of leg
-sums, 2d) (``numerics._simplex_tables``), from which each call makes a
+simplex points with their sparse coefficient and check rows per (number of
+leg sums, 2d) (``numerics._simplex_tables``), from which each call makes a
 layout's points, and the group weights per (exponents, d, leg partition,
-leg exponents).  The weighting sums per (edge list, vertex leg sums,
-moduli, profiles) take one entry per layout and A-point, so only the 16,384
+leg exponents), dense over the simplex.  The weighting sums per (edge list,
+vertex leg sums, moduli, profiles), the profiles being those the call
+reads, take one entry per layout evaluated and A-point, so only the 16,384
 most recently used are kept: a genus-2 grid point uses under a thousand,
-the (3,1,()) comparison over 100,000 (graphs of different layouts still
-meet at equal leg sums, as where one is 0, and the monomial plan keeps the
+the (3,1,()) comparison over 60,000 (graphs of different layouts still meet
+at equal leg sums, as where one is 0, and the monomial plan keeps the
 layouts of one edge list together, so that such repeats come while their
 entries are still kept: the (3,1,()) comparison misses once per distinct
-key, 109,861 times).  Templates and automorphism counts are built once per
-plan graph, inside the cached plan.  The plan asks the enumeration for only
-the graphs with room for one unit of psi at every survivor leg, so the rest
-are never canonicalized, and a monomial plan asks for one graph per orbit,
-so the others are never even placed: the (3,1,()) comparison's plan of
-21,522 orbits, for 2,705,423 labelled graphs, builds in under 10 s.
+key, 61,463 times).
+Templates and automorphism counts are built once per plan graph, inside
+the cached plan.  The plan asks the enumeration for only the graphs with
+room for one unit of psi at every survivor leg, so the rest are never
+canonicalized, and a monomial plan asks for one graph per orbit, so the
+others are never even placed: the (3,1,()) comparison's plan of 21,522
+orbits, for 2,705,423 labelled graphs, builds in under 10 s.
 """
 from __future__ import annotations
 
@@ -454,23 +461,28 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     nodes.  Each of ``layouts`` is (edges, points, check rows, profiles, h1,
     graphs): the graphs of one layout have this edge list and, at every
     point, the point's tuple of vertex leg sums, and so the same edge
-    profiles (every profile of total <= dmax - E), and each of ``graphs`` is
-    (group weights, groups, weight, den) for one plan graph.  A layout's
-    columns are built once: per point, one :func:`weighting_power_sums` call
-    on the edges and the point's leg sums gives each edge profile's sums,
-    which are put over m = lcm(r^h1); every held-out form must vanish
-    on them, or :class:`FitInstabilityError` is raised, and ``form`` turns
-    them into one integer (checked and evaluated once per distinct tuple of
-    sums), so each profile gets one column of integers over the points.  The
-    dot product of every check row with every column must vanish too.  Then,
+    profiles, of total <= dmax - E, of which ``profiles`` lists those to
+    compute; each of ``graphs`` is (group weights, groups, weight, den) for
+    one plan graph.  A layout's columns are built once: per point, one
+    :func:`weighting_power_sums` call on the edges and the point's leg sums
+    gives each listed profile's sums, which are put over m = lcm(r^h1);
+    every held-out form must vanish on them, or :class:`FitInstabilityError`
+    is raised, and ``form`` turns them into one integer (checked and
+    evaluated once per distinct tuple of sums), so each profile gets one
+    column of integers over the points.  The sum of every check row, sparse
+    (point index, weight) pairs, over every column must vanish too.  Then,
     for each of the layout's graphs, group i of its templates gets the dot
     product of its weights (None for none) with its profile's column;
     weights may stop short of the points, leaving the last ones to the check
     rows.  So the template loop runs once per graph for all points, and each
-    total is multiplied by the graph's weight.  Yields (terms, den * m) per
-    plan graph: terms maps each decorated graph of that graph to an integer
-    numerator.  Every key belongs to exactly one graph, so the denominators
-    of different graphs never meet.
+    total is multiplied by the graph's weight.  Only the listed ``profiles``
+    are computed and checked: a caller may leave out the profiles that no
+    group weight reads, since their columns cannot change any total, and
+    must list every profile that one does, so that every column entering a
+    total is checked by every held-out form and check row.  Yields
+    (terms, den * m) per plan graph: terms maps each decorated graph of that
+    graph to an integer numerator.  Every key belongs to exactly one graph,
+    so the denominators of different graphs never meet.
     """
     by_h1 = {}
     for edges, points, check_rows, profiles, h1, graphs in layouts:
@@ -498,7 +510,11 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
                             )
                     value = checked[psums] = _dot(value_form, psums)
                 columns[profile].append(value)
-        if any(_dot(row, column) for row in check_rows for column in columns.values()):
+        if any(
+            sum(w * column[i] for i, w in row)
+            for row in check_rows
+            for column in columns.values()
+        ):
             raise FitInstabilityError(
                 f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
                 "in the vertex leg sums"
@@ -726,7 +742,8 @@ def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
             gamma.append(sum(xs))
             t *= _multinomial(xs)
         if sum(gamma) <= degree:
-            vector = [u + t * w for u, w in zip(vector, rows[tuple(gamma)])]
+            for i, w in rows[tuple(gamma)]:
+                vector[i] += t * w
     return tuple(vector) if any(vector) else None
 
 
@@ -748,9 +765,10 @@ def _monomial_plan(g: int, n: int, d: int, survivors: frozenset) -> tuple:
     is (graph, leg partition, groups, weight, den): the groups are the
     template groups of degree exactly d, E + |profile| + |c| = d, the only
     ones the target monomial reads, and the only ones built, while the
-    profiles stay whole, so every profile's column is still built and
-    checked; den = common * aut * (2d)!, the last factor being the
-    denominator of the group weights.
+    layout's profiles stay whole, every profile of total <= d - E, since
+    which of them a call reads depends on its exponents (see
+    :func:`_monomial_layouts`); den = common * aut * (2d)!, the last factor
+    being the denominator of the group weights.
     """
     degree = 2 * d
     layouts: dict[tuple, tuple] = {}
@@ -788,10 +806,26 @@ def _monomial_layouts(layouts, exponents: tuple, d: int):
     sums, made from the simplex points: A_i at the vertex of part i, -|A| at
     leg 1's vertex and 0 at every other vertex.  The points and rows are
     built once per (k, D) and the weights once per (exponents, d, leg
-    partition, c).
+    partition, c).  The weights of a layout's graphs are taken before its
+    points: a layout whose weights are all None is skipped, and any other
+    lists only the profiles that some weight reads, in the plan's order, so
+    :func:`_graph_sums` computes and checks exactly the columns that enter
+    the coefficient.
     """
     degree = 2 * d
     for (edges, V, first, vertices), _, _, profiles, h1, graphs in layouts:
+        weighted = [
+            ([_group_weights(exponents, d, parts, c) for _, c, _ in groups], groups, weight, den)
+            for _, parts, groups, weight, den in graphs
+        ]
+        read = {
+            profile
+            for group_weights, groups, _, _ in weighted
+            for weights, (profile, _, _) in zip(group_weights, groups)
+            if weights is not None
+        }
+        if not read:
+            continue
         simplex, _, checks = _simplex_tables(len(vertices), degree)
         points = []
         for A in simplex:
@@ -800,23 +834,26 @@ def _monomial_layouts(layouts, exponents: tuple, d: int):
                 leg_sums[v] = value
             leg_sums[first] = -sum(A)
             points.append(tuple(leg_sums))
-        weighted = (
-            ([_group_weights(exponents, d, parts, c) for _, c, _ in groups], groups, weight, den)
-            for _, parts, groups, weight, den in graphs
-        )
-        yield edges, points, checks, profiles, h1, weighted
+        yield edges, points, checks, tuple(p for p in profiles if p in read), h1, weighted
 
 
 def _chunk_worker(args):
     """The constant term of the graph sums of every ``step``-th layout of
     :func:`_monomial_plan` from ``start``, sampled by
     :func:`_monomial_layouts`, as integer numerators and denominators per
-    decorated graph, with the r nodes, the layouts and their A-points; used
-    directly and as the multiprocessing worker."""
+    decorated graph, with the r nodes, the number of layouts evaluated and
+    their A-points; used directly and as the multiprocessing worker."""
     g, n, exponents, d, r0, survivors, start, step = args
     layouts = _monomial_plan(g, n, d, frozenset(survivors))[start::step]
-    terms, nodes = _constant_terms(_monomial_layouts(layouts, exponents, d), d, r0)
-    return terms, nodes, len(layouts), sum(points for _, points, *_ in layouts)
+    evaluated = []  # the A-points of each layout sampled
+
+    def sampled():
+        for layout in _monomial_layouts(layouts, exponents, d):
+            evaluated.append(len(layout[1]))
+            yield layout
+
+    terms, nodes = _constant_terms(sampled(), d, r0)
+    return terms, nodes, len(evaluated), sum(evaluated)
 
 
 def monomial_coefficient(
@@ -845,13 +882,17 @@ def monomial_coefficient(
     one layout have the same values at every A-point, and the cached plan
     (:func:`_monomial_plan`) holds them grouped by layout, with only the
     template groups of degree d, so a call samples each layout's points
-    once and runs the template loop per graph.  With ``jobs`` > 1 the
-    layouts are dealt out over worker processes, each returning integer
-    numerators; results are identical for any worker count.  Returns (element, meta); the meta
-    counts the graphs sampled (``plan_graphs``), the labelled graphs they
-    stand for (``plan_labelled_graphs``), their A-points
-    (``evaluations``, what :func:`_check_cost` prices), and, summed over the
-    workers, the layouts (``layouts``) and their A-points
+    once and runs the template loop per graph.  A call evaluates only the
+    layouts and edge profiles that some group weight of the target reads:
+    every column that enters the coefficient is checked at both held-out r
+    nodes and on the layer, and a column that no weight reads is neither
+    computed nor checked, as it cannot change the result.  With ``jobs`` > 1
+    the layouts are dealt out over worker processes, each returning integer
+    numerators; results are identical for any worker count.  Returns
+    (element, meta); the meta counts the plan's graphs (``plan_graphs``),
+    the labelled graphs they stand for (``plan_labelled_graphs``) and their
+    A-points (``evaluations``, what :func:`_check_cost` prices), and, summed
+    over the workers, the layouts evaluated (``layouts``) and their A-points
     (``layout_evaluations``, one :func:`weighting_power_sums` call each).
 
     The ``survivors`` are legs among 2..n that share one exponent and keep

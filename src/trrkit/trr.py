@@ -771,7 +771,9 @@ def tail_component_poly(el: StrataElement, i: int, nvars: int) -> SparsePoly:
 
 def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -> dict:
     """Compare the pipeline contributions of the trivial and rational-tail
-    graphs against the closed forms; also check the structural properties."""
+    graphs against the closed forms; also check the structural properties.
+    The report names the class :func:`omega` gave by its digest
+    (``omega_digest``, :meth:`StrataElement.digest`)."""
     from .strata import pushforward_forget
 
     mono = MonomialSpec(g, n, tuple(b))
@@ -782,6 +784,7 @@ def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -
         "b": list(mono.exponents),
         "kappa_free": not el.has_kappa(),
         "psi_at_new_leg_zero": el.psi_degree(n + 1) == 0,
+        "omega_digest": el.digest(),
         "meta": meta,
     }
     got0 = trivial_component_poly(el, n)

@@ -133,7 +133,8 @@ def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
     # from r0 = 2 * 5 * 2 + 3, 5 = D + 1 being the largest leg value of the
     # layer |A| = D + 1; four of the plan's five graphs carry both legs on
     # one vertex (one A-point each), the banana graph samples 5 + 1; no two
-    # graphs share a layout
+    # graphs share a layout, and the target reads two of them, the loop
+    # graph's and the banana graph's, so 7 A-points are evaluated
     out = tmp_path / "mono2.json"
     code, _, _ = run(
         capsys, "pixton", "--g", "1", "--n", "2", "--b-exponents", "2",
@@ -144,7 +145,7 @@ def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
     assert manifest["r_nodes"] == list(range(23, 30))
     assert manifest["grid_degree"] == 4
     assert (manifest["plan_graphs"], manifest["grid_evaluations"]) == (5, 10)
-    assert (manifest["layouts"], manifest["layout_evaluations"]) == (5, 10)
+    assert (manifest["layouts"], manifest["layout_evaluations"]) == (2, 7)
     assert manifest["result_digest"] == (
         "7a8620fb1507987d9d1b3f0b674c4bb3df3aa88bca721e78ccda08dec18b3fd1"
     )
@@ -327,10 +328,11 @@ def test_omega_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["all_match"]
-    # the 14 plan graphs sample 64 A-points; their 9 layouts evaluate 34
+    # the 14 plan graphs sample 64 A-points in 9 layouts; the 2 layouts
+    # the target reads evaluate 7 of them
     manifest = payload["manifest"]
     assert (manifest["plan_graphs"], manifest["evaluations"]) == (14, 64)
-    assert (manifest["layouts"], manifest["layout_evaluations"]) == (9, 34)
+    assert (manifest["layouts"], manifest["layout_evaluations"]) == (2, 7)
 
 
 def test_unwritable_output_path(capsys, monkeypatch):

@@ -148,8 +148,12 @@ def test_lagrange_coefficient_rows_reject_duplicate_nodes():
         lagrange_coefficient_rows([0, 1, 1])
 
 
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+def _dot(row, values):
+    """A sparse row of (index, weight) pairs applied to ``values``; the
+    indices increase and every weight is nonzero."""
+    indices = [i for i, _ in row]
+    assert indices == sorted(set(indices)) and all(w for _, w in row)
+    return sum(w * values[i] for i, w in row)
 
 
 def _monomial_values(points, coefficients):
@@ -164,7 +168,7 @@ def _monomial_values(points, coefficients):
 def test_simplex_rows_recover_every_coefficient(k):
     # seeded random polynomials of total degree <= D, sampled on the simplex
     # |A| <= D, give back every coefficient over D!, and every layer check
-    # vanishes on them
+    # vanishes on them; every row is sparse
     rng = random.Random(1000 + k)
     for degree in range(9):
         points, rows, checks = _simplex_tables(k, degree)

@@ -328,56 +328,100 @@ def _simplex_leg_vectors(parts, n, degree):
     return vectors
 
 
-def _lemma_plans(g, ns):
-    """The monomial plans :func:`trrkit.trr.omega` samples for the monomials
-    of genus g in ``ns`` (n, exponents) pairs: the coefficient on (g, N) in
-    degree g + 1, N = n + 2g + 2 - |b|, with survivors n + 2..N."""
-    plans = []
+def _lemma_targets(g, ns):
+    """The monomial coefficients :func:`trrkit.trr.omega` takes for the
+    monomials of genus g in ``ns`` (n, exponents) pairs, as (plan, exponents,
+    survivors): the coefficient on (g, N) in degree g + 1, N = n + 2g + 2 -
+    |b|, of b followed by ones, with survivors n + 2..N."""
+    targets = []
     for n, b in ns:
         N = n + 2 * g + 2 - sum(b)
-        plans.append(pixton._monomial_plan(g, N, g + 1, frozenset(range(n + 2, N + 1))))
-    return plans
+        survivors = frozenset(range(n + 2, N + 1))
+        plan = pixton._monomial_plan(g, N, g + 1, survivors)
+        targets.append((plan, tuple(b) + (1,) * (N - n), survivors))
+    return targets
+
+
+def _read_profiles(plan, exponents, d):
+    """The edge profiles that some group weight of the target reads, per
+    layout key of the plan, for the layouts that read any."""
+    read = {}
+    for key, *_, entries in plan:
+        profiles = {
+            p
+            for _, parts, groups, _, _ in entries
+            for p, c, _ in groups
+            if pixton._group_weights(exponents, d, parts, c) is not None
+        }
+        if profiles:
+            read[key] = profiles
+    return read
+
+
+def _sampled_layouts(plan, exponents, d):
+    """The layouts :func:`pixton._monomial_layouts` yields for the target,
+    each as (plan key, layout); the key is that of the plan graphs whose
+    template groups (the plan's own objects) the layout carries."""
+    keys = {
+        id(groups): key for key, *_, entries in plan for _, _, groups, _, _ in entries if groups
+    }
+    sampled = []
+    for layout in pixton._monomial_layouts(plan, exponents, d):
+        (key,) = {keys[id(groups)] for _, groups, _, _ in layout[5] if groups}
+        sampled.append((key, layout))
+    return sampled
 
 
 def test_monomial_plan_is_grouped_by_layout():
     # within a layout every graph has the layout's edge list, leg-1 vertex
     # and leg-sum vertices, no layout repeats, the layouts are ordered by
-    # edge list and every template group kept has degree d; the points a
-    # layout is sampled at are, in order, every one of its graphs' vertex
-    # leg sums at the leg vectors of that graph's own leg partition; the
-    # plans of the genus-1 lemmas hold 176 graphs and that of the (2,1,())
-    # comparison 576
+    # edge list and every template group kept has degree d; a call samples,
+    # in plan order, exactly the layouts whose group weights read some
+    # profile, and the points it samples are, in order, every one of their
+    # graphs' vertex leg sums at the leg vectors of that graph's own leg
+    # partition; the plans of the genus-1 lemmas hold 176 graphs and that
+    # of the (2,1,()) comparison 576
     lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
-    for plans, d, want in [(_lemma_plans(1, lemmas), 2, 176), (_lemma_plans(2, [(1, ())]), 3, 576)]:
+    for targets, d, want in [
+        (_lemma_targets(1, lemmas), 2, 176),
+        (_lemma_targets(2, [(1, ())]), 3, 576),
+    ]:
         graphs = 0
-        for plan in plans:
+        for plan, exponents, _ in targets:
             keys = set()
-            layouts = zip(plan, pixton._monomial_layouts(plan, (), d), strict=True)
-            for (key, points, value, profiles, h1, entries), layout in layouts:
+            for key, points, value, profiles, h1, entries in plan:
                 assert key not in keys
                 keys.add(key)
                 k = len(entries[0][1])
                 assert (points, value) == pixton._monomial_points(k, 2 * d)
-                edges, leg_sums = layout[:2]
-                assert edges == key[0] and len(leg_sums) == points
                 for graph, parts, groups, weight, den in entries:
                     assert _layout(graph) == key and parts == pixton._leg_partition(graph.legs)
                     assert graph.h1() == h1 and weight >= 1
                     assert all(graph.num_edges + sum(p) + sum(c) == d for p, c, _ in groups)
                     assert {p for p, _, _ in groups} <= set(profiles)
-                    vectors = _simplex_leg_vectors(parts, graph.n, 2 * d)
-                    assert [pixton._leg_sums(graph, a) for a in vectors] == leg_sums
             edges = [key[0] for key, *_ in plan]
             assert edges == sorted(edges)
             graphs += sum(len(entries) for *_, entries in plan)
+            sampled = _sampled_layouts(plan, exponents, d)
+            read = _read_profiles(plan, exponents, d)
+            assert sampled and [key for key, _ in sampled] == list(read)
+            layouts = {key: (points, entries) for key, points, *_, entries in plan}
+            for key, (edges, leg_sums, *_) in sampled:
+                points, entries = layouts[key]
+                assert edges == key[0] and len(leg_sums) == points
+                for graph, parts, *_ in entries:
+                    vectors = _simplex_leg_vectors(parts, graph.n, 2 * d)
+                    assert [pixton._leg_sums(graph, a) for a in vectors] == leg_sums
         assert graphs == want
 
 
 def test_evaluations_count_the_sampled_a_points(monkeypatch):
-    # one weighting_power_sums call per A-point of every layout: the plan's
-    # five graphs have four layouts, since the two trees with legs 1, 2 on
-    # the genus-0 vertex and leg 4, or legs 3 and 4, on the genus-1 vertex
-    # share one (4 A-points), so 7 of the plan's 11 A-points are evaluated
+    # one weighting_power_sums call per A-point of every layout the target
+    # reads: the plan's five graphs have four layouts, since the two trees
+    # with legs 1, 2 on the genus-0 vertex and leg 4, or legs 3 and 4, on
+    # the genus-1 vertex share one (4 A-points); the target's group weights
+    # read that one and the one-vertex graph's (1 A-point), so 5 of the
+    # plan's 11 A-points are evaluated
     real = pixton.weighting_power_sums
     calls = []
 
@@ -393,13 +437,15 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
-    assert meta["layout_evaluations"] == len(calls) == 7
+    assert meta["layout_evaluations"] == len(calls) == 5
     assert meta["evaluations"] == 11
-    assert (meta["plan_graphs"], meta["layouts"]) == (5, 4)
-    # each layout's A-points, in plan order, on its edge list
+    assert (meta["plan_graphs"], meta["layouts"]) == (5, 2)
+    # each read layout's A-points, in plan order, on its edge list
     plan = pixton._monomial_plan(1, 4, 1, frozenset({3, 4}))
-    assert meta["layouts"] == len(plan) == len({key for key, *_ in plan})
-    assert calls == [key[0] for key, points, *_ in plan for _ in range(points)]
+    assert len(plan) == len({key for key, *_ in plan}) == 4
+    read = _read_profiles(plan, (0, 1, 1), 1)
+    assert meta["layouts"] == len(read)
+    assert calls == [key[0] for key, points, *_ in plan if key in read for _ in range(points)]
     # one graph per orbit of the survivor permutations is sampled, standing
     # for every labelled graph of its orbit: no labelled enumeration runs
     assert orbits and all(orbits)
@@ -417,9 +463,9 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only):
     args, survivors = (1, 4, (0, 1, 1), 1), frozenset({3, 4})
     plan = pixton._monomial_plan(1, 4, 1, survivors)
     (shared,) = [key for key, *_, graphs in plan if len(graphs) > 1]
-    sampled = pixton._monomial_layouts(plan, args[2], args[3])
     points = {
-        key: {(edges, A) for A in leg_sums} for (key, *_), (edges, leg_sums, *_) in zip(plan, sampled)
+        key: {(edges, A) for A in leg_sums}
+        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, args[2], args[3])
     }
     own = points.pop(shared).difference(*points.values())
     real = pixton.weighting_power_sums
@@ -441,6 +487,73 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only):
     with pytest.raises(FitInstabilityError, match=match):
         monomial_coefficient(*args, survivors=survivors)
     assert hits
+
+
+@pytest.mark.parametrize("ns, count", [((1, ()), 7), ((2, (1,)), 52)])
+def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
+    # at the coefficients omega takes for (1,1,()) and (1,2,(1,)), each
+    # weighting_power_sums call is at an A-point of a layout that some group
+    # weight of the target reads, and gets only the profiles those weights
+    # read; no other layout is evaluated
+    ((plan, exponents, survivors),) = _lemma_targets(1, [ns])
+    d, N = 2, len(exponents) + 1
+    read = _read_profiles(plan, exponents, d)
+    want = []
+    for key, *_, entries in plan:
+        if key in read:
+            graph, parts, *_ = entries[0]
+            for a in _simplex_leg_vectors(parts, N, 2 * d):
+                want.append((key[0], pixton._leg_sums(graph, a), tuple(sorted(read[key]))))
+    real = pixton.weighting_power_sums
+    calls = []
+
+    def recording(edges, leg_sums, rs, profiles):
+        calls.append((edges, leg_sums, tuple(profiles)))
+        return real(edges, leg_sums, rs, profiles)
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", recording)
+    _, meta = monomial_coefficient(1, N, exponents, d, survivors=survivors)
+    assert calls == want and len(calls) == meta["layout_evaluations"] == count
+    assert meta["layouts"] == len(read) < len(plan)
+
+
+@pytest.mark.parametrize("layer_only", [False, True])
+def test_a_read_column_of_a_call_that_skips_columns_is_checked(monkeypatch, layer_only):
+    # at the coefficient omega takes for (1,2,(1,)), the group weights of the
+    # layout of one-edge graphs with leg 1 at vertex 0 read the profile (0,)
+    # and not (1,), so its calls skip the (1,) column; a sum of the read
+    # column off the degree bound in r, or on the layer |A| = D + 1 only off
+    # the polynomial in the leg sums, still raises
+    ((plan, exponents, survivors),) = _lemma_targets(1, [(2, (1,))])
+    d, N = 2, len(exponents) + 1
+    read = _read_profiles(plan, exponents, d)
+    (skipping,) = [
+        key for key, *_, profiles, _, _ in plan if key in read and read[key] < set(profiles)
+    ]
+    assert skipping[:3] == (((0, 1),), 2, 0) and read[skipping] == {(0,)}
+    points = {
+        key: {(edges, A) for A in leg_sums}
+        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, exponents, d)
+    }
+    own = points.pop(skipping).difference(*points.values())
+    real = pixton.weighting_power_sums
+    hits = []
+
+    def patched(edges, leg_sums, rs, profiles):
+        sums = real(edges, leg_sums, rs, profiles)
+        if (edges, leg_sums) not in own or layer_only and 2 * d + 1 not in leg_sums:
+            return sums
+        hits.append(tuple(profiles))
+        power = len(edges) - len(leg_sums) + 1 + (0 if layer_only else 2 * d + 1)
+        sums = dict(sums)
+        sums[(0,)] = tuple(s + r**power for s, r in zip(sums[(0,)], rs))
+        return sums
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    match = "vertex leg sums" if layer_only else "in r on the nodes"
+    with pytest.raises(FitInstabilityError, match=match):
+        monomial_coefficient(1, N, exponents, d, survivors=survivors)
+    assert hits and set(hits) == {((0,),)}
 
 
 def test_monomial_coefficient_rejects_asymmetric_survivors():
@@ -646,11 +759,12 @@ def test_worker_count_is_clamped(monkeypatch):
     graphs = meta["plan_graphs"]
     # two one-vertex graphs and the tree with legs 1-3 on one vertex sample
     # one A-point each; the three other trees sample 3 + 1, and two of them,
-    # with leg 1 on the genus-0 vertex, share a layout
+    # with leg 1 on the genus-0 vertex, share a layout; the target reads
+    # one one-vertex graph's layout and both layouts of those trees
     assert (graphs, meta["evaluations"]) == (6, 15) and sizes == []
     counts = (meta["layouts"], meta["layout_evaluations"])
-    assert counts == (5, 11)
-    # the tasks are layouts, so the pool is clamped to the 5 layouts
+    assert counts == (3, 9)
+    # the tasks are the plan's layouts, so the pool is clamped to its 5
     for cpus, want in [(2, 2), (1000, 5)]:
         monkeypatch.setattr(runtime.os, "cpu_count", lambda: cpus)
         el, meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=64)
