@@ -1,5 +1,5 @@
 """What the closed forms, the Pixton pipeline and the CLI share: the error
-types behind the CLI's exit codes and the worker pool.
+types behind the CLI's exit codes, the worker pool and the SHA-256 digest.
 
 This module imports nothing from trrkit, so the closed-form half of ``trr``
 and the CLI's closed-form commands load without ``pixton``, ``strata`` and
@@ -8,6 +8,16 @@ and the CLI's closed-form commands load without ``pixton``, ``strata`` and
 from __future__ import annotations
 
 import os
+
+# the interpreter's own SHA-256, as the standard library's random takes its
+# sha512: hashlib would load OpenSSL's libcrypto (a few MB of memory) for it
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class ComputationGuardError(RuntimeError):
@@ -38,3 +48,8 @@ def _worker_count(jobs: int, tasks: int) -> int:
     if jobs < 1:
         raise ValueError(f"need a positive worker count, got {jobs}")
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of ``data`` in hex, as ``hashlib.sha256`` gives it."""
+    return _sha256(data).hexdigest()

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import factorial, rational_str, parse_rational
+from .runtime import sha256_hex
 from .stablegraphs import (
     InvalidGraphError,
     StableGraph,
@@ -297,14 +298,12 @@ class StrataElement:
     def digest(self) -> str:
         """First 16 hex digits of the sha256 of the sorted terms: equal
         elements give equal digests, whatever their term order."""
-        import hashlib  # here, so that no sampling process loads OpenSSL
-
         items = sorted(
             (repr((dg.graph.genera, dg.graph.edges, dg.graph.legs, dg.psi_legs,
                    dg.psi_edges, dg.kappa)), str(c))
             for dg, c in self.terms.items()
         )
-        return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+        return sha256_hex(repr(items).encode())[:16]
 
     @classmethod
     def from_json(cls, g: int, n: int, records: list) -> "StrataElement":

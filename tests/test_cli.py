@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -183,9 +184,46 @@ def test_pixton_modulus_needs_leg_values(tmp_path, capsys):
 
 def test_usage_never_writes_partial_output(tmp_path, capsys):
     out = tmp_path / "never.json"
-    code, _, _ = run(capsys, "d", "--g", "3", "--k", "1", "--l", "7")
-    assert code == 1
-    assert not out.exists()
+    for argv, want in (
+        (["principal", "--g", "3", "--k", "1", "--l", "7"], cli.EXIT_USAGE),
+        # the zero cell: D vanishes
+        (["principal", "--g", "7", "--k", "3", "--l", "1,1,2"], cli.EXIT_GUARD),
+    ):
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == want, argv
+        assert not out.exists()
+        assert not (tmp_path / "never.json.tmp").exists()
+
+
+def test_rewriting_an_output_file(tmp_path, capsys, monkeypatch):
+    # the old file is removed before the rename, so that the rename never
+    # lands on an existing path
+    out = tmp_path / "re.json"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        assert not os.path.exists(dst), dst
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    for g, k, l in ((2, 1, "1"), (3, 1, "1,1"), (3, 2, "1")):
+        argv = ["principal", "--g", str(g), "--k", str(k), "--l", l]
+        assert run(capsys, *argv, "--out", str(out))[0] == cli.EXIT_OK
+        assert json.loads(out.read_text())["manifest"]["parameters"] == {
+            "g": g, "k": k, "l": [int(x) for x in l.split(",")]
+        }
+        assert run(capsys, "check", str(out))[:2] == (cli.EXIT_OK, "ok\n")
+        assert sorted(os.listdir(tmp_path)) == ["re.json"]
+
+    # a temp file that cannot be written fails the command, names the path
+    # as given and leaves the old file as it was
+    old = out.read_bytes()
+    (tmp_path / "re.json.tmp").mkdir()
+    code, _, err = run(capsys, "principal", "--g", "2", "--k", "1", "--l", "1", "--out", str(out))
+    assert code == cli.EXIT_USAGE
+    assert err.count("\n") == 1 and f"cannot write {out}: " in err
+    assert ".tmp" not in err
+    assert out.read_bytes() == old
 
 
 def test_guard_exit_code(capsys):
@@ -363,6 +401,7 @@ def test_closed_form_commands_load_no_pipeline_module(tmp_path):
     # the graph pipeline, which loads on the first command that runs it
     script = textwrap.dedent(
         """
+        import importlib.util
         import sys
         from trrkit import cli
 
@@ -379,6 +418,10 @@ def test_closed_form_commands_load_no_pipeline_module(tmp_path):
             assert cli.main(argv) == 0, argv
         pipeline = {"trrkit.pixton", "trrkit.strata", "trrkit.stablegraphs"}
         assert not pipeline & set(sys.modules), sorted(pipeline & set(sys.modules))
+        # the digests take the interpreter's own SHA-256 where it has one,
+        # and OpenSSL's is never loaded
+        if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            assert "_hashlib" not in sys.modules
         assert cli.main(["pixton", "--g", "1", "--n", "2", "--a", "1,-1", "--degree", "1"]) == 0
         assert pipeline <= set(sys.modules)
         """
@@ -390,6 +433,11 @@ def test_closed_form_commands_load_no_pipeline_module(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * 5])
+def test_sha256_hex_is_hashlibs_sha256(data):
+    assert runtime.sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_every_layer_sees_the_same_error_types(monkeypatch, capsys):
@@ -441,7 +489,8 @@ def test_jobs_below_one_rejected(capsys, jobs):
     assert_one_line_usage_error(code, err)
 
 
-@pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"manifest": {}}'])
+# "" is the zero-length file that a crash before writeback can leave
+@pytest.mark.parametrize("text", ["", "{}", "[]", "not json", '{"manifest": {}}'])
 def test_check_rejects_non_result_files(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
