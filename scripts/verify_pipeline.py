@@ -2,18 +2,20 @@
 """Run the brute-force pipeline against the closed-form contributions.
 
 The default instances finish in well under a second; --allow-large adds
-the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take 0.1
-to 0.5 s each on one core, and the genus-3 comparisons (3,2,(7,)),
-(3,2,(6,)) and (3,1,()), about 1.3 s, 3.8 s and 7 s (about 14 s in all).
-Each line gives the instance's plan size from its report: the graphs of
-its plan (one per orbit of the survivor permutations), the layouts the
-target's weights read and the A-points those evaluate; then its time and
-the peak resident memory of the process so far (ru_maxrss, a high-water
-mark, so caches of the earlier instances count too): with --allow-large
-the last line reads about 167 MB, where (3,1,()) alone peaks at about
-130 MB in a fresh process.  Every instance's class must also have its
-pinned digest (StrataElement.digest), so a changed coefficient fails the
-run, with exit code 3, even where it still agrees with the closed forms.
+the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take
+0.1 s or less each on one core, and the genus-3 comparisons (3,2,(7,)),
+(3,2,(6,)) and (3,1,()), about 0.9 s, 2.6 s and 1.5 s (about 5 s in all).
+Each line gives the instance's plan size from its report: the entries of
+its plan (one per graph and set of vertices with leg sums, the legs that
+omega forgets placed on the graphs of (g, n+1) by the dilaton equation),
+the layouts the target's weights read and the A-points those evaluate;
+then its time and the peak resident memory of the process so far
+(ru_maxrss, a high-water mark, so caches of the earlier instances count
+too): with --allow-large the last line reads about 70 MB, where (3,1,())
+alone peaks at about 55 MB in a fresh process.  Every instance's class
+must also have its pinned digest (StrataElement.digest), so a changed
+coefficient fails the run, with exit code 3, even where it still agrees
+with the closed forms.
 """
 import argparse
 import resource
@@ -63,7 +65,7 @@ def run():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         meta = rep["meta"]
         print(
-            f"(g={g}, n={n}, b={b}): {status}  [{meta['plan_graphs']} graphs, "
+            f"(g={g}, n={n}, b={b}): {status}  [{meta['plan_graphs']} plan entries, "
             f"{meta['layouts']} layouts, {meta['layout_evaluations']} layout evaluations; "
             f"{time.time() - t0:.1f}s, peak {peak:.0f} MB]"
         )

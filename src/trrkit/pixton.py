@@ -22,7 +22,7 @@ templates sharing a profile and leg exponents takes the dot product of its
 integer weights with its profile's column, so the template loop runs once
 per graph and each decorated graph becomes one Fraction at the end.  The
 fixed-r class and the constant term at one leg vector are one point
-weighted by the leg powers, the labelled plan grouped per call by edge list
+weighted by the leg powers, the class plan grouped per call by edge list
 and vertex leg sums, those sums being the layout's point.  A monomial
 coefficient samples each layout on the simplex of the leg sums A at its
 part vertices, |A| <= 2d, leg 1's vertex taking -|A| (the weighting
@@ -31,20 +31,18 @@ constant term in r has total degree <= 2d in A), each graph weighted per
 group by an integer functional of its own leg partition that reads off the
 target monomial, and checks every (2d+1)-th Newton difference on the layer
 |A| = 2d + 1; worker processes each take whole layouts and return integer
-numerators, which the parent merges.  Its plan holds one graph per orbit of
-the permutations of the survivor legs, weighted by the labelled graphs in
-the orbit, grouped by layout once, when the plan is built, and builds only
-the template groups of degree d.  A call evaluates only the layouts whose
-group weights read some edge profile, and gives the weighting sums only the
-profiles they read, so a column that enters no coefficient is neither
-computed nor checked: the genus-1 lemmas sample 176 graphs at 1,426
-A-points (3,238 for the 303 labelled graphs on the tensor grid {0..2d}^k),
-in 65 layouts that would evaluate 460, of which the 25 read evaluate 190;
-the (2,1,()) comparison 576 graphs at 15,241 (25,167 on the grid; 44 of 119
-layouts read, 1,101 of 2,653 evaluations), (2,2,(0,)) 3,325 graphs at
-137,473 (276,311 on the grid; 177 of 285 layouts, 7,345 of 11,653) and
-(3,1,()) 21,522 graphs at 2,531,454 (952 of 1,951 layouts, 117,571 of
-228,277).  A weighting
+numerators, which the parent merges.  Legs that omega multiplies by psi
+and forgets are forgotten by the dilaton equation: the plan runs on the
+graphs without them and places them on the vertices (:func:`_placements`),
+one entry per graph and set of vertices with leg sums, grouped by layout
+once, when the plan is built, with only the template groups of degree d.
+A call evaluates only the layouts whose group weights read some edge
+profile, and gives the weighting sums only the profiles they read, so a
+column that enters no coefficient is neither computed nor checked: the
+genus-1 lemmas hold 70 entries at 475 A-points, in 52 layouts of which the
+26 read evaluate 196; the (2,1,()) comparison 94 entries at 1,473 (39 of 87
+layouts read, 809 evaluations), (2,2,(0,)) 317 at 8,493 (154 of 190, 5,061)
+and (3,1,()) 1,213 at 72,289 (646 of 1,092, 48,256).  A weighting
 sum is reduced over the graph itself: loops are summed out, a vertex whose
 edges all go to one neighbour fixes their residue sum, a degree-2 vertex
 joins its two edges and parallel edges merge by convolution, at O(r) per
@@ -53,8 +51,8 @@ powers); only a K4 minor, six edges or more, needs a sum over one edge's
 residue.  Memoization across calls is ``functools`` caches on private
 helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
 the process: the reduction steps per edge list, the tau tables per modulus,
-the labelled plan per (g, n, dmax, survivors), the monomial plan per (g, n,
-d, survivors), the guard's admitted verdicts per budget and job, the
+the class plan per (g, n, dmax, survivors), the monomial plan per (g, n, d,
+legs to forget), the guard's admitted verdicts per budget and job, the
 simplex points with their sparse coefficient and check rows per (number of
 leg sums, 2d) (``numerics._simplex_tables``), from which each call makes a
 layout's points, and the group weights per (exponents, d, leg partition,
@@ -62,25 +60,25 @@ leg exponents), dense over the simplex.  The weighting sums per (edge list,
 vertex leg sums, moduli, profiles), the profiles being those the call
 reads, take one entry per layout evaluated and A-point, so only the 16,384
 most recently used are kept: a genus-2 grid point uses under a thousand,
-the (3,1,()) comparison over 60,000 (graphs of different layouts still meet
+the (3,1,()) comparison over 48,000 (graphs of different layouts still meet
 at equal leg sums, as where one is 0, and the monomial plan keeps the
 layouts of one edge list together, so that such repeats come while their
 entries are still kept: the (3,1,()) comparison misses once per distinct
-key, 61,463 times).
+key, 27,506 times).
 Templates and automorphism counts are built once per plan graph, inside
-the cached plan.  The plan asks the enumeration for only the graphs with
-room for one unit of psi at every survivor leg, so the rest are never
-canonicalized, and a monomial plan asks for one graph per orbit, so the
-others are never even placed: the (3,1,()) comparison's plan of 21,522
-orbits, for 2,705,423 labelled graphs, builds in under 10 s.
+the cached plan.  A class plan asks the enumeration for only the graphs
+with room for one unit of psi at every survivor leg, so the rest are never
+canonicalized.  The (3,1,()) comparison's monomial plan holds the 341
+graphs of (3,2) with at most 4 edges, where the 2,705,423 labelled graphs
+of (3,9) would stand without the dilaton equation, and builds in 0.1 s.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 
 from .numerics import (
     _difference_weights,
@@ -98,6 +96,7 @@ from .runtime import (
 )
 from .stablegraphs import (
     StableGraph,
+    _degrees,
     _leg_maps,
     automorphism_count,
     enumerate_stable_graphs,
@@ -462,8 +461,8 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     graphs): the graphs of one layout have this edge list and, at every
     point, the point's tuple of vertex leg sums, and so the same edge
     profiles, of total <= dmax - E, of which ``profiles`` lists those to
-    compute; each of ``graphs`` is (group weights, groups, weight, den) for
-    one plan graph.  A layout's columns are built once: per point, one
+    compute; each of ``graphs`` is (group weights, groups, den) for one plan
+    entry.  A layout's columns are built once: per point, one
     :func:`weighting_power_sums` call on the edges and the point's leg sums
     gives each listed profile's sums, which are put over m = lcm(r^h1);
     every held-out form must vanish on them, or :class:`FitInstabilityError`
@@ -474,15 +473,16 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     for each of the layout's graphs, group i of its templates gets the dot
     product of its weights (None for none) with its profile's column;
     weights may stop short of the points, leaving the last ones to the check
-    rows.  So the template loop runs once per graph for all points, and each
-    total is multiplied by the graph's weight.  Only the listed ``profiles``
+    rows.  So the template loop runs once per graph for all points.  Only the
+    listed ``profiles``
     are computed and checked: a caller may leave out the profiles that no
     group weight reads, since their columns cannot change any total, and
     must list every profile that one does, so that every column entering a
     total is checked by every held-out form and check row.  Yields
-    (terms, den * m) per plan graph: terms maps each decorated graph of that
-    graph to an integer numerator.  Every key belongs to exactly one graph,
-    so the denominators of different graphs never meet.
+    (terms, den * m) per plan entry: terms maps each decorated graph of that
+    entry's graph to an integer numerator.  Every key belongs to exactly one
+    graph, and all of a graph's keys have one denominator, also where the
+    graph is an entry of several layouts.
     """
     by_h1 = {}
     for edges, points, check_rows, profiles, h1, graphs in layouts:
@@ -520,13 +520,13 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
                 "in the vertex leg sums"
             )
         columns = {profile: column for profile, column in columns.items() if any(column)}
-        for group_weights, groups, weight, den in graphs:
+        for group_weights, groups, den in graphs:
             local: dict[DecoratedGraph, int] = {}
             for weights, (profile, _, members) in zip(group_weights, groups):
                 column = columns.get(profile)
                 if weights is None or column is None:
                     continue
-                total = weight * _dot(weights, column)
+                total = _dot(weights, column)
                 if total:
                     for base, key in members:
                         local[key] = local.get(key, 0) + base * total
@@ -534,7 +534,7 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
 
 
 def _point_layouts(plan, a):
-    """The labelled ``plan`` grouped by layout at the one leg vector ``a``,
+    """The class ``plan`` grouped by layout at the one leg vector ``a``,
     in the form of :func:`_graph_sums`: the layout is the edge list and the
     vertex leg sums, computed once per graph, which are also the layout's
     one point, and the layouts come in order of first appearance.  Each
@@ -563,7 +563,7 @@ def _point_layouts(plan, a):
     for (edges, leg_sums), entries in layouts.items():
         _, _, profiles, h1, _, _ = entries[0]
         weighted = (
-            (weigh(groups), groups, 1, common * aut) for _, groups, _, _, aut, common in entries
+            (weigh(groups), groups, common * aut) for _, groups, _, _, aut, common in entries
         )
         yield edges, (leg_sums,), (), profiles, h1, weighted
 
@@ -587,24 +587,25 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def _r_nodes(r0: int, dmax: int) -> list[int]:
+    """The 2*dmax + 3 nodes r0, r0+1, ... of :func:`_constant_terms`."""
+    return list(range(r0, r0 + 2 * dmax + 3))
+
+
 def _constant_terms(layouts, dmax: int, r0: int):
     """The constant term in r of the graph sums over ``layouts`` (see
-    :func:`_graph_sums`), from the 2*dmax + 3 nodes r0, r0+1, ...: the
+    :func:`_graph_sums`), from the nodes :func:`_r_nodes`: the
     Lagrange-at-zero weights on the first 2*dmax + 1 nodes give the value
     at r = 0, and the (2*dmax + 1)-th forward differences ending at the two
-    held-out nodes must both vanish.  Returns
-    (terms, nodes), terms mapping each decorated graph to (numerator,
-    denominator) in integers."""
+    held-out nodes must both vanish.  Yields (terms, den) per plan entry,
+    terms mapping each of its decorated graphs to an integer numerator over
+    den."""
     count = 2 * dmax + 1
-    nodes = [r0 + t for t in range(count + 2)]
+    nodes = _r_nodes(r0, dmax)
     rows, weights_den = lagrange_coefficient_rows(nodes[:count])
     diff = _difference_weights(count)
-    terms = {}
     for local, den in _graph_sums(layouts, nodes, rows[0], (diff, [0] + diff), dmax):
-        for key, num in local.items():
-            if num:
-                terms[key] = (num, weights_den * den)
-    return terms, nodes
+        yield local, weights_den * den
 
 
 def _default_r0(a, dmax: int) -> int:
@@ -612,24 +613,26 @@ def _default_r0(a, dmax: int) -> int:
 
 
 @functools.cache
-def _check_cost(budget: int, g: int, n: int, dmax: int, survivors, modulus, nodes: int):
+def _check_cost(budget: int, g: int, n: int, dmax: int, forget: int, modulus, nodes: int):
     """Refuse a computation on the graphs of (g, n) with at most dmax edges
     priced above ``budget``, walking them lazily (``stablegraphs._leg_maps``)
     and stopping as soon as the price, which never falls, passes it.  It is
     graphs x ``modulus`` x ``nodes``, or with ``modulus`` None that of
-    :func:`monomial_coefficient`'s plan, one graph per survivor orbit: A-points
-    x the default r0 of the largest leg value they reach x ``nodes``."""
+    :func:`monomial_coefficient`'s plan, one entry per graph and part-vertex
+    set of its :func:`_placements` of ``forget`` legs: A-points x the default
+    r0 of the largest leg value they reach x ``nodes``."""
     sampled = modulus is None
     units = reach = 0
-    for *_, legs, _ in _leg_maps(g, n, dmax, survivors, survivors if sampled else frozenset()):
-        count, value = _monomial_points(len(_leg_partition(legs)), 2 * dmax) if sampled else (1, 0)
-        units, reach = units + count, max(reach, value)
-        cost = units * (_default_r0((reach,), dmax) if sampled else modulus) * nodes
-        if cost > budget:
-            raise ComputationGuardError(
-                f"estimated cost {cost} ({'evaluations' if sampled else 'graphs'} x "
-                "modulus x nodes) exceeds the default budget; pass allow_large to proceed"
-            )
+    for genera, edges, legs in _leg_maps(g, n, dmax, frozenset()):
+        for vertices in _placements(genera, edges, legs, forget) if sampled else ((),):
+            count, value = _monomial_points(len(vertices), 2 * dmax) if sampled else (1, 0)
+            units, reach = units + count, max(reach, value)
+            cost = units * (_default_r0((reach,), dmax) if sampled else modulus) * nodes
+            if cost > budget:
+                raise ComputationGuardError(
+                    f"estimated cost {cost} ({'evaluations' if sampled else 'graphs'} x "
+                    "modulus x nodes) exceeds the default budget; pass allow_large to proceed"
+                )
 
 
 def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
@@ -640,7 +643,7 @@ def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
     a = check_avector(a)
     modulus, nodes = (r, 1) if r is not None else (_default_r0(a, dmax), 2 * dmax + 3)
     _check_input(g, n, a, (modulus,), dmax)
-    _check_cost(COST_BUDGET, g, n, dmax, frozenset(), modulus, nodes)
+    _check_cost(COST_BUDGET, g, n, dmax, 0, modulus, nodes)
 
 
 def constant_term_class(
@@ -675,12 +678,14 @@ def constant_term_class(
         r0 = _default_r0(a, dmax)
     _check_input(g, n, a, (r0,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
-    terms, nodes = _constant_terms(_point_layouts(plan, a), dmax, r0)
-    for key, (num, den) in terms.items():  # in place: one dict of terms at a time
-        terms[key] = Fraction(num, den)
+    terms = {}
+    for local, den in _constant_terms(_point_layouts(plan, a), dmax, r0):
+        for key, num in local.items():
+            if num:
+                terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms), {
         "r0": r0,
-        "r_nodes": nodes,
+        "r_nodes": _r_nodes(r0, dmax),
         "dmax": dmax,
     }
 
@@ -747,80 +752,121 @@ def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
     return tuple(vector) if any(vector) else None
 
 
-@functools.cache
-def _monomial_plan(g: int, n: int, d: int, survivors: frozenset) -> tuple:
-    """The plan of :func:`monomial_coefficient`, built once per (g, n, d,
-    survivor set): one graph per orbit of the permutations of the survivor
-    legs, weighted by the number of labelled graphs in its orbit, grouped by
-    layout, the layouts ordered by edge list and, within one edge list, by
-    first appearance.
+def _placements(genera, edges, legs, forget: int) -> dict:
+    """The ways to place ``forget`` more legs, numbered on from the last leg,
+    on the vertices of the graph (genera, edges, legs), grouped by the
+    vertices of the parts of the leg partition they give, as
+    {part vertices: [(coefficient, leg partition), ...]}.
 
-    A graph's layout is its edge list, its vertex count, leg 1's vertex and
-    the vertices of the parts of its leg partition (:func:`_leg_partition`),
-    in order.  Graphs of one layout differ only in how their legs spread
-    within those vertices, so they have the same vertex leg sums at every
-    A-point.  Each layout is (its key (edges, V, leg 1's vertex, part
-    vertices), A-points, leg value that sets the modulus (see
-    :func:`_monomial_points`), profiles, h1, graphs), and each of its graphs
-    is (graph, leg partition, groups, weight, den): the groups are the
-    template groups of degree exactly d, E + |profile| + |c| = d, the only
-    ones the target monomial reads, and the only ones built, while the
-    layout's profiles stay whole, every profile of total <= d - E, since
-    which of them a call reads depends on its exponents (see
+    A placement is a multiset of vertices, s_v legs at v, and stands for its
+    S!/prod s_v! labellings.  Forgetting s_v legs that carry psi from v
+    multiplies a term by prod_{j<s_v} (2g_v - 2 + t_v + j), t_v being v's
+    legs and half-edges (the dilaton equation), so the coefficient is the
+    number of labellings times those factors, positive on a stable graph.
+    """
+    points = _degrees(len(genera), edges)
+    for v in legs:
+        points[v] += 1
+    placements: dict[tuple[int, ...], list] = {}
+    for multiset in itertools.combinations_with_replacement(range(len(genera)), forget):
+        counts = {v: multiset.count(v) for v in set(multiset)}
+        coefficient = _multinomial(list(counts.values()))
+        for v, s in counts.items():
+            base = 2 * genera[v] - 2 + points[v]
+            coefficient *= prod(range(base, base + s))
+        placed = legs + multiset
+        parts = _leg_partition(placed)
+        vertices = tuple(placed[ms[0] - 1] for ms in parts)
+        placements.setdefault(vertices, []).append((coefficient, parts))
+    return placements
+
+
+@functools.cache
+def _monomial_plan(g: int, n: int, d: int, forget: int) -> tuple:
+    """The plan of :func:`monomial_coefficient`, built once per (g, n, d,
+    forget): each graph of (g, n) with at most d edges, once per part-vertex
+    set of its :func:`_placements` of the ``forget`` legs, grouped by layout,
+    the layouts ordered by edge list and, within one edge list, by first
+    appearance.
+
+    A layout is an edge list, a vertex count, leg 1's vertex and the
+    vertices of the parts of a leg partition (:func:`_leg_partition`), in
+    order: its entries have the same vertex leg sums at every A-point.  Each
+    layout is (its key (edges, V, leg 1's vertex, part vertices), A-points,
+    leg value that sets the modulus (see :func:`_monomial_points`),
+    profiles, h1, entries), and each entry is (graph, placements, groups,
+    den): the (coefficient, leg partition) pairs of that part-vertex set,
+    the graph's template groups of degree exactly d, E + |profile| + |c| =
+    d, the only ones the target monomial reads, and the only ones built,
+    while the layout's profiles stay whole, every profile of total <= d - E,
+    since which of them a call reads depends on its exponents (see
     :func:`_monomial_layouts`); den = common * aut * (2d)!, the last factor
     being the denominator of the group weights.
     """
     degree = 2 * d
     layouts: dict[tuple, tuple] = {}
-    for graph, weight in enumerate_stable_graphs(
-        g, n, max_edges=d, reserved_markings=survivors, _orbits=True
-    ):
-        groups, profiles, common = _graph_templates(graph, d, survivors, exact=True)
+    for graph in enumerate_stable_graphs(g, n, max_edges=d):
+        groups, profiles, common = _graph_templates(graph, d, exact=True)
         if not profiles:
             continue
-        legs = graph.legs
-        parts = _leg_partition(legs)
-        key = graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
-        if key not in layouts:
-            layouts[key] = *_monomial_points(len(parts), degree), profiles, graph.h1(), []
         den = common * automorphism_count(graph, check=False) * factorial(degree)
-        layouts[key][-1].append((graph, parts, groups, weight, den))
+        placements = _placements(graph.genera, graph.edges, graph.legs, forget)
+        for vertices, placed in placements.items():
+            key = graph.edges, graph.num_vertices, graph.legs[0], vertices
+            if key not in layouts:
+                layouts[key] = *_monomial_points(len(vertices), degree), profiles, graph.h1(), []
+            layouts[key][-1].append((graph, tuple(placed), groups, den))
     # the layouts of one edge list side by side, so that the weighting sums
     # they share (at equal leg sums) are still in _power_sums' LRU
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
     return tuple((key, *layout[:-1], tuple(layout[-1])) for key, layout in ordered)
 
 
+def _placed_weights(exponents: tuple, d: int, placements, c: tuple):
+    """The :func:`_group_weights` of the template group with leg exponents c
+    (0 at the forgotten legs) at each of the ``placements``' leg partitions,
+    times its coefficient, summed; None when they are all None."""
+    c += (0,) * (len(exponents) + 1 - len(c))
+    total = None
+    for coefficient, parts in placements:
+        weights = _group_weights(exponents, d, parts, c)
+        if weights is not None:
+            weights = [coefficient * w for w in weights]
+            total = weights if total is None else list(map(add, total, weights))
+    return total
+
+
 def _monomial_layouts(layouts, exponents: tuple, d: int):
     """The ``layouts`` of :func:`_monomial_plan` in the form of
-    :func:`_graph_sums`, extracting the coefficient of prod_{j>=2} a_j^(b_j).
+    :func:`_graph_sums`, extracting the coefficient of prod_{j>=2} a_j^(b_j),
+    the ``exponents`` b_j covering the forgotten legs too.
 
     A graph's weighting sums see the leg values only through the leg sums
     A_i at the k vertices of its leg partition, and their constant term in
     r is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
-    simplex S = {|A| <= D}, C(D+k, k) points, where each graph's template
-    group with leg exponents c is weighted by :func:`_group_weights` of that
-    graph's own leg partition, and on the layer L = {|A| = D + 1},
+    simplex S = {|A| <= D}, C(D+k, k) points, where each entry's template
+    group with leg exponents c is weighted by :func:`_placed_weights` of
+    that entry's placements, and on the layer L = {|A| = D + 1},
     C(D+k, k-1) more, where every (D+1)-th Newton difference must vanish
     (see :func:`_simplex_tables`).  A layout's points are its vertex leg
     sums, made from the simplex points: A_i at the vertex of part i, -|A| at
     leg 1's vertex and 0 at every other vertex.  The points and rows are
     built once per (k, D) and the weights once per (exponents, d, leg
-    partition, c).  The weights of a layout's graphs are taken before its
+    partition, c).  The weights of a layout's entries are taken before its
     points: a layout whose weights are all None is skipped, and any other
     lists only the profiles that some weight reads, in the plan's order, so
     :func:`_graph_sums` computes and checks exactly the columns that enter
     the coefficient.
     """
     degree = 2 * d
-    for (edges, V, first, vertices), _, _, profiles, h1, graphs in layouts:
+    for (edges, V, first, vertices), _, _, profiles, h1, entries in layouts:
         weighted = [
-            ([_group_weights(exponents, d, parts, c) for _, c, _ in groups], groups, weight, den)
-            for _, parts, groups, weight, den in graphs
+            ([_placed_weights(exponents, d, placements, c) for _, c, _ in groups], groups, den)
+            for _, placements, groups, den in entries
         ]
         read = {
             profile
-            for group_weights, groups, _, _ in weighted
+            for group_weights, groups, _ in weighted
             for weights, (profile, _, _) in zip(group_weights, groups)
             if weights is not None
         }
@@ -841,10 +887,11 @@ def _chunk_worker(args):
     """The constant term of the graph sums of every ``step``-th layout of
     :func:`_monomial_plan` from ``start``, sampled by
     :func:`_monomial_layouts`, as integer numerators and denominators per
-    decorated graph, with the r nodes, the number of layouts evaluated and
-    their A-points; used directly and as the multiprocessing worker."""
-    g, n, exponents, d, r0, survivors, start, step = args
-    layouts = _monomial_plan(g, n, d, frozenset(survivors))[start::step]
+    decorated graph, summed over the layouts where its graph is an entry,
+    with the number of layouts evaluated and their A-points; used directly
+    and as the multiprocessing worker."""
+    g, n, exponents, d, r0, forget, start, step = args
+    layouts = _monomial_plan(g, n, d, forget)[start::step]
     evaluated = []  # the A-points of each layout sampled
 
     def sampled():
@@ -852,8 +899,12 @@ def _chunk_worker(args):
             evaluated.append(len(layout[1]))
             yield layout
 
-    terms, nodes = _constant_terms(sampled(), d, r0)
-    return terms, nodes, len(evaluated), sum(evaluated)
+    # a graph's keys meet in each layout where it has an entry, over one den
+    terms = {}
+    for local, den in _constant_terms(sampled(), d, r0):
+        for key, num in local.items():
+            terms[key] = terms.get(key, (0, den))[0] + num, den
+    return terms, len(evaluated), sum(evaluated)
 
 
 def monomial_coefficient(
@@ -862,7 +913,7 @@ def monomial_coefficient(
     exponents,
     d: int,
     allow_large: bool = False,
-    survivors=frozenset(),
+    forget: int = 0,
     jobs: int = 1,
 ):
     """Coefficient of prod_j a_j^(b_j) in the degree-d part of the class,
@@ -870,7 +921,7 @@ def monomial_coefficient(
 
     The r-constant term of a graph's weighting sum is a polynomial of total
     degree <= D = 2d in the leg sums of the vertices other than leg 1's
-    (Janda-Pandharipande-Pixton-Zvonkine, section 3), so each plan graph
+    (Janda-Pandharipande-Pixton-Zvonkine, section 3), so each plan entry
     with k leg sums is sampled at the C(D+k, k) points of the simplex
     |A| <= D, with integer weights per template group that read off the
     target monomial, and at the C(D+k, k-1) points of the layer
@@ -878,56 +929,55 @@ def monomial_coefficient(
     :func:`_monomial_layouts`); the constant term in r is taken at every
     point as in :func:`constant_term_class`, with both held-out r nodes
     checked.  A nonzero Newton difference on the layer, like a held-out r
-    node off the fit, raises :class:`FitInstabilityError`.  Plan graphs of
+    node off the fit, raises :class:`FitInstabilityError`.  Plan entries of
     one layout have the same values at every A-point, and the cached plan
     (:func:`_monomial_plan`) holds them grouped by layout, with only the
     template groups of degree d, so a call samples each layout's points
-    once and runs the template loop per graph.  A call evaluates only the
+    once and runs the template loop per entry.  A call evaluates only the
     layouts and edge profiles that some group weight of the target reads:
     every column that enters the coefficient is checked at both held-out r
     nodes and on the layer, and a column that no weight reads is neither
     computed nor checked, as it cannot change the result.  With ``jobs`` > 1
     the layouts are dealt out over worker processes, each returning integer
     numerators; results are identical for any worker count.  Returns
-    (element, meta); the meta counts the plan's graphs (``plan_graphs``),
-    the labelled graphs they stand for (``plan_labelled_graphs``) and their
-    A-points (``evaluations``, what :func:`_check_cost` prices), and, summed
-    over the workers, the layouts evaluated (``layouts``) and their A-points
-    (``layout_evaluations``, one :func:`weighting_power_sums` call each).
+    (element, meta); the meta counts the plan's entries (``plan_graphs``)
+    and their A-points (``evaluations``, what :func:`_check_cost` prices),
+    and, summed over the workers, the layouts evaluated (``layouts``) and
+    their A-points (``layout_evaluations``, one
+    :func:`weighting_power_sums` call each).
 
-    The ``survivors`` are legs among 2..n that share one exponent and keep
-    one unit of psi each.  The coefficient is symmetric in them, and a
-    permutation of them maps each graph's terms to the terms of the
-    permuted graph, so the plan samples one graph per orbit of their
-    permutations and weights its terms by the number of labelled graphs in
-    the orbit.  The result is therefore the labelled class only up to those
-    permutations: its average over them is the labelled class, and anything
-    invariant under them, such as its product with psi at the survivors
-    pushed forward forgetting them, is that of the labelled class.
+    With ``forget`` = S the coefficient is taken on (g, n + S), of the
+    ``exponents`` followed by exponent 1 at the legs n+1..n+S, multiplied by
+    psi at those legs and pushed forward forgetting them, onto (g, n).  A
+    term linear in a_m has no psi at leg m, and psi_m kills the difference
+    between a psi at its vertex and its pullback, so forgetting the legs is
+    the dilaton equation: the plan runs on the graphs of (g, n), with the S
+    legs placed on their vertices (:func:`_placements`).  Summing the
+    labelled (g, n + S) graphs with 1/|Aut| is summing the (g, n) graphs
+    with theirs and their labelled placements.  So (3,1,()) plans on the
+    341 graphs of (3,2), 1,213 entries, where 2,705,423 graphs of (3,9)
+    would stand.
 
     The default guard, :func:`_check_cost`, refuses a job priced above
     ``COST_BUDGET`` before any template is built, unless ``allow_large``.
     """
     exponents = tuple(int(b) for b in exponents)
-    survivors = frozenset(survivors)
     if len(exponents) != n - 1:
         raise ValueError("need one exponent per marking 2..n")
     if min(exponents, default=0) < 0:
         raise ValueError(f"exponents must be nonnegative, got {exponents}")
-    _check_space(g, n, d)
-    if not survivors <= set(range(2, n + 1)):
-        raise ValueError(f"survivors must be among the markings 2..{n}, got {sorted(survivors)}")
-    if len({exponents[m - 2] for m in survivors}) > 1:
-        raise ValueError("the survivor legs must share one exponent")
+    if forget < 0:
+        raise ValueError(f"the number of legs to forget must be nonnegative, got {forget}")
+    _check_space(g, n + forget, d)
     degree = 2 * d
     if not allow_large:
-        _check_cost(COST_BUDGET, g, n, d, survivors, None, 2 * d + 3)
+        _check_cost(COST_BUDGET, g, n, d, forget, None, 2 * d + 3)
 
-    plan = _monomial_plan(g, n, d, survivors)  # warmed before any fork
+    plan = _monomial_plan(g, n, d, forget)  # warmed before any fork
     r0 = _default_r0([value for _, _, value, *_ in plan], d)
     workers = _worker_count(jobs, len(plan))
     tasks = [
-        (g, n, exponents, d, r0, tuple(sorted(survivors)), start, workers)
+        (g, n, exponents + (1,) * forget, d, r0, forget, start, workers)
         for start in range(workers)
     ]
     if workers > 1:
@@ -937,17 +987,17 @@ def monomial_coefficient(
         partials = [_chunk_worker(tasks[0])]
     terms = {}
     layouts = layout_evaluations = 0
-    for chunk, nodes, sampled, evaluated in partials:
+    for chunk, sampled, evaluated in partials:
         for key, (num, den) in chunk.items():
-            terms[key] = Fraction(num, den)
+            terms[key] = terms.get(key, (0, den))[0] + num, den
         layouts, layout_evaluations = layouts + sampled, layout_evaluations + evaluated
+    terms = {key: Fraction(num, den) for key, (num, den) in terms.items() if num}
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
-        "evaluations": sum(points * len(graphs) for _, points, *_, graphs in plan),
+        "evaluations": sum(points * len(entries) for _, points, *_, entries in plan),
         "layouts": layouts,
         "layout_evaluations": layout_evaluations,
-        "plan_graphs": sum(len(graphs) for *_, graphs in plan),
-        "plan_labelled_graphs": sum(entry[3] for *_, graphs in plan for entry in graphs),
+        "plan_graphs": sum(len(entries) for *_, entries in plan),
         "r0": r0,
-        "r_nodes": nodes,
+        "r_nodes": _r_nodes(r0, d),
     }

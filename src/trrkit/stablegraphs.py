@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .numerics import _multinomial, factorial
+from .numerics import factorial
 from .runtime import InvalidGraphError
 
 
@@ -354,42 +354,24 @@ def _degenerations(shapes, n: int) -> Iterator[tuple]:
                     yield shape
 
 
-def _orbit_minimal_leg_maps(
-    need, n: int, auts, colour: frozenset = frozenset()
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
     """Leg maps (legs[i] = vertex of marking i+1) giving each vertex v at
-    least need[v] legs, one per orbit of the vertex permutations ``auts``
-    and of the permutations of the markings in ``colour``, each paired with
-    the number of orbits of ``auts`` alone, that is of labelled graphs, that
-    its orbit stands for.
+    least need[v] legs, one per orbit of the vertex permutations ``auts``:
+    the least of its orbit.
 
-    Every marking outside ``colour`` has a colour of its own and is placed
-    on a vertex, in marking order; the ``colour`` markings are placed last,
-    as one multiset of vertices (given to them in marking order, lowest
-    vertex first).  The map kept is the least of its orbit, its singly
-    coloured legs compared first and the multiset, as a sorted tuple, last.
-    Maps grow one leg at a time, and only while the legs left can still
-    meet the need.  A permutation fixing the placed prefix decides the
-    comparison at the first leg or at the multiset that it moves: it maps
-    them lower (the map is not least; prune) or higher (it can never make
-    the map smaller; forget it).
-
-    The permutations left at the end, with the identity, form the group K
-    of the map's coloured symmetries.  The subgroup K0 fixing every vertex
-    of the multiset acts trivially on the multinomial(counts) labellings of
-    the multiset, and K/K0 acts on them freely, so they fall into
-    multinomial(counts) |K0| / |K| orbits.  With no ``colour`` the weight is
-    always 1.
+    Maps grow one leg at a time, in marking order, and only while the legs
+    left can still meet the need.  A permutation fixing the placed prefix
+    decides the comparison at the first leg that it moves: it maps it lower
+    (the map is not least; prune) or higher (it can never make the map
+    smaller; forget it).
     """
     V = len(need)
-    single = [m for m in range(1, n + 1) if m not in colour]
-    coloured = sorted(colour)
     legs = [0] * n
     missing = list(need)
 
-    def place(i: int, short: int, active: list) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i == len(single):
-            yield from fill(short, active)
+    def place(i: int, short: int, active: list) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(legs)
             return
         for x in range(V):
             took = 1 if missing[x] else 0
@@ -402,39 +384,17 @@ def _orbit_minimal_leg_maps(
                 if p[x] == x:
                     still.append(p)
             else:
-                legs[single[i] - 1] = x
+                legs[i] = x
                 missing[x] -= took
                 yield from place(i + 1, short - took, still)
                 missing[x] += took
-
-    def fill(short: int, active: list) -> Iterator[tuple[tuple[int, ...], int]]:
-        if not coloured:
-            yield tuple(legs), 1
-            return
-        # the multiset covers what is missing, the rest goes anywhere
-        base = [v for v in range(V) for _ in range(missing[v])]
-        for extra in itertools.combinations_with_replacement(range(V), len(coloured) - short):
-            multiset = sorted(base + list(extra))
-            kept = []
-            for p in active:
-                image = sorted(p[v] for v in multiset)
-                if image < multiset:
-                    break
-                if image == multiset:
-                    kept.append(p)
-            else:
-                for m, v in zip(coloured, multiset):
-                    legs[m - 1] = v
-                fixing = sum(all(p[v] == v for v in multiset) for p in kept)
-                counts = [multiset.count(v) for v in set(multiset)]
-                yield tuple(legs), _multinomial(counts) * (1 + fixing) // (1 + len(kept))
 
     moving = [p for p in auts if any(p[v] != v for v in range(V))]
     yield from place(0, sum(need), moving)
 
 
 def enumerate_stable_graphs(
-    g: int, n: int, max_edges: int | None = None, reserved_markings=(), _orbits=False
+    g: int, n: int, max_edges: int | None = None, reserved_markings=()
 ) -> tuple:
     """All stable graphs of genus g with n legs, one per isomorphism class,
     optionally restricted to at most ``max_edges`` edges, sorted by
@@ -444,10 +404,7 @@ def enumerate_stable_graphs(
     decoration degree at each listed marking: every vertex's capacity
     3g(v) - 3 + n(v) is at least the number of listed markings on it.  The
     test is relabel-invariant, so it runs on each leg map before that graph
-    is canonicalized.  With ``_orbits`` the reserved markings are one colour:
-    the result holds one graph per orbit of their permutations, as
-    (graph, number of graphs in its orbit) pairs, and the numbers sum to
-    the count of the graphs listed without ``_orbits``.
+    is canonicalized.
 
     Generation runs over leg-free shapes first: the canonical connected
     multigraphs with vertex genera that n legs can stabilize, built level by
@@ -456,24 +413,21 @@ def enumerate_stable_graphs(
     canonical shape are isomorphic exactly when their leg maps differ by a
     vertex automorphism of the shape, and graphs on different shapes are
     not isomorphic.  So taking, per shape, the least leg map of each orbit
-    (:func:`_orbit_minimal_leg_maps`) meets every isomorphism class, or
-    every orbit of them, exactly once, and each such graph is canonicalized
-    once, with no deduplication.
+    (:func:`_orbit_minimal_leg_maps`) meets every isomorphism class exactly
+    once, and each such graph is canonicalized once, with no deduplication.
     """
     if 2 * g - 2 + n <= 0:
         raise InvalidGraphError(f"({g},{n}) is unstable")
     cap = 3 * g - 3 + n
     emax = cap if max_edges is None else min(max_edges, cap)
-    reserved = frozenset(reserved_markings)
-    graphs, weights = _enumerate(g, n, emax, reserved, reserved if _orbits else frozenset())
-    return tuple(zip(graphs, weights)) if _orbits else graphs
+    return _enumerate(g, n, emax, frozenset(reserved_markings))
 
 
-def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> Iterator:
+def _leg_maps(g: int, n: int, emax: int, reserved: frozenset) -> Iterator:
     """The graphs of :func:`_enumerate`, uncanonicalized, as (genera, edges,
-    legs, weight), lazily: each level's shapes are found while the level is
-    walked, and kept for the next, so a reader that stops early builds no
-    shape beyond the one it stopped on."""
+    legs), lazily: each level's shapes are found while the level is walked,
+    and kept for the next, so a reader that stops early builds no shape
+    beyond the one it stopped on."""
     # the markings whose legs count toward the capacity they must leave
     free = [m not in reserved for m in range(1, n + 1)]
 
@@ -486,23 +440,21 @@ def _leg_maps(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset)
             deg = _degrees(len(genera), edges)
             need = _stability_need(genera, deg)
             base = [3 * gv - 3 + dv for gv, dv in zip(genera, deg)]
-            for legs, weight in _orbit_minimal_leg_maps(need, n, auts, colour):
+            for legs in _orbit_minimal_leg_maps(need, n, auts):
                 if reserved:
                     room = base[:]
                     for v, counts in zip(legs, free):
                         room[v] += counts
                     if min(room) < 0:
                         continue
-                yield genera, edges, legs, weight
+                yield genera, edges, legs
         shapes = _degenerations(walked, n)
 
 
 @functools.cache
-def _enumerate(g: int, n: int, emax: int, reserved: frozenset, colour: frozenset) -> tuple:
-    maps = _leg_maps(g, n, emax, reserved, colour)
-    out = [(_canonical_graph(*canonical_data(*data)), weight) for *data, weight in maps]
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return tuple(graph for graph, _ in out), tuple(weight for _, weight in out)
+def _enumerate(g: int, n: int, emax: int, reserved: frozenset) -> tuple:
+    graphs = [_canonical_graph(*canonical_data(*data)) for data in _leg_maps(g, n, emax, reserved)]
+    return tuple(sorted(graphs, key=StableGraph.sort_key))
 
 
 def graph_to_json(graph: StableGraph) -> dict:

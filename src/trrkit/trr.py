@@ -700,27 +700,20 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
 def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     """The coefficient of the monomial times the product of the extra leg
     variables in the degree-(g+1) part of the class on (g, N), multiplied by
-    psi at the legs n+2..N and pushed forward down to (g, n+1).  Only graphs
-    with room for that psi at each of those legs enter the coefficient, and
-    it is sampled once per orbit of the permutations of those legs
-    (:func:`monomial_coefficient`): the pushforward forgets them, so it is
-    that of the labelled coefficient."""
+    psi at the legs n+2..N and pushed forward down to (g, n+1).  Forgetting
+    those legs is the dilaton equation, so the coefficient is planned on the
+    graphs of (g, n+1), with the legs n+2..N placed on their vertices
+    (:func:`monomial_coefficient` with ``forget``)."""
     from .pixton import monomial_coefficient
-    from .strata import multiply_by_psi, pushforward_forget
 
     g, n = mono.g, mono.n
     N = mono.num_legs
     if N < n + 1:
         raise ValueError("monomial degree too large: no extra leg remains")
-    survivors = range(n + 2, N + 1)
-    element, meta = monomial_coefficient(
-        g, N, mono.exponents + (1,) * (N - n), g + 1, allow_large=allow_large,
-        survivors=frozenset(survivors), jobs=jobs,
+    return monomial_coefficient(
+        g, n + 1, mono.exponents + (1,), g + 1, allow_large=allow_large,
+        forget=N - n - 1, jobs=jobs,
     )
-    element = multiply_by_psi(element, {m: 1 for m in survivors})
-    for m in range(N, n + 1, -1):
-        element = pushforward_forget(element, m)
-    return element, meta
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:

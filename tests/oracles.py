@@ -5,7 +5,10 @@ is decided by explicit search over vertex bijections, and automorphisms are
 counted over explicit half-edge permutations.  Weightings are found by trying
 every residue on every edge, not by solving the vertex conditions.  The
 closed forms and the principal part are summed term by term in rationals,
-without the integer numerators the library uses.  Kappa-free classes are
+without the integer numerators the library uses.  The class omega takes is
+also found the long way: the labelled coefficient on every graph of (g, N),
+multiplied by psi at the extra legs and pushed forward forgetting them, where
+the library forgets them by the dilaton equation.  Kappa-free classes are
 integrated over M-bar_{g,n} through the Witten-Kontsevich numbers, which the
 string, dilaton and DVV equations give exactly.
 """
@@ -18,7 +21,8 @@ import math
 import operator
 
 from trrkit.numerics import SparsePoly
-from trrkit.strata import StrataElement, multiply_by_psi
+from trrkit.pixton import monomial_coefficient
+from trrkit.strata import StrataElement, multiply_by_psi, pushforward_forget
 from trrkit.trr import (
     TRRRecord,
     c0_coeff,
@@ -317,6 +321,31 @@ def principal_part_direct(g, k, l):
             "normalization": raw,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# omega by psi multiplication and pushforward
+# ----------------------------------------------------------------------
+
+def forget_with_psi(element, first: int) -> StrataElement:
+    """``element`` times psi at each leg from ``first`` on, pushed forward
+    forgetting those legs, the last first."""
+    legs = range(first, element.n + 1)
+    element = multiply_by_psi(element, {m: 1 for m in legs})
+    for m in reversed(legs):
+        element = pushforward_forget(element, m)
+    return element
+
+
+def omega_by_pushforward(mono) -> StrataElement:
+    """The class :func:`trrkit.trr.omega` gives, from the labelled
+    coefficient on (g, N) of b followed by N - n ones in degree g + 1, taken
+    over every graph of (g, N) with nothing to forget, multiplied by psi at
+    the legs n+2..N and pushed forward forgetting them."""
+    g, n, N = mono.g, mono.n, mono.num_legs
+    b = mono.exponents + (1,) * (N - n)
+    element, _ = monomial_coefficient(g, N, b, g + 1, allow_large=True)
+    return forget_with_psi(element, n + 2)
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,13 @@ GENUS_2_OMEGA_DIGESTS = {
 def test_omega_digests_are_pinned(brute_force_reports):
     for key, want in OMEGA_DIGESTS.items():
         assert brute_force_reports[key]["omega_digest"] == want, key
+        assert_evaluations_within_the_price(brute_force_reports[key]["meta"])
+
+
+def assert_evaluations_within_the_price(meta):
+    # the guard prices every A-point of the plan (evaluations); a call
+    # evaluates only those of the layouts its target reads
+    assert 0 < meta["layout_evaluations"] <= meta["evaluations"]
 
 
 @pytest.mark.slow
@@ -187,6 +194,7 @@ LARGE_JOBS = int(os.environ.get("TRR_JOBS", "2"))
 def test_criterion_5_large_instance():
     rep = verify_lemmas(2, 1, (), allow_large=True, jobs=LARGE_JOBS)
     assert rep["all_match"] and rep["kappa_free"] and rep["boundary_kappa_free"]
+    assert_evaluations_within_the_price(rep["meta"])
     report(5, "(2,1,1) pipeline matches closed forms")
 
 
@@ -194,6 +202,7 @@ def test_criterion_5_large_instance():
 def test_criterion_5_genus_3_instance():
     rep = verify_lemmas(3, 2, (7,), allow_large=True, jobs=LARGE_JOBS)
     assert rep["all_match"] and rep["kappa_free"] and rep["boundary_kappa_free"]
+    assert_evaluations_within_the_price(rep["meta"])
     report(5, "(3,2,(7,)) pipeline matches closed forms")
 
 

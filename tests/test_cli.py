@@ -302,8 +302,8 @@ def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):
     # pixton --a, pixton --b-exponents and omega all ask pixton._check_cost
     seen = []
 
-    def refuse(budget, g, n, dmax, survivors, modulus, nodes):
-        seen.append((g, n, dmax, modulus, nodes))
+    def refuse(budget, g, n, dmax, forget, modulus, nodes):
+        seen.append((g, n, dmax, forget, modulus, nodes))
         raise pixton.ComputationGuardError("refused")
 
     monkeypatch.setattr(pixton, "_check_cost", refuse)
@@ -313,7 +313,7 @@ def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):
         ["omega", "--g", "1", "--n", "1"],
     ):
         assert run(capsys, *argv)[0] == cli.EXIT_GUARD
-    assert seen == [(2, 2, 2, 15, 7), (2, 2, 2, None, 7), (1, 5, 2, None, 7)]
+    assert seen == [(2, 2, 2, 0, 15, 7), (2, 2, 2, 0, None, 7), (1, 2, 2, 3, None, 7)]
 
 
 def test_class_guard_admits_the_pinned_class(capsys):
@@ -366,10 +366,10 @@ def test_omega_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["result"]["all_match"]
-    # the 14 plan graphs sample 64 A-points in 9 layouts; the 2 layouts
-    # the target reads evaluate 7 of them
+    # the 7 plan entries, of the 5 graphs of (1,2), sample 22 A-points in 7
+    # layouts; the 2 layouts the target reads evaluate 7 of them
     manifest = payload["manifest"]
-    assert (manifest["plan_graphs"], manifest["evaluations"]) == (14, 64)
+    assert (manifest["plan_graphs"], manifest["evaluations"]) == (7, 22)
     assert (manifest["layouts"], manifest["layout_evaluations"]) == (2, 7)
 
 

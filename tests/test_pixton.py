@@ -21,7 +21,7 @@ from trrkit.pixton import (
 )
 from trrkit.stablegraphs import enumerate_stable_graphs, make_graph
 from trrkit.strata import StrataElement
-from oracles import enumerate_weightings
+from oracles import enumerate_weightings, forget_with_psi
 
 
 def test_avector_validation():
@@ -294,12 +294,11 @@ def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
     caches = (pixton._simplex_tables, pixton._group_weights)
     for cache in caches:
         cache.cache_clear()
-    args = (1, 4, (2, 0, 0), 2)
-    survivors = frozenset({3, 4})
-    first, _ = monomial_coefficient(*args, survivors=survivors)
+    args = (1, 2, (2,), 2)
+    first, _ = monomial_coefficient(*args, forget=2)
     built = [cache.cache_info() for cache in caches]
     assert all(info.misses > 0 for info in built)
-    again, _ = monomial_coefficient(*args, survivors=survivors)
+    again, _ = monomial_coefficient(*args, forget=2)
     for before, after in zip(built, (cache.cache_info() for cache in caches)):
         assert after.misses == before.misses and after.currsize == before.currsize
         assert after.hits > before.hits
@@ -307,11 +306,31 @@ def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
 
 
 def _layout(graph):
-    """The layout of a monomial plan graph: its edge list, vertex count, leg
-    1's vertex and the vertices of its leg partition's parts, in order."""
+    """The layout of a monomial plan graph with no legs to forget: its edge
+    list, vertex count, leg 1's vertex and the vertices of its leg
+    partition's parts, in order."""
     legs = graph.legs
     parts = pixton._leg_partition(legs)
     return graph.edges, graph.num_vertices, legs[0], tuple(legs[ms[0] - 1] for ms in parts)
+
+
+def _placed_legs(graph, parts, vertices, forget):
+    """The leg map of ``graph`` with ``forget`` more legs, placed as the leg
+    partition ``parts`` on the part ``vertices`` says: on the vertex of their
+    part, or on leg 1's vertex where they are in none."""
+    placed = list(graph.legs) + [graph.legs[0]] * forget
+    for ms, v in zip(parts, vertices):
+        for m in ms:
+            placed[m - 1] = v
+    return tuple(placed)
+
+
+def _placed_leg_sums(legs, V, a):
+    """The vertex leg sums of the leg values ``a`` on the leg map ``legs``."""
+    A = [0] * V
+    for v, value in zip(legs, a):
+        A[v] += value
+    return tuple(A)
 
 
 def _simplex_leg_vectors(parts, n, degree):
@@ -330,15 +349,17 @@ def _simplex_leg_vectors(parts, n, degree):
 
 def _lemma_targets(g, ns):
     """The monomial coefficients :func:`trrkit.trr.omega` takes for the
-    monomials of genus g in ``ns`` (n, exponents) pairs, as (plan, exponents,
-    survivors): the coefficient on (g, N) in degree g + 1, N = n + 2g + 2 -
-    |b|, of b followed by ones, with survivors n + 2..N."""
+    monomials of genus g in ``ns`` (n, exponents) pairs, as (plan, args,
+    forget, exponents): the coefficient on (g, n + 1) in degree g + 1 of b
+    followed by a 1, forgetting N - n - 1 legs, N = n + 2g + 2 - |b|; the
+    exponents are those the plan's weights read, the forgotten legs' ones
+    included."""
     targets = []
     for n, b in ns:
-        N = n + 2 * g + 2 - sum(b)
-        survivors = frozenset(range(n + 2, N + 1))
-        plan = pixton._monomial_plan(g, N, g + 1, survivors)
-        targets.append((plan, tuple(b) + (1,) * (N - n), survivors))
+        forget = 2 * g + 1 - sum(b)
+        args = (g, n + 1, tuple(b) + (1,), g + 1)
+        plan = pixton._monomial_plan(g, n + 1, g + 1, forget)
+        targets.append((plan, args, forget, args[2] + (1,) * forget))
     return targets
 
 
@@ -349,9 +370,9 @@ def _read_profiles(plan, exponents, d):
     for key, *_, entries in plan:
         profiles = {
             p
-            for _, parts, groups, _, _ in entries
+            for _, placements, groups, _ in entries
             for p, c, _ in groups
-            if pixton._group_weights(exponents, d, parts, c) is not None
+            if pixton._placed_weights(exponents, d, placements, c) is not None
         }
         if profiles:
             read[key] = profiles
@@ -360,112 +381,120 @@ def _read_profiles(plan, exponents, d):
 
 def _sampled_layouts(plan, exponents, d):
     """The layouts :func:`pixton._monomial_layouts` yields for the target,
-    each as (plan key, layout); the key is that of the plan graphs whose
-    template groups (the plan's own objects) the layout carries."""
-    keys = {
-        id(groups): key for key, *_, entries in plan for _, _, groups, _, _ in entries if groups
-    }
-    sampled = []
-    for layout in pixton._monomial_layouts(plan, exponents, d):
-        (key,) = {keys[id(groups)] for _, groups, _, _ in layout[5] if groups}
-        sampled.append((key, layout))
-    return sampled
+    each as (plan key, layout), given the plan's layouts one at a time."""
+    return [
+        (layout[0], sampled)
+        for layout in plan
+        for sampled in pixton._monomial_layouts([layout], exponents, d)
+    ]
 
 
 def test_monomial_plan_is_grouped_by_layout():
-    # within a layout every graph has the layout's edge list, leg-1 vertex
-    # and leg-sum vertices, no layout repeats, the layouts are ordered by
-    # edge list and every template group kept has degree d; a call samples,
-    # in plan order, exactly the layouts whose group weights read some
-    # profile, and the points it samples are, in order, every one of their
-    # graphs' vertex leg sums at the leg vectors of that graph's own leg
-    # partition; the plans of the genus-1 lemmas hold 176 graphs and that
-    # of the (2,1,()) comparison 576
+    # within a layout every entry has the layout's edge list and leg-1
+    # vertex, and each of its placements a leg partition whose parts sit on
+    # the layout's vertices, the graph's own legs included; no layout
+    # repeats, the layouts are ordered by edge list and every template group
+    # kept has degree d; a call samples, in plan order, exactly the layouts
+    # whose group weights read some profile, and the points it samples are,
+    # in order, the vertex leg sums of every placement at the leg vectors of
+    # its own leg partition; the plans of the genus-1 lemmas hold 70 entries
+    # and that of the (2,1,()) comparison 94
     lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
     for targets, d, want in [
-        (_lemma_targets(1, lemmas), 2, 176),
-        (_lemma_targets(2, [(1, ())]), 3, 576),
+        (_lemma_targets(1, lemmas), 2, 70),
+        (_lemma_targets(2, [(1, ())]), 3, 94),
     ]:
-        graphs = 0
-        for plan, exponents, _ in targets:
+        count = 0
+        for plan, _, forget, exponents in targets:
             keys = set()
             for key, points, value, profiles, h1, entries in plan:
                 assert key not in keys
                 keys.add(key)
-                k = len(entries[0][1])
-                assert (points, value) == pixton._monomial_points(k, 2 * d)
-                for graph, parts, groups, weight, den in entries:
-                    assert _layout(graph) == key and parts == pixton._leg_partition(graph.legs)
-                    assert graph.h1() == h1 and weight >= 1
+                vertices = key[3]
+                assert (points, value) == pixton._monomial_points(len(vertices), 2 * d)
+                for graph, placements, groups, den in entries:
+                    assert (graph.edges, graph.num_vertices, graph.legs[0]) == key[:3]
+                    assert graph.h1() == h1 and placements
+                    for coefficient, parts in placements:
+                        legs = _placed_legs(graph, parts, vertices, forget)
+                        assert coefficient >= 1 and legs[: graph.n] == graph.legs
+                        assert pixton._leg_partition(legs) == parts
                     assert all(graph.num_edges + sum(p) + sum(c) == d for p, c, _ in groups)
                     assert {p for p, _, _ in groups} <= set(profiles)
             edges = [key[0] for key, *_ in plan]
             assert edges == sorted(edges)
-            graphs += sum(len(entries) for *_, entries in plan)
+            count += sum(len(entries) for *_, entries in plan)
             sampled = _sampled_layouts(plan, exponents, d)
             read = _read_profiles(plan, exponents, d)
             assert sampled and [key for key, _ in sampled] == list(read)
+            whole = pixton._monomial_layouts(plan, exponents, d)
+            assert [layout[:5] for layout in whole] == [layout[:5] for _, layout in sampled]
             layouts = {key: (points, entries) for key, points, *_, entries in plan}
             for key, (edges, leg_sums, *_) in sampled:
                 points, entries = layouts[key]
                 assert edges == key[0] and len(leg_sums) == points
-                for graph, parts, *_ in entries:
-                    vectors = _simplex_leg_vectors(parts, graph.n, 2 * d)
-                    assert [pixton._leg_sums(graph, a) for a in vectors] == leg_sums
-        assert graphs == want
+                for graph, placements, *_ in entries:
+                    for _, parts in placements:
+                        legs = _placed_legs(graph, parts, key[3], forget)
+                        vectors = _simplex_leg_vectors(parts, len(legs), 2 * d)
+                        assert [_placed_leg_sums(legs, key[1], a) for a in vectors] == leg_sums
+        assert count == want
 
 
 def test_evaluations_count_the_sampled_a_points(monkeypatch):
     # one weighting_power_sums call per A-point of every layout the target
-    # reads: the plan's five graphs have four layouts, since the two trees
-    # with legs 1, 2 on the genus-0 vertex and leg 4, or legs 3 and 4, on
-    # the genus-1 vertex share one (4 A-points); the target's group weights
-    # read that one and the one-vertex graph's (1 A-point), so 5 of the
-    # plan's 11 A-points are evaluated
+    # reads: the plan of (1,3) with one leg to forget has seven entries of
+    # six graphs in five layouts, since the one-edge tree with every leg on
+    # its genus-0 vertex has two part-vertex sets, and its entry with the
+    # forgotten leg on the genus-1 vertex shares a layout with the two trees
+    # that have leg 2 or leg 3 there (4 A-points); the target's group
+    # weights read that one, the one where leg 1 is on the genus-1 vertex
+    # (4 A-points) and the one-vertex graph's (1 A-point), so 9 of the
+    # plan's 19 A-points are evaluated
     real = pixton.weighting_power_sums
-    calls = []
+    calls, enumerated = [], []
 
     def counting(edges, leg_sums, rs, profiles):
         calls.append(edges)
         return real(edges, leg_sums, rs, profiles)
 
     def enumerating(*args, **kwargs):
-        orbits.append(kwargs.get("_orbits", False))
+        enumerated.append((args, kwargs))
         return enumerate_stable_graphs(*args, **kwargs)
 
-    orbits = []
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
-    _, meta = monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset({3, 4}))
-    assert meta["layout_evaluations"] == len(calls) == 5
-    assert meta["evaluations"] == 11
-    assert (meta["plan_graphs"], meta["layouts"]) == (5, 2)
+    pixton._monomial_plan.cache_clear()
+    _, meta = monomial_coefficient(1, 3, (0, 1), 1, forget=1)
+    assert meta["layout_evaluations"] == len(calls) == 9
+    assert meta["evaluations"] == 19
+    assert (meta["plan_graphs"], meta["layouts"]) == (7, 3)
     # each read layout's A-points, in plan order, on its edge list
-    plan = pixton._monomial_plan(1, 4, 1, frozenset({3, 4}))
-    assert len(plan) == len({key for key, *_ in plan}) == 4
+    plan = pixton._monomial_plan(1, 3, 1, 1)
+    assert len(plan) == len({key for key, *_ in plan}) == 5
     read = _read_profiles(plan, (0, 1, 1), 1)
     assert meta["layouts"] == len(read)
     assert calls == [key[0] for key, points, *_ in plan if key in read for _ in range(points)]
-    # one graph per orbit of the survivor permutations is sampled, standing
-    # for every labelled graph of its orbit: no labelled enumeration runs
-    assert orbits and all(orbits)
-    labelled = enumerate_stable_graphs(1, 4, 1, {3, 4})
-    assert meta["plan_graphs"] < meta["plan_labelled_graphs"] == len(labelled)
+    # the plan runs on the graphs of (1,3) alone, never on those of (1,4)
+    assert enumerated == [((1, 3), {"max_edges": 1})]
+    graphs = {graph for *_, entries in plan for graph, *_ in entries}
+    assert len(graphs) == len(enumerate_stable_graphs(1, 3, 1)) == 6
 
 
 @pytest.mark.parametrize("layer_only", [False, True])
 def test_a_shared_layout_is_checked(monkeypatch, layer_only):
-    # a layout's points reach weighting_power_sums once for all its graphs,
+    # a layout's points reach weighting_power_sums once for all its entries,
     # which read its checked column: a sum off the degree bound in r, or on
     # the layer |A| = D + 1 only off the polynomial in the leg sums, at the
-    # points of a layout two graphs share raises (the all-zero point, which
-    # every layout of its edge list has, is left alone)
-    args, survivors = (1, 4, (0, 1, 1), 1), frozenset({3, 4})
-    plan = pixton._monomial_plan(1, 4, 1, survivors)
-    (shared,) = [key for key, *_, graphs in plan if len(graphs) > 1]
+    # points of a layout three entries share raises (the all-zero point,
+    # which every layout of its edge list has, is left alone)
+    args, forget = (1, 3, (0, 1), 1), 1
+    exponents = args[2] + (1,)
+    plan = pixton._monomial_plan(1, 3, 1, forget)
+    (shared,) = [key for key, *_, entries in plan if len(entries) > 1]
     points = {
         key: {(edges, A) for A in leg_sums}
-        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, args[2], args[3])
+        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, exponents, args[3])
     }
     own = points.pop(shared).difference(*points.values())
     real = pixton.weighting_power_sums
@@ -485,7 +514,7 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only):
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     match = "vertex leg sums" if layer_only else "in r on the nodes"
     with pytest.raises(FitInstabilityError, match=match):
-        monomial_coefficient(*args, survivors=survivors)
+        monomial_coefficient(*args, forget=forget)
     assert hits
 
 
@@ -495,15 +524,16 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
     # weighting_power_sums call is at an A-point of a layout that some group
     # weight of the target reads, and gets only the profiles those weights
     # read; no other layout is evaluated
-    ((plan, exponents, survivors),) = _lemma_targets(1, [ns])
-    d, N = 2, len(exponents) + 1
+    ((plan, args, forget, exponents),) = _lemma_targets(1, [ns])
+    d = args[3]
     read = _read_profiles(plan, exponents, d)
     want = []
     for key, *_, entries in plan:
         if key in read:
-            graph, parts, *_ = entries[0]
-            for a in _simplex_leg_vectors(parts, N, 2 * d):
-                want.append((key[0], pixton._leg_sums(graph, a), tuple(sorted(read[key]))))
+            graph, ((_, parts), *_), *_ = entries[0]
+            legs = _placed_legs(graph, parts, key[3], forget)
+            for a in _simplex_leg_vectors(parts, len(legs), 2 * d):
+                want.append((key[0], _placed_leg_sums(legs, key[1], a), tuple(sorted(read[key]))))
     real = pixton.weighting_power_sums
     calls = []
 
@@ -512,7 +542,7 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
         return real(edges, leg_sums, rs, profiles)
 
     monkeypatch.setattr(pixton, "weighting_power_sums", recording)
-    _, meta = monomial_coefficient(1, N, exponents, d, survivors=survivors)
+    _, meta = monomial_coefficient(*args, forget=forget)
     assert calls == want and len(calls) == meta["layout_evaluations"] == count
     assert meta["layouts"] == len(read) < len(plan)
 
@@ -520,17 +550,18 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
 @pytest.mark.parametrize("layer_only", [False, True])
 def test_a_read_column_of_a_call_that_skips_columns_is_checked(monkeypatch, layer_only):
     # at the coefficient omega takes for (1,2,(1,)), the group weights of the
-    # layout of one-edge graphs with leg 1 at vertex 0 read the profile (0,)
-    # and not (1,), so its calls skip the (1,) column; a sum of the read
-    # column off the degree bound in r, or on the layer |A| = D + 1 only off
-    # the polynomial in the leg sums, still raises
-    ((plan, exponents, survivors),) = _lemma_targets(1, [(2, (1,))])
-    d, N = 2, len(exponents) + 1
+    # layout of one-edge graphs with leg 1 at vertex 0 and the leg sums at
+    # vertex 1 read the profile (0,) and not (1,), so its calls skip the
+    # (1,) column; a sum of the read column off the degree bound in r, or on
+    # the layer |A| = D + 1 only off the polynomial in the leg sums, still
+    # raises
+    ((plan, args, forget, exponents),) = _lemma_targets(1, [(2, (1,))])
+    d = args[3]
     read = _read_profiles(plan, exponents, d)
     (skipping,) = [
         key for key, *_, profiles, _, _ in plan if key in read and read[key] < set(profiles)
     ]
-    assert skipping[:3] == (((0, 1),), 2, 0) and read[skipping] == {(0,)}
+    assert skipping == (((0, 1),), 2, 0, (1,)) and read[skipping] == {(0,)}
     points = {
         key: {(edges, A) for A in leg_sums}
         for key, (edges, leg_sums, *_) in _sampled_layouts(plan, exponents, d)
@@ -552,18 +583,33 @@ def test_a_read_column_of_a_call_that_skips_columns_is_checked(monkeypatch, laye
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     match = "vertex leg sums" if layer_only else "in r on the nodes"
     with pytest.raises(FitInstabilityError, match=match):
-        monomial_coefficient(1, N, exponents, d, survivors=survivors)
+        monomial_coefficient(*args, forget=forget)
     assert hits and set(hits) == {((0,),)}
 
 
-def test_monomial_coefficient_rejects_asymmetric_survivors():
-    # the plan is taken up to permutations of the survivor legs, so they must
-    # be legs 2..n with one common exponent
-    with pytest.raises(ValueError, match="one exponent"):
-        monomial_coefficient(1, 4, (0, 1, 2), 1, survivors=frozenset({3, 4}))
-    for survivors in ({1, 3}, {3, 5}):
-        with pytest.raises(ValueError, match="among the markings"):
-            monomial_coefficient(1, 4, (0, 1, 1), 1, survivors=frozenset(survivors))
+def test_placements_multiply_by_the_dilaton_factors():
+    # one vertex of genus g with t points (legs and half-edges): s forgotten
+    # legs, all on leg 1's vertex, give prod_{j<s} (2g - 2 + t + j)
+    for data, factors in [
+        (((1,), (), (0,)), [1, 1, 2, 6]),  # 2g - 2 + t = 1
+        (((0,), ((0, 0),), (0, 0)), [1, 2, 6, 24]),  # 2
+        (((2,), ((0, 0),), (0, 0, 0)), [1, 7, 56, 504]),  # 7
+    ]:
+        for s, factor in enumerate(factors):
+            assert pixton._placements(*data, s) == {(): [(factor, ())]}
+    # two genus-1 vertices, leg 1 on vertex 0 (2g - 2 + t = 2) and none on
+    # vertex 1 (1): s_0 + s_1 = 3 legs 2, 3, 4 give 3!/(s_0! s_1!) times
+    # 2 * ... * (s_0 + 1) times 1 * ... * s_1, the legs on vertex 1 its part
+    assert pixton._placements((1, 1), ((0, 1),), (0,), 3) == {
+        (): [(24, ())],  # 1 * 2*3*4
+        (1,): [
+            (18, ((4,),)),  # 3 * 2*3 * 1
+            (12, ((3, 4),)),  # 3 * 2 * 1*2
+            (6, ((2, 3, 4),)),  # 1 * 1*2*3
+        ],
+    }
+    with pytest.raises(ValueError, match="nonnegative"):
+        monomial_coefficient(1, 2, (0,), 1, forget=-1)
 
 
 def test_monomial_coefficient_trivial_part():
@@ -632,22 +678,25 @@ def _plain_grid(g, n, exponents, d, survivors):
 def test_monomial_coefficient_against_plain_grid():
     # the extraction from the vertex leg sums agrees with a plain weighted
     # grid sum of constant terms over the leg values, one point at a time;
-    # with survivors the coefficient is sampled once per orbit of their
-    # permutations, so its average over them is the labelled grid sum
+    # with legs to forget, the grid sum is taken on (g, n + forget), with
+    # exponent 1 and one unit of psi kept at each of them, multiplied by psi
+    # there and pushed forward
     cases = [
-        (1, 3, (1, 1), 1, ()),
-        (1, 4, (0, 1, 1), 1, (3, 4)),
-        (1, 4, (2, 0, 0), 2, (3, 4)),
-        (1, 5, (1, 1, 1, 1), 2, (4, 5)),
-        (1, 3, (2, 2), 2, ()),
-        (2, 3, (2, 2), 2, ()),
-        (2, 3, (4, 0), 3, (3,)),
+        (1, 3, (1, 1), 1, 0),
+        (1, 2, (0,), 1, 2),
+        (1, 3, (0, 1), 1, 1),
+        (1, 4, (2, 0, 0), 2, 0),
+        (1, 3, (1, 1), 2, 2),
+        (1, 3, (2, 2), 2, 0),
+        (2, 3, (2, 2), 2, 0),
+        (2, 3, (4, 0), 3, 0),
     ]
-    for g, n, exponents, d, survivors in cases:
-        survivors = frozenset(survivors)
-        el, _ = monomial_coefficient(g, n, exponents, d, survivors=survivors)
+    for g, n, exponents, d, forget in cases:
+        el, _ = monomial_coefficient(g, n, exponents, d, forget=forget)
         assert not el.is_zero(), exponents
-        assert _symmetrize(el, survivors) == _plain_grid(g, n, exponents, d, survivors), exponents
+        legs = frozenset(range(n + 1, n + forget + 1))
+        grid = _plain_grid(g, n + forget, exponents + (1,) * forget, d, legs)
+        assert el == forget_with_psi(grid, n + 1), exponents
 
 
 def test_layouts_keep_their_leg_sum_vertices_apart():
@@ -656,10 +705,10 @@ def test_layouts_keep_their_leg_sum_vertices_apart():
     # (2, 0) in another: one edge list, two layouts, two columns, both read
     # (with exponents (2, 2) the target would not tell the two orders apart)
     g, n, exponents, d = 2, 3, (3, 1), 2
-    plan = pixton._monomial_plan(g, n, d, frozenset())
+    plan = pixton._monomial_plan(g, n, d, 0)
     read = set()
-    for *_, graphs in plan:
-        for graph, parts, groups, _, _ in graphs:
+    for *_, entries in plan:
+        for graph, ((_, parts),), groups, _ in entries:
             weights = [pixton._group_weights(exponents, d, parts, c) for _, c, _ in groups]
             if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
                 read.add(_layout(graph)[2:])
@@ -680,39 +729,45 @@ def test_monomial_coefficient_guard(monkeypatch):
 
 
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
-    # the guard prices each A-point evaluation of the orbit plan at the
-    # modulus and its 2d + 3 r nodes; every genus-1 lemma instance passes the
-    # default budget at the price pinned here, and (2,7,(1,)*6,3), with no
-    # survivors, is refused as soon as its running price passes the budget
-    # (its full price is 1,710,726,885).  The sampling itself is stubbed:
-    # only the guard runs.
+    # the guard prices each A-point evaluation of the plan, one entry per
+    # graph and part-vertex set of its placements, at the modulus and its
+    # 2d + 3 r nodes; every genus-1 lemma instance passes the default budget
+    # at the price pinned here, and so does (2,1,()) at 596,565, while
+    # (2,7,(1,)*6,3), with no legs to forget, is refused as soon as its
+    # running price passes the budget (its full price is 1,710,726,885).
+    # The sampling itself is stubbed: only the guard runs.
     from trrkit.trr import MonomialSpec, omega
 
     calls = []
 
     def no_sampling(args):
         calls.append(args[:3])
-        return {}, [], 0, 0
+        return {}, 0, 0
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
-    prices = {(): 10_304, (0,): 113_666, (1,): 69_713, (2,): 35_903}
-    for b, price in prices.items():
-        mono = MonomialSpec(1, len(b) + 1, b)
+    prices = {
+        (1, 1, ()): 3_542,
+        (1, 2, (0,)): 24_311,
+        (1, 2, (1,)): 24_311,
+        (1, 2, (2,)): 24_311,
+        (2, 1, ()): 596_565,
+    }
+    for (g, n, b), price in prices.items():
+        mono = MonomialSpec(g, n, b)
         el, _ = omega(mono)
         assert el.is_zero()
-        N = mono.num_legs
-        args = (1, N, b + (1,) * (N - mono.n), 2)
-        survivors = frozenset(range(mono.n + 2, N + 1))
+        args = (g, n + 1, b + (1,), g + 1)
+        forget = mono.num_legs - n - 1
         with monkeypatch.context() as patch:
             patch.setattr(pixton, "COST_BUDGET", price)
-            monomial_coefficient(*args, survivors=survivors)
+            monomial_coefficient(*args, forget=forget)
             patch.setattr(pixton, "COST_BUDGET", price - 1)
             with pytest.raises(ComputationGuardError, match=f"cost {price} "):
-                monomial_coefficient(*args, survivors=survivors)
-    assert len(calls) == 8
+                monomial_coefficient(*args, forget=forget)
+    assert len(calls) == 10
     with pytest.raises(ComputationGuardError, match="cost 1000350 "):
         monomial_coefficient(2, 7, (1,) * 6, 3)
-    assert len(calls) == 8
+    assert len(calls) == 10
 
 
 def test_cost_guard_stops_at_the_budget():
@@ -732,7 +787,7 @@ def test_cost_guard_prices_a_whole_walk(monkeypatch):
     monkeypatch.setattr(pixton, "COST_BUDGET", 28_486_424)
     with pytest.raises(ComputationGuardError, match="cost 28486425 "):
         monomial_coefficient(3, 3, (7, 1), 4)
-    pixton._check_cost(28_486_425, 3, 3, 4, frozenset(), None, 11)
+    pixton._check_cost(28_486_425, 3, 3, 4, 0, None, 11)
 
 
 class _SerialPool:

@@ -39,6 +39,7 @@ from oracles import (
     d_value_direct,
     gamma0_direct,
     gammai_direct,
+    omega_by_pushforward,
     principal_part_direct,
     scan_genus_walk,
 )
@@ -347,6 +348,23 @@ def test_omega_is_refused_by_price_alone(g, n, b):
         omega(mono)
     assert time.perf_counter() - started < 1.0
 
+
+@pytest.mark.parametrize(
+    "g,n,b",
+    [
+        (1, 1, ()),
+        (1, 2, (0,)),
+        (1, 2, (1,)),
+        (1, 2, (2,)),
+        pytest.param(2, 1, (), marks=pytest.mark.slow),
+    ],
+)
+def test_omega_forgets_its_extra_legs_as_the_pushforward_does(g, n, b):
+    # omega forgets the legs n+2..N by the dilaton equation on the graphs of
+    # (g, n+1); the reference multiplies the coefficient over every labelled
+    # graph of (g, N) by psi at those legs and pushes it forward
+    mono = MonomialSpec(g, n, b)
+    assert omega(mono, allow_large=True)[0] == omega_by_pushforward(mono)
 
 
 def test_relation_weights_skip_vanishing():
