@@ -51,12 +51,13 @@ powers); only a K4 minor, six edges or more, needs a sum over one edge's
 residue.  Memoization across calls is ``functools`` caches on private
 helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
 the process: the reduction steps per edge list, the tau tables per modulus,
-the class plan per (g, n, dmax, survivors), the monomial plan per (g, n, d,
-legs to forget), the guard's admitted verdicts per budget and job, the
-simplex points with their sparse coefficient and check rows per (number of
-leg sums, 2d) (``numerics._simplex_tables``), from which each call makes a
-layout's points, and the group weights per (exponents, d, leg partition,
-leg exponents), dense over the simplex.  The weighting sums per (edge list,
+the edge profiles per (edge count, budget), the class plan per (g, n, dmax,
+survivors), the monomial plan per (g, n, d, legs to forget), the guard's
+admitted verdicts per budget and job, the simplex points with their sparse
+coefficient and check rows per (number of leg sums, 2d)
+(``numerics._simplex_tables``), from which each call makes a layout's
+points, and the group weights per (exponents, d, leg partition, leg
+exponents), dense over the simplex.  The weighting sums per (edge list,
 vertex leg sums, moduli, profiles), the profiles being those the call
 reads, take one entry per layout evaluated and A-point, so only the 16,384
 most recently used are kept: a genus-2 grid point uses under a thousand,
@@ -66,18 +67,18 @@ layouts of one edge list together, so that such repeats come while their
 entries are still kept: the (3,1,()) comparison misses once per distinct
 key, 27,506 times).
 Templates and automorphism counts are built once per plan graph, inside
-the cached plan.  A class plan asks the enumeration for only the graphs
-with room for one unit of psi at every survivor leg, so the rest are never
-canonicalized.  The (3,1,()) comparison's monomial plan holds the 341
-graphs of (3,2) with at most 4 edges, where the 2,705,423 labelled graphs
-of (3,9) would stand without the dilaton equation, and builds in 0.1 s.
+the cached plan, every template base over the one denominator 2^dmax
+dmax!; a plan entry keeps its graph, its template groups and their
+denominator, and the sums derive h1 from a layout's edge list and points.
+A class plan asks the enumeration for only the graphs with room for one
+unit of psi at every survivor leg, so the rest are never canonicalized.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, mul
 
 from .numerics import (
@@ -323,113 +324,82 @@ def _power_sums(edges, A, rs, profiles):
 # the fixed-r class
 # ----------------------------------------------------------------------
 
-def _graph_templates(graph: StableGraph, dmax: int, reserved_markings=frozenset(), exact=False):
-    """Decoration templates for one graph: every way to place psi exponents
-    from the edge series and leg exponentials within the degree caps, or
-    with ``exact`` only those of degree exactly dmax.
+@functools.cache
+def _edge_profiles(E: int, budget: int) -> tuple[tuple[int, ...], ...]:
+    """Every edge profile (m_e) of E edges with total <= budget, sorted."""
+    return tuple(p for p in itertools.product(range(budget + 1), repeat=E) if sum(p) <= budget)
 
-    ``reserved_markings`` holds one unit of capacity at each listed leg for a
-    later psi multiplication; graphs and templates with no room are dropped.
-    Returns (groups, profiles, common).  The templates sharing an edge
-    profile and leg exponents differ only by their base coefficient, so each
-    group is (profile, leg exponents, members), the members being
-    (base numerator over ``common``, decorated graph) pairs; ``profiles``
-    lists every edge profile of total <= dmax - E, sorted, also with
-    ``exact``, and is empty exactly when the graph has no room.
+
+def _leg_exponents(legs, room: list[int], budget: int):
+    """Every tuple (c_m) of psi exponents at the legs, leg m on vertex
+    legs[m], of total <= budget and at most room[v] at each vertex v."""
+    if not legs:
+        yield ()
+        return
+    v = legs[0]
+    for c in range(min(budget, room[v]) + 1):
+        room[v] -= c
+        yield from ((c, *rest) for rest in _leg_exponents(legs[1:], room, budget - c))
+        room[v] += c
+
+
+def _template_denominator(dmax: int) -> int:
+    """2^dmax dmax!, the denominator of every template base of degree <= dmax."""
+    return 2**dmax * factorial(dmax)
+
+
+def _graph_templates(graph: StableGraph, dmax: int, caps, exact: bool = False) -> tuple:
+    """Decoration templates for one graph: every way to place psi exponents
+    from the edge series and leg exponentials with at most caps[v] at each
+    vertex v and total degree <= dmax, or with ``exact`` exactly dmax.
+
+    The templates sharing an edge profile and leg exponents differ only by
+    their base coefficient, so each group is (profile, leg exponents,
+    members), the members being (base numerator, decorated graph) pairs over
+    :func:`_template_denominator`: a template's denominator
+    prod_e 2^(m_e+1) (m_e+1)! * prod_m 2^(c_m) c_m! divides it, since the
+    factorial arguments sum to its degree.  No groups when a cap is negative.
     """
     E = graph.num_edges
-    extra = dmax - E
-    caps = list(graph.capacities())
-    for m in reserved_markings:
-        caps[graph.legs[m - 1]] -= 1
-    if extra < 0 or any(c < 0 for c in caps):
-        return (), (), 1
-
-    side_vertices = []
-    for k, (u, w) in enumerate(graph.edges):
-        side_vertices.append((u, w))
-
-    templates = []
-    profiles = set()
-    no_kappa = tuple(() for _ in range(graph.num_vertices))
-
-    def edge_profiles(budget):
-        for profile in itertools.product(*(range(budget + 1) for _ in range(E))):
-            if sum(profile) <= budget:
-                yield profile
-
-    # each template's base coefficient is kept as an integer fraction
-    # (numerator, denominator) until the common denominator is known
-    for profile in edge_profiles(extra):
-        rem_after_edges = extra - sum(profile)
-        edge_sign = (-1) ** sum(profile)
-        edge_den = 1
-        for m in profile:
-            edge_den *= 2 ** (m + 1) * factorial(m + 1)
-        split_ranges = [range(m + 1) for m in profile]
-        for splits in itertools.product(*split_ranges):
-            vdeg = [0] * graph.num_vertices
-            okay = True
-            for k, (m, j) in enumerate(zip(profile, splits)):
-                u, w = side_vertices[k]
-                vdeg[u] += j
-                vdeg[w] += m - j
-                if vdeg[u] > caps[u] or vdeg[w] > caps[w]:
-                    okay = False
-                    break
-            if not okay:
-                continue
-            split_num = edge_sign
-            for m, j in zip(profile, splits):
-                split_num *= binomial(m, j)
-            psi_edges = tuple((j, m - j) for m, j in zip(profile, splits))
-
-            def leg_loop(m, budget, vdeg_now, cvec, leg_den):
-                # leg_den = prod over the placed legs of 2^c c!
-                if m > graph.n:
-                    if exact and budget:  # below degree dmax
-                        return
-                    key = decorate_canonical_graph(graph, tuple(cvec), psi_edges, no_kappa)
-                    den = edge_den * leg_den
-                    shared = gcd(split_num, den)
-                    templates.append(
-                        (profile, tuple(cvec), split_num // shared, den // shared, key)
-                    )
-                    return
-                v = graph.legs[m - 1]
-                top = min(budget, caps[v] - vdeg_now[v])
-                for c in range(top + 1):
-                    cvec.append(c)
-                    vdeg_now[v] += c
-                    leg_loop(m + 1, budget - c, vdeg_now, cvec, leg_den * 2**c * factorial(c))
-                    vdeg_now[v] -= c
-                    cvec.pop()
-
-            leg_loop(1, rem_after_edges, list(vdeg), [], 1)
-        profiles.add(profile)
-
-    # rescale bases to a common integer numerator
-    common = lcm(*(den for _, _, _, den, _ in templates))
+    common = _template_denominator(dmax)
+    no_kappa = ((),) * graph.num_vertices
     members: dict[tuple, list] = {}
-    for profile, legs_c, num, den, key in templates:
-        members.setdefault((profile, legs_c), []).append((num * (common // den), key))
-    groups = tuple(
-        (profile, legs_c, tuple(group)) for (profile, legs_c), group in members.items()
-    )
-    return groups, tuple(sorted(profiles)), common
+    for profile in _edge_profiles(E, dmax - E):
+        budget = dmax - E - sum(profile)
+        edge_den = prod(2 ** (m + 1) * factorial(m + 1) for m in profile)
+        for splits in itertools.product(*(range(m + 1) for m in profile)):
+            room = list(caps)
+            for (u, w), m, j in zip(graph.edges, profile, splits):
+                room[u] -= j
+                room[w] -= m - j
+            if min(room) < 0:
+                continue
+            num = (-1) ** sum(profile) * prod(map(binomial, profile, splits))
+            psi_edges = tuple((j, m - j) for m, j in zip(profile, splits))
+            for c in _leg_exponents(graph.legs, room, budget):
+                if exact and sum(c) < budget:
+                    continue
+                den = edge_den * prod(2**k * factorial(k) for k in c)
+                key = decorate_canonical_graph(graph, c, psi_edges, no_kappa)
+                members.setdefault((profile, c), []).append((num * common // den, key))
+    return tuple((profile, c, tuple(group)) for (profile, c), group in members.items())
 
 
 @functools.cache
 def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
-    """Every labelled surviving graph with its decoration templates, as
-    (graph, groups, profiles, h1, aut, common), precomputed once per
+    """Every labelled graph of (g, n) with room for one unit of psi at each
+    survivor leg (its vertex's cap lowered by one), as (graph, groups, den),
+    den being :func:`_template_denominator` times |Aut|; built once per
     (g, n, dmax, survivor set)."""
     plan = []
+    common = _template_denominator(dmax)
     for graph in enumerate_stable_graphs(g, n, max_edges=dmax, reserved_markings=survivors):
-        templates, profiles, common = _graph_templates(graph, dmax, survivors)
-        if templates:
-            aut = automorphism_count(graph, check=False)
-            plan.append((graph, templates, profiles, graph.h1(), aut, common))
+        caps = list(graph.capacities())
+        for m in survivors:
+            caps[graph.legs[m - 1]] -= 1
+        groups = _graph_templates(graph, dmax, caps)
+        if groups:
+            plan.append((graph, groups, common * automorphism_count(graph, check=False)))
     return tuple(plan)
 
 
@@ -457,12 +427,13 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     graph sums sampled at every modulus in ``nodes``, in integers.
 
     ``form`` and the ``held_out`` forms are integer linear forms on the
-    nodes.  Each of ``layouts`` is (edges, points, check rows, profiles, h1,
+    nodes.  Each of ``layouts`` is (edges, points, check rows, profiles,
     graphs): the graphs of one layout have this edge list and, at every
-    point, the point's tuple of vertex leg sums, and so the same edge
-    profiles, of total <= dmax - E, of which ``profiles`` lists those to
-    compute; each of ``graphs`` is (group weights, groups, den) for one plan
-    entry.  A layout's columns are built once: per point, one
+    point, the point's tuple of vertex leg sums, and so h1 = E - V + 1, V
+    being the length of a point, and the same edge profiles, of total
+    <= dmax - E, of which ``profiles`` lists those to compute; each of
+    ``graphs`` is (group weights, groups, den) for one plan entry.  A
+    layout's columns are built once: per point, one
     :func:`weighting_power_sums` call on the edges and the point's leg sums
     gives each listed profile's sums, which are put over m = lcm(r^h1);
     every held-out form must vanish on them, or :class:`FitInstabilityError`
@@ -474,18 +445,18 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
     product of its weights (None for none) with its profile's column;
     weights may stop short of the points, leaving the last ones to the check
     rows.  So the template loop runs once per graph for all points.  Only the
-    listed ``profiles``
-    are computed and checked: a caller may leave out the profiles that no
-    group weight reads, since their columns cannot change any total, and
-    must list every profile that one does, so that every column entering a
-    total is checked by every held-out form and check row.  Yields
-    (terms, den * m) per plan entry: terms maps each decorated graph of that
-    entry's graph to an integer numerator.  Every key belongs to exactly one
+    listed ``profiles`` are computed and checked: a caller may leave out the
+    profiles that no group weight reads, since their columns cannot change
+    any total, and must list every profile that one does, so that every
+    column entering a total is checked by every held-out form and check
+    row.  Yields (terms, den * m) per plan entry: terms maps each decorated
+    graph of that entry's graph to an integer numerator.  Every key belongs to exactly one
     graph, and all of a graph's keys have one denominator, also where the
     graph is an entry of several layouts.
     """
     by_h1 = {}
-    for edges, points, check_rows, profiles, h1, graphs in layouts:
+    for edges, points, check_rows, profiles, graphs in layouts:
+        h1 = len(edges) - len(points[0]) + 1
         if h1 not in by_h1:
             # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
             m = lcm(*(r**h1 for r in nodes))
@@ -533,39 +504,31 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
             yield local, den * m
 
 
-def _point_layouts(plan, a):
+def _point_layouts(plan, a, dmax: int):
     """The class ``plan`` grouped by layout at the one leg vector ``a``,
     in the form of :func:`_graph_sums`: the layout is the edge list and the
     vertex leg sums, computed once per graph, which are also the layout's
-    one point, and the layouts come in order of first appearance.  Each
-    template group is weighted by its leg power prod_m a_m^(2 c_m),
-    memoized on the leg exponents across graphs."""
+    one point, and the layouts come in order of first appearance.  A
+    layout lists every edge profile of total <= dmax - E, so that it covers
+    the profiles of each of its graphs' groups.  Each template group is
+    weighted by its leg power prod_m a_m^(2 c_m), memoized on the leg
+    exponents across graphs, as the entries are read."""
     squares = [v * v for v in a]
     powers: dict[tuple[int, ...], list[int]] = {}
 
     def weigh(groups):
-        weights = []
-        for _, legs, _ in groups:
-            power = powers.get(legs)
-            if power is None:
-                apow = 1
-                for sq, c in zip(squares, legs):
-                    if c:
-                        apow *= sq**c
-                power = powers[legs] = [apow]
-            weights.append(power)
-        return weights
+        return [
+            powers.get(c) or powers.setdefault(c, [prod(map(pow, squares, c))])
+            for _, c, _ in groups
+        ]
 
     layouts: dict[tuple, list] = {}
     for entry in plan:
-        graph = entry[0]
-        layouts.setdefault((graph.edges, _leg_sums(graph, a)), []).append(entry)
+        layouts.setdefault((entry[0].edges, _leg_sums(entry[0], a)), []).append(entry)
     for (edges, leg_sums), entries in layouts.items():
-        _, _, profiles, h1, _, _ = entries[0]
-        weighted = (
-            (weigh(groups), groups, common * aut) for _, groups, _, _, aut, common in entries
-        )
-        yield edges, (leg_sums,), (), profiles, h1, weighted
+        profiles = _edge_profiles(len(edges), dmax - len(edges))
+        weighted = ((weigh(groups), groups, den) for _, groups, den in entries)
+        yield edges, (leg_sums,), (), profiles, weighted
 
 
 def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
@@ -575,7 +538,7 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     _check_input(g, n, a, (r,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _graph_sums(_point_layouts(plan, a), [r], [1], (), dmax):
+    for local, den in _graph_sums(_point_layouts(plan, a, dmax), [r], [1], (), dmax):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -679,7 +642,7 @@ def constant_term_class(
     _check_input(g, n, a, (r0,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _constant_terms(_point_layouts(plan, a), dmax, r0):
+    for local, den in _constant_terms(_point_layouts(plan, a, dmax), dmax, r0):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -794,27 +757,24 @@ def _monomial_plan(g: int, n: int, d: int, forget: int) -> tuple:
     order: its entries have the same vertex leg sums at every A-point.  Each
     layout is (its key (edges, V, leg 1's vertex, part vertices), A-points,
     leg value that sets the modulus (see :func:`_monomial_points`),
-    profiles, h1, entries), and each entry is (graph, placements, groups,
-    den): the (coefficient, leg partition) pairs of that part-vertex set,
-    the graph's template groups of degree exactly d, E + |profile| + |c| =
-    d, the only ones the target monomial reads, and the only ones built,
-    while the layout's profiles stay whole, every profile of total <= d - E,
-    since which of them a call reads depends on its exponents (see
-    :func:`_monomial_layouts`); den = common * aut * (2d)!, the last factor
+    entries), and each entry is (graph, placements, groups, den): the
+    (coefficient, leg partition) pairs of that part-vertex set, the graph's
+    template groups of degree exactly d, E + |profile| + |c| = d, the only
+    ones the target monomial reads, and the only ones built; den is
+    :func:`_template_denominator` times |Aut| times (2d)!, the last factor
     being the denominator of the group weights.
     """
     degree = 2 * d
+    common = _template_denominator(d) * factorial(degree)
     layouts: dict[tuple, tuple] = {}
     for graph in enumerate_stable_graphs(g, n, max_edges=d):
-        groups, profiles, common = _graph_templates(graph, d, exact=True)
-        if not profiles:
-            continue
-        den = common * automorphism_count(graph, check=False) * factorial(degree)
+        groups = _graph_templates(graph, d, graph.capacities(), exact=True)
+        den = common * automorphism_count(graph, check=False)
         placements = _placements(graph.genera, graph.edges, graph.legs, forget)
         for vertices, placed in placements.items():
             key = graph.edges, graph.num_vertices, graph.legs[0], vertices
             if key not in layouts:
-                layouts[key] = *_monomial_points(len(vertices), degree), profiles, graph.h1(), []
+                layouts[key] = *_monomial_points(len(vertices), degree), []
             layouts[key][-1].append((graph, tuple(placed), groups, den))
     # the layouts of one edge list side by side, so that the weighting sums
     # they share (at equal leg sums) are still in _power_sums' LRU
@@ -854,12 +814,12 @@ def _monomial_layouts(layouts, exponents: tuple, d: int):
     built once per (k, D) and the weights once per (exponents, d, leg
     partition, c).  The weights of a layout's entries are taken before its
     points: a layout whose weights are all None is skipped, and any other
-    lists only the profiles that some weight reads, in the plan's order, so
+    lists only the profiles that some weight reads, sorted, so
     :func:`_graph_sums` computes and checks exactly the columns that enter
     the coefficient.
     """
     degree = 2 * d
-    for (edges, V, first, vertices), _, _, profiles, h1, entries in layouts:
+    for (edges, V, first, vertices), _, _, entries in layouts:
         weighted = [
             ([_placed_weights(exponents, d, placements, c) for _, c, _ in groups], groups, den)
             for _, placements, groups, den in entries
@@ -880,7 +840,7 @@ def _monomial_layouts(layouts, exponents: tuple, d: int):
                 leg_sums[v] = value
             leg_sums[first] = -sum(A)
             points.append(tuple(leg_sums))
-        yield edges, points, checks, tuple(p for p in profiles if p in read), h1, weighted
+        yield edges, points, checks, tuple(sorted(read)), weighted
 
 
 def _chunk_worker(args):
@@ -955,8 +915,7 @@ def monomial_coefficient(
     legs placed on their vertices (:func:`_placements`).  Summing the
     labelled (g, n + S) graphs with 1/|Aut| is summing the (g, n) graphs
     with theirs and their labelled placements.  So (3,1,()) plans on the
-    341 graphs of (3,2), 1,213 entries, where 2,705,423 graphs of (3,9)
-    would stand.
+    341 graphs of (3,2), 1,213 entries.
 
     The default guard, :func:`_check_cost`, refuses a job priced above
     ``COST_BUDGET`` before any template is built, unless ``allow_large``.

@@ -766,9 +766,12 @@ def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -
     """Compare the pipeline contributions of the trivial and rational-tail
     graphs against the closed forms; also check the structural properties.
     The report names the class :func:`omega` gave by its digest
-    (``omega_digest``, :meth:`StrataElement.digest`)."""
+    (``omega_digest``, :meth:`StrataElement.digest`).  The closed forms
+    need g >= 1, which is checked before :func:`omega` runs."""
     from .strata import pushforward_forget
 
+    if g < 1:
+        raise ValueError(f"the lemmas need g >= 1, got {g}")
     mono = MonomialSpec(g, n, tuple(b))
     el, meta = omega(mono, allow_large=allow_large, jobs=jobs)
     report = {

@@ -538,6 +538,21 @@ def test_omega_names_a_negative_exponent_as_given(capsys):
     assert err.strip().endswith("exponents must be nonnegative, got (-1,)")
 
 
+def test_omega_refuses_genus_zero_before_the_pipeline(capsys, monkeypatch):
+    # the lemmas' closed forms need g >= 1: genus 0 is a usage error before
+    # omega runs, whether its plan would be admitted (n = 12) or priced
+    # above the budget (n = 20)
+    def never(*args, **kwargs):
+        raise AssertionError("monomial_coefficient was called")
+
+    monkeypatch.setattr(pixton, "monomial_coefficient", never)
+    for n in (12, 20):
+        b = ",".join(["0"] * (n - 1))
+        code, out, err = run(capsys, "omega", "--g", "0", "--n", str(n), "--b", b)
+        assert_one_line_usage_error(code, err)
+        assert out == "" and "g >= 1" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

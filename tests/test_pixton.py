@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from trrkit import pixton, runtime
 from trrkit.cli import main
-from trrkit.numerics import interpolate, lagrange_coefficient_rows, lagrange_coefficient_weights
+from trrkit.numerics import (
+    binomial,
+    factorial,
+    interpolate,
+    lagrange_coefficient_rows,
+    lagrange_coefficient_weights,
+)
 from trrkit.pixton import (
     ComputationGuardError,
     FitInstabilityError,
@@ -19,7 +25,7 @@ from trrkit.pixton import (
     monomial_coefficient,
     weighting_power_sums,
 )
-from trrkit.stablegraphs import enumerate_stable_graphs, make_graph
+from trrkit.stablegraphs import automorphism_count, enumerate_stable_graphs, make_graph
 from trrkit.strata import StrataElement
 from oracles import enumerate_weightings, forget_with_psi
 
@@ -407,14 +413,15 @@ def test_monomial_plan_is_grouped_by_layout():
         count = 0
         for plan, _, forget, exponents in targets:
             keys = set()
-            for key, points, value, profiles, h1, entries in plan:
+            for key, points, value, entries in plan:
                 assert key not in keys
                 keys.add(key)
-                vertices = key[3]
+                edges, V, _, vertices = key
                 assert (points, value) == pixton._monomial_points(len(vertices), 2 * d)
+                profiles = pixton._edge_profiles(len(edges), d - len(edges))
                 for graph, placements, groups, den in entries:
                     assert (graph.edges, graph.num_vertices, graph.legs[0]) == key[:3]
-                    assert graph.h1() == h1 and placements
+                    assert graph.h1() == len(edges) - V + 1 and placements
                     for coefficient, parts in placements:
                         legs = _placed_legs(graph, parts, vertices, forget)
                         assert coefficient >= 1 and legs[: graph.n] == graph.legs
@@ -428,7 +435,9 @@ def test_monomial_plan_is_grouped_by_layout():
             read = _read_profiles(plan, exponents, d)
             assert sampled and [key for key, _ in sampled] == list(read)
             whole = pixton._monomial_layouts(plan, exponents, d)
-            assert [layout[:5] for layout in whole] == [layout[:5] for _, layout in sampled]
+            assert [layout[:4] for layout in whole] == [layout[:4] for _, layout in sampled]
+            for key, (_, _, _, profiles, _) in sampled:
+                assert profiles == tuple(sorted(read[key]))
             layouts = {key: (points, entries) for key, points, *_, entries in plan}
             for key, (edges, leg_sums, *_) in sampled:
                 points, entries = layouts[key]
@@ -559,7 +568,9 @@ def test_a_read_column_of_a_call_that_skips_columns_is_checked(monkeypatch, laye
     d = args[3]
     read = _read_profiles(plan, exponents, d)
     (skipping,) = [
-        key for key, *_, profiles, _, _ in plan if key in read and read[key] < set(profiles)
+        key
+        for key, *_ in plan
+        if key in read and read[key] < set(pixton._edge_profiles(len(key[0]), d - len(key[0])))
     ]
     assert skipping == (((0, 1),), 2, 0, (1,)) and read[skipping] == {(0,)}
     points = {
@@ -933,6 +944,74 @@ def test_a_shared_point_layout_is_checked(monkeypatch):
     with pytest.raises(FitInstabilityError, match="in r on the nodes"):
         constant_term_class(g, n, a, d)
     assert len(hits) == 1
+
+
+# a survivor class of the genus2-slice benchmark's shape: (2,7) in degree 3
+# with room for one unit of psi at legs 3..7
+SURVIVORS = frozenset(range(3, 8))
+SURVIVOR_A = (-12, 0, 1, 2, 2, 4, 3)
+
+
+def test_survivor_classes_are_pinned():
+    # 14,331 terms each, at r0 = 219 and at the fixed modulus 57
+    el, _ = constant_term_class(2, 7, SURVIVOR_A, 3, r0=219, survivors=SURVIVORS)
+    assert (len(el.terms), el.digest()) == (14_331, "11b9386fc90ac16d")
+    el = fixed_r_class(2, 7, SURVIVOR_A, 57, 3, SURVIVORS)
+    assert (len(el.terms), el.digest()) == (14_331, "99e11aa41f82ab5c")
+
+
+def test_point_layouts_list_every_group_profile():
+    # a layout lists the profiles of its edge list, so every group of every
+    # one of its graphs finds its column, not only the first graph's; the
+    # entries are weighted lazily, as the sums read them
+    for (g, n, d, survivors), vectors in [
+        ((2, 7, 3, SURVIVORS), [SURVIVOR_A, (-6, 1, 1, 1, 1, 1, 1), (0,) * 7]),
+        ((2, 3, 3, frozenset()), [(2, -1, -1), (0, 0, 0), (-5, 2, 3)]),
+    ]:
+        plan = pixton._class_plan(g, n, d, survivors)
+        for a in vectors:
+            entries = 0
+            for edges, _, _, profiles, weighted in pixton._point_layouts(plan, a, d):
+                assert iter(weighted) is weighted
+                for _, groups, _ in weighted:
+                    entries += 1
+                    assert {p for p, _, _ in groups} <= set(profiles), (edges, a)
+            assert entries == len(plan)
+
+
+def test_template_bases_are_over_one_denominator():
+    # every member's base over 2^d d! is its template's coefficient,
+    # (-1)^|m| prod_e C(m_e, j_e) / (2^(m_e+1) (m_e+1)!) / prod_m 2^(c_m) c_m!,
+    # read back from its decorated graph, in class plans with and without
+    # survivors and in a degree-exact monomial plan
+    def coefficient(key):
+        value = Fraction(1)
+        for j, k in key.psi_edges:
+            m = j + k
+            value *= Fraction((-1) ** m * binomial(m, j), 2 ** (m + 1) * factorial(m + 1))
+        for c in key.psi_legs:
+            value /= 2**c * factorial(c)
+        return value
+
+    entries = [
+        (d, entry[0], entry[1], entry[2], 1)
+        for g, n, d, survivors in [(2, 4, 2, frozenset()), (2, 4, 3, frozenset({3, 4}))]
+        for entry in pixton._class_plan(g, n, d, survivors)
+    ]
+    entries += [
+        (3, graph, groups, den, factorial(6))
+        for *_, plan_entries in pixton._monomial_plan(2, 2, 3, 1)
+        for graph, _, groups, den in plan_entries
+    ]
+    for d, graph, groups, den, weights_den in entries:
+        common = 2**d * factorial(d)
+        assert den == common * automorphism_count(graph) * weights_den
+        for profile, c, members in groups:
+            assert weights_den == 1 or graph.num_edges + sum(profile) + sum(c) == d
+            for base, key in members:
+                assert key.graph is graph and key.psi_legs == c
+                assert sorted(map(sum, key.psi_edges)) == sorted(profile)
+                assert Fraction(base, common) == coefficient(key)
 
 
 def test_pixton_class_small():
