@@ -216,6 +216,8 @@ def cmd_pixton(args, started):
         extra["plan_graphs"] = meta["plan_graphs"]
         extra["layouts"] = meta["layouts"]
         extra["layout_evaluations"] = meta["layout_evaluations"]
+        extra["sums_computed"] = meta["sums_computed"]
+        extra["sums_reused"] = meta["sums_reused"]
     result = {
         "g": args.g,
         "n": args.n,

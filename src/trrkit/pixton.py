@@ -12,18 +12,18 @@ consecutive nodes, and two further held-out nodes validate the bound.
 Performance notes.  The graph sum is accumulated in integers in one pass
 over the plan, layout by layout.  The values a graph's points give depend
 only on its layout: the edge list and the vertex leg sums at each point,
-which are all the weighting sums are given.  Per layout and point, one call
-gives the weighting power sums at every r node, the sums are put over the
-common denominator lcm(r^h1), and per edge profile the two held-out
-differences are checked and the Lagrange-at-zero weights give one integer,
-memoized per distinct tuple of sums; the checked column of integers over
-the points serves every graph of the layout.  Each group of decoration
-templates sharing a profile and leg exponents takes the dot product of its
-integer weights with its profile's column, so the template loop runs once
-per graph and each decorated graph becomes one Fraction at the end.  The
-fixed-r class and the constant term at one leg vector are one point
-weighted by the leg powers, the class plan grouped per call by edge list
-and vertex leg sums, those sums being the layout's point.  A monomial
+which are all the weighting sums are given.  Per layout and point, one
+cached lookup (:func:`_constant_term_sums`) gives one integer per edge
+profile: on a miss the weighting power sums at every r node are put over
+the common denominator lcm(r^h1), the two held-out differences are checked
+and the Lagrange-at-zero weights give the constant term; the column of
+integers over the points serves every graph of the layout.  Each group of
+decoration templates sharing a profile and leg exponents takes the dot
+product of its integer weights with its profile's column, so the template
+loop runs once per graph and each decorated graph becomes one Fraction at
+the end.  The fixed-r class and the constant term at one leg vector are one
+point weighted by the leg powers, the class plan grouped per call by edge
+list and vertex leg sums, those sums being the layout's point.  A monomial
 coefficient samples each layout on the simplex of the leg sums A at its
 part vertices, |A| <= 2d, leg 1's vertex taking -|A| (the weighting
 conditions see the leg values only through the vertex leg sums, and the
@@ -51,21 +51,23 @@ powers); only a K4 minor, six edges or more, needs a sum over one edge's
 residue.  Memoization across calls is ``functools`` caches on private
 helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
 the process: the reduction steps per edge list, the tau tables per modulus,
+the forms that read a constant term off the sums per (r nodes, h1),
 the edge profiles per (edge count, budget), the class plan per (g, n, dmax,
 survivors), the monomial plan per (g, n, d, legs to forget), the guard's
 admitted verdicts per budget and job, the simplex points with their sparse
 coefficient and check rows per (number of leg sums, 2d)
 (``numerics._simplex_tables``), from which each call makes a layout's
 points, and the group weights per (exponents, d, leg partition, leg
-exponents), dense over the simplex.  The weighting sums per (edge list,
-vertex leg sums, moduli, profiles), the profiles being those the call
-reads, take one entry per layout evaluated and A-point, so only the 16,384
-most recently used are kept: a genus-2 grid point uses under a thousand,
-the (3,1,()) comparison over 48,000 (graphs of different layouts still meet
-at equal leg sums, as where one is 0, and the monomial plan keeps the
-layouts of one edge list together, so that such repeats come while their
-entries are still kept: the (3,1,()) comparison misses once per distinct
-key, 27,506 times).
+exponents), dense over the simplex.  The checked constant terms per (edge
+list, vertex leg sums, r nodes, profiles), the profiles being those the
+call reads, one integer per profile, are kept for the 2^17 = 131,072 most
+recently used keys: a genus-2 grid point uses under a thousand, the
+(3,1,()) comparison 27,506 at its 48,256 A-points (graphs of different
+layouts meet at equal leg sums, as where one is 0, and the monomial plan
+keeps the layouts of one edge list together), and the two omega calls of
+an n = 2 genus-3 relation, which plan on the same graphs, about 91,000
+together, so a later call reads what an earlier one computed.  A sum off
+the fit raises and is not kept.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
 dmax!; a plan entry keeps its graph, its template groups and their
@@ -294,11 +296,16 @@ def weighting_power_sums(edges, leg_sums, rs, profiles) -> dict[tuple[int, ...],
     The weighting conditions see the leg values only through the A_v, so the
     graph's genera and leg map do not enter; it has h1 = E - V + 1.  The sums
     are computed by the series-parallel reduction of the edges
-    (:func:`_reduction`), at each modulus and profile, and cached on the
-    edge list, the leg sums, the moduli and the profiles.  The edge order
-    ties the profile entries to the edges.
+    (:func:`_reduction`), at each modulus and profile; only the constant
+    terms :func:`_constant_term_sums` reads off them are cached.  The edge
+    order ties the profile entries to the edges.
     """
-    return _power_sums(tuple(edges), tuple(leg_sums), tuple(rs), tuple(sorted(profiles)))
+    steps = _reduction(tuple(edges))
+    per_r = [
+        [_reduce(r, steps, [x % r for x in leg_sums], [m + 1 for m in p]) for p in profiles]
+        for r in rs
+    ]
+    return {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
 
 
 def _leg_sums(graph: StableGraph, a) -> tuple[int, ...]:
@@ -309,15 +316,53 @@ def _leg_sums(graph: StableGraph, a) -> tuple[int, ...]:
     return tuple(A)
 
 
-@functools.lru_cache(maxsize=16_384)
-def _power_sums(edges, A, rs, profiles):
-    """:func:`weighting_power_sums` from the edges and vertex leg sums."""
-    steps = _reduction(edges)
-    per_r = [
-        [_reduce(r, steps, [x % r for x in A], [m + 1 for m in p]) for p in profiles]
-        for r in rs
-    ]
-    return {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
+@functools.cache
+def _node_forms(nodes: tuple[int, ...], h1: int) -> tuple:
+    """How the weighting sums of a graph with first Betti number h1 at the
+    moduli ``nodes`` give its value: (den, form, held-out forms), integer
+    linear forms on the sums, the value being form . sums / den.
+
+    Each sum is over r^h1 weightings, and the forms put them over
+    m = lcm(r^h1).  One node is a fixed modulus: the form is the identity
+    and den = r^h1.  Otherwise the nodes are those of :func:`_r_nodes`: the
+    Lagrange-at-zero row on all but the last two gives the constant term in
+    r, over den = m times the row's denominator, and the two held-out forms
+    are the (len - 2)-th forward differences ending at the last two nodes,
+    which vanish exactly when the fit passes through them."""
+    if len(nodes) == 1:
+        return nodes[0] ** h1, [1], ()
+    count = len(nodes) - 2
+    m = lcm(*(r**h1 for r in nodes))
+    scales = [m // r**h1 for r in nodes]
+    rows, den = lagrange_coefficient_rows(nodes[:count])
+    diff = _difference_weights(count)
+    checks = [list(map(mul, check, scales)) for check in (diff, [0] + diff)]
+    return den * m, list(map(mul, rows[0], scales)), checks
+
+
+@functools.lru_cache(maxsize=2**17)
+def _constant_term_sums(edges, A, nodes, profiles) -> tuple[int, ...]:
+    """The checked value of :func:`weighting_power_sums` at the moduli
+    ``nodes`` for each of the ``profiles``, in order: the integer
+    numerator over the den of :func:`_node_forms`, the constant term in r
+    at the nodes of :func:`_r_nodes`, the sum itself at one modulus.
+
+    A held-out node off the fit raises :class:`FitInstabilityError`, and
+    nothing is kept for the key.  The 2^17 most recently used keys are kept
+    (see the module's performance notes)."""
+    h1 = len(edges) - len(A) + 1
+    _, form, checks = _node_forms(nodes, h1)
+    sums = weighting_power_sums(edges, A, nodes, profiles)
+    values = []
+    for profile in profiles:
+        psums = sums[profile]
+        if any(_dot(check, psums) for check in checks):
+            raise FitInstabilityError(
+                f"a weighting sum is not a polynomial of degree <= {len(nodes) - 3} "
+                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
+            )
+        values.append(_dot(form, psums))
+    return tuple(values)
 
 
 # ----------------------------------------------------------------------
@@ -422,65 +467,40 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
     _check_space(g, n, dmax)
 
 
-def _graph_sums(layouts, nodes, form, held_out, dmax: int):
-    """One pass over the plan graphs, layout by layout, for a weighted sum of
-    graph sums sampled at every modulus in ``nodes``, in integers.
+def _graph_sums(layouts, nodes, dmax: int):
+    """One pass over the plan graphs, layout by layout, for the graph sums
+    at the moduli ``nodes`` (see :func:`_constant_term_sums`), in integers.
 
-    ``form`` and the ``held_out`` forms are integer linear forms on the
-    nodes.  Each of ``layouts`` is (edges, points, check rows, profiles,
-    graphs): the graphs of one layout have this edge list and, at every
-    point, the point's tuple of vertex leg sums, and so h1 = E - V + 1, V
-    being the length of a point, and the same edge profiles, of total
-    <= dmax - E, of which ``profiles`` lists those to compute; each of
-    ``graphs`` is (group weights, groups, den) for one plan entry.  A
-    layout's columns are built once: per point, one
-    :func:`weighting_power_sums` call on the edges and the point's leg sums
-    gives each listed profile's sums, which are put over m = lcm(r^h1);
-    every held-out form must vanish on them, or :class:`FitInstabilityError`
-    is raised, and ``form`` turns them into one integer (checked and
-    evaluated once per distinct tuple of sums), so each profile gets one
-    column of integers over the points.  The sum of every check row, sparse
-    (point index, weight) pairs, over every column must vanish too.  Then,
-    for each of the layout's graphs, group i of its templates gets the dot
-    product of its weights (None for none) with its profile's column;
-    weights may stop short of the points, leaving the last ones to the check
-    rows.  So the template loop runs once per graph for all points.  Only the
-    listed ``profiles`` are computed and checked: a caller may leave out the
+    Each of ``layouts`` is (edges, points, check rows, profiles, graphs):
+    the graphs of one layout have this edge list and, at every point, the
+    point's tuple of vertex leg sums, and so h1 = E - V + 1, V being the
+    length of a point, and the same edge profiles, of total <= dmax - E, of
+    which ``profiles`` (sorted) lists those to compute; each of ``graphs``
+    is (group weights, groups, den) for one plan entry.  A layout's columns
+    are built once: per point, :func:`_constant_term_sums` on the edges and
+    the point's leg sums gives each listed profile's checked value, so each
+    profile gets one column of integers over the points.  The sum of every
+    check row, sparse (point index, weight) pairs, over every column must
+    vanish too, or :class:`FitInstabilityError` is raised.  Then, for each
+    of the layout's graphs, group i of its templates gets the dot product
+    of its weights (None for none) with its profile's column; weights may
+    stop short of the points, leaving the last ones to the check rows.  So
+    the template loop runs once per graph for all points.  Only the listed
+    ``profiles`` are computed and checked: a caller may leave out the
     profiles that no group weight reads, since their columns cannot change
     any total, and must list every profile that one does, so that every
-    column entering a total is checked by every held-out form and check
-    row.  Yields (terms, den * m) per plan entry: terms maps each decorated
-    graph of that entry's graph to an integer numerator.  Every key belongs to exactly one
-    graph, and all of a graph's keys have one denominator, also where the
-    graph is an entry of several layouts.
+    column entering a total is checked at the held-out nodes and by every
+    check row.  Yields (terms, den) per plan entry: terms maps each
+    decorated graph of that entry's graph to an integer numerator over den,
+    the entry's den times that of :func:`_node_forms`.  Every key belongs to
+    exactly one graph, and all of a graph's keys have one denominator, also
+    where the graph is an entry of several layouts.
     """
-    by_h1 = {}
+    nodes = tuple(nodes)
     for edges, points, check_rows, profiles, graphs in layouts:
-        h1 = len(edges) - len(points[0]) + 1
-        if h1 not in by_h1:
-            # each node's sum is over r^h1; the forms put them over m = lcm(r^h1)
-            m = lcm(*(r**h1 for r in nodes))
-            scales = [m // r**h1 for r in nodes]
-            by_h1[h1] = (
-                m,
-                list(map(mul, form, scales)),
-                [list(map(mul, held, scales)) for held in held_out],
-                {},  # the value of each checked tuple of sums met so far
-            )
-        m, value_form, checks, checked = by_h1[h1]
-        columns = {profile: [] for profile in profiles}
-        for leg_sums in points:
-            for profile, psums in weighting_power_sums(edges, leg_sums, nodes, profiles).items():
-                value = checked.get(psums)
-                if value is None:
-                    for check in checks:
-                        if _dot(check, psums):
-                            raise FitInstabilityError(
-                                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                                f"in r on the nodes {nodes[0]}..{nodes[-1]}"
-                            )
-                    value = checked[psums] = _dot(value_form, psums)
-                columns[profile].append(value)
+        scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
+        values = [_constant_term_sums(edges, leg_sums, nodes, profiles) for leg_sums in points]
+        columns = dict(zip(profiles, zip(*values)))
         if any(
             sum(w * column[i] for i, w in row)
             for row in check_rows
@@ -501,7 +521,7 @@ def _graph_sums(layouts, nodes, form, held_out, dmax: int):
                 if total:
                     for base, key in members:
                         local[key] = local.get(key, 0) + base * total
-            yield local, den * m
+            yield local, den * scale
 
 
 def _point_layouts(plan, a, dmax: int):
@@ -538,7 +558,7 @@ def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -
     _check_input(g, n, a, (r,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _graph_sums(_point_layouts(plan, a, dmax), [r], [1], (), dmax):
+    for local, den in _graph_sums(_point_layouts(plan, a, dmax), [r], dmax):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -551,24 +571,9 @@ def _dot(u, v) -> int:
 
 
 def _r_nodes(r0: int, dmax: int) -> list[int]:
-    """The 2*dmax + 3 nodes r0, r0+1, ... of :func:`_constant_terms`."""
+    """The 2*dmax + 3 nodes r0, r0+1, ... at which a constant term in r is
+    sampled: the first 2*dmax + 1 give it, the last two are held out."""
     return list(range(r0, r0 + 2 * dmax + 3))
-
-
-def _constant_terms(layouts, dmax: int, r0: int):
-    """The constant term in r of the graph sums over ``layouts`` (see
-    :func:`_graph_sums`), from the nodes :func:`_r_nodes`: the
-    Lagrange-at-zero weights on the first 2*dmax + 1 nodes give the value
-    at r = 0, and the (2*dmax + 1)-th forward differences ending at the two
-    held-out nodes must both vanish.  Yields (terms, den) per plan entry,
-    terms mapping each of its decorated graphs to an integer numerator over
-    den."""
-    count = 2 * dmax + 1
-    nodes = _r_nodes(r0, dmax)
-    rows, weights_den = lagrange_coefficient_rows(nodes[:count])
-    diff = _difference_weights(count)
-    for local, den in _graph_sums(layouts, nodes, rows[0], (diff, [0] + diff), dmax):
-        yield local, weights_den * den
 
 
 def _default_r0(a, dmax: int) -> int:
@@ -625,8 +630,7 @@ def constant_term_class(
     and after the factor r^(-h1) that sum is a polynomial in r of the same
     degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
     sampled at the 2*dmax + 3 nodes r0, r0+1, ... in one integer pass over
-    the plan (every node's power sums come from one call per layout, see
-    :func:`_graph_sums`).  Per
+    the plan (one cached lookup per layout, see :func:`_graph_sums`).  Per
     graph and edge profile, the Lagrange-at-zero weights on the first
     2*dmax + 1 nodes give the sum's value at r = 0, and the
     (2*dmax + 1)-th forward differences ending at the two held-out nodes
@@ -642,7 +646,7 @@ def constant_term_class(
     _check_input(g, n, a, (r0,), dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _constant_terms(_point_layouts(plan, a, dmax), dmax, r0):
+    for local, den in _graph_sums(_point_layouts(plan, a, dmax), _r_nodes(r0, dmax), dmax):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
@@ -776,8 +780,8 @@ def _monomial_plan(g: int, n: int, d: int, forget: int) -> tuple:
             if key not in layouts:
                 layouts[key] = *_monomial_points(len(vertices), degree), []
             layouts[key][-1].append((graph, tuple(placed), groups, den))
-    # the layouts of one edge list side by side, so that the weighting sums
-    # they share (at equal leg sums) are still in _power_sums' LRU
+    # the layouts of one edge list side by side, so that the constant terms
+    # they share (at equal leg sums) are still in _constant_term_sums' LRU
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
     return tuple((key, *layout[:-1], tuple(layout[-1])) for key, layout in ordered)
 
@@ -848,8 +852,9 @@ def _chunk_worker(args):
     :func:`_monomial_plan` from ``start``, sampled by
     :func:`_monomial_layouts`, as integer numerators and denominators per
     decorated graph, summed over the layouts where its graph is an entry,
-    with the number of layouts evaluated and their A-points; used directly
-    and as the multiprocessing worker."""
+    with its counts: the layouts evaluated, their A-points, and the
+    :func:`_constant_term_sums` keys computed and reused; used directly and
+    as the multiprocessing worker."""
     g, n, exponents, d, r0, forget, start, step = args
     layouts = _monomial_plan(g, n, d, forget)[start::step]
     evaluated = []  # the A-points of each layout sampled
@@ -861,10 +866,17 @@ def _chunk_worker(args):
 
     # a graph's keys meet in each layout where it has an entry, over one den
     terms = {}
-    for local, den in _constant_terms(sampled(), d, r0):
+    before = _constant_term_sums.cache_info()
+    for local, den in _graph_sums(sampled(), _r_nodes(r0, d), d):
         for key, num in local.items():
             terms[key] = terms.get(key, (0, den))[0] + num, den
-    return terms, len(evaluated), sum(evaluated)
+    after = _constant_term_sums.cache_info()
+    return terms, (
+        len(evaluated),
+        sum(evaluated),
+        after.misses - before.misses,
+        after.hits - before.hits,
+    )
 
 
 def monomial_coefficient(
@@ -902,9 +914,11 @@ def monomial_coefficient(
     numerators; results are identical for any worker count.  Returns
     (element, meta); the meta counts the plan's entries (``plan_graphs``)
     and their A-points (``evaluations``, what :func:`_check_cost` prices),
-    and, summed over the workers, the layouts evaluated (``layouts``) and
-    their A-points (``layout_evaluations``, one
-    :func:`weighting_power_sums` call each).
+    and, summed over the workers, the layouts evaluated (``layouts``), their
+    A-points (``layout_evaluations``, one :func:`_constant_term_sums` lookup
+    each), and of those lookups the cache misses (``sums_computed``, one
+    :func:`weighting_power_sums` call each) and hits (``sums_reused``); each
+    worker has its own cache, so these two depend on the worker count.
 
     With ``forget`` = S the coefficient is taken on (g, n + S), of the
     ``exponents`` followed by exponent 1 at the legs n+1..n+S, multiplied by
@@ -915,7 +929,8 @@ def monomial_coefficient(
     legs placed on their vertices (:func:`_placements`).  Summing the
     labelled (g, n + S) graphs with 1/|Aut| is summing the (g, n) graphs
     with theirs and their labelled placements.  So (3,1,()) plans on the
-    341 graphs of (3,2), 1,213 entries.
+    341 graphs of (3,2), 1,213 entries.  The class lands in degree d on
+    (g, n), so a d above 3g - 3 + n gives zero before any price or plan.
 
     The default guard, :func:`_check_cost`, refuses a job priced above
     ``COST_BUDGET`` before any template is built, unless ``allow_large``.
@@ -929,10 +944,12 @@ def monomial_coefficient(
         raise ValueError(f"the number of legs to forget must be nonnegative, got {forget}")
     _check_space(g, n + forget, d)
     degree = 2 * d
-    if not allow_large:
+    # the class lands on (g, n): above its dimension it is zero, unplanned
+    zero = d > 3 * g - 3 + n
+    if not (allow_large or zero):
         _check_cost(COST_BUDGET, g, n, d, forget, None, 2 * d + 3)
 
-    plan = _monomial_plan(g, n, d, forget)  # warmed before any fork
+    plan = () if zero else _monomial_plan(g, n, d, forget)  # warmed before any fork
     r0 = _default_r0([value for _, _, value, *_ in plan], d)
     workers = _worker_count(jobs, len(plan))
     tasks = [
@@ -943,13 +960,14 @@ def monomial_coefficient(
         with _worker_pool(workers) as pool:
             partials = pool.map(_chunk_worker, tasks)
     else:
-        partials = [_chunk_worker(tasks[0])]
+        partials = [_chunk_worker(tasks[0])] if plan else []
     terms = {}
-    layouts = layout_evaluations = 0
-    for chunk, sampled, evaluated in partials:
+    counts = (0, 0, 0, 0)
+    for chunk, chunk_counts in partials:
         for key, (num, den) in chunk.items():
             terms[key] = terms.get(key, (0, den))[0] + num, den
-        layouts, layout_evaluations = layouts + sampled, layout_evaluations + evaluated
+        counts = tuple(map(add, counts, chunk_counts))
+    layouts, layout_evaluations, computed, reused = counts
     terms = {key: Fraction(num, den) for key, (num, den) in terms.items() if num}
     return StrataElement(g, n, terms), {
         "grid_degree": degree,
@@ -959,4 +977,6 @@ def monomial_coefficient(
         "plan_graphs": sum(len(entries) for *_, entries in plan),
         "r0": r0,
         "r_nodes": _r_nodes(r0, d),
+        "sums_computed": computed,
+        "sums_reused": reused,
     }

@@ -147,6 +147,9 @@ def test_pixton_monomial_node_count_and_digest(tmp_path, capsys):
     assert manifest["grid_degree"] == 4
     assert (manifest["plan_graphs"], manifest["grid_evaluations"]) == (5, 10)
     assert (manifest["layouts"], manifest["layout_evaluations"]) == (2, 7)
+    # the cache counts, computed and reused, are in the manifest, not the
+    # result: together they are the A-points evaluated
+    assert manifest["sums_computed"] + manifest["sums_reused"] == 7
     assert manifest["result_digest"] == (
         "7a8620fb1507987d9d1b3f0b674c4bb3df3aa88bca721e78ccda08dec18b3fd1"
     )
@@ -371,6 +374,8 @@ def test_omega_command(tmp_path, capsys):
     manifest = payload["manifest"]
     assert (manifest["plan_graphs"], manifest["evaluations"]) == (7, 22)
     assert (manifest["layouts"], manifest["layout_evaluations"]) == (2, 7)
+    assert manifest["sums_computed"] + manifest["sums_reused"] == 7
+    assert "sums_computed" not in payload["result"]
 
 
 def test_unwritable_output_path(capsys, monkeypatch):

@@ -30,6 +30,16 @@ from trrkit.strata import StrataElement
 from oracles import enumerate_weightings, forget_with_psi
 
 
+@pytest.fixture
+def fresh_sums():
+    """The cache of checked constant terms, empty before and after the test:
+    every weighting sum the test reads is computed by the test's own
+    ``weighting_power_sums``, and no sum it corrupts outlives it."""
+    pixton._constant_term_sums.cache_clear()
+    yield pixton._constant_term_sums
+    pixton._constant_term_sums.cache_clear()
+
+
 def test_avector_validation():
     assert check_avector((3, -1, -2)) == (3, -1, -2)
     with pytest.raises(ValueError):
@@ -210,7 +220,7 @@ def test_zero_weights_and_held_out_differences(dmax, r0, coeffs, extra):
     assert _dot(diff, ys) != 0 and _dot(diff, ys[1:]) != 0
 
 
-def test_degree_above_the_bound_raises(monkeypatch, capsys):
+def test_degree_above_the_bound_raises(monkeypatch, capsys, fresh_sums):
     # one profile's power sum gains r^(2 dmax + 1 + h1) at every node; after
     # the factor r^(-h1) its coefficients are one degree above the bound
     real = pixton.weighting_power_sums
@@ -239,7 +249,7 @@ def test_degree_above_the_bound_raises(monkeypatch, capsys):
         assert "Traceback" not in err and err.count("\n") == 1, argv
 
 
-def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
+def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys, fresh_sums):
     # every sum gains r^h1 where a vertex leg sum takes the value D + 1
     # (leg 1's vertex takes -|A|), which happens only at the points
     # (D+1) e_i of the layer |A| = D + 1: a constant in r, so both held-out
@@ -268,7 +278,7 @@ def test_held_out_a_point_off_the_polynomial_raises(monkeypatch, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
-def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch):
+def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch, fresh_sums):
     # every sum gains r^h1 at the layer points with positive leg sums 1 and
     # D at two vertices, in vertex order, such as A = (1, D): no leg sum
     # reaches D + 1 there, so only the layer checks off the axes see it
@@ -450,21 +460,23 @@ def test_monomial_plan_is_grouped_by_layout():
         assert count == want
 
 
-def test_evaluations_count_the_sampled_a_points(monkeypatch):
-    # one weighting_power_sums call per A-point of every layout the target
-    # reads: the plan of (1,3) with one leg to forget has seven entries of
-    # six graphs in five layouts, since the one-edge tree with every leg on
-    # its genus-0 vertex has two part-vertex sets, and its entry with the
-    # forgotten leg on the genus-1 vertex shares a layout with the two trees
-    # that have leg 2 or leg 3 there (4 A-points); the target's group
-    # weights read that one, the one where leg 1 is on the genus-1 vertex
+def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
+    # one cached constant term per A-point of every layout the target
+    # reads, and one weighting_power_sums call per distinct key: the plan
+    # of (1,3) with one leg to forget has seven entries of six graphs in
+    # five layouts, since the one-edge tree with every leg on its genus-0
+    # vertex has two part-vertex sets, and its entry with the forgotten leg
+    # on the genus-1 vertex shares a layout with the two trees that have
+    # leg 2 or leg 3 there (4 A-points); the target's group weights read
+    # that one, the one where leg 1 is on the genus-1 vertex
     # (4 A-points) and the one-vertex graph's (1 A-point), so 9 of the
-    # plan's 19 A-points are evaluated
+    # plan's 19 A-points are evaluated; the all-zero point of the one-edge
+    # trees is met in both of their read layouts, so 8 sums are computed
     real = pixton.weighting_power_sums
     calls, enumerated = [], []
 
     def counting(edges, leg_sums, rs, profiles):
-        calls.append(edges)
+        calls.append((edges, leg_sums))
         return real(edges, leg_sums, rs, profiles)
 
     def enumerating(*args, **kwargs):
@@ -475,23 +487,87 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch):
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     pixton._monomial_plan.cache_clear()
     _, meta = monomial_coefficient(1, 3, (0, 1), 1, forget=1)
-    assert meta["layout_evaluations"] == len(calls) == 9
+    plan = pixton._monomial_plan(1, 3, 1, 1)
+    sampled = [
+        (edges, A) for _, (edges, leg_sums, *_) in _sampled_layouts(plan, (0, 1, 1), 1)
+        for A in leg_sums
+    ]
+    assert meta["layout_evaluations"] == len(sampled) == 9
+    assert meta["sums_computed"] == len(calls) == 8 and meta["sums_reused"] == 1
+    assert calls == list(dict.fromkeys(sampled))
     assert meta["evaluations"] == 19
     assert (meta["plan_graphs"], meta["layouts"]) == (7, 3)
     # each read layout's A-points, in plan order, on its edge list
-    plan = pixton._monomial_plan(1, 3, 1, 1)
     assert len(plan) == len({key for key, *_ in plan}) == 5
     read = _read_profiles(plan, (0, 1, 1), 1)
     assert meta["layouts"] == len(read)
-    assert calls == [key[0] for key, points, *_ in plan if key in read for _ in range(points)]
+    assert [edges for edges, _ in sampled] == [
+        key[0] for key, points, *_ in plan if key in read for _ in range(points)
+    ]
     # the plan runs on the graphs of (1,3) alone, never on those of (1,4)
     assert enumerated == [((1, 3), {"max_edges": 1})]
     graphs = {graph for *_, entries in plan for graph, *_ in entries}
     assert len(graphs) == len(enumerate_stable_graphs(1, 3, 1)) == 6
 
 
+def test_a_sum_off_the_fit_raises_every_time_and_is_not_kept(monkeypatch, fresh_sums):
+    # the third key the call computes is off the degree bound in r: the
+    # first call keeps the two before it and raises; the second reads those
+    # two, computes the third again and raises again, so nothing was kept
+    # for it; with the real sums the call then succeeds
+    real = pixton.weighting_power_sums
+    d, computed = 2, []
+
+    def patched(edges, leg_sums, rs, profiles):
+        computed.append((edges, leg_sums))
+        sums = real(edges, leg_sums, rs, profiles)
+        if len(computed) < 3 or computed[-1] != computed[2]:
+            return sums
+        power = len(edges) - len(leg_sums) + 1 + 2 * d + 1
+        return {
+            profile: tuple(s + r**power for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    for _ in range(2):
+        with pytest.raises(FitInstabilityError, match="in r on the nodes"):
+            monomial_coefficient(1, 2, (2,), d)
+    assert len(computed) == 4 and computed[3] == computed[2]
+    info = fresh_sums.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+    monkeypatch.setattr(pixton, "weighting_power_sums", real)
+    el, meta = monomial_coefficient(1, 2, (2,), d)
+    assert meta["sums_reused"] >= 2 and fresh_sums.cache_info().currsize > 2
+    fresh_sums.cache_clear()
+    assert monomial_coefficient(1, 2, (2,), d)[0] == el
+
+
+@pytest.mark.slow
+def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
+    # the (3,1,()) comparison reads 27,506 distinct keys at 48,256 A-points,
+    # all within the cache's bound: a second call in the same process reads
+    # every constant term from the cache
+    from trrkit.trr import MonomialSpec, omega
+
+    real = pixton.weighting_power_sums
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", counting)
+    mono = MonomialSpec(3, 1, ())
+    first, meta = omega(mono, allow_large=True)
+    assert len(calls) == meta["sums_computed"] == 27_506 and meta["sums_reused"] == 20_750
+    again, meta = omega(mono, allow_large=True)
+    assert len(calls) == 27_506 and (meta["sums_computed"], meta["sums_reused"]) == (0, 48_256)
+    assert again == first and first.digest() == "b48fbc8c2008124d"
+
+
 @pytest.mark.parametrize("layer_only", [False, True])
-def test_a_shared_layout_is_checked(monkeypatch, layer_only):
+def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     # a layout's points reach weighting_power_sums once for all its entries,
     # which read its checked column: a sum off the degree bound in r, or on
     # the layer |A| = D + 1 only off the polynomial in the leg sums, at the
@@ -528,11 +604,12 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only):
 
 
 @pytest.mark.parametrize("ns, count", [((1, ()), 7), ((2, (1,)), 52)])
-def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
+def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count, fresh_sums):
     # at the coefficients omega takes for (1,1,()) and (1,2,(1,)), each
-    # weighting_power_sums call is at an A-point of a layout that some group
+    # cached constant term is at an A-point of a layout that some group
     # weight of the target reads, and gets only the profiles those weights
-    # read; no other layout is evaluated
+    # read; no other layout is evaluated, and weighting_power_sums computes
+    # each distinct key once, at its first A-point
     ((plan, args, forget, exponents),) = _lemma_targets(1, [ns])
     d = args[3]
     read = _read_profiles(plan, exponents, d)
@@ -552,12 +629,15 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count):
 
     monkeypatch.setattr(pixton, "weighting_power_sums", recording)
     _, meta = monomial_coefficient(*args, forget=forget)
-    assert calls == want and len(calls) == meta["layout_evaluations"] == count
+    assert calls == list(dict.fromkeys(want)) and len(want) == meta["layout_evaluations"] == count
+    assert meta["sums_computed"] == len(calls) and len(calls) + meta["sums_reused"] == count
     assert meta["layouts"] == len(read) < len(plan)
 
 
 @pytest.mark.parametrize("layer_only", [False, True])
-def test_a_read_column_of_a_call_that_skips_columns_is_checked(monkeypatch, layer_only):
+def test_a_read_column_of_a_call_that_skips_columns_is_checked(
+    monkeypatch, layer_only, fresh_sums
+):
     # at the coefficient omega takes for (1,2,(1,)), the group weights of the
     # layout of one-edge graphs with leg 1 at vertex 0 and the leg sums at
     # vertex 1 read the profile (0,) and not (1,), so its calls skip the
@@ -739,6 +819,26 @@ def test_monomial_coefficient_guard(monkeypatch):
         monomial_coefficient(1, 2, (2,), 1)
 
 
+def test_a_degree_above_the_forgotten_dimension_is_zero_unplanned(monkeypatch):
+    # the coefficient lands on (g, n) after the legs are forgotten, so a
+    # degree above dim(g, n) = 3g - 3 + n gives the zero class before any
+    # price or plan: (1,2) has dimension 2, and degree 3 is within that of
+    # (1,3), where the legs are placed
+    def never(*args):
+        raise AssertionError("priced or planned")
+
+    monkeypatch.setattr(pixton, "_check_cost", never)
+    monkeypatch.setattr(pixton, "_monomial_plan", never)
+    for jobs in (1, 2):
+        el, meta = monomial_coefficient(1, 2, (2,), 3, forget=1, jobs=jobs)
+        assert el == StrataElement.zero(1, 2) and (el.g, el.n) == (1, 2)
+        assert (meta["plan_graphs"], meta["evaluations"], meta["layouts"]) == (0, 0, 0)
+        assert (meta["sums_computed"], meta["sums_reused"]) == (0, 0)
+    # a degree above the dimension of (g, n + forget) is still refused
+    with pytest.raises(ValueError, match="exceeds the dimension 3"):
+        monomial_coefficient(1, 2, (2,), 4, forget=1)
+
+
 def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
     # the guard prices each A-point evaluation of the plan, one entry per
     # graph and part-vertex set of its placements, at the modulus and its
@@ -753,7 +853,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
 
     def no_sampling(args):
         calls.append(args[:3])
-        return {}, 0, 0
+        return {}, (0, 0, 0, 0)
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
     prices = {
@@ -845,9 +945,13 @@ def test_worker_count_is_clamped(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_worker_pool_matches_serial(monkeypatch):
+def test_worker_pool_matches_serial(monkeypatch, fresh_sums):
     # a real pool of two workers, each returning integer numerators over its
-    # own chunk of plan graphs, gives the serial result byte for byte
+    # own chunk of plan graphs, gives the serial result byte for byte and
+    # the same meta; only the cache counts differ, since each worker has its
+    # own cache: from an empty one each, the workers look up as many
+    # constant terms as the serial call, and compute a key that two of them
+    # meet twice
     sizes = []
     real_pool = pixton._worker_pool
 
@@ -858,10 +962,17 @@ def test_worker_pool_matches_serial(monkeypatch):
     monkeypatch.setattr(pixton, "_worker_pool", recording_pool)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
     serial, serial_meta = monomial_coefficient(1, 3, (2, 0), 1)
+    fresh_sums.cache_clear()
     pooled, pooled_meta = monomial_coefficient(1, 3, (2, 0), 1, jobs=2)
     assert sizes == [2]
     assert pooled.to_json() == serial.to_json() and not serial.is_zero()
-    assert pooled_meta == serial_meta
+    counts = ("sums_computed", "sums_reused")
+    assert {k: v for k, v in pooled_meta.items() if k not in counts} == {
+        k: v for k, v in serial_meta.items() if k not in counts
+    }
+    looked_up = serial_meta["layout_evaluations"]
+    assert sum(pooled_meta[k] for k in counts) == sum(serial_meta[k] for k in counts) == looked_up
+    assert pooled_meta["sums_computed"] >= serial_meta["sums_computed"]
 
 
 def test_scan_worker_count_is_clamped(monkeypatch):
@@ -898,7 +1009,7 @@ def test_plan_templates_share_graphs_and_decorations():
                     assert seen.setdefault(decoration, decoration) is decoration
 
 
-def test_point_layouts_make_one_power_sums_call(monkeypatch):
+def test_point_layouts_make_one_power_sums_call(monkeypatch, fresh_sums):
     # the 13 graphs of the plan have 7 point layouts at a, and the graphs of
     # one layout make a single weighting_power_sums call (for every r node
     # at once), in the constant term and in the fixed-r class alike
@@ -920,7 +1031,7 @@ def test_point_layouts_make_one_power_sums_call(monkeypatch):
         assert len(calls) == len(set(calls)) == 7 and set(calls) == set(layouts)
 
 
-def test_a_shared_point_layout_is_checked(monkeypatch):
+def test_a_shared_point_layout_is_checked(monkeypatch, fresh_sums):
     # a sum off the degree bound in r on one point layout that several
     # graphs share raises, although only one of them reaches the sums
     g, n, a, d = 1, 4, (-2, 1, 1, 0), 1
