@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
 The combinatorial counting functions used by the closed-form contribution
-evaluators, sparse multivariate polynomials over the rationals, exact
-Lagrange interpolation, and the integer Lagrange, finite-difference and
-simplex Newton weights that read coefficients off sampled values.  Every coefficient is a
+evaluators, sparse multivariate polynomials over the rationals, and the
+integer Lagrange, finite-difference and simplex Newton weights that read
+coefficients off sampled values.  Every coefficient is a
 ``fractions.Fraction`` or an integer; no floating point is used anywhere in
 the package.
 """
@@ -180,30 +180,6 @@ class SparsePoly:
             )
             bits.append(f"{rational_str(coeff)}" + (f"*{mono}" if mono else ""))
         return "SparsePoly(" + " + ".join(bits) + ")"
-
-
-def interpolate(nodes: Sequence[tuple], var: str = "x") -> SparsePoly:
-    """Exact univariate interpolation through the given (x, y) nodes.
-
-    Newton's divided differences; the result is the unique polynomial of
-    degree < len(nodes) through all nodes.
-    """
-    xs = [Fraction(x) for x, _ in nodes]
-    ys = [Fraction(y) for _, y in nodes]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae")
-    # divided difference table, computed in place
-    dd = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    poly = SparsePoly((var,), {})
-    basis = SparsePoly.constant((var,), 1)
-    xvar = SparsePoly.variable((var,), var)
-    for k, coeff in enumerate(dd):
-        poly = poly + basis * coeff
-        basis = basis * (xvar - SparsePoly.constant((var,), xs[k]))
-    return poly
 
 
 def lagrange_coefficient_rows(nodes) -> tuple[list[list[int]], int]:

@@ -30,9 +30,9 @@ conditions see the leg values only through the vertex leg sums, and the
 constant term in r has total degree <= 2d in A), each graph weighted per
 group by an integer functional of its own leg partition that reads off the
 target monomial, and checks every (2d+1)-th Newton difference on the layer
-|A| = 2d + 1; worker processes each take whole layouts and return integer
-numerators, which the parent merges.  Legs that omega multiplies by psi
-and forgets are forgotten by the dilaton equation: the plan runs on the
+|A| = 2d + 1; worker processes each take whole edge lists and return
+integer numerators, which the parent merges.  Legs that omega multiplies by
+psi and forgets are forgotten by the dilaton equation: the plan runs on the
 graphs without them and places them on the vertices (:func:`_placements`),
 one entry per graph and set of vertices with leg sums, grouped by layout
 once, when the plan is built, with only the template groups of degree d.
@@ -551,18 +551,24 @@ def _point_layouts(plan, a, dmax: int):
         yield edges, (leg_sums,), (), profiles, weighted
 
 
-def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
-    """The weighted graph sum at a fixed modulus r, truncated to total degree
-    at most dmax.  Graphs with more than dmax edges cannot contribute."""
-    a = check_avector(a)
-    _check_input(g, n, a, (r,), dmax)
+def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
+    """The class plan's graph sums at the one leg vector ``a`` and the moduli
+    ``nodes``, as one element: the fixed-r class at one node, its constant
+    term in r at those of :func:`_r_nodes`."""
+    _check_input(g, n, a, nodes, dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _graph_sums(_point_layouts(plan, a, dmax), [r], dmax):
+    for local, den in _graph_sums(_point_layouts(plan, a, dmax), nodes, dmax):
         for key, num in local.items():
             if num:
                 terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms)
+
+
+def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
+    """The weighted graph sum at a fixed modulus r, truncated to total degree
+    at most dmax.  Graphs with more than dmax edges cannot contribute."""
+    return _class_sum(g, n, check_avector(a), dmax, survivors, [r])
 
 
 def _dot(u, v) -> int:
@@ -643,16 +649,10 @@ def constant_term_class(
     a = check_avector(a)
     if r0 is None:
         r0 = _default_r0(a, dmax)
-    _check_input(g, n, a, (r0,), dmax)
-    plan = _class_plan(g, n, dmax, frozenset(survivors))
-    terms = {}
-    for local, den in _graph_sums(_point_layouts(plan, a, dmax), _r_nodes(r0, dmax), dmax):
-        for key, num in local.items():
-            if num:
-                terms[key] = Fraction(num, den)
-    return StrataElement(g, n, terms), {
+    nodes = _r_nodes(r0, dmax)
+    return _class_sum(g, n, a, dmax, survivors, nodes), {
         "r0": r0,
-        "r_nodes": _r_nodes(r0, dmax),
+        "r_nodes": nodes,
         "dmax": dmax,
     }
 
@@ -848,15 +848,21 @@ def _monomial_layouts(layouts, exponents: tuple, d: int):
 
 
 def _chunk_worker(args):
-    """The constant term of the graph sums of every ``step``-th layout of
-    :func:`_monomial_plan` from ``start``, sampled by
-    :func:`_monomial_layouts`, as integer numerators and denominators per
+    """The constant term of the graph sums of the layouts of every
+    ``step``-th edge list of :func:`_monomial_plan` from ``start``, sampled
+    by :func:`_monomial_layouts`, as integer numerators and denominators per
     decorated graph, summed over the layouts where its graph is an entry,
     with its counts: the layouts evaluated, their A-points, and the
     :func:`_constant_term_sums` keys computed and reused; used directly and
-    as the multiprocessing worker."""
+    as the multiprocessing worker.  The plan is sorted by edge list and
+    every key holds its edge list, so no key reaches two workers."""
     g, n, exponents, d, r0, forget, start, step = args
-    layouts = _monomial_plan(g, n, d, forget)[start::step]
+    layouts = _monomial_plan(g, n, d, forget)
+    if step > 1:
+        edge_lists = itertools.groupby(layouts, key=lambda layout: layout[0][0])
+        layouts = [
+            layout for _, group in itertools.islice(edge_lists, start, None, step) for layout in group
+        ]
     evaluated = []  # the A-points of each layout sampled
 
     def sampled():
@@ -910,15 +916,19 @@ def monomial_coefficient(
     every column that enters the coefficient is checked at both held-out r
     nodes and on the layer, and a column that no weight reads is neither
     computed nor checked, as it cannot change the result.  With ``jobs`` > 1
-    the layouts are dealt out over worker processes, each returning integer
-    numerators; results are identical for any worker count.  Returns
-    (element, meta); the meta counts the plan's entries (``plan_graphs``)
-    and their A-points (``evaluations``, what :func:`_check_cost` prices),
-    and, summed over the workers, the layouts evaluated (``layouts``), their
-    A-points (``layout_evaluations``, one :func:`_constant_term_sums` lookup
-    each), and of those lookups the cache misses (``sums_computed``, one
-    :func:`weighting_power_sums` call each) and hits (``sums_reused``); each
-    worker has its own cache, so these two depend on the worker count.
+    the edge lists, each with all its layouts, are dealt out over worker
+    processes, each returning integer numerators; results are identical for
+    any worker count.  Returns (element, meta); the meta counts the plan's
+    entries (``plan_graphs``) and their A-points (``evaluations``, what
+    :func:`_check_cost` prices), and, summed over the workers, the layouts
+    evaluated (``layouts``), their A-points (``layout_evaluations``, one
+    :func:`_constant_term_sums` lookup each), and of those lookups the cache
+    misses (``sums_computed``, one :func:`weighting_power_sums` call each)
+    and hits (``sums_reused``).
+    Every key holds its edge list, so no two workers compute one key: with
+    workers forked from the caller, each starting from its cache, and while
+    the cache holds every key of the call, these two are the same for any
+    worker count.
 
     With ``forget`` = S the coefficient is taken on (g, n + S), of the
     ``exponents`` followed by exponent 1 at the legs n+1..n+S, multiplied by
@@ -951,7 +961,8 @@ def monomial_coefficient(
 
     plan = () if zero else _monomial_plan(g, n, d, forget)  # warmed before any fork
     r0 = _default_r0([value for _, _, value, *_ in plan], d)
-    workers = _worker_count(jobs, len(plan))
+    # the tasks are the plan's edge lists, counted only where a pool may start
+    workers = _worker_count(jobs, len({key[0] for key, *_ in plan}) if jobs > 1 else 1)
     tasks = [
         (g, n, exponents + (1,) * forget, d, r0, forget, start, workers)
         for start in range(workers)

@@ -259,48 +259,6 @@ def automorphism_count(graph: StableGraph, check: bool = True) -> int:
     return count
 
 
-def half_edge_automorphisms(graph: StableGraph):
-    """Automorphisms at half-edge resolution.
-
-    Each is (vertex_perm, edge_map) with edge_map[k] = (image edge, flip),
-    flip meaning side 0 of edge k lands on side 1 of the image.
-    """
-    result = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (u, w) in enumerate(graph.edges):
-        groups.setdefault((u, w), []).append(k)
-    for vperm in vertex_automorphisms(graph):
-        # image of each group under vperm, as a sorted pair
-        group_items = sorted(groups.items())
-        target_lists = []
-        for (u, w), members in group_items:
-            tu, tw = sorted((vperm[u], vperm[w]))
-            target_lists.append((members, groups[(tu, tw)], u == w))
-        choices_per_group = []
-        for members, targets, is_loop in target_lists:
-            perms = list(itertools.permutations(targets))
-            if is_loop:
-                flips = list(itertools.product((False, True), repeat=len(members)))
-            else:
-                flips = [tuple(False for _ in members)]
-            choices_per_group.append(
-                [(p, f) for p in perms for f in flips]
-            )
-        for combo in itertools.product(*choices_per_group):
-            edge_map: dict[int, tuple[int, bool]] = {}
-            for (members, targets, is_loop), (p, f) in zip(target_lists, combo):
-                for src, dst, flip in zip(members, p, f):
-                    u, w = graph.edges[src]
-                    tu, tw = graph.edges[dst]
-                    if is_loop:
-                        edge_map[src] = (dst, flip)
-                    else:
-                        # side 0 of src sits at u; it must land at vperm[u]
-                        edge_map[src] = (dst, tu != vperm[u])
-            result.append((vperm, tuple(edge_map[k] for k in range(len(graph.edges)))))
-    return result
-
-
 def _degrees(V: int, edges) -> list[int]:
     deg = [0] * V
     for u, w in edges:
@@ -467,11 +425,3 @@ def graph_to_json(graph: StableGraph) -> dict:
             {"marking": m, "vertex": v} for m, v in enumerate(graph.legs, start=1)
         ],
     }
-
-
-def graph_from_json(data: dict) -> StableGraph:
-    genera = [v["genus"] for v in data["vertices"]]
-    edges = [tuple(e) for e in data["edges"]]
-    legs_sorted = sorted(data["legs"], key=lambda rec: rec["marking"])
-    legs = [rec["vertex"] for rec in legs_sorted]
-    return make_graph(genera, edges, legs)

@@ -22,7 +22,7 @@ import operator
 
 from trrkit.numerics import SparsePoly
 from trrkit.pixton import monomial_coefficient
-from trrkit.strata import StrataElement, multiply_by_psi, pushforward_forget
+from trrkit.strata import StrataElement, pushforward_forget
 from trrkit.trr import (
     TRRRecord,
     c0_coeff,
@@ -31,6 +31,7 @@ from trrkit.trr import (
     string_pushforward,
     substitute_prime,
 )
+from strata_reference import multiply_by_psi
 
 
 def graphs_isomorphic(a, b) -> bool:

@@ -16,13 +16,11 @@ from trrkit.numerics import (
     binomial,
     double_factorial,
     factorial,
-    interpolate,
 )
 from trrkit import trr
 from trrkit.cli import result_digest
 from trrkit.pixton import fixed_r_class, monomial_coefficient
 from trrkit.stablegraphs import canonical_data, enumerate_stable_graphs
-from trrkit.strata import multiply
 from trrkit.trr import (
     c0_coeff,
     ci_coeff,
@@ -39,6 +37,7 @@ from oracles import (
     relation_integrals,
     witten_kontsevich,
 )
+from strata_reference import interpolate, multiply
 from test_strata import random_element
 
 
@@ -373,3 +372,21 @@ def test_full_relation_assembly_2_1_1():
     integrals = assert_integrates_to_zero(record)
     assert integrals[(0, 3)] == (0, Fraction(-1, 80))
     report("5b", "assemble_full_trr(2,1,(1)) matches the closed forms and integrates to 0")
+
+
+@pytest.mark.slow
+def test_genus_3_relations_are_pinned():
+    # two more genus-3 relations through the pipeline (the CI workflow
+    # assembles (3,1,(2,))): each matches the closed-form principal part,
+    # keeps its boundary digest and integrates to 0 against every
+    # complementary psi monomial, which its principal part alone does not
+    from trrkit.trr import assemble_full_trr
+
+    for (k, l), digest in {
+        (3, ()): "7b70dcef4b84bda7",
+        (2, (1,)): "89644b7177d5347b",
+    }.items():
+        record = assemble_full_trr(3, k, l, allow_large=True, jobs=LARGE_JOBS)
+        assert record.boundary.digest() == digest, (k, l)
+        assert_integrates_to_zero(record)
+    report("5c", "assemble_full_trr(3,3,()) and (3,2,(1,)) pinned and integrate to 0")

@@ -12,13 +12,13 @@ from trrkit.numerics import (
     double_factorial,
     factorial,
     falling_factorial,
-    interpolate,
     lagrange_coefficient_rows,
     lagrange_coefficient_weights,
     parse_rational,
     rational_str,
 )
 from oracles import pascal_binomial
+from strata_reference import interpolate
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
