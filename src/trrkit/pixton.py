@@ -31,8 +31,13 @@ constant term in r has total degree <= 2d in A), each graph weighted per
 group by an integer functional of its own leg partition that reads off the
 target monomial, and checks every (2d+1)-th Newton difference on the layer
 |A| = 2d + 1; worker processes each take whole edge lists and return
-integer numerators, which the parent merges.  Legs that omega multiplies by
-psi and forgets are forgotten by the dilaton equation: the plan runs on the
+integer numerators, which the parent merges.  The 0/1 shifts of one
+relation are several (exponents, forget) targets of one (g, n, d), and one
+walk serves them all (:func:`_monomial_coefficients`): one plan holds every
+forget count's placements per entry, and the walk reads each layout's
+constant terms once for the profiles any target reads, checks each column
+once and weights it per target.  Legs that omega multiplies by psi and
+forgets are forgotten by the dilaton equation: the plan runs on the
 graphs without them and places them on the vertices (:func:`_placements`),
 one entry per graph and set of vertices with leg sums, grouped by layout
 once, when the plan is built, with only the template groups of degree d.
@@ -53,25 +58,32 @@ helpers (``cache_info()`` gives hits and sizes), unbounded for the life of
 the process: the reduction steps per edge list, the tau tables per modulus,
 the forms that read a constant term off the sums per (r nodes, h1),
 the edge profiles per (edge count, budget), the class plan per (g, n, dmax,
-survivors), the monomial plan per (g, n, d, legs to forget), the guard's
+survivors), the monomial plan per (g, n, d, forget counts), which holds
+its layouts' points and check rows, one tuple per geometry, the guard's
 admitted verdicts per budget and job, the simplex points with their sparse
 coefficient and check rows per (number of leg sums, 2d)
-(``numerics._simplex_tables``), from which each call makes a layout's
+(``numerics._simplex_tables``), from which a plan makes its layouts'
 points, and the group weights per (exponents, d, leg partition, leg
-exponents), dense over the simplex.  The checked constant terms per (edge
+exponents), dense over the simplex.  Within one walk, a dict weights each
+distinct (placements, leg exponents) pair once per target: omega(3,2,(4,))
+reads 9,710 weights of 2,190 pairs.  The checked constant terms per (edge
 list, vertex leg sums, r nodes, profiles), the profiles being those the
-call reads, one integer per profile, are kept for the 2^17 = 131,072 most
-recently used keys: a genus-2 grid point uses under a thousand, the
-(3,1,()) comparison 27,506 at its 48,256 A-points (graphs of different
-layouts meet at equal leg sums, as where one is 0, and the monomial plan
-keeps the layouts of one edge list together), and the two omega calls of
-an n = 2 genus-3 relation, which plan on the same graphs, about 91,000
-together, so a later call reads what an earlier one computed.  A sum off
-the fit raises and is not kept.
+walk reads, one integer per profile, are kept for the 2^17 = 131,072 most
+recently used keys: a genus-2 grid point uses
+under a thousand, the (3,1,()) comparison 27,506 at its 48,256 A-points
+(graphs of different layouts meet at equal leg sums, as where one is 0,
+and the monomial plan keeps the layouts of one edge list together), the
+walk of the relation (3,1,(2,)) 90,920 and that of (3,1,(1,1)) 201,815.
+The last is more than the cache holds, but a walk meets the keys of one
+edge list one after another, every target reading them there, so each is
+computed once; as four separate omega calls, each walking the edge lists
+in the same order, (3,1,(1,1)) computed 765,944, every key evicted before
+the next call read it.  A sum off the fit raises and is not kept.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
-dmax!; a plan entry keeps its graph, its template groups and their
-denominator, and the sums derive h1 from a layout's edge list and points.
+dmax!; a class plan entry keeps its graph, its template groups and their
+denominator, a monomial plan entry also its placements per forget count,
+and the sums derive h1 from a layout's edge list and points.
 A class plan asks the enumeration for only the graphs with room for one
 unit of psi at every survivor leg, so the rest are never canonicalized.
 """
@@ -349,7 +361,11 @@ def _constant_term_sums(edges, A, nodes, profiles) -> tuple[int, ...]:
 
     A held-out node off the fit raises :class:`FitInstabilityError`, and
     nothing is kept for the key.  The 2^17 most recently used keys are kept
-    (see the module's performance notes)."""
+    (see the module's performance notes): a monomial walk reads the keys of
+    one edge list one after another, for every target it serves, so it
+    computes each key once even where it reads more keys than that, and the
+    cache shares keys across calls, such as repeated calls in one
+    process."""
     h1 = len(edges) - len(A) + 1
     _, form, checks = _node_forms(nodes, h1)
     sums = weighting_power_sums(edges, A, nodes, profiles)
@@ -476,11 +492,13 @@ def _graph_sums(layouts, nodes, dmax: int):
     point's tuple of vertex leg sums, and so h1 = E - V + 1, V being the
     length of a point, and the same edge profiles, of total <= dmax - E, of
     which ``profiles`` (sorted) lists those to compute; each of ``graphs``
-    is (group weights, groups, den) for one plan entry.  A layout's columns
+    is (group weights, groups, den) for one plan entry, or for one entry and
+    one target of a monomial walk, which lists the profiles of all its
+    targets and so reads and checks each column once.  A layout's columns
     are built once: per point, :func:`_constant_term_sums` on the edges and
     the point's leg sums gives each listed profile's checked value, so each
     profile gets one column of integers over the points.  The sum of every
-    check row, sparse (point index, weight) pairs, over every column must
+    check row, sparse (point indices, weights), over every column must
     vanish too, or :class:`FitInstabilityError` is raised.  Then, for each
     of the layout's graphs, group i of its templates gets the dot product
     of its weights (None for none) with its profile's column; weights may
@@ -490,7 +508,7 @@ def _graph_sums(layouts, nodes, dmax: int):
     profiles that no group weight reads, since their columns cannot change
     any total, and must list every profile that one does, so that every
     column entering a total is checked at the held-out nodes and by every
-    check row.  Yields (terms, den) per plan entry: terms maps each
+    check row.  Yields (terms, den) per item of ``graphs``: terms maps each
     decorated graph of that entry's graph to an integer numerator over den,
     the entry's den times that of :func:`_node_forms`.  Every key belongs to
     exactly one graph, and all of a graph's keys have one denominator, also
@@ -502,9 +520,9 @@ def _graph_sums(layouts, nodes, dmax: int):
         values = [_constant_term_sums(edges, leg_sums, nodes, profiles) for leg_sums in points]
         columns = dict(zip(profiles, zip(*values)))
         if any(
-            sum(w * column[i] for i, w in row)
-            for row in check_rows
+            _dot(weights, map(column.__getitem__, indices))
             for column in columns.values()
+            for indices, weights in check_rows
         ):
             raise FitInstabilityError(
                 f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
@@ -517,7 +535,7 @@ def _graph_sums(layouts, nodes, dmax: int):
                 column = columns.get(profile)
                 if weights is None or column is None:
                     continue
-                total = _dot(weights, column)
+                total = sum(map(mul, weights, column))
                 if total:
                     for base, key in members:
                         local[key] = local.get(key, 0) + base * total
@@ -591,29 +609,32 @@ def _check_cost(budget: int, g: int, n: int, dmax: int, forget: int, modulus, no
     """Refuse a computation on the graphs of (g, n) with at most dmax edges
     priced above ``budget``, walking them lazily (``stablegraphs._leg_maps``)
     and stopping as soon as the price, which never falls, passes it.  It is
-    graphs x ``modulus`` x ``nodes``, or with ``modulus`` None that of
-    :func:`monomial_coefficient`'s plan, one entry per graph and part-vertex
-    set of its :func:`_placements` of ``forget`` legs: A-points x the default
-    r0 of the largest leg value they reach x ``nodes``."""
+    graphs x ``modulus``^2 x ``nodes`` for a class at that modulus, whose
+    parallel edges are merged by convolutions of O(r^2), or with ``modulus``
+    None that of :func:`monomial_coefficient`'s plan, one entry per graph and
+    part-vertex set of its :func:`_placements` of ``forget`` legs: A-points x
+    the default r0 of the largest leg value they reach x ``nodes``."""
     sampled = modulus is None
     units = reach = 0
     for genera, edges, legs in _leg_maps(g, n, dmax, frozenset()):
         for vertices in _placements(genera, edges, legs, forget) if sampled else ((),):
             count, value = _monomial_points(len(vertices), 2 * dmax) if sampled else (1, 0)
             units, reach = units + count, max(reach, value)
-            cost = units * (_default_r0((reach,), dmax) if sampled else modulus) * nodes
+            cost = units * (_default_r0((reach,), dmax) if sampled else modulus**2) * nodes
             if cost > budget:
+                unit = "evaluations x modulus" if sampled else "graphs x modulus^2"
                 raise ComputationGuardError(
-                    f"estimated cost {cost} ({'evaluations' if sampled else 'graphs'} x "
-                    "modulus x nodes) exceeds the default budget; pass allow_large to proceed"
+                    f"estimated cost {cost} ({unit} x nodes) exceeds the default budget; "
+                    "pass allow_large to proceed"
                 )
 
 
 def _check_class_cost(g: int, n: int, a, dmax: int, r: int | None) -> None:
     """Refuse the class :func:`fixed_r_class` takes at modulus r, or with r
     None :func:`constant_term_class` at its default nodes, if it prices above
-    ``COST_BUDGET`` as graphs x modulus x r nodes, before any weighting table
-    of r integers is built.  Bad input raises ValueError, as in the classes."""
+    ``COST_BUDGET`` as graphs x modulus^2 x r nodes, before any weighting
+    table of r integers is built.  Bad input raises ValueError, as in the
+    classes."""
     a = check_avector(a)
     modulus, nodes = (r, 1) if r is not None else (_default_r0(a, dmax), 2 * dmax + 3)
     _check_input(g, n, a, (modulus,), dmax)
@@ -748,42 +769,89 @@ def _placements(genera, edges, legs, forget: int) -> dict:
     return placements
 
 
+def _layout_points(V: int, first: int, vertices: tuple, simplex) -> tuple:
+    """The vertex leg sums of a layout with V vertices, leg 1 at vertex
+    ``first`` and the leg sums at ``vertices``, at each point A of the
+    ``simplex`` (and layer) of :func:`_simplex_tables`: A_i at the vertex of
+    part i, -|A| at leg 1's vertex and 0 at every other vertex."""
+    points = []
+    for A in simplex:
+        leg_sums = [0] * V
+        for v, value in zip(vertices, A):
+            leg_sums[v] = value
+        leg_sums[first] = -sum(A)
+        points.append(tuple(leg_sums))
+    return tuple(points)
+
+
 @functools.cache
-def _monomial_plan(g: int, n: int, d: int, forget: int) -> tuple:
+def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
     """The plan of :func:`monomial_coefficient`, built once per (g, n, d,
-    forget): each graph of (g, n) with at most d edges, once per part-vertex
-    set of its :func:`_placements` of the ``forget`` legs, grouped by layout,
-    the layouts ordered by edge list and, within one edge list, by first
-    appearance.
+    forget counts): each graph of (g, n) with at most d edges, once per
+    part-vertex set of its :func:`_placements` of any of the ``forgets``
+    legs, grouped by layout, the layouts ordered by edge list and, within
+    one edge list, by first appearance.
 
     A layout is an edge list, a vertex count, leg 1's vertex and the
     vertices of the parts of a leg partition (:func:`_leg_partition`), in
     order: its entries have the same vertex leg sums at every A-point.  Each
-    layout is (its key (edges, V, leg 1's vertex, part vertices), A-points,
-    leg value that sets the modulus (see :func:`_monomial_points`),
-    entries), and each entry is (graph, placements, groups, den): the
-    (coefficient, leg partition) pairs of that part-vertex set, the graph's
-    template groups of degree exactly d, E + |profile| + |c| = d, the only
-    ones the target monomial reads, and the only ones built; den is
-    :func:`_template_denominator` times |Aut| times (2d)!, the last factor
-    being the denominator of the group weights.
+    layout is (its key (edges, V, leg 1's vertex, part vertices), geometry,
+    entries).  The geometry is (points, check rows), one tuple shared by
+    every layout with the same V, leg 1's vertex and part vertices: the
+    points are :func:`_layout_points` on the simplex and layer of
+    :func:`_simplex_tables` in k = len(part vertices) variables, and the
+    check rows are the layer's, as (point indices, weights) pairs, shared by
+    every geometry with the same k.
+
+    Each entry is (graph, placements, ids, groups, den).  Per forget count
+    of ``forgets``, in order, placements holds the (coefficient, leg
+    partition) pairs of the entry's part-vertex set, empty where that count
+    places none there, and ids the number within the plan of each group's
+    (placements, leg exponents) pair, equal pairs having one number, which
+    names the pair's weights in a walk.  The groups are the graph's template
+    groups of degree exactly d, E + |profile| + |c| = d, the only ones a
+    target monomial reads, and the only ones built, once per graph for every
+    forget count; den is :func:`_template_denominator` times |Aut| times
+    (2d)!, the last factor being the denominator of the group weights.
+    Equal placements and lists of them are one object each, since many
+    entries share them.
     """
     degree = 2 * d
     common = _template_denominator(d) * factorial(degree)
+    checks: dict[int, tuple] = {}
+    geometries: dict[tuple, tuple] = {}
+    pairs: dict[tuple, int] = {}
+    shared: dict[tuple, tuple] = {}
+
+    def share(value):
+        return shared.setdefault(value, value)
+
     layouts: dict[tuple, tuple] = {}
     for graph in enumerate_stable_graphs(g, n, max_edges=d):
         groups = _graph_templates(graph, d, graph.capacities(), exact=True)
         den = common * automorphism_count(graph, check=False)
-        placements = _placements(graph.genera, graph.edges, graph.legs, forget)
-        for vertices, placed in placements.items():
-            key = graph.edges, graph.num_vertices, graph.legs[0], vertices
-            if key not in layouts:
-                layouts[key] = *_monomial_points(len(vertices), degree), []
-            layouts[key][-1].append((graph, tuple(placed), groups, den))
-    # the layouts of one edge list side by side, so that the constant terms
-    # they share (at equal leg sums) are still in _constant_term_sums' LRU
+        per_forget = [_placements(graph.genera, graph.edges, graph.legs, f) for f in forgets]
+        for vertices in dict.fromkeys(v for placements in per_forget for v in placements):
+            shape = graph.num_vertices, graph.legs[0], vertices
+            if shape not in geometries:
+                simplex, _, rows = _simplex_tables(len(vertices), degree)
+                if len(vertices) not in checks:
+                    checks[len(vertices)] = tuple(tuple(zip(*row)) for row in rows)
+                geometries[shape] = _layout_points(*shape, simplex), checks[len(vertices)]
+            placed = tuple(
+                share(tuple(map(share, placements.get(vertices, ()))))
+                for placements in per_forget
+            )
+            ids = tuple(
+                tuple(pairs.setdefault((p, c), len(pairs)) for _, c, _ in groups) if p else ()
+                for p in placed
+            )
+            entries = layouts.setdefault((graph.edges, *shape), (geometries[shape], []))[1]
+            entries.append((graph, placed, ids, groups, den))
+    # the layouts of one edge list side by side: the constant terms they
+    # share (at equal leg sums) are read by one worker, one after another
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
-    return tuple((key, *layout[:-1], tuple(layout[-1])) for key, layout in ordered)
+    return tuple((key, geometry, tuple(entries)) for key, (geometry, entries) in ordered)
 
 
 def _placed_weights(exponents: tuple, d: int, placements, c: tuple):
@@ -795,87 +863,98 @@ def _placed_weights(exponents: tuple, d: int, placements, c: tuple):
     for coefficient, parts in placements:
         weights = _group_weights(exponents, d, parts, c)
         if weights is not None:
-            weights = [coefficient * w for w in weights]
+            if coefficient != 1:
+                weights = [coefficient * w for w in weights]
             total = weights if total is None else list(map(add, total, weights))
     return total
 
 
-def _monomial_layouts(layouts, exponents: tuple, d: int):
+def _monomial_layouts(layouts, targets, d: int):
     """The ``layouts`` of :func:`_monomial_plan` in the form of
-    :func:`_graph_sums`, extracting the coefficient of prod_{j>=2} a_j^(b_j),
-    the ``exponents`` b_j covering the forgotten legs too.
+    :func:`_graph_sums`, extracting for each of the ``targets``, (exponents,
+    slot) pairs, the coefficient of prod_{j>=2} a_j^(b_j), the exponents b_j
+    covering the forgotten legs too and slot being the index of the target's
+    forget count in the plan's.  Yields (layout, owners), owners giving the
+    target of each entry the layout weighs, in order.
 
     A graph's weighting sums see the leg values only through the leg sums
-    A_i at the k vertices of its leg partition, and their constant term in
-    r is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
+    A_i at the k vertices of its leg partition, and their constant term in r
+    is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
     simplex S = {|A| <= D}, C(D+k, k) points, where each entry's template
-    group with leg exponents c is weighted by :func:`_placed_weights` of
-    that entry's placements, and on the layer L = {|A| = D + 1},
-    C(D+k, k-1) more, where every (D+1)-th Newton difference must vanish
-    (see :func:`_simplex_tables`).  A layout's points are its vertex leg
-    sums, made from the simplex points: A_i at the vertex of part i, -|A| at
-    leg 1's vertex and 0 at every other vertex.  The points and rows are
-    built once per (k, D) and the weights once per (exponents, d, leg
-    partition, c).  The weights of a layout's entries are taken before its
-    points: a layout whose weights are all None is skipped, and any other
-    lists only the profiles that some weight reads, sorted, so
-    :func:`_graph_sums` computes and checks exactly the columns that enter
-    the coefficient.
+    group with leg exponents c is weighted for each target by
+    :func:`_placed_weights` of the entry's placements for that target, and
+    on the layer L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th
+    Newton difference must vanish (see :func:`_simplex_tables`); the points
+    and check rows are the layout's geometry, built with the plan.  Each
+    distinct (placements, c) pair, named by its number in the plan, is
+    weighted once per target and walk, in a dict that lives as long as the
+    walk, since many graphs share their leg partitions, and the tables under
+    it once per (exponents, d, leg partition, c).  The weights of a layout's
+    entries are taken before its points: a layout whose weights are all None
+    for every target is skipped, an entry with none for a target is not
+    weighed for it, and any other layout lists the profiles that some weight
+    of some target reads, sorted, so :func:`_graph_sums` computes and
+    checks, once for all the targets, exactly the columns that enter one of
+    their coefficients.
     """
-    degree = 2 * d
-    for (edges, V, first, vertices), _, _, entries in layouts:
-        weighted = [
-            ([_placed_weights(exponents, d, placements, c) for _, c, _ in groups], groups, den)
-            for _, placements, groups, den in entries
-        ]
-        read = {
-            profile
-            for group_weights, groups, _ in weighted
-            for weights, (profile, _, _) in zip(group_weights, groups)
-            if weights is not None
-        }
-        if not read:
-            continue
-        simplex, _, checks = _simplex_tables(len(vertices), degree)
-        points = []
-        for A in simplex:
-            leg_sums = [0] * V
-            for v, value in zip(vertices, A):
-                leg_sums[v] = value
-            leg_sums[first] = -sum(A)
-            points.append(tuple(leg_sums))
-        yield edges, points, checks, tuple(sorted(read)), weighted
+    memos = [{} for _ in targets]
+    for key, (points, checks), entries in layouts:
+        weighted, owners, read = [], [], set()
+        for t, ((exponents, slot), memo) in enumerate(zip(targets, memos)):
+            for _, placed, ids, groups, den in entries:
+                placements = placed[slot]
+                if not placements:
+                    continue
+                group_weights, reads = [], False
+                for i, (profile, c, _) in zip(ids[slot], groups):
+                    if i in memo:
+                        weights = memo[i]
+                    else:
+                        weights = memo[i] = _placed_weights(exponents, d, placements, c)
+                    if weights is not None:
+                        read.add(profile)
+                        reads = True
+                    group_weights.append(weights)
+                if reads:
+                    weighted.append((group_weights, groups, den))
+                    owners.append(t)
+        if read:
+            yield (key[0], points, checks, tuple(sorted(read)), weighted), owners
 
 
 def _chunk_worker(args):
     """The constant term of the graph sums of the layouts of every
     ``step``-th edge list of :func:`_monomial_plan` from ``start``, sampled
-    by :func:`_monomial_layouts`, as integer numerators and denominators per
-    decorated graph, summed over the layouts where its graph is an entry,
-    with its counts: the layouts evaluated, their A-points, and the
-    :func:`_constant_term_sums` keys computed and reused; used directly and
-    as the multiprocessing worker.  The plan is sorted by edge list and
-    every key holds its edge list, so no key reaches two workers."""
-    g, n, exponents, d, r0, forget, start, step = args
-    layouts = _monomial_plan(g, n, d, forget)
+    by :func:`_monomial_layouts` for every target, as integer numerators and
+    denominators per decorated graph and target, summed over the layouts
+    where its graph is an entry, with the counts of the walk: the layouts
+    evaluated, their A-points, and the :func:`_constant_term_sums` keys
+    computed and reused; used directly and as the multiprocessing worker.
+    The plan is sorted by edge list and every key holds its edge list, so no
+    key reaches two workers."""
+    g, n, targets, d, r0, forgets, start, step = args
+    layouts = _monomial_plan(g, n, d, forgets)
     if step > 1:
         edge_lists = itertools.groupby(layouts, key=lambda layout: layout[0][0])
         layouts = [
             layout for _, group in itertools.islice(edge_lists, start, None, step) for layout in group
         ]
     evaluated = []  # the A-points of each layout sampled
+    owners = []  # the target of each entry weighed, in walk order
 
     def sampled():
-        for layout in _monomial_layouts(layouts, exponents, d):
+        for layout, weighed in _monomial_layouts(layouts, targets, d):
             evaluated.append(len(layout[1]))
+            owners.extend(weighed)
             yield layout
 
     # a graph's keys meet in each layout where it has an entry, over one den
-    terms = {}
+    terms = [{} for _ in targets]
     before = _constant_term_sums.cache_info()
-    for local, den in _graph_sums(sampled(), _r_nodes(r0, d), d):
+    for i, (local, den) in enumerate(_graph_sums(sampled(), _r_nodes(r0, d), d)):
+        part = terms[owners[i]]
         for key, num in local.items():
-            terms[key] = terms.get(key, (0, den))[0] + num, den
+            part[key] = part.get(key, (0, den))[0] + num, den
     after = _constant_term_sums.cache_info()
     return terms, (
         len(evaluated),
@@ -883,6 +962,83 @@ def _chunk_worker(args):
         after.misses - before.misses,
         after.hits - before.hits,
     )
+
+
+def _monomial_coefficients(
+    g: int, n: int, targets, d: int, allow_large: bool = False, jobs: int = 1
+):
+    """The coefficients of :func:`monomial_coefficient` at each of the
+    ``targets``, (exponents, forget) pairs of one (g, n, d), in one walk:
+    one plan for every forget count, its template groups built once, and
+    one pass over its layouts, which reads each layout's checked constant
+    terms once, for every profile that some target reads, checks each
+    column on the layer once and weights it for every target.  The classes
+    are those of separate calls; the guard admits the walk exactly when it
+    admits each target.  Returns (elements, meta), one element per target,
+    in order, and the meta of :func:`monomial_coefficient` for the walk:
+    ``plan_graphs`` and ``evaluations`` count the entries of the plan of
+    every forget count, and the other counts are the walk's, which computes
+    each key once however many targets read it; for one target it is that
+    call's meta."""
+    checked = []
+    for exponents, forget in targets:
+        exponents = tuple(int(b) for b in exponents)
+        if len(exponents) != n - 1:
+            raise ValueError("need one exponent per marking 2..n")
+        if min(exponents, default=0) < 0:
+            raise ValueError(f"exponents must be nonnegative, got {exponents}")
+        if forget < 0:
+            raise ValueError(f"the number of legs to forget must be nonnegative, got {forget}")
+        _check_space(g, n + forget, d)
+        checked.append((exponents, forget))
+    degree = 2 * d
+    # the class lands on (g, n): above its dimension it is zero, unplanned
+    zero = d > 3 * g - 3 + n
+    if not (allow_large or zero):
+        for _, forget in checked:
+            _check_cost(COST_BUDGET, g, n, d, forget, None, 2 * d + 3)
+
+    forgets = tuple(sorted({forget for _, forget in checked}))
+    plan = () if zero else _monomial_plan(g, n, d, forgets)  # warmed before any fork
+    # the plan's entries, their A-points and the most leg sums of a layout,
+    # where leg 1's value on the layer sets the modulus
+    entries = evaluations = k = 0
+    for key, (points, _), layout_entries in plan:
+        entries += len(layout_entries)
+        evaluations += len(points) * len(layout_entries)
+        k = max(k, len(key[3]))
+    r0 = _default_r0([_monomial_points(k, degree)[1]], d)
+    walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in checked)
+    # the tasks are the plan's edge lists, counted only where a pool may start
+    workers = _worker_count(jobs, len({key[0] for key, *_ in plan}) if jobs > 1 else 1)
+    tasks = [(g, n, walk, d, r0, forgets, start, workers) for start in range(workers)]
+    if workers > 1:
+        with _worker_pool(workers) as pool:
+            partials = pool.map(_chunk_worker, tasks)
+    else:
+        partials = [_chunk_worker(tasks[0])] if plan else []
+    (terms, counts), *rest = partials or [([{} for _ in checked], (0, 0, 0, 0))]
+    for chunks, chunk_counts in rest:
+        for part, chunk in zip(terms, chunks):
+            for key, (num, den) in chunk.items():
+                part[key] = part.get(key, (0, den))[0] + num, den
+        counts = tuple(map(add, counts, chunk_counts))
+    layouts, layout_evaluations, computed, reused = counts
+    elements = [
+        StrataElement(g, n, {key: Fraction(num, den) for key, (num, den) in part.items() if num})
+        for part in terms
+    ]
+    return elements, {
+        "grid_degree": degree,
+        "evaluations": evaluations,
+        "layouts": layouts,
+        "layout_evaluations": layout_evaluations,
+        "plan_graphs": entries,
+        "r0": r0,
+        "r_nodes": _r_nodes(r0, d),
+        "sums_computed": computed,
+        "sums_reused": reused,
+    }
 
 
 def monomial_coefficient(
@@ -910,21 +1066,23 @@ def monomial_coefficient(
     node off the fit, raises :class:`FitInstabilityError`.  Plan entries of
     one layout have the same values at every A-point, and the cached plan
     (:func:`_monomial_plan`) holds them grouped by layout, with only the
-    template groups of degree d, so a call samples each layout's points
-    once and runs the template loop per entry.  A call evaluates only the
-    layouts and edge profiles that some group weight of the target reads:
-    every column that enters the coefficient is checked at both held-out r
-    nodes and on the layer, and a column that no weight reads is neither
-    computed nor checked, as it cannot change the result.  With ``jobs`` > 1
-    the edge lists, each with all its layouts, are dealt out over worker
-    processes, each returning integer numerators; results are identical for
-    any worker count.  Returns (element, meta); the meta counts the plan's
-    entries (``plan_graphs``) and their A-points (``evaluations``, what
-    :func:`_check_cost` prices), and, summed over the workers, the layouts
-    evaluated (``layouts``), their A-points (``layout_evaluations``, one
-    :func:`_constant_term_sums` lookup each), and of those lookups the cache
-    misses (``sums_computed``, one :func:`weighting_power_sums` call each)
-    and hits (``sums_reused``).
+    template groups of degree d and each layout's points, so a call samples
+    each layout's points once and runs the template loop per entry.  A call
+    evaluates only the layouts and edge profiles that some group weight of
+    the target reads: every column that enters the coefficient is checked
+    at both held-out r nodes and on the layer, and a column that no weight
+    reads is neither computed nor checked, as it cannot change the result.
+    This is the one-target case of the walk of
+    :func:`_monomial_coefficients`, which serves several targets of one
+    (g, n, d) at once.  With ``jobs`` > 1 the edge lists, each with all its
+    layouts, are dealt out over worker processes, each returning integer
+    numerators; results are identical for any worker count.  Returns
+    (element, meta); the meta counts the plan's entries (``plan_graphs``)
+    and their A-points (``evaluations``, what :func:`_check_cost` prices),
+    and, summed over the workers, the layouts evaluated (``layouts``), their
+    A-points (``layout_evaluations``, one :func:`_constant_term_sums` lookup
+    each), and of those lookups the cache misses (``sums_computed``, one
+    :func:`weighting_power_sums` call each) and hits (``sums_reused``).
     Every key holds its edge list, so no two workers compute one key: with
     workers forked from the caller, each starting from its cache, and while
     the cache holds every key of the call, these two are the same for any
@@ -945,49 +1103,5 @@ def monomial_coefficient(
     The default guard, :func:`_check_cost`, refuses a job priced above
     ``COST_BUDGET`` before any template is built, unless ``allow_large``.
     """
-    exponents = tuple(int(b) for b in exponents)
-    if len(exponents) != n - 1:
-        raise ValueError("need one exponent per marking 2..n")
-    if min(exponents, default=0) < 0:
-        raise ValueError(f"exponents must be nonnegative, got {exponents}")
-    if forget < 0:
-        raise ValueError(f"the number of legs to forget must be nonnegative, got {forget}")
-    _check_space(g, n + forget, d)
-    degree = 2 * d
-    # the class lands on (g, n): above its dimension it is zero, unplanned
-    zero = d > 3 * g - 3 + n
-    if not (allow_large or zero):
-        _check_cost(COST_BUDGET, g, n, d, forget, None, 2 * d + 3)
-
-    plan = () if zero else _monomial_plan(g, n, d, forget)  # warmed before any fork
-    r0 = _default_r0([value for _, _, value, *_ in plan], d)
-    # the tasks are the plan's edge lists, counted only where a pool may start
-    workers = _worker_count(jobs, len({key[0] for key, *_ in plan}) if jobs > 1 else 1)
-    tasks = [
-        (g, n, exponents + (1,) * forget, d, r0, forget, start, workers)
-        for start in range(workers)
-    ]
-    if workers > 1:
-        with _worker_pool(workers) as pool:
-            partials = pool.map(_chunk_worker, tasks)
-    else:
-        partials = [_chunk_worker(tasks[0])] if plan else []
-    terms = {}
-    counts = (0, 0, 0, 0)
-    for chunk, chunk_counts in partials:
-        for key, (num, den) in chunk.items():
-            terms[key] = terms.get(key, (0, den))[0] + num, den
-        counts = tuple(map(add, counts, chunk_counts))
-    layouts, layout_evaluations, computed, reused = counts
-    terms = {key: Fraction(num, den) for key, (num, den) in terms.items() if num}
-    return StrataElement(g, n, terms), {
-        "grid_degree": degree,
-        "evaluations": sum(points * len(entries) for _, points, *_, entries in plan),
-        "layouts": layouts,
-        "layout_evaluations": layout_evaluations,
-        "plan_graphs": sum(len(entries) for *_, entries in plan),
-        "r0": r0,
-        "r_nodes": _r_nodes(r0, d),
-        "sums_computed": computed,
-        "sums_reused": reused,
-    }
+    (element,), meta = _monomial_coefficients(g, n, [(exponents, forget)], d, allow_large, jobs)
+    return element, meta

@@ -47,7 +47,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
     count and the number of tasks."""
     if jobs < 1:
         raise ValueError(f"need a positive worker count, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+    return max(1, min(jobs, os.cpu_count() or 1, tasks)) if jobs > 1 else 1
 
 
 def sha256_hex(data: bytes) -> str:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .numerics import factorial
 from .runtime import InvalidGraphError
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class StableGraph:
     """Immutable stable graph; construct through :func:`make_graph` so the
     stored representative is the canonical one of its isomorphism class."""
@@ -24,9 +24,11 @@ class StableGraph:
     genera: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     legs: tuple[int, ...]  # legs[i] = vertex carrying marking i+1
+    # the hash, computed on first use
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.genera, self.edges, self.legs))
             object.__setattr__(self, "_hash", h)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import rational_str
@@ -28,7 +28,7 @@ from .stablegraphs import (
 )
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedGraph:
     """Canonical decorated stable graph.  Use :func:`make_decorated`."""
 
@@ -36,9 +36,11 @@ class DecoratedGraph:
     psi_legs: tuple[int, ...]                    # exponent per marking
     psi_edges: tuple[tuple[int, int], ...]       # (side0, side1) per edge
     kappa: tuple[tuple[tuple[int, int], ...], ...]  # per vertex, sorted (index, exp)
+    # the hash, computed on first use
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.graph, self.psi_legs, self.psi_edges, self.kappa))
             object.__setattr__(self, "_hash", h)

@@ -697,6 +697,16 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
 # loads on the first call that runs it.
 # ----------------------------------------------------------------------
 
+def _omega_target(mono: MonomialSpec) -> tuple[tuple[int, ...], int]:
+    """The (exponents, forget) pair of :func:`omega`'s coefficient on
+    (g, n+1): the monomial's exponents followed by a 1, and the N - n - 1
+    legs n+2..N to forget."""
+    N = mono.num_legs
+    if N < mono.n + 1:
+        raise ValueError("monomial degree too large: no extra leg remains")
+    return mono.exponents + (1,), N - mono.n - 1
+
+
 def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     """The coefficient of the monomial times the product of the extra leg
     variables in the degree-(g+1) part of the class on (g, N), multiplied by
@@ -706,13 +716,10 @@ def omega(mono: MonomialSpec, allow_large: bool = False, jobs: int = 1):
     (:func:`monomial_coefficient` with ``forget``)."""
     from .pixton import monomial_coefficient
 
-    g, n = mono.g, mono.n
-    N = mono.num_legs
-    if N < n + 1:
-        raise ValueError("monomial degree too large: no extra leg remains")
+    exponents, forget = _omega_target(mono)
     return monomial_coefficient(
-        g, n + 1, mono.exponents + (1,), g + 1, allow_large=allow_large,
-        forget=N - n - 1, jobs=jobs,
+        mono.g, mono.n + 1, exponents, mono.g + 1, allow_large=allow_large,
+        forget=forget, jobs=jobs,
     )
 
 
@@ -810,16 +817,25 @@ def verify_lemmas(g: int, n: int, b, allow_large: bool = False, jobs: int = 1) -
 def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 1) -> TRRRecord:
     """The full relation (principal and boundary parts) through the
     brute-force pipeline; the principal part must reproduce
-    :func:`principal_part` exactly."""
+    :func:`principal_part` exactly.  The :func:`omega` classes of every 0/1
+    shift come from one walk over one plan on the graphs of (g, n+1)
+    (:func:`trrkit.pixton._monomial_coefficients`), which computes each
+    constant term they share once; the guard admits the relation exactly
+    when it admits each shift's :func:`omega`."""
+    from .pixton import _monomial_coefficients
     from .strata import StrataElement, pushforward_forget
 
     l = tuple(int(x) for x in l)
     n = len(l) + 1
     closed = principal_part(g, k, l)
+    shifts = relation_weights(k, l)
+    targets = [
+        _omega_target(MonomialSpec(g, n, tuple(2 * lj + dj for lj, dj in zip(l, dvec))))
+        for dvec, _ in shifts
+    ]
+    classes, _ = _monomial_coefficients(g, n + 1, targets, g + 1, allow_large, jobs)
     total = StrataElement.zero(g, n)
-    for dvec, weight in relation_weights(k, l):
-        b = tuple(2 * lj + dj for lj, dj in zip(l, dvec))
-        el, _ = omega(MonomialSpec(g, n, b), allow_large=allow_large, jobs=jobs)
+    for (_, weight), el in zip(shifts, classes):
         total = total + pushforward_forget(el, n + 1).scale(weight)
     norm = closed.provenance["normalization"]
     total = total.scale(Fraction(1) / norm)

@@ -376,7 +376,7 @@ def test_full_relation_assembly_2_1_1():
 
 @pytest.mark.slow
 def test_genus_3_relations_are_pinned():
-    # two more genus-3 relations through the pipeline (the CI workflow
+    # three more genus-3 relations through the pipeline (the CI workflow
     # assembles (3,1,(2,))): each matches the closed-form principal part,
     # keeps its boundary digest and integrates to 0 against every
     # complementary psi monomial, which its principal part alone does not
@@ -385,8 +385,12 @@ def test_genus_3_relations_are_pinned():
     for (k, l), digest in {
         (3, ()): "7b70dcef4b84bda7",
         (2, (1,)): "89644b7177d5347b",
+        (1, (1, 1)): "2e5609abddf0e8e8",
     }.items():
         record = assemble_full_trr(3, k, l, allow_large=True, jobs=LARGE_JOBS)
         assert record.boundary.digest() == digest, (k, l)
         assert_integrates_to_zero(record)
-    report("5c", "assemble_full_trr(3,3,()) and (3,2,(1,)) pinned and integrate to 0")
+    report(
+        "5c",
+        "assemble_full_trr(3,3,()), (3,2,(1,)) and (3,1,(1,1)) pinned and integrate to 0",
+    )

@@ -260,19 +260,22 @@ def test_guard_refuses_a_large_genus_at_once(capsys, argv):
 @pytest.mark.parametrize(
     "extra,price",
     [
-        # 18 graphs x modulus x 1 node, one node past the budget, passed at
-        # the last graph
-        (["--r", "55556"], 1_000_008),
+        # 18 graphs x modulus^2 x 1 node, one modulus past the budget,
+        # passed at the last graph
+        (["--r", "236"], 18 * 236**2),
         # passed at the first graph
-        (["--r", "10000000000"], 10_000_000_000),
+        (["--r", "10000000000"], 10**20),
         # the default modulus 2 x max|a| x degree + 3, with 7 nodes, passed
         # at the first graph
-        (["--a", "10000000000,-10000000000"], 40_000_000_003 * 7),
+        (["--a", "10000000000,-10000000000"], 40_000_000_003**2 * 7),
+        # passed at the first graph, although 18 x modulus is within it
+        (["--r", "55555"], 55_555**2),
     ],
 )
 def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
-    # the modulus is priced (graphs x modulus x r nodes) before any
-    # weighting table of that many integers is built
+    # the modulus is priced (graphs x modulus^2 x r nodes, since merging
+    # parallel edges convolves r values with r values) before any weighting
+    # table of that many integers is built
     argv = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2", *extra]
     started = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -283,10 +286,11 @@ def test_class_guard_refuses_a_large_modulus_at_once(capsys, extra, price):
 
 
 def test_class_guard_stops_the_shape_walk_mid_level(capsys, monkeypatch):
-    # the genus-5 class is refused at its 12,346th graph (x modulus 3 x 27
-    # nodes), on the level of 8 edges: the shapes of a level are found while
-    # the walk goes, so no shape past that graph's is canonicalized (whole
-    # levels took 190,915 canonicalizations)
+    # the genus-5 class is refused at its 4,116th graph (x modulus 3^2 x 27
+    # nodes), the 2,497th of the 2,748 on the level of 6 edges: the shapes
+    # of a level are found while the walk goes, so no shape past that
+    # graph's is canonicalized (the whole levels up to 6 edges take 30,490
+    # canonicalizations)
     calls = []
     real = stablegraphs.canonical_data
 
@@ -297,8 +301,8 @@ def test_class_guard_stops_the_shape_walk_mid_level(capsys, monkeypatch):
     monkeypatch.setattr(stablegraphs, "canonical_data", counting)
     code, out, err = run(capsys, "pixton", "--g", "5", "--n", "1", "--a", "0", "--degree", "12")
     assert code == cli.EXIT_GUARD and out == ""
-    assert "estimated cost 1000026 " in err
-    assert len(calls) == 112_172
+    assert "estimated cost 1000188 " in err
+    assert len(calls) == 27_788
 
 
 def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):
@@ -320,10 +324,10 @@ def test_every_guarded_command_decides_through_one_guard(capsys, monkeypatch):
 
 
 def test_class_guard_admits_the_pinned_class(capsys):
-    # 18 graphs x modulus 15 x 7 nodes = 1,890; 18 x 500 x 1 = 9,000
+    # 18 graphs x modulus 15^2 x 7 nodes = 28,350; 18 x 235^2 x 1 = 994,050
     base = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "2"]
     assert run(capsys, *base)[0] == cli.EXIT_OK
-    assert run(capsys, *base, "--r", "500")[0] == cli.EXIT_OK
+    assert run(capsys, *base, "--r", "235")[0] == cli.EXIT_OK
 
     # degree 0 keeps the trivial graph alone, and no edge needs a table
     trivial = ["pixton", "--g", "2", "--n", "2", "--a", "3,-3", "--degree", "0", "--r", "1000001"]

@@ -306,19 +306,29 @@ def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch, fresh_sums)
 
 def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
     # the simplex tables and the group weights are built by the first call;
-    # a second call reads every one of them from its cache
+    # a second call, planning again, reads every one of them from its cache;
+    # a third, on the cached plan, whose layouts carry their points and check
+    # rows, reads no table at all and every group weight from its cache
     caches = (pixton._simplex_tables, pixton._group_weights)
     for cache in caches:
         cache.cache_clear()
+    pixton._monomial_plan.cache_clear()
     args = (1, 2, (2,), 2)
     first, _ = monomial_coefficient(*args, forget=2)
     built = [cache.cache_info() for cache in caches]
     assert all(info.misses > 0 for info in built)
+    pixton._monomial_plan.cache_clear()
     again, _ = monomial_coefficient(*args, forget=2)
-    for before, after in zip(built, (cache.cache_info() for cache in caches)):
+    replanned = [cache.cache_info() for cache in caches]
+    for before, after in zip(built, replanned):
         assert after.misses == before.misses and after.currsize == before.currsize
         assert after.hits > before.hits
     assert again == first and not first.is_zero()
+    third, _ = monomial_coefficient(*args, forget=2)
+    tables, weights = (cache.cache_info() for cache in caches)
+    assert tables == replanned[0]
+    assert weights.misses == built[1].misses and weights.hits > replanned[1].hits
+    assert third == first
 
 
 def _layout(graph):
@@ -374,7 +384,7 @@ def _lemma_targets(g, ns):
     for n, b in ns:
         forget = 2 * g + 1 - sum(b)
         args = (g, n + 1, tuple(b) + (1,), g + 1)
-        plan = pixton._monomial_plan(g, n + 1, g + 1, forget)
+        plan = pixton._monomial_plan(g, n + 1, g + 1, (forget,))
         targets.append((plan, args, forget, args[2] + (1,) * forget))
     return targets
 
@@ -386,7 +396,7 @@ def _read_profiles(plan, exponents, d):
     for key, *_, entries in plan:
         profiles = {
             p
-            for _, placements, groups, _ in entries
+            for _, (placements,), _, groups, _ in entries
             for p, c, _ in groups
             if pixton._placed_weights(exponents, d, placements, c) is not None
         }
@@ -396,12 +406,13 @@ def _read_profiles(plan, exponents, d):
 
 
 def _sampled_layouts(plan, exponents, d):
-    """The layouts :func:`pixton._monomial_layouts` yields for the target,
-    each as (plan key, layout), given the plan's layouts one at a time."""
+    """The layouts :func:`pixton._monomial_layouts` yields for the target
+    alone, on the plan of its one forget count, each as (plan key, layout),
+    given the plan's layouts one at a time."""
     return [
         (layout[0], sampled)
         for layout in plan
-        for sampled in pixton._monomial_layouts([layout], exponents, d)
+        for sampled, _ in pixton._monomial_layouts([layout], ((exponents, 0),), d)
     ]
 
 
@@ -409,12 +420,14 @@ def test_monomial_plan_is_grouped_by_layout():
     # within a layout every entry has the layout's edge list and leg-1
     # vertex, and each of its placements a leg partition whose parts sit on
     # the layout's vertices, the graph's own legs included; no layout
-    # repeats, the layouts are ordered by edge list and every template group
-    # kept has degree d; a call samples, in plan order, exactly the layouts
-    # whose group weights read some profile, and the points it samples are,
-    # in order, the vertex leg sums of every placement at the leg vectors of
-    # its own leg partition; the plans of the genus-1 lemmas hold 70 entries
-    # and that of the (2,1,()) comparison 94
+    # repeats, the layouts are ordered by edge list, every template group
+    # kept has degree d, and a layout's points are those of its geometry,
+    # one tuple shared by the layouts of one geometry; a call samples, in
+    # plan order, exactly the layouts whose group weights read some
+    # profile, and the points it samples are, in order, the vertex leg sums
+    # of every placement at the leg vectors of its own leg partition; the
+    # plans of the genus-1 lemmas hold 70 entries and that of the (2,1,())
+    # comparison 94
     lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
     for targets, d, want in [
         (_lemma_targets(1, lemmas), 2, 70),
@@ -422,16 +435,23 @@ def test_monomial_plan_is_grouped_by_layout():
     ]:
         count = 0
         for plan, _, forget, exponents in targets:
-            keys = set()
-            for key, points, value, entries in plan:
+            keys, geometries = set(), {}
+            for key, geometry, entries in plan:
                 assert key not in keys
                 keys.add(key)
-                edges, V, _, vertices = key
-                assert (points, value) == pixton._monomial_points(len(vertices), 2 * d)
+                edges, V, first, vertices = key
+                assert geometries.setdefault(key[1:], geometry) is geometry
+                points, checks = geometry
+                simplex, _, rows = pixton._simplex_tables(len(vertices), 2 * d)
+                assert points == pixton._layout_points(V, first, vertices, simplex)
+                assert checks == tuple(tuple(zip(*row)) for row in rows)
+                value = max(abs(x) for point in points for x in point) or 1
+                assert (len(points), value) == pixton._monomial_points(len(vertices), 2 * d)
                 profiles = pixton._edge_profiles(len(edges), d - len(edges))
-                for graph, placements, groups, den in entries:
+                for graph, (placements,), (ids,), groups, den in entries:
                     assert (graph.edges, graph.num_vertices, graph.legs[0]) == key[:3]
                     assert graph.h1() == len(edges) - V + 1 and placements
+                    assert len(ids) == len(groups)
                     for coefficient, parts in placements:
                         legs = _placed_legs(graph, parts, vertices, forget)
                         assert coefficient >= 1 and legs[: graph.n] == graph.legs
@@ -444,20 +464,57 @@ def test_monomial_plan_is_grouped_by_layout():
             sampled = _sampled_layouts(plan, exponents, d)
             read = _read_profiles(plan, exponents, d)
             assert sampled and [key for key, _ in sampled] == list(read)
-            whole = pixton._monomial_layouts(plan, exponents, d)
+            whole = [layout for layout, _ in pixton._monomial_layouts(plan, ((exponents, 0),), d)]
             assert [layout[:4] for layout in whole] == [layout[:4] for _, layout in sampled]
             for key, (_, _, _, profiles, _) in sampled:
                 assert profiles == tuple(sorted(read[key]))
-            layouts = {key: (points, entries) for key, points, *_, entries in plan}
+            layouts = {key: (points, entries) for key, (points, _), entries in plan}
             for key, (edges, leg_sums, *_) in sampled:
                 points, entries = layouts[key]
-                assert edges == key[0] and len(leg_sums) == points
-                for graph, placements, *_ in entries:
+                assert edges == key[0] and leg_sums == points
+                for graph, (placements,), *_ in entries:
                     for _, parts in placements:
                         legs = _placed_legs(graph, parts, key[3], forget)
                         vectors = _simplex_leg_vectors(parts, len(legs), 2 * d)
-                        assert [_placed_leg_sums(legs, key[1], a) for a in vectors] == leg_sums
+                        assert [_placed_leg_sums(legs, key[1], a) for a in vectors] == list(leg_sums)
         assert count == want
+
+
+def test_one_plan_serves_every_forget_count():
+    # the plan of the forget counts 0, 1 and 2 on the graphs of (1,3) in
+    # degree 2, those of the lemmas (1,2,(2,)), (1,2,(1,)) and (1,2,(0,)),
+    # holds at each count's slot exactly the entries of that count's own
+    # plan, with their placements, template groups and dens, in order within
+    # each layout; the layouts are ordered by edge list, the template groups
+    # of a graph are built once for every count, and equal (placements, leg
+    # exponents) pairs, and only those, have one number
+    g, n, d, forgets = 1, 3, 2, (0, 1, 2)
+    plan = pixton._monomial_plan(g, n, d, forgets)
+    edges = [key[0] for key, *_ in plan]
+    assert edges == sorted(edges)
+    groups_of, pairs = {}, {}
+    for _, _, entries in plan:
+        for graph, placed, ids, groups, _ in entries:
+            assert groups_of.setdefault(graph, groups) is groups and any(placed)
+            for placements, numbers in zip(placed, ids):
+                assert len(numbers) == (len(groups) if placements else 0)
+                for number, (_, c, _) in zip(numbers, groups):
+                    assert pairs.setdefault(number, (placements, c)) == (placements, c)
+    assert len(set(pairs.values())) == len(pairs)
+    for slot, forget in enumerate(forgets):
+        own = pixton._monomial_plan(g, n, d, (forget,))
+        layouts = {
+            key: (geometry, [(graph, placed[slot], groups, den)
+                             for graph, placed, _, groups, den in entries if placed[slot]])
+            for key, geometry, entries in plan
+        }
+        want = {
+            key: (geometry, [(graph, placed, groups, den)
+                             for graph, (placed,), _, groups, den in entries])
+            for key, geometry, entries in own
+        }
+        assert {key: layout for key, layout in layouts.items() if layout[1]} == want
+    assert len(groups_of) == len(enumerate_stable_graphs(g, n, d))
 
 
 def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
@@ -487,7 +544,7 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     pixton._monomial_plan.cache_clear()
     _, meta = monomial_coefficient(1, 3, (0, 1), 1, forget=1)
-    plan = pixton._monomial_plan(1, 3, 1, 1)
+    plan = pixton._monomial_plan(1, 3, 1, (1,))
     sampled = [
         (edges, A) for _, (edges, leg_sums, *_) in _sampled_layouts(plan, (0, 1, 1), 1)
         for A in leg_sums
@@ -502,7 +559,7 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
     read = _read_profiles(plan, (0, 1, 1), 1)
     assert meta["layouts"] == len(read)
     assert [edges for edges, _ in sampled] == [
-        key[0] for key, points, *_ in plan if key in read for _ in range(points)
+        key[0] for key, (points, _), _ in plan if key in read for _ in points
     ]
     # the plan runs on the graphs of (1,3) alone, never on those of (1,4)
     assert enumerated == [((1, 3), {"max_edges": 1})]
@@ -575,7 +632,7 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     # which every layout of its edge list has, is left alone)
     args, forget = (1, 3, (0, 1), 1), 1
     exponents = args[2] + (1,)
-    plan = pixton._monomial_plan(1, 3, 1, forget)
+    plan = pixton._monomial_plan(1, 3, 1, (forget,))
     (shared,) = [key for key, *_, entries in plan if len(entries) > 1]
     points = {
         key: {(edges, A) for A in leg_sums}
@@ -616,7 +673,7 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count, fre
     want = []
     for key, *_, entries in plan:
         if key in read:
-            graph, ((_, parts), *_), *_ = entries[0]
+            graph, (((_, parts), *_),), *_ = entries[0]
             legs = _placed_legs(graph, parts, key[3], forget)
             for a in _simplex_leg_vectors(parts, len(legs), 2 * d):
                 want.append((key[0], _placed_leg_sums(legs, key[1], a), tuple(sorted(read[key]))))
@@ -796,10 +853,10 @@ def test_layouts_keep_their_leg_sum_vertices_apart():
     # (2, 0) in another: one edge list, two layouts, two columns, both read
     # (with exponents (2, 2) the target would not tell the two orders apart)
     g, n, exponents, d = 2, 3, (3, 1), 2
-    plan = pixton._monomial_plan(g, n, d, 0)
+    plan = pixton._monomial_plan(g, n, d, (0,))
     read = set()
     for *_, entries in plan:
-        for graph, ((_, parts),), groups, _ in entries:
+        for graph, (((_, parts),),), _, groups, _ in entries:
             weights = [pixton._group_weights(exponents, d, parts, c) for _, c, _ in groups]
             if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
                 read.add(_layout(graph)[2:])
@@ -853,7 +910,7 @@ def test_cost_guard_admits_the_genus_one_lemmas(monkeypatch):
 
     def no_sampling(args):
         calls.append(args[:3])
-        return {}, (0, 0, 0, 0)
+        return [{} for _ in args[2]], (0, 0, 0, 0)
 
     monkeypatch.setattr(pixton, "_chunk_worker", no_sampling)
     prices = {
@@ -969,6 +1026,93 @@ def test_worker_pool_matches_serial(monkeypatch, fresh_sums):
     assert pooled_meta == serial_meta
     counts = ("sums_computed", "sums_reused")
     assert sum(serial_meta[k] for k in counts) == serial_meta["layout_evaluations"]
+
+
+def _relation_targets(g, k, l):
+    """The (exponents, forget) targets on (g, n+1) of the omega classes that
+    :func:`trrkit.trr.assemble_full_trr` takes for the relation (g, k, l),
+    one per 0/1 shift."""
+    from trrkit.trr import MonomialSpec, _omega_target, relation_weights
+
+    n = len(l) + 1
+    return [
+        _omega_target(MonomialSpec(g, n, tuple(2 * lj + dj for lj, dj in zip(l, dvec))))
+        for dvec, _ in relation_weights(k, l)
+    ]
+
+
+def _relation_keys(g, targets):
+    """The distinct constant-term keys (edges, leg sums, profiles) a walk for
+    the ``targets`` on (g, n+1) in degree g + 1 reads, from its plan."""
+    d, n = g + 1, len(targets[0][0]) + 1
+    forgets = tuple(sorted({forget for _, forget in targets}))
+    walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in targets)
+    plan = pixton._monomial_plan(g, n, d, forgets)
+    return {
+        (layout[0], A, layout[3])
+        for layout, _ in pixton._monomial_layouts(plan, walk, d)
+        for A in layout[1]
+    }
+
+
+@pytest.mark.parametrize(
+    "relation", [(2, 1, (1,)), pytest.param((3, 2, (1,)), marks=pytest.mark.slow)]
+)
+def test_one_walk_per_relation_gives_separate_classes_and_computes_each_key_once(
+    monkeypatch, relation, fresh_sums
+):
+    # the walk over one plan for every 0/1 shift of a relation gives, target
+    # by target, exactly the classes of separate monomial_coefficient calls,
+    # with one worker and with two; from an empty cache it computes each
+    # distinct key it reads once, with either worker count, where the
+    # separate calls, each from an empty cache, compute more in all
+    g, k, l = relation
+    n, d = len(l) + 2, g + 1
+    targets = _relation_targets(g, k, l)
+    assert len(targets) == 2 and len({forget for _, forget in targets}) == 2
+    separate, computed = [], 0
+    for b, forget in targets:
+        fresh_sums.cache_clear()
+        el, meta = monomial_coefficient(g, n, b, d, allow_large=True, forget=forget)
+        separate.append(el.to_json())
+        computed += meta["sums_computed"]
+    keys = _relation_keys(g, targets)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        fresh_sums.cache_clear()
+        classes, meta = pixton._monomial_coefficients(g, n, targets, d, True, jobs)
+        assert [el.to_json() for el in classes] == separate, jobs
+        assert meta["sums_computed"] == len(keys) < computed, jobs
+        assert meta["sums_computed"] + meta["sums_reused"] == meta["layout_evaluations"]
+
+
+def test_a_relation_is_priced_as_its_targets(monkeypatch):
+    # the walk asks the guard about each target exactly as a call of its own
+    # would, so it is admitted exactly when every target is; a refusal comes
+    # before any plan is built
+    real, seen = pixton._check_cost, []
+
+    def recording(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pixton, "_check_cost", recording)
+    monkeypatch.setattr(pixton, "COST_BUDGET", 10**9)
+    g, n, d, targets = 2, 3, 3, _relation_targets(2, 1, (1,))
+    for b, forget in targets:
+        monomial_coefficient(g, n, b, d, forget=forget)
+    separate = list(seen)
+    seen.clear()
+    pixton._monomial_coefficients(g, n, targets, d)
+    assert seen == separate and len(seen) == 2
+
+    def never(*args):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(pixton, "_monomial_plan", never)
+    monkeypatch.setattr(pixton, "COST_BUDGET", 10)
+    with pytest.raises(ComputationGuardError):
+        pixton._monomial_coefficients(g, n, targets, d)
 
 
 def test_scan_worker_count_is_clamped(monkeypatch):
@@ -1107,8 +1251,8 @@ def test_template_bases_are_over_one_denominator():
     ]
     entries += [
         (3, graph, groups, den, factorial(6))
-        for *_, plan_entries in pixton._monomial_plan(2, 2, 3, 1)
-        for graph, _, groups, den in plan_entries
+        for *_, plan_entries in pixton._monomial_plan(2, 2, 3, (1,))
+        for graph, _, _, groups, den in plan_entries
     ]
     for d, graph, groups, den, weights_den in entries:
         common = 2**d * factorial(d)
