@@ -60,6 +60,12 @@ def result_digest(result) -> str:
 def _emit(result, args, command: str, parameters: dict, started: float, extra_manifest=None):
     """Write the result with its manifest to ``--out``, or print it.
 
+    The result is encoded once, as :func:`canonical_json`; its digest is
+    the SHA-256 of that text, and the output is one line,
+    ``{"manifest":...,"result":...}``, with the manifest in the same
+    canonical form.  That line is the canonical JSON of the whole payload,
+    and its ``result`` is byte for byte the text that was hashed.
+
     ``--out`` is written in full to ``--out`` plus ``.tmp``; then the old
     file, if any, is removed and the new one renamed into its place.  A
     reader sees the old file, no file or the whole new one, never a part
@@ -70,18 +76,18 @@ def _emit(result, args, command: str, parameters: dict, started: float, extra_ma
     next rewrite of the same path then waits for that disk write, 45-65 ms
     per file on a disk mounted with ``discard``.
     """
+    result_text = canonical_json(result)
     manifest = {
         "command": command,
         "parameters": parameters,
         "jobs": getattr(args, "jobs", 1),
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "result_digest": result_digest(result),
+        "result_digest": sha256_hex(result_text.encode()),
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    payload = {"manifest": manifest, "result": result}
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = '{"manifest":' + canonical_json(manifest) + ',"result":' + result_text + "}"
     out = getattr(args, "out", None)
     if out:
         tmp = out + ".tmp"

@@ -18,7 +18,8 @@ from typing import Sequence
 
 def rational_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -89,7 +90,8 @@ class SparsePoly:
             exps = tuple(exps)
             if len(exps) != len(self.variables):
                 raise ValueError("exponent arity does not match variables")
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             clean[exps] = coeff

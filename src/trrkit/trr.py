@@ -585,12 +585,28 @@ def _relation_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     """Integer numerators, over (2g-2+n)! prod_j b_j!, of the principal part
     of the relation from the leg exponents b: gamma_0 pushed forward plus each
     gamma_i moved to psi_i, both linear, so the lifted shifts (as in
-    :func:`_gamma0_numerators`) are summed first and moved once."""
+    :func:`_gamma0_numerators`) are summed first and moved once.
+
+    The tail form at marking i depends on b_i and is symmetric in the other
+    markings, so it is computed once per distinct exponent value: a later
+    marking i with b_i = b_j for an earlier j takes j's moved terms with the
+    exponents at psi_i and psi_j swapped.
+    """
     total = _string_pushforward_terms(_gamma0_numerators(g, n, b, lifts))
     tail_lifts = [factorial(2 * g - 2 + n) * lift for lift in lifts]
-    for i in range(2, n + 1):
-        tail = _gammai_numerators(g, n, i, b, tail_lifts)
-        for exps, num in _substitute_prime_terms(tail, i).items():
+    first = {}
+    for i, bi in enumerate(b, start=2):
+        if bi in first:
+            j, moved = first[bi]
+            order = list(range(n))
+            order[i - 1], order[j - 1] = j - 1, i - 1
+            swap = operator.itemgetter(*order)
+            terms = ((swap(exps), num) for exps, num in moved.items())
+        else:
+            moved = _substitute_prime_terms(_gammai_numerators(g, n, i, b, tail_lifts), i)
+            first[bi] = (i, moved)
+            terms = moved.items()
+        for exps, num in terms:
             total[exps] = total.get(exps, 0) + num
     return total
 

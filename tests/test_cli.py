@@ -229,6 +229,29 @@ def test_rewriting_an_output_file(tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == old
 
 
+def test_out_file_is_one_line_of_canonical_json(tmp_path, capsys):
+    # the result is encoded once: the file is the canonical JSON of its
+    # payload, and its result text is exactly what the digest hashes
+    out = tmp_path / "p.json"
+    argv = ["principal", "--g", "6", "--k", "2", "--l", "1,2,1", "--out", str(out)]
+    assert run(capsys, *argv)[0] == cli.EXIT_OK
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    line = text[:-1]
+    payload = json.loads(line)
+    assert line == cli.canonical_json(payload)
+    result_text = cli.canonical_json(payload["result"])
+    assert line.endswith(',"result":' + result_text + "}")
+    digest = hashlib.sha256(result_text.encode()).hexdigest()
+    assert payload["manifest"]["result_digest"] == digest
+
+    # a file in the indented layout written before still verifies
+    with open(out, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+    assert out.read_text().count("\n") > 1
+    assert run(capsys, "check", str(out))[:2] == (cli.EXIT_OK, "ok\n")
+
+
 def test_guard_exit_code(capsys):
     # its full price is 1,710,726,885; the guard stops at 1,000,350
     started = time.perf_counter()

@@ -475,6 +475,9 @@ def test_gamma_closed_forms_match_direct_sums():
 
 def test_principal_part_matches_direct_oracle():
     cells = [(g, k, l) for g, _, k, l in _scan_cells(1, 5)] + [(7, 1, (1,) * 6)]
+    # repeated exponents above genus 5 share one tail form per value, and an
+    # unsorted l repeats an exponent at markings that are not adjacent
+    cells += [(6, 2, (1, 1, 2)), (8, 2, (1, 1, 2, 2)), (9, 3, (1, 1, 2, 2)), (6, 2, (1, 2, 1))]
     for g, k, l in cells:
         assert principal_part(g, k, l).to_json() == principal_part_direct(g, k, l).to_json()
 
