@@ -3,9 +3,10 @@
 
 The default instances finish in well under a second; --allow-large adds
 the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take
-0.1 s or less each on one core, and the genus-3 comparisons (3,2,(7,)),
-(3,2,(6,)) and (3,1,()), about 1.1 s, 2.3 s and 0.7 s (about 4 s in all;
-each of the last two reads many constant terms the ones before it cached).
+0.3 s or less each on one core, and the genus-3 comparisons (3,2,(7,)),
+(3,2,(6,)) and (3,1,()), about 2 s, 4 s and 1 s (about 7 s in all on a
+2-core KVM guest with Python 3.11; each of the last two reads many
+constant terms the ones before it cached).
 Each line gives the instance's plan size from its report: the entries of
 its plan (one per graph and set of vertices with leg sums, the legs that
 omega forgets placed on the graphs of (g, n+1) by the dilaton equation),
@@ -13,11 +14,11 @@ the layouts the target's weights read, the A-points those evaluate, and
 how many of those A-points' constant terms were computed and how many
 read from the cache; then its time and the peak resident memory of the
 process so far (ru_maxrss, a high-water mark, so caches of the earlier
-instances count too): with --allow-large the last line reads about 70 MB,
-where (3,1,()) alone peaks at about 42 MB in a fresh process.  Every instance's class
-must also have its pinned digest (StrataElement.digest), so a changed
-coefficient fails the run, with exit code 3, even where it still agrees
-with the closed forms.
+instances count too): with --allow-large the last line reads about 57 MB,
+where (3,1,()) alone peaks at about 35 MB in a fresh process.  Every
+instance's class must also have its pinned digest (StrataElement.digest),
+so a changed coefficient fails the run, with exit code 3, even where it
+still agrees with the closed forms.
 """
 import argparse
 import resource

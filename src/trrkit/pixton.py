@@ -63,22 +63,22 @@ its layouts' points and check rows, one tuple per geometry, the guard's
 admitted verdicts per budget and job, the simplex points with their sparse
 coefficient and check rows per (number of leg sums, 2d)
 (``numerics._simplex_tables``), from which a plan makes its layouts'
-points, and the group weights per (exponents, d, leg partition, leg
-exponents), dense over the simplex.  Within one walk, a dict weights each
-distinct (placements, leg exponents) pair once per target: omega(3,2,(4,))
-reads 9,710 weights of 2,190 pairs.  The checked constant terms per (edge
-list, vertex leg sums, r nodes, profiles), the profiles being those the
-walk reads, one integer per profile, are kept for the 2^17 = 131,072 most
-recently used keys: a genus-2 grid point uses
-under a thousand, the (3,1,()) comparison 27,506 at its 48,256 A-points
-(graphs of different layouts meet at equal leg sums, as where one is 0,
-and the monomial plan keeps the layouts of one edge list together), the
-walk of the relation (3,1,(2,)) 90,920 and that of (3,1,(1,1)) 201,815.
-The last is more than the cache holds, but a walk meets the keys of one
-edge list one after another, every target reading them there, so each is
-computed once; as four separate omega calls, each walking the edge lists
-in the same order, (3,1,(1,1)) computed 765,944, every key evicted before
-the next call read it.  A sum off the fit raises and is not kept.
+points, the group weights per (exponents, d, leg partition, leg
+exponents), dense over the simplex, and the placed weights per (exponents,
+d, placements, leg exponents), so that a repeated walk weighs nothing.
+The checked constant terms per (edge list, vertex leg sums, r nodes,
+profiles), the profiles being those the walk reads, one integer per
+profile, are kept for the 2^17 = 131,072 most recently used keys: a
+genus-2 grid point uses under a thousand, the (3,1,()) comparison 27,506
+at its 48,256 A-points (graphs of different layouts meet at equal leg
+sums, as where one is 0, and the monomial plan keeps the layouts of one
+edge list together), the walk of the relation (3,1,(2,)) 90,920 and that
+of (3,1,(1,1)) 201,815.  The last is more than the cache holds, but a walk
+meets the keys of one edge list one after another, every target reading
+them there, so each is computed once; as four separate omega calls, each
+walking the edge lists in the same order, (3,1,(1,1)) computed 765,944,
+every key evicted before the next call read it.  A sum off the fit raises
+and is not kept.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
 dmax!; a class plan entry keeps its graph, its template groups and their
@@ -787,10 +787,10 @@ def _layout_points(V: int, first: int, vertices: tuple, simplex) -> tuple:
 @functools.cache
 def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
     """The plan of :func:`monomial_coefficient`, built once per (g, n, d,
-    forget counts): each graph of (g, n) with at most d edges, once per
-    part-vertex set of its :func:`_placements` of any of the ``forgets``
-    legs, grouped by layout, the layouts ordered by edge list and, within
-    one edge list, by first appearance.
+    forget counts), as (layouts, census): each graph of (g, n) with at most
+    d edges, once per part-vertex set of its :func:`_placements` of any of
+    the ``forgets`` legs, grouped by layout, the layouts ordered by edge list
+    and, within one edge list, by first appearance.
 
     A layout is an edge list, a vertex count, leg 1's vertex and the
     vertices of the parts of a leg partition (:func:`_leg_partition`), in
@@ -803,24 +803,26 @@ def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
     check rows are the layer's, as (point indices, weights) pairs, shared by
     every geometry with the same k.
 
-    Each entry is (graph, placements, ids, groups, den).  Per forget count
-    of ``forgets``, in order, placements holds the (coefficient, leg
-    partition) pairs of the entry's part-vertex set, empty where that count
-    places none there, and ids the number within the plan of each group's
-    (placements, leg exponents) pair, equal pairs having one number, which
-    names the pair's weights in a walk.  The groups are the graph's template
-    groups of degree exactly d, E + |profile| + |c| = d, the only ones a
-    target monomial reads, and the only ones built, once per graph for every
-    forget count; den is :func:`_template_denominator` times |Aut| times
-    (2d)!, the last factor being the denominator of the group weights.
-    Equal placements and lists of them are one object each, since many
-    entries share them.
+    Each entry is (graph, placements, groups, den).  Per forget count of
+    ``forgets``, in order, placements holds the (coefficient, leg partition)
+    pairs of the entry's part-vertex set, empty where that count places none
+    there.  The groups are the graph's template groups of degree exactly d,
+    E + |profile| + |c| = d, the only ones a target monomial reads, and the
+    only ones built, once per graph for every forget count; den is
+    :func:`_template_denominator` times |Aut| times (2d)!, the last factor
+    being the denominator of the group weights.  Equal placements and lists
+    of them are one object each, since many entries share them and they key
+    the cached :func:`_placed_weights`.
+
+    The census is (entries, A-points, k, edge lists): the plan's entries,
+    the A-points of their layouts, the largest k of a layout, whose leg 1
+    value on the layer sets the modulus, and the number of distinct edge
+    lists, the tasks a worker pool deals out.
     """
     degree = 2 * d
     common = _template_denominator(d) * factorial(degree)
     checks: dict[int, tuple] = {}
     geometries: dict[tuple, tuple] = {}
-    pairs: dict[tuple, int] = {}
     shared: dict[tuple, tuple] = {}
 
     def share(value):
@@ -842,30 +844,36 @@ def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
                 share(tuple(map(share, placements.get(vertices, ()))))
                 for placements in per_forget
             )
-            ids = tuple(
-                tuple(pairs.setdefault((p, c), len(pairs)) for _, c, _ in groups) if p else ()
-                for p in placed
-            )
             entries = layouts.setdefault((graph.edges, *shape), (geometries[shape], []))[1]
-            entries.append((graph, placed, ids, groups, den))
+            entries.append((graph, placed, groups, den))
     # the layouts of one edge list side by side: the constant terms they
     # share (at equal leg sums) are read by one worker, one after another
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
-    return tuple((key, geometry, tuple(entries)) for key, (geometry, entries) in ordered)
+    plan = tuple((key, geometry, tuple(entries)) for key, (geometry, entries) in ordered)
+    census = (
+        sum(len(entries) for *_, entries in plan),
+        sum(len(points) * len(entries) for _, (points, _), entries in plan),
+        max((len(key[3]) for key, *_ in plan), default=0),
+        len({key[0] for key, *_ in plan}),
+    )
+    return plan, census
 
 
-def _placed_weights(exponents: tuple, d: int, placements, c: tuple):
+@functools.cache
+def _placed_weights(exponents: tuple, d: int, placements: tuple, c: tuple):
     """The :func:`_group_weights` of the template group with leg exponents c
     (0 at the forgotten legs) at each of the ``placements``' leg partitions,
-    times its coefficient, summed; None when they are all None."""
+    times its coefficient, summed, as a tuple; None when they are all None.
+    Cached, so a repeated walk weighs nothing; one placement with
+    coefficient 1 gives :func:`_group_weights`' own tuple, not a copy."""
     c += (0,) * (len(exponents) + 1 - len(c))
     total = None
     for coefficient, parts in placements:
         weights = _group_weights(exponents, d, parts, c)
         if weights is not None:
             if coefficient != 1:
-                weights = [coefficient * w for w in weights]
-            total = weights if total is None else list(map(add, total, weights))
+                weights = tuple(coefficient * w for w in weights)
+            total = weights if total is None else tuple(map(add, total, weights))
     return total
 
 
@@ -885,32 +893,27 @@ def _monomial_layouts(layouts, targets, d: int):
     :func:`_placed_weights` of the entry's placements for that target, and
     on the layer L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th
     Newton difference must vanish (see :func:`_simplex_tables`); the points
-    and check rows are the layout's geometry, built with the plan.  Each
-    distinct (placements, c) pair, named by its number in the plan, is
-    weighted once per target and walk, in a dict that lives as long as the
-    walk, since many graphs share their leg partitions, and the tables under
-    it once per (exponents, d, leg partition, c).  The weights of a layout's
-    entries are taken before its points: a layout whose weights are all None
-    for every target is skipped, an entry with none for a target is not
-    weighed for it, and any other layout lists the profiles that some weight
-    of some target reads, sorted, so :func:`_graph_sums` computes and
-    checks, once for all the targets, exactly the columns that enter one of
-    their coefficients.
+    and check rows are the layout's geometry, built with the plan.  The
+    weights of a (placements, c) pair are cached in :func:`_placed_weights`
+    for the life of the process, since many graphs share their leg
+    partitions and calls repeat, and the tables under them per (exponents,
+    d, leg partition, c).  The weights of a layout's entries are taken
+    before its points: a layout whose weights are all None for every target
+    is skipped, an entry with none for a target is not weighed for it, and
+    any other layout lists the profiles that some weight of some target
+    reads, sorted, so :func:`_graph_sums` computes and checks, once for all
+    the targets, exactly the columns that enter one of their coefficients.
     """
-    memos = [{} for _ in targets]
     for key, (points, checks), entries in layouts:
         weighted, owners, read = [], [], set()
-        for t, ((exponents, slot), memo) in enumerate(zip(targets, memos)):
-            for _, placed, ids, groups, den in entries:
+        for t, (exponents, slot) in enumerate(targets):
+            for _, placed, groups, den in entries:
                 placements = placed[slot]
                 if not placements:
                     continue
                 group_weights, reads = [], False
-                for i, (profile, c, _) in zip(ids[slot], groups):
-                    if i in memo:
-                        weights = memo[i]
-                    else:
-                        weights = memo[i] = _placed_weights(exponents, d, placements, c)
+                for profile, c, _ in groups:
+                    weights = _placed_weights(exponents, d, placements, c)
                     if weights is not None:
                         read.add(profile)
                         reads = True
@@ -933,7 +936,7 @@ def _chunk_worker(args):
     The plan is sorted by edge list and every key holds its edge list, so no
     key reaches two workers."""
     g, n, targets, d, r0, forgets, start, step = args
-    layouts = _monomial_plan(g, n, d, forgets)
+    layouts = _monomial_plan(g, n, d, forgets)[0]
     if step > 1:
         edge_lists = itertools.groupby(layouts, key=lambda layout: layout[0][0])
         layouts = [
@@ -999,18 +1002,13 @@ def _monomial_coefficients(
             _check_cost(COST_BUDGET, g, n, d, forget, None, 2 * d + 3)
 
     forgets = tuple(sorted({forget for _, forget in checked}))
-    plan = () if zero else _monomial_plan(g, n, d, forgets)  # warmed before any fork
-    # the plan's entries, their A-points and the most leg sums of a layout,
-    # where leg 1's value on the layer sets the modulus
-    entries = evaluations = k = 0
-    for key, (points, _), layout_entries in plan:
-        entries += len(layout_entries)
-        evaluations += len(points) * len(layout_entries)
-        k = max(k, len(key[3]))
+    # warmed before any fork; leg 1's value on the layer sets the modulus
+    plan, (entries, evaluations, k, edge_lists) = (
+        ((), (0, 0, 0, 0)) if zero else _monomial_plan(g, n, d, forgets)
+    )
     r0 = _default_r0([_monomial_points(k, degree)[1]], d)
     walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in checked)
-    # the tasks are the plan's edge lists, counted only where a pool may start
-    workers = _worker_count(jobs, len({key[0] for key, *_ in plan}) if jobs > 1 else 1)
+    workers = _worker_count(jobs, edge_lists)
     tasks = [(g, n, walk, d, r0, forgets, start, workers) for start in range(workers)]
     if workers > 1:
         with _worker_pool(workers) as pool:

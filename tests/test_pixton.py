@@ -305,11 +305,13 @@ def test_off_axis_layer_point_off_the_polynomial_raises(monkeypatch, fresh_sums)
 
 
 def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
-    # the simplex tables and the group weights are built by the first call;
-    # a second call, planning again, reads every one of them from its cache;
-    # a third, on the cached plan, whose layouts carry their points and check
-    # rows, reads no table at all and every group weight from its cache
-    caches = (pixton._simplex_tables, pixton._group_weights)
+    # the simplex tables, the group weights and the placed weights are built
+    # by the first call; a second call, planning again, reads the tables and
+    # every placed weight from their caches, so it misses no weight and
+    # never reaches the group weights; a third, on the cached plan, whose
+    # layouts carry their points and check rows, reads no table at all and
+    # again every placed weight from its cache
+    caches = (pixton._simplex_tables, pixton._group_weights, pixton._placed_weights)
     for cache in caches:
         cache.cache_clear()
     pixton._monomial_plan.cache_clear()
@@ -322,12 +324,13 @@ def test_repeated_monomial_coefficient_only_hits_the_sampling_caches():
     replanned = [cache.cache_info() for cache in caches]
     for before, after in zip(built, replanned):
         assert after.misses == before.misses and after.currsize == before.currsize
-        assert after.hits > before.hits
+    assert replanned[0].hits > built[0].hits and replanned[1] == built[1]
+    assert replanned[2].hits > built[2].hits
     assert again == first and not first.is_zero()
     third, _ = monomial_coefficient(*args, forget=2)
-    tables, weights = (cache.cache_info() for cache in caches)
-    assert tables == replanned[0]
-    assert weights.misses == built[1].misses and weights.hits > replanned[1].hits
+    tables, group, placed = (cache.cache_info() for cache in caches)
+    assert tables == replanned[0] and group == built[1]
+    assert placed.misses == built[2].misses and placed.hits > replanned[2].hits
     assert third == first
 
 
@@ -384,7 +387,7 @@ def _lemma_targets(g, ns):
     for n, b in ns:
         forget = 2 * g + 1 - sum(b)
         args = (g, n + 1, tuple(b) + (1,), g + 1)
-        plan = pixton._monomial_plan(g, n + 1, g + 1, (forget,))
+        plan = pixton._monomial_plan(g, n + 1, g + 1, (forget,))[0]
         targets.append((plan, args, forget, args[2] + (1,) * forget))
     return targets
 
@@ -396,7 +399,7 @@ def _read_profiles(plan, exponents, d):
     for key, *_, entries in plan:
         profiles = {
             p
-            for _, (placements,), _, groups, _ in entries
+            for _, (placements,), groups, _ in entries
             for p, c, _ in groups
             if pixton._placed_weights(exponents, d, placements, c) is not None
         }
@@ -434,7 +437,16 @@ def test_monomial_plan_is_grouped_by_layout():
         (_lemma_targets(2, [(1, ())]), 3, 94),
     ]:
         count = 0
-        for plan, _, forget, exponents in targets:
+        for plan, args, forget, exponents in targets:
+            # the census of the cached plan: its entries, their A-points,
+            # the most leg sums of a layout and the distinct edge lists
+            cached, census = pixton._monomial_plan(args[0], args[1], d, (forget,))
+            assert cached is plan and census == (
+                sum(len(entries) for *_, entries in plan),
+                sum(len(points) * len(entries) for _, (points, _), entries in plan),
+                max(len(key[3]) for key, *_ in plan),
+                len({key[0] for key, *_ in plan}),
+            )
             keys, geometries = set(), {}
             for key, geometry, entries in plan:
                 assert key not in keys
@@ -448,10 +460,9 @@ def test_monomial_plan_is_grouped_by_layout():
                 value = max(abs(x) for point in points for x in point) or 1
                 assert (len(points), value) == pixton._monomial_points(len(vertices), 2 * d)
                 profiles = pixton._edge_profiles(len(edges), d - len(edges))
-                for graph, (placements,), (ids,), groups, den in entries:
+                for graph, (placements,), groups, den in entries:
                     assert (graph.edges, graph.num_vertices, graph.legs[0]) == key[:3]
                     assert graph.h1() == len(edges) - V + 1 and placements
-                    assert len(ids) == len(groups)
                     for coefficient, parts in placements:
                         legs = _placed_legs(graph, parts, vertices, forget)
                         assert coefficient >= 1 and legs[: graph.n] == graph.legs
@@ -486,31 +497,40 @@ def test_one_plan_serves_every_forget_count():
     # holds at each count's slot exactly the entries of that count's own
     # plan, with their placements, template groups and dens, in order within
     # each layout; the layouts are ordered by edge list, the template groups
-    # of a graph are built once for every count, and equal (placements, leg
-    # exponents) pairs, and only those, have one number
+    # of a graph are built once for every count, equal placements are one
+    # object, and a walk of one target per count weighs equal (placements,
+    # leg exponents) pairs, and only those, once: one _placed_weights miss
+    # per distinct pair of a target, none when the walk is repeated
     g, n, d, forgets = 1, 3, 2, (0, 1, 2)
-    plan = pixton._monomial_plan(g, n, d, forgets)
+    plan, _ = pixton._monomial_plan(g, n, d, forgets)
     edges = [key[0] for key, *_ in plan]
     assert edges == sorted(edges)
-    groups_of, pairs = {}, {}
+    walk = (((2, 1), 0), ((1, 1, 1), 1), ((0, 1, 1, 1), 2))
+    groups_of, interned, pairs = {}, {}, set()
     for _, _, entries in plan:
-        for graph, placed, ids, groups, _ in entries:
+        for graph, placed, groups, _ in entries:
             assert groups_of.setdefault(graph, groups) is groups and any(placed)
-            for placements, numbers in zip(placed, ids):
-                assert len(numbers) == (len(groups) if placements else 0)
-                for number, (_, c, _) in zip(numbers, groups):
-                    assert pairs.setdefault(number, (placements, c)) == (placements, c)
-    assert len(set(pairs.values())) == len(pairs)
+            for (exponents, _), placements in zip(walk, placed):
+                assert interned.setdefault(placements, placements) is placements
+                if placements:
+                    pairs.update((exponents, placements, c) for _, c, _ in groups)
+    pixton._placed_weights.cache_clear()
+    walked = list(pixton._monomial_layouts(plan, walk, d))
+    assert {t for _, owners in walked for t in owners} == {0, 1, 2}
+    info = pixton._placed_weights.cache_info()
+    assert info.misses == info.currsize == len(pairs) < info.misses + info.hits
+    assert list(pixton._monomial_layouts(plan, walk, d)) == walked
+    assert pixton._placed_weights.cache_info().misses == len(pairs)
     for slot, forget in enumerate(forgets):
-        own = pixton._monomial_plan(g, n, d, (forget,))
+        own, _ = pixton._monomial_plan(g, n, d, (forget,))
         layouts = {
             key: (geometry, [(graph, placed[slot], groups, den)
-                             for graph, placed, _, groups, den in entries if placed[slot]])
+                             for graph, placed, groups, den in entries if placed[slot]])
             for key, geometry, entries in plan
         }
         want = {
             key: (geometry, [(graph, placed, groups, den)
-                             for graph, (placed,), _, groups, den in entries])
+                             for graph, (placed,), groups, den in entries])
             for key, geometry, entries in own
         }
         assert {key: layout for key, layout in layouts.items() if layout[1]} == want
@@ -544,7 +564,7 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
     monkeypatch.setattr(pixton, "enumerate_stable_graphs", enumerating)
     pixton._monomial_plan.cache_clear()
     _, meta = monomial_coefficient(1, 3, (0, 1), 1, forget=1)
-    plan = pixton._monomial_plan(1, 3, 1, (1,))
+    plan = pixton._monomial_plan(1, 3, 1, (1,))[0]
     sampled = [
         (edges, A) for _, (edges, leg_sums, *_) in _sampled_layouts(plan, (0, 1, 1), 1)
         for A in leg_sums
@@ -623,6 +643,47 @@ def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
     assert again == first and first.digest() == "b48fbc8c2008124d"
 
 
+def test_a_second_lemma_pass_weighs_nothing(fresh_sums):
+    # the four genus-1 lemma omega calls, made twice in one process: the
+    # second pass gives equal classes and equal meta, except that every
+    # constant term is read from the cache, and it misses neither the
+    # placed weights nor the group weights, so it weighs nothing
+    from trrkit.trr import MonomialSpec, omega
+
+    monos = [MonomialSpec(1, n, b) for n, b in [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]]
+    first = [omega(mono) for mono in monos]
+    caches = (pixton._placed_weights, pixton._group_weights)
+    misses = [cache.cache_info().misses for cache in caches]
+    for mono, (el, meta) in zip(monos, first):
+        again, again_meta = omega(mono)
+        assert again == el and not el.is_zero()
+        assert again_meta == dict(meta, sums_computed=0, sums_reused=meta["layout_evaluations"])
+    assert [cache.cache_info().misses for cache in caches] == misses
+    # one placement with coefficient 1 gives the group weights' own tuple,
+    # not a copy
+    exponents, d = (2, 1), 2
+    same = 0
+    for *_, entries in pixton._monomial_plan(1, 3, d, (0,))[0]:
+        for _, (placements,), groups, _ in entries:
+            ((coefficient, parts),) = placements
+            assert coefficient == 1
+            for _, c, _ in groups:
+                weights = pixton._placed_weights(exponents, d, placements, c)
+                assert weights is pixton._group_weights(exponents, d, parts, c)
+                same += weights is not None
+    assert same
+    # placements of forgotten legs that scale or sum weights give tuples too
+    summed = 0
+    ((plan, _, _, exponents),) = _lemma_targets(1, [(2, (0,))])
+    for *_, entries in plan:
+        for _, (placements,), groups, _ in entries:
+            for _, c, _ in groups:
+                weights = pixton._placed_weights(exponents, d, placements, c)
+                assert weights is None or type(weights) is tuple
+                summed += weights is not None and placements[0][0] * len(placements) > 1
+    assert summed
+
+
 @pytest.mark.parametrize("layer_only", [False, True])
 def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     # a layout's points reach weighting_power_sums once for all its entries,
@@ -632,7 +693,7 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     # which every layout of its edge list has, is left alone)
     args, forget = (1, 3, (0, 1), 1), 1
     exponents = args[2] + (1,)
-    plan = pixton._monomial_plan(1, 3, 1, (forget,))
+    plan = pixton._monomial_plan(1, 3, 1, (forget,))[0]
     (shared,) = [key for key, *_, entries in plan if len(entries) > 1]
     points = {
         key: {(edges, A) for A in leg_sums}
@@ -853,10 +914,10 @@ def test_layouts_keep_their_leg_sum_vertices_apart():
     # (2, 0) in another: one edge list, two layouts, two columns, both read
     # (with exponents (2, 2) the target would not tell the two orders apart)
     g, n, exponents, d = 2, 3, (3, 1), 2
-    plan = pixton._monomial_plan(g, n, d, (0,))
+    plan = pixton._monomial_plan(g, n, d, (0,))[0]
     read = set()
     for *_, entries in plan:
-        for graph, (((_, parts),),), _, groups, _ in entries:
+        for graph, (((_, parts),),), groups, _ in entries:
             weights = [pixton._group_weights(exponents, d, parts, c) for _, c, _ in groups]
             if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
                 read.add(_layout(graph)[2:])
@@ -1047,7 +1108,7 @@ def _relation_keys(g, targets):
     d, n = g + 1, len(targets[0][0]) + 1
     forgets = tuple(sorted({forget for _, forget in targets}))
     walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in targets)
-    plan = pixton._monomial_plan(g, n, d, forgets)
+    plan = pixton._monomial_plan(g, n, d, forgets)[0]
     return {
         (layout[0], A, layout[3])
         for layout, _ in pixton._monomial_layouts(plan, walk, d)
@@ -1251,8 +1312,8 @@ def test_template_bases_are_over_one_denominator():
     ]
     entries += [
         (3, graph, groups, den, factorial(6))
-        for *_, plan_entries in pixton._monomial_plan(2, 2, 3, (1,))
-        for graph, _, _, groups, den in plan_entries
+        for *_, plan_entries in pixton._monomial_plan(2, 2, 3, (1,))[0]
+        for graph, _, groups, den in plan_entries
     ]
     for d, graph, groups, den, weights_den in entries:
         common = 2**d * factorial(d)
