@@ -4,18 +4,21 @@
 The default instances finish in well under a second; --allow-large adds
 the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take
 0.3 s or less each on one core, and the genus-3 comparisons (3,2,(7,)),
-(3,2,(6,)) and (3,1,()), about 2 s, 4 s and 1 s (about 7 s in all on a
-2-core KVM guest with Python 3.11; each of the last two reads many
-constant terms the ones before it cached).
+(3,2,(6,)) and (3,1,()), about 2 s, 4.5 s and 2 s (about 8 s in all on a
+2-core KVM guest with Python 3.11; an instance reads from the process's
+store only the layouts an earlier one read with the same r nodes and
+profiles, so the later ones compute most of their constant terms).
 Each line gives the instance's plan size from its report: the entries of
 its plan (one per graph and set of vertices with leg sums, the legs that
 omega forgets placed on the graphs of (g, n+1) by the dilaton equation),
 the layouts the target's weights read, the A-points those evaluate, and
 how many of those A-points' constant terms were computed and how many
-read from the cache; then its time and the peak resident memory of the
-process so far (ru_maxrss, a high-water mark, so caches of the earlier
-instances count too): with --allow-large the last line reads about 57 MB,
-where (3,1,()) alone peaks at about 35 MB in a fresh process.  Every
+read without computing; then its time and the peak resident memory of
+the process so far (ru_maxrss, a high-water mark, so what the earlier
+instances keep counts too): with --allow-large the last instance reads
+about 45 MB, where (3,1,()) alone peaks at about 29 MB in a fresh
+process.  The last line gives the size of the store of checked constant
+terms: the layouts it holds and the integers in their columns.  Every
 instance's class must also have its pinned digest (StrataElement.digest),
 so a changed coefficient fails the run, with exit code 3, even where it
 still agrees with the closed forms.
@@ -25,6 +28,7 @@ import resource
 import sys
 import time
 
+from trrkit import pixton
 from trrkit.trr import verify_lemmas
 
 
@@ -77,6 +81,10 @@ def run():
             for key, val in rep.items():
                 if key.endswith(("_got", "_want")):
                     print("   ", key, val)
+    # the checked constant terms the process keeps, one entry per layout read
+    store = pixton._checked_columns
+    values = sum(len(column) for _, columns in store.values() for column in columns.values())
+    print(f"checked constant terms kept: {len(store)} layouts, {values} values")
     return 3 if failed else 0
 
 

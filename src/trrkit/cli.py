@@ -4,7 +4,8 @@ Subcommands: scan, d, principal, pixton, omega (alias verify-lemmas), g7,
 check.  All results are JSON with an embedded run manifest; exit codes are
 0 success, 1 usage error, 2 computation guard, fit instability or a cell
 whose D vanishes, 3 verification mismatch, 4 internal error (a failed
-self-check or an invalid graph built by the pipeline itself).
+self-check, an invalid graph built by the pipeline itself, or any other
+exception the program raises).
 """
 from __future__ import annotations
 
@@ -391,6 +392,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # any other failure is the program's, reported on one line
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

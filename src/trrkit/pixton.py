@@ -12,12 +12,14 @@ consecutive nodes, and two further held-out nodes validate the bound.
 Performance notes.  The graph sum is accumulated in integers in one pass
 over the plan, layout by layout.  The values a graph's points give depend
 only on its layout: the edge list and the vertex leg sums at each point,
-which are all the weighting sums are given.  Per layout and point, one
-cached lookup (:func:`_constant_term_sums`) gives one integer per edge
-profile: on a miss the weighting power sums at every r node are put over
-the common denominator lcm(r^h1), the two held-out differences are checked
-and the Lagrange-at-zero weights give the constant term; the column of
-integers over the points serves every graph of the layout.  Each group of
+which are all the weighting sums are given.  Per layout, one lookup in
+the store of checked columns (:data:`_checked_columns`) gives one column of
+integers over its points per edge profile read: on a miss, at each point
+(:func:`_constant_term_sums`) the weighting power sums at every r node are
+put over the common denominator lcm(r^h1), the two held-out differences are
+checked and the Lagrange-at-zero weights give the constant term, and the
+columns are checked on the layer before they are stored; the columns serve
+every graph of the layout.  Each group of
 decoration templates sharing a profile and leg exponents takes the dot
 product of its integer weights with its profile's column, so the template
 loop runs once per graph and each decorated graph becomes one Fraction at
@@ -66,19 +68,19 @@ coefficient and check rows per (number of leg sums, 2d)
 points, the group weights per (exponents, d, leg partition, leg
 exponents), dense over the simplex, and the placed weights per (exponents,
 d, placements, leg exponents), so that a repeated walk weighs nothing.
-The checked constant terms per (edge list, vertex leg sums, r nodes,
-profiles), the profiles being those the walk reads, one integer per
-profile, are kept for the 2^17 = 131,072 most recently used keys: a
-genus-2 grid point uses under a thousand, the (3,1,()) comparison 27,506
-at its 48,256 A-points (graphs of different layouts meet at equal leg
-sums, as where one is 0, and the monomial plan keeps the layouts of one
-edge list together), the walk of the relation (3,1,(2,)) 90,920 and that
-of (3,1,(1,1)) 201,815.  The last is more than the cache holds, but a walk
-meets the keys of one edge list one after another, every target reading
-them there, so each is computed once; as four separate omega calls, each
-walking the edge lists in the same order, (3,1,(1,1)) computed 765,944,
-every key evicted before the next call read it.  A sum off the fit raises
-and is not kept.
+The checked constant terms are kept per layout read, keyed (edge list and
+the data that fixes the layout's points, r nodes, profiles), the profiles
+being those the walk reads, as the layout's scale and its nonzero columns
+(:data:`_checked_columns`, unbounded like the caches above, with the same
+``cache_info()`` and ``cache_clear()``), so a warm layout is one lookup and
+goes straight to the template loop.  A layout's points are computed only
+on a miss, and the values of a point are kept only while the walk is on
+its edge list: graphs of different layouts meet at equal leg sums, as
+where one is 0, and the monomial plan keeps the layouts of one edge list
+together, so the (3,1,()) comparison computes 27,506 points at its 48,256
+A-points (646 layouts), the walk of the relation (3,1,(2,)) 90,920 and
+that of (3,1,(1,1)) 201,815, each once.  A layout with a sum off the fit,
+in r or on the layer, raises and stores nothing.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
 dmax!; a class plan entry keeps its graph, its template groups and their
@@ -89,6 +91,7 @@ unit of psi at every survivor leg, so the rest are never canonicalized.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -309,7 +312,7 @@ def weighting_power_sums(edges, leg_sums, rs, profiles) -> dict[tuple[int, ...],
     graph's genera and leg map do not enter; it has h1 = E - V + 1.  The sums
     are computed by the series-parallel reduction of the edges
     (:func:`_reduction`), at each modulus and profile; only the constant
-    terms :func:`_constant_term_sums` reads off them are cached.  The edge
+    terms :func:`_graph_sums` reads off them are kept, per layout.  The edge
     order ties the profile entries to the edges.
     """
     steps = _reduction(tuple(edges))
@@ -352,20 +355,15 @@ def _node_forms(nodes: tuple[int, ...], h1: int) -> tuple:
     return den * m, list(map(mul, rows[0], scales)), checks
 
 
-@functools.lru_cache(maxsize=2**17)
 def _constant_term_sums(edges, A, nodes, profiles) -> tuple[int, ...]:
     """The checked value of :func:`weighting_power_sums` at the moduli
     ``nodes`` for each of the ``profiles``, in order: the integer
     numerator over the den of :func:`_node_forms`, the constant term in r
     at the nodes of :func:`_r_nodes`, the sum itself at one modulus.
 
-    A held-out node off the fit raises :class:`FitInstabilityError`, and
-    nothing is kept for the key.  The 2^17 most recently used keys are kept
-    (see the module's performance notes): a monomial walk reads the keys of
-    one edge list one after another, for every target it serves, so it
-    computes each key once even where it reads more keys than that, and the
-    cache shares keys across calls, such as repeated calls in one
-    process."""
+    A held-out node off the fit raises :class:`FitInstabilityError`.  Not
+    cached: :func:`_graph_sums` keeps the checked columns of whole layouts
+    (:data:`_checked_columns`)."""
     h1 = len(edges) - len(A) + 1
     _, form, checks = _node_forms(nodes, h1)
     sums = weighting_power_sums(edges, A, nodes, profiles)
@@ -379,6 +377,36 @@ def _constant_term_sums(edges, A, nodes, profiles) -> tuple[int, ...]:
             )
         values.append(_dot(form, psums))
     return tuple(values)
+
+
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _LayoutStore(dict):
+    """The checked columns of every layout read, for the life of the
+    process: {(layout key, r nodes, profiles): (scale, columns)}, filled by
+    :func:`_graph_sums`, with the ``cache_info()`` and ``cache_clear()`` of
+    the ``functools`` caches."""
+
+    hits = misses = 0
+
+    def lookup(self, key):
+        entry = self.get(key)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, None, len(self))
+
+    def cache_clear(self):
+        self.clear()
+        self.hits = self.misses = 0
+
+
+_checked_columns = _LayoutStore()
 
 
 # ----------------------------------------------------------------------
@@ -483,52 +511,82 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
     _check_space(g, n, dmax)
 
 
-def _graph_sums(layouts, nodes, dmax: int):
+def _graph_sums(layouts, nodes, dmax: int, computed=None):
     """One pass over the plan graphs, layout by layout, for the graph sums
     at the moduli ``nodes`` (see :func:`_constant_term_sums`), in integers.
 
-    Each of ``layouts`` is (edges, points, check rows, profiles, graphs):
-    the graphs of one layout have this edge list and, at every point, the
-    point's tuple of vertex leg sums, and so h1 = E - V + 1, V being the
-    length of a point, and the same edge profiles, of total <= dmax - E, of
-    which ``profiles`` (sorted) lists those to compute; each of ``graphs``
-    is (group weights, groups, den) for one plan entry, or for one entry and
-    one target of a monomial walk, which lists the profiles of all its
-    targets and so reads and checks each column once.  A layout's columns
-    are built once: per point, :func:`_constant_term_sums` on the edges and
-    the point's leg sums gives each listed profile's checked value, so each
-    profile gets one column of integers over the points.  The sum of every
-    check row, sparse (point indices, weights), over every column must
-    vanish too, or :class:`FitInstabilityError` is raised.  Then, for each
-    of the layout's graphs, group i of its templates gets the dot product
-    of its weights (None for none) with its profile's column; weights may
-    stop short of the points, leaving the last ones to the check rows.  So
-    the template loop runs once per graph for all points.  Only the listed
-    ``profiles`` are computed and checked: a caller may leave out the
-    profiles that no group weight reads, since their columns cannot change
-    any total, and must list every profile that one does, so that every
-    column entering a total is checked at the held-out nodes and by every
-    check row.  Yields (terms, den) per item of ``graphs``: terms maps each
-    decorated graph of that entry's graph to an integer numerator over den,
-    the entry's den times that of :func:`_node_forms`.  Every key belongs to
-    exactly one graph, and all of a graph's keys have one denominator, also
-    where the graph is an entry of several layouts.
+    Each of ``layouts`` is (key, points, check rows, profiles, graphs): the
+    key is the layout's edge list followed by the data that fixes its
+    points; the graphs of one layout have this edge list and, at every
+    point, the point's tuple of vertex leg sums, and so h1 = E - V + 1, V
+    being the length of a point, and the same edge profiles, of total
+    <= dmax - E, of which ``profiles`` (sorted) lists those to compute; each
+    of ``graphs`` is (group weights, groups, den) for one plan entry, or for
+    one entry and one target of a monomial walk, which lists the profiles
+    of all its targets and so reads and checks each column once.
+
+    A layout's checked columns are one lookup in :data:`_checked_columns`,
+    keyed (key, nodes, profiles), which holds the layout's :func:`_node_forms`
+    scale and its nonzero columns.  On a miss they are built once: per
+    point, :func:`_constant_term_sums` on the edges and the point's leg sums
+    gives each listed profile's value, checked at the held-out nodes, so
+    each profile gets one column of integers over the points; a point's
+    values are kept while the pass stays on its edge list, so layouts of one
+    edge list that meet at equal leg sums compute them once.  The sum of
+    every check row, sparse (point indices, weights), over every column must
+    vanish too, or :class:`FitInstabilityError` is raised; the entry is
+    stored only when every check has passed, and a failure stores nothing
+    for the layout.  ``computed``, a list if given, gets the number of
+    points each layout computed, 0 for one read from the store.
+
+    Then, for each of the layout's graphs, group i of its templates gets
+    the dot product of its weights (None for none) with its profile's
+    column; weights may stop short of the points, leaving the last ones to
+    the check rows.  So the template loop runs once per graph for all
+    points.  Only the listed ``profiles`` are computed and checked: a caller
+    may leave out the profiles that no group weight reads, since their
+    columns cannot change any total, and must list every profile that one
+    does, so that every column entering a total is checked at the held-out
+    nodes and by every check row.  Yields (terms, den) per item of
+    ``graphs``: terms maps each decorated graph of that entry's graph to an
+    integer numerator over den, the entry's den times that of
+    :func:`_node_forms`.  Every key belongs to exactly one graph, and all of
+    a graph's keys have one denominator, also where the graph is an entry of
+    several layouts.
     """
     nodes = tuple(nodes)
-    for edges, points, check_rows, profiles, graphs in layouts:
-        scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
-        values = [_constant_term_sums(edges, leg_sums, nodes, profiles) for leg_sums in points]
-        columns = dict(zip(profiles, zip(*values)))
-        if any(
-            _dot(weights, map(column.__getitem__, indices))
-            for column in columns.values()
-            for indices, weights in check_rows
-        ):
-            raise FitInstabilityError(
-                f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                "in the vertex leg sums"
-            )
-        columns = {profile: column for profile, column in columns.items() if any(column)}
+    walked, sums = None, {}
+    for key, points, check_rows, profiles, graphs in layouts:
+        entry = _checked_columns.lookup((key, nodes, profiles))
+        new = 0
+        if entry is None:
+            edges = key[0]
+            if edges != walked:
+                walked, sums = edges, {}
+            values = []
+            for leg_sums in points:
+                value = sums.get((leg_sums, profiles))
+                if value is None:
+                    value = _constant_term_sums(edges, leg_sums, nodes, profiles)
+                    sums[leg_sums, profiles] = value
+                    new += 1
+                values.append(value)
+            columns = dict(zip(profiles, zip(*values)))
+            if any(
+                _dot(weights, map(column.__getitem__, indices))
+                for column in columns.values()
+                for indices, weights in check_rows
+            ):
+                raise FitInstabilityError(
+                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+                    "in the vertex leg sums"
+                )
+            scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
+            nonzero = {profile: column for profile, column in columns.items() if any(column)}
+            entry = _checked_columns[key, nodes, profiles] = scale, nonzero
+        if computed is not None:
+            computed.append(new)
+        scale, columns = entry
         for group_weights, groups, den in graphs:
             local: dict[DecoratedGraph, int] = {}
             for weights, (profile, _, members) in zip(group_weights, groups):
@@ -566,7 +624,7 @@ def _point_layouts(plan, a, dmax: int):
     for (edges, leg_sums), entries in layouts.items():
         profiles = _edge_profiles(len(edges), dmax - len(edges))
         weighted = ((weigh(groups), groups, den) for _, groups, den in entries)
-        yield edges, (leg_sums,), (), profiles, weighted
+        yield (edges, leg_sums), (leg_sums,), (), profiles, weighted
 
 
 def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
@@ -922,7 +980,7 @@ def _monomial_layouts(layouts, targets, d: int):
                     weighted.append((group_weights, groups, den))
                     owners.append(t)
         if read:
-            yield (key[0], points, checks, tuple(sorted(read)), weighted), owners
+            yield (key, points, checks, tuple(sorted(read)), weighted), owners
 
 
 def _chunk_worker(args):
@@ -931,10 +989,11 @@ def _chunk_worker(args):
     by :func:`_monomial_layouts` for every target, as integer numerators and
     denominators per decorated graph and target, summed over the layouts
     where its graph is an entry, with the counts of the walk: the layouts
-    evaluated, their A-points, and the :func:`_constant_term_sums` keys
-    computed and reused; used directly and as the multiprocessing worker.
-    The plan is sorted by edge list and every key holds its edge list, so no
-    key reaches two workers."""
+    evaluated, their A-points, the points whose constant terms the walk
+    computed (:func:`_graph_sums` counts them) and the rest, read without
+    computing; used directly and as the multiprocessing worker.  The plan is
+    sorted by edge list and every key holds its edge list, so no key reaches
+    two workers."""
     g, n, targets, d, r0, forgets, start, step = args
     layouts = _monomial_plan(g, n, d, forgets)[0]
     if step > 1:
@@ -953,18 +1012,13 @@ def _chunk_worker(args):
 
     # a graph's keys meet in each layout where it has an entry, over one den
     terms = [{} for _ in targets]
-    before = _constant_term_sums.cache_info()
-    for i, (local, den) in enumerate(_graph_sums(sampled(), _r_nodes(r0, d), d)):
+    computed = []  # the points each layout computed
+    for i, (local, den) in enumerate(_graph_sums(sampled(), _r_nodes(r0, d), d, computed)):
         part = terms[owners[i]]
         for key, num in local.items():
             part[key] = part.get(key, (0, den))[0] + num, den
-    after = _constant_term_sums.cache_info()
-    return terms, (
-        len(evaluated),
-        sum(evaluated),
-        after.misses - before.misses,
-        after.hits - before.hits,
-    )
+    points, computed = sum(evaluated), sum(computed)
+    return terms, (len(evaluated), points, computed, points - computed)
 
 
 def _monomial_coefficients(
@@ -1077,14 +1131,15 @@ def monomial_coefficient(
     numerators; results are identical for any worker count.  Returns
     (element, meta); the meta counts the plan's entries (``plan_graphs``)
     and their A-points (``evaluations``, what :func:`_check_cost` prices),
-    and, summed over the workers, the layouts evaluated (``layouts``), their
-    A-points (``layout_evaluations``, one :func:`_constant_term_sums` lookup
-    each), and of those lookups the cache misses (``sums_computed``, one
-    :func:`weighting_power_sums` call each) and hits (``sums_reused``).
-    Every key holds its edge list, so no two workers compute one key: with
-    workers forked from the caller, each starting from its cache, and while
-    the cache holds every key of the call, these two are the same for any
-    worker count.
+    and, summed over the workers, the layouts evaluated (``layouts``, one
+    lookup each in the store of checked columns), their A-points
+    (``layout_evaluations``), and of those the distinct point keys computed
+    (``sums_computed``, one :func:`weighting_power_sums` call each) and the
+    A-points read without computing (``sums_reused``), from a layout found
+    in the store or a point met before on the same edge list.  Every key
+    holds its edge list, so no two workers compute one key: with workers
+    forked from the caller, each starting from its store, these two are the
+    same for any worker count.
 
     With ``forget`` = S the coefficient is taken on (g, n + S), of the
     ``exponents`` followed by exponent 1 at the legs n+1..n+S, multiplied by

@@ -836,8 +836,9 @@ def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 
     :func:`principal_part` exactly.  The :func:`omega` classes of every 0/1
     shift come from one walk over one plan on the graphs of (g, n+1)
     (:func:`trrkit.pixton._monomial_coefficients`), which computes each
-    constant term they share once; the guard admits the relation exactly
-    when it admits each shift's :func:`omega`."""
+    constant term they share once, and the walk's meta is kept in the
+    record's provenance under ``"walk"``; the guard admits the relation
+    exactly when it admits each shift's :func:`omega`."""
     from .pixton import _monomial_coefficients
     from .strata import StrataElement, pushforward_forget
 
@@ -849,7 +850,7 @@ def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 
         _omega_target(MonomialSpec(g, n, tuple(2 * lj + dj for lj, dj in zip(l, dvec))))
         for dvec, _ in shifts
     ]
-    classes, _ = _monomial_coefficients(g, n + 1, targets, g + 1, allow_large, jobs)
+    classes, walk = _monomial_coefficients(g, n + 1, targets, g + 1, allow_large, jobs)
     total = StrataElement.zero(g, n)
     for (_, weight), el in zip(shifts, classes):
         total = total + pushforward_forget(el, n + 1).scale(weight)
@@ -867,7 +868,7 @@ def assemble_full_trr(g: int, k: int, l, allow_large: bool = False, jobs: int = 
         n=n,
         principal=closed.principal,
         boundary=boundary,
-        provenance=dict(closed.provenance),
+        provenance=dict(closed.provenance, walk=walk),
     )
 
 

@@ -5,6 +5,7 @@ instances (marked slow) take seconds each, with a pool of TRR_JOBS workers
 (default 2).
 """
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -371,6 +372,10 @@ def test_full_relation_assembly_2_1_1():
     assert record.boundary.is_kappa_free_boundary()
     integrals = assert_integrates_to_zero(record)
     assert integrals[(0, 3)] == (0, Fraction(-1, 80))
+    # the record carries the meta of the one walk that gave its shifts
+    walk = record.provenance["walk"]
+    assert walk["sums_computed"] + walk["sums_reused"] == walk["layout_evaluations"] > 0
+    assert json.loads(json.dumps(record.to_json()))["provenance"]["walk"] == walk
     report("5b", "assemble_full_trr(2,1,(1)) matches the closed forms and integrates to 0")
 
 

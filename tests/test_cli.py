@@ -549,6 +549,17 @@ def test_internal_failures_exit_4(monkeypatch, capsys, error):
     assert str(error) in err
 
 
+def test_an_unhandled_exception_exits_4_on_one_line(capsys):
+    # 1200 legs overflow the recursion of the guard's leg-map walk; the
+    # RecursionError is the program's failure, not the user's, and is
+    # reported as one line with no traceback
+    zeros = ",".join(["0"] * 1200)
+    code, out, err = run(capsys, "pixton", "--g", "1", "--n", "1200", "--a", zeros, "--degree", "0")
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("internal error: RecursionError: ")
+
+
 @pytest.mark.parametrize(
     "extra", [["--degree", "0"], ["--degree", "-1"], ["--degree", "-1", "--r", "5"]]
 )

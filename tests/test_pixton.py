@@ -32,12 +32,13 @@ from strata_reference import interpolate
 
 @pytest.fixture
 def fresh_sums():
-    """The cache of checked constant terms, empty before and after the test:
-    every weighting sum the test reads is computed by the test's own
-    ``weighting_power_sums``, and no sum it corrupts outlives it."""
-    pixton._constant_term_sums.cache_clear()
-    yield pixton._constant_term_sums
-    pixton._constant_term_sums.cache_clear()
+    """The store of checked constant terms per layout, empty before and
+    after the test: every weighting sum the test reads is computed by the
+    test's own ``weighting_power_sums``, and no sum it corrupts outlives
+    it."""
+    pixton._checked_columns.cache_clear()
+    yield pixton._checked_columns
+    pixton._checked_columns.cache_clear()
 
 
 def test_avector_validation():
@@ -480,9 +481,9 @@ def test_monomial_plan_is_grouped_by_layout():
             for key, (_, _, _, profiles, _) in sampled:
                 assert profiles == tuple(sorted(read[key]))
             layouts = {key: (points, entries) for key, (points, _), entries in plan}
-            for key, (edges, leg_sums, *_) in sampled:
+            for key, (layout_key, leg_sums, *_) in sampled:
                 points, entries = layouts[key]
-                assert edges == key[0] and leg_sums == points
+                assert layout_key == key and leg_sums == points
                 for graph, (placements,), *_ in entries:
                     for _, parts in placements:
                         legs = _placed_legs(graph, parts, key[3], forget)
@@ -566,7 +567,7 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
     _, meta = monomial_coefficient(1, 3, (0, 1), 1, forget=1)
     plan = pixton._monomial_plan(1, 3, 1, (1,))[0]
     sampled = [
-        (edges, A) for _, (edges, leg_sums, *_) in _sampled_layouts(plan, (0, 1, 1), 1)
+        (key[0], A) for key, (_, leg_sums, *_) in _sampled_layouts(plan, (0, 1, 1), 1)
         for A in leg_sums
     ]
     assert meta["layout_evaluations"] == len(sampled) == 9
@@ -588,10 +589,13 @@ def test_evaluations_count_the_sampled_a_points(monkeypatch, fresh_sums):
 
 
 def test_a_sum_off_the_fit_raises_every_time_and_is_not_kept(monkeypatch, fresh_sums):
-    # the third key the call computes is off the degree bound in r: the
-    # first call keeps the two before it and raises; the second reads those
-    # two, computes the third again and raises again, so nothing was kept
-    # for it; with the real sums the call then succeeds
+    # the third point the call computes is off the degree bound in r: the
+    # first call stores the one-point layout before it, computes the first
+    # point of the next layout, (0, 0), and raises at the second; the
+    # second call reads the stored layout, computes both points of the
+    # failing one again and raises again, so nothing was stored for that
+    # layout, not even its good point; with the real sums the call then
+    # succeeds
     real = pixton.weighting_power_sums
     d, computed = 2, []
 
@@ -610,21 +614,89 @@ def test_a_sum_off_the_fit_raises_every_time_and_is_not_kept(monkeypatch, fresh_
     for _ in range(2):
         with pytest.raises(FitInstabilityError, match="in r on the nodes"):
             monomial_coefficient(1, 2, (2,), d)
-    assert len(computed) == 4 and computed[3] == computed[2]
+    assert len(computed) == 5 and computed[3:] == computed[1:3]
     info = fresh_sums.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
     monkeypatch.setattr(pixton, "weighting_power_sums", real)
     el, meta = monomial_coefficient(1, 2, (2,), d)
-    assert meta["sums_reused"] >= 2 and fresh_sums.cache_info().currsize > 2
+    assert meta["sums_reused"] >= 1 and fresh_sums.cache_info().currsize > 1
     fresh_sums.cache_clear()
     assert monomial_coefficient(1, 2, (2,), d)[0] == el
 
 
+def test_a_column_off_the_a_layer_raises_every_time_and_stores_nothing(monkeypatch, fresh_sums):
+    # every sum gains r^h1 where a vertex leg sum takes the value D + 1, a
+    # constant in r, so every point passes both held-out r nodes, but a
+    # layout with such a point fails its layer check: each call stores the
+    # layouts it reads before the first failing one, raises there and
+    # stores nothing for it, and the next call reads the stored layouts,
+    # computes the failing one's points again and raises again; with the
+    # real sums the failing layout is stored
+    real = pixton.weighting_power_sums
+    args = (1, 3, (2, 0), 1)
+    held_out = 2 * args[3] + 1
+    calls = []
+
+    def patched(edges, leg_sums, rs, profiles):
+        calls.append((edges, leg_sums))
+        sums = real(edges, leg_sums, rs, profiles)
+        if held_out not in leg_sums:
+            return sums
+        h1 = len(edges) - len(leg_sums) + 1
+        return {
+            profile: tuple(s + r**h1 for s, r in zip(psums, rs))
+            for profile, psums in sums.items()
+        }
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", patched)
+    stored = []
+    for _ in range(2):
+        before = len(calls)
+        with pytest.raises(FitInstabilityError, match="vertex leg sums"):
+            monomial_coefficient(*args)
+        stored.append((dict(fresh_sums), calls[before:]))
+    (first, first_calls), (second, second_calls) = stored
+    assert first and first == second and fresh_sums.cache_info().hits == len(first)
+    assert any(held_out in A for _, A in second_calls)
+    assert set(second_calls) < set(first_calls)
+    plan = pixton._monomial_plan(1, 3, 1, (0,))[0]
+    points = {key: points for key, (points, _), _ in plan}
+    assert all(held_out not in A for key, *_ in first for A in points[key])
+    monkeypatch.setattr(pixton, "weighting_power_sums", real)
+    monomial_coefficient(*args)
+    assert any(held_out in A for key, *_ in fresh_sums for A in points[key])
+
+
+def test_a_warm_lemma_pass_makes_one_store_lookup_per_layout(monkeypatch, fresh_sums):
+    # once the four genus-1 lemma omega calls have run, a second pass finds
+    # every layout it reads in the store, one lookup each, and never
+    # reaches the weighting sums; the calls share layouts (equal key, r
+    # nodes and profiles), so the first pass stores fewer than it reads
+    from trrkit.trr import MonomialSpec, omega
+
+    monos = [MonomialSpec(1, n, b) for n, b in [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]]
+    first = [omega(mono) for mono in monos]
+    layouts = sum(meta["layouts"] for _, meta in first)
+    # the calls read 26 layouts, 12 distinct ones, each stored once
+    assert fresh_sums.cache_info() == (14, 12, None, 12) and layouts == 26
+
+    def never(*args):
+        raise AssertionError("a weighting sum was computed")
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", never)
+    before = fresh_sums.cache_info()
+    again = [omega(mono) for mono in monos]
+    after = fresh_sums.cache_info()
+    assert (after.hits - before.hits, after.misses, after.currsize) == (layouts, 12, 12)
+    assert [el for el, _ in again] == [el for el, _ in first]
+
+
 @pytest.mark.slow
 def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
-    # the (3,1,()) comparison reads 27,506 distinct keys at 48,256 A-points,
-    # all within the cache's bound: a second call in the same process reads
-    # every constant term from the cache
+    # the (3,1,()) comparison reads 27,506 distinct point keys at 48,256
+    # A-points of its 646 layouts, each point computed once in the walk: a
+    # second call in the same process finds every layout in the store, one
+    # lookup each, and computes no sum
     from trrkit.trr import MonomialSpec, omega
 
     real = pixton.weighting_power_sums
@@ -638,8 +710,10 @@ def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
     mono = MonomialSpec(3, 1, ())
     first, meta = omega(mono, allow_large=True)
     assert len(calls) == meta["sums_computed"] == 27_506 and meta["sums_reused"] == 20_750
+    assert fresh_sums.cache_info() == (0, 646, None, 646) and meta["layouts"] == 646
     again, meta = omega(mono, allow_large=True)
     assert len(calls) == 27_506 and (meta["sums_computed"], meta["sums_reused"]) == (0, 48_256)
+    assert fresh_sums.cache_info() == (646, 646, None, 646)
     assert again == first and first.digest() == "b48fbc8c2008124d"
 
 
@@ -696,8 +770,8 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     plan = pixton._monomial_plan(1, 3, 1, (forget,))[0]
     (shared,) = [key for key, *_, entries in plan if len(entries) > 1]
     points = {
-        key: {(edges, A) for A in leg_sums}
-        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, exponents, args[3])
+        key: {(key[0], A) for A in leg_sums}
+        for key, (_, leg_sums, *_) in _sampled_layouts(plan, exponents, args[3])
     }
     own = points.pop(shared).difference(*points.values())
     real = pixton.weighting_power_sums
@@ -772,8 +846,8 @@ def test_a_read_column_of_a_call_that_skips_columns_is_checked(
     ]
     assert skipping == (((0, 1),), 2, 0, (1,)) and read[skipping] == {(0,)}
     points = {
-        key: {(edges, A) for A in leg_sums}
-        for key, (edges, leg_sums, *_) in _sampled_layouts(plan, exponents, d)
+        key: {(key[0], A) for A in leg_sums}
+        for key, (_, leg_sums, *_) in _sampled_layouts(plan, exponents, d)
     }
     own = points.pop(skipping).difference(*points.values())
     real = pixton.weighting_power_sums
@@ -1110,7 +1184,7 @@ def _relation_keys(g, targets):
     walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in targets)
     plan = pixton._monomial_plan(g, n, d, forgets)[0]
     return {
-        (layout[0], A, layout[3])
+        (layout[0][0], A, layout[3])
         for layout, _ in pixton._monomial_layouts(plan, walk, d)
         for A in layout[1]
     }
@@ -1283,11 +1357,11 @@ def test_point_layouts_list_every_group_profile():
         plan = pixton._class_plan(g, n, d, survivors)
         for a in vectors:
             entries = 0
-            for edges, _, _, profiles, weighted in pixton._point_layouts(plan, a, d):
+            for key, _, _, profiles, weighted in pixton._point_layouts(plan, a, d):
                 assert iter(weighted) is weighted
                 for _, groups, _ in weighted:
                     entries += 1
-                    assert {p for p, _, _ in groups} <= set(profiles), (edges, a)
+                    assert {p for p, _, _ in groups} <= set(profiles), (key, a)
             assert entries == len(plan)
 
 
