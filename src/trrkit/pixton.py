@@ -421,15 +421,28 @@ def _edge_profiles(E: int, budget: int) -> tuple[tuple[int, ...], ...]:
 
 def _leg_exponents(legs, room: list[int], budget: int):
     """Every tuple (c_m) of psi exponents at the legs, leg m on vertex
-    legs[m], of total <= budget and at most room[v] at each vertex v."""
-    if not legs:
-        yield ()
-        return
-    v = legs[0]
-    for c in range(min(budget, room[v]) + 1):
-        room[v] -= c
-        yield from ((c, *rest) for rest in _leg_exponents(legs[1:], room, budget - c))
-        room[v] += c
+    legs[m], of total <= budget and at most room[v] at each vertex v, in
+    lexicographic order; room and budget are nonnegative.
+
+    An odometer, with no recursion per leg: the next tuple raises the last
+    exponent that the budget and its vertex's room still admit, once the
+    exponents after it are put back to 0."""
+    c = [0] * len(legs)
+    room = list(room)  # the room and budget left by c
+    while True:
+        yield tuple(c)
+        for m in reversed(range(len(legs))):
+            v = legs[m]
+            if budget and room[v]:
+                c[m] += 1
+                room[v] -= 1
+                budget -= 1
+                break
+            room[v] += c[m]
+            budget += c[m]
+            c[m] = 0
+        else:
+            return
 
 
 def _template_denominator(dmax: int) -> int:

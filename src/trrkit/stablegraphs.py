@@ -317,7 +317,7 @@ def _degenerations(shapes, n: int) -> Iterator[tuple]:
 def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
     """Leg maps (legs[i] = vertex of marking i+1) giving each vertex v at
     least need[v] legs, one per orbit of the vertex permutations ``auts``:
-    the least of its orbit.
+    the least of its orbit.  The need asks for at most n legs in all.
 
     Maps grow one leg at a time, in marking order, and only while the legs
     left can still meet the need.  A permutation fixing the placed prefix
@@ -328,12 +328,17 @@ def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
     V = len(need)
     legs = [0] * n
     missing = list(need)
-
-    def place(i: int, short: int, active: list) -> Iterator[tuple[int, ...]]:
+    moving = [p for p in auts if any(p[v] != v for v in range(V))]
+    # one frame per leg on the path, with the next vertex it tries: an
+    # explicit stack, so the depth is not bounded by the recursion limit
+    frames = [(sum(need), moving, 0)]
+    while frames:
+        short, active, start = frames.pop()
+        i = len(frames)
         if i == n:
             yield tuple(legs)
-            return
-        for x in range(V):
+            start = V
+        for x in range(start, V):
             took = 1 if missing[x] else 0
             if short - took > n - i - 1:
                 continue
@@ -344,13 +349,15 @@ def _orbit_minimal_leg_maps(need, n: int, auts) -> Iterator[tuple[int, ...]]:
                 if p[x] == x:
                     still.append(p)
             else:
+                frames.append((short, active, x + 1))
+                frames.append((short - took, still, 0))
                 legs[i] = x
                 missing[x] -= took
-                yield from place(i + 1, short - took, still)
-                missing[x] += took
-
-    moving = [p for p in auts if any(p[v] != v for v in range(V))]
-    yield from place(0, sum(need), moving)
+                break
+        else:
+            # every vertex tried: take back leg i-1 before its next vertex
+            if i:
+                missing[legs[i - 1]] += frames[-1][0] - short
 
 
 def enumerate_stable_graphs(

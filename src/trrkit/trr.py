@@ -303,63 +303,60 @@ def ci_coeff(g: int, n: int, i: int, l, lprime, dvec) -> Fraction:
     return value
 
 
-def _d_weights(g: int, n: int, k: int) -> list[int]:
-    """w_s = (2k+1)_s (base-s)_(n-1-s) for s = 0..n-1, base = 2g+n+2k-1,
-    with (x)_m the falling factorial; each from the one before by
-    w_(s+1) = w_s (2k+1-s) / (base-s), an exact division."""
-    base = 2 * g + n + 2 * k - 1
-    w = [falling_factorial(base, n - 1)]
-    for s in range(n - 1):
-        w.append(w[-1] * (2 * k + 1 - s) // (base - s))
-    return w
-
-
-def _with_part(weights: list[int], v: int) -> list[int]:
-    """Suffix weights after one more part v: W'_j = W_j + v W_(j+1).
-
-    With W_j = sum_s e_s(parts so far) w_(s+j), starting from W = w, D's
-    numerator is sum_j e_j(parts still to come) W_j, so each part shortens
-    W by one and the numerator is W_0 once every part is in.
-    """
-    return [a + v * b for a, b in itertools.pairwise(weights)]
+def _psi(g: int, k: int, parts: int) -> list[int]:
+    """psi_s = C(2g+2k, 2k+1-s) for s = 0..parts: the coefficients that D's
+    numerator pairs with (-2)^s e_s(l) (see :func:`d_value`)."""
+    return [binomial(2 * g + 2 * k, 2 * k + 1 - s) for s in range(parts + 1)]
 
 
 def d_value(g: int, k: int, l) -> Fraction:
     """The obstruction coefficient: nonzero means a relation exists for the
     monomial psi_1^k prod psi_j^(l_j).
 
-    D is the sum over the 0/1 exponent shifts, regrouped by the integer
-    elementary symmetric functions e_s of the values -2l_j-1: its numerator
-    is sum_s e_s w_s (see ``_d_weights``), taken one part at a time through
-    ``_with_part``, over the denominator w_0 = (base)_(n-1),
-    base = 2g+n+2k-1.  ``tests/oracles.py`` holds the direct sum over the
-    shifts as a cross-check.
+    D is the sum over the 0/1 exponent shifts d, regrouped by the elementary
+    symmetric functions e_s of the values -2l_j-1 (``tests/oracles.py``
+    holds that sum as a cross-check):
 
-    For n <= 3 the numerator has a closed form; with x = 2l_2 + 1 and
-    y = 2l_3 + 1 it is
+        D = sum_s e_s(-2l-1) (a)_s / (B)_s,  a = 2k+1,  B = 2g+n+2k-1,
 
-    - n = 2: -2k(2l_2 - 1);
-    - n = 3: 2k [2k(x-2)(y-2) + xy - (x+y-1)(x+y-2)].
+    with (x)_s the falling factorial.  Since (a)_s / (B)_s =
+    C(B-s, a-s) / C(B, a), and sum_s e_s(x) z^s (1+z)^(B-s) =
+    (1+z)^(B-n+1) prod_j (1 + z + x_j z) with x_j = -2l_j-1,
 
-    Proof: with g = k + sum(l), each w_s is a product of n - 1 <= 2 factors
-    linear in k and the l_j, s of them free of the l_j, and e_s has degree
-    <= 1 in each l_j and is 1 for s = 0, so sum_s e_s w_s has degree <= 2 in
-    each of k, l_2 and l_3, as the two forms do; ``tests/test_trr.py`` checks both on the grid {0,1,2} in
-    each variable, which determines such a polynomial.  Hence, as
-    w_0 > 0, D never vanishes for n <= 3 and k >= 1, in any genus: 2l_2 - 1
-    is odd, and so is the n = 3 bracket, xy being odd and (x+y-1)(x+y-2)
-    even.
+        D C(B, a) = [z^a] (1+z)^(2g+2k) prod_j (1 - 2l_j z)
+                  = sum_s (-2)^s e_s(l) psi_s,  psi_s = C(2g+2k, a-s).
+
+    The numerator depends on n only through the parts, and one more part p
+    maps psi_t to psi_t - 2p psi_(t+1), so it is psi_0 once every part is
+    in; :func:`_scan_genus` walks the partitions on the same map.
+
+    For n <= 3 the numerator N has a closed form.  With psi_0 / psi_1 =
+    2g / (2k+1) and psi_1 / psi_2 = (2g+1) / (2k), and g = k + sum(l),
+    x = 2l_2 + 1 and y = 2l_3 + 1,
+
+    - n = 2: (2k+1) N = -2k(2l_2 - 1) psi_1, so D = -2k(2l_2 - 1) / B;
+    - n = 3: (2k+1) N = [2k(x-2)(y-2) + xy - (x+y-1)(x+y-2)] psi_2, so D is
+      2k times that bracket over (B)_2.
+
+    For n = 3, (2k+1) N / psi_2 = (2g+1)(1 - 2L) + 4 l_2 l_3 (2k+1) with
+    L = l_2 + l_3, as 2g - 2L(2k+1) = 2k(1 - 2L); it expands to the bracket.
+    Hence, as psi_1, psi_2 > 0 for k >= 1, D never vanishes for n <= 3 and
+    k >= 1, in any genus: 2l_2 - 1 is odd, and so is the n = 3 bracket, xy
+    being odd and (x+y-1)(x+y-2) even.  ``tests/test_trr.py`` checks both
+    forms through this function.
     """
     l = tuple(int(x) for x in l)
     if k < 0 or k + sum(l) != g:
         raise ValueError("need k >= 0 and k + sum(l) = g")
     if any(lj < 0 for lj in l):
         raise ValueError("need every l_j >= 0")
-    w = _d_weights(g, len(l) + 1, k)
-    weights = w
+    if not l:
+        # one marked point: D = 1, also at g = 0 where C(B, a) = 0
+        return Fraction(1)
+    psi = _psi(g, k, len(l))
     for lj in l:
-        weights = _with_part(weights, -2 * lj - 1)
-    return Fraction(weights[0], w[0])
+        psi = [x - 2 * lj * y for x, y in itertools.pairwise(psi)]
+    return Fraction(psi[0], binomial(2 * g + len(l) + 2 * k, 2 * k + 1))
 
 
 # ----------------------------------------------------------------------
@@ -423,69 +420,83 @@ def _check_scan_budget(g_min: int, g_max: int) -> None:
             )
 
 
-def _pair_zeros(w0: int, w1: int, w2: int, low: int, rest: int):
+def _two_part_zeros(c: int, psi2: int, low: int, rest: int):
     """The p in low..rest//2 for which the last two parts (p, rest - p) make
-    D vanish, given the suffix weights (w0, w1, w2) of the parts before them.
+    D vanish, given c = psi_0 - 2 rest psi_1 and psi_2 of the parts before
+    them.
 
-    With x = -2p-1 and y = -2(rest-p)-1 the numerator is
-    w0 + (x+y) w1 + xy w2.  Here x + y = -2h, h = rest + 1, is the same for
-    every p, and xy = u(2h - u) = h^2 - (h - u)^2 with u = 2p + 1, so the
-    numerator vanishes iff (h - u)^2 = h^2 + c / w2, c = w0 - 2h w1: at most
-    one root u <= h, or every p when w2 = c = 0.
+    The numerator is c + 4 p (rest - p) psi2, so it vanishes iff
+    p (rest - p) = P, P = -c / (4 psi2) an integer: p = (rest - d) / 2 with
+    d^2 = rest^2 - 4P, at most one root p <= rest / 2, or every p when
+    psi2 = c = 0.  As d^2 = rest^2 mod 4, d has the parity of rest, so the
+    root is an integer whenever d is.
     """
-    h = rest + 1
-    c = w0 - 2 * h * w1
-    if not w2:
+    if not psi2:
         return () if c else range(low, rest // 2 + 1)
-    q, r = divmod(c, w2)
-    square = h * h + q
+    q, r = divmod(-c, 4 * psi2)
+    square = rest * rest - 4 * q
     if r or square < 0:
         return ()
     d = math.isqrt(square)
-    u = h - d
-    if d * d != square or not u % 2 or u < 2 * low + 1:
+    if d * d != square or rest - d < 2 * low:
         return ()
-    return ((u - 1) // 2,)
+    return ((rest - d) // 2,)
+
+
+def _last_parts(zeros: list, g: int, k: int, prefix: tuple, low: int, rest: int,
+                psi0: int, psi1: int, psi2: int, psi3: int) -> int:
+    """Check the cells that complete prefix with parts >= low summing to
+    rest: every pair (p, rest - p), and every triple whose first part p is
+    above rest // 4 (a child with room for two more parts only), given
+    psi_0..psi_3 after the prefix.  Appends the zeros; returns the count."""
+    n = len(prefix) + 3
+    c = psi0 - 2 * rest * psi1
+    cells = rest // 2 - low + 1
+    for p in _two_part_zeros(c, psi2, low, rest):
+        zeros.append((g, n, k, prefix + (p, rest - p)))
+    for part in range(max(low, rest // 4 + 1), rest // 3 + 1):
+        pair = rest - part
+        cells += pair // 2 - part + 1
+        for p in _two_part_zeros(c + 4 * part * pair * psi2, psi2 - 2 * part * psi3, part, pair):
+            zeros.append((g, n + 1, k, prefix + (part, p, pair - p)))
+    return cells
 
 
 def _scan_genus(g: int):
+    """(zeros, cells) of genus g: one walk per T = g - k in 1..g-1 over the
+    nondecreasing partitions l of T, any number of parts.
+
+    A node carries psi_0..psi_m of D's numerator (:func:`d_value`), m at
+    least 4 and the most parts that can still follow, or less when psi
+    vanishes past psi_m (every psi_s with s > 2k+1 is 0).  The one-part cell
+    is checked at the root; every node solves its pairs and the children
+    with room for two more parts only (:func:`_last_parts`); a child with
+    room for exactly three is solved from the node's psi_0..psi_4, so only
+    children with room for four or more are pushed."""
     zeros = []
     cells = 0
-    for n in range(2, g + 1):
-        for k in range(1, g - (n - 1) + 1):
-            w = _d_weights(g, n, k)
-            if n == 2:
-                cells += 1
-                if w[0] == (2 * (g - k) + 1) * w[1]:
-                    zeros.append((g, n, k, (g - k,)))
-                continue
-            # nondecreasing l_1 <= ... <= l_(n-1) summing to g - k, with the
-            # suffix weights of the parts so far carried along.  The last two
-            # parts are solved for, not enumerated: a node with three parts
-            # left solves the pairs below it without pushing them, so only
-            # the root of n = 3 is popped with two parts left
-            stack = [((), w, 1, g - k)]
-            while stack:
-                prefix, weights, low, rest = stack.pop()
-                left = len(weights) - 1
-                if left == 2:
-                    cells += rest // 2 - low + 1
-                    for p in _pair_zeros(*weights, low, rest):
-                        zeros.append((g, n, k, prefix + (p, rest - p)))
-                    continue
-                if left == 3:
-                    w0, w1, w2, w3 = weights
-                    for part in range(low, rest // 3 + 1):
-                        v = -2 * part - 1
-                        pair = rest - part
-                        cells += pair // 2 - part + 1
-                        for p in _pair_zeros(w0 + v * w1, w1 + v * w2, w2 + v * w3, part, pair):
-                            zeros.append((g, n, k, prefix + (part, p, pair - p)))
-                    continue
-                for part in range(low, rest // left + 1):
-                    stack.append(
-                        (prefix + (part,), _with_part(weights, -2 * part - 1), part, rest - part)
-                    )
+    for T in range(1, g):
+        k = g - T
+        psi = _psi(g, k, max(4, min(T, 2 * k + 1)))
+        cells += 1
+        if psi[0] == 2 * T * psi[1]:
+            zeros.append((g, 2, k, (T,)))
+        stack = [((), psi, 1, T)]
+        while stack:
+            prefix, psi, low, rest = stack.pop()
+            psi0, psi1, psi2, psi3, psi4 = psi[:5]
+            cells += _last_parts(zeros, g, k, prefix, low, rest, psi0, psi1, psi2, psi3)
+            # a part p leaves room for (rest - p) // p more parts
+            shifted = psi[1:] + [0]
+            for part in range(low, rest // 5 + 1):
+                child = [x - 2 * part * y for x, y in zip(psi[: rest // part], shifted)]
+                stack.append((prefix + (part,), child, part, rest - part))
+            for part in range(max(low, rest // 5 + 1), rest // 4 + 1):
+                v = 2 * part
+                cells += _last_parts(
+                    zeros, g, k, prefix + (part,), part, rest - part,
+                    psi0 - v * psi1, psi1 - v * psi2, psi2 - v * psi3, psi3 - v * psi4,
+                )
     return zeros, cells
 
 

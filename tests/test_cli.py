@@ -549,15 +549,35 @@ def test_internal_failures_exit_4(monkeypatch, capsys, error):
     assert str(error) in err
 
 
-def test_an_unhandled_exception_exits_4_on_one_line(capsys):
-    # 1200 legs overflow the recursion of the guard's leg-map walk; the
-    # RecursionError is the program's failure, not the user's, and is
+def test_an_unhandled_exception_exits_4_on_one_line(monkeypatch, capsys):
+    # a RecursionError is the program's failure, not the user's, and is
     # reported as one line with no traceback
-    zeros = ",".join(["0"] * 1200)
-    code, out, err = run(capsys, "pixton", "--g", "1", "--n", "1200", "--a", zeros, "--degree", "0")
+    def broken(args, started):
+        def deeper():
+            return deeper()
+
+        return deeper()
+
+    monkeypatch.setattr(cli, "cmd_pixton", broken)
+    code, out, err = run(capsys, "pixton", "--g", "1", "--n", "2", "--a", "0,0", "--degree", "0")
     assert code == cli.EXIT_INTERNAL == 4 and out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("internal error: RecursionError: ")
+
+
+def test_twelve_hundred_legs_are_computed(tmp_path, capsys):
+    # the guard's leg-map walk and the leg exponents keep an explicit stack,
+    # so a leg count above the recursion limit is priced and computed: one
+    # graph, with no psi to place at degree 0
+    out = tmp_path / "legs.json"
+    zeros = ",".join(["0"] * 1200)
+    code, _, err = run(
+        capsys, "pixton", "--g", "1", "--n", "1200", "--a", zeros, "--degree", "0",
+        "--out", str(out),
+    )
+    assert code == 0, err
+    code, stdout, _ = run(capsys, "check", str(out))
+    assert code == 0 and "ok" in stdout
 
 
 @pytest.mark.parametrize(

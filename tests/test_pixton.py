@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from trrkit.pixton import (
     FitInstabilityError,
     _difference_weights,
     _dot,
+    _leg_exponents,
     check_avector,
     constant_term_class,
     fixed_r_class,
@@ -1403,3 +1405,31 @@ def test_template_bases_are_over_one_denominator():
 def test_pixton_class_small():
     el, _ = constant_term_class(1, 2, (1, -1), 1)
     assert el.degree_component(0) == StrataElement.unit(1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leg_exponents_are_every_admissible_tuple_in_order(data):
+    """Every exponent tuple within the budget and each vertex's room, in
+    lexicographic order, and the caller's room left as it was."""
+    V = data.draw(st.integers(1, 3), label="V")
+    legs = data.draw(st.lists(st.integers(0, V - 1), max_size=6), label="legs")
+    room = data.draw(st.lists(st.integers(0, 4), min_size=V, max_size=V), label="room")
+    budget = data.draw(st.integers(0, 6), label="budget")
+    want = [
+        c
+        for c in itertools.product(range(budget + 1), repeat=len(legs))
+        if sum(c) <= budget
+        and all(sum(cm for cm, v in zip(c, legs) if v == u) <= room[u] for u in range(V))
+    ]
+    given_room = list(room)
+    assert list(_leg_exponents(legs, given_room, budget)) == want
+    assert given_room == room
+
+
+def test_leg_exponents_go_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    # n legs on one vertex with room for one psi: no psi, then one psi on
+    # each leg, the last leg first
+    want = [(0,) * n] + [(0,) * (n - 1 - m) + (1,) + (0,) * m for m in range(n)]
+    assert list(_leg_exponents([0] * n, [1], 1)) == want

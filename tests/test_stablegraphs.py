@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trrkit.stablegraphs import (
     InvalidGraphError,
     StableGraph,
+    _orbit_minimal_leg_maps,
     automorphism_count,
     canonical_data,
     enumerate_stable_graphs,
@@ -217,3 +220,31 @@ def test_half_edge_automorphism_count_matches():
     for g, n in [(1, 1), (2, 0), (1, 2)]:
         for gr in enumerate_stable_graphs(g, n):
             assert len(half_edge_automorphisms(gr)) == automorphism_count(gr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_minimal_leg_maps_are_the_least_of_their_orbits(data):
+    """Every leg map meeting the need that no permutation makes smaller,
+    in lexicographic order: the walk's pruning against the definition, for
+    any set of vertex permutations."""
+    V = data.draw(st.integers(1, 4), label="V")
+    n = data.draw(st.integers(0, 6), label="n")
+    need = data.draw(st.lists(st.integers(0, 2), min_size=V, max_size=V), label="need")
+    perms = data.draw(st.lists(st.permutations(range(V)), max_size=3), label="perms")
+    # the need of a shape never passes the legs there are to place
+    assume(sum(need) <= n)
+    auts = [tuple(range(V))] + [tuple(p) for p in perms]
+    want = [
+        legs
+        for legs in itertools.product(range(V), repeat=n)
+        if all(legs.count(v) >= need[v] for v in range(V))
+        and all(legs <= tuple(p[x] for x in legs) for p in auts)
+    ]
+    assert list(_orbit_minimal_leg_maps(need, n, auts)) == want
+
+
+def test_orbit_minimal_leg_maps_go_past_the_recursion_limit():
+    # one vertex and more legs than the interpreter's recursion limit
+    n = sys.getrecursionlimit() + 200
+    assert list(_orbit_minimal_leg_maps([3], n, [(0,)])) == [(0,) * n]

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trrkit.cli import result_digest
 from trrkit.numerics import double_factorial, factorial, falling_factorial
@@ -14,12 +15,12 @@ from trrkit.trr import (
     ExceptionalCaseError,
     MonomialSpec,
     TRRRecord,
-    _d_weights,
     _gamma0_numerators,
     _gammai_numerators,
-    _pair_zeros,
+    _psi,
     _relation_numerators,
     _solve_modulo,
+    _two_part_zeros,
     c0_coeff,
     ci_coeff,
     d_value,
@@ -542,49 +543,69 @@ def test_scan_matches_the_cell_by_cell_walk(g_min, g_max, jobs):
     assert scan_zeros(g_min, g_max, jobs=jobs) == want
 
 
-def _pair_numerator(w0, w1, w2, p, rest):
-    x, y = -2 * p - 1, -2 * (rest - p) - 1
-    return w0 + (x + y) * w1 + x * y * w2
+def _pair_numerator(psi0, psi1, psi2, p, rest):
+    return psi0 - 2 * rest * psi1 + 4 * p * (rest - p) * psi2
 
 
 @st.composite
 def _pair_cases(draw):
-    """(w0, w1, w2, low, rest); half of them built so that xy = u(2h - u),
-    h = rest + 1, is a root for some u near the admissible ones (odd or even,
-    inside low..rest//2 or not), then moved by a small shift."""
+    """(psi0, psi1, psi2, low, rest); half of them built so that the
+    numerator vanishes at p = u / 2 for some u near the admissible ones
+    (a half-integer or not, inside low..rest//2 or not), then moved by a
+    small shift."""
     rest = draw(st.integers(2, 60))
     low = draw(st.integers(1, rest // 2))
-    w1 = draw(st.integers(-50, 50))
-    w2 = draw(st.integers(-6, 6))
+    psi1 = draw(st.integers(-50, 50))
+    psi2 = draw(st.integers(-6, 6))
     shift = draw(st.integers(-3, 3))
     if draw(st.booleans()):
-        u = draw(st.integers(-3, rest + 4))
-        h = rest + 1
-        w0 = 2 * h * w1 - u * (2 * h - u) * w2 + shift
+        u = draw(st.integers(-6, rest + 8))
+        # 4p(rest - p) at p = u/2
+        psi0 = 2 * rest * psi1 - u * (2 * rest - u) * psi2 + shift
     else:
-        w0 = draw(st.integers(-3000, 3000))
-    return w0, w1, w2, low, rest
+        psi0 = draw(st.integers(-3000, 3000))
+    return psi0, psi1, psi2, low, rest
 
 
 @settings(max_examples=300, deadline=None)
 @given(_pair_cases())
-@example((42, 3, 0, 1, 6))  # w2 = 0 and c = w0 - 2(rest+1) w1 = 0: every pair
-@example((43, 3, 0, 1, 6))  # w2 = 0 and c != 0: no pair
-@example((-26, 0, 1, 1, 4))  # negative discriminant: xy = 26 > h^2 = 25
-@example((-23, 0, 1, 1, 4))  # h^2 - xy = 2 is not a square
-@example((-24, 0, 1, 1, 4))  # the root u = 4 is even (p = 1 would pass low)
-@example((-9, 0, 1, 1, 4))  # the root u = 1 is p = 0, below low
-@example((-45, 0, 1, 2, 8))  # the root u = 3 is p = 1, below low = 2
-@example((11, 0, 1, 1, 4))  # the root u = -1 is negative
-@example((-21, 0, 1, 1, 4))  # the root u = 3 is p = 1, a zero
-@example((-104, 0, 5, 1, 4))  # c / w2 leaves a remainder
+@example((42, 3, 0, 1, 7))  # psi2 = 0 and c = psi0 - 2 rest psi1 = 0: every pair
+@example((43, 3, 0, 1, 7))  # psi2 = 0 and c != 0: no pair
+@example((-20, 0, 1, 1, 4))  # negative discriminant: p(4 - p) = 5 > 4
+@example((-20, 0, 1, 1, 5))  # rest^2 - 4P = 5 is not a square
+@example((-15, 0, 1, 1, 4))  # the root p = 3/2 is no integer: P = 15/4
+@example((0, 0, 1, 1, 4))  # the root p = 0, below low
+@example((-12, 0, 1, 2, 4))  # the root p = 1, below low = 2
+@example((20, 0, 1, 1, 4))  # the root p = -1 is negative
+@example((-36, 5, 3, 1, 6))  # the root p = 2, a zero
+@example((-104, 0, 5, 1, 4))  # -c / (4 psi2) leaves a remainder
 def test_pair_zeros_match_direct_evaluation(case):
-    """The pair solver against the numerator at every p in low..rest//2."""
-    w0, w1, w2, low, rest = case
+    """The two-part solver against the numerator at every p in
+    low..rest//2."""
+    psi0, psi1, psi2, low, rest = case
     want = [
-        p for p in range(low, rest // 2 + 1) if not _pair_numerator(w0, w1, w2, p, rest)
+        p for p in range(low, rest // 2 + 1) if not _pair_numerator(psi0, psi1, psi2, p, rest)
     ]
-    assert list(_pair_zeros(w0, w1, w2, low, rest)) == want
+    assert list(_two_part_zeros(psi0 - 2 * rest * psi1, psi2, low, rest)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(st.integers(0, 5), max_size=7),
+)
+def test_generating_function_numerator_equals_the_shift_sum(k, l):
+    """[z^(2k+1)] (1+z)^(2g+2k) prod_j (1 - 2l_j z) over C(B, 2k+1),
+    B = 2g+n+2k-1, is D: zero parts included, for every n >= 2 and for
+    n = 1 from genus 1 on (C(B, 2k+1) = 0 at g = n - 1 = 0)."""
+    g, n = k + sum(l), len(l) + 1
+    assume(2 * g + n >= 2)
+    poly = [math.comb(2 * g + 2 * k, j) for j in range(2 * g + 2 * k + 1)]
+    for lj in l:
+        poly = [a - 2 * lj * b for a, b in zip(poly, [0] + poly)]
+    num = poly[2 * k + 1] if 2 * k + 1 < len(poly) else 0
+    D = Fraction(num, math.comb(2 * g + n + 2 * k - 1, 2 * k + 1))
+    assert D == d_value_direct(g, k, l) == d_value(g, k, l)
 
 
 def _nonzero(terms):
@@ -646,39 +667,67 @@ def test_principal_part_pinned_digests(cell):
 
 
 def test_d_numerators_for_two_and_three_markings():
-    # the numerators of the d_value docstring, over w_0 = (base)_(n-1):
-    # both sides have degree <= 2 in each of k, l_2 (and l_3), so equality
-    # on three values of each determines them
+    # the closed forms of the d_value docstring: (2k+1) N = P psi_(n-1) for
+    # the numerator N = D C(B, 2k+1), with P = -2k(2l_2-1) for n = 2 and the
+    # bracket for n = 3, which is D = P / B and D = 2k P / (B)_2; the
+    # docstring proves both, and this checks them on the grid {0,1,2} in
+    # each of k, l_2 (and l_3)
     for k, l2 in itertools.product(range(3), repeat=2):
         g = k + l2
         w0 = falling_factorial(2 * g + 2 * k + 1, 1)
         assert d_value(g, k, (l2,)) == Fraction(-2 * k * (2 * l2 - 1), w0)
+        N = d_value(g, k, (l2,)) * math.comb(2 * g + 2 * k + 1, 2 * k + 1)
+        assert (2 * k + 1) * N == -2 * k * (2 * l2 - 1) * _psi(g, k, 1)[1]
     for k, l2, l3 in itertools.product(range(3), repeat=3):
         g, x, y = k + l2 + l3, 2 * l2 + 1, 2 * l3 + 1
         w0 = falling_factorial(2 * g + 2 * k + 2, 2)
         bracket = 2 * k * (x - 2) * (y - 2) + x * y - (x + y - 1) * (x + y - 2)
         assert d_value(g, k, (l2, l3)) == Fraction(2 * k * bracket, w0)
+        N = d_value(g, k, (l2, l3)) * math.comb(2 * g + 2 * k + 2, 2 * k + 1)
+        assert (2 * k + 1) * N == bracket * _psi(g, k, 2)[2]
         assert bracket % 2 == 1
+
+
+def _scaled_psi(g, k, m):
+    """psi_0..psi_m of D's numerator, each times the same positive rational:
+    psi_(s-1) / psi_s = (2g-1+s) / (2k+2-s), so psi_s is proportional to
+    prod_(t=s+1..m) (2g-1+t) prod_(t=1..s) (2k+2-t).  The two-part solver and
+    the vanishing of the numerator do not see a positive factor, and these
+    stay small where the binomials of genus 2000 have thousands of digits."""
+    return [
+        math.prod(range(2 * g + s, 2 * g + m)) * math.prod(range(2 * k + 2 - s, 2 * k + 2))
+        for s in range(m + 1)
+    ]
+
+
+def test_scaled_psi_is_proportional_to_psi():
+    for g in range(1, 40):
+        for k in range(1, g + 1):
+            for m in (1, 2, 3):
+                psi, scaled = _psi(g, k, m), _scaled_psi(g, k, m)
+                assert all(a * scaled[m] == b * psi[m] for a, b in zip(psi, scaled))
 
 
 @pytest.mark.slow
 def test_n2_never_vanishes_through_genus_2000():
-    """n = 2: D's numerator w_0 - (2l+1) w_1 is -2k(2(g-k)-1), never zero
-    for k >= 1 and l = g - k >= 1."""
+    """n = 2: D's numerator psi_0 - 2l psi_1 is -2k(2l-1) psi_1 / (2k+1),
+    never zero for k >= 1 and l = g - k >= 1."""
     for g in range(2, 2001):
         for k in range(1, g):
-            w0, w1 = _d_weights(g, 2, k)
-            assert w0 - (2 * (g - k) + 1) * w1 == -2 * k * (2 * (g - k) - 1) != 0
+            psi0, psi1 = 2 * g, 2 * k + 1  # _scaled_psi(g, k, 1)
+            l = g - k
+            assert (2 * k + 1) * (psi0 - 2 * l * psi1) == -2 * k * (2 * l - 1) * psi1 != 0
 
 
 def test_n3_never_vanishes_through_genus_1000():
-    """n = 3: the pair solver finds no zero at any (g, k) with g <= 1000,
-    over every pair (p, g-k-p) with 1 <= p <= (g-k)//2."""
+    """n = 3: the two-part solver finds no zero at any (g, k) with
+    g <= 1000, over every pair (p, g-k-p) with 1 <= p <= (g-k)//2."""
     zeros, cells = [], 0
     for g in range(3, 1001):
         for k in range(1, g - 1):
             rest = g - k
+            psi0, psi1, psi2 = _scaled_psi(g, k, 2)
             cells += rest // 2
-            zeros += [(g, k, p) for p in _pair_zeros(*_d_weights(g, 3, k), 1, rest)]
+            zeros += [(g, k, p) for p in _two_part_zeros(psi0 - 2 * rest * psi1, psi2, 1, rest)]
     assert zeros == []
     assert cells == 83_208_250
