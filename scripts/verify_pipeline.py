@@ -6,8 +6,8 @@ the genus-2 comparisons (2,1,()), (2,2,(0,)) and (2,2,(1,)), which take
 0.3 s or less each on one core, and the genus-3 comparisons (3,2,(7,)),
 (3,2,(6,)) and (3,1,()), about 2 s, 4.5 s and 2 s (about 8 s in all on a
 2-core KVM guest with Python 3.11; an instance reads from the process's
-store only the layouts an earlier one read with the same r nodes and
-profiles, so the later ones compute most of their constant terms).
+store only the layouts an earlier one read at the same r nodes and
+degree, so the later ones compute most of their constant terms).
 Each line gives the instance's plan size from its report: the entries of
 its plan (one per graph and set of vertices with leg sums, the legs that
 omega forgets placed on the graphs of (g, n+1) by the dilaton equation),

@@ -14,7 +14,7 @@ over the plan, layout by layout.  The values a graph's points give depend
 only on its layout: the edge list and the vertex leg sums at each point,
 which are all the weighting sums are given.  Per layout, one lookup in
 the store of checked columns (:data:`_checked_columns`) gives one column of
-integers over its points per edge profile read: on a miss, at each point
+integers over its points per edge profile: on a miss, at each point
 (:func:`_constant_term_sums`) the weighting power sums at every r node are
 put over the common denominator lcm(r^h1), the two held-out differences are
 checked and the Lagrange-at-zero weights give the constant term, and the
@@ -37,15 +37,16 @@ integer numerators, which the parent merges.  The 0/1 shifts of one
 relation are several (exponents, forget) targets of one (g, n, d), and one
 walk serves them all (:func:`_monomial_coefficients`): one plan holds every
 forget count's placements per entry, and the walk reads each layout's
-constant terms once for the profiles any target reads, checks each column
-once and weights it per target.  Legs that omega multiplies by psi and
-forgets are forgotten by the dilaton equation: the plan runs on the
-graphs without them and places them on the vertices (:func:`_placements`),
-one entry per graph and set of vertices with leg sums, grouped by layout
-once, when the plan is built, with only the template groups of degree d.
+constant terms once, checks each column once and weights it per target.
+Legs that omega multiplies by psi and forgets are forgotten by the
+dilaton equation: the plan runs on the graphs without them and places
+them on the vertices (:func:`_placements`), one entry per graph and set
+of vertices with leg sums, grouped by layout once, when the plan is
+built, with only the template groups of degree d.
 A call evaluates only the layouts whose group weights read some edge
-profile, and gives the weighting sums only the profiles they read, so a
-column that enters no coefficient is neither computed nor checked: the
+profile, each for every profile of its edge list, so every column of a
+layout read is computed and checked, and one stored entry serves every
+later walk that reads the layout at the same r nodes and degree: the
 genus-1 lemmas hold 70 entries at 475 A-points, in 52 layouts of which the
 26 read evaluate 196; the (2,1,()) comparison 94 entries at 1,473 (39 of 87
 layouts read, 809 evaluations), (2,2,(0,)) 317 at 8,493 (154 of 190, 5,061)
@@ -69,17 +70,18 @@ points, the group weights per (exponents, d, leg partition, leg
 exponents), dense over the simplex, and the placed weights per (exponents,
 d, placements, leg exponents), so that a repeated walk weighs nothing.
 The checked constant terms are kept per layout read, keyed (edge list and
-the data that fixes the layout's points, r nodes, profiles), the profiles
-being those the walk reads, as the layout's scale and its nonzero columns
-(:data:`_checked_columns`, unbounded like the caches above, with the same
-``cache_info()`` and ``cache_clear()``), so a warm layout is one lookup and
-goes straight to the template loop.  A layout's points are computed only
-on a miss, and the values of a point are kept only while the walk is on
-its edge list: graphs of different layouts meet at equal leg sums, as
-where one is 0, and the monomial plan keeps the layouts of one edge list
-together, so the (3,1,()) comparison computes 27,506 points at its 48,256
-A-points (646 layouts), the walk of the relation (3,1,(2,)) 90,920 and
-that of (3,1,(1,1)) 201,815, each once.  A layout with a sum off the fit,
+the data that fixes the layout's points, r nodes, degree), as the layout's
+scale and its nonzero columns (:data:`_checked_columns`, unbounded like the
+caches above, with the same ``cache_info()`` and ``cache_clear()``), so a
+warm layout is one lookup and goes straight to the template loop; the
+degree stays in the key, since one modulus (a fixed-r class) does not fix
+it.  A layout's points are computed only on a miss, and the values of a
+point are kept, by its leg sums, only while the walk is on its edge list:
+graphs of different layouts meet at equal leg sums, as where one is 0,
+and the monomial plan keeps the layouts of one edge list together, so
+the (3,1,()) comparison computes 26,286 points at its 48,256 A-points
+(646 layouts), the walk of the relation (3,1,(2,)) 87,795 and that of
+(3,1,(1,1)) 199,036, each once.  A layout with a sum off the fit,
 in r or on the layer, raises and stores nothing.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
@@ -114,8 +116,8 @@ from .runtime import (
 )
 from .stablegraphs import (
     StableGraph,
-    _degrees,
     _leg_maps,
+    _valences,
     automorphism_count,
     enumerate_stable_graphs,
 )
@@ -384,7 +386,7 @@ _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 class _LayoutStore(dict):
     """The checked columns of every layout read, for the life of the
-    process: {(layout key, r nodes, profiles): (scale, columns)}, filled by
+    process: {(layout key, r nodes, dmax): (scale, columns)}, filled by
     :func:`_graph_sums`, with the ``cache_info()`` and ``cache_clear()`` of
     the ``functools`` caches."""
 
@@ -524,64 +526,60 @@ def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
     _check_space(g, n, dmax)
 
 
-def _graph_sums(layouts, nodes, dmax: int, computed=None):
+def _graph_sums(layouts, nodes, dmax: int):
     """One pass over the plan graphs, layout by layout, for the graph sums
     at the moduli ``nodes`` (see :func:`_constant_term_sums`), in integers.
 
-    Each of ``layouts`` is (key, points, check rows, profiles, graphs): the
-    key is the layout's edge list followed by the data that fixes its
-    points; the graphs of one layout have this edge list and, at every
-    point, the point's tuple of vertex leg sums, and so h1 = E - V + 1, V
-    being the length of a point, and the same edge profiles, of total
-    <= dmax - E, of which ``profiles`` (sorted) lists those to compute; each
-    of ``graphs`` is (group weights, groups, den) for one plan entry, or for
-    one entry and one target of a monomial walk, which lists the profiles
-    of all its targets and so reads and checks each column once.
+    Each of ``layouts`` is (key, points, check rows, graphs): the key is the
+    layout's edge list followed by the data that fixes its points; the
+    graphs of one layout have this edge list and, at every point, the
+    point's tuple of vertex leg sums, and so h1 = E - V + 1, V being the
+    length of a point, and the edge profiles :func:`_edge_profiles` of E
+    edges and budget dmax - E; each of ``graphs`` is (target, group
+    weights, groups, den) for one plan entry, or for one entry and one
+    target of a monomial walk.
 
     A layout's checked columns are one lookup in :data:`_checked_columns`,
-    keyed (key, nodes, profiles), which holds the layout's :func:`_node_forms`
-    scale and its nonzero columns.  On a miss they are built once: per
+    keyed (key, nodes, dmax), which holds the layout's :func:`_node_forms`
+    scale and its nonzero columns; dmax stays in the key, since one node
+    (a fixed-r class) does not fix it.  On a miss they are built once: per
     point, :func:`_constant_term_sums` on the edges and the point's leg sums
-    gives each listed profile's value, checked at the held-out nodes, so
-    each profile gets one column of integers over the points; a point's
-    values are kept while the pass stays on its edge list, so layouts of one
-    edge list that meet at equal leg sums compute them once.  The sum of
-    every check row, sparse (point indices, weights), over every column must
-    vanish too, or :class:`FitInstabilityError` is raised; the entry is
-    stored only when every check has passed, and a failure stores nothing
-    for the layout.  ``computed``, a list if given, gets the number of
-    points each layout computed, 0 for one read from the store.
+    gives every profile's value, checked at the held-out nodes, so each
+    profile gets one column of integers over the points; a point's values
+    are kept, by its leg sums, while the pass stays on its edge list, so
+    layouts of one edge list that meet at equal leg sums compute them once.
+    The sum of every check row, sparse (point indices, weights), over every
+    column must vanish too, or :class:`FitInstabilityError` is raised; the
+    entry is stored only when every check has passed, and a failure stores
+    nothing for the layout.
 
     Then, for each of the layout's graphs, group i of its templates gets
     the dot product of its weights (None for none) with its profile's
     column; weights may stop short of the points, leaving the last ones to
     the check rows.  So the template loop runs once per graph for all
-    points.  Only the listed ``profiles`` are computed and checked: a caller
-    may leave out the profiles that no group weight reads, since their
-    columns cannot change any total, and must list every profile that one
-    does, so that every column entering a total is checked at the held-out
-    nodes and by every check row.  Yields (terms, den) per item of
-    ``graphs``: terms maps each decorated graph of that entry's graph to an
-    integer numerator over den, the entry's den times that of
-    :func:`_node_forms`.  Every key belongs to exactly one graph, and all of
-    a graph's keys have one denominator, also where the graph is an entry of
-    several layouts.
+    points.  Yields, per layout, (points, computed, items): its A-points,
+    those whose values it computed, 0 for a layout read from the store,
+    and one (target, terms, den) per item of ``graphs``, terms mapping each
+    decorated graph of that entry's graph to an integer numerator over den,
+    the entry's den times that of :func:`_node_forms`.  Every key belongs
+    to exactly one graph, and all of a graph's keys have one denominator,
+    also where the graph is an entry of several layouts.
     """
     nodes = tuple(nodes)
     walked, sums = None, {}
-    for key, points, check_rows, profiles, graphs in layouts:
-        entry = _checked_columns.lookup((key, nodes, profiles))
+    for key, points, check_rows, graphs in layouts:
+        entry = _checked_columns.lookup((key, nodes, dmax))
         new = 0
         if entry is None:
             edges = key[0]
+            profiles = _edge_profiles(len(edges), dmax - len(edges))
             if edges != walked:
                 walked, sums = edges, {}
             values = []
             for leg_sums in points:
-                value = sums.get((leg_sums, profiles))
+                value = sums.get(leg_sums)
                 if value is None:
-                    value = _constant_term_sums(edges, leg_sums, nodes, profiles)
-                    sums[leg_sums, profiles] = value
+                    value = sums[leg_sums] = _constant_term_sums(edges, leg_sums, nodes, profiles)
                     new += 1
                 values.append(value)
             columns = dict(zip(profiles, zip(*values)))
@@ -596,11 +594,10 @@ def _graph_sums(layouts, nodes, dmax: int, computed=None):
                 )
             scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
             nonzero = {profile: column for profile, column in columns.items() if any(column)}
-            entry = _checked_columns[key, nodes, profiles] = scale, nonzero
-        if computed is not None:
-            computed.append(new)
+            entry = _checked_columns[key, nodes, dmax] = scale, nonzero
         scale, columns = entry
-        for group_weights, groups, den in graphs:
+        items = []
+        for target, group_weights, groups, den in graphs:
             local: dict[DecoratedGraph, int] = {}
             for weights, (profile, _, members) in zip(group_weights, groups):
                 column = columns.get(profile)
@@ -610,18 +607,18 @@ def _graph_sums(layouts, nodes, dmax: int, computed=None):
                 if total:
                     for base, key in members:
                         local[key] = local.get(key, 0) + base * total
-            yield local, den * scale
+            items.append((target, local, den * scale))
+        yield len(points), new, items
 
 
-def _point_layouts(plan, a, dmax: int):
+def _point_layouts(plan, a):
     """The class ``plan`` grouped by layout at the one leg vector ``a``,
     in the form of :func:`_graph_sums`: the layout is the edge list and the
     vertex leg sums, computed once per graph, which are also the layout's
-    one point, and the layouts come in order of first appearance.  A
-    layout lists every edge profile of total <= dmax - E, so that it covers
-    the profiles of each of its graphs' groups.  Each template group is
-    weighted by its leg power prod_m a_m^(2 c_m), memoized on the leg
-    exponents across graphs, as the entries are read."""
+    one point, the layouts come in order of first appearance, and the graph
+    items name no target (None).  Each template group is weighted by its
+    leg power prod_m a_m^(2 c_m), memoized on the leg exponents across
+    graphs, as the entries are read."""
     squares = [v * v for v in a]
     powers: dict[tuple[int, ...], list[int]] = {}
 
@@ -635,9 +632,8 @@ def _point_layouts(plan, a, dmax: int):
     for entry in plan:
         layouts.setdefault((entry[0].edges, _leg_sums(entry[0], a)), []).append(entry)
     for (edges, leg_sums), entries in layouts.items():
-        profiles = _edge_profiles(len(edges), dmax - len(edges))
-        weighted = ((weigh(groups), groups, den) for _, groups, den in entries)
-        yield (edges, leg_sums), (leg_sums,), (), profiles, weighted
+        weighted = ((None, weigh(groups), groups, den) for _, groups, den in entries)
+        yield (edges, leg_sums), (leg_sums,), (), weighted
 
 
 def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
@@ -647,10 +643,11 @@ def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
     _check_input(g, n, a, nodes, dmax)
     plan = _class_plan(g, n, dmax, frozenset(survivors))
     terms = {}
-    for local, den in _graph_sums(_point_layouts(plan, a, dmax), nodes, dmax):
-        for key, num in local.items():
-            if num:
-                terms[key] = Fraction(num, den)
+    for *_, items in _graph_sums(_point_layouts(plan, a), nodes, dmax):
+        for _, local, den in items:
+            for key, num in local.items():
+                if num:
+                    terms[key] = Fraction(num, den)
     return StrataElement(g, n, terms)
 
 
@@ -823,9 +820,7 @@ def _placements(genera, edges, legs, forget: int) -> dict:
     legs and half-edges (the dilaton equation), so the coefficient is the
     number of labellings times those factors, positive on a stable graph.
     """
-    points = _degrees(len(genera), edges)
-    for v in legs:
-        points[v] += 1
+    points = _valences(len(genera), edges, legs)
     placements: dict[tuple[int, ...], list] = {}
     for multiset in itertools.combinations_with_replacement(range(len(genera)), forget):
         counts = {v: multiset.count(v) for v in set(multiset)}
@@ -953,8 +948,7 @@ def _monomial_layouts(layouts, targets, d: int):
     :func:`_graph_sums`, extracting for each of the ``targets``, (exponents,
     slot) pairs, the coefficient of prod_{j>=2} a_j^(b_j), the exponents b_j
     covering the forgotten legs too and slot being the index of the target's
-    forget count in the plan's.  Yields (layout, owners), owners giving the
-    target of each entry the layout weighs, in order.
+    forget count in the plan's; each graph item names its target by index.
 
     A graph's weighting sums see the leg values only through the leg sums
     A_i at the k vertices of its leg partition, and their constant term in r
@@ -969,31 +963,22 @@ def _monomial_layouts(layouts, targets, d: int):
     for the life of the process, since many graphs share their leg
     partitions and calls repeat, and the tables under them per (exponents,
     d, leg partition, c).  The weights of a layout's entries are taken
-    before its points: a layout whose weights are all None for every target
-    is skipped, an entry with none for a target is not weighed for it, and
-    any other layout lists the profiles that some weight of some target
-    reads, sorted, so :func:`_graph_sums` computes and checks, once for all
-    the targets, exactly the columns that enter one of their coefficients.
+    before its points: an entry whose weights are all None for a target is
+    not weighed for it, and a layout with no entry weighed for any target
+    is skipped, so :func:`_graph_sums` computes and checks, once for all the
+    targets, every profile of exactly the layouts that one of them reads.
     """
     for key, (points, checks), entries in layouts:
-        weighted, owners, read = [], [], set()
+        weighted = []
         for t, (exponents, slot) in enumerate(targets):
             for _, placed, groups, den in entries:
                 placements = placed[slot]
-                if not placements:
-                    continue
-                group_weights, reads = [], False
-                for profile, c, _ in groups:
-                    weights = _placed_weights(exponents, d, placements, c)
-                    if weights is not None:
-                        read.add(profile)
-                        reads = True
-                    group_weights.append(weights)
-                if reads:
-                    weighted.append((group_weights, groups, den))
-                    owners.append(t)
-        if read:
-            yield (key, points, checks, tuple(sorted(read)), weighted), owners
+                if placements:
+                    weights = [_placed_weights(exponents, d, placements, c) for _, c, _ in groups]
+                    if weights.count(None) < len(weights):
+                        weighted.append((t, weights, groups, den))
+        if weighted:
+            yield key, points, checks, weighted
 
 
 def _chunk_worker(args):
@@ -1001,9 +986,9 @@ def _chunk_worker(args):
     ``step``-th edge list of :func:`_monomial_plan` from ``start``, sampled
     by :func:`_monomial_layouts` for every target, as integer numerators and
     denominators per decorated graph and target, summed over the layouts
-    where its graph is an entry, with the counts of the walk: the layouts
-    evaluated, their A-points, the points whose constant terms the walk
-    computed (:func:`_graph_sums` counts them) and the rest, read without
+    where its graph is an entry, with the counts of the walk that
+    :func:`_graph_sums` yields: the layouts evaluated, their A-points, the
+    points whose constant terms the walk computed and the rest, read without
     computing; used directly and as the multiprocessing worker.  The plan is
     sorted by edge list and every key holds its edge list, so no key reaches
     two workers."""
@@ -1014,24 +999,17 @@ def _chunk_worker(args):
         layouts = [
             layout for _, group in itertools.islice(edge_lists, start, None, step) for layout in group
         ]
-    evaluated = []  # the A-points of each layout sampled
-    owners = []  # the target of each entry weighed, in walk order
-
-    def sampled():
-        for layout, weighed in _monomial_layouts(layouts, targets, d):
-            evaluated.append(len(layout[1]))
-            owners.extend(weighed)
-            yield layout
-
     # a graph's keys meet in each layout where it has an entry, over one den
     terms = [{} for _ in targets]
-    computed = []  # the points each layout computed
-    for i, (local, den) in enumerate(_graph_sums(sampled(), _r_nodes(r0, d), d, computed)):
-        part = terms[owners[i]]
-        for key, num in local.items():
-            part[key] = part.get(key, (0, den))[0] + num, den
-    points, computed = sum(evaluated), sum(computed)
-    return terms, (len(evaluated), points, computed, points - computed)
+    evaluated = points = computed = 0
+    walk = _monomial_layouts(layouts, targets, d)
+    for count, new, items in _graph_sums(walk, _r_nodes(r0, d), d):
+        evaluated, points, computed = evaluated + 1, points + count, computed + new
+        for t, local, den in items:
+            part = terms[t]
+            for key, num in local.items():
+                part[key] = part.get(key, (0, den))[0] + num, den
+    return terms, (evaluated, points, computed, points - computed)
 
 
 def _monomial_coefficients(
@@ -1040,9 +1018,9 @@ def _monomial_coefficients(
     """The coefficients of :func:`monomial_coefficient` at each of the
     ``targets``, (exponents, forget) pairs of one (g, n, d), in one walk:
     one plan for every forget count, its template groups built once, and
-    one pass over its layouts, which reads each layout's checked constant
-    terms once, for every profile that some target reads, checks each
-    column on the layer once and weights it for every target.  The classes
+    one pass over its layouts, which reads each layout that some target
+    reads once, with all its checked constant terms, checks each column on
+    the layer once and weights it for every target.  The classes
     are those of separate calls; the guard admits the walk exactly when it
     admits each target.  Returns (elements, meta), one element per target,
     in order, and the meta of :func:`monomial_coefficient` for the walk:
@@ -1133,13 +1111,13 @@ def monomial_coefficient(
     (:func:`_monomial_plan`) holds them grouped by layout, with only the
     template groups of degree d and each layout's points, so a call samples
     each layout's points once and runs the template loop per entry.  A call
-    evaluates only the layouts and edge profiles that some group weight of
-    the target reads: every column that enters the coefficient is checked
-    at both held-out r nodes and on the layer, and a column that no weight
-    reads is neither computed nor checked, as it cannot change the result.
-    This is the one-target case of the walk of
-    :func:`_monomial_coefficients`, which serves several targets of one
-    (g, n, d) at once.  With ``jobs`` > 1 the edge lists, each with all its
+    evaluates only the layouts that some group weight of the target reads,
+    each for every edge profile, so every column of such a layout, and so
+    every column that enters the coefficient, is checked at both held-out r
+    nodes and on the layer, and one stored layout serves every call that
+    reads it at the same r nodes and degree.  This is the one-target case
+    of the walk of :func:`_monomial_coefficients`, which serves several
+    targets of one (g, n, d) at once.  With ``jobs`` > 1 the edge lists, each with all its
     layouts, are dealt out over worker processes, each returning integer
     numerators; results are identical for any worker count.  Returns
     (element, meta); the meta counts the plan's entries (``plan_graphs``)

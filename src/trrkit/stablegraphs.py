@@ -54,23 +54,11 @@ class StableGraph:
 
     def capacities(self) -> tuple[int, ...]:
         """Decoration degree bound 3g(v) - 3 + n(v) at each vertex v."""
-        return tuple(
-            3 * g - 3 + val for g, val in zip(self.genera, _valences(self))
-        )
+        val = _valences(len(self.genera), self.edges, self.legs)
+        return tuple(3 * g - 3 + v for g, v in zip(self.genera, val))
 
     def sort_key(self):
         return (self.genera, self.edges, self.legs)
-
-
-@functools.cache
-def _valences(graph: StableGraph) -> tuple[int, ...]:
-    val = [0] * len(graph.genera)
-    for u, w in graph.edges:
-        val[u] += 1
-        val[w] += 1
-    for v in graph.legs:
-        val[v] += 1
-    return tuple(val)
 
 
 def _connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -109,10 +97,7 @@ def validate(graph: StableGraph) -> list[str]:
         return problems
     if not _connected(V, graph.edges):
         problems.append("graph is not connected")
-    # not _valences(graph), whose cache is meant for canonical graphs
-    val = _degrees(V, graph.edges)
-    for v in graph.legs:
-        val[v] += 1
+    val = _valences(V, graph.edges, graph.legs)
     for v in range(V):
         if 2 * graph.genera[v] - 2 + val[v] <= 0:
             problems.append(
@@ -261,12 +246,15 @@ def automorphism_count(graph: StableGraph, check: bool = True) -> int:
     return count
 
 
-def _degrees(V: int, edges) -> list[int]:
-    deg = [0] * V
+def _valences(V: int, edges, legs=()) -> list[int]:
+    """The legs and half-edges at each of the V vertices."""
+    val = [0] * V
     for u, w in edges:
-        deg[u] += 1
-        deg[w] += 1
-    return deg
+        val[u] += 1
+        val[w] += 1
+    for v in legs:
+        val[v] += 1
+    return val
 
 
 def _stability_need(genera, deg) -> list[int]:
@@ -306,7 +294,7 @@ def _degenerations(shapes, n: int) -> Iterator[tuple]:
                         (genera[:v] + (kept,) + genera[v + 1:] + (gv - kept,), split)
                     )
         for new_genera, new_edges in candidates:
-            deg = _degrees(len(new_genera), new_edges)
+            deg = _valences(len(new_genera), new_edges)
             if sum(_stability_need(new_genera, deg)) <= n:
                 shape = canonical_data(new_genera, new_edges, ())[:2]
                 if shape not in seen:
@@ -404,7 +392,7 @@ def _leg_maps(g: int, n: int, emax: int, reserved: frozenset) -> Iterator:
         for genera, edges in shapes:
             walked.append((genera, edges))
             auts = _automorphisms(genera, edges, ())
-            deg = _degrees(len(genera), edges)
+            deg = _valences(len(genera), edges)
             need = _stability_need(genera, deg)
             base = [3 * gv - 3 + dv for gv, dv in zip(genera, deg)]
             for legs in _orbit_minimal_leg_maps(need, n, auts):

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numerics import rational_str
+from .numerics import binomial, rational_str
 from .runtime import sha256_hex
 from .stablegraphs import (
     InvalidGraphError,
@@ -396,13 +396,11 @@ def _pushforward_term(dg: DecoratedGraph, f: int):
     kappa_v = {i: x for i, x in dg.kappa[v]}
     indices = sorted(kappa_v)
     ranges = [range(kappa_v[i] + 1) for i in indices]
-    from .numerics import binomial as _binom
-
     for tvec in itertools.product(*ranges):
         mult = 1
         chosen = 0
         for i, t in zip(indices, tvec):
-            mult *= _binom(kappa_v[i], t)
+            mult *= binomial(kappa_v[i], t)
             chosen += i * t
         B = b + chosen
         remaining = {i: kappa_v[i] - t for i, t in zip(indices, tvec) if kappa_v[i] - t}

@@ -397,7 +397,8 @@ def _lemma_targets(g, ns):
 
 def _read_profiles(plan, exponents, d):
     """The edge profiles that some group weight of the target reads, per
-    layout key of the plan, for the layouts that read any."""
+    layout key of the plan, for the layouts that read any: the layouts a
+    walk for the target reads, each for every one of its profiles."""
     read = {}
     for key, *_, entries in plan:
         profiles = {
@@ -418,7 +419,7 @@ def _sampled_layouts(plan, exponents, d):
     return [
         (layout[0], sampled)
         for layout in plan
-        for sampled, _ in pixton._monomial_layouts([layout], ((exponents, 0),), d)
+        for sampled in pixton._monomial_layouts([layout], ((exponents, 0),), d)
     ]
 
 
@@ -430,10 +431,10 @@ def test_monomial_plan_is_grouped_by_layout():
     # kept has degree d, and a layout's points are those of its geometry,
     # one tuple shared by the layouts of one geometry; a call samples, in
     # plan order, exactly the layouts whose group weights read some
-    # profile, and the points it samples are, in order, the vertex leg sums
-    # of every placement at the leg vectors of its own leg partition; the
-    # plans of the genus-1 lemmas hold 70 entries and that of the (2,1,())
-    # comparison 94
+    # profile, each item names the target, and the points it samples are,
+    # in order, the vertex leg sums of every placement at the leg vectors of
+    # its own leg partition; the plans of the genus-1 lemmas hold 70 entries
+    # and that of the (2,1,()) comparison 94
     lemmas = [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]
     for targets, d, want in [
         (_lemma_targets(1, lemmas), 2, 70),
@@ -478,10 +479,9 @@ def test_monomial_plan_is_grouped_by_layout():
             sampled = _sampled_layouts(plan, exponents, d)
             read = _read_profiles(plan, exponents, d)
             assert sampled and [key for key, _ in sampled] == list(read)
-            whole = [layout for layout, _ in pixton._monomial_layouts(plan, ((exponents, 0),), d)]
-            assert [layout[:4] for layout in whole] == [layout[:4] for _, layout in sampled]
-            for key, (_, _, _, profiles, _) in sampled:
-                assert profiles == tuple(sorted(read[key]))
+            whole = list(pixton._monomial_layouts(plan, ((exponents, 0),), d))
+            assert whole == [layout for _, layout in sampled]
+            assert {t for *_, weighted in whole for t, *_ in weighted} == {0}
             layouts = {key: (points, entries) for key, (points, _), entries in plan}
             for key, (layout_key, leg_sums, *_) in sampled:
                 points, entries = layouts[key]
@@ -519,7 +519,7 @@ def test_one_plan_serves_every_forget_count():
                     pairs.update((exponents, placements, c) for _, c, _ in groups)
     pixton._placed_weights.cache_clear()
     walked = list(pixton._monomial_layouts(plan, walk, d))
-    assert {t for _, owners in walked for t in owners} == {0, 1, 2}
+    assert {t for *_, weighted in walked for t, *_ in weighted} == {0, 1, 2}
     info = pixton._placed_weights.cache_info()
     assert info.misses == info.currsize == len(pairs) < info.misses + info.hits
     assert list(pixton._monomial_layouts(plan, walk, d)) == walked
@@ -673,14 +673,14 @@ def test_a_warm_lemma_pass_makes_one_store_lookup_per_layout(monkeypatch, fresh_
     # once the four genus-1 lemma omega calls have run, a second pass finds
     # every layout it reads in the store, one lookup each, and never
     # reaches the weighting sums; the calls share layouts (equal key, r
-    # nodes and profiles), so the first pass stores fewer than it reads
+    # nodes and degree), so the first pass stores fewer than it reads
     from trrkit.trr import MonomialSpec, omega
 
     monos = [MonomialSpec(1, n, b) for n, b in [(1, ()), (2, (0,)), (2, (1,)), (2, (2,))]]
     first = [omega(mono) for mono in monos]
     layouts = sum(meta["layouts"] for _, meta in first)
-    # the calls read 26 layouts, 12 distinct ones, each stored once
-    assert fresh_sums.cache_info() == (14, 12, None, 12) and layouts == 26
+    # the calls read 26 layouts, 11 distinct ones, each stored once
+    assert fresh_sums.cache_info() == (15, 11, None, 11) and layouts == 26
 
     def never(*args):
         raise AssertionError("a weighting sum was computed")
@@ -689,13 +689,13 @@ def test_a_warm_lemma_pass_makes_one_store_lookup_per_layout(monkeypatch, fresh_
     before = fresh_sums.cache_info()
     again = [omega(mono) for mono in monos]
     after = fresh_sums.cache_info()
-    assert (after.hits - before.hits, after.misses, after.currsize) == (layouts, 12, 12)
+    assert (after.hits - before.hits, after.misses, after.currsize) == (layouts, 11, 11)
     assert [el for el, _ in again] == [el for el, _ in first]
 
 
 @pytest.mark.slow
 def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
-    # the (3,1,()) comparison reads 27,506 distinct point keys at 48,256
+    # the (3,1,()) comparison reads 26,286 distinct point keys at 48,256
     # A-points of its 646 layouts, each point computed once in the walk: a
     # second call in the same process finds every layout in the store, one
     # lookup each, and computes no sum
@@ -711,10 +711,10 @@ def test_a_repeated_genus_three_omega_computes_no_sum(monkeypatch, fresh_sums):
     monkeypatch.setattr(pixton, "weighting_power_sums", counting)
     mono = MonomialSpec(3, 1, ())
     first, meta = omega(mono, allow_large=True)
-    assert len(calls) == meta["sums_computed"] == 27_506 and meta["sums_reused"] == 20_750
+    assert len(calls) == meta["sums_computed"] == 26_286 and meta["sums_reused"] == 21_970
     assert fresh_sums.cache_info() == (0, 646, None, 646) and meta["layouts"] == 646
     again, meta = omega(mono, allow_large=True)
-    assert len(calls) == 27_506 and (meta["sums_computed"], meta["sums_reused"]) == (0, 48_256)
+    assert len(calls) == 26_286 and (meta["sums_computed"], meta["sums_reused"]) == (0, 48_256)
     assert fresh_sums.cache_info() == (646, 646, None, 646)
     assert again == first and first.digest() == "b48fbc8c2008124d"
 
@@ -798,12 +798,15 @@ def test_a_shared_layout_is_checked(monkeypatch, layer_only, fresh_sums):
 
 
 @pytest.mark.parametrize("ns, count", [((1, ()), 7), ((2, (1,)), 52)])
-def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count, fresh_sums):
+def test_power_sums_calls_get_every_profile_of_each_read_layout(
+    monkeypatch, ns, count, fresh_sums
+):
     # at the coefficients omega takes for (1,1,()) and (1,2,(1,)), each
     # cached constant term is at an A-point of a layout that some group
-    # weight of the target reads, and gets only the profiles those weights
-    # read; no other layout is evaluated, and weighting_power_sums computes
-    # each distinct key once, at its first A-point
+    # weight of the target reads, and gets every edge profile of its edge
+    # list, read or not; no other layout is evaluated, and
+    # weighting_power_sums computes each distinct key once, at its first
+    # A-point
     ((plan, args, forget, exponents),) = _lemma_targets(1, [ns])
     d = args[3]
     read = _read_profiles(plan, exponents, d)
@@ -812,8 +815,9 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count, fre
         if key in read:
             graph, (((_, parts), *_),), *_ = entries[0]
             legs = _placed_legs(graph, parts, key[3], forget)
+            profiles = pixton._edge_profiles(len(key[0]), d - len(key[0]))
             for a in _simplex_leg_vectors(parts, len(legs), 2 * d):
-                want.append((key[0], _placed_leg_sums(legs, key[1], a), tuple(sorted(read[key]))))
+                want.append((key[0], _placed_leg_sums(legs, key[1], a), profiles))
     real = pixton.weighting_power_sums
     calls = []
 
@@ -829,15 +833,13 @@ def test_power_sums_calls_get_only_the_read_profiles(monkeypatch, ns, count, fre
 
 
 @pytest.mark.parametrize("layer_only", [False, True])
-def test_a_read_column_of_a_call_that_skips_columns_is_checked(
-    monkeypatch, layer_only, fresh_sums
-):
+def test_an_unread_column_of_a_read_layout_is_checked(monkeypatch, layer_only, fresh_sums):
     # at the coefficient omega takes for (1,2,(1,)), the group weights of the
     # layout of one-edge graphs with leg 1 at vertex 0 and the leg sums at
-    # vertex 1 read the profile (0,) and not (1,), so its calls skip the
-    # (1,) column; a sum of the read column off the degree bound in r, or on
-    # the layer |A| = D + 1 only off the polynomial in the leg sums, still
-    # raises
+    # vertex 1 read the profile (0,) and not (1,); the layout is read, so
+    # its (1,) column is computed and checked too: that column off the
+    # degree bound in r, or on the layer |A| = D + 1 only off the polynomial
+    # in the leg sums, raises although no weight reads it
     ((plan, args, forget, exponents),) = _lemma_targets(1, [(2, (1,))])
     d = args[3]
     read = _read_profiles(plan, exponents, d)
@@ -859,17 +861,47 @@ def test_a_read_column_of_a_call_that_skips_columns_is_checked(
         sums = real(edges, leg_sums, rs, profiles)
         if (edges, leg_sums) not in own or layer_only and 2 * d + 1 not in leg_sums:
             return sums
-        hits.append(tuple(profiles))
+        hits.append(leg_sums)
         power = len(edges) - len(leg_sums) + 1 + (0 if layer_only else 2 * d + 1)
         sums = dict(sums)
-        sums[(0,)] = tuple(s + r**power for s, r in zip(sums[(0,)], rs))
+        sums[(1,)] = tuple(s + r**power for s, r in zip(sums[(1,)], rs))
         return sums
 
     monkeypatch.setattr(pixton, "weighting_power_sums", patched)
     match = "vertex leg sums" if layer_only else "in r on the nodes"
     with pytest.raises(FitInstabilityError, match=match):
         monomial_coefficient(*args, forget=forget)
-    assert hits and set(hits) == {((0,),)}
+    assert hits
+
+
+@pytest.mark.parametrize("first, then", [((1, 2, (0,)), (1, 2, (1,))), ((2, 2, (0,)), (2, 2, (1,)))])
+def test_an_omega_after_one_reading_its_layouts_computes_no_sum(first, then, fresh_sums):
+    # the store is keyed by layout, r nodes and degree, with every profile
+    # of the layout: omega(then) reads only layouts that omega(first) has
+    # stored, though its weights read other profiles of some of them, so it
+    # finds each in the store and computes no sum
+    from trrkit.trr import MonomialSpec, omega
+
+    omega(MonomialSpec(*first), allow_large=True)
+    before = fresh_sums.cache_info()
+    _, meta = omega(MonomialSpec(*then), allow_large=True)
+    assert meta["sums_computed"] == 0 and meta["sums_reused"] == meta["layout_evaluations"]
+    assert fresh_sums.cache_info().misses == before.misses
+
+
+def test_fixed_r_classes_of_two_degrees_share_no_wrong_column(fresh_sums):
+    # one modulus does not fix the degree, so the store keys it: the class
+    # at dmax 2 after the one at dmax 1, whose one-edge layouts hold only
+    # the profile (0,), is the class from an empty store, and so is the
+    # class at dmax 1 after that
+    g, n, a, r = 1, 2, (1, -1), 5
+    first = fixed_r_class(g, n, a, r, 1)
+    second = fixed_r_class(g, n, a, r, 2)
+    assert not second.degree_component(2).is_zero()
+    fresh_sums.cache_clear()
+    assert fixed_r_class(g, n, a, r, 2) == second
+    fresh_sums.cache_clear()
+    assert fixed_r_class(g, n, a, r, 1) == first
 
 
 def test_placements_multiply_by_the_dilaton_factors():
@@ -1179,15 +1211,15 @@ def _relation_targets(g, k, l):
 
 
 def _relation_keys(g, targets):
-    """The distinct constant-term keys (edges, leg sums, profiles) a walk for
-    the ``targets`` on (g, n+1) in degree g + 1 reads, from its plan."""
+    """The distinct constant-term keys (edges, leg sums) a walk for the
+    ``targets`` on (g, n+1) in degree g + 1 reads, from its plan."""
     d, n = g + 1, len(targets[0][0]) + 1
     forgets = tuple(sorted({forget for _, forget in targets}))
     walk = tuple((b + (1,) * forget, forgets.index(forget)) for b, forget in targets)
     plan = pixton._monomial_plan(g, n, d, forgets)[0]
     return {
-        (layout[0][0], A, layout[3])
-        for layout, _ in pixton._monomial_layouts(plan, walk, d)
+        (layout[0][0], A)
+        for layout in pixton._monomial_layouts(plan, walk, d)
         for A in layout[1]
     }
 
@@ -1346,25 +1378,6 @@ def test_survivor_classes_are_pinned():
     assert (len(el.terms), el.digest()) == (14_331, "11b9386fc90ac16d")
     el = fixed_r_class(2, 7, SURVIVOR_A, 57, 3, SURVIVORS)
     assert (len(el.terms), el.digest()) == (14_331, "99e11aa41f82ab5c")
-
-
-def test_point_layouts_list_every_group_profile():
-    # a layout lists the profiles of its edge list, so every group of every
-    # one of its graphs finds its column, not only the first graph's; the
-    # entries are weighted lazily, as the sums read them
-    for (g, n, d, survivors), vectors in [
-        ((2, 7, 3, SURVIVORS), [SURVIVOR_A, (-6, 1, 1, 1, 1, 1, 1), (0,) * 7]),
-        ((2, 3, 3, frozenset()), [(2, -1, -1), (0, 0, 0), (-5, 2, 3)]),
-    ]:
-        plan = pixton._class_plan(g, n, d, survivors)
-        for a in vectors:
-            entries = 0
-            for key, _, _, profiles, weighted in pixton._point_layouts(plan, a, d):
-                assert iter(weighted) is weighted
-                for _, groups, _ in weighted:
-                    entries += 1
-                    assert {p for p, _, _ in groups} <= set(profiles), (key, a)
-            assert entries == len(plan)
 
 
 def test_template_bases_are_over_one_denominator():
