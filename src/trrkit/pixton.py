@@ -13,25 +13,30 @@ Performance notes.  The graph sum is accumulated in integers in one pass
 over the plan, layout by layout.  The values a graph's points give depend
 only on its layout: the edge list and the vertex leg sums at each point,
 which are all the weighting sums are given.  Per layout, one lookup in
-the store of checked columns (:data:`_checked_columns`) gives one column of
-integers over its points per edge profile: on a miss, at each point
-(:func:`_constant_term_sums`) the weighting power sums at every r node are
-put over the common denominator lcm(r^h1), the two held-out differences are
-checked and the Lagrange-at-zero weights give the constant term, and the
-columns are checked on the layer before they are stored; the columns serve
-every graph of the layout.  Each group of
-decoration templates sharing a profile and leg exponents takes the dot
-product of its integer weights with its profile's column, so the template
-loop runs once per graph and each decorated graph becomes one Fraction at
-the end.  The fixed-r class and the constant term at one leg vector are one
-point weighted by the leg powers, the class plan grouped per call by edge
-list and vertex leg sums, those sums being the layout's point.  A monomial
+the store of checked columns (:data:`_checked_columns`, filled only by
+:func:`_layout_columns`) gives one column of integers over its points per
+edge profile: on a miss, at each point (:func:`_constant_term_sums`) the
+weighting power sums at every r node are put over the common denominator
+lcm(r^h1), the two held-out differences are checked and the
+Lagrange-at-zero weights give the constant term, and the columns are
+checked on the layer before they are stored; the columns serve every graph
+of the layout, and each caller runs its own template loop over them.  The
+fixed-r class and the constant term at one leg vector have one point per
+layout: the class plan holds its graphs grouped by leg map, so a call
+computes the vertex leg sums once per leg map and groups the graphs by edge
+list and those sums in one dict (at (2,7) in degree 3 with five survivors,
+2,654 leg maps for 6,416 graphs); each template group then takes one
+integer, its profile's one-point value times its leg power prod_m
+a_m^(2 c_m), memoized on the leg exponents within the call, and each
+distinct (numerator, denominator) pair of the call becomes one Fraction,
+which every decorated graph with that value shares.  A monomial
 coefficient samples each layout on the simplex of the leg sums A at its
 part vertices, |A| <= 2d, leg 1's vertex taking -|A| (the weighting
 conditions see the leg values only through the vertex leg sums, and the
 constant term in r has total degree <= 2d in A), each graph weighted per
 group by an integer functional of its own leg partition that reads off the
-target monomial, and checks every (2d+1)-th Newton difference on the layer
+target monomial, dotted with its profile's column in the template loop of
+:func:`_chunk_worker`, and checks every (2d+1)-th Newton difference on the layer
 |A| = 2d + 1; worker processes each take whole edge lists and return
 integer numerators, which the parent merges.  The 0/1 shifts of one
 relation are several (exponents, forget) targets of one (g, n, d), and one
@@ -308,13 +313,13 @@ def weighting_power_sums(edges, leg_sums, rs, profiles) -> dict[tuple[int, ...],
     """For each edge-exponent profile (m_e), the integer sums over weightings
     of prod_e (w(h_e) * w(h_e'))^(m_e + 1), one per modulus in ``rs``, for a
     graph with these ``edges`` ((u, v) pairs) and vertex leg sums
-    ``leg_sums`` (A_v at each vertex v, :func:`_leg_sums` of a leg vector).
+    ``leg_sums`` (A_v at each vertex v, the sum of the leg values there).
 
     The weighting conditions see the leg values only through the A_v, so the
     graph's genera and leg map do not enter; it has h1 = E - V + 1.  The sums
     are computed by the series-parallel reduction of the edges
     (:func:`_reduction`), at each modulus and profile; only the constant
-    terms :func:`_graph_sums` reads off them are kept, per layout.  The edge
+    terms :func:`_layout_columns` reads off them are kept, per layout.  The edge
     order ties the profile entries to the edges.
     """
     steps = _reduction(tuple(edges))
@@ -323,14 +328,6 @@ def weighting_power_sums(edges, leg_sums, rs, profiles) -> dict[tuple[int, ...],
         for r in rs
     ]
     return {p: tuple(sums[j] for sums in per_r) for j, p in enumerate(profiles)}
-
-
-def _leg_sums(graph: StableGraph, a) -> tuple[int, ...]:
-    """The leg sum A_v of the leg values ``a`` at each vertex v."""
-    A = [0] * graph.num_vertices
-    for v, value in zip(graph.legs, a):
-        A[v] += value
-    return tuple(A)
 
 
 @functools.cache
@@ -364,7 +361,7 @@ def _constant_term_sums(edges, A, nodes, profiles) -> tuple[int, ...]:
     at the nodes of :func:`_r_nodes`, the sum itself at one modulus.
 
     A held-out node off the fit raises :class:`FitInstabilityError`.  Not
-    cached: :func:`_graph_sums` keeps the checked columns of whole layouts
+    cached: :func:`_layout_columns` keeps the checked columns of whole layouts
     (:data:`_checked_columns`)."""
     h1 = len(edges) - len(A) + 1
     _, form, checks = _node_forms(nodes, h1)
@@ -387,8 +384,8 @@ _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _LayoutStore(dict):
     """The checked columns of every layout read, for the life of the
     process: {(layout key, r nodes, dmax): (scale, columns)}, filled by
-    :func:`_graph_sums`, with the ``cache_info()`` and ``cache_clear()`` of
-    the ``functools`` caches."""
+    :func:`_layout_columns` alone, with the ``cache_info()`` and
+    ``cache_clear()`` of the ``functools`` caches."""
 
     hits = misses = 0
 
@@ -492,10 +489,13 @@ def _graph_templates(graph: StableGraph, dmax: int, caps, exact: bool = False) -
 @functools.cache
 def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
     """Every labelled graph of (g, n) with room for one unit of psi at each
-    survivor leg (its vertex's cap lowered by one), as (graph, groups, den),
-    den being :func:`_template_denominator` times |Aut|; built once per
-    (g, n, dmax, survivor set)."""
-    plan = []
+    survivor leg (its vertex's cap lowered by one), as (graph, groups, den)
+    entries, den being :func:`_template_denominator` times |Aut|, grouped by
+    leg map: ((V, legs), entries) pairs, in order of first appearance, the
+    graphs of one pair having V vertices and marking m on vertex legs[m - 1].
+    A class call computes the vertex leg sums once per leg map, since they
+    depend on nothing else.  Built once per (g, n, dmax, survivor set)."""
+    by_legs: dict[tuple, list] = {}
     common = _template_denominator(dmax)
     for graph in enumerate_stable_graphs(g, n, max_edges=dmax, reserved_markings=survivors):
         caps = list(graph.capacities())
@@ -503,8 +503,9 @@ def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
             caps[graph.legs[m - 1]] -= 1
         groups = _graph_templates(graph, dmax, caps)
         if groups:
-            plan.append((graph, groups, common * automorphism_count(graph, check=False)))
-    return tuple(plan)
+            entry = graph, groups, common * automorphism_count(graph, check=False)
+            by_legs.setdefault((graph.num_vertices, graph.legs), []).append(entry)
+    return tuple((leg_map, tuple(entries)) for leg_map, entries in by_legs.items())
 
 
 def _check_space(g: int, n: int, dmax: int) -> None:
@@ -517,137 +518,126 @@ def _check_space(g: int, n: int, dmax: int) -> None:
         raise ValueError(f"degree {dmax} exceeds the dimension {3 * g - 3 + n}")
 
 
-def _check_input(g: int, n: int, a, rs, dmax: int) -> None:
-    """The input checks of the fixed-r class and the constant term."""
+def _check_input(g: int, n: int, a, rs, dmax: int, survivors=()) -> None:
+    """The input checks of the fixed-r class and the constant term; a
+    survivor leg outside 1..n raises, as it names no marking."""
     if len(a) != n:
         raise ValueError("leg value count must equal n")
     if any(r < 1 for r in rs):
         raise ValueError("modulus must be positive")
+    outside = sorted(m for m in survivors if not 1 <= m <= n)
+    if outside:
+        raise ValueError(f"survivor legs must lie in 1..{n}, got {outside}")
     _check_space(g, n, dmax)
 
 
-def _graph_sums(layouts, nodes, dmax: int):
-    """One pass over the plan graphs, layout by layout, for the graph sums
-    at the moduli ``nodes`` (see :func:`_constant_term_sums`), in integers.
+def _layout_columns(key, points, check_rows, nodes: tuple, dmax: int, memo: dict):
+    """The checked columns of one layout at the moduli ``nodes`` (see
+    :func:`_constant_term_sums`), in integers, as ((scale, columns),
+    computed): one lookup in :data:`_checked_columns`, and the only code
+    that fills it.
 
-    Each of ``layouts`` is (key, points, check rows, graphs): the key is the
-    layout's edge list followed by the data that fixes its points; the
-    graphs of one layout have this edge list and, at every point, the
-    point's tuple of vertex leg sums, and so h1 = E - V + 1, V being the
-    length of a point, and the edge profiles :func:`_edge_profiles` of E
-    edges and budget dmax - E; each of ``graphs`` is (target, group
-    weights, groups, den) for one plan entry, or for one entry and one
-    target of a monomial walk.
+    The key is the layout's edge list followed by the data that fixes its
+    ``points``, each point a tuple of vertex leg sums, so h1 = E - V + 1, V
+    being the length of a point, and the edge profiles are those of
+    :func:`_edge_profiles` of E edges and budget dmax - E.  The store is
+    keyed (key, nodes, dmax) and holds the layout's :func:`_node_forms`
+    scale and its nonzero columns, {profile: one integer per point}; dmax
+    stays in the key, since one node (a fixed-r class) does not fix it.
 
-    A layout's checked columns are one lookup in :data:`_checked_columns`,
-    keyed (key, nodes, dmax), which holds the layout's :func:`_node_forms`
-    scale and its nonzero columns; dmax stays in the key, since one node
-    (a fixed-r class) does not fix it.  On a miss they are built once: per
-    point, :func:`_constant_term_sums` on the edges and the point's leg sums
-    gives every profile's value, checked at the held-out nodes, so each
-    profile gets one column of integers over the points; a point's values
-    are kept, by its leg sums, while the pass stays on its edge list, so
-    layouts of one edge list that meet at equal leg sums compute them once.
-    The sum of every check row, sparse (point indices, weights), over every
-    column must vanish too, or :class:`FitInstabilityError` is raised; the
-    entry is stored only when every check has passed, and a failure stores
-    nothing for the layout.
-
-    Then, for each of the layout's graphs, group i of its templates gets
-    the dot product of its weights (None for none) with its profile's
-    column; weights may stop short of the points, leaving the last ones to
-    the check rows.  So the template loop runs once per graph for all
-    points.  Yields, per layout, (points, computed, items): its A-points,
-    those whose values it computed, 0 for a layout read from the store,
-    and one (target, terms, den) per item of ``graphs``, terms mapping each
-    decorated graph of that entry's graph to an integer numerator over den,
-    the entry's den times that of :func:`_node_forms`.  Every key belongs
-    to exactly one graph, and all of a graph's keys have one denominator,
-    also where the graph is an entry of several layouts.
+    On a miss the columns are built once: per point,
+    :func:`_constant_term_sums` on the edges and the point's leg sums gives
+    every profile's value, checked at the held-out nodes.  ``memo`` holds
+    the values of the points computed so far by their leg sums, filled in
+    place; a caller that keeps it while its walk stays on one edge list
+    computes the points where that list's layouts meet once.  The sum of
+    every check row, sparse (point indices, weights), over every column
+    must vanish too, or :class:`FitInstabilityError` is raised; the entry is
+    stored only when every check has passed, and a failure stores nothing
+    for the layout.  ``computed`` counts the points whose values this call
+    computed, 0 for a layout read from the store.
     """
-    nodes = tuple(nodes)
-    walked, sums = None, {}
-    for key, points, check_rows, graphs in layouts:
-        entry = _checked_columns.lookup((key, nodes, dmax))
-        new = 0
-        if entry is None:
-            edges = key[0]
-            profiles = _edge_profiles(len(edges), dmax - len(edges))
-            if edges != walked:
-                walked, sums = edges, {}
-            values = []
-            for leg_sums in points:
-                value = sums.get(leg_sums)
-                if value is None:
-                    value = sums[leg_sums] = _constant_term_sums(edges, leg_sums, nodes, profiles)
-                    new += 1
-                values.append(value)
-            columns = dict(zip(profiles, zip(*values)))
-            if any(
-                _dot(weights, map(column.__getitem__, indices))
-                for column in columns.values()
-                for indices, weights in check_rows
-            ):
-                raise FitInstabilityError(
-                    f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
-                    "in the vertex leg sums"
-                )
-            scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
-            nonzero = {profile: column for profile, column in columns.items() if any(column)}
-            entry = _checked_columns[key, nodes, dmax] = scale, nonzero
-        scale, columns = entry
-        items = []
-        for target, group_weights, groups, den in graphs:
-            local: dict[DecoratedGraph, int] = {}
-            for weights, (profile, _, members) in zip(group_weights, groups):
-                column = columns.get(profile)
-                if weights is None or column is None:
-                    continue
-                total = sum(map(mul, weights, column))
-                if total:
-                    for base, key in members:
-                        local[key] = local.get(key, 0) + base * total
-            items.append((target, local, den * scale))
-        yield len(points), new, items
-
-
-def _point_layouts(plan, a):
-    """The class ``plan`` grouped by layout at the one leg vector ``a``,
-    in the form of :func:`_graph_sums`: the layout is the edge list and the
-    vertex leg sums, computed once per graph, which are also the layout's
-    one point, the layouts come in order of first appearance, and the graph
-    items name no target (None).  Each template group is weighted by its
-    leg power prod_m a_m^(2 c_m), memoized on the leg exponents across
-    graphs, as the entries are read."""
-    squares = [v * v for v in a]
-    powers: dict[tuple[int, ...], list[int]] = {}
-
-    def weigh(groups):
-        return [
-            powers.get(c) or powers.setdefault(c, [prod(map(pow, squares, c))])
-            for _, c, _ in groups
-        ]
-
-    layouts: dict[tuple, list] = {}
-    for entry in plan:
-        layouts.setdefault((entry[0].edges, _leg_sums(entry[0], a)), []).append(entry)
-    for (edges, leg_sums), entries in layouts.items():
-        weighted = ((None, weigh(groups), groups, den) for _, groups, den in entries)
-        yield (edges, leg_sums), (leg_sums,), (), weighted
+    entry = _checked_columns.lookup((key, nodes, dmax))
+    if entry is not None:
+        return entry, 0
+    edges = key[0]
+    profiles = _edge_profiles(len(edges), dmax - len(edges))
+    values = []
+    computed = 0
+    for leg_sums in points:
+        value = memo.get(leg_sums)
+        if value is None:
+            value = memo[leg_sums] = _constant_term_sums(edges, leg_sums, nodes, profiles)
+            computed += 1
+        values.append(value)
+    columns = dict(zip(profiles, zip(*values)))
+    if any(
+        _dot(weights, map(column.__getitem__, indices))
+        for column in columns.values()
+        for indices, weights in check_rows
+    ):
+        raise FitInstabilityError(
+            f"a weighting sum is not a polynomial of degree <= {2 * dmax} "
+            "in the vertex leg sums"
+        )
+    scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
+    nonzero = {profile: column for profile, column in columns.items() if any(column)}
+    entry = _checked_columns[key, nodes, dmax] = scale, nonzero
+    return entry, computed
 
 
 def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
     """The class plan's graph sums at the one leg vector ``a`` and the moduli
     ``nodes``, as one element: the fixed-r class at one node, its constant
-    term in r at those of :func:`_r_nodes`."""
-    _check_input(g, n, a, nodes, dmax)
-    plan = _class_plan(g, n, dmax, frozenset(survivors))
+    term in r at those of :func:`_r_nodes`.
+
+    The leg sums are computed once per leg map of :func:`_class_plan`, and
+    the graphs grouped by layout, (edge list, leg sums), the one point of
+    the layout, whose checked columns :func:`_layout_columns` gives.  Each
+    template group takes its profile's one value times its leg power
+    prod_m a_m^(2 c_m), memoized on the leg exponents, and each member adds
+    its base times that to its decorated graph's numerator over the
+    graph's den times the layout's scale.  Every decorated graph belongs to
+    one graph, so its numerator is whole once its graph is done; one
+    Fraction is built per distinct (numerator, denominator) pair of the
+    call, and every term passes through :class:`StrataElement`.
+    """
+    _check_input(g, n, a, nodes, dmax, survivors)
+    nodes = tuple(nodes)
+    layouts: dict[tuple, list] = {}
+    for (V, legs), entries in _class_plan(g, n, dmax, frozenset(survivors)):
+        leg_sums = [0] * V
+        for v, value in zip(legs, a):
+            leg_sums[v] += value
+        leg_sums = tuple(leg_sums)
+        for entry in entries:
+            layouts.setdefault((entry[0].edges, leg_sums), []).append(entry)
+    squares = [v * v for v in a]
+    powers: dict[tuple[int, ...], int] = {}
+    fractions: dict[tuple[int, int], Fraction] = {}
     terms = {}
-    for *_, items in _graph_sums(_point_layouts(plan, a), nodes, dmax):
-        for _, local, den in items:
-            for key, num in local.items():
+    for key, entries in layouts.items():
+        (scale, columns), _ = _layout_columns(key, key[1:], (), nodes, dmax, {})
+        for _, groups, den in entries:
+            den *= scale
+            local: dict[DecoratedGraph, int] = {}
+            for profile, c, members in groups:
+                column = columns.get(profile)
+                if column is None:
+                    continue
+                power = powers.get(c)
+                if power is None:
+                    power = powers[c] = prod(map(pow, squares, c))
+                total = column[0] * power
+                if total:
+                    for base, dg in members:
+                        local[dg] = local.get(dg, 0) + base * total
+            for dg, num in local.items():
                 if num:
-                    terms[key] = Fraction(num, den)
+                    value = fractions.get((num, den))
+                    if value is None:
+                        value = fractions[num, den] = Fraction(num, den)
+                    terms[dg] = value
     return StrataElement(g, n, terms)
 
 
@@ -725,15 +715,21 @@ def constant_term_class(
     and after the factor r^(-h1) that sum is a polynomial in r of the same
     degree (Janda-Pandharipande-Pixton-Zvonkine, section 3).  The class is
     sampled at the 2*dmax + 3 nodes r0, r0+1, ... in one integer pass over
-    the plan (one cached lookup per layout, see :func:`_graph_sums`).  Per
-    graph and edge profile, the Lagrange-at-zero weights on the first
-    2*dmax + 1 nodes give the sum's value at r = 0, and the
-    (2*dmax + 1)-th forward differences ending at the two held-out nodes
-    both vanish exactly when the fit through the first nodes passes through
-    the held-out ones; every coefficient is a fixed combination of its
-    graph's profile sums, so the check covers every coefficient.  Returns
-    (element, meta); a held-out node off the fit raises
-    :class:`FitInstabilityError`.
+    the plan, whose graphs :func:`_class_sum` groups per call by edge list
+    and vertex leg sums, computed once per leg map: one lookup per layout
+    in the store of checked columns (:func:`_layout_columns`), so a warm
+    call computes no weighting sum, then one integer per template group,
+    and one Fraction per distinct value.  Per layout and edge profile, the
+    Lagrange-at-zero weights on the first 2*dmax + 1 nodes give the sum's
+    value at r = 0, and the (2*dmax + 1)-th forward differences ending at
+    the two held-out nodes both vanish exactly when the fit through the
+    first nodes passes through the held-out ones; every coefficient is a
+    fixed combination of its graph's profile sums, so the check covers
+    every coefficient.  ``survivors``, legs in 1..n, keeps only the graphs
+    with room for one unit of psi at each of them.  Returns (element,
+    meta); a held-out node off the fit raises :class:`FitInstabilityError`,
+    and bad input, a survivor leg outside 1..n among it, raises
+    ValueError before any plan is built.
     """
     a = check_avector(a)
     if r0 is None:
@@ -944,11 +940,14 @@ def _placed_weights(exponents: tuple, d: int, placements: tuple, c: tuple):
 
 
 def _monomial_layouts(layouts, targets, d: int):
-    """The ``layouts`` of :func:`_monomial_plan` in the form of
-    :func:`_graph_sums`, extracting for each of the ``targets``, (exponents,
-    slot) pairs, the coefficient of prod_{j>=2} a_j^(b_j), the exponents b_j
-    covering the forgotten legs too and slot being the index of the target's
-    forget count in the plan's; each graph item names its target by index.
+    """The ``layouts`` of :func:`_monomial_plan` weighed for the template
+    loop of :func:`_chunk_worker`, as (key, points, check rows, weighted),
+    extracting for each of the ``targets``, (exponents, slot) pairs, the
+    coefficient of prod_{j>=2} a_j^(b_j), the exponents b_j covering the
+    forgotten legs too and slot being the index of the target's forget count
+    in the plan's; each item of weighted is (target index, group weights,
+    groups, den) for one entry, a group weight None where the group reads
+    nothing.
 
     A graph's weighting sums see the leg values only through the leg sums
     A_i at the k vertices of its leg partition, and their constant term in r
@@ -965,8 +964,8 @@ def _monomial_layouts(layouts, targets, d: int):
     d, leg partition, c).  The weights of a layout's entries are taken
     before its points: an entry whose weights are all None for a target is
     not weighed for it, and a layout with no entry weighed for any target
-    is skipped, so :func:`_graph_sums` computes and checks, once for all the
-    targets, every profile of exactly the layouts that one of them reads.
+    is skipped, so :func:`_layout_columns` computes and checks, once for all
+    the targets, every profile of exactly the layouts that one of them reads.
     """
     for key, (points, checks), entries in layouts:
         weighted = []
@@ -986,12 +985,16 @@ def _chunk_worker(args):
     ``step``-th edge list of :func:`_monomial_plan` from ``start``, sampled
     by :func:`_monomial_layouts` for every target, as integer numerators and
     denominators per decorated graph and target, summed over the layouts
-    where its graph is an entry, with the counts of the walk that
-    :func:`_graph_sums` yields: the layouts evaluated, their A-points, the
-    points whose constant terms the walk computed and the rest, read without
-    computing; used directly and as the multiprocessing worker.  The plan is
-    sorted by edge list and every key holds its edge list, so no key reaches
-    two workers."""
+    where its graph is an entry, with the counts of the walk: the layouts
+    evaluated, their A-points, the points whose constant terms the walk
+    computed and the rest, read without computing; used directly and as the
+    multiprocessing worker.  Each layout's checked columns are one
+    :func:`_layout_columns` call, with one point memo per edge list, and
+    each weighed group takes the dot product of its integer weights with its
+    profile's column, so the template loop runs once per entry and target
+    for all points; weights may stop short of the points, leaving the last
+    ones to the check rows.  The plan is sorted by edge list and every key
+    holds its edge list, so no key reaches two workers."""
     g, n, targets, d, r0, forgets, start, step = args
     layouts = _monomial_plan(g, n, d, forgets)[0]
     if step > 1:
@@ -999,17 +1002,30 @@ def _chunk_worker(args):
         layouts = [
             layout for _, group in itertools.islice(edge_lists, start, None, step) for layout in group
         ]
+    nodes = tuple(_r_nodes(r0, d))
     # a graph's keys meet in each layout where it has an entry, over one den
     terms = [{} for _ in targets]
-    evaluated = points = computed = 0
-    walk = _monomial_layouts(layouts, targets, d)
-    for count, new, items in _graph_sums(walk, _r_nodes(r0, d), d):
-        evaluated, points, computed = evaluated + 1, points + count, computed + new
-        for t, local, den in items:
-            part = terms[t]
-            for key, num in local.items():
-                part[key] = part.get(key, (0, den))[0] + num, den
-    return terms, (evaluated, points, computed, points - computed)
+    evaluated = sampled = computed = 0
+    walked = memo = None
+    for key, points, checks, weighted in _monomial_layouts(layouts, targets, d):
+        if key[0] != walked:
+            walked, memo = key[0], {}
+        (scale, columns), new = _layout_columns(key, points, checks, nodes, d, memo)
+        evaluated, sampled, computed = evaluated + 1, sampled + len(points), computed + new
+        for t, group_weights, groups, den in weighted:
+            local: dict[DecoratedGraph, int] = {}
+            for weights, (profile, _, members) in zip(group_weights, groups):
+                column = columns.get(profile)
+                if weights is None or column is None:
+                    continue
+                total = _dot(weights, column)
+                if total:
+                    for base, dg in members:
+                        local[dg] = local.get(dg, 0) + base * total
+            part, den = terms[t], den * scale
+            for dg, num in local.items():
+                part[dg] = part.get(dg, (0, den))[0] + num, den
+    return terms, (evaluated, sampled, computed, sampled - computed)
 
 
 def _monomial_coefficients(

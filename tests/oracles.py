@@ -5,7 +5,10 @@ is decided by explicit search over vertex bijections, and automorphisms are
 counted over explicit half-edge permutations.  Weightings are found by trying
 every residue on every edge, not by solving the vertex conditions.  The
 closed forms and the principal part are summed term by term in rationals,
-without the integer numerators the library uses.  The class omega takes is
+without the integer numerators the library uses.  The fixed-r class is
+summed the same way, graph by graph and weighting by weighting, from
+Pixton's formula itself, with no templates or stored constant terms.  The
+class omega takes is
 also found the long way: the labelled coefficient on every graph of (g, N),
 multiplied by psi at the extra legs and pushed forward forgetting them, where
 the library forgets them by the dilaton equation.  Kappa-free classes are
@@ -19,10 +22,11 @@ import itertools
 from fractions import Fraction
 import math
 import operator
+from types import SimpleNamespace
 
 from trrkit.numerics import SparsePoly
 from trrkit.pixton import monomial_coefficient
-from trrkit.strata import StrataElement, pushforward_forget
+from trrkit.strata import StrataElement, make_decorated, pushforward_forget
 from trrkit.trr import (
     TRRRecord,
     c0_coeff,
@@ -179,6 +183,69 @@ def enumerate_weightings(graph, a, r):
             w[("edge", k, 0)] = t
             w[("edge", k, 1)] = (-t) % r
         yield w
+
+
+def fixed_r_class_direct(g, n, a, r, dmax) -> StrataElement:
+    """Pixton's class at the fixed modulus r in degrees <= dmax, as the sum
+    over stable graphs G and weightings w mod r of
+
+        1/|Aut G| r^(-h1) prod_m exp(a_m^2 psi_m / 2)
+        prod_e (1 - exp(-w(h) w(h') (psi_h + psi_h') / 2)) / (psi_h + psi_h'),
+
+    pushed forward from G, each edge factor expanded as
+    sum_k (-1)^k x^(k+1) (psi_h + psi_h')^k / (k+1)! with x = w(h) w(h') / 2
+    and the binomial theorem.  The graphs are the brute-force ones, with
+    their automorphisms counted by permutation, the weightings are found by
+    trying every residue, and a term is dropped when its degree, the edges
+    and psi exponents together, passes dmax, or its psi degree at a vertex v
+    passes 3 g_v - 3 + n_v, the dimension there.  Only the decorated graphs
+    are canonicalized, by :func:`make_decorated`."""
+    terms: dict = {}
+    for genera, edges, legs in brute_force_stable_graphs(g, n, max_edges=dmax):
+        V, E = len(genera), len(edges)
+        valence = [0] * V
+        for v in legs + tuple(v for edge in edges for v in edge):
+            valence[v] += 1
+        caps = [3 * gv - 3 + nv for gv, nv in zip(genera, valence)]
+        graph = SimpleNamespace(num_vertices=V, num_edges=E, edges=edges, legs=legs, n=n)
+        # x_e = w(h) w(h') / 2 per edge, for every weighting
+        xs = [
+            [Fraction(w[("edge", k, 0)] * w[("edge", k, 1)], 2) for k in range(E)]
+            for w in enumerate_weightings(graph, a, r)
+        ]
+        scale = Fraction(1, brute_force_automorphisms(genera, edges, legs) * r ** (E - V + 1))
+        for ms in itertools.product(range(dmax - E + 1), repeat=E):
+            budget = dmax - E - sum(ms)
+            if budget < 0:
+                continue
+            total = sum(math.prod(x ** (m + 1) for x, m in zip(row, ms)) for row in xs)
+            if not total:
+                continue
+            for js in itertools.product(*(range(m + 1) for m in ms)):
+                edge_factor = math.prod(
+                    Fraction((-1) ** m * math.comb(m, j), math.factorial(m + 1))
+                    for m, j in zip(ms, js)
+                )
+                for cs in itertools.product(range(budget + 1), repeat=n):
+                    if sum(cs) > budget:
+                        continue
+                    psi = [0] * V
+                    for v, c in zip(legs, cs):
+                        psi[v] += c
+                    for (u, w), m, j in zip(edges, ms, js):
+                        psi[u] += j
+                        psi[w] += m - j
+                    if any(p > cap for p, cap in zip(psi, caps)):
+                        continue
+                    leg_factor = math.prod(
+                        Fraction(x * x, 2) ** c / math.factorial(c) for x, c in zip(a, cs)
+                    )
+                    coefficient = scale * total * edge_factor * leg_factor
+                    if coefficient:
+                        psi_edges = [(j, m - j) for m, j in zip(ms, js)]
+                        key = make_decorated(genera, edges, legs, cs, psi_edges, ((),) * V)
+                        terms[key] = terms.get(key, 0) + coefficient
+    return StrataElement(g, n, terms)
 
 
 def d_value_direct(g, k, l):

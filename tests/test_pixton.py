@@ -28,7 +28,7 @@ from trrkit.pixton import (
 )
 from trrkit.stablegraphs import automorphism_count, enumerate_stable_graphs, make_graph
 from trrkit.strata import StrataElement
-from oracles import enumerate_weightings, forget_with_psi
+from oracles import enumerate_weightings, fixed_r_class_direct, forget_with_psi
 from strata_reference import interpolate
 
 
@@ -105,11 +105,25 @@ def _unit_profiles(E):
     return [(0,) * E] + [tuple(int(j == k) for j in range(E)) for k in range(E)]
 
 
+def _leg_sums(graph, a):
+    """The leg sum A_v of the leg values ``a`` at each vertex v."""
+    A = [0] * graph.num_vertices
+    for v, value in zip(graph.legs, a):
+        A[v] += value
+    return tuple(A)
+
+
+def _class_entries(plan):
+    """The (graph, groups, den) entries of a class plan, out of their leg
+    map groups."""
+    return [entry for _, entries in plan for entry in entries]
+
+
 def _check_power_sums(graph, a, rs):
     """weighting_power_sums against the sum over every weighting found by
     trying all edge residues, for the unit profiles."""
     profiles = _unit_profiles(graph.num_edges)
-    sums = weighting_power_sums(graph.edges, pixton._leg_sums(graph, a), rs, profiles)
+    sums = weighting_power_sums(graph.edges, _leg_sums(graph, a), rs, profiles)
     assert set(sums) == set(profiles)
     assert all(len(sums[profile]) == len(rs) for profile in profiles)
     for j, r in enumerate(rs):
@@ -159,6 +173,38 @@ def test_fixed_r_loop_coefficient_matches_direct_sum():
         loop_part = el.graph_component(loop)
         ((dg, coeff),) = loop_part.terms.items()
         assert coeff == direct == Fraction(r * r - 1, 24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fixed_r_class_matches_the_direct_graph_sum(data):
+    # the oracle sums Pixton's formula graph by graph and weighting by
+    # weighting, exactly, in every degree up to the dimension
+    g, n = data.draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (0, 5)]), label="(g, n)")
+    rest = data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1), label="a")
+    a = (-sum(rest), *rest)
+    r = data.draw(st.integers(1, 7), label="r")
+    dmax = data.draw(st.integers(0, 3 * g - 3 + n), label="dmax")
+    assert fixed_r_class(g, n, a, r, dmax) == fixed_r_class_direct(g, n, a, r, dmax)
+
+
+def test_survivor_legs_outside_one_to_n_are_refused(monkeypatch):
+    # a survivor names a marking 1..n: 0 and -1 would reserve room at the
+    # vertex of leg n or n - 1 and 5 is past the legs, so each is refused
+    # before any plan is built
+    def never(*args):
+        raise AssertionError("planned")
+
+    g, n, a, d = 1, 3, (1, 2, -3), 2
+    monkeypatch.setattr(pixton, "_class_plan", never)
+    for survivors in ({0}, {-1}, {5}, {1, 4}):
+        with pytest.raises(ValueError, match=r"survivor legs must lie in 1\.\.3"):
+            constant_term_class(g, n, a, d, survivors=frozenset(survivors))
+        with pytest.raises(ValueError, match=r"survivor legs must lie in 1\.\.3"):
+            fixed_r_class(g, n, a, 7, d, frozenset(survivors))
+    monkeypatch.undo()
+    el, _ = constant_term_class(g, n, a, d, survivors=frozenset({1, 3}))
+    assert el.degree_component(0) == StrataElement.unit(g, n)
 
 
 def test_constant_term_examples_and_stability():
@@ -1300,8 +1346,8 @@ def _point_layout_counts(plan, a):
     """How many plan graphs have each point layout at the leg vector a: the
     edge list and the vertex leg sums."""
     counts = {}
-    for graph, *_ in plan:
-        key = graph.edges, pixton._leg_sums(graph, a)
+    for graph, *_ in _class_entries(plan):
+        key = graph.edges, _leg_sums(graph, a)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -1310,7 +1356,7 @@ def test_plan_templates_share_graphs_and_decorations():
     # every template member's key holds its plan graph itself, and equal
     # decoration tuples across members are one object
     seen = {}
-    for graph, groups, *_ in pixton._class_plan(2, 4, 2, frozenset()):
+    for graph, groups, *_ in _class_entries(pixton._class_plan(2, 4, 2, frozenset())):
         for _, _, members in groups:
             for _, key in members:
                 assert key.graph is graph
@@ -1338,6 +1384,31 @@ def test_point_layouts_make_one_power_sums_call(monkeypatch, fresh_sums):
         calls.clear()
         assert not compute().is_zero()
         assert len(calls) == len(set(calls)) == 7 and set(calls) == set(layouts)
+
+
+def test_a_warm_class_call_is_one_lookup_per_layout(monkeypatch, fresh_sums):
+    # the plan groups its 13 graphs by leg map, each group's graphs having
+    # its vertex count and legs, and they fall in 7 layouts at a; a second
+    # call reads each layout from the store once and computes no sum
+    g, n, a, d = 1, 4, (-2, 1, 1, 0), 1
+    plan = pixton._class_plan(g, n, d, frozenset())
+    assert len({leg_map for leg_map, _ in plan}) == len(plan)
+    for leg_map, entries in plan:
+        assert all((graph.num_vertices, graph.legs) == leg_map for graph, *_ in entries)
+    layouts = _point_layout_counts(plan, a)
+    assert (sum(layouts.values()), len(layouts)) == (13, 7)
+    first, _ = constant_term_class(g, n, a, d)
+    before = fresh_sums.cache_info()
+    assert (before.misses, before.currsize) == (7, 7)
+
+    def never(*args):
+        raise AssertionError("a weighting sum was computed")
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", never)
+    again, _ = constant_term_class(g, n, a, d)
+    after = fresh_sums.cache_info()
+    assert (after.hits - before.hits, after.misses, after.currsize) == (7, 7, 7)
+    assert again == first
 
 
 def test_a_shared_point_layout_is_checked(monkeypatch, fresh_sums):
@@ -1397,7 +1468,7 @@ def test_template_bases_are_over_one_denominator():
     entries = [
         (d, entry[0], entry[1], entry[2], 1)
         for g, n, d, survivors in [(2, 4, 2, frozenset()), (2, 4, 3, frozenset({3, 4}))]
-        for entry in pixton._class_plan(g, n, d, survivors)
+        for entry in _class_entries(pixton._class_plan(g, n, d, survivors))
     ]
     entries += [
         (3, graph, groups, den, factorial(6))
