@@ -18,8 +18,8 @@ from typing import Sequence
 
 def rational_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    if isinstance(x, int):
+        return str(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -47,11 +47,7 @@ def double_factorial(m: int) -> int:
     """m!! with the empty-product convention (-1)!! = 0!! = 1."""
     if m <= -2:
         raise ValueError(f"double factorial undefined for {m} <= -2")
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
+    return prod(range(m, 0, -2))
 
 
 def binomial(a: int, b: int) -> int:

@@ -19,7 +19,6 @@ from .numerics import (
     binomial,
     double_factorial,
     factorial,
-    falling_factorial,
     rational_str,
 )
 from .runtime import ComputationGuardError, _worker_count, _worker_pool
@@ -111,16 +110,23 @@ def _gamma0_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     return terms
 
 
-def _tail_bracket(g: int, n: int, ci: int, bi: int, sum_b_others: int, sum_b: int) -> int:
-    """The Chu-Vandermonde bracket of the rational-tail form at tail
-    exponent c_i, for b_i at the tail marking and the given exponent sums."""
-    A0 = 4 * g + n - sum_b_others
-    A1 = 4 * g - 1 + n - sum_b
-    B = 2 * g - sum_b_others - 2 * ci
-    bracket = -binomial(A0, B)
-    for dd in range(bi - 2 * ci - 1):
-        bracket += binomial(A1, B - dd) * binomial(bi + 1, dd)
-    return bracket
+def _tail_brackets(g: int, n: int, count: int, bi: int, sum_b_others: int, sum_b: int) -> list[int]:
+    """The Chu-Vandermonde brackets of the rational-tail form at the tail
+    exponents c_i = 0..count-1, for b_i at the tail marking and the given
+    exponent sums: -C(A0, B) + sum_dd C(A1, B - dd) C(b_i + 1, dd), with
+    B = 2g - |b_others| - 2c_i and dd up to b_i - 2c_i - 2.  B - dd runs
+    down to j0 = 2g - |b_others| - b_i + 2 whatever c_i is, so one row of
+    C(A1, j), j >= j0, and one of C(b_i + 1, dd) serve every bracket."""
+    A0, A1 = 4 * g + n - sum_b_others, 4 * g - 1 + n - sum_b
+    top = 2 * g - sum_b_others
+    row = [math.comb(A1, j) if j >= 0 else 0 for j in range(top - bi + 2, top + 1)]
+    inner = [math.comb(bi + 1, dd) for dd in range(bi)]
+    out = []
+    for ci in range(count):
+        B, m = top - 2 * ci, bi - 2 * ci - 1
+        conv = sum(map(operator.mul, row[m - 1 :: -1], inner)) if m > 0 else 0
+        out.append(conv - math.comb(A0, B) if B >= 0 else 0)
+    return out
 
 
 def _gammai_numerators(g: int, n: int, i: int, b, lifts=(1,)) -> dict:
@@ -147,16 +153,18 @@ def _gammai_numerators(g: int, n: int, i: int, b, lifts=(1,)) -> dict:
     lifted = [lift * factorial(2 * g + 1 - sum_b - s) for s, lift in enumerate(lifts)]
     # the bracket vanishes once 2c_i exceeds 2g - |b_others|; keep the
     # weight rows of the c_i where some weight is nonzero
-    tail = []
-    for ci in range((2 * g - sum_b_others) // 2 + 1):
-        row = [0] * (min(top, n - 2) + 1)
-        for so in range(len(row)):
-            for s in range(so, min(so + 1, top) + 1):
-                row[so] += lifted[s] * _tail_bracket(
-                    g, n, ci, bi + s - so, sum_b_others + so, sum_b + s
-                )
-        if any(row):
-            tail.append((ci, [x * double_factorial(2 * ci + 1) for x in row]))
+    count = (2 * g - sum_b_others) // 2 + 1
+    rows = []
+    for so in range(min(top, n - 2) + 1):
+        row = [0] * count
+        for s in range(so, min(so + 1, top) + 1):
+            brackets = _tail_brackets(g, n, count, bi + s - so, sum_b_others + so, sum_b + s)
+            row = [x + lifted[s] * y for x, y in zip(row, brackets)]
+        rows.append(row)
+    tail = [
+        (ci, [x * double_factorial(2 * ci + 1) for x in col])
+        for ci, col in enumerate(zip(*rows)) if any(col)
+    ]
     factors = [_marking_factors(b[j - 2], top > 0) for j in others]
     terms = {}
     for c_others, poly in _shift_products(factors, top):
@@ -253,12 +261,10 @@ def c0_coeff(g: int, n: int, l, dvec) -> Fraction:
     total = sum(2 * lj + dj for lj, dj in zip(l, dvec))
     if total > 2 * g + 2:
         raise ValueError("monomial degree exceeds 2g+2")
-    out = Fraction(double_factorial(2 * k + 1))
-    out /= Fraction(2 ** sum(l))
-    for lj in l:
-        out /= factorial(lj)
-    out *= Fraction(factorial(4 * g - 1 + n - total), factorial(2 * g - 2 + n))
-    return out
+    return Fraction(
+        double_factorial(2 * k + 1) * factorial(4 * g - 1 + n - total),
+        2 ** sum(l) * math.prod(map(factorial, l)) * factorial(2 * g - 2 + n),
+    )
 
 
 def ci_coeff(g: int, n: int, i: int, l, lprime, dvec) -> Fraction:
@@ -328,7 +334,9 @@ def d_value(g: int, k: int, l) -> Fraction:
 
     The numerator depends on n only through the parts, and one more part p
     maps psi_t to psi_t - 2p psi_(t+1), so it is psi_0 once every part is
-    in; :func:`_scan_genus` walks the partitions on the same map.
+    in.  With T = sum(l), psi_s = C(2T + 4k, 2k+1-s) depends on g only
+    through T and k, so :func:`_scan_total` walks the partitions of each T
+    once, on the same map, with one column of psi per k.
 
     For n <= 3 the numerator N has a closed form.  With psi_0 / psi_1 =
     2g / (2k+1) and psi_1 / psi_2 = (2g+1) / (2k), and g = k + sum(l),
@@ -443,61 +451,95 @@ def _two_part_zeros(c: int, psi2: int, low: int, rest: int):
     return ((rest - d) // 2,)
 
 
-def _last_parts(zeros: list, g: int, k: int, prefix: tuple, low: int, rest: int,
-                psi0: int, psi1: int, psi2: int, psi3: int) -> int:
+def _pair_zeros(zeros, ks, T, n, prefix, c, phi2, low, rest):
+    """Append the zeros whose last two parts (p, rest - p) follow prefix, in
+    every column k of ks, given c and phi_2 = 4 psi_2 there (see
+    :func:`_scan_total`); run only where some column passed the test."""
+    for k, x, y in zip(ks, c, phi2):
+        for p in _two_part_zeros(x, y // 4, low, rest):
+            zeros.append((T + k, n, k, prefix + (p, rest - p)))
+
+
+def _last_parts(zeros, ks, T, prefix, low, rest, c, phi2, phi3) -> int:
     """Check the cells that complete prefix with parts >= low summing to
-    rest: every pair (p, rest - p), and every triple whose first part p is
-    above rest // 4 (a child with room for two more parts only), given
-    psi_0..psi_3 after the prefix.  Appends the zeros; returns the count."""
+    rest, in every column k of ks: every pair (p, rest - p), and every
+    triple whose first part p is above rest // 4 (a child with room for two
+    more parts only), given the columns c, phi_2 and phi_3 of the prefix.
+    Appends the zeros; returns the count of cells in one column.
+
+    The pair (p, rest - p) has the numerator c + p (rest - p) phi_2, so a
+    column can hold a zero only where phi_2 divides c (or phi_2 = 0): one
+    divisibility test per column, and :func:`_two_part_zeros` only on a
+    hit.  A triple's first part p is a child whose c and phi_2 are
+    c + p (rest - p) phi_2 and phi_2 + p phi_3."""
     n = len(prefix) + 3
-    c = psi0 - 2 * rest * psi1
+    if not all([x % (y or 1) for x, y in zip(c, phi2)]):
+        _pair_zeros(zeros, ks, T, n, prefix, c, phi2, low, rest)
     cells = rest // 2 - low + 1
-    for p in _two_part_zeros(c, psi2, low, rest):
-        zeros.append((g, n, k, prefix + (p, rest - p)))
     for part in range(max(low, rest // 4 + 1), rest // 3 + 1):
         pair = rest - part
         cells += pair // 2 - part + 1
-        for p in _two_part_zeros(c + 4 * part * pair * psi2, psi2 - 2 * part * psi3, part, pair):
-            zeros.append((g, n + 1, k, prefix + (part, p, pair - p)))
+        w = part * pair
+        if not all([(x + w * y) % (y + part * z or 1) for x, y, z in zip(c, phi2, phi3)]):
+            _pair_zeros(
+                zeros, ks, T, n + 1, prefix + (part,),
+                [x + w * y for x, y in zip(c, phi2)],
+                [y + part * z for y, z in zip(phi2, phi3)], part, pair,
+            )
     return cells
 
 
-def _scan_genus(g: int):
-    """(zeros, cells) of genus g: one walk per T = g - k in 1..g-1 over the
-    nondecreasing partitions l of T, any number of parts.
+def _scan_total(task):
+    """(zeros, cells) of every cell whose l is a partition of T, with any
+    number of parts, and whose k runs over k_lo..k_hi, for task =
+    (T, k_lo, k_hi): one walk over the nondecreasing partitions of T serves
+    every genus T + k in the range.
 
-    A node carries psi_0..psi_m of D's numerator (:func:`d_value`), m at
-    least 4 and the most parts that can still follow, or less when psi
-    vanishes past psi_m (every psi_s with s > 2k+1 is 0).  The one-part cell
-    is checked at the root; every node solves its pairs and the children
-    with room for two more parts only (:func:`_last_parts`); a child with
-    room for exactly three is solved from the node's psi_0..psi_4, so only
-    children with room for four or more are pushed."""
-    zeros = []
-    cells = 0
-    for T in range(1, g):
-        k = g - T
-        psi = _psi(g, k, max(4, min(T, 2 * k + 1)))
-        cells += 1
-        if psi[0] == 2 * T * psi[1]:
-            zeros.append((g, 2, k, (T,)))
-        stack = [((), psi, 1, T)]
-        while stack:
-            prefix, psi, low, rest = stack.pop()
-            psi0, psi1, psi2, psi3, psi4 = psi[:5]
-            cells += _last_parts(zeros, g, k, prefix, low, rest, psi0, psi1, psi2, psi3)
-            # a part p leaves room for (rest - p) // p more parts
-            shifted = psi[1:] + [0]
-            for part in range(low, rest // 5 + 1):
-                child = [x - 2 * part * y for x, y in zip(psi[: rest // part], shifted)]
-                stack.append((prefix + (part,), child, part, rest - part))
-            for part in range(max(low, rest // 5 + 1), rest // 4 + 1):
-                v = 2 * part
-                cells += _last_parts(
-                    zeros, g, k, prefix + (part,), part, rest - part,
-                    psi0 - v * psi1, psi1 - v * psi2, psi2 - v * psi3, psi3 - v * psi4,
-                )
-    return zeros, cells
+    The walk reads D's numerator (:func:`d_value`) through
+    phi_s = (-2)^s psi_s, as columns over k: a part p maps phi_t to
+    phi_t + p phi_(t+1), and a cell's numerator is phi_0 once its last part
+    is in.  A node with parts still to place summing to rest carries, in
+    place of phi_0 and phi_1, c = phi_0 + rest phi_1, the numerator of the
+    cell that closes it with the one part rest; a child of part p has
+    c + p (rest - p) phi_2.  Past c it carries phi_2..phi_m, m at least 4
+    and the most parts that can still follow, or less when phi_s vanishes
+    past phi_m in every column (phi_s with s > 2k+1 is 0).  The one-part
+    cell is checked at the root; every node solves its pairs and the
+    children with room for two more parts only (:func:`_last_parts`); a
+    child with room for exactly three is solved from the node's columns, so
+    only children with room for four or more are pushed."""
+    T, k_lo, k_hi = task
+    ks = range(k_lo, k_hi + 1)
+    m = max(4, min(T, 2 * k_hi + 1))
+    rows = [_psi(T + k, k, m) for k in ks]
+    phi = [[(-2) ** s * row[s] for row in rows] for s in range(m + 1)]
+    c = [x + T * y for x, y in zip(phi[0], phi[1])]
+    zeros = [(T + k, 2, k, (T,)) for k, x in zip(ks, c) if not x]
+    cells = 1
+    zero = [0] * len(ks)
+    stack = [((), [c] + phi[2:], 1, T)]
+    while stack:
+        prefix, node, low, rest = stack.pop()
+        c, phi2, phi3, phi4 = node[:4]
+        cells += _last_parts(zeros, ks, T, prefix, low, rest, c, phi2, phi3)
+        # a part p leaves room for (rest - p) // p more parts
+        shifted = node[2:] + [zero]
+        for part in range(low, rest // 5 + 1):
+            w = part * (rest - part)
+            child = [[x + w * y for x, y in zip(c, phi2)]] + [
+                [x + part * y for x, y in zip(a, b)]
+                for a, b in zip(node[1 : rest // part - 1], shifted)
+            ]
+            stack.append((prefix + (part,), child, part, rest - part))
+        for part in range(max(low, rest // 5 + 1), rest // 4 + 1):
+            w = part * (rest - part)
+            cells += _last_parts(
+                zeros, ks, T, prefix + (part,), part, rest - part,
+                [x + w * y for x, y in zip(c, phi2)],
+                [x + part * y for x, y in zip(phi2, phi3)],
+                [x + part * y for x, y in zip(phi3, phi4)],
+            )
+    return zeros, cells * len(ks)
 
 
 def scan_zeros(g_min: int, g_max: int, jobs: int = 1, allow_large: bool = False):
@@ -506,26 +548,22 @@ def scan_zeros(g_min: int, g_max: int, jobs: int = 1, allow_large: bool = False)
     Returns (zeros, cells_checked); the output is deterministic and does not
     depend on the worker count.  Ranges of more than ``SCAN_CELL_BUDGET``
     cells (counted as in :func:`scan_cell_count`) are refused unless
-    ``allow_large`` is set.
+    ``allow_large`` is set.  A cell of genus g has l a partition of
+    T = g - k, so each T in 1..g_max-1 is one task (:func:`_scan_total`),
+    over k from max(1, g_min - T) to g_max - T; the largest T go first.
     """
     if g_min < 1 or g_max < g_min:
         raise ValueError("need 1 <= g_min <= g_max")
     if not allow_large:
         _check_scan_budget(g_min, g_max)
-    gs = list(range(g_min, g_max + 1))
-    workers = _worker_count(jobs, len(gs))
+    tasks = [(T, max(1, g_min - T), g_max - T) for T in range(g_max - 1, 0, -1)]
+    workers = _worker_count(jobs, len(tasks))
     if workers > 1:
         with _worker_pool(workers) as pool:
-            results = pool.map(_scan_genus, gs)
+            results = pool.map(_scan_total, tasks)
     else:
-        results = [_scan_genus(g) for g in gs]
-    zeros = []
-    cells = 0
-    for z, c in results:
-        zeros.extend(z)
-        cells += c
-    zeros.sort()
-    return zeros, cells
+        results = [_scan_total(task) for task in tasks]
+    return sorted(z for zeros, _ in results for z in zeros), sum(c for _, c in results)
 
 
 # ----------------------------------------------------------------------
@@ -579,10 +617,9 @@ class TRRRecord:
         prov = dict(self.provenance)
         if "weights" in prov:
             prov["weights"] = [rational_str(w) for w in prov["weights"]]
-        if "D" in prov:
-            prov["D"] = rational_str(prov["D"])
-        if "normalization" in prov:
-            prov["normalization"] = rational_str(prov["normalization"])
+        for key in ("D", "normalization"):
+            if key in prov:
+                prov[key] = rational_str(prov[key])
         return {
             "g": self.g,
             "n": self.n,
@@ -622,22 +659,15 @@ def _relation_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     return total
 
 
-def relation_weights(k: int, l) -> list[tuple[tuple[int, ...], Fraction]]:
-    """The 0/1 shift vectors with their combination weights; shifts whose
-    weight vanishes (the auxiliary space would lose its extra legs) are
-    omitted."""
-    n = len(l) + 1
+def relation_weights(k: int, l) -> list[tuple[tuple[int, ...], int]]:
+    """The 0/1 shift vectors with their integer combination weights
+    (2k+1)_s prod_(d_j=1) (-2l_j-1), s = |d|; shifts whose weight vanishes
+    (the auxiliary space would lose its extra legs) are omitted."""
     out = []
-    for dvec in itertools.product((0, 1), repeat=n - 1):
-        s = sum(dvec)
-        w = falling_factorial(2 * k + 1, s)
-        if w == 0:
-            continue
-        weight = Fraction(w)
-        for lj, dj in zip(l, dvec):
-            if dj:
-                weight *= -2 * lj - 1
-        out.append((dvec, weight))
+    for dvec in itertools.product((0, 1), repeat=len(l)):
+        w = math.perm(2 * k + 1, sum(dvec))
+        if w:
+            out.append((dvec, w * math.prod(-2 * lj - 1 for lj, dj in zip(l, dvec) if dj)))
     return out
 
 
@@ -680,17 +710,16 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
     odd = math.prod(2 * lj + 1 for lj in l)
     # (2k+1)_s, and with it the lift and the weight, vanishes from s = 2k+2 on
     lifts = [
-        (-1) ** s * falling_factorial(2 * k + 1, s) * odd for s in range(min(n, 2 * k + 2))
+        (-1) ** s * math.perm(2 * k + 1, s) * odd for s in range(min(n, 2 * k + 2))
     ]
     target = (k,) + l
     total = _relation_numerators(g, n, tuple(2 * lj for lj in l), lifts)
     top = total.get(target, 0)
     raw = Fraction(top, denominator)
-    expected = c0_coeff(g, n, l, (0,) * (n - 1)) * D
-    if raw != expected:
-        raise AssertionError(
-            f"target coefficient {raw} disagrees with C0*D = {expected}"
-        )
+    # raw = C0*D, cross-multiplied over the positive denominators
+    c0 = c0_coeff(g, n, l, (0,) * (n - 1))
+    if top * c0.denominator * D.denominator != denominator * c0.numerator * D.numerator:
+        raise AssertionError(f"target coefficient {raw} disagrees with C0*D = {c0 * D}")
     for exps, num in total.items():
         if exps[0] <= k and exps != target and num != 0:
             raise AssertionError(

@@ -270,7 +270,7 @@ def _d_weights(g, n, k):
     """w_s = (2k+1)_s (base-s)_(n-1-s) for s = 0..n-1, base = 2g+n+2k-1:
     D = sum_s e_s(-2l-1) w_s / w_0, the shift sum over one denominator.
     These depend on n, unlike the generating-function numerator that
-    ``trr.d_value`` and ``trr._scan_genus`` read, so they check it."""
+    ``trr.d_value`` and ``trr._scan_total`` read, so they check it."""
     base = 2 * g + n + 2 * k - 1
     return [math.perm(2 * k + 1, s) * math.perm(base - s, n - 1 - s) for s in range(n)]
 
@@ -283,10 +283,10 @@ def _times_one_plus(e: list[int], v: int) -> list[int]:
 
 def scan_genus_walk(g: int):
     """The zero scan of one genus, cell by cell: the zeros and the cell
-    count of ``trr._scan_genus`` (which lists the zeros in another order),
-    from one walk per (n, k), the elementary symmetric functions of the
-    parts carried along it and a full dot product with the weights of
-    :func:`_d_weights` at every cell."""
+    count of ``trr.scan_zeros(g, g)`` (whose walks list the zeros in
+    another order), from one walk per (n, k), the elementary symmetric
+    functions of the parts carried along it and a full dot product with the
+    weights of :func:`_d_weights` at every cell."""
     zeros = []
     cells = 0
     for n in range(2, g + 1):

@@ -1336,10 +1336,11 @@ def test_scan_worker_count_is_clamped(monkeypatch):
     sizes = []
     monkeypatch.setattr(trr, "_worker_pool", lambda p: _SerialPool(p, sizes))
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 1000)
+    # g = 5..7 is one task per T = g - k in 1..6
     serial = trr.scan_zeros(5, 7)
-    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3]
+    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [6]
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
-    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [3, 2]
+    assert trr.scan_zeros(5, 7, jobs=64) == serial and sizes == [6, 2]
 
 
 def _point_layout_counts(plan, a):

@@ -298,6 +298,50 @@ def test_principal_part_properties_random():
                 assert exps[0] > k, (g, k, l, exps)
 
 
+def _corrupted_numerators(monkeypatch, change):
+    """Patch trr._relation_numerators so that change(total, target) edits
+    the numerators of every relation before principal_part checks them."""
+    from trrkit import trr
+
+    real = trr._relation_numerators
+
+    def corrupted(g, n, b, lifts=(1,)):
+        total = real(g, n, b, lifts)
+        change(total, (g - sum(b) // 2,) + tuple(x // 2 for x in b))
+        return total
+
+    monkeypatch.setattr(trr, "_relation_numerators", corrupted)
+
+
+def _add_one_to_target(total, target):
+    total[target] += 1
+
+
+def _add_low_monomial(total, target):
+    # psi_1^(k-1) psi_2^(l_2+1): degree g, psi_1 exponent below k
+    total[(target[0] - 1, target[1] + 1) + target[2:]] = 7
+
+
+def test_principal_self_check_fires(monkeypatch, capsys):
+    from trrkit import cli
+
+    for g, k, l in [(2, 1, (1,)), (7, 2, (1, 1, 3))]:
+        principal_part(g, k, l)
+    _corrupted_numerators(monkeypatch, _add_one_to_target)
+    for g, k, l in [(2, 1, (1,)), (7, 2, (1, 1, 3))]:
+        with pytest.raises(AssertionError, match=r"disagrees with C0\*D"):
+            principal_part(g, k, l)
+    code = cli.main(["principal", "--g", "2", "--k", "1", "--l", "1"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("internal error: target coefficient")
+    monkeypatch.undo()
+    _corrupted_numerators(monkeypatch, _add_low_monomial)
+    for g, k, l in [(2, 1, (1,)), (7, 2, (1, 1, 3))]:
+        with pytest.raises(AssertionError, match="unexpected low monomial"):
+            principal_part(g, k, l)
+
+
 def test_principal_part_rejects_vanishing_d():
     with pytest.raises(ExceptionalCaseError):
         principal_part(7, 3, (1, 1, 2))
@@ -534,10 +578,14 @@ def test_scan_pins_the_known_zeros_through_genus_35():
     assert all(d_value(g, k, l) == 0 for g, _, k, l in KNOWN_ZEROS)
 
 
-@pytest.mark.parametrize("g_min,g_max,jobs", [(1, 26, 1), (30, 31, 1), (30, 31, 2)])
+@pytest.mark.parametrize(
+    "g_min,g_max,jobs", [(1, 26, 1), (30, 31, 1), (30, 31, 2), (20, 26, 2), (7, 7, 1)]
+)
 def test_scan_matches_the_cell_by_cell_walk(g_min, g_max, jobs):
     # the zeros at g = 30 and 31 have n = 5, 6 and 8: their last pairs are
-    # solved below the root of the walk
+    # solved below the root of the walk; from g_min = 7 or 20 on, the walk
+    # of each T must drop the k below g_min - T, and two workers split the
+    # T values between them
     walks = [scan_genus_walk(g) for g in range(g_min, g_max + 1)]
     want = (sorted(z for zeros, _ in walks for z in zeros), sum(c for _, c in walks))
     assert scan_zeros(g_min, g_max, jobs=jobs) == want
