@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial as _math_factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 
@@ -25,21 +25,11 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def factorial(m: int) -> int:
-    if m < 0:
-        raise ValueError(f"factorial undefined for negative input {m}")
-    return _math_factorial(m)
-
-
 def _multinomial(parts) -> int:
     """(sum parts)! / prod(part!)."""
-    value = _math_factorial(sum(parts))
+    value = factorial(sum(parts))
     for x in parts:
-        value //= _math_factorial(x)
+        value //= factorial(x)
     return value
 
 
@@ -61,16 +51,6 @@ def binomial(a: int, b: int) -> int:
     if a >= 0:
         return comb(a, b) if b <= a else 0
     return (-1) ** b * comb(b - a - 1, b)
-
-
-def falling_factorial(a: int, b: int) -> int:
-    """a(a-1)...(a-b+1); zero when b > a since the product crosses zero."""
-    if a < 0 or b < 0:
-        raise ValueError("falling factorial needs nonnegative arguments")
-    result = 1
-    for t in range(b):
-        result *= a - t
-    return result
 
 
 class SparsePoly:
@@ -262,7 +242,7 @@ def _simplex_tables(k: int, degree: int) -> tuple:
     rows = {gamma: {} for gamma in points[:size]}
     for beta in points[:size]:
         differences = newton(beta)
-        scale = _math_factorial(degree) // prod(map(_math_factorial, beta))
+        scale = factorial(degree) // prod(map(factorial, beta))
         # s(b, 0) = 0 for b > 0, so gamma_i > 0 wherever beta_i > 0
         for gamma in itertools.product(*(range(b > 0, b + 1) for b in beta)):
             f = scale * prod(stirling[b][c] for b, c in zip(beta, gamma))

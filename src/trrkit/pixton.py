@@ -102,7 +102,7 @@ import collections
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import add, mul
 
 from .numerics import (
@@ -110,7 +110,6 @@ from .numerics import (
     _multinomial,
     _simplex_tables,
     binomial,
-    factorial,
     lagrange_coefficient_rows,
 )
 from .runtime import (

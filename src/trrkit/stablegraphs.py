@@ -10,9 +10,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Iterable, Iterator
 
-from .numerics import factorial
 from .runtime import InvalidGraphError
 
 
@@ -193,6 +193,7 @@ def _canonical_graph(genera, edges, legs) -> StableGraph:
     return StableGraph(genera, edges, legs)
 
 
+@functools.cache
 def _automorphisms(genera, edges, legs) -> tuple[tuple[int, ...], ...]:
     """All vertex permutations fixing genera, legs and the edge multiset.
 
@@ -213,11 +214,6 @@ def vertex_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
 
     The graph must be canonical (as produced by :func:`make_graph`).
     """
-    return _graph_automorphisms(graph)
-
-
-@functools.cache
-def _graph_automorphisms(graph: StableGraph) -> tuple[tuple[int, ...], ...]:
     return _automorphisms(graph.genera, graph.edges, graph.legs)
 
 

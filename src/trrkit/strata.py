@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numerics import binomial, rational_str
+from .numerics import rational_str
 from .runtime import sha256_hex
 from .stablegraphs import (
     InvalidGraphError,
@@ -55,24 +56,14 @@ class DecoratedGraph:
     def has_kappa(self) -> bool:
         return any(self.kappa)
 
-    def vertex_decoration_degree(self, v: int) -> int:
-        d = sum(i * x for i, x in self.kappa[v])
-        for m, vv in enumerate(self.graph.legs):
-            if vv == v:
-                d += self.psi_legs[m]
-        for k, (u, w) in enumerate(self.graph.edges):
-            if u == v:
-                d += self.psi_edges[k][0]
-            if w == v:
-                d += self.psi_edges[k][1]
-        return d
-
     def violates_degree_condition(self) -> bool:
-        caps = self.graph.capacities()
-        return any(
-            self.vertex_decoration_degree(v) > caps[v]
-            for v in range(self.graph.num_vertices)
-        )
+        d = [sum(i * x for i, x in vk) for vk in self.kappa]
+        for v, e in zip(self.graph.legs, self.psi_legs):
+            d[v] += e
+        for (u, w), (a, b) in zip(self.graph.edges, self.psi_edges):
+            d[u] += a
+            d[w] += b
+        return any(x > cap for x, cap in zip(d, self.graph.capacities()))
 
     def sort_key(self):
         return (
@@ -311,141 +302,79 @@ class StrataElement:
 # forgetful pushforward
 # ----------------------------------------------------------------------
 
-def _points_at(graph: StableGraph, v: int):
-    sides = []
-    for k, (u, w) in enumerate(graph.edges):
-        if u == v:
-            sides.append((k, 0))
-        if w == v:
-            sides.append((k, 1))
-    legs = [m for m, vv in enumerate(graph.legs, start=1) if vv == v]
-    return sides, legs
-
-
 def _pushforward_term(dg: DecoratedGraph, f: int):
     """Push one decorated term forward under forgetting marking f.
 
     Returns (DecoratedGraph, coefficient) pairs in the target (markings
-    above f shifted down by one).
+    above f shifted down by one).  The rules act on the vertex v of f and
+    its other points, its edge sides and its legs in the target:
+
+    - a three-pointed rational v is contracted, its two other points glued
+      at their far ends; a decoration there raises AssertionError (it
+      exceeds the dimension 0), a self-glued v raises InvalidGraphError;
+    - otherwise each choice of kappa factors at v, with binomial
+      multiplicities, gives B = b + (the sum of their indices), b the psi
+      exponent of f: B = 0 is the string rule (lower one point's psi
+      exponent), B = 1 the dilaton rule (multiply by 2g(v) - 2 + n(v), n(v)
+      the points of v in the target), and B >= 2 gives kappa_(B-1) at v.
     """
     graph = dg.graph
-    v = graph.legs[f - 1]
-    b = dg.psi_legs[f - 1]
-    sides, legs_here = _points_at(graph, v)
-    legs_other = [m for m in legs_here if m != f]
-    npoints = len(sides) + len(legs_here)
+    v, b = graph.legs[f - 1], dg.psi_legs[f - 1]
+    # the target's points: side s of edge k is point 2k + s, then the legs
+    # other than f in marking order, each with its vertex and psi exponent
+    verts = [u for e in graph.edges for u in e]
+    verts += [u for m, u in enumerate(graph.legs, start=1) if m != f]
+    psis = [p for pe in dg.psi_edges for p in pe]
+    psis += [e for m, e in enumerate(dg.psi_legs, start=1) if m != f]
+    here = [h for h, u in enumerate(verts) if u == v]
 
-    def shift_markings(legs, psi_legs):
-        legs = [vv for m, vv in enumerate(legs, start=1) if m != f]
-        psis = [e for m, e in enumerate(psi_legs, start=1) if m != f]
-        return tuple(legs), tuple(psis)
+    def term(verts, psis, kappa, genera=graph.genera):
+        cut = len(verts) - (graph.n - 1)
+        return make_decorated(
+            genera, list(zip(verts[:cut:2], verts[1:cut:2])), verts[cut:],
+            tuple(psis[cut:]), list(zip(psis[:cut:2], psis[1:cut:2])), kappa,
+        )
 
-    results = []
-    if graph.genera[v] == 0 and npoints == 3:
-        # the vertex destabilizes; all its decorations vanish by the degree bound
-        if (
-            b
-            or dg.kappa[v]
-            or any(dg.psi_edges[k][s] for k, s in sides)
-            or any(dg.psi_legs[m - 1] for m in legs_other)
-        ):
+    if graph.genera[v] == 0 and len(here) == 2:
+        if b or dg.kappa[v] or any(psis[h] for h in here):
             raise AssertionError(
                 "a decoration on a three-pointed rational vertex exceeds "
                 "its dimension 0"
             )
-        legs, psis = shift_markings(graph.legs, dg.psi_legs)
-        if len(sides) == 2:
-            (k1, s1), (k2, s2) = sides
-            if k1 == k2:
-                raise InvalidGraphError(
-                    "forgetting this leg collapses a self-glued rational component"
-                )
-            far1 = (graph.edges[k1][1 - s1], dg.psi_edges[k1][1 - s1])
-            far2 = (graph.edges[k2][1 - s2], dg.psi_edges[k2][1 - s2])
-            drop = {k1, k2}
-            edges = [e for k, e in enumerate(graph.edges) if k not in drop]
-            psi_edges = [p for k, p in enumerate(dg.psi_edges) if k not in drop]
-            edges.append((far1[0], far2[0]))
-            psi_edges.append((far1[1], far2[1]))
-        else:
-            (k1, s1) = sides[0]
-            (moved,) = legs_other
-            far_vertex = graph.edges[k1][1 - s1]
-            far_psi = dg.psi_edges[k1][1 - s1]
-            edges = [e for k, e in enumerate(graph.edges) if k != k1]
-            psi_edges = [p for k, p in enumerate(dg.psi_edges) if k != k1]
-            legs = list(legs)
-            psis = list(psis)
-            idx = moved - 1 if moved < f else moved - 2
-            legs[idx] = far_vertex
-            psis[idx] = far_psi
-
-        def drop_vertex(u):
-            return u - 1 if u > v else u
-
-        genera = [gv for u, gv in enumerate(graph.genera) if u != v]
-        edges = [tuple(drop_vertex(a) for a in e) for e in edges]
-        legs = tuple(drop_vertex(u) for u in legs)
-        kappa = [vk for u, vk in enumerate(dg.kappa) if u != v]
-        new = make_decorated(genera, edges, legs, tuple(psis), psi_edges, kappa)
-        results.append((new, Fraction(1)))
-        return results
-
-    # stable vertex: string / dilaton / kappa rules
-    legs, psis_base = shift_markings(graph.legs, dg.psi_legs)
-    kappa_v = {i: x for i, x in dg.kappa[v]}
-    indices = sorted(kappa_v)
-    ranges = [range(kappa_v[i] + 1) for i in indices]
-    for tvec in itertools.product(*ranges):
-        mult = 1
-        chosen = 0
-        for i, t in zip(indices, tvec):
-            mult *= binomial(kappa_v[i], t)
-            chosen += i * t
-        B = b + chosen
-        remaining = {i: kappa_v[i] - t for i, t in zip(indices, tvec) if kappa_v[i] - t}
-        if B == 0:
-            # string: lower one psi exponent among the other points at v
-            for k, s in sides:
-                if dg.psi_edges[k][s] > 0:
-                    pe = [list(p) for p in dg.psi_edges]
-                    pe[k][s] -= 1
-                    kap = list(dg.kappa)
-                    kap[v] = tuple(sorted(remaining.items()))
-                    new = make_decorated(
-                        graph.genera, graph.edges, legs, psis_base,
-                        [tuple(p) for p in pe], kap,
-                    )
-                    results.append((new, Fraction(mult)))
-            for m in legs_other:
-                if dg.psi_legs[m - 1] > 0:
-                    psis = list(psis_base)
-                    idx = m - 1 if m < f else m - 2
-                    psis[idx] -= 1
-                    kap = list(dg.kappa)
-                    kap[v] = tuple(sorted(remaining.items()))
-                    new = make_decorated(
-                        graph.genera, graph.edges, legs, tuple(psis),
-                        dg.psi_edges, kap,
-                    )
-                    results.append((new, Fraction(mult)))
-            # no psi to lower: the fundamental class pushes to zero
-        else:
-            kap = list(dg.kappa)
-            if B == 1:
-                # dilaton: kappa_0 is the scalar 2g(v) - 2 + n(v) - 1
-                scalar = 2 * graph.genera[v] - 2 + (npoints - 1)
-                kap[v] = tuple(sorted(remaining.items()))
-                coeff = Fraction(mult * scalar)
-            else:
-                merged = dict(remaining)
-                merged[B - 1] = merged.get(B - 1, 0) + 1
-                kap[v] = tuple(sorted(merged.items()))
-                coeff = Fraction(mult)
-            new = make_decorated(
-                graph.genera, graph.edges, legs, psis_base, dg.psi_edges, kap
+        # an edge side comes before every leg, so `keep` is the leg if
+        # either point is one (v has an edge: the target is stable); it
+        # takes the far end of the other's edge
+        other, keep = here
+        if other ^ 1 == keep:
+            raise InvalidGraphError(
+                "forgetting this leg collapses a self-glued rational component"
             )
-            results.append((new, coeff))
+        verts[keep], psis[keep] = verts[other ^ 1], psis[other ^ 1]
+        first = other - other % 2
+        del verts[first:first + 2], psis[first:first + 2]
+        genera = graph.genera[:v] + graph.genera[v + 1:]
+        kappa = dg.kappa[:v] + dg.kappa[v + 1:]
+        return [(term([u - (u > v) for u in verts], psis, kappa, genera), 1)]
+
+    results = []
+    for taken in itertools.product(*(range(x + 1) for _, x in dg.kappa[v])):
+        mult = math.prod(map(math.comb, (x for _, x in dg.kappa[v]), taken))
+        B = b + sum(i * t for (i, _), t in zip(dg.kappa[v], taken))
+        # the kappa factors left at v; make_decorated drops zero exponents
+        rest = {i: x - t for (i, x), t in zip(dg.kappa[v], taken)}
+        if B >= 2:
+            rest[B - 1] = rest.get(B - 1, 0) + 1
+        kappa = dg.kappa[:v] + (tuple(rest.items()),) + dg.kappa[v + 1:]
+        if B == 0:  # string
+            for h in here:
+                if psis[h]:
+                    lowered = psis.copy()
+                    lowered[h] -= 1
+                    results.append((term(verts, lowered, kappa), mult))
+        else:
+            # dilaton for B = 1, kappa_(B-1) otherwise
+            scalar = 2 * graph.genera[v] - 2 + len(here) if B == 1 else 1
+            results.append((term(verts, psis, kappa), mult * scalar))
     return results
 
 

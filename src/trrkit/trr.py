@@ -18,7 +18,6 @@ from .numerics import (
     SparsePoly,
     binomial,
     double_factorial,
-    factorial,
     rational_str,
 )
 from .runtime import ComputationGuardError, _worker_count, _worker_pool
@@ -98,7 +97,7 @@ def _gamma0_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     top = len(lifts) - 1
     if any(x < 0 for x in b) or sum(b) + top > 2 * g + 2:
         raise ValueError("monomial degree exceeds 2g+2")
-    weights = [lift * factorial(4 * g - 1 + n - sum(b) - s) for s, lift in enumerate(lifts)]
+    weights = [lift * math.factorial(4 * g - 1 + n - sum(b) - s) for s, lift in enumerate(lifts)]
     terms = {}
     for c, poly in _shift_products([_marking_factors(bj, top > 0) for bj in b], top):
         sc = sum(c)
@@ -150,7 +149,7 @@ def _gammai_numerators(g: int, n: int, i: int, b, lifts=(1,)) -> dict:
     sum_b = sum(b)
     sum_b_others = sum_b - bi
     # per shift total s: the lift times (2g+1-|b|-s)!
-    lifted = [lift * factorial(2 * g + 1 - sum_b - s) for s, lift in enumerate(lifts)]
+    lifted = [lift * math.factorial(2 * g + 1 - sum_b - s) for s, lift in enumerate(lifts)]
     # the bracket vanishes once 2c_i exceeds 2g - |b_others|; keep the
     # weight rows of the c_i where some weight is nonzero
     count = (2 * g - sum_b_others) // 2 + 1
@@ -192,7 +191,7 @@ def gamma0_closed(g: int, n: int, b) -> SparsePoly:
     """
     b = tuple(int(x) for x in b)
     terms = _gamma0_numerators(g, n, b)
-    den = factorial(2 * g - 2 + n) * math.prod(map(factorial, b))
+    den = math.factorial(2 * g - 2 + n) * math.prod(map(math.factorial, b))
     return SparsePoly(psi_variables(n), {e: Fraction(c, den) for e, c in terms.items()})
 
 
@@ -209,7 +208,7 @@ def gammai_closed(g: int, n: int, i: int, b) -> SparsePoly:
     """
     b = tuple(int(x) for x in b)
     terms = _gammai_numerators(g, n, i, b)
-    den = math.prod(map(factorial, b))
+    den = math.prod(map(math.factorial, b))
     return SparsePoly(
         psi_variables(n, prime=True), {e: Fraction(c, den) for e, c in terms.items()}
     )
@@ -262,8 +261,8 @@ def c0_coeff(g: int, n: int, l, dvec) -> Fraction:
     if total > 2 * g + 2:
         raise ValueError("monomial degree exceeds 2g+2")
     return Fraction(
-        double_factorial(2 * k + 1) * factorial(4 * g - 1 + n - total),
-        2 ** sum(l) * math.prod(map(factorial, l)) * factorial(2 * g - 2 + n),
+        double_factorial(2 * k + 1) * math.factorial(4 * g - 1 + n - total),
+        2 ** sum(l) * math.prod(map(math.factorial, l)) * math.factorial(2 * g - 2 + n),
     )
 
 
@@ -297,14 +296,14 @@ def ci_coeff(g: int, n: int, i: int, l, lprime, dvec) -> Fraction:
     value = Fraction(
         -double_factorial(2 * lpi + 1) * double_factorial(2 * kprime - 1)
     )
-    value *= factorial(F) * bino
-    value /= factorial(b[i - 2])
+    value *= math.factorial(F) * bino
+    value /= math.factorial(b[i - 2])
     for j in range(2, n + 1):
         if j == i:
             continue
         lpj = lprime[j - 2]
         value /= Fraction(
-            2**lpj * factorial(lpj) * factorial(b[j - 2] - 2 * lpj)
+            2**lpj * math.factorial(lpj) * math.factorial(b[j - 2] - 2 * lpj)
         )
     return value
 
@@ -641,7 +640,7 @@ def _relation_numerators(g: int, n: int, b, lifts=(1,)) -> dict:
     exponents at psi_i and psi_j swapped.
     """
     total = _string_pushforward_terms(_gamma0_numerators(g, n, b, lifts))
-    tail_lifts = [factorial(2 * g - 2 + n) * lift for lift in lifts]
+    tail_lifts = [math.factorial(2 * g - 2 + n) * lift for lift in lifts]
     first = {}
     for i, bi in enumerate(b, start=2):
         if bi in first:
@@ -706,7 +705,7 @@ def principal_part(g: int, k: int, l) -> TRRRecord:
             f"D vanishes at (g={g}, k={k}, l={l}); use the g7 exceptional-case tooling"
         )
     weights = relation_weights(k, l)
-    denominator = factorial(2 * g - 2 + n) * math.prod(factorial(2 * lj + 1) for lj in l)
+    denominator = math.factorial(2 * g - 2 + n) * math.prod(math.factorial(2 * lj + 1) for lj in l)
     odd = math.prod(2 * lj + 1 for lj in l)
     # (2k+1)_s, and with it the lift and the weight, vanishes from s = 2k+2 on
     lifts = [
@@ -973,7 +972,7 @@ def g7_patch() -> dict:
         "D_2_2_1_nonzero": d_check != 0,
         "D_1_1_1_nonzero": d_value(g, 4, (1, 1, 1)) != 0,
     }
-    den = factorial(2 * g - 2 + n) * math.prod(map(factorial, b))
+    den = math.factorial(2 * g - 2 + n) * math.prod(map(math.factorial, b))
     family = {e: Fraction(c, den) for e, c in _relation_numerators(g, n, b).items()}
     swapped = {(e[1], e[0]) + e[2:]: c for e, c in family.items()}
     combination = _solve_modulo(

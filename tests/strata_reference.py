@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
-from trrkit.numerics import SparsePoly, factorial, parse_rational
+from trrkit.numerics import SparsePoly
 from trrkit.stablegraphs import (
     StableGraph,
     enumerate_stable_graphs,
@@ -130,7 +131,7 @@ def from_json(g: int, n: int, records: list) -> StrataElement:
             tuple(tuple(p) for p in psi_edges),
             tuple(tuple(sorted(d.items())) for d in kappa),
         )
-        terms[dg] = terms.get(dg, Fraction(0)) + parse_rational(rec["coeff"])
+        terms[dg] = terms.get(dg, Fraction(0)) + Fraction(rec["coeff"])
     return StrataElement(g, n, terms)
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,6 @@ from trrkit.numerics import (
     SparsePoly,
     binomial,
     double_factorial,
-    factorial,
 )
 from trrkit import trr
 from trrkit.cli import result_digest

@@ -2,6 +2,7 @@ import itertools
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from trrkit import pixton, runtime
 from trrkit.cli import main
 from trrkit.numerics import (
     binomial,
-    factorial,
     lagrange_coefficient_rows,
     lagrange_coefficient_weights,
 )

@@ -230,6 +230,23 @@ def test_pushforward_rational_tail_example():
         assert out == StrataElement.psi_monomial(1, 2, {2: c})
 
 
+def test_pushforward_of_a_kappa_power():
+    # kappa_1 = pi^* kappa_1 + psi_2, so kappa_1^2 pushes forward to
+    # 2 * (2g - 2 + n) kappa_1 + kappa_1 = 7 kappa_1 on (2,1)
+    def kappa_1(power, n):
+        dg = make_decorated([2], [], [0] * n, (0,) * n, (), (((1, power),),))
+        return StrataElement(2, n, {dg: Fraction(1)})
+
+    assert pushforward_forget(kappa_1(2, 2), 2) == kappa_1(1, 1).scale(7)
+
+
+def test_pushforward_of_a_decorated_rational_vertex_raises():
+    graph = make_graph([1, 0], [(0, 1)], [0, 1, 1])
+    dg = make_decorated(graph.genera, graph.edges, graph.legs, (0, 1, 0), ((0, 0),), ((), ()))
+    with pytest.raises(AssertionError):
+        pushforward_forget(StrataElement(1, 3, {dg: Fraction(1)}), 3)
+
+
 def test_pushforward_string_symbolic_monomials():
     # pure psi monomials of degree <= 6 with the forgotten exponent zero
     rng = random.Random(17)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from trrkit.cli import result_digest
-from trrkit.numerics import double_factorial, factorial, falling_factorial
+from trrkit.numerics import double_factorial
 from trrkit.pixton import ComputationGuardError
 from trrkit.trr import (
     SCAN_CELL_BUDGET,
@@ -99,8 +99,8 @@ def test_c0_examples():
         for dvec in itertools.product((0, 1), repeat=n - 1):
             total = sum(2 * lj + dj for lj, dj in zip(l, dvec))
             expected = base * Fraction(
-                factorial(4 * g - 1 + n - total),
-                factorial(4 * g - 1 + n - 2 * sum(l)),
+                math.factorial(4 * g - 1 + n - total),
+                math.factorial(4 * g - 1 + n - 2 * sum(l)),
             )
             assert c0_coeff(g, n, l, dvec) == expected
 
@@ -353,7 +353,7 @@ def test_n1_gamma_values():
     for g in range(1, 27):
         rec = principal_part(g, g, ())
         want = Fraction(
-            double_factorial(2 * g + 1) * factorial(4 * g), factorial(2 * g - 1)
+            double_factorial(2 * g + 1) * math.factorial(4 * g), math.factorial(2 * g - 1)
         )
         assert rec.provenance["normalization"] == want
         assert rec.provenance["D"] == 1
@@ -419,7 +419,7 @@ def test_relation_weights_skip_vanishing():
     assert len(weights) == sum(
         1
         for d in itertools.product((0, 1), repeat=4)
-        if falling_factorial(3, sum(d)) != 0
+        if math.perm(3, sum(d)) != 0
     )
 
 
@@ -722,13 +722,13 @@ def test_d_numerators_for_two_and_three_markings():
     # each of k, l_2 (and l_3)
     for k, l2 in itertools.product(range(3), repeat=2):
         g = k + l2
-        w0 = falling_factorial(2 * g + 2 * k + 1, 1)
+        w0 = math.perm(2 * g + 2 * k + 1, 1)
         assert d_value(g, k, (l2,)) == Fraction(-2 * k * (2 * l2 - 1), w0)
         N = d_value(g, k, (l2,)) * math.comb(2 * g + 2 * k + 1, 2 * k + 1)
         assert (2 * k + 1) * N == -2 * k * (2 * l2 - 1) * _psi(g, k, 1)[1]
     for k, l2, l3 in itertools.product(range(3), repeat=3):
         g, x, y = k + l2 + l3, 2 * l2 + 1, 2 * l3 + 1
-        w0 = falling_factorial(2 * g + 2 * k + 2, 2)
+        w0 = math.perm(2 * g + 2 * k + 2, 2)
         bracket = 2 * k * (x - 2) * (y - 2) + x * y - (x + y - 1) * (x + y - 2)
         assert d_value(g, k, (l2, l3)) == Fraction(2 * k * bracket, w0)
         N = d_value(g, k, (l2, l3)) * math.comb(2 * g + 2 * k + 2, 2 * k + 1)
