@@ -15,7 +15,8 @@ only on its layout: the edge list and the vertex leg sums at each point,
 which are all the weighting sums are given.  Per layout, one lookup in
 the store of checked columns (:data:`_checked_columns`, filled only by
 :func:`_layout_columns`) gives one column of integers over its points per
-edge profile: on a miss, at each point (:func:`_constant_term_sums`) the
+edge profile, keyed by the profile's slot, its index among the profiles of
+the edge list: on a miss, at each point (:func:`_constant_term_sums`) the
 weighting power sums at every r node are put over the common denominator
 lcm(r^h1), the two held-out differences are checked and the
 Lagrange-at-zero weights give the constant term, and the columns are
@@ -23,22 +24,27 @@ checked on the layer before they are stored; the columns serve every graph
 of the layout, and each caller runs its own template loop over them.  The
 fixed-r class and the constant term at one leg vector have one point per
 layout: the class plan holds its graphs grouped by leg map, so a call
-computes the vertex leg sums once per leg map and groups the graphs by edge
-list and those sums in one dict (at (2,7) in degree 3 with five survivors,
-2,654 leg maps for 6,416 graphs); each template group then takes one
-integer, its profile's one-point value times its leg power prod_m
-a_m^(2 c_m), memoized on the leg exponents within the call, and each
-distinct (numerator, denominator) pair of the call becomes one Fraction,
-which every decorated graph with that value shares.  A monomial
+computes the vertex leg sums once per leg map and groups the graphs by
+edge-list id and those sums in one dict (at (2,7) in degree 3 with five
+survivors, 2,654 leg maps and 31 edge lists for 6,416 graphs); the leg
+power prod_m a_m^(2 c_m) is computed once per exponent id of the plan
+(120 there), and each template row adds its base times its profile slot's
+one-point value times its leg power to its decorated slot's numerator,
+all list indices (18,239 rows for 17,969 decorated graphs there).  The
+walks hand their numerators to :func:`_element`, which builds one
+Fraction per distinct (numerator, denominator) pair of the call, shared by
+every decorated graph with that value, and gives the result its terms
+without a second pass.  A monomial
 coefficient samples each layout on the simplex of the leg sums A at its
 part vertices, |A| <= 2d, leg 1's vertex taking -|A| (the weighting
 conditions see the leg values only through the vertex leg sums, and the
 constant term in r has total degree <= 2d in A), each graph weighted per
-group by an integer functional of its own leg partition that reads off the
-target monomial, dotted with its profile's column in the template loop of
-:func:`_chunk_worker`, and checks every (2d+1)-th Newton difference on the layer
-|A| = 2d + 1; worker processes each take whole edge lists and return
-integer numerators, which the parent merges.  The 0/1 shifts of one
+leg-exponent vector of its templates by an integer functional of its own
+leg partition that reads off the target monomial, dotted with a row's
+profile-slot column in the template loop of :func:`_chunk_worker`, and
+checks every (2d+1)-th Newton difference on the layer |A| = 2d + 1;
+worker processes each take whole edge lists and return integer numerators
+per graph, which the parent joins.  The 0/1 shifts of one
 relation are several (exponents, forget) targets of one (g, n, d), and one
 walk serves them all (:func:`_monomial_coefficients`): one plan holds every
 forget count's placements per entry, and the walk reads each layout's
@@ -47,7 +53,7 @@ Legs that omega multiplies by psi and forgets are forgotten by the
 dilaton equation: the plan runs on the graphs without them and places
 them on the vertices (:func:`_placements`), one entry per graph and set
 of vertices with leg sums, grouped by layout once, when the plan is
-built, with only the template groups of degree d.
+built, with only the template rows of degree d.
 A call evaluates only the layouts whose group weights read some edge
 profile, each for every profile of its edge list, so every column of a
 layout read is computed and checked, and one stored entry serves every
@@ -76,23 +82,27 @@ exponents), dense over the simplex, and the placed weights per (exponents,
 d, placements, leg exponents), so that a repeated walk weighs nothing.
 The checked constant terms are kept per layout read, keyed (edge list and
 the data that fixes the layout's points, r nodes, degree), as the layout's
-scale and its nonzero columns (:data:`_checked_columns`, unbounded like the
-caches above, with the same ``cache_info()`` and ``cache_clear()``), so a
-warm layout is one lookup and goes straight to the template loop; the
-degree stays in the key, since one modulus (a fixed-r class) does not fix
-it.  A layout's points are computed only on a miss, and the values of a
-point are kept, by its leg sums, only while the walk is on its edge list:
-graphs of different layouts meet at equal leg sums, as where one is 0,
-and the monomial plan keeps the layouts of one edge list together, so
-the (3,1,()) comparison computes 26,286 points at its 48,256 A-points
-(646 layouts), the walk of the relation (3,1,(2,)) 87,795 and that of
-(3,1,(1,1)) 199,036, each once.  A layout with a sum off the fit,
-in r or on the layer, raises and stores nothing.
+scale and its nonzero columns by profile slot (:data:`_checked_columns`,
+unbounded like the caches above, with the same ``cache_info()`` and
+``cache_clear()``), so a warm layout is one lookup and goes straight to
+the template loop; the degree stays in the key, since one modulus (a
+fixed-r class) does not fix it.  A layout's points are computed only on a
+miss, and the values of a point are kept, by its leg sums, only while the
+walk is on its edge list: graphs of different layouts meet at equal leg
+sums, as where one is 0, and the monomial plan keeps the layouts of one
+edge list together, so the (3,1,()) comparison computes 26,286 points at
+its 48,256 A-points (646 layouts), the walk of the relation (3,1,(2,))
+87,795 and that of (3,1,(1,1)) 199,036, each once.  A layout with a sum
+off the fit, in r or on the layer, raises and stores nothing.
 Templates and automorphism counts are built once per plan graph, inside
 the cached plan, every template base over the one denominator 2^dmax
-dmax!; a class plan entry keeps its graph, its template groups and their
-denominator, a monomial plan entry also its placements per forget count,
-and the sums derive h1 from a layout's edge list and points.
+dmax!, and each template is one flat row of integers (profile slot,
+exponent id, base, decorated slot) (:func:`_graph_templates`).  A class
+plan entry keeps its graph, its edge-list id, its rows, its distinct
+decorated graphs and their denominator, the plan the edge lists and leg
+exponents at their ids; a monomial plan entry also its placements per
+forget count, and its graph's own leg exponents, since a walk weighs
+them per entry.  The sums derive h1 from a layout's edge list and points.
 A class plan asks the enumeration for only the graphs with room for one
 unit of psi at every survivor leg, so the rest are never canonicalized.
 """
@@ -448,23 +458,33 @@ def _template_denominator(dmax: int) -> int:
     return 2**dmax * factorial(dmax)
 
 
-def _graph_templates(graph: StableGraph, dmax: int, caps, exact: bool = False) -> tuple:
+def _graph_templates(
+    graph: StableGraph, dmax: int, caps, exponent_ids: dict, exact: bool = False
+) -> tuple:
     """Decoration templates for one graph: every way to place psi exponents
     from the edge series and leg exponentials with at most caps[v] at each
     vertex v and total degree <= dmax, or with ``exact`` exactly dmax.
 
-    The templates sharing an edge profile and leg exponents differ only by
-    their base coefficient, so each group is (profile, leg exponents,
-    members), the members being (base numerator, decorated graph) pairs over
+    Returns (rows, decorated), one flat row per template, (profile slot,
+    exponent id, base, decorated slot): the profile slot is the index of its
+    edge profile in :func:`_edge_profiles` of E edges and budget dmax - E,
+    the exponent id that of its leg exponents c in ``exponent_ids``, a
+    {c: id} extended in place (one per class plan, one per graph of a
+    monomial plan), and the base its numerator over
     :func:`_template_denominator`: a template's denominator
     prod_e 2^(m_e+1) (m_e+1)! * prod_m 2^(c_m) c_m! divides it, since the
-    factorial arguments sum to its degree.  No groups when a cap is negative.
+    factorial arguments sum to its degree.  The decorated slot indexes
+    ``decorated``, the distinct decorated graphs of the templates in order
+    of first appearance; two templates share one where an automorphism of
+    the graph maps one decoration to the other.  No rows when a cap is
+    negative.
     """
     E = graph.num_edges
     common = _template_denominator(dmax)
     no_kappa = ((),) * graph.num_vertices
-    members: dict[tuple, list] = {}
-    for profile in _edge_profiles(E, dmax - E):
+    rows = []
+    slots: dict[DecoratedGraph, int] = {}
+    for p, profile in enumerate(_edge_profiles(E, dmax - E)):
         budget = dmax - E - sum(profile)
         edge_den = prod(2 ** (m + 1) * factorial(m + 1) for m in profile)
         for splits in itertools.product(*(range(m + 1) for m in profile)):
@@ -481,30 +501,41 @@ def _graph_templates(graph: StableGraph, dmax: int, caps, exact: bool = False) -
                     continue
                 den = edge_den * prod(2**k * factorial(k) for k in c)
                 key = decorate_canonical_graph(graph, c, psi_edges, no_kappa)
-                members.setdefault((profile, c), []).append((num * common // den, key))
-    return tuple((profile, c, tuple(group)) for (profile, c), group in members.items())
+                cid = exponent_ids.setdefault(c, len(exponent_ids))
+                rows.append((p, cid, num * common // den, slots.setdefault(key, len(slots))))
+    return tuple(rows), tuple(slots)
 
 
 @functools.cache
 def _class_plan(g: int, n: int, dmax: int, survivors: frozenset) -> tuple:
     """Every labelled graph of (g, n) with room for one unit of psi at each
-    survivor leg (its vertex's cap lowered by one), as (graph, groups, den)
-    entries, den being :func:`_template_denominator` times |Aut|, grouped by
-    leg map: ((V, legs), entries) pairs, in order of first appearance, the
-    graphs of one pair having V vertices and marking m on vertex legs[m - 1].
-    A class call computes the vertex leg sums once per leg map, since they
-    depend on nothing else.  Built once per (g, n, dmax, survivor set)."""
+    survivor leg (its vertex's cap lowered by one), as (graph, edge-list id,
+    rows, decorated, den) entries, the rows and decorated graphs being its
+    :func:`_graph_templates` and den :func:`_template_denominator` times
+    |Aut|, grouped by leg map: (leg maps, edge lists, exponents).  The leg
+    maps are ((V, legs), entries) pairs, in order of first appearance, the
+    graphs of one pair having V vertices and marking m on vertex
+    legs[m - 1]; a class call computes the vertex leg sums once per leg
+    map, since they depend on nothing else.  ``edge_lists`` and
+    ``exponents`` hold each distinct edge list and leg-exponent vector of
+    the plan once, at its id (31 and 120 at (2,7) in degree 3 with five
+    survivors).  Built once per (g, n, dmax, survivor set)."""
     by_legs: dict[tuple, list] = {}
+    edge_ids: dict[tuple, int] = {}
+    exponent_ids: dict[tuple[int, ...], int] = {}
     common = _template_denominator(dmax)
     for graph in enumerate_stable_graphs(g, n, max_edges=dmax, reserved_markings=survivors):
         caps = list(graph.capacities())
         for m in survivors:
             caps[graph.legs[m - 1]] -= 1
-        groups = _graph_templates(graph, dmax, caps)
-        if groups:
-            entry = graph, groups, common * automorphism_count(graph, check=False)
+        rows, decorated = _graph_templates(graph, dmax, caps, exponent_ids)
+        if rows:
+            eid = edge_ids.setdefault(graph.edges, len(edge_ids))
+            den = common * automorphism_count(graph, check=False)
+            entry = graph, eid, rows, decorated, den
             by_legs.setdefault((graph.num_vertices, graph.legs), []).append(entry)
-    return tuple((leg_map, tuple(entries)) for leg_map, entries in by_legs.items())
+    leg_maps = tuple((leg_map, tuple(entries)) for leg_map, entries in by_legs.items())
+    return leg_maps, tuple(edge_ids), tuple(exponent_ids)
 
 
 def _check_space(g: int, n: int, dmax: int) -> None:
@@ -541,8 +572,10 @@ def _layout_columns(key, points, check_rows, nodes: tuple, dmax: int, memo: dict
     being the length of a point, and the edge profiles are those of
     :func:`_edge_profiles` of E edges and budget dmax - E.  The store is
     keyed (key, nodes, dmax) and holds the layout's :func:`_node_forms`
-    scale and its nonzero columns, {profile: one integer per point}; dmax
-    stays in the key, since one node (a fixed-r class) does not fix it.
+    scale and its nonzero columns, {profile slot: one integer per point},
+    the slot being the profile's index in those edge profiles, which the
+    rows of :func:`_graph_templates` hold; dmax stays in the key, since one
+    node (a fixed-r class) does not fix it.
 
     On a miss the columns are built once: per point,
     :func:`_constant_term_sums` on the edges and the point's leg sums gives
@@ -569,10 +602,10 @@ def _layout_columns(key, points, check_rows, nodes: tuple, dmax: int, memo: dict
             value = memo[leg_sums] = _constant_term_sums(edges, leg_sums, nodes, profiles)
             computed += 1
         values.append(value)
-    columns = dict(zip(profiles, zip(*values)))
+    columns = list(zip(*values))
     if any(
         _dot(weights, map(column.__getitem__, indices))
-        for column in columns.values()
+        for column in columns
         for indices, weights in check_rows
     ):
         raise FitInstabilityError(
@@ -580,7 +613,7 @@ def _layout_columns(key, points, check_rows, nodes: tuple, dmax: int, memo: dict
             "in the vertex leg sums"
         )
     scale = _node_forms(nodes, len(edges) - len(points[0]) + 1)[0]
-    nonzero = {profile: column for profile, column in columns.items() if any(column)}
+    nonzero = {p: column for p, column in enumerate(columns) if any(column)}
     entry = _checked_columns[key, nodes, dmax] = scale, nonzero
     return entry, computed
 
@@ -591,53 +624,70 @@ def _class_sum(g: int, n: int, a, dmax: int, survivors, nodes) -> StrataElement:
     term in r at those of :func:`_r_nodes`.
 
     The leg sums are computed once per leg map of :func:`_class_plan`, and
-    the graphs grouped by layout, (edge list, leg sums), the one point of
-    the layout, whose checked columns :func:`_layout_columns` gives.  Each
-    template group takes its profile's one value times its leg power
-    prod_m a_m^(2 c_m), memoized on the leg exponents, and each member adds
-    its base times that to its decorated graph's numerator over the
-    graph's den times the layout's scale.  Every decorated graph belongs to
-    one graph, so its numerator is whole once its graph is done; one
-    Fraction is built per distinct (numerator, denominator) pair of the
-    call, and every term passes through :class:`StrataElement`.
+    the graphs grouped by layout, (edge-list id, leg sums), the one point of
+    the layout, whose checked columns :func:`_layout_columns` gives.  The
+    leg power prod_m a_m^(2 c_m) is computed once per exponent id of the
+    plan, and each template row adds its base times its profile's one value
+    times its leg power to its decorated slot's numerator, over the graph's
+    den times the layout's scale.  Every decorated graph belongs to one
+    graph, so its numerator is whole once its graph is done, and
+    :func:`_element` takes the numerators graph by graph as they are made:
+    none outlives its turn, so a call leaves the garbage collector's oldest
+    generation, which holds the plan, nothing new to count towards its next
+    full pass.
     """
     _check_input(g, n, a, nodes, dmax, survivors)
     nodes = tuple(nodes)
+    leg_maps, edge_lists, exponents = _class_plan(g, n, dmax, frozenset(survivors))
     layouts: dict[tuple, list] = {}
-    for (V, legs), entries in _class_plan(g, n, dmax, frozenset(survivors)):
+    for (V, legs), entries in leg_maps:
         leg_sums = [0] * V
         for v, value in zip(legs, a):
             leg_sums[v] += value
         leg_sums = tuple(leg_sums)
         for entry in entries:
-            layouts.setdefault((entry[0].edges, leg_sums), []).append(entry)
+            layouts.setdefault((entry[1], leg_sums), []).append(entry)
     squares = [v * v for v in a]
-    powers: dict[tuple[int, ...], int] = {}
-    fractions: dict[tuple[int, int], Fraction] = {}
+    powers = [prod(map(pow, squares, c)) for c in exponents]
+
+    def parts():
+        for (eid, leg_sums), entries in layouts.items():
+            key = edge_lists[eid], leg_sums
+            (scale, columns), _ = _layout_columns(key, key[1:], (), nodes, dmax, {})
+            for *_, rows, decorated, den in entries:
+                sums = [0] * len(decorated)
+                for p, cid, base, slot in rows:
+                    column = columns.get(p)
+                    if column is not None:
+                        sums[slot] += base * column[0] * powers[cid]
+                yield decorated, sums, den * scale
+
+    return _element(g, n, parts())
+
+
+def _element(g: int, n: int, parts) -> StrataElement:
+    """The element of (g, n) whose terms are given by ``parts``, (decorated
+    graphs, integer numerators, den) triples, each decorated graph in one
+    part only, with coefficient num/den; zero numerators are dropped.  One
+    Fraction is built per distinct (num, den) pair, and every term with that
+    value shares it.  The Fractions are nonzero and reduced, so the element
+    takes the terms as they are, without the second pass of
+    :class:`StrataElement`'s constructor."""
+    fractions: dict[int, dict[int, Fraction]] = {}  # den -> num -> num/den
     terms = {}
-    for key, entries in layouts.items():
-        (scale, columns), _ = _layout_columns(key, key[1:], (), nodes, dmax, {})
-        for _, groups, den in entries:
-            den *= scale
-            local: dict[DecoratedGraph, int] = {}
-            for profile, c, members in groups:
-                column = columns.get(profile)
-                if column is None:
-                    continue
-                power = powers.get(c)
-                if power is None:
-                    power = powers[c] = prod(map(pow, squares, c))
-                total = column[0] * power
-                if total:
-                    for base, dg in members:
-                        local[dg] = local.get(dg, 0) + base * total
-            for dg, num in local.items():
-                if num:
-                    value = fractions.get((num, den))
-                    if value is None:
-                        value = fractions[num, den] = Fraction(num, den)
-                    terms[dg] = value
-    return StrataElement(g, n, terms)
+    for decorated, numerators, den in parts:
+        shared = fractions.get(den)
+        if shared is None:
+            shared = fractions[den] = {}
+        for dg, num in zip(decorated, numerators):
+            if num:
+                value = shared.get(num)
+                if value is None:
+                    value = shared[num] = Fraction(num, den)
+                terms[dg] = value
+    element = StrataElement(g, n)
+    element.terms = terms
+    return element
 
 
 def fixed_r_class(g: int, n: int, a, r: int, dmax: int, survivors=frozenset()) -> StrataElement:
@@ -717,8 +767,8 @@ def constant_term_class(
     the plan, whose graphs :func:`_class_sum` groups per call by edge list
     and vertex leg sums, computed once per leg map: one lookup per layout
     in the store of checked columns (:func:`_layout_columns`), so a warm
-    call computes no weighting sum, then one integer per template group,
-    and one Fraction per distinct value.  Per layout and edge profile, the
+    call computes no weighting sum, then one integer product per template
+    row, and one Fraction per distinct value.  Per layout and edge profile, the
     Lagrange-at-zero weights on the first 2*dmax + 1 nodes give the sum's
     value at r = 0, and the (2*dmax + 1)-th forward differences ending at
     the two held-out nodes both vanish exactly when the fit through the
@@ -764,7 +814,7 @@ def _monomial_points(k: int, degree: int) -> tuple[int, int]:
 def _group_weights(exponents: tuple, d: int, parts: tuple, c: tuple):
     """The integer weights over the simplex S of :func:`_simplex_tables`
     (over D! = (2d)!) that read the coefficient of prod_{j>=2} a_j^(b_j)
-    off the values of the template group with leg exponents c, for a graph
+    off the values of the templates with leg exponents c, for a graph
     with leg partition ``parts``; None when they all vanish.
 
     The weight is omega_c = sum_gamma T(gamma, c) row_gamma, T(gamma, c)
@@ -864,16 +914,20 @@ def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
     check rows are the layer's, as (point indices, weights) pairs, shared by
     every geometry with the same k.
 
-    Each entry is (graph, placements, groups, den).  Per forget count of
-    ``forgets``, in order, placements holds the (coefficient, leg partition)
-    pairs of the entry's part-vertex set, empty where that count places none
-    there.  The groups are the graph's template groups of degree exactly d,
+    Each entry is (graph, placements, rows, decorated, exponents, den).
+    Per forget count of ``forgets``, in order, placements holds the
+    (coefficient, leg partition) pairs of the entry's part-vertex set, empty
+    where that count places none there.  The rows and decorated graphs are
+    the graph's :func:`_graph_templates` of degree exactly d,
     E + |profile| + |c| = d, the only ones a target monomial reads, and the
-    only ones built, once per graph for every forget count; den is
-    :func:`_template_denominator` times |Aut| times (2d)!, the last factor
-    being the denominator of the group weights.  Equal placements and lists
-    of them are one object each, since many entries share them and they key
-    the cached :func:`_placed_weights`.
+    only ones built, once per graph for every forget count, so the entries
+    of one graph share them.  Their exponent ids are the graph's own:
+    ``exponents`` holds its distinct leg-exponent vectors at their ids, so
+    that a walk weighs each once per entry and target, into a list the rows
+    index.  den is :func:`_template_denominator` times |Aut| times (2d)!,
+    the last factor being the denominator of the group weights.  Equal
+    placements and lists of them are one object each, since many entries
+    share them and they key the cached :func:`_placed_weights`.
 
     The census is (entries, A-points, k, edge lists): the plan's entries,
     the A-points of their layouts, the largest k of a layout, whose leg 1
@@ -891,22 +945,24 @@ def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
 
     layouts: dict[tuple, tuple] = {}
     for graph in enumerate_stable_graphs(g, n, max_edges=d):
-        groups = _graph_templates(graph, d, graph.capacities(), exact=True)
+        exponent_ids: dict[tuple[int, ...], int] = {}
+        rows, decorated = _graph_templates(graph, d, graph.capacities(), exponent_ids, exact=True)
+        templates = rows, decorated, tuple(exponent_ids)
         den = common * automorphism_count(graph, check=False)
         per_forget = [_placements(graph.genera, graph.edges, graph.legs, f) for f in forgets]
         for vertices in dict.fromkeys(v for placements in per_forget for v in placements):
             shape = graph.num_vertices, graph.legs[0], vertices
             if shape not in geometries:
-                simplex, _, rows = _simplex_tables(len(vertices), degree)
+                simplex, _, layer = _simplex_tables(len(vertices), degree)
                 if len(vertices) not in checks:
-                    checks[len(vertices)] = tuple(tuple(zip(*row)) for row in rows)
+                    checks[len(vertices)] = tuple(tuple(zip(*row)) for row in layer)
                 geometries[shape] = _layout_points(*shape, simplex), checks[len(vertices)]
             placed = tuple(
                 share(tuple(map(share, placements.get(vertices, ()))))
                 for placements in per_forget
             )
             entries = layouts.setdefault((graph.edges, *shape), (geometries[shape], []))[1]
-            entries.append((graph, placed, groups, den))
+            entries.append((graph, placed, *templates, den))
     # the layouts of one edge list side by side: the constant terms they
     # share (at equal leg sums) are read by one worker, one after another
     ordered = sorted(layouts.items(), key=lambda item: item[0][0])
@@ -922,7 +978,7 @@ def _monomial_plan(g: int, n: int, d: int, forgets: tuple) -> tuple:
 
 @functools.cache
 def _placed_weights(exponents: tuple, d: int, placements: tuple, c: tuple):
-    """The :func:`_group_weights` of the template group with leg exponents c
+    """The :func:`_group_weights` of the templates with leg exponents c
     (0 at the forgotten legs) at each of the ``placements``' leg partitions,
     times its coefficient, summed, as a tuple; None when they are all None.
     Cached, so a repeated walk weighs nothing; one placement with
@@ -944,15 +1000,16 @@ def _monomial_layouts(layouts, targets, d: int):
     extracting for each of the ``targets``, (exponents, slot) pairs, the
     coefficient of prod_{j>=2} a_j^(b_j), the exponents b_j covering the
     forgotten legs too and slot being the index of the target's forget count
-    in the plan's; each item of weighted is (target index, group weights,
-    groups, den) for one entry, a group weight None where the group reads
-    nothing.
+    in the plan's; each item of weighted is (target index, weights, entry)
+    for one entry, its weights being the group weights of each of its leg
+    exponents, by exponent id, None where the templates with those leg
+    exponents read nothing.
 
     A graph's weighting sums see the leg values only through the leg sums
     A_i at the k vertices of its leg partition, and their constant term in r
     is a polynomial P(A) of total degree <= D = 2d.  P is sampled on the
     simplex S = {|A| <= D}, C(D+k, k) points, where each entry's template
-    group with leg exponents c is weighted for each target by
+    template with leg exponents c is weighted for each target by
     :func:`_placed_weights` of the entry's placements for that target, and
     on the layer L = {|A| = D + 1}, C(D+k, k-1) more, where every (D+1)-th
     Newton difference must vanish (see :func:`_simplex_tables`); the points
@@ -968,13 +1025,13 @@ def _monomial_layouts(layouts, targets, d: int):
     """
     for key, (points, checks), entries in layouts:
         weighted = []
-        for t, (exponents, slot) in enumerate(targets):
-            for _, placed, groups, den in entries:
-                placements = placed[slot]
+        for t, (b, slot) in enumerate(targets):
+            for entry in entries:
+                placements = entry[1][slot]
                 if placements:
-                    weights = [_placed_weights(exponents, d, placements, c) for _, c, _ in groups]
+                    weights = [_placed_weights(b, d, placements, c) for c in entry[4]]
                     if weights.count(None) < len(weights):
-                        weighted.append((t, weights, groups, den))
+                        weighted.append((t, weights, entry))
         if weighted:
             yield key, points, checks, weighted
 
@@ -982,18 +1039,21 @@ def _monomial_layouts(layouts, targets, d: int):
 def _chunk_worker(args):
     """The constant term of the graph sums of the layouts of every
     ``step``-th edge list of :func:`_monomial_plan` from ``start``, sampled
-    by :func:`_monomial_layouts` for every target, as integer numerators and
-    denominators per decorated graph and target, summed over the layouts
-    where its graph is an entry, with the counts of the walk: the layouts
+    by :func:`_monomial_layouts` for every target, as one list per target
+    of the (decorated graphs, integer numerators, den) parts of
+    :func:`_element`, one per graph, its numerators summed over the layouts
+    where it is an entry, with the counts of the walk: the layouts
     evaluated, their A-points, the points whose constant terms the walk
     computed and the rest, read without computing; used directly and as the
     multiprocessing worker.  Each layout's checked columns are one
     :func:`_layout_columns` call, with one point memo per edge list, and
-    each weighed group takes the dot product of its integer weights with its
-    profile's column, so the template loop runs once per entry and target
-    for all points; weights may stop short of the points, leaving the last
-    ones to the check rows.  The plan is sorted by edge list and every key
-    holds its edge list, so no key reaches two workers."""
+    each template row of a weighed entry adds its base times the dot
+    product of its exponent id's integer weights with its profile slot's
+    column to its decorated slot, so the template loop runs once per entry
+    and target for all points; weights may stop short of the points,
+    leaving the last ones to the check rows.  The plan is sorted by edge
+    list and every key holds its edge list, so no key, and no graph,
+    reaches two workers."""
     g, n, targets, d, r0, forgets, start, step = args
     layouts = _monomial_plan(g, n, d, forgets)[0]
     if step > 1:
@@ -1002,8 +1062,8 @@ def _chunk_worker(args):
             layout for _, group in itertools.islice(edge_lists, start, None, step) for layout in group
         ]
     nodes = tuple(_r_nodes(r0, d))
-    # a graph's keys meet in each layout where it has an entry, over one den
-    terms = [{} for _ in targets]
+    # a graph's entries meet in each layout where it has one, over one den
+    terms: list[dict] = [{} for _ in targets]
     evaluated = sampled = computed = 0
     walked = memo = None
     for key, points, checks, weighted in _monomial_layouts(layouts, targets, d):
@@ -1011,20 +1071,19 @@ def _chunk_worker(args):
             walked, memo = key[0], {}
         (scale, columns), new = _layout_columns(key, points, checks, nodes, d, memo)
         evaluated, sampled, computed = evaluated + 1, sampled + len(points), computed + new
-        for t, group_weights, groups, den in weighted:
-            local: dict[DecoratedGraph, int] = {}
-            for weights, (profile, _, members) in zip(group_weights, groups):
-                column = columns.get(profile)
-                if weights is None or column is None:
-                    continue
-                total = _dot(weights, column)
-                if total:
-                    for base, dg in members:
-                        local[dg] = local.get(dg, 0) + base * total
-            part, den = terms[t], den * scale
-            for dg, num in local.items():
-                part[dg] = part.get(dg, (0, den))[0] + num, den
-    return terms, (evaluated, sampled, computed, sampled - computed)
+        for t, weights, (graph, _, rows, decorated, _, den) in weighted:
+            part = terms[t].get(graph)
+            if part is None:
+                part = terms[t][graph] = decorated, [0] * len(decorated), den * scale
+            sums = part[1]
+            for p, e, base, slot in rows:
+                w = weights[e]
+                if w is not None:
+                    column = columns.get(p)
+                    if column is not None:
+                        sums[slot] += base * _dot(w, column)
+    parts = [list(part.values()) for part in terms]
+    return parts, (evaluated, sampled, computed, sampled - computed)
 
 
 def _monomial_coefficients(
@@ -1032,7 +1091,7 @@ def _monomial_coefficients(
 ):
     """The coefficients of :func:`monomial_coefficient` at each of the
     ``targets``, (exponents, forget) pairs of one (g, n, d), in one walk:
-    one plan for every forget count, its template groups built once, and
+    one plan for every forget count, its template rows built once, and
     one pass over its layouts, which reads each layout that some target
     reads once, with all its checked constant terms, checks each column on
     the layer once and weights it for every target.  The classes
@@ -1075,17 +1134,14 @@ def _monomial_coefficients(
             partials = pool.map(_chunk_worker, tasks)
     else:
         partials = [_chunk_worker(tasks[0])] if plan else []
-    (terms, counts), *rest = partials or [([{} for _ in checked], (0, 0, 0, 0))]
+    (parts, counts), *rest = partials or [([[] for _ in checked], (0, 0, 0, 0))]
     for chunks, chunk_counts in rest:
-        for part, chunk in zip(terms, chunks):
-            for key, (num, den) in chunk.items():
-                part[key] = part.get(key, (0, den))[0] + num, den
+        # no graph reaches two workers, so their parts only add up
+        for part, chunk in zip(parts, chunks):
+            part += chunk
         counts = tuple(map(add, counts, chunk_counts))
     layouts, layout_evaluations, computed, reused = counts
-    elements = [
-        StrataElement(g, n, {key: Fraction(num, den) for key, (num, den) in part.items() if num})
-        for part in terms
-    ]
+    elements = [_element(g, n, part) for part in parts]
     return elements, {
         "grid_degree": degree,
         "evaluations": evaluations,
@@ -1115,8 +1171,8 @@ def monomial_coefficient(
     degree <= D = 2d in the leg sums of the vertices other than leg 1's
     (Janda-Pandharipande-Pixton-Zvonkine, section 3), so each plan entry
     with k leg sums is sampled at the C(D+k, k) points of the simplex
-    |A| <= D, with integer weights per template group that read off the
-    target monomial, and at the C(D+k, k-1) points of the layer
+    |A| <= D, with integer weights per leg-exponent vector of its templates
+    that read off the target monomial, and at the C(D+k, k-1) points of the layer
     |A| = D + 1, where every (D+1)-th Newton difference must vanish (see
     :func:`_monomial_layouts`); the constant term in r is taken at every
     point as in :func:`constant_term_class`, with both held-out r nodes
@@ -1124,7 +1180,7 @@ def monomial_coefficient(
     node off the fit, raises :class:`FitInstabilityError`.  Plan entries of
     one layout have the same values at every A-point, and the cached plan
     (:func:`_monomial_plan`) holds them grouped by layout, with only the
-    template groups of degree d and each layout's points, so a call samples
+    template rows of degree d and each layout's points, so a call samples
     each layout's points once and runs the template loop per entry.  A call
     evaluates only the layouts that some group weight of the target reads,
     each for every edge profile, so every column of such a layout, and so

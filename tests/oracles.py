@@ -185,7 +185,7 @@ def enumerate_weightings(graph, a, r):
         yield w
 
 
-def fixed_r_class_direct(g, n, a, r, dmax) -> StrataElement:
+def fixed_r_class_direct(g, n, a, r, dmax, survivors=frozenset()) -> StrataElement:
     """Pixton's class at the fixed modulus r in degrees <= dmax, as the sum
     over stable graphs G and weightings w mod r of
 
@@ -198,8 +198,10 @@ def fixed_r_class_direct(g, n, a, r, dmax) -> StrataElement:
     their automorphisms counted by permutation, the weightings are found by
     trying every residue, and a term is dropped when its degree, the edges
     and psi exponents together, passes dmax, or its psi degree at a vertex v
-    passes 3 g_v - 3 + n_v, the dimension there.  Only the decorated graphs
-    are canonicalized, by :func:`make_decorated`."""
+    passes 3 g_v - 3 + n_v, the dimension there, less one for each of the
+    ``survivors`` (legs in 1..n) at v, which keeps room for one unit of psi
+    at each of them.  Only the decorated graphs are canonicalized, by
+    :func:`make_decorated`."""
     terms: dict = {}
     for genera, edges, legs in brute_force_stable_graphs(g, n, max_edges=dmax):
         V, E = len(genera), len(edges)
@@ -207,6 +209,8 @@ def fixed_r_class_direct(g, n, a, r, dmax) -> StrataElement:
         for v in legs + tuple(v for edge in edges for v in edge):
             valence[v] += 1
         caps = [3 * gv - 3 + nv for gv, nv in zip(genera, valence)]
+        for m in survivors:
+            caps[legs[m - 1]] -= 1
         graph = SimpleNamespace(num_vertices=V, num_edges=E, edges=edges, legs=legs, n=n)
         # x_e = w(h) w(h') / 2 per edge, for every weighting
         xs = [

@@ -114,9 +114,9 @@ def _leg_sums(graph, a):
 
 
 def _class_entries(plan):
-    """The (graph, groups, den) entries of a class plan, out of their leg
-    map groups."""
-    return [entry for _, entries in plan for entry in entries]
+    """The (graph, edge-list id, rows, decorated, den) entries of a class
+    plan, out of their leg map groups."""
+    return [entry for _, entries in plan[0] for entry in entries]
 
 
 def _check_power_sums(graph, a, rs):
@@ -179,13 +179,30 @@ def test_fixed_r_loop_coefficient_matches_direct_sum():
 @given(st.data())
 def test_fixed_r_class_matches_the_direct_graph_sum(data):
     # the oracle sums Pixton's formula graph by graph and weighting by
-    # weighting, exactly, in every degree up to the dimension
+    # weighting, exactly, in every degree up to the dimension, keeping room
+    # for one unit of psi at each survivor leg as the class plan does
     g, n = data.draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (0, 5)]), label="(g, n)")
     rest = data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1), label="a")
     a = (-sum(rest), *rest)
     r = data.draw(st.integers(1, 7), label="r")
     dmax = data.draw(st.integers(0, 3 * g - 3 + n), label="dmax")
-    assert fixed_r_class(g, n, a, r, dmax) == fixed_r_class_direct(g, n, a, r, dmax)
+    survivors = data.draw(st.frozensets(st.integers(1, n)), label="survivors")
+    assert fixed_r_class(g, n, a, r, dmax, survivors) == fixed_r_class_direct(
+        g, n, a, r, dmax, survivors
+    )
+
+
+def test_survivor_classes_match_the_direct_graph_sum():
+    # the survivor path against the oracle where the survivors drop terms:
+    # 57 of the 72 terms of (2,2) in degree 3 keep room at leg 1, and 5 of
+    # the 82 of (1,3) keep room at legs 2 and 3
+    for g, n, a, r, dmax, survivors, counts in [
+        (2, 2, (2, -2), 4, 3, frozenset({1}), (57, 72)),
+        (1, 3, (3, -1, -2), 5, 3, frozenset({2, 3}), (5, 82)),
+    ]:
+        el = fixed_r_class(g, n, a, r, dmax, survivors)
+        assert el == fixed_r_class_direct(g, n, a, r, dmax, survivors)
+        assert (len(el.terms), len(fixed_r_class(g, n, a, r, dmax).terms)) == counts
 
 
 def test_survivor_legs_outside_one_to_n_are_refused(monkeypatch):
@@ -447,11 +464,12 @@ def _read_profiles(plan, exponents, d):
     walk for the target reads, each for every one of its profiles."""
     read = {}
     for key, *_, entries in plan:
+        edge_profiles = pixton._edge_profiles(len(key[0]), d - len(key[0]))
         profiles = {
-            p
-            for _, (placements,), groups, _ in entries
-            for p, c, _ in groups
-            if pixton._placed_weights(exponents, d, placements, c) is not None
+            edge_profiles[p]
+            for _, (placements,), rows, _, cs, _ in entries
+            for p, e, *_ in rows
+            if pixton._placed_weights(exponents, d, placements, cs[e]) is not None
         }
         if profiles:
             read[key] = profiles
@@ -473,8 +491,9 @@ def test_monomial_plan_is_grouped_by_layout():
     # within a layout every entry has the layout's edge list and leg-1
     # vertex, and each of its placements a leg partition whose parts sit on
     # the layout's vertices, the graph's own legs included; no layout
-    # repeats, the layouts are ordered by edge list, every template group
-    # kept has degree d, and a layout's points are those of its geometry,
+    # repeats, the layouts are ordered by edge list, every template row
+    # kept has degree d, its slots index its graph's distinct decorated
+    # graphs and leg exponents, and a layout's points are those of its geometry,
     # one tuple shared by the layouts of one geometry; a call samples, in
     # plan order, exactly the layouts whose group weights read some
     # profile, each item names the target, and the points it samples are,
@@ -504,21 +523,24 @@ def test_monomial_plan_is_grouped_by_layout():
                 edges, V, first, vertices = key
                 assert geometries.setdefault(key[1:], geometry) is geometry
                 points, checks = geometry
-                simplex, _, rows = pixton._simplex_tables(len(vertices), 2 * d)
+                simplex, _, layer = pixton._simplex_tables(len(vertices), 2 * d)
                 assert points == pixton._layout_points(V, first, vertices, simplex)
-                assert checks == tuple(tuple(zip(*row)) for row in rows)
+                assert checks == tuple(tuple(zip(*row)) for row in layer)
                 value = max(abs(x) for point in points for x in point) or 1
                 assert (len(points), value) == pixton._monomial_points(len(vertices), 2 * d)
                 profiles = pixton._edge_profiles(len(edges), d - len(edges))
-                for graph, (placements,), groups, den in entries:
+                for graph, (placements,), rows, decorated, cs, den in entries:
+                    groups = [(profiles[p], cs[e]) for p, e, *_ in rows]
+                    assert {slot for *_, slot in rows} == set(range(len(decorated)))
+                    assert {e for _, e, *_ in rows} == set(range(len(cs)))
                     assert (graph.edges, graph.num_vertices, graph.legs[0]) == key[:3]
                     assert graph.h1() == len(edges) - V + 1 and placements
                     for coefficient, parts in placements:
                         legs = _placed_legs(graph, parts, vertices, forget)
                         assert coefficient >= 1 and legs[: graph.n] == graph.legs
                         assert pixton._leg_partition(legs) == parts
-                    assert all(graph.num_edges + sum(p) + sum(c) == d for p, c, _ in groups)
-                    assert {p for p, _, _ in groups} <= set(profiles)
+                    assert all(graph.num_edges + sum(p) + sum(c) == d for p, c in groups)
+                    assert {p for p, _ in groups} <= set(profiles)
             edges = [key[0] for key, *_ in plan]
             assert edges == sorted(edges)
             count += sum(len(entries) for *_, entries in plan)
@@ -544,8 +566,8 @@ def test_one_plan_serves_every_forget_count():
     # the plan of the forget counts 0, 1 and 2 on the graphs of (1,3) in
     # degree 2, those of the lemmas (1,2,(2,)), (1,2,(1,)) and (1,2,(0,)),
     # holds at each count's slot exactly the entries of that count's own
-    # plan, with their placements, template groups and dens, in order within
-    # each layout; the layouts are ordered by edge list, the template groups
+    # plan, with their placements, templates and dens, in order within
+    # each layout; the layouts are ordered by edge list, the templates
     # of a graph are built once for every count, equal placements are one
     # object, and a walk of one target per count weighs equal (placements,
     # leg exponents) pairs, and only those, once: one _placed_weights miss
@@ -557,12 +579,13 @@ def test_one_plan_serves_every_forget_count():
     walk = (((2, 1), 0), ((1, 1, 1), 1), ((0, 1, 1, 1), 2))
     groups_of, interned, pairs = {}, {}, set()
     for _, _, entries in plan:
-        for graph, placed, groups, _ in entries:
-            assert groups_of.setdefault(graph, groups) is groups and any(placed)
+        for graph, placed, *templates, _ in entries:
+            built = groups_of.setdefault(graph, templates)
+            assert all(x is y for x, y in zip(built, templates)) and any(placed)
             for (exponents, _), placements in zip(walk, placed):
                 assert interned.setdefault(placements, placements) is placements
                 if placements:
-                    pairs.update((exponents, placements, c) for _, c, _ in groups)
+                    pairs.update((exponents, placements, c) for c in templates[2])
     pixton._placed_weights.cache_clear()
     walked = list(pixton._monomial_layouts(plan, walk, d))
     assert {t for *_, weighted in walked for t, *_ in weighted} == {0, 1, 2}
@@ -573,13 +596,12 @@ def test_one_plan_serves_every_forget_count():
     for slot, forget in enumerate(forgets):
         own, _ = pixton._monomial_plan(g, n, d, (forget,))
         layouts = {
-            key: (geometry, [(graph, placed[slot], groups, den)
-                             for graph, placed, groups, den in entries if placed[slot]])
+            key: (geometry, [(graph, placed[slot], *rest)
+                             for graph, placed, *rest in entries if placed[slot]])
             for key, geometry, entries in plan
         }
         want = {
-            key: (geometry, [(graph, placed, groups, den)
-                             for graph, (placed,), groups, den in entries])
+            key: (geometry, [(graph, placed, *rest) for graph, (placed,), *rest in entries])
             for key, geometry, entries in own
         }
         assert {key: layout for key, layout in layouts.items() if layout[1]} == want
@@ -786,10 +808,10 @@ def test_a_second_lemma_pass_weighs_nothing(fresh_sums):
     exponents, d = (2, 1), 2
     same = 0
     for *_, entries in pixton._monomial_plan(1, 3, d, (0,))[0]:
-        for _, (placements,), groups, _ in entries:
+        for _, (placements,), _, _, cs, _ in entries:
             ((coefficient, parts),) = placements
             assert coefficient == 1
-            for _, c, _ in groups:
+            for c in cs:
                 weights = pixton._placed_weights(exponents, d, placements, c)
                 assert weights is pixton._group_weights(exponents, d, parts, c)
                 same += weights is not None
@@ -798,8 +820,8 @@ def test_a_second_lemma_pass_weighs_nothing(fresh_sums):
     summed = 0
     ((plan, _, _, exponents),) = _lemma_targets(1, [(2, (0,))])
     for *_, entries in plan:
-        for _, (placements,), groups, _ in entries:
-            for _, c, _ in groups:
+        for _, (placements,), _, _, cs, _ in entries:
+            for c in cs:
                 weights = pixton._placed_weights(exponents, d, placements, c)
                 assert weights is None or type(weights) is tuple
                 summed += weights is not None and placements[0][0] * len(placements) > 1
@@ -1071,8 +1093,8 @@ def test_layouts_keep_their_leg_sum_vertices_apart():
     plan = pixton._monomial_plan(g, n, d, (0,))[0]
     read = set()
     for *_, entries in plan:
-        for graph, (((_, parts),),), groups, _ in entries:
-            weights = [pixton._group_weights(exponents, d, parts, c) for _, c, _ in groups]
+        for graph, (((_, parts),),), _, _, cs, _ in entries:
+            weights = [pixton._group_weights(exponents, d, parts, c) for c in cs]
             if graph.edges == ((0, 1), (0, 2)) and any(w is not None for w in weights):
                 read.add(_layout(graph)[2:])
     assert {(1, (0, 2)), (1, (2, 0))} <= read
@@ -1354,15 +1376,18 @@ def _point_layout_counts(plan, a):
 
 
 def test_plan_templates_share_graphs_and_decorations():
-    # every template member's key holds its plan graph itself, and equal
-    # decoration tuples across members are one object
+    # every template's decorated graph holds its plan graph itself, a
+    # graph's decorated graphs are distinct, and equal decoration tuples
+    # across them are one object
     seen = {}
-    for graph, groups, *_ in _class_entries(pixton._class_plan(2, 4, 2, frozenset())):
-        for _, _, members in groups:
-            for _, key in members:
-                assert key.graph is graph
-                for decoration in (key.psi_legs, key.psi_edges, key.kappa):
-                    assert seen.setdefault(decoration, decoration) is decoration
+    plan = pixton._class_plan(2, 4, 2, frozenset())
+    for graph, eid, _, decorated, _ in _class_entries(plan):
+        assert plan[1][eid] == graph.edges
+        assert len(set(decorated)) == len(decorated)
+        for key in decorated:
+            assert key.graph is graph
+            for decoration in (key.psi_legs, key.psi_edges, key.kappa):
+                assert seen.setdefault(decoration, decoration) is decoration
 
 
 def test_point_layouts_make_one_power_sums_call(monkeypatch, fresh_sums):
@@ -1393,8 +1418,9 @@ def test_a_warm_class_call_is_one_lookup_per_layout(monkeypatch, fresh_sums):
     # call reads each layout from the store once and computes no sum
     g, n, a, d = 1, 4, (-2, 1, 1, 0), 1
     plan = pixton._class_plan(g, n, d, frozenset())
-    assert len({leg_map for leg_map, _ in plan}) == len(plan)
-    for leg_map, entries in plan:
+    leg_maps = plan[0]
+    assert len({leg_map for leg_map, _ in leg_maps}) == len(leg_maps)
+    for leg_map, entries in leg_maps:
         assert all((graph.num_vertices, graph.legs) == leg_map for graph, *_ in entries)
     layouts = _point_layout_counts(plan, a)
     assert (sum(layouts.values()), len(layouts)) == (13, 7)
@@ -1466,25 +1492,26 @@ def test_template_bases_are_over_one_denominator():
             value /= 2**c * factorial(c)
         return value
 
-    entries = [
-        (d, entry[0], entry[1], entry[2], 1)
-        for g, n, d, survivors in [(2, 4, 2, frozenset()), (2, 4, 3, frozenset({3, 4}))]
-        for entry in _class_entries(pixton._class_plan(g, n, d, survivors))
-    ]
+    entries = []
+    for g, n, d, survivors in [(2, 4, 2, frozenset()), (2, 4, 3, frozenset({3, 4}))]:
+        plan = pixton._class_plan(g, n, d, survivors)
+        entries += [(d, graph, *entry, plan[2], 1) for graph, _, *entry in _class_entries(plan)]
     entries += [
-        (3, graph, groups, den, factorial(6))
+        (3, graph, rows, decorated, den, cs, factorial(6))
         for *_, plan_entries in pixton._monomial_plan(2, 2, 3, (1,))[0]
-        for graph, _, groups, den in plan_entries
+        for graph, _, rows, decorated, cs, den in plan_entries
     ]
-    for d, graph, groups, den, weights_den in entries:
+    for d, graph, rows, decorated, den, table, weights_den in entries:
         common = 2**d * factorial(d)
         assert den == common * automorphism_count(graph) * weights_den
-        for profile, c, members in groups:
+        assert len(set(table)) == len(table)
+        profiles = pixton._edge_profiles(graph.num_edges, d - graph.num_edges)
+        for p, e, base, slot in rows:
+            profile, c, key = profiles[p], table[e], decorated[slot]
             assert weights_den == 1 or graph.num_edges + sum(profile) + sum(c) == d
-            for base, key in members:
-                assert key.graph is graph and key.psi_legs == c
-                assert sorted(map(sum, key.psi_edges)) == sorted(profile)
-                assert Fraction(base, common) == coefficient(key)
+            assert key.graph is graph and key.psi_legs == c
+            assert sorted(map(sum, key.psi_edges)) == sorted(profile)
+            assert Fraction(base, common) == coefficient(key)
 
 
 def test_pixton_class_small():
